@@ -11,7 +11,6 @@ from .geometry import (
     cantor_tower,
     cover_cube,
     lattice_residue_check,
-    measure,
     overlap_profile,
     translate_overlap,
 )
@@ -25,7 +24,6 @@ from .pointsets import (
     WeightedComb,
     density_closed_form,
     density_windowed,
-    enumerate_in_box,
     integers,
 )
 from .gridfn import GridFunction

@@ -47,14 +47,6 @@ from .windows import Window
 from .zak import certify_gabor
 
 
-def _cap_threads() -> None:
-    cap = os.environ.get("FRAMEFORGE_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 def _load_json_arg(text: str) -> dict:
     if os.path.exists(text):
         with open(text) as fh:
@@ -385,7 +377,6 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

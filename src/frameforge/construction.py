@@ -19,12 +19,11 @@ from .errors import InputError
 from .framebounds import (
     ContinuousFreqMeasure,
     EssBoundsReport,
-    FrameBoundsReport,
     WindowedSystem,
     ess_bounds,
-    estimate_frame_bounds,
+    frame_bounds_on_grid,
+    max_cell_means,
     raw_exponential_tight_constant,
-    _max_cell_means,
 )
 from .geometry import (
     Box,
@@ -37,7 +36,7 @@ from .geometry import (
     overlap_profile,
     translate_overlap,
 )
-from .gridfn import GridFunction, cell_volumes, grid_centers
+from .gridfn import GridFunction, cell_volumes, grid_points
 from .pointsets import FiniteSet, LatticeCosets
 from .windows import Window
 
@@ -139,7 +138,7 @@ def _first_hit_partition(bounded_windows: Sequence[Window], omega: BoxUnionSet,
     bb = omega.bounding_box()
     d = bb.dim
     steps = [(b - a) / grid_n for a, b in zip(bb.lo, bb.hi)]
-    means = np.stack([_max_cell_means([w], omega, grid_n).ravel()
+    means = np.stack([max_cell_means([w], omega, grid_n).ravel()
                       for w in bounded_windows])
     buckets: list[list[Box]] = [[] for _ in bounded_windows]
     for flat, idx in enumerate(np.ndindex(*(grid_n,) * d)):
@@ -180,17 +179,17 @@ def build_lattice_tight_frame(omega: BoxUnionSet, lattice: Lattice,
 
     Requires that the domain meets each lattice residue class at most once;
     the frame is the dual-lattice exponentials with the single indicator
-    window.  The tight constant is measured by a dense eigensolve at a
-    Nyquist-matched discretization (grid spacing = 1 / truncation bandwidth;
-    ``grid_cap`` caps the resolution), never hard-coded from a normalization
-    convention.
+    window.  The tight constant is measured as the extreme eigenvalues of the
+    frame operator at a Nyquist-matched discretization (grid spacing =
+    1 / truncation bandwidth; ``grid_cap`` caps the resolution), never
+    hard-coded from a normalization convention.
 
     On refusal, the exception carries a nonzero function whose frame
     coefficients all vanish: the indicator difference of a residue collision.
     """
+    spacing = 1.0 / (2.0 * trunc_radius)
     verdict = lattice_residue_check(omega, lattice)
     if not verdict.holds:
-        spacing = 1.0 / (2.0 * trunc_radius)
         counterexample = _incompleteness_function(omega, verdict.witness, spacing)
         raise TightFrameRefusal(
             "two lattice translates of the domain collide on positive measure, "
@@ -199,34 +198,14 @@ def build_lattice_tight_frame(omega: BoxUnionSet, lattice: Lattice,
     d = omega.dim
     freq = LatticeCosets(lattice.dual())
     system = WindowedSystem(omega, ((Window.indicator(), freq),))
-    spacing = 1.0 / (2.0 * trunc_radius)
     grid_box, n = _matched_grid(omega, spacing, grid_cap)
     trunc_box = Box(tuple(-trunc_radius for _ in range(d)),
                     tuple(trunc_radius for _ in range(d)))
-    rep = _bounds_on_grid_box(system, grid_box, n, trunc_box)
+    rep = frame_bounds_on_grid(system, grid_box, n, trunc_box)
     provenance = (f"dual lattice exponentials, covolume {lattice.covolume:.6g}; "
                   f"constant measured at spacing {spacing:.6g}, "
                   f"truncation radius {trunc_radius}")
     return ConstructionResult(system, rep.A_est, rep.B_est, (omega,), provenance)
-
-
-def _bounds_on_grid_box(system: WindowedSystem, grid_box: Box, grid_n: int,
-                        trunc_box: Box) -> FrameBoundsReport:
-    """Frame bounds with the grid laid over an explicit box (not the domain's
-    bounding box); cells outside the domain carry zero weight."""
-    from .framebounds import _analysis_blocks, _extremal_eigs_dense
-
-    weights = cell_volumes(grid_box, grid_n, system.omega).ravel()
-    mesh = np.meshgrid(*grid_centers(grid_box, grid_n), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    active = weights > 0
-    xs = pts[active]
-    sqw = np.sqrt(weights[active])
-    blocks, notes = _analysis_blocks(system, xs, sqw, trunc_box)
-    if not blocks:
-        return FrameBoundsReport(0.0, 0.0, grid_n, trunc_box, "; ".join(notes))
-    a, b = _extremal_eigs_dense(blocks, len(xs))
-    return FrameBoundsReport(a, b, grid_n, trunc_box, "; ".join(notes))
 
 
 def _incompleteness_function(omega: BoxUnionSet, witness: ResidueWitness,
@@ -247,8 +226,7 @@ def _incompleteness_function(omega: BoxUnionSet, witness: ResidueWitness,
     side = max(bb.sides)
     n = int(math.ceil(side / spacing - 1e-9))
     grid_box = Box(bb.lo, tuple(a + n * spacing for a in bb.lo))
-    mesh = np.meshgrid(*grid_centers(grid_box, n), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = grid_points(grid_box, n)
     vals = np.zeros(len(pts), dtype=complex)
     for i, p in enumerate(pts):
         if e_plus.contains(p):
@@ -351,8 +329,7 @@ def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
     d = omega.dim
     weights = cell_volumes(bb, grid_n, omega)
     flat_w = weights.ravel()
-    mesh = np.meshgrid(*grid_centers(bb, grid_n), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = grid_points(bb, grid_n)
     active = flat_w > 0
     steps = [(b - a) / grid_n for a, b in zip(bb.lo, bb.hi)]
     worst = 0.0

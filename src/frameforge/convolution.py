@@ -9,6 +9,7 @@ convolution sum, with a quadrature tolerance derived from first differences.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import Box
-from .gridfn import GridFunction, cell_volumes, grid_centers
+from .gridfn import GridFunction, cell_volumes, grid_points
 from .pointsets import DensityReport, WeightedComb, density_closed_form
 
 TOL_FLOOR = 1e-12
@@ -36,8 +37,7 @@ def comb_convolve(comb: WeightedComb, f: GridFunction, eval_box: Box,
     support = f.bounding_box
     reach = Box(tuple(a - b for a, b in zip(eval_box.lo, support.hi)),
                 tuple(b - a for b, a in zip(eval_box.hi, support.lo)))
-    mesh = np.meshgrid(*grid_centers(eval_box, n_eval), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = grid_points(eval_box, n_eval)
     acc = np.zeros(len(pts), dtype=complex)
     for w, support_set in comb.terms:
         for lam in support_set.points_in_box(reach):
@@ -55,47 +55,36 @@ def translation_bounded_probe(comb: WeightedComb, window: Box,
                               x_samples: int = 200) -> TranslationBoundReport:
     """Estimate sup_x mu(x + K) by sliding the box over structural placements.
 
-    Candidate positions combine a uniform sweep over one period cell plus
-    tails with corner placements that pin a point of the comb exactly on the
-    window's lower corner; for lattice-type combs the corner placements make
-    the supremum exact.
+    Each axis takes a uniform sweep (over the structure plus tails in 1-D,
+    over one period cell per axis otherwise) plus every point coordinate on
+    that axis, and the box's lower corner runs over their Cartesian product.
+    Sliding a half-open box up until a point sits on each lower face never
+    loses mass, so for lattice-type combs the corner placements make the
+    supremum exact.
     """
     if window.dim != comb.dim:
         raise InputError("window dimension does not match the comb")
     d = comb.dim
-    sides = np.array(window.sides)
+    sides = window.sides
+    span = max(s.min_period() or 1.0 for _, s in comb.terms)
     if d == 1:
         anchors = [s.anchor_interval() for _, s in comb.terms]
-        span = max(s.min_period() or 1.0 for _, s in comb.terms)
         a = min(x[0] for x in anchors) - 2.0 * (sides[0] + span)
         b = max(x[1] for x in anchors) + 2.0 * (sides[0] + span)
-        candidates = list(np.linspace(a, b, x_samples))
+        sweeps = [np.linspace(a, b, x_samples)]
         probe = Box((a,), (b + 1e-9,))
-        for _, s in comb.terms:
-            pts = s.points_in_box(probe)
-            candidates.extend(float(p) for p in pts.ravel())
-        best_v, best_x = -1.0, None
-        for x in candidates:
-            shifted = Box((x,), (x + sides[0],))
-            v = comb.mass_in_box(shifted)
-            if v > best_v:
-                best_v, best_x = v, (float(x),)
-        return TranslationBoundReport(best_v, best_x)
-    # d >= 2: sweep one fundamental cell per axis plus point-corner placements
-    per_axis = max(2, int(round(x_samples ** (1.0 / d))))
-    span = max((s.min_period() or 1.0) for _, s in comb.terms)
-    axes = [np.linspace(-span, span, per_axis) for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    candidates = [tuple(m.ravel()[i] for m in mesh) for i in range(mesh[0].size)]
-    probe = Box(tuple(-span - s for s in sides), tuple(span + s for s in sides))
-    for _, s in comb.terms:
-        candidates.extend(tuple(p) for p in s.points_in_box(probe))
+    else:
+        per_axis = max(2, int(round(x_samples ** (1.0 / d))))
+        sweeps = [np.linspace(-span, span, per_axis)] * d
+        probe = Box(tuple(-span - s for s in sides), tuple(span + s for s in sides))
+    pts = np.vstack([s.points_in_box(probe) for _, s in comb.terms])
+    axes = [list(dict.fromkeys(sweep.tolist() + pts[:, k].tolist()))
+            for k, sweep in enumerate(sweeps)]
     best_v, best_x = -1.0, None
-    for x in candidates:
-        shifted = Box(tuple(x), tuple(v + s for v, s in zip(x, sides)))
-        v = comb.mass_in_box(shifted)
+    for x in itertools.product(*axes):
+        v = comb.mass_in_box(Box(x, tuple(v + s for v, s in zip(x, sides))))
         if v > best_v:
-            best_v, best_x = v, tuple(float(v_) for v_ in x)
+            best_v, best_x = v, x
     return TranslationBoundReport(best_v, best_x)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import Box, BoxUnionSet, Lattice
-from .gridfn import GridFunction, cell_volumes, grid_centers
+from .gridfn import GridFunction, cell_volumes, grid_points
 from .pointsets import (
     DensityReport,
     LatticeCosets,
@@ -170,24 +170,30 @@ def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
                           dense_limit: int = DENSE_EIG_LIMIT) -> FrameBoundsReport:
     """Extreme eigenvalues of the discretized frame operator.
 
-    Discrete frequency sets are truncated to ``trunc_box`` (default: the
-    grid's Nyquist band, which keeps the eigenproblem well posed); continuous
-    frequency measures enter by quadrature against their density plus exact
-    atom sums.
+    The grid covers the domain's bounding box.  Discrete frequency sets are
+    truncated to ``trunc_box`` (default: the grid's Nyquist band, which keeps
+    the eigenproblem well posed); continuous frequency measures enter by
+    quadrature against their density plus exact atom sums.
     """
     if grid_n < 2:
         raise InputError(f"grid_n must be at least 2, got {grid_n}")
-    omega = system.omega
-    bb = omega.bounding_box()
-    weights = cell_volumes(bb, grid_n, omega).ravel()
-    if weights.max() == 0.0:
-        raise InputError("singular quadrature: every grid cell misses the domain")
+    bb = system.omega.bounding_box()
     if trunc_box is None:
         trunc_box = nyquist_box(bb, grid_n)
-    mesh = np.meshgrid(*grid_centers(bb, grid_n), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    return frame_bounds_on_grid(system, bb, grid_n, trunc_box, dense_limit)
+
+
+def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
+                         trunc_box: Box,
+                         dense_limit: int = DENSE_EIG_LIMIT) -> FrameBoundsReport:
+    """Frame bounds with the grid laid over ``grid_box``; cells outside the
+    domain carry zero weight.  Above ``dense_limit`` active cells the extreme
+    eigenvalues come from an iterative solve."""
+    weights = cell_volumes(grid_box, grid_n, system.omega).ravel()
+    if weights.max() == 0.0:
+        raise InputError("singular quadrature: every grid cell misses the domain")
     active = weights > 0
-    xs = pts[active]
+    xs = grid_points(grid_box, grid_n)[active]
     sqw = np.sqrt(weights[active])
     blocks, notes = _analysis_blocks(system, xs, sqw, trunc_box)
     nc = len(xs)
@@ -237,17 +243,15 @@ class EssBoundsReport:
     notes: str = ""
 
 
-def _max_cell_means(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int,
-                    subsamples: int = 4) -> np.ndarray:
+def max_cell_means(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int,
+                   subsamples: int = 4) -> np.ndarray:
     """Per-cell L2 means of max_j |g_j| over the domain part of each cell.
 
     Cells that do not meet the domain come back as NaN.
     """
     bb = omega.bounding_box()
     d = bb.dim
-    fine = grid_n * subsamples
-    mesh = np.meshgrid(*grid_centers(bb, fine), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = grid_points(bb, grid_n * subsamples)
     inside = np.zeros(len(pts), dtype=bool)
     for b in omega.boxes:
         inside |= np.all((pts >= np.array(b.lo)) & (pts < np.array(b.hi)), axis=1)
@@ -285,7 +289,7 @@ def ess_bounds(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int,
     trace = []
     for level in range(refine_levels):
         n = grid_n * (2 ** level)
-        means = _max_cell_means(bounded, omega, n)
+        means = max_cell_means(bounded, omega, n)
         valid = means[~np.isnan(means)]
         trace.append((n, float(valid.min()), float(valid.max())))
     m_hat, big_m = trace[0][1], trace[0][2]
@@ -396,10 +400,7 @@ def weighted_transform(weight: Window, windows: Sequence[Window],
     The transformed system inherits frame behaviour from the weighted one,
     so the usual bracket checks apply to the returned windows.
     """
-    bb = omega.bounding_box()
-    mesh = np.meshgrid(*grid_centers(bb, grid_n), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = weight.eval(pts).real
+    vals = weight.eval(grid_points(omega.bounding_box(), grid_n)).real
     if vals.min() < -1e-12:
         raise InputError("the weight must be non-negative on the domain")
     return [w.times_sqrt(weight.expr) for w in windows]

@@ -148,10 +148,6 @@ class BoxUnionSet:
     boxes: tuple[Box, ...]
 
     @staticmethod
-    def from_boxes(boxes: Iterable[Box]) -> "BoxUnionSet":
-        return canonicalize(boxes)
-
-    @staticmethod
     def from_intervals(intervals: Iterable[tuple[float, float]]) -> "BoxUnionSet":
         return canonicalize([Box((a,), (b,)) for a, b in intervals])
 
@@ -185,10 +181,6 @@ class BoxUnionSet:
         los = np.array([b.lo for b in self.boxes], dtype=float)
         his = np.array([b.hi for b in self.boxes], dtype=float)
         return los, his
-
-
-def measure(omega: BoxUnionSet) -> float:
-    return omega.measure()
 
 
 def _normalize_sign(x: np.ndarray) -> np.ndarray:

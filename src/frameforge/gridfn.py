@@ -10,6 +10,7 @@ quadrature error for piecewise-constant data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,8 +30,19 @@ def grid_centers(box: Box, n: int) -> list[np.ndarray]:
     return axes
 
 
+def grid_points(box: Box, n: int) -> np.ndarray:
+    """All cell centers of an n-per-axis grid as an (n^d, d) array in C order."""
+    axes = grid_centers(box, n)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.dim)
+
+
 def cell_volumes(box: Box, n: int, omega: Optional[BoxUnionSet] = None) -> np.ndarray:
-    """Cell weights: full cell volume, or |cell ∩ omega| when a domain is given."""
+    """Cell weights: full cell volume, or |cell ∩ omega| when a domain is given.
+
+    Each of omega's boxes adds the outer product of its per-axis overlaps
+    with the cell intervals, so the weights are exact box arithmetic with no
+    loop over cells.
+    """
     d = box.dim
     steps = [(b - a) / n for a, b in zip(box.lo, box.hi)]
     if omega is None:
@@ -38,11 +50,21 @@ def cell_volumes(box: Box, n: int, omega: Optional[BoxUnionSet] = None) -> np.nd
         return np.full((n,) * d, full)
     if omega.dim != d:
         raise InputError(f"domain dimension {omega.dim} != box dimension {box.dim}")
-    weights = np.empty((n,) * d)
-    for idx in np.ndindex(*weights.shape):
-        lo = tuple(a + i * s for a, i, s in zip(box.lo, idx, steps))
-        hi = tuple(a + (i + 1) * s for a, i, s in zip(box.lo, idx, steps))
-        weights[idx] = omega.intersection_volume(Box(lo, hi))
+    idx = np.arange(n)
+    cell_lo = [a + idx * s for a, s in zip(box.lo, steps)]
+    cell_hi = [a + (idx + 1) * s for a, s in zip(box.lo, steps)]
+    weights = np.zeros((n,) * d)
+    for b in omega.boxes:
+        cells, sides = [], []
+        for lo, hi, b_lo, b_hi in zip(cell_lo, cell_hi, b.lo, b.hi):
+            overlap = np.minimum(hi, b_hi) - np.maximum(lo, b_lo)
+            hit = np.flatnonzero(overlap > 0)  # contiguous: the cells are sorted
+            if not len(hit):
+                break
+            cells.append(slice(hit[0], hit[-1] + 1))
+            sides.append(overlap[cells[-1]])
+        else:
+            weights[tuple(cells)] += reduce(np.multiply.outer, sides)
     return weights
 
 
@@ -86,8 +108,7 @@ class GridFunction:
 
     def points(self) -> np.ndarray:
         """All cell centers as an (n^d, d) array in C order."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return grid_points(self.bounding_box, self.n_per_axis)
 
     def integral(self) -> complex:
         return complex(np.sum(self.samples * self.cell_weights))
@@ -128,9 +149,7 @@ class GridFunction:
     def from_callable(fn: Callable[[np.ndarray], np.ndarray], box: Box, n: int,
                       omega: Optional[BoxUnionSet] = None) -> "GridFunction":
         """Sample ``fn`` (vectorized over an (m, d) point array) at cell centers."""
-        mesh = np.meshgrid(*grid_centers(box, n), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = np.asarray(fn(pts), dtype=complex).reshape((n,) * box.dim)
+        vals = np.asarray(fn(grid_points(box, n)), dtype=complex).reshape((n,) * box.dim)
         return GridFunction(box, vals, cell_volumes(box, n, omega))
 
     @staticmethod

@@ -70,13 +70,15 @@ class StructuredPointSet:
 
 @dataclass(frozen=True)
 class LatticeCosets(StructuredPointSet):
-    """Union of finitely many cosets of a full-rank lattice."""
+    """Union of finitely many cosets of a full-rank lattice; by default the
+    lattice itself (the single coset through the origin)."""
 
     lattice: Lattice
-    offsets: tuple[Vec, ...] = ((0.0,),)
+    offsets: Optional[tuple[Vec, ...]] = None
 
     def __post_init__(self):
-        offs = _as_points(self.offsets, self.lattice.dim)
+        d = self.lattice.dim
+        offs = _as_points(((0.0,) * d,) if self.offsets is None else self.offsets, d)
         object.__setattr__(self, "offsets", offs)
         if not offs:
             raise InputError("lattice_cosets needs at least one offset")
@@ -293,8 +295,7 @@ class FinitePerturbation(StructuredPointSet):
 
 def integers(dim: int = 1, scale: float = 1.0) -> LatticeCosets:
     """The scaled integer lattice as a structured set."""
-    zero = tuple(0.0 for _ in range(dim))
-    return LatticeCosets(Lattice.scaled_integers(scale, dim), (zero,))
+    return LatticeCosets(Lattice.scaled_integers(scale, dim))
 
 
 @dataclass(frozen=True)
@@ -412,8 +413,3 @@ def density_windowed(comb: WeightedComb, h_list: Sequence[float],
         trace.append((h, float(counts.min()) / h ** d, float(counts.max()) / h ** d))
     lower, upper = trace[-1][1], trace[-1][2]
     return DensityReport(lower, upper, "windowed_estimate", tuple(trace))
-
-
-def enumerate_in_box(support: StructuredPointSet, box: Box) -> np.ndarray:
-    """Points of the structured set inside the half-open box, sorted."""
-    return support.points_in_box(box)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import Box, BoxUnionSet
-from .gridfn import cell_volumes, grid_centers
+from .gridfn import cell_volumes, grid_points
 
 
 class Expr:
@@ -264,9 +264,7 @@ class Window:
     def l2_norm_sq_on(self, omega: BoxUnionSet, grid_n: int = 1024) -> float:
         """Quadrature of |g|^2 over the domain (midpoint rule, exact weights)."""
         bb = omega.bounding_box()
-        mesh = np.meshgrid(*grid_centers(bb, grid_n), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = np.abs(self.eval(pts)) ** 2
+        vals = np.abs(self.eval(grid_points(bb, grid_n))) ** 2
         w = cell_volumes(bb, grid_n, omega).ravel()
         return float(np.sum(vals * w))
 

@@ -15,7 +15,7 @@ from frameforge.construction import (
     tight_frame_obstruction_scan,
 )
 from frameforge.framebounds import estimate_frame_bounds
-from frameforge.geometry import BoxUnionSet, Lattice, cantor_tower
+from frameforge.geometry import Box, BoxUnionSet, Lattice, cantor_tower, canonicalize
 from frameforge.pointsets import FiniteSet, LatticeCosets
 from frameforge.windows import Window
 
@@ -101,6 +101,14 @@ class TestLatticeTightFrame:
         coefs = analysis_coefficients(f, Window.indicator(), lam)
         total = float(np.sum(np.abs(coefs) ** 2))
         assert total == pytest.approx(2.0 * f.norm_sq(), rel=0.02)
+
+    def test_l_shape_unit_square_lattice(self):
+        l_shape = canonicalize([Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 0.5))])
+        result = build_lattice_tight_frame(l_shape, Lattice.scaled_integers(1.0, 2),
+                                           trunc_radius=4.0)
+        assert result.predicted_A == pytest.approx(1.0, abs=1e-9)
+        assert result.predicted_B == pytest.approx(1.0, abs=1e-9)
+        assert result.system.pairs[0][1].offsets == ((0.0, 0.0),)
 
     def test_refusal_with_vanishing_coefficients(self):
         with pytest.raises(TightFrameRefusal) as exc:

@@ -115,6 +115,19 @@ class TestTranslationBoundedProbe:
                                         x_samples=100)
         assert rep.sup_estimate == 1.0
 
+    def test_2d_corner_from_two_cosets(self):
+        # the sup 12 sits at a corner whose x comes from one coset and whose
+        # y from the other; whole points as corners reach only 10
+        from frameforge.geometry import Lattice
+        cosets = LatticeCosets(Lattice.scaled_integers(1.08, 2),
+                               ((0.0, 0.0), (0.26784, 0.66096)))
+        window = Box((0.0, 0.0), (2.429, 1.515))
+        rep = translation_bounded_probe(WeightedComb.single(cosets), window)
+        assert rep.sup_estimate == 12.0
+        corner = rep.attained_at
+        placed = Box(corner, tuple(c + s for c, s in zip(corner, window.sides)))
+        assert len(cosets.points_in_box(placed)) == 12
+
 
 class TestDensityConvolutionBracket:
     def test_unit_tiling_saturates(self):

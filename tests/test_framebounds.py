@@ -163,6 +163,11 @@ class TestRawExponentialConstant:
         assert raw_exponential_tight_constant(Box((0.0,), (2.0,))) == pytest.approx(
             2.0, abs=1e-9)
 
+    def test_unit_square(self):
+        square = Box((0.0, 0.0), (1.0, 1.0))
+        assert raw_exponential_tight_constant(square, cells=8) == pytest.approx(
+            1.0, abs=1e-9)
+
 
 class TestEssBounds:
     def test_linear_pair(self):

@@ -15,7 +15,6 @@ from frameforge.pointsets import (
     WeightedComb,
     density_closed_form,
     density_windowed,
-    enumerate_in_box,
     integers,
 )
 
@@ -30,35 +29,41 @@ def left_negative_integers():
 
 class TestEnumeration:
     def test_integers(self):
-        pts = enumerate_in_box(integers(), Box((-2.5,), (2.5,)))
+        pts = integers().points_in_box(Box((-2.5,), (2.5,)))
         assert pts.ravel().tolist() == [-2, -1, 0, 1, 2]
 
     def test_half_integers(self):
-        pts = enumerate_in_box(integers(scale=0.5), Box((0.0,), (1.0,)))
+        pts = integers(scale=0.5).points_in_box(Box((0.0,), (1.0,)))
         assert pts.ravel().tolist() == [0.0, 0.5]
 
     def test_right_tail_only(self):
-        pts = enumerate_in_box(right_half_integers(), Box((-3.0,), (3.0,)))
+        pts = right_half_integers().points_in_box(Box((-3.0,), (3.0,)))
         assert pts.ravel().tolist() == [0.0, 1.0, 2.0]
 
     def test_left_tail_only(self):
-        pts = enumerate_in_box(left_negative_integers(), Box((-3.5,), (3.0,)))
+        pts = left_negative_integers().points_in_box(Box((-3.5,), (3.0,)))
         assert pts.ravel().tolist() == [-3.0, -2.0, -1.0]
 
     def test_core_and_tails(self):
         s = EventuallyPeriodic1D(right_period=2.0, right_start=1.0, core=(0.25,))
-        pts = enumerate_in_box(s, Box((0.0,), (6.0,)))
+        pts = s.points_in_box(Box((0.0,), (6.0,)))
         assert pts.ravel().tolist() == [0.25, 1.0, 3.0, 5.0]
 
     def test_finite_perturbation(self):
         s = FinitePerturbation(integers(), added=((0.5,),), removed=((0.0,),))
-        pts = enumerate_in_box(s, Box((-1.5,), (1.5,)))
+        pts = s.points_in_box(Box((-1.5,), (1.5,)))
         assert pts.ravel().tolist() == [-1.0, 0.5, 1.0]
 
     def test_2d_lattice_cosets(self):
         s = LatticeCosets(Lattice.scaled_integers(1.0, 2), ((0.0, 0.0), (0.5, 0.5)))
-        pts = enumerate_in_box(s, Box((0.0, 0.0), (1.0, 1.0)))
+        pts = s.points_in_box(Box((0.0, 0.0), (1.0, 1.0)))
         assert pts.tolist() == [[0.0, 0.0], [0.5, 0.5]]
+
+    def test_2d_lattice_defaults_to_the_origin_coset(self):
+        s = LatticeCosets(Lattice.scaled_integers(1.0, 2))
+        assert s.offsets == ((0.0, 0.0),)
+        pts = s.points_in_box(Box((0.0, 0.0), (2.0, 1.0)))
+        assert pts.tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
     def test_invalid_duplicate_offsets(self):
         with pytest.raises(InputError):

@@ -2,8 +2,12 @@
 
 import filecmp
 import os
+import pathlib
 
 from frameforge.cli import main
+
+# CSVs of `frameforge verify --seed 7`; a change to any cell must be explained
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_seed7"
 
 
 def test_verify_writes_deterministic_artifacts(tmp_path, capsys):
@@ -17,5 +21,7 @@ def test_verify_writes_deterministic_artifacts(tmp_path, capsys):
     names = sorted(os.listdir(out1))
     assert names == sorted(os.listdir(out2))
     assert "summary.csv" in names
+    assert names == sorted(os.listdir(GOLDEN))
     for name in names:
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+        assert filecmp.cmp(out1 / name, GOLDEN / name, shallow=False), name
