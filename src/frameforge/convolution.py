@@ -4,7 +4,8 @@
 on a grid; since f is compactly supported only finitely many terms meet any
 evaluation window.  ``check_density_convolution_bracket`` verifies that the
 Beurling densities of the combined comb are bracketed by the extremes of the
-convolution sum, with a quadrature tolerance derived from first differences.
+convolution sum's exact extremes over the evaluation box, up to a roundoff
+tolerance.
 """
 
 from __future__ import annotations
@@ -34,16 +35,60 @@ def comb_convolve(comb: WeightedComb, f: GridFunction, eval_box: Box,
         raise InputError("comb_convolve requires a non-negative real function")
     if eval_box.dim != f.dim or comb.dim != f.dim:
         raise InputError("dimension mismatch between comb, function and eval box")
+    out = _convolve_at(comb, f, eval_box, grid_points(eval_box, n_eval))
+    return GridFunction(eval_box, out.reshape((n_eval,) * eval_box.dim),
+                        cell_volumes(eval_box, n_eval))
+
+
+def _translates(comb: WeightedComb, f: GridFunction, eval_box: Box):
+    """(weight, lambda) for every comb point whose translate of f meets eval_box."""
     support = f.bounding_box
     reach = Box(tuple(a - b for a, b in zip(eval_box.lo, support.hi)),
                 tuple(b - a for b, a in zip(eval_box.hi, support.lo)))
-    pts = grid_points(eval_box, n_eval)
-    acc = np.zeros(len(pts), dtype=complex)
     for w, support_set in comb.terms:
         for lam in support_set.points_in_box(reach):
-            acc += w * f.interpolate(pts - lam)
-    out = acc.real.reshape((n_eval,) * eval_box.dim)
-    return GridFunction(eval_box, out, cell_volumes(eval_box, n_eval))
+            yield w, lam
+
+
+def _convolve_at(comb: WeightedComb, f: GridFunction, eval_box: Box,
+                 pts: np.ndarray) -> np.ndarray:
+    """Real part of (comb * f) at points of eval_box."""
+    acc = np.zeros(len(pts), dtype=complex)
+    for w, lam in _translates(comb, f, eval_box):
+        acc += w * f.interpolate(pts - lam)
+    return acc.real
+
+
+def _exact_extremes(pairs: Sequence[tuple[WeightedComb, GridFunction]],
+                    eval_box: Box) -> tuple[float, float]:
+    """Exact inf and sup of S = sum_i (mu_i * h_i) over the half-open eval box.
+
+    Each translate h(x - lambda) is multilinear between the cuts at lambda
+    plus the box edges and cell centres of h, and jumps only at the box
+    edges.  On every cell of the product of all cuts S is therefore
+    multilinear, so its extremes are corner limits: S is sampled at the 1/4
+    and 3/4 points of each axis, off every jump, and extrapolated linearly.
+    """
+    cuts = [[np.array([lo])] for lo in eval_box.lo]
+    for comb, h in pairs:
+        nodes = [np.concatenate(([a], c, [b])) for a, c, b
+                 in zip(h.bounding_box.lo, h.axes(), h.bounding_box.hi)]
+        for _, lam in _translates(comb, h, eval_box):
+            cuts = [c + [x + n] for c, x, n in zip(cuts, lam, nodes)]
+    axes = []
+    for axis_cuts, lo, hi in zip(cuts, eval_box.lo, eval_box.hi):
+        c = np.unique(np.concatenate(axis_cuts))
+        c = c[(c >= lo) & (c < hi)]
+        c = c[np.diff(c, prepend=-np.inf) > TOL_FLOOR * (hi - lo)]
+        width = np.diff(np.append(c, hi))
+        axes.append(np.stack([c + 0.25 * width, c + 0.75 * width], axis=1).ravel())
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, eval_box.dim)
+    vals = sum(_convolve_at(comb, h, eval_box, pts) for comb, h in pairs)
+    vals = vals.reshape([m for a in axes for m in (len(a) // 2, 2)])
+    for k in range(eval_box.dim):
+        q1, q3 = np.take(vals, 0, axis=2 * k + 1), np.take(vals, 1, axis=2 * k + 1)
+        vals = np.stack([1.5 * q1 - 0.5 * q3, 1.5 * q3 - 0.5 * q1], axis=2 * k + 1)
+    return float(vals.min()), float(vals.max())
 
 
 class TranslationBoundReport(NamedTuple):
@@ -92,8 +137,8 @@ def translation_bounded_probe(comb: WeightedComb, window: Box,
 class ConvolutionBracketReport:
     """Outcome of the density/convolution bracket verification."""
 
-    inf_sum: float            # min over the grid of sum_i (mu_i * h_i)
-    sup_sum: float            # max over the grid
+    inf_sum: float            # inf over eval_box of sum_i (mu_i * h_i)
+    sup_sum: float            # sup over eval_box
     masses: tuple[float, ...]  # integral of each h_i
     densities: DensityReport   # densities of sum_i mass_i * mu_i
     tol: float
@@ -109,10 +154,10 @@ def check_density_convolution_bracket(
     """Check that densities of the mass-weighted comb sit inside the
     convolution sum's range.
 
-    Forms S = sum_i (mu_i * h_i) on the evaluation grid and the comb
-    mu = sum_i (integral of h_i) mu_i, then tests D+(mu) <= max S + tol and
-    min S - tol <= D-(mu).  The tolerance is the largest first difference of
-    S between adjacent grid cells (zero, up to a small floor, when S is flat).
+    Forms S = sum_i (mu_i * h_i) and the comb mu = sum_i (integral of h_i)
+    mu_i, then tests D+(mu) <= sup S + tol and inf S - tol <= D-(mu), with
+    the exact extremes of S over eval_box and a roundoff tolerance.  The
+    report's ``sum_grid`` holds S at the cell centres of the n_eval grid.
     """
     if not pairs:
         raise InputError("need at least one (comb, function) pair")
@@ -128,17 +173,10 @@ def check_density_convolution_bracket(
         masses.append(mass)
         scaled = comb.scaled(mass)
         combined = scaled if combined is None else combined.plus(scaled)
-    inconclusive = False
     densities = density_closed_form(combined)
-    if densities.method != "closed_form":
-        inconclusive = True
-    tol = TOL_FLOOR
-    for axis in range(total.ndim):
-        diffs = np.abs(np.diff(total, axis=axis))
-        if diffs.size:
-            tol = max(tol, float(diffs.max()))
-    sup_sum = float(total.max())
-    inf_sum = float(total.min())
+    inconclusive = densities.method != "closed_form"
+    inf_sum, sup_sum = _exact_extremes(pairs, eval_box)
+    tol = TOL_FLOOR * max(1.0, abs(inf_sum), abs(sup_sum))
     grid = GridFunction(eval_box, total.astype(complex),
                         cell_volumes(eval_box, n_eval))
     return ConvolutionBracketReport(

@@ -175,3 +175,48 @@ class TestDensityConvolutionBracket:
         rep = check_density_convolution_bracket(
             [(comb, chi)], Box((0.0,), (4.0,)), 128)
         assert rep.densities.upper <= rep.sup_sum + rep.tol + 1e-9
+
+    @given(st.floats(0.5, 2.0), st.integers(1, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_lower_bound_never_violated(self, scale, reps):
+        chi = GridFunction.indicator(Box((0.0,), (scale,)), 32)
+        comb = WeightedComb.single(integers(), weight=float(reps))
+        rep = check_density_convolution_bracket(
+            [(comb, chi)], Box((0.0,), (4.0,)), 128)
+        assert rep.inf_sum - rep.tol - 1e-9 <= rep.densities.lower
+
+    @pytest.mark.parametrize("s, lo, hi", [(0.99, 0.0, 1.0), (1.01, 1.0, 2.0)])
+    def test_support_narrower_than_a_cell_off_the_lattice(self, s, lo, hi):
+        # every eval cell centre sees S = 1; the true range is [lo, hi]
+        chi = GridFunction.indicator(Box((0.0,), (s,)), 256)
+        rep = check_density_convolution_bracket(
+            [(WeightedComb.single(integers()), chi)], Box((0.0,), (4.0,)), 128)
+        assert set(rep.sum_grid.samples.real.tolist()) == {1.0}
+        assert (rep.inf_sum, rep.sup_sum) == (lo, hi)
+        assert rep.densities.upper == pytest.approx(s)
+        assert rep.tol < 1e-9
+        assert rep.upper_holds and rep.lower_holds
+
+    def test_extremes_are_limits_of_the_interpolant(self):
+        # h interpolates x on [0, 1) from 4 cell centres: it is held at 1/8
+        # below the first centre and at 7/8 above the last, so S ranges over
+        # [1/8, 7/8] while the two eval cell centres per period see 1/4, 3/4
+        h = GridFunction.from_callable(lambda p: p[:, 0], Box((0.0,), (1.0,)), 4)
+        rep = check_density_convolution_bracket(
+            [(WeightedComb.single(integers()), h)], Box((0.0,), (2.0,)), 4)
+        assert rep.sum_grid.samples.real.tolist() == [0.25, 0.75, 0.25, 0.75]
+        assert rep.inf_sum == pytest.approx(0.125, abs=1e-12)
+        assert rep.sup_sum == pytest.approx(0.875, abs=1e-12)
+        assert rep.upper_holds and rep.lower_holds
+
+    def test_2d_product_support(self):
+        from frameforge.geometry import Lattice
+        # chi of [0, 1.25) x [0, 0.5) on Z^2 covers each x by 1 or 2
+        # translates and each y by 0 or 1
+        chi = GridFunction.indicator(Box((0.0, 0.0), (1.25, 0.5)), 8)
+        rep = check_density_convolution_bracket(
+            [(WeightedComb.single(LatticeCosets(Lattice.scaled_integers(1.0, 2))),
+              chi)], Box((0.0, 0.0), (2.0, 2.0)), 16)
+        assert (rep.inf_sum, rep.sup_sum) == (0.0, 2.0)
+        assert rep.densities.upper == pytest.approx(0.625)
+        assert rep.upper_holds and rep.lower_holds
