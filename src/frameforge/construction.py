@@ -31,6 +31,7 @@ from .geometry import (
     Lattice,
     ResidueWitness,
     canonicalize,
+    cartesian,
     cover_cube,
     lattice_residue_check,
     overlap_profile,
@@ -227,12 +228,7 @@ def _incompleteness_function(omega: BoxUnionSet, witness: ResidueWitness,
     n = int(math.ceil(side / spacing - 1e-9))
     grid_box = Box(bb.lo, tuple(a + n * spacing for a in bb.lo))
     pts = grid_points(grid_box, n)
-    vals = np.zeros(len(pts), dtype=complex)
-    for i, p in enumerate(pts):
-        if e_plus.contains(p):
-            vals[i] = 1.0
-        elif e_minus.contains(p):
-            vals[i] = -1.0
+    vals = np.select([e_plus.contains(pts), e_minus.contains(pts)], [1.0, -1.0])
     weights = cell_volumes(grid_box, n, omega)
     return GridFunction(grid_box, vals.reshape((n,) * omega.dim), weights)
 
@@ -272,15 +268,8 @@ def tight_frame_obstruction_scan(omega: BoxUnionSet, r_grid: Sequence[float],
     """
     if step <= 0:
         raise InputError("step must be positive")
-    d = omega.dim
     axis = np.arange(0.0, x_max + step / 2.0, step)
-    if d == 1:
-        xs = [(float(x),) for x in axis]
-    else:
-        mesh = np.meshgrid(*([axis] * d), indexing="ij")
-        xs = [tuple(float(m.ravel()[i]) for m in mesh)
-              for i in range(mesh[0].size)]
-    prof = overlap_profile(omega, xs)
+    prof = overlap_profile(omega, cartesian([axis] * omega.dim).tolist())
     caveat_parts = ["verified on the sampled shift range only"]
     if tail_measure is not None:
         caveat_parts.append(f"domain truncation tail measure {tail_measure:.3g}")
@@ -332,6 +321,16 @@ def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
     pts = grid_points(bb, grid_n)
     active = flat_w > 0
     steps = [(b - a) / grid_n for a, b in zip(bb.lo, bb.hi)]
+    # pairs (i, j): centre of active cell i, shifted by +x0 or -x0, in omega and in cell j
+    i = np.flatnonzero(active)
+    src, dst = [], []
+    for sign in (+1.0, -1.0):
+        p = pts[i] + np.asarray(tuple(sign * v for v in x0))
+        idx = np.floor((p - bb.lo) / steps).astype(int)
+        hit = omega.contains(p) & np.all((idx >= 0) & (idx < grid_n), axis=1)
+        src.append(i[hit])
+        dst.append(np.ravel_multi_index(idx[hit].T, (grid_n,) * d))
+    src, dst = np.concatenate(src), np.concatenate(dst)
     worst = 0.0
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
@@ -340,18 +339,7 @@ def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
         f[active] = raw
         norm = math.sqrt(float(np.sum(flat_w * np.abs(f) ** 2)))
         f /= norm
-        corr = 0.0 + 0.0j
-        for sign in (+1.0, -1.0):
-            shift = tuple(sign * v for v in x0)
-            for i in np.nonzero(active)[0]:
-                p = pts[i] + np.asarray(shift)
-                if not omega.contains(p):
-                    continue
-                idx = tuple(int(math.floor((pc - a) / s))
-                            for pc, a, s in zip(p, bb.lo, steps))
-                if all(0 <= v < grid_n for v in idx):
-                    corr += 0.5 * flat_w[i] * f[np.ravel_multi_index(idx, (grid_n,) * d)] \
-                        * np.conj(f[i])
+        corr = sum((0.5 * flat_w[src] * f[dst] * np.conj(f[src])).tolist(), 0j)
         worst = max(worst, abs(corr.real))
     xi_box = Box(tuple(-4.0 for _ in range(d)), tuple(4.0 for _ in range(d)))
 

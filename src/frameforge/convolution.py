@@ -10,14 +10,13 @@ tolerance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box
+from .geometry import Box, cartesian
 from .gridfn import GridFunction, cell_volumes, grid_points
 from .pointsets import DensityReport, WeightedComb, density_closed_form
 
@@ -82,7 +81,7 @@ def _exact_extremes(pairs: Sequence[tuple[WeightedComb, GridFunction]],
         c = c[np.diff(c, prepend=-np.inf) > TOL_FLOOR * (hi - lo)]
         width = np.diff(np.append(c, hi))
         axes.append(np.stack([c + 0.25 * width, c + 0.75 * width], axis=1).ravel())
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, eval_box.dim)
+    pts = cartesian(axes)
     vals = sum(_convolve_at(comb, h, eval_box, pts) for comb, h in pairs)
     vals = vals.reshape([m for a in axes for m in (len(a) // 2, 2)])
     for k in range(eval_box.dim):
@@ -123,14 +122,11 @@ def translation_bounded_probe(comb: WeightedComb, window: Box,
         sweeps = [np.linspace(-span, span, per_axis)] * d
         probe = Box(tuple(-span - s for s in sides), tuple(span + s for s in sides))
     pts = np.vstack([s.points_in_box(probe) for _, s in comb.terms])
-    axes = [list(dict.fromkeys(sweep.tolist() + pts[:, k].tolist()))
-            for k, sweep in enumerate(sweeps)]
-    best_v, best_x = -1.0, None
-    for x in itertools.product(*axes):
-        v = comb.mass_in_box(Box(x, tuple(v + s for v, s in zip(x, sides))))
-        if v > best_v:
-            best_v, best_x = v, x
-    return TranslationBoundReport(best_v, best_x)
+    corners = cartesian(list(dict.fromkeys(sweep.tolist() + pts[:, k].tolist()))
+                        for k, sweep in enumerate(sweeps))
+    masses = comb.masses_in_boxes(corners, corners + np.asarray(sides))
+    best = int(np.argmax(masses))
+    return TranslationBoundReport(float(masses[best]), tuple(corners[best].tolist()))
 
 
 @dataclass(frozen=True)

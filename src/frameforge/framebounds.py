@@ -121,7 +121,9 @@ def _analysis_blocks(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
                 rows.append(np.sqrt(ws)[:, None] * phases * base[None, :])
             blocks.append(np.vstack(rows))
             continue
-        lam = freq.points_in_box(trunc_box)
+        # both faces move down by a hair, so a frequency that rounds to just
+        # below the upper face does not alias onto the one at the lower face
+        lam = freq.points_in_box(trunc_box.translate([-1e-9 * s for s in trunc_box.sides]))
         if len(lam) == 0:
             notes.append(f"pair '{window.label}': no frequencies inside the "
                          f"truncation box; it contributes nothing")
@@ -166,8 +168,7 @@ def _extremal_eigs_iterative(blocks: list[np.ndarray], nc: int,
 
 
 def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
-                          trunc_box: Optional[Box] = None,
-                          dense_limit: int = DENSE_EIG_LIMIT) -> FrameBoundsReport:
+                          trunc_box: Optional[Box] = None) -> FrameBoundsReport:
     """Extreme eigenvalues of the discretized frame operator.
 
     The grid covers the domain's bounding box.  Discrete frequency sets are
@@ -180,15 +181,14 @@ def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
     bb = system.omega.bounding_box()
     if trunc_box is None:
         trunc_box = nyquist_box(bb, grid_n)
-    return frame_bounds_on_grid(system, bb, grid_n, trunc_box, dense_limit)
+    return frame_bounds_on_grid(system, bb, grid_n, trunc_box)
 
 
 def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
-                         trunc_box: Box,
-                         dense_limit: int = DENSE_EIG_LIMIT) -> FrameBoundsReport:
+                         trunc_box: Box) -> FrameBoundsReport:
     """Frame bounds with the grid laid over ``grid_box``; cells outside the
-    domain carry zero weight.  Above ``dense_limit`` active cells the extreme
-    eigenvalues come from an iterative solve."""
+    domain carry zero weight.  Above ``DENSE_EIG_LIMIT`` active cells the
+    extreme eigenvalues come from an iterative solve."""
     weights = cell_volumes(grid_box, grid_n, system.omega).ravel()
     if weights.max() == 0.0:
         raise InputError("singular quadrature: every grid cell misses the domain")
@@ -200,7 +200,7 @@ def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
     if not blocks:
         return FrameBoundsReport(0.0, 0.0, grid_n, trunc_box,
                                  "; ".join(notes + ["no coefficients at all"]))
-    if nc <= dense_limit:
+    if nc <= DENSE_EIG_LIMIT:
         a, b = _extremal_eigs_dense(blocks, nc)
     else:
         a, b = _extremal_eigs_iterative(blocks, nc)
@@ -252,9 +252,7 @@ def max_cell_means(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int,
     bb = omega.bounding_box()
     d = bb.dim
     pts = grid_points(bb, grid_n * subsamples)
-    inside = np.zeros(len(pts), dtype=bool)
-    for b in omega.boxes:
-        inside |= np.all((pts >= np.array(b.lo)) & (pts < np.array(b.hi)), axis=1)
+    inside = omega.contains(pts)
     vals = np.zeros(len(pts))
     for w in windows:
         vals = np.maximum(vals, np.abs(w.eval(pts)) ** 2)

@@ -62,9 +62,11 @@ class Box:
     def center(self) -> Vec:
         return tuple((a + b) / 2.0 for a, b in zip(self.lo, self.hi))
 
-    def contains(self, point: Sequence[float]) -> bool:
-        p = _as_vec(point)
-        return all(a <= x < b for a, x, b in zip(self.lo, p, self.hi))
+    def contains(self, points: Sequence[float] | np.ndarray) -> bool | np.ndarray:
+        """Whether one point lies in the box, or a mask over an (m, d) array."""
+        pts = np.asarray(points, dtype=float)
+        inside = np.all((pts >= self.lo) & (pts < self.hi), axis=-1)
+        return inside if pts.ndim == 2 else bool(inside)
 
     def translate(self, x: Sequence[float]) -> "Box":
         v = _as_vec(x)
@@ -77,6 +79,12 @@ class Box:
         if all(a < b for a, b in zip(lo, hi)):
             return Box(lo, hi)
         return None
+
+
+def cartesian(axes: Sequence[Sequence[float]]) -> np.ndarray:
+    """Every combination of per-axis values as an (m, d) array in C order."""
+    axes = list(axes)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _sweep_1d(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -162,8 +170,10 @@ class BoxUnionSet:
     def translate(self, x: Sequence[float]) -> "BoxUnionSet":
         return BoxUnionSet(self.dim, tuple(b.translate(x) for b in self.boxes))
 
-    def contains(self, point: Sequence[float]) -> bool:
-        return any(b.contains(point) for b in self.boxes)
+    def contains(self, points: Sequence[float] | np.ndarray) -> bool | np.ndarray:
+        """Whether one point lies in the set, or a mask over an (m, d) array."""
+        inside = np.any([b.contains(points) for b in self.boxes], axis=0)
+        return inside if np.ndim(points) == 2 else bool(inside)
 
     def intersect_box(self, box: Box) -> list[Box]:
         """Pieces of the set inside ``box`` (possibly empty)."""
@@ -265,21 +275,12 @@ class Lattice:
             raise InputError(f"box dimension {box.dim} != lattice dimension {self.dim}")
         mat = self.matrix
         inv = np.linalg.inv(mat)
-        corners = np.array(np.meshgrid(*[(a, b) for a, b in zip(box.lo, box.hi)],
-                                       indexing="ij")).reshape(self.dim, -1).T
-        pre = corners @ inv.T
+        pre = cartesian(zip(box.lo, box.hi)) @ inv.T
         n_lo = np.floor(pre.min(axis=0) - 1e-9).astype(int)
         n_hi = np.ceil(pre.max(axis=0) + 1e-9).astype(int)
-        grids = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(n_lo, n_hi)],
-                            indexing="ij")
-        ns = np.stack([g.ravel() for g in grids], axis=1)
-        pts = ns @ mat.T
-        lo = np.array(box.lo)
-        hi = np.array(box.hi)
-        mask = np.all((pts >= lo) & (pts < hi), axis=1)
-        pts = pts[mask]
-        order = np.lexsort(pts[:, ::-1].T) if len(pts) else slice(None)
-        return pts[order]
+        pts = cartesian([np.arange(a, b + 1) for a, b in zip(n_lo, n_hi)]) @ mat.T
+        pts = pts[box.contains(pts)]
+        return pts[np.lexsort(pts[:, ::-1].T)]
 
 
 class ResidueWitness(NamedTuple):

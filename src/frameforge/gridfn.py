@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, BoxUnionSet
+from .geometry import Box, BoxUnionSet, cartesian
 
 
 def grid_centers(box: Box, n: int) -> list[np.ndarray]:
@@ -32,8 +32,7 @@ def grid_centers(box: Box, n: int) -> list[np.ndarray]:
 
 def grid_points(box: Box, n: int) -> np.ndarray:
     """All cell centers of an n-per-axis grid as an (n^d, d) array in C order."""
-    axes = grid_centers(box, n)
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.dim)
+    return cartesian(grid_centers(box, n))
 
 
 def cell_volumes(box: Box, n: int, omega: Optional[BoxUnionSet] = None) -> np.ndarray:
@@ -125,9 +124,7 @@ class GridFunction:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise InputError(f"query points have dimension {pts.shape[1]}, grid has {self.dim}")
-        lo = np.array(self.bounding_box.lo)
-        hi = np.array(self.bounding_box.hi)
-        inside = np.all((pts >= lo) & (pts < hi), axis=1)
+        inside = self.bounding_box.contains(pts)
         out = np.zeros(len(pts), dtype=complex)
         if not inside.any():
             return out
@@ -139,7 +136,7 @@ class GridFunction:
         else:
             from scipy.ndimage import map_coordinates
             step = np.array(self.spacing)
-            coords = ((q - lo) / step - 0.5).T
+            coords = ((q - self.bounding_box.lo) / step - 0.5).T
             vals = map_coordinates(self.samples.real, coords, order=1, mode="nearest") \
                 + 1j * map_coordinates(self.samples.imag, coords, order=1, mode="nearest")
         out[inside] = vals

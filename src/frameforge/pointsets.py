@@ -16,9 +16,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, Lattice
+from .geometry import Box, Lattice, cartesian
 
 Vec = tuple[float, ...]
+
+MATCH_TOL = 1e-9  # absolute tolerance for matching a given point to a set point
 
 
 def _as_points(pts: Iterable[Sequence[float] | float], dim: int) -> tuple[Vec, ...]:
@@ -34,9 +36,12 @@ def _as_points(pts: Iterable[Sequence[float] | float], dim: int) -> tuple[Vec, .
     return tuple(out)
 
 
+def _near(p: Vec) -> Box:
+    """Box of half-width MATCH_TOL around p: the points that count as p."""
+    return Box(tuple(v - MATCH_TOL for v in p), tuple(v + MATCH_TOL for v in p))
+
+
 def _lexsort(pts: np.ndarray) -> np.ndarray:
-    if len(pts) == 0:
-        return pts
     return pts[np.lexsort(pts[:, ::-1].T)]
 
 
@@ -96,16 +101,16 @@ class LatticeCosets(StructuredPointSet):
         return self.lattice.dim
 
     def points_in_box(self, box: Box) -> np.ndarray:
+        # each coset is enumerated over the shifted box widened past the
+        # rounding of lo - o; membership is decided on the points p + o
         parts = []
         for o in self.offsets:
-            shifted = Box(tuple(a - v for a, v in zip(box.lo, o)),
-                          tuple(b - v for b, v in zip(box.hi, o)))
-            pts = self.lattice.points_in_box(shifted)
-            if len(pts):
-                parts.append(pts + np.asarray(o))
-        if not parts:
-            return np.empty((0, self.dim))
-        return _lexsort(np.vstack(parts))
+            e = 1e-9 * (1.0 + max(map(abs, box.lo + box.hi + o)))
+            wide = Box(tuple(a - v - e for a, v in zip(box.lo, o)),
+                       tuple(b - v + e for b, v in zip(box.hi, o)))
+            parts.append(self.lattice.points_in_box(wide) + o)
+        pts = np.vstack(parts)
+        return _lexsort(pts[box.contains(pts)])
 
     def uniform_density(self) -> float:
         return len(self.offsets) / self.lattice.covolume
@@ -168,21 +173,19 @@ class EventuallyPeriodic1D(StructuredPointSet):
         if box.dim != 1:
             raise InputError("EventuallyPeriodic1D lives on the real line")
         lo, hi = box.lo[0], box.hi[0]
-        parts = [np.array([c for c in self.core if lo <= c < hi])]
+        parts = [np.array(self.core, dtype=float)]
         if self.right_period is not None:
             p, s = self.right_period, self.right_start
             n0 = max(0, math.ceil((lo - s) / p - 1e-12))
             n1 = math.floor((hi - s) / p + 1e-12)
-            x = s + p * np.arange(n0, n1 + 1)
-            parts.append(x[(lo <= x) & (x < hi)])
+            parts.append(s + p * np.arange(n0, n1 + 1))
         if self.left_period is not None:
             p, s = self.left_period, self.left_start
             n0 = max(0, math.ceil((s - hi) / p - 1e-12))
             n1 = math.floor((s - lo) / p + 1e-12)
-            x = s - p * np.arange(n0, n1 + 1)
-            parts.append(x[(lo <= x) & (x < hi)])
-        pts = np.concatenate(parts)
-        return np.sort(pts).reshape(-1, 1)
+            parts.append(s - p * np.arange(n0, n1 + 1))
+        pts = np.concatenate(parts).reshape(-1, 1)
+        return np.sort(pts[box.contains(pts)], axis=0)
 
     def tail_densities(self) -> tuple[float, float]:
         d_left = 0.0 if self.left_period is None else 1.0 / self.left_period
@@ -226,8 +229,8 @@ class FiniteSet(StructuredPointSet):
         return self.dimension
 
     def points_in_box(self, box: Box) -> np.ndarray:
-        pts = np.array([p for p in self.points if box.contains(p)], dtype=float)
-        return _lexsort(pts.reshape(-1, self.dim))
+        pts = np.array(self.points, dtype=float).reshape(-1, self.dim)
+        return _lexsort(pts[box.contains(pts)])
 
     def uniform_density(self) -> float:
         return 0.0
@@ -261,9 +264,7 @@ class FinitePerturbation(StructuredPointSet):
                 raise InputError(f"removed point {p} does not belong to the base set")
 
     def _base_contains(self, p: Vec) -> bool:
-        eps = 1e-9
-        probe = Box(tuple(v - eps for v in p), tuple(v + eps for v in p))
-        return len(self.base.points_in_box(probe)) > 0
+        return len(self.base.points_in_box(_near(p))) > 0
 
     @property
     def dim(self) -> int:
@@ -271,10 +272,11 @@ class FinitePerturbation(StructuredPointSet):
 
     def points_in_box(self, box: Box) -> np.ndarray:
         pts = self.base.points_in_box(box)
-        keep = [p for p in pts if not any(np.allclose(p, r, atol=1e-12) for r in self.removed)]
-        extra = [p for p in self.added if box.contains(p)]
-        allpts = np.array([tuple(p) for p in keep] + list(extra), dtype=float)
-        return _lexsort(allpts.reshape(-1, self.dim))
+        keep = np.ones(len(pts), dtype=bool)
+        for r in self.removed:
+            keep &= ~_near(r).contains(pts)
+        added = np.array(self.added, dtype=float).reshape(-1, self.dim)
+        return _lexsort(np.vstack([pts[keep], added[box.contains(added)]]))
 
     def uniform_density(self) -> Optional[float]:
         return self.base.uniform_density()
@@ -324,8 +326,24 @@ class WeightedComb:
     def dim(self) -> int:
         return self.terms[0][1].dim
 
-    def mass_in_box(self, box: Box) -> float:
-        return float(sum(w * s.count_in_box(box) for w, s in self.terms))
+    def masses_in_boxes(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Comb mass of each half-open box [lo[i], hi[i]) of two (m, d) arrays.
+
+        Each support is enumerated once over the hull of the boxes.  Its
+        points come sorted on the first axis, so ``searchsorted`` cuts each
+        box's slab on that axis; in d > 1 the slab's points are then tested
+        against the whole box, which keeps memory linear in the points.
+        """
+        hull = Box(tuple(lo.min(axis=0)), tuple(hi.max(axis=0)))
+        total = 0.0
+        for w, s in self.terms:
+            pts = s.points_in_box(hull)
+            start, stop = (np.searchsorted(pts[:, 0], x[:, 0]) for x in (lo, hi))
+            counts = stop - start if self.dim == 1 else np.array([
+                np.count_nonzero(Box(tuple(a), tuple(b)).contains(pts[i:j]))
+                for a, b, i, j in zip(lo, hi, start, stop)])
+            total = total + w * counts
+        return total
 
     def scaled(self, c: float) -> "WeightedComb":
         if not c > 0:
@@ -400,16 +418,11 @@ def density_windowed(comb: WeightedComb, h_list: Sequence[float],
                 xs = np.linspace(a, b, x_samples)
             else:
                 xs = a + step * np.arange(n_steps)
-            counts = np.array([comb.mass_in_box(Box((x - h / 2.0,), (x + h / 2.0,)))
-                               for x in xs])
+            xs = xs.reshape(-1, 1)
         else:
             per_axis = max(2, int(round(x_samples ** (1.0 / d))))
-            axes = [np.linspace(-h, h, per_axis) for _ in range(d)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            xs = np.stack([m.ravel() for m in mesh], axis=1)
-            counts = np.array([comb.mass_in_box(
-                Box(tuple(v - h / 2.0 for v in x), tuple(v + h / 2.0 for v in x)))
-                for x in xs])
+            xs = cartesian([np.linspace(-h, h, per_axis)] * d)
+        counts = comb.masses_in_boxes(xs - h / 2.0, xs + h / 2.0)
         trace.append((h, float(counts.min()) / h ** d, float(counts.max()) / h ** d))
     lower, upper = trace[-1][1], trace[-1][2]
     return DensityReport(lower, upper, "windowed_estimate", tuple(trace))

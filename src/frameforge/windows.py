@@ -118,10 +118,7 @@ class Indicator(Expr):
     def eval(self, pts):
         if self.box is None:
             return np.ones(len(pts), dtype=complex)
-        lo = np.array(self.box.lo)
-        hi = np.array(self.box.hi)
-        inside = np.all((pts >= lo) & (pts < hi), axis=1)
-        return inside.astype(complex)
+        return self.box.contains(pts).astype(complex)
 
     def bounded_on(self, omega):
         return True

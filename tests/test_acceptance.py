@@ -5,7 +5,7 @@ One pass/fail line prints per criterion (run pytest with -s to see them all).
 
 import pytest
 
-from frameforge.acceptance import ALL_CRITERIA
+from frameforge.acceptance import ALL_CRITERIA, criterion_05_window_bound_bracket
 
 SEED = 7
 
@@ -16,3 +16,10 @@ def test_criterion(fn):
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} criterion {result.number:2d} ({result.name}): {result.detail}")
     assert result.passed, f"criterion {result.number} ({result.name}): {result.detail}"
+
+
+@pytest.mark.parametrize("seed", [10, 21, 36, 44, 45, 54])
+def test_window_bound_bracket_at_band_edge_seeds(seed):
+    # seeds at which an aliased band-edge frequency inflated B and failed it
+    result = criterion_05_window_bound_bracket(seed)
+    assert result.passed, result.detail

@@ -4,6 +4,7 @@ bracket checks."""
 import numpy as np
 import pytest
 
+from frameforge import framebounds
 from frameforge.errors import InputError
 from frameforge.framebounds import (
     ContinuousFreqMeasure,
@@ -138,12 +139,24 @@ class TestEstimateFrameBounds:
             WindowedSystem(UNIT, ((Window.indicator(), FiniteSet(((0.0,),))),)), 64)
         assert r_atom.B_est == pytest.approx(r_fin.B_est, rel=1e-12)
 
-    def test_iterative_path_agrees_with_dense(self):
+    def test_iterative_path_agrees_with_dense(self, monkeypatch):
         system = WindowedSystem(UNIT, ((Window.indicator(), integers()),))
         dense = estimate_frame_bounds(system, 128)
-        iterative = estimate_frame_bounds(system, 128, dense_limit=16)
+        monkeypatch.setattr(framebounds, "DENSE_EIG_LIMIT", 16)
+        iterative = estimate_frame_bounds(system, 128)
+        assert "iterative" in iterative.notes
         assert iterative.A_est == pytest.approx(dense.A_est, rel=1e-6)
         assert iterative.B_est == pytest.approx(dense.B_est, rel=1e-6)
+
+    @pytest.mark.parametrize("m", [196, 206, 214])
+    def test_band_edge_frequency_is_not_aliased(self, m):
+        # spacing 128/m puts m frequencies in the band [-64, 64); (m/2) * 128/m
+        # rounds to 63.99999999999999, which aliases onto -64 on a 128 grid
+        system = WindowedSystem(UNIT, ((Window.from_string("0.5"),
+                                        integers(scale=128 / m)),))
+        rep = estimate_frame_bounds(system, 128)
+        assert rep.A_est == pytest.approx(0.25 * m / 128, rel=1e-9)
+        assert rep.B_est == pytest.approx(0.25 * m / 128, rel=1e-9)
 
     def test_2d_square_orthonormal(self):
         from frameforge.geometry import canonicalize

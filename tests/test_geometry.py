@@ -12,6 +12,7 @@ from frameforge.geometry import (
     Lattice,
     canonicalize,
     cantor_tower,
+    cartesian,
     cover_cube,
     lattice_residue_check,
     overlap_profile,
@@ -239,6 +240,46 @@ class TestLattice:
     def test_points_in_box(self):
         pts = Lattice.scaled_integers(1.0).points_in_box(Box((-2.5,), (2.5,)))
         assert pts.ravel().tolist() == [-2, -1, 0, 1, 2]
+
+
+def box_oracle(box, p):
+    return all(a <= x < b for a, x, b in zip(box.lo, p, box.hi))
+
+
+class TestPointInBox:
+    def test_cartesian_is_c_order(self):
+        assert cartesian([[0.0, 1.0], [5.0, 6.0, 7.0]]).tolist() == [
+            [0.0, 5.0], [0.0, 6.0], [0.0, 7.0], [1.0, 5.0], [1.0, 6.0], [1.0, 7.0]]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_array_contains_matches_one_point_calls(self, data):
+        d = data.draw(st.integers(1, 3))
+        # half-integer corners and coordinates put many points on box faces
+        half = st.integers(-6, 6).map(lambda k: k / 2.0)
+        coord = st.one_of(half, st.floats(-4.0, 4.0))
+        boxes = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            lo = data.draw(st.lists(half, min_size=d, max_size=d))
+            sides = data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+            boxes.append(Box(tuple(lo), tuple(a + s / 2.0 for a, s in zip(lo, sides))))
+        omega = canonicalize(boxes)
+        points = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=20))
+        pts = np.array(points)
+        for box in boxes:
+            mask = box.contains(pts)
+            assert mask.shape == (len(points),)
+            assert mask.tolist() == [box.contains(p) for p in points]
+            assert mask.tolist() == [box_oracle(box, p) for p in points]
+        mask = omega.contains(pts)
+        assert mask.tolist() == [omega.contains(p) for p in points]
+        assert mask.tolist() == [any(box_oracle(b, p) for b in boxes) for p in points]
+
+    def test_one_point_calls_return_bools(self):
+        box = Box((0.0,), (1.0,))
+        assert box.contains(0.0) is True and box.contains((1.0,)) is False
+        omega = BoxUnionSet.from_intervals([(0, 1), (2, 3)])
+        assert omega.contains(2.5) is True and omega.contains((1.5,)) is False
 
 
 class TestCantorTower:

@@ -1,4 +1,4 @@
-"""Package layout: modules share no private names."""
+"""Package layout: modules share no private names, and each job has one home."""
 
 import ast
 import pathlib
@@ -24,3 +24,46 @@ def test_checker_sees_function_local_imports(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("def f():\n    from .framebounds import _analysis_blocks\n")
     assert private_relative_imports(probe) == ["probe.py:2 imports _analysis_blocks"]
+
+
+BANNED = {"numpy": {"meshgrid", "allclose"}, "itertools": {"product"}}
+ALIASES = {"np": "numpy", "numpy": "numpy", "itertools": "itertools"}
+
+
+def banned_calls(path):
+    """np.meshgrid outside geometry.cartesian, and any itertools.product or
+    np.allclose: point grids come from cartesian, point matching from Box."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set()
+    if path.name == "geometry.py":
+        allowed = {id(node) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "cartesian"
+                   for node in ast.walk(fn)}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = {node.attr} & BANNED.get(ALIASES.get(node.value.id), set())
+        elif isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names} & BANNED.get(node.module, set())
+        else:
+            continue
+        if id(node) not in allowed:
+            hits += [f"{path.name}:{node.lineno} uses {name}" for name in sorted(names)]
+    return hits
+
+
+def test_grids_and_point_matching_have_one_home():
+    paths = sorted(SRC.glob("*.py"))
+    assert [hit for path in paths for hit in banned_calls(path)] == []
+
+
+def test_banned_call_checker(tmp_path):
+    geometry = tmp_path / "geometry.py"
+    geometry.write_text("def cartesian(axes):\n    return np.meshgrid(*axes)\n\n"
+                        "def other(axes):\n    return np.meshgrid(*axes)\n")
+    assert banned_calls(geometry) == ["geometry.py:5 uses meshgrid"]
+    probe = tmp_path / "probe.py"
+    probe.write_text("import itertools\nfrom numpy import allclose\n"
+                     "x = itertools.product([1], [2])\ny = x.product\n")
+    assert sorted(banned_calls(probe)) == ["probe.py:2 uses allclose",
+                                           "probe.py:3 uses product"]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frameforge.errors import InputError
@@ -64,6 +64,18 @@ class TestEnumeration:
         assert s.offsets == ((0.0, 0.0),)
         pts = s.points_in_box(Box((0.0, 0.0), (2.0, 1.0)))
         assert pts.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+
+    def test_finite_perturbation_removes_only_the_given_point(self):
+        s = FinitePerturbation(integers(scale=1 / 1024), removed=((1000.0,),))
+        assert len(s.points_in_box(Box((999.0,), (1001.0,)))) == 2047
+
+    def test_coset_membership_is_decided_on_the_reported_points(self):
+        # -0.7 + 0.33 rounds to -0.36999999999999994, inside the box, while
+        # the shifted face -0.3699999999999999 - 0.33 rounds to -0.7
+        s = LatticeCosets(Lattice.scaled_integers(0.7), ((0.0,), (0.1,), (0.33,)))
+        box = Box((-1.67,), (-0.3699999999999999,))
+        pts = s.points_in_box(box)
+        assert len(pts) == 6 and box.contains(pts).all()
 
     def test_invalid_duplicate_offsets(self):
         with pytest.raises(InputError):
@@ -135,6 +147,51 @@ class TestClosedFormDensity:
             WeightedComb.single(LatticeCosets(g.dual(), ((0.0,),)))).upper
         assert d_dual == pytest.approx(g.covolume, rel=1e-12)
         assert d_dual == pytest.approx(1.0 / d, rel=1e-12)
+
+
+SUPPORTS = {
+    1: [integers(),
+        LatticeCosets(Lattice.scaled_integers(0.7), ((0.0,), (0.1,), (0.33,))),
+        EventuallyPeriodic1D(right_period=0.5, right_start=0.0,
+                             left_period=2.0, left_start=-1.0, core=(-0.25,)),
+        FiniteSet(((0.0,), (3.0,), (3.5,))),
+        FinitePerturbation(integers(scale=0.3), added=((0.5,),),
+                           removed=((0.0,), (0.3,)))],
+    2: [LatticeCosets(Lattice.scaled_integers(1.08, 2),
+                      ((0.0, 0.0), (0.26784, 0.66096))),
+        LatticeCosets(Lattice(((1.0, 0.3), (0.2, 0.9))), ((0.0, 0.0), (0.31, 0.17))),
+        FiniteSet(((0.0, 1.0), (0.5, 0.5), (-1.0, 2.0)), dimension=2),
+        FinitePerturbation(integers(dim=2), added=((0.5, 0.5),), removed=((1.0, 0.0),))],
+}
+
+
+class TestMassesInBoxes:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_box_counts(self, data):
+        d = data.draw(st.sampled_from([1, 2]))
+        supports = data.draw(st.lists(st.sampled_from(SUPPORTS[d]), min_size=1, max_size=3))
+        weights = data.draw(st.lists(st.floats(0.25, 4.0), min_size=len(supports),
+                                     max_size=len(supports)))
+        comb = WeightedComb(tuple(zip(weights, supports)))
+        # box faces on point coordinates as well as anywhere
+        near = Box((-6.0,) * d, (6.0,) * d)
+        coords = [sorted({p[k] for s in supports for p in s.points_in_box(near).tolist()})
+                  for k in range(d)]
+        boxes = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            lo, hi = [], []
+            for k in range(d):
+                pick = st.one_of(st.sampled_from(coords[k]), st.floats(-6.0, 6.0))
+                a, b = data.draw(pick), data.draw(pick)
+                assume(a != b)
+                lo.append(min(a, b))
+                hi.append(max(a, b))
+            boxes.append(Box(tuple(lo), tuple(hi)))
+        masses = comb.masses_in_boxes(np.array([b.lo for b in boxes]),
+                                      np.array([b.hi for b in boxes]))
+        assert masses.tolist() == [sum(w * s.count_in_box(b) for w, s in comb.terms)
+                                   for b in boxes]
 
 
 class TestWindowedEstimator:
