@@ -36,7 +36,6 @@ from .serialization import (
     FRAME_BOUNDS_HEADER,
     GABOR_HEADER,
     box_label,
-    domain_to_dict,
     load_domain,
     load_system,
     pointset_from_dict,

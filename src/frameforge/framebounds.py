@@ -98,7 +98,7 @@ def nyquist_box(bb: Box, grid_n: int) -> Box:
 
 
 def _analysis_blocks(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
-                     trunc_box: Box) -> tuple[list[np.ndarray], list[str]]:
+                     box: Box) -> tuple[list[np.ndarray], list[str]]:
     """One coefficient block per pair: rows are sqrt-weighted functionals."""
     blocks, notes = [], []
     for window, freq in system.pairs:
@@ -121,16 +121,18 @@ def _analysis_blocks(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
                 rows.append(np.sqrt(ws)[:, None] * phases * base[None, :])
             blocks.append(np.vstack(rows))
             continue
-        # both faces move down by a hair, so a frequency that rounds to just
-        # below the upper face does not alias onto the one at the lower face
-        lam = freq.points_in_box(trunc_box.translate([-1e-9 * s for s in trunc_box.sides]))
+        lam = freq.points_in_box(box)
         if len(lam) == 0:
-            notes.append(f"pair '{window.label}': no frequencies inside the "
-                         f"truncation box; it contributes nothing")
+            notes.append(_silent_pair_note(window))
             continue
         phases = np.exp(-2j * np.pi * (lam @ xs.T))
         blocks.append(phases * base[None, :])
     return blocks, notes
+
+
+def _silent_pair_note(window: Window) -> str:
+    return (f"pair '{window.label}': no frequencies inside the truncation box; "
+            f"it contributes nothing")
 
 
 def _extremal_eigs_dense(blocks: list[np.ndarray], nc: int) -> tuple[float, float]:
@@ -167,6 +169,90 @@ def _extremal_eigs_iterative(blocks: list[np.ndarray], nc: int,
     return max(shift - top, 0.0), b_val
 
 
+def _lattice_periods(freq: FreqSpec, steps: np.ndarray,
+                     box: Box) -> Optional[tuple[np.ndarray, list[int]]]:
+    """Per-axis periods and per-coset frequency counts of a lattice frequency
+    set, or None when the fiberized solve does not apply to it.
+
+    For a diagonal lattice with spacing s_a and grid step d_a the period is
+    P_a = 1 / (s_a d_a), in cells.  When P_a is an integer and each coset's
+    frequencies in the box number a multiple of P_a along every axis, the
+    coset's exponential sum over a cell difference k is its count times
+    e^{2 pi i o.(x - y)} when k = 0 mod P and zero otherwise.
+    """
+    if not isinstance(freq, LatticeCosets) or freq.dim != len(steps):
+        return None
+    mat = freq.lattice.matrix
+    if np.any(mat != np.diag(np.diag(mat))):
+        return None
+    spacing = np.abs(np.diag(mat))
+    ratio = 1.0 / (spacing * steps)
+    periods = np.round(ratio).astype(int)
+    if np.any(periods < 1) or np.any(np.abs(ratio - periods) > 1e-9 * ratio):
+        return None
+    counts = []
+    for o in freq.offsets:
+        lam = LatticeCosets(freq.lattice, (o,)).points_in_box(box)
+        per_axis = [len(np.unique(np.round((lam[:, a] - o[a]) / spacing[a])))
+                    for a in range(freq.dim)]
+        if any(k % p for k, p in zip(per_axis, periods)):
+            return None
+        counts.append(len(lam))
+    return periods, counts
+
+
+def _fiber_pairs(system: WindowedSystem, steps: np.ndarray,
+                 box: Box) -> Optional[list[tuple]]:
+    """(window, frequency set, periods, coset counts) for every pair, or None
+    when some pair does not fiberize."""
+    out = []
+    for window, freq in system.pairs:
+        spec = _lattice_periods(freq, steps, box)
+        if spec is None:
+            return None
+        out.append((window, freq) + spec)
+    return out
+
+
+def _extremal_eigs_fiberized(pairs: list, grid_n: int, active: np.ndarray,
+                             xs: np.ndarray, sqw: np.ndarray) -> tuple[float, float, str]:
+    """Extreme eigenvalues of the frame operator of lattice frequency sets.
+
+    The operator couples two cells only when their index difference is a
+    multiple of every pair's period, so it is block diagonal over the fibers
+    of cells with one index residue mod P = gcd of the periods.  On a fiber
+    it is V V*, one column of V per (pair, coset, residue of the cell index
+    mod the pair's period over P); the r x r Grams V* V of all fibers go
+    through one batched eigensolve.
+    """
+    d = xs.shape[1]
+    idx = np.argwhere(active.reshape((grid_n,) * d))
+    period = np.gcd.reduce([periods for _, _, periods, _ in pairs])
+    slots = -(-grid_n // period)  # cells of one fiber along each axis
+    turn = idx // period
+    _, fiber, sizes = np.unique(np.ravel_multi_index((idx % period).T, period),
+                                return_inverse=True, return_counts=True)
+    slot = np.ravel_multi_index(turn.T, slots)
+    shape = (len(sizes), int(np.prod(slots)))
+    columns = []
+    for window, freq, periods, counts in pairs:
+        q = periods // period
+        col = np.ravel_multi_index((turn % q).T, q)
+        g = window.eval(xs) * sqw
+        for o, c in zip(freq.offsets, counts):
+            v = np.zeros(shape + (int(np.prod(q)),), dtype=complex)
+            v[fiber, slot, col] = math.sqrt(c) * np.exp(2j * np.pi * (xs @ o)) * g
+            columns.append(v)
+    V = np.concatenate(columns, axis=2)
+    r = V.shape[2]
+    evs = np.linalg.eigvalsh(V.conj().transpose(0, 2, 1) @ V)
+    # a fiber of F <= r cells has the top F Gram eigenvalues, the rest are 0
+    low = np.where(sizes > r, 0.0, evs[np.arange(len(sizes)), np.maximum(r - sizes, 0)])
+    note = (f"fiberized eigensolve: {len(sizes)} fibers of at most "
+            f"{int(sizes.max())} cells, {r} columns")
+    return max(float(low.min()), 0.0), float(evs[:, -1].max()), note
+
+
 def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
                           trunc_box: Optional[Box] = None) -> FrameBoundsReport:
     """Extreme eigenvalues of the discretized frame operator.
@@ -187,25 +273,42 @@ def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
 def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
                          trunc_box: Box) -> FrameBoundsReport:
     """Frame bounds with the grid laid over ``grid_box``; cells outside the
-    domain carry zero weight.  Above ``DENSE_EIG_LIMIT`` active cells the
-    extreme eigenvalues come from an iterative solve."""
+    domain carry zero weight.
+
+    When every pair carries a diagonal lattice (or cosets of one) whose
+    spacing divides into the grid and whose truncation fills whole periods,
+    the operator splits into fibers and the bounds come from their Grams.
+    Otherwise the operator is assembled densely, and above
+    ``DENSE_EIG_LIMIT`` active cells its extreme eigenvalues come from an
+    iterative solve.
+    """
     weights = cell_volumes(grid_box, grid_n, system.omega).ravel()
     if weights.max() == 0.0:
         raise InputError("singular quadrature: every grid cell misses the domain")
     active = weights > 0
     xs = grid_points(grid_box, grid_n)[active]
     sqw = np.sqrt(weights[active])
-    blocks, notes = _analysis_blocks(system, xs, sqw, trunc_box)
-    nc = len(xs)
-    if not blocks:
+    # both faces move down by a hair, so a frequency that rounds to just
+    # below the upper face does not alias onto the one at the lower face
+    box = trunc_box.translate([-1e-9 * s for s in trunc_box.sides])
+    fibers = _fiber_pairs(system, np.array(grid_box.sides) / grid_n, box)
+    if fibers is None:
+        terms, notes = _analysis_blocks(system, xs, sqw, box)
+    else:
+        notes = [_silent_pair_note(w) for w, _, _, counts in fibers if not sum(counts)]
+        terms = fibers = [f for f in fibers if sum(f[3])]
+    if not terms:
         return FrameBoundsReport(0.0, 0.0, grid_n, trunc_box,
                                  "; ".join(notes + ["no coefficients at all"]))
-    if nc <= DENSE_EIG_LIMIT:
-        a, b = _extremal_eigs_dense(blocks, nc)
+    if fibers is not None:
+        a, b, note = _extremal_eigs_fiberized(fibers, grid_n, active, xs, sqw)
+    elif len(xs) <= DENSE_EIG_LIMIT:
+        a, b = _extremal_eigs_dense(terms, len(xs))
+        note = f"dense eigensolve of order {len(xs)}"
     else:
-        a, b = _extremal_eigs_iterative(blocks, nc)
-        notes.append(f"iterative extremal eigensolve at tolerance {ITER_EIG_TOL}")
-    return FrameBoundsReport(a, b, grid_n, trunc_box, "; ".join(notes))
+        a, b = _extremal_eigs_iterative(terms, len(xs))
+        note = f"iterative extremal eigensolve at tolerance {ITER_EIG_TOL}"
+    return FrameBoundsReport(a, b, grid_n, trunc_box, "; ".join(notes + [note]))
 
 
 def raw_exponential_tight_constant(box: Box, cells: int = 64) -> float:

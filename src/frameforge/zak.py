@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -110,10 +110,23 @@ def quasiperiodicity_residuals(window: Window, M: int) -> tuple[float, float]:
 
 def gabor_windows(zak: ZakGrid, p: int, q: int) -> list[ZakGrid]:
     """Zak-domain windows for shift p/q: exact rolls with quasiperiodic phases."""
+    if q == 1:
+        return [zak]
+    return [ZakGrid(values, zak.M, zak.source_support, zak.source_norm_sq)
+            for values in _shifted_values(zak, p, q)]
+
+
+def _shifted_values(zak: ZakGrid, p: int, q: int) -> Iterator[np.ndarray]:
+    """The q shifted Zak windows' values, one M x M array at a time.
+
+    Row i of window j is row i - s of the transform, s = p j M / q; a row
+    that wraps around the square w times picks up the phase e^{-2 pi i w t}.
+    """
     if math.gcd(p, q) != 1:
         raise InputError(f"p={p} and q={q} must be coprime")
     if q == 1:
-        return [zak]
+        yield zak.values
+        return
     if not 1 <= p < q:
         raise InputError(f"need 1 <= p < q, got p={p}, q={q}")
     if zak.M % q != 0:
@@ -122,15 +135,15 @@ def gabor_windows(zak: ZakGrid, p: int, q: int) -> list[ZakGrid]:
     M = zak.M
     i = np.arange(M)
     ts = np.arange(M) / M
-    out = []
     for j in range(q):
         s = (p * j * M) // q
         ii = (i - s) % M
         wraps = (s - i + ii) // M
-        phase = np.exp(-2j * np.pi * np.outer(wraps, ts))
-        out.append(ZakGrid(zak.values[ii, :] * phase, M, zak.source_support,
-                           zak.source_norm_sq))
-    return out
+        values = zak.values[ii, :]
+        for w in np.unique(wraps):
+            rows = wraps == w
+            values[rows] *= np.exp(-2j * np.pi * (w * ts))
+        yield values
 
 
 @dataclass(frozen=True)
@@ -163,12 +176,14 @@ def certify_gabor(window: Window, p: int, q: int, M: int) -> GaborVerdict:
     alongside as the l2-form comparison.
     """
     zak = zak_transform(window, M)
-    shifted = gabor_windows(zak, p, q)
-    mods = np.stack([np.abs(z.values) for z in shifted])
-    max_mod = mods.max(axis=0)
+    max_mod = np.zeros((M, M))
+    zz = np.zeros((M, M))
+    for values in _shifted_values(zak, p, q):
+        mod = np.abs(values)
+        np.maximum(max_mod, mod, out=max_mod)
+        zz += mod ** 2
     a53 = float(max_mod.min())
     b53 = float(max_mod.max())
-    zz = np.sum(mods ** 2, axis=0)
     eps_zero = 1e-9 * math.sqrt(zak.source_norm_sq)
     if a53 <= eps_zero:
         verdict = NOT_FRAME

@@ -41,6 +41,14 @@ class TestBoundedWindowFrame:
         rep = estimate_frame_bounds(result.system, 128)
         assert rep.A_est == pytest.approx(1.0, abs=1e-9)
 
+    def test_l_shape_indicator(self):
+        l_shape = canonicalize([Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 0.5))])
+        result = build_bounded_window_frame([Window.indicator()], l_shape, grid_n=64)
+        assert result.predicted_A == pytest.approx(1.0, abs=1e-12)
+        rep = estimate_frame_bounds(result.system, 64)
+        assert rep.A_est == pytest.approx(1.0, abs=1e-12)
+        assert rep.B_est == pytest.approx(1.0, abs=1e-12)
+
     def test_unbounded_windows_are_redundant(self):
         base = build_bounded_window_frame(
             [Window.from_string("x^1.0"), Window.from_string("(1-x)^1.0")], UNIT)

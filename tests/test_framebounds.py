@@ -3,6 +3,8 @@ bracket checks."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameforge import framebounds
 from frameforge.errors import InputError
@@ -18,29 +20,84 @@ from frameforge.framebounds import (
     weighted_transform,
     window_density_bracket_check,
 )
-from frameforge.geometry import Box, BoxUnionSet
+from frameforge.geometry import Box, BoxUnionSet, Lattice, canonicalize
 from frameforge.gridfn import GridFunction
-from frameforge.pointsets import FiniteSet, WeightedComb, density_closed_form, integers
+from frameforge.pointsets import (
+    FiniteSet,
+    LatticeCosets,
+    WeightedComb,
+    density_closed_form,
+    integers,
+)
 from frameforge.windows import Window
 
 UNIT = BoxUnionSet.from_intervals([(0, 1)])
 UNIT_CLOSED = BoxUnionSet.from_intervals([(0, 1)])
 
 
-def dense_gram_oracle(omega, window, freq_points, grid_n):
-    """Independent assembly of the analysis matrix and its spectral range."""
+def dense_gram_oracle(omega, pairs, grid_n):
+    """Independent assembly of the analysis matrix and its spectral range.
+
+    ``pairs`` holds (window, frequencies of shape (m, d)); the cell weights
+    come from one ``intersection_volume`` call per cell.
+    """
     bb = omega.bounding_box()
-    step = (bb.hi[0] - bb.lo[0]) / grid_n
-    centers = bb.lo[0] + step * (np.arange(grid_n) + 0.5)
-    w = np.array([omega.intersection_volume(Box((bb.lo[0] + i * step,),
-                                                (bb.lo[0] + (i + 1) * step,)))
-                  for i in range(grid_n)])
+    steps = [(b - a) / grid_n for a, b in zip(bb.lo, bb.hi)]
+    centers, weights = [], []
+    for idx in np.ndindex(*(grid_n,) * bb.dim):
+        lo = tuple(a + i * s for a, i, s in zip(bb.lo, idx, steps))
+        hi = tuple(a + (i + 1) * s for a, i, s in zip(bb.lo, idx, steps))
+        centers.append([a + (i + 0.5) * s for a, i, s in zip(bb.lo, idx, steps)])
+        weights.append(omega.intersection_volume(Box(lo, hi)))
+    xs, w = np.array(centers), np.array(weights)
     keep = w > 0
-    xs, w = centers[keep], w[keep]
-    g = window.eval(xs.reshape(-1, 1))
-    m = np.exp(-2j * np.pi * np.outer(freq_points, xs)) * (np.conj(g) * np.sqrt(w))
+    xs, w = xs[keep], w[keep]
+    rows = []
+    for window, lam in pairs:
+        g = window.eval(xs)
+        rows.append(np.exp(-2j * np.pi * (lam @ xs.T)) * (np.conj(g) * np.sqrt(w)))
+    m = np.vstack(rows)
     evs = np.linalg.eigvalsh(m.conj().T @ m)
     return max(evs[0], 0.0), evs[-1]
+
+
+@st.composite
+def fiberizable_systems(draw):
+    """Diagonal lattices (cosets of them too) whose spacings divide into the
+    grid, on domains with gaps, truncated to whole periods.
+
+    Coset offsets are multiples of an eighth of the spacing and the
+    truncation faces sit half a sixteenth of the finest spacing off them, so
+    no frequency lies near a face.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    grid_n = draw(st.sampled_from([6, 8, 12, 16] if d == 1 else [4, 6, 8]))
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = [draw(st.integers(0, 6)) / 4.0 for _ in range(d)]
+        boxes.append(Box(tuple(lo), tuple(a + draw(st.integers(1, 3)) / 4.0 for a in lo)))
+    omega = canonicalize(boxes)
+    steps = np.array(omega.bounding_box().sides) / grid_n
+    base = np.array([draw(st.sampled_from([1, 2, 3, 4, 6])) for _ in range(d)])
+    pairs = []
+    for j in range(draw(st.integers(1, 2))):
+        periods = base * draw(st.sampled_from([1, 2]))
+        spacing = 1.0 / (periods * steps)
+        lattice = Lattice(tuple(tuple(spacing[a] if a == b else 0.0 for b in range(d))
+                                for a in range(d)))
+        offsets = []
+        for e in draw(st.lists(st.integers(0, 7), min_size=1, max_size=2, unique=True)):
+            eighths = [e] + [draw(st.integers(0, 7)) for _ in range(d - 1)]
+            offsets.append(tuple(spacing * eighths / 8.0))
+        c = [draw(st.floats(0.2, 1.5)) for _ in range(3)]
+        window = Window.from_callable(
+            lambda p, c=c: c[0] + c[1] * p[:, 0] + 1j * c[2] * p[:, -1] ** 2, f"w{j}")
+        pairs.append((window, LatticeCosets(lattice, tuple(offsets))))
+    unit = np.min([np.diag(f.lattice.matrix) for _, f in pairs], axis=0) / 16.0
+    width = draw(st.integers(1, 2)) / steps
+    lo = [(2 * draw(st.integers(-40, 40)) + 1) * u for u in unit]
+    trunc = Box(tuple(lo), tuple(a + w for a, w in zip(lo, width)))
+    return WindowedSystem(omega, tuple(pairs)), grid_n, trunc
 
 
 class TestEstimateFrameBounds:
@@ -57,8 +114,8 @@ class TestEstimateFrameBounds:
         assert rep.A_est == pytest.approx(2.0, rel=0.02)
         assert rep.B_est == pytest.approx(2.0, rel=0.02)
         # independent dense-Gram oracle at a matched setup
-        lam = np.arange(-128, 128) * 0.5
-        a, b = dense_gram_oracle(UNIT, Window.indicator(), lam, 128)
+        lam = np.arange(-128, 128).reshape(-1, 1) * 0.5
+        a, b = dense_gram_oracle(UNIT, [(Window.indicator(), lam)], 128)
         assert a == pytest.approx(2.0, rel=1e-9)
         assert b == pytest.approx(2.0, rel=1e-9)
 
@@ -80,8 +137,8 @@ class TestEstimateFrameBounds:
         window = Window.from_callable(step_window, "steps")
         system = WindowedSystem(UNIT, ((window, integers()),))
         rep = estimate_frame_bounds(system, 128)
-        lam = np.arange(-64, 64, dtype=float)
-        a, b = dense_gram_oracle(UNIT, window, lam, 128)
+        lam = np.arange(-64, 64, dtype=float).reshape(-1, 1)
+        a, b = dense_gram_oracle(UNIT, [(window, lam)], 128)
         assert rep.A_est == pytest.approx(a, rel=1e-9, abs=1e-12)
         assert rep.B_est == pytest.approx(b, rel=1e-9)
 
@@ -140,8 +197,10 @@ class TestEstimateFrameBounds:
         assert r_atom.B_est == pytest.approx(r_fin.B_est, rel=1e-12)
 
     def test_iterative_path_agrees_with_dense(self, monkeypatch):
-        system = WindowedSystem(UNIT, ((Window.indicator(), integers()),))
+        # spacing 0.79 does not divide into the grid, so the operator is dense
+        system = WindowedSystem(UNIT, ((Window.indicator(), integers(scale=0.79)),))
         dense = estimate_frame_bounds(system, 128)
+        assert dense.notes == "dense eigensolve of order 128"
         monkeypatch.setattr(framebounds, "DENSE_EIG_LIMIT", 16)
         iterative = estimate_frame_bounds(system, 128)
         assert "iterative" in iterative.notes
@@ -159,12 +218,72 @@ class TestEstimateFrameBounds:
         assert rep.B_est == pytest.approx(0.25 * m / 128, rel=1e-9)
 
     def test_2d_square_orthonormal(self):
-        from frameforge.geometry import canonicalize
         square = canonicalize([Box((0.0, 0.0), (1.0, 1.0))])
         system = WindowedSystem(square, ((Window.indicator(), integers(dim=2)),))
         rep = estimate_frame_bounds(system, 16)
         assert rep.A_est == pytest.approx(1.0, abs=1e-9)
         assert rep.B_est == pytest.approx(1.0, abs=1e-9)
+
+
+class TestFiberizedPath:
+    @settings(max_examples=60, deadline=None)
+    @given(fiberizable_systems())
+    def test_matches_dense_assembly(self, case):
+        system, grid_n, trunc = case
+        rep = estimate_frame_bounds(system, grid_n, trunc)
+        assert rep.notes.startswith("fiberized eigensolve")
+        hair = trunc.translate([-1e-9 * s for s in trunc.sides])
+        a, b = dense_gram_oracle(
+            system.omega, [(w, f.points_in_box(hair)) for w, f in system.pairs], grid_n)
+        assert abs(rep.A_est - a) <= 1e-9 * b
+        assert abs(rep.B_est - b) <= 1e-9 * b
+
+    def test_notes_name_the_fibers(self):
+        system = WindowedSystem(UNIT, ((Window.from_string("x^1.0"), integers()),
+                                       (Window.from_string("0.5"), integers(scale=0.5))))
+        rep = estimate_frame_bounds(system, 256)
+        assert rep.notes == "fiberized eigensolve: 256 fibers of at most 1 cells, 3 columns"
+
+    def test_inactive_cells_leave_fibers_out(self):
+        # [0, 1/4) and [3/4, 1) at 8 cells: 4 active cells, one per fiber
+        omega = BoxUnionSet.from_intervals([(0.0, 0.25), (0.75, 1.0)])
+        system = WindowedSystem(omega, ((Window.indicator(), integers(scale=2.0)),))
+        rep = estimate_frame_bounds(system, 8)
+        assert rep.notes == "fiberized eigensolve: 4 fibers of at most 1 cells, 1 columns"
+        assert rep.A_est == pytest.approx(0.5, rel=1e-14)
+        assert rep.B_est == pytest.approx(0.5, rel=1e-14)
+
+    def test_partial_period_truncation_stays_dense(self):
+        # 11 integers in the truncation box, against a period of 16 cells
+        window = Window.from_string("x^1.0")
+        system = WindowedSystem(UNIT, ((window, integers()),))
+        rep = estimate_frame_bounds(system, 16, Box((-5.5,), (5.5,)))
+        assert rep.notes == "dense eigensolve of order 16"
+        a, b = dense_gram_oracle(UNIT, [(window, np.arange(-5.0, 6.0).reshape(-1, 1))], 16)
+        assert rep.A_est == pytest.approx(a, rel=1e-9, abs=1e-12)
+        assert rep.B_est == pytest.approx(b, rel=1e-9)
+
+    @pytest.mark.parametrize("freq", [FiniteSet(((0.0,),)), integers(scale=0.79)])
+    def test_other_frequency_sets_stay_dense(self, freq):
+        system = WindowedSystem(UNIT, ((Window.indicator(), freq),))
+        assert estimate_frame_bounds(system, 64).notes == "dense eigensolve of order 64"
+
+    def test_unit_interval_is_tight_to_roundoff(self):
+        system = WindowedSystem(UNIT, ((Window.indicator(), integers()),))
+        rep = estimate_frame_bounds(system, 256)
+        assert abs(rep.A_est - 1.0) <= 1e-14 and abs(rep.B_est - 1.0) <= 1e-14
+
+    def test_l_shape_is_tight_to_roundoff(self):
+        l_shape = canonicalize([Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 0.5))])
+        system = WindowedSystem(l_shape, ((Window.indicator(), integers(dim=2)),))
+        rep = estimate_frame_bounds(system, 48)
+        assert abs(rep.A_est - 1.0) <= 1e-14 and abs(rep.B_est - 1.0) <= 1e-14
+
+    def test_decay_row_one_is_tight_to_roundoff(self):
+        rows = lower_bound_decay_probe(
+            [Window.indicator()], [integers()],
+            lambda n: BoxUnionSet.from_intervals([(0.0, float(n))]), [1, 2, 4])
+        assert abs(rows[0].A_est - 1.0) <= 1e-14 and abs(rows[0].B_est - 1.0) <= 1e-14
 
 
 class TestRawExponentialConstant:
@@ -180,6 +299,10 @@ class TestRawExponentialConstant:
         square = Box((0.0, 0.0), (1.0, 1.0))
         assert raw_exponential_tight_constant(square, cells=8) == pytest.approx(
             1.0, abs=1e-9)
+
+    def test_unit_square_at_the_default_grid(self):
+        square = Box((0.0, 0.0), (1.0, 1.0))
+        assert raw_exponential_tight_constant(square) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestEssBounds:

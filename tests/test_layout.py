@@ -67,3 +67,33 @@ def test_banned_call_checker(tmp_path):
                      "x = itertools.product([1], [2])\ny = x.product\n")
     assert sorted(banned_calls(probe)) == ["probe.py:2 uses allclose",
                                            "probe.py:3 uses product"]
+
+
+def unused_imports(path):
+    """Names a module imports and never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} imports {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_every_imported_name_is_used():
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    assert [hit for path in paths for hit in unused_imports(path)] == []
+
+
+def test_unused_import_checker(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\nimport os.path\n"
+                     "import numpy as np\nfrom .x import a, b as c\n\n"
+                     "def f():\n    import math\n    return np.pi + a\n")
+    assert unused_imports(probe) == ["probe.py:2 imports os", "probe.py:4 imports c",
+                                     "probe.py:7 imports math"]
