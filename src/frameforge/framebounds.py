@@ -3,9 +3,11 @@
 The model space is the grid over the domain's bounding box with exact
 per-cell domain weights.  The analysis map sends a grid function to its
 inner products against windowed exponentials; frame bounds are the extreme
-eigenvalues of the (weighted) frame operator.  A grid whose Nyquist band
-matches the frequency truncation reproduces tight continuous systems
-exactly; that band is the default truncation.
+eigenvalues of the (weighted) frame operator.  Frequencies enter the
+operator only through the difference x - y of two cells, so each pair
+contributes one Toeplitz kernel over the cell-index differences.  A grid
+whose Nyquist band matches the frequency truncation reproduces tight
+continuous systems exactly; that band is the default truncation.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .windows import Window
 
 DENSE_EIG_LIMIT = 4096
 ITER_EIG_TOL = 1e-8
+# columns of the fine phase table; the coarse one steps by this many cells
+_PHASE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -97,37 +101,70 @@ def nyquist_box(bb: Box, grid_n: int) -> Box:
     return Box(tuple(lo), tuple(hi))
 
 
-def _analysis_blocks(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
-                     box: Box) -> tuple[list[np.ndarray], list[str]]:
-    """One coefficient block per pair: rows are sqrt-weighted functionals."""
-    blocks, notes = [], []
-    for window, freq in system.pairs:
-        g = window.eval(xs)
-        base = np.conj(g) * sqw
-        if isinstance(freq, ContinuousFreqMeasure):
-            rows = []
-            if freq.density is not None:
-                dens = freq.density.samples.real.ravel()
-                vols = freq.density.cell_weights.ravel()
-                mass = dens * vols
-                keep = mass > 0
-                xi = freq.density.points()[keep]
-                phases = np.exp(-2j * np.pi * (xi @ xs.T))
-                rows.append(np.sqrt(mass[keep])[:, None] * phases * base[None, :])
-            if freq.atoms:
-                pts = np.array([p for p, _ in freq.atoms], dtype=float)
-                ws = np.array([w for _, w in freq.atoms], dtype=float)
-                phases = np.exp(-2j * np.pi * (pts @ xs.T))
-                rows.append(np.sqrt(ws)[:, None] * phases * base[None, :])
-            blocks.append(np.vstack(rows))
-            continue
+def _frequency_weights(freq: FreqSpec, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies (m, d) of a pair and their weights: a point set truncated
+    to ``box`` weighs 1 per point, a measure gives its density-cell masses
+    and its atom weights."""
+    if not isinstance(freq, ContinuousFreqMeasure):
         lam = freq.points_in_box(box)
+        return lam, np.ones(len(lam))
+    points, weights = [], []
+    if freq.density is not None:
+        mass = (freq.density.samples.real * freq.density.cell_weights).ravel()
+        keep = mass > 0
+        points.append(freq.density.points()[keep])
+        weights.append(mass[keep])
+    if freq.atoms:
+        points.append(np.array([p for p, _ in freq.atoms], dtype=float))
+        weights.append(np.array([w for _, w in freq.atoms]))
+    return np.vstack(points), np.concatenate(weights)
+
+
+def _phase_tables(freqs: np.ndarray, step: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse and fine tables of e^{2 pi i lam k step} over the cell-index
+    differences k = -(n - 1) + h b + l in (-n, n), 0 <= l < b: the phase is
+    coarse[lam, h] * fine[lam, l], about 2n/b + b exponentials per frequency
+    instead of 2n."""
+    coarse = np.exp(2j * np.pi * step * np.outer(freqs, np.arange(-(n - 1), n, _PHASE_BLOCK)))
+    fine = np.exp(2j * np.pi * step * np.outer(freqs, np.arange(_PHASE_BLOCK)))
+    return coarse, fine
+
+
+def _rowwise_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+
+def _difference_kernel(freqs: np.ndarray, weights: np.ndarray, steps: np.ndarray,
+                       n: int) -> np.ndarray:
+    """K(k) = sum_lam w_lam e^{2 pi i <lam, k step>} over the cell-index
+    differences k in (-n, n)^d, as a (2n - 1)^d array holding K(k) at k + n - 1.
+
+    Every axis but the last enters as its full phase table; the last axis's
+    fine table is the right factor of the one matrix product.
+    """
+    span = 2 * n - 1
+    *axes, (coarse, fine) = [_phase_tables(freqs[:, a], s, n) for a, s in enumerate(steps)]
+    left = weights[:, None]
+    for c, f in axes:
+        left = _rowwise_outer(left, _rowwise_outer(c, f)[:, :span])
+    kernel = _rowwise_outer(left, coarse).T @ fine
+    kernel = kernel.reshape(-1, coarse.shape[1] * fine.shape[1])[:, :span]
+    return kernel.reshape((span,) * len(steps))
+
+
+def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
+                  steps: np.ndarray, n: int,
+                  box: Box) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[str]]:
+    """(u, K) per pair with frequencies, u = g sqrt(w) over the active cells:
+    the pair's frame operator is u(x) conj(u(y)) K(index of x - index of y)."""
+    terms, notes = [], []
+    for window, freq in system.pairs:
+        lam, weights = _frequency_weights(freq, box)
         if len(lam) == 0:
             notes.append(_silent_pair_note(window))
             continue
-        phases = np.exp(-2j * np.pi * (lam @ xs.T))
-        blocks.append(phases * base[None, :])
-    return blocks, notes
+        terms.append((window.eval(xs) * sqw, _difference_kernel(lam, weights, steps, n)))
+    return terms, notes
 
 
 def _silent_pair_note(window: Window) -> str:
@@ -135,23 +172,45 @@ def _silent_pair_note(window: Window) -> str:
             f"it contributes nothing")
 
 
-def _extremal_eigs_dense(blocks: list[np.ndarray], nc: int) -> tuple[float, float]:
-    H = np.zeros((nc, nc), dtype=complex)
-    for m in blocks:
-        H += m.conj().T @ m
+def _extremal_eigs_dense(terms: list, idx: np.ndarray, n: int) -> tuple[float, float]:
+    """H = sum over pairs of u u* times K at the cells' index differences."""
+    shape = (2 * n - 1,) * idx.shape[1]
+    at = np.ravel_multi_index(idx.T, shape)
+    diff = at[:, None] - at[None, :] + np.ravel_multi_index((n - 1,) * idx.shape[1], shape)
+    H = np.zeros(diff.shape, dtype=complex)
+    for u, K in terms:
+        block = K.ravel()[diff]
+        block *= u[:, None]
+        block *= u.conj()[None, :]
+        H += block
     evs = np.linalg.eigvalsh(H)
     return max(float(evs[0]), 0.0), float(evs[-1])
 
 
-def _extremal_eigs_iterative(blocks: list[np.ndarray], nc: int,
+def _extremal_eigs_iterative(terms: list, idx: np.ndarray, n: int,
                              tol: float = ITER_EIG_TOL) -> tuple[float, float]:
+    """Lanczos on the frame operator; each pair's product with K is a
+    circular convolution on a (2n)^d grid, where no index difference wraps."""
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    def apply(u):
-        u = np.asarray(u, dtype=complex).ravel()
+    d = idx.shape[1]
+    grid = (2 * n,) * d
+    cells = tuple(idx.T)
+    wrapped = np.ix_(*[np.arange(-(n - 1), n) % (2 * n)] * d)
+    spectra = []
+    for u, K in terms:
+        padded = np.zeros(grid, dtype=complex)
+        padded[wrapped] = K
+        spectra.append((u, np.fft.fftn(padded)))
+    nc = len(idx)
+
+    def apply(v):
+        v = np.asarray(v, dtype=complex).ravel()
         out = np.zeros(nc, dtype=complex)
-        for m in blocks:
-            out += m.conj().T @ (m @ u)
+        for u, spectrum in spectra:
+            z = np.zeros(grid, dtype=complex)
+            z[cells] = u.conj() * v
+            out += u * np.fft.ifftn(np.fft.fftn(z) * spectrum)[cells]
         return out
 
     op = LinearOperator((nc, nc), matvec=apply, dtype=complex)
@@ -214,7 +273,7 @@ def _fiber_pairs(system: WindowedSystem, steps: np.ndarray,
     return out
 
 
-def _extremal_eigs_fiberized(pairs: list, grid_n: int, active: np.ndarray,
+def _extremal_eigs_fiberized(pairs: list, grid_n: int, idx: np.ndarray,
                              xs: np.ndarray, sqw: np.ndarray) -> tuple[float, float, str]:
     """Extreme eigenvalues of the frame operator of lattice frequency sets.
 
@@ -225,8 +284,6 @@ def _extremal_eigs_fiberized(pairs: list, grid_n: int, active: np.ndarray,
     mod the pair's period over P); the r x r Grams V* V of all fibers go
     through one batched eigensolve.
     """
-    d = xs.shape[1]
-    idx = np.argwhere(active.reshape((grid_n,) * d))
     period = np.gcd.reduce([periods for _, _, periods, _ in pairs])
     slots = -(-grid_n // period)  # cells of one fiber along each axis
     turn = idx // period
@@ -278,22 +335,24 @@ def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
     When every pair carries a diagonal lattice (or cosets of one) whose
     spacing divides into the grid and whose truncation fills whole periods,
     the operator splits into fibers and the bounds come from their Grams.
-    Otherwise the operator is assembled densely, and above
-    ``DENSE_EIG_LIMIT`` active cells its extreme eigenvalues come from an
-    iterative solve.
+    Otherwise each pair enters through its difference kernel: the operator
+    is assembled densely from it, or, above ``DENSE_EIG_LIMIT`` active
+    cells, applied as FFT convolutions inside an iterative solve.
     """
-    weights = cell_volumes(grid_box, grid_n, system.omega).ravel()
+    weights = cell_volumes(grid_box, grid_n, system.omega)
     if weights.max() == 0.0:
         raise InputError("singular quadrature: every grid cell misses the domain")
     active = weights > 0
-    xs = grid_points(grid_box, grid_n)[active]
+    idx = np.argwhere(active)
+    xs = grid_points(grid_box, grid_n)[active.ravel()]
     sqw = np.sqrt(weights[active])
+    steps = np.array(grid_box.sides) / grid_n
     # both faces move down by a hair, so a frequency that rounds to just
     # below the upper face does not alias onto the one at the lower face
     box = trunc_box.translate([-1e-9 * s for s in trunc_box.sides])
-    fibers = _fiber_pairs(system, np.array(grid_box.sides) / grid_n, box)
+    fibers = _fiber_pairs(system, steps, box)
     if fibers is None:
-        terms, notes = _analysis_blocks(system, xs, sqw, box)
+        terms, notes = _kernel_terms(system, xs, sqw, steps, grid_n, box)
     else:
         notes = [_silent_pair_note(w) for w, _, _, counts in fibers if not sum(counts)]
         terms = fibers = [f for f in fibers if sum(f[3])]
@@ -301,12 +360,12 @@ def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
         return FrameBoundsReport(0.0, 0.0, grid_n, trunc_box,
                                  "; ".join(notes + ["no coefficients at all"]))
     if fibers is not None:
-        a, b, note = _extremal_eigs_fiberized(fibers, grid_n, active, xs, sqw)
+        a, b, note = _extremal_eigs_fiberized(fibers, grid_n, idx, xs, sqw)
     elif len(xs) <= DENSE_EIG_LIMIT:
-        a, b = _extremal_eigs_dense(terms, len(xs))
+        a, b = _extremal_eigs_dense(terms, idx, grid_n)
         note = f"dense eigensolve of order {len(xs)}"
     else:
-        a, b = _extremal_eigs_iterative(terms, len(xs))
+        a, b = _extremal_eigs_iterative(terms, idx, grid_n)
         note = f"iterative extremal eigensolve at tolerance {ITER_EIG_TOL}"
     return FrameBoundsReport(a, b, grid_n, trunc_box, "; ".join(notes + [note]))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,42 +108,43 @@ def quasiperiodicity_residuals(window: Window, M: int) -> tuple[float, float]:
     return r_t, r_x
 
 
-def gabor_windows(zak: ZakGrid, p: int, q: int) -> list[ZakGrid]:
-    """Zak-domain windows for shift p/q: exact rolls with quasiperiodic phases."""
-    if q == 1:
-        return [zak]
-    return [ZakGrid(values, zak.M, zak.source_support, zak.source_norm_sq)
-            for values in _shifted_values(zak, p, q)]
+def _row_shifts(M: int, p: int, q: int) -> list[int]:
+    """Row offsets s = p j M / q of the q shifted Zak windows, j = 0, ..., q-1.
 
-
-def _shifted_values(zak: ZakGrid, p: int, q: int) -> Iterator[np.ndarray]:
-    """The q shifted Zak windows' values, one M x M array at a time.
-
-    Row i of window j is row i - s of the transform, s = p j M / q; a row
-    that wraps around the square w times picks up the phase e^{-2 pi i w t}.
+    Row i of shifted window j is row i - s of the transform; a row that
+    wraps around the square w times picks up the unimodular phase
+    e^{-2 pi i w t}.
     """
     if math.gcd(p, q) != 1:
         raise InputError(f"p={p} and q={q} must be coprime")
     if q == 1:
-        yield zak.values
-        return
+        return [0]
     if not 1 <= p < q:
         raise InputError(f"need 1 <= p < q, got p={p}, q={q}")
-    if zak.M % q != 0:
-        raise InputError(f"M={zak.M} must be divisible by q={q} so shifts land "
+    if M % q != 0:
+        raise InputError(f"M={M} must be divisible by q={q} so shifts land "
                          "on grid nodes")
+    return [(p * j * M) // q for j in range(q)]
+
+
+def gabor_windows(zak: ZakGrid, p: int, q: int) -> list[ZakGrid]:
+    """Zak-domain windows for shift p/q: exact rolls with quasiperiodic phases."""
+    shifts = _row_shifts(zak.M, p, q)
+    if q == 1:
+        return [zak]
     M = zak.M
     i = np.arange(M)
     ts = np.arange(M) / M
-    for j in range(q):
-        s = (p * j * M) // q
+    out = []
+    for s in shifts:
         ii = (i - s) % M
         wraps = (s - i + ii) // M
         values = zak.values[ii, :]
         for w in np.unique(wraps):
             rows = wraps == w
             values[rows] *= np.exp(-2j * np.pi * (w * ts))
-        yield values
+        out.append(ZakGrid(values, M, zak.source_support, zak.source_norm_sq))
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,12 +177,13 @@ def certify_gabor(window: Window, p: int, q: int, M: int) -> GaborVerdict:
     alongside as the l2-form comparison.
     """
     zak = zak_transform(window, M)
-    max_mod = np.zeros((M, M))
-    zz = np.zeros((M, M))
-    for values in _shifted_values(zak, p, q):
-        mod = np.abs(values)
-        np.maximum(max_mod, mod, out=max_mod)
-        zz += mod ** 2
+    # the shifts' phases are unimodular, so |Zg_j| is |Zg| with its rows rolled
+    mod = np.abs(zak.values)
+    max_mod, zz = mod, mod ** 2
+    for s in _row_shifts(M, p, q)[1:]:
+        rolled = np.roll(mod, s, axis=0)
+        max_mod = np.maximum(max_mod, rolled)
+        zz += rolled ** 2
     a53 = float(max_mod.min())
     b53 = float(max_mod.max())
     eps_zero = 1e-9 * math.sqrt(zak.source_norm_sq)

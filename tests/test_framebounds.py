@@ -21,7 +21,7 @@ from frameforge.framebounds import (
     window_density_bracket_check,
 )
 from frameforge.geometry import Box, BoxUnionSet, Lattice, canonicalize
-from frameforge.gridfn import GridFunction
+from frameforge.gridfn import GridFunction, cell_volumes
 from frameforge.pointsets import (
     FiniteSet,
     LatticeCosets,
@@ -38,8 +38,9 @@ UNIT_CLOSED = BoxUnionSet.from_intervals([(0, 1)])
 def dense_gram_oracle(omega, pairs, grid_n):
     """Independent assembly of the analysis matrix and its spectral range.
 
-    ``pairs`` holds (window, frequencies of shape (m, d)); the cell weights
-    come from one ``intersection_volume`` call per cell.
+    ``pairs`` holds (window, frequencies of shape (m, d)), optionally with
+    per-frequency weights (m,) as a third entry, 1 by default; the cell
+    weights come from one ``intersection_volume`` call per cell.
     """
     bb = omega.bounding_box()
     steps = [(b - a) / grid_n for a, b in zip(bb.lo, bb.hi)]
@@ -53,12 +54,29 @@ def dense_gram_oracle(omega, pairs, grid_n):
     keep = w > 0
     xs, w = xs[keep], w[keep]
     rows = []
-    for window, lam in pairs:
+    for window, lam, *lam_weights in pairs:
         g = window.eval(xs)
-        rows.append(np.exp(-2j * np.pi * (lam @ xs.T)) * (np.conj(g) * np.sqrt(w)))
+        scale = np.sqrt(lam_weights[0] if lam_weights else np.ones(len(lam)))
+        rows.append(scale[:, None] * np.exp(-2j * np.pi * (lam @ xs.T))
+                    * (np.conj(g) * np.sqrt(w)))
     m = np.vstack(rows)
     evs = np.linalg.eigvalsh(m.conj().T @ m)
     return max(evs[0], 0.0), evs[-1]
+
+
+def draw_domain(draw, d):
+    """One to three boxes on a quarter grid, so the union may have gaps."""
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = [draw(st.integers(0, 6)) / 4.0 for _ in range(d)]
+        boxes.append(Box(tuple(lo), tuple(a + draw(st.integers(1, 3)) / 4.0 for a in lo)))
+    return canonicalize(boxes)
+
+
+def draw_window(draw, j):
+    c = [draw(st.floats(0.2, 1.5)) for _ in range(3)]
+    return Window.from_callable(
+        lambda p, c=c: c[0] + c[1] * p[:, 0] + 1j * c[2] * p[:, -1] ** 2, f"w{j}")
 
 
 @st.composite
@@ -72,11 +90,7 @@ def fiberizable_systems(draw):
     """
     d = draw(st.sampled_from([1, 2]))
     grid_n = draw(st.sampled_from([6, 8, 12, 16] if d == 1 else [4, 6, 8]))
-    boxes = []
-    for _ in range(draw(st.integers(1, 3))):
-        lo = [draw(st.integers(0, 6)) / 4.0 for _ in range(d)]
-        boxes.append(Box(tuple(lo), tuple(a + draw(st.integers(1, 3)) / 4.0 for a in lo)))
-    omega = canonicalize(boxes)
+    omega = draw_domain(draw, d)
     steps = np.array(omega.bounding_box().sides) / grid_n
     base = np.array([draw(st.sampled_from([1, 2, 3, 4, 6])) for _ in range(d)])
     pairs = []
@@ -89,15 +103,67 @@ def fiberizable_systems(draw):
         for e in draw(st.lists(st.integers(0, 7), min_size=1, max_size=2, unique=True)):
             eighths = [e] + [draw(st.integers(0, 7)) for _ in range(d - 1)]
             offsets.append(tuple(spacing * eighths / 8.0))
-        c = [draw(st.floats(0.2, 1.5)) for _ in range(3)]
-        window = Window.from_callable(
-            lambda p, c=c: c[0] + c[1] * p[:, 0] + 1j * c[2] * p[:, -1] ** 2, f"w{j}")
-        pairs.append((window, LatticeCosets(lattice, tuple(offsets))))
+        pairs.append((draw_window(draw, j), LatticeCosets(lattice, tuple(offsets))))
     unit = np.min([np.diag(f.lattice.matrix) for _, f in pairs], axis=0) / 16.0
     width = draw(st.integers(1, 2)) / steps
     lo = [(2 * draw(st.integers(-40, 40)) + 1) * u for u in unit]
     trunc = Box(tuple(lo), tuple(a + w for a, w in zip(lo, width)))
     return WindowedSystem(omega, tuple(pairs)), grid_n, trunc
+
+
+@st.composite
+def dense_systems(draw):
+    """Frequency specs the fiberized solve does not take, up to two pairs on
+    domains with gaps: finite sets, spacings 0.79 (1 + k/16) (the grid steps
+    are quarters over small integers, so no period is a whole number of
+    cells), skew 2-D lattices, and measures with a density and atoms.
+
+    The truncation box holds the origin, a point of every lattice drawn, so
+    no pair is silent.  Returns the system, the grid, the truncation box and
+    the oracle's (window, frequencies, weights) per pair.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    grid_n = draw(st.sampled_from([6, 8, 12, 16] if d == 1 else [4, 6, 8]))
+    omega = draw_domain(draw, d)
+    band = grid_n / np.array(omega.bounding_box().sides)
+    trunc = Box(tuple(-draw(st.integers(1, 8)) / 16.0 * w for w in band),
+                tuple(draw(st.integers(1, 8)) / 16.0 * w for w in band))
+    hair = trunc.translate([-1e-9 * s for s in trunc.sides])
+    pairs, oracle = [], []
+    for j in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["finite", "spacing", "measure"]
+                                    + (["skew"] if d == 2 else [])))
+        window = draw_window(draw, j)
+        if kind == "measure":
+            lo = [draw(st.floats(-3.0, 1.0)) for _ in range(d)]
+            box = Box(tuple(lo), tuple(a + draw(st.floats(0.5, 3.0)) for a in lo))
+            c = [draw(st.floats(0.1, 2.0)) for _ in range(2)]
+            density = GridFunction.from_callable(
+                lambda xi, c=c: c[0] + c[1] * xi[:, 0] ** 2, box, draw(st.integers(2, 5)))
+            atoms = tuple((tuple(draw(st.floats(-3.0, 3.0)) for _ in range(d)),
+                           draw(st.floats(0.5, 2.0)))
+                          for _ in range(draw(st.integers(0, 2))))
+            freq = ContinuousFreqMeasure(density=density, atoms=atoms)
+            mass = (density.samples.real * density.cell_weights).ravel()
+            lam = np.vstack([density.points()] + [np.array([p]) for p, _ in atoms])
+            weights = np.concatenate([mass, [w for _, w in atoms]])
+        else:
+            if kind == "finite":
+                cells = draw(st.lists(st.tuples(*[st.integers(1, 15)] * d),
+                                      min_size=1, max_size=5, unique=True))
+                freq = FiniteSet(tuple(
+                    tuple(a + (b - a) * k / 16.0 for a, b, k in zip(trunc.lo, trunc.hi, cell))
+                    for cell in cells), d)
+            elif kind == "spacing":
+                freq = integers(d, 0.79 * (1.0 + draw(st.integers(0, 16)) / 16.0))
+            else:
+                sides = [draw(st.floats(0.5, 1.5)) for _ in range(3)]
+                freq = LatticeCosets(Lattice(((sides[0], sides[1]), (0.0, sides[2]))))
+            lam = freq.points_in_box(hair)
+            weights = np.ones(len(lam))
+        pairs.append((window, freq))
+        oracle.append((window, lam, weights))
+    return WindowedSystem(omega, tuple(pairs)), grid_n, trunc, oracle
 
 
 class TestEstimateFrameBounds:
@@ -197,15 +263,25 @@ class TestEstimateFrameBounds:
         assert r_atom.B_est == pytest.approx(r_fin.B_est, rel=1e-12)
 
     def test_iterative_path_agrees_with_dense(self, monkeypatch):
+        l_shape = canonicalize([Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 0.5))])
+        measure = ContinuousFreqMeasure(
+            density=GridFunction.indicator(Box((-64.0,), (64.0,)), 100),
+            atoms=(((3.3,), 1.5), ((-20.7,), 0.5)))
         # spacing 0.79 does not divide into the grid, so the operator is dense
-        system = WindowedSystem(UNIT, ((Window.indicator(), integers(scale=0.79)),))
-        dense = estimate_frame_bounds(system, 128)
-        assert dense.notes == "dense eigensolve of order 128"
-        monkeypatch.setattr(framebounds, "DENSE_EIG_LIMIT", 16)
-        iterative = estimate_frame_bounds(system, 128)
-        assert "iterative" in iterative.notes
-        assert iterative.A_est == pytest.approx(dense.A_est, rel=1e-6)
-        assert iterative.B_est == pytest.approx(dense.B_est, rel=1e-6)
+        cases = [(UNIT, Window.indicator(), integers(scale=0.79), 128, 128),
+                 (UNIT, Window.from_string("x^1.0"), measure, 128, 128),
+                 (l_shape, Window.from_string("(1-x)^1.0"), integers(dim=2, scale=0.79),
+                  16, 192)]
+        for omega, window, freq, grid_n, order in cases:
+            system = WindowedSystem(omega, ((window, freq),))
+            dense = estimate_frame_bounds(system, grid_n)
+            assert dense.notes == f"dense eigensolve of order {order}"
+            with monkeypatch.context() as patch:
+                patch.setattr(framebounds, "DENSE_EIG_LIMIT", 16)
+                iterative = estimate_frame_bounds(system, grid_n)
+            assert "iterative" in iterative.notes
+            assert iterative.A_est == pytest.approx(dense.A_est, rel=1e-6)
+            assert iterative.B_est == pytest.approx(dense.B_est, rel=1e-6)
 
     @pytest.mark.parametrize("m", [196, 206, 214])
     def test_band_edge_frequency_is_not_aliased(self, m):
@@ -223,6 +299,43 @@ class TestEstimateFrameBounds:
         rep = estimate_frame_bounds(system, 16)
         assert rep.A_est == pytest.approx(1.0, abs=1e-9)
         assert rep.B_est == pytest.approx(1.0, abs=1e-9)
+
+
+class TestDenseKernelPath:
+    @settings(max_examples=60, deadline=None)
+    @given(dense_systems())
+    def test_matches_dense_assembly(self, case):
+        system, grid_n, trunc, oracle = case
+        rep = estimate_frame_bounds(system, grid_n, trunc)
+        bb = system.omega.bounding_box()
+        order = int(np.count_nonzero(cell_volumes(bb, grid_n, system.omega)))
+        assert rep.notes == f"dense eigensolve of order {order}"
+        a, b = dense_gram_oracle(system.omega, oracle, grid_n)
+        assert abs(rep.A_est - a) <= 1e-9 * b
+        assert abs(rep.B_est - b) <= 1e-9 * b
+
+
+class TestSilentPairs:
+    SILENT = "pair 'x^1.0': no frequencies inside the truncation box; it contributes nothing"
+
+    # 4 + 8Z misses [-2, 2); its period on the 8-cell grid is one cell, so it
+    # takes the fiberized solve
+    @pytest.mark.parametrize("freq", [
+        FiniteSet(((99.0,),)), LatticeCosets(Lattice.scaled_integers(8.0), ((4.0,),))],
+        ids=["dense", "fiberized"])
+    def test_no_coefficients_at_all(self, freq):
+        system = WindowedSystem(UNIT, ((Window.from_string("x^1.0"), freq),))
+        rep = estimate_frame_bounds(system, 8, Box((-2.0,), (2.0,)))
+        assert rep.A_est == 0.0 and rep.B_est == 0.0
+        assert rep.notes == f"{self.SILENT}; no coefficients at all"
+
+    def test_silent_pair_beside_a_live_one(self):
+        system = WindowedSystem(UNIT, ((Window.indicator(), integers()),
+                                       (Window.from_string("x^1.0"), FiniteSet(((99.0,),)))))
+        rep = estimate_frame_bounds(system, 8, Box((-4.0,), (4.0,)))
+        assert rep.notes == f"{self.SILENT}; dense eigensolve of order 8"
+        assert rep.A_est == pytest.approx(1.0, rel=1e-12)
+        assert rep.B_est == pytest.approx(1.0, rel=1e-12)
 
 
 class TestFiberizedPath:

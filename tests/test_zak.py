@@ -1,5 +1,7 @@
 """Zak transform values, quasiperiodicity, and Gabor certification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,14 +103,42 @@ class TestGaborWindows:
         z = zak_transform(chi(0, 1), 32)
         with pytest.raises(InputError):
             gabor_windows(z, 1, 3)
+        with pytest.raises(InputError):
+            certify_gabor(chi(0, 1), 1, 3, 32)
 
     def test_non_coprime_rejected(self):
         z = zak_transform(chi(0, 1), 32)
         with pytest.raises(InputError):
             gabor_windows(z, 2, 4)
+        with pytest.raises(InputError):
+            certify_gabor(chi(0, 1), 2, 4, 32)
+
+
+SHIFTS = [(M, p, q) for M in (240, 256) for q in (1, 2, 3, 4) if M % q == 0
+          for p in range(1, max(q, 2)) if math.gcd(p, q) == 1]
 
 
 class TestCertifyGabor:
+    @pytest.mark.parametrize("M,p,q", SHIFTS)
+    def test_matches_the_shifted_windows(self, M, p, q):
+        # reference: the moduli of the phased windows from gabor_windows
+        for text in ["indicator(0,0.5)", "indicator(0,2)", "indicator(-0.25,1.75)",
+                     "x^1.0*indicator(0,1.5)"]:
+            window = Window.from_string(text)
+            mods = np.stack([np.abs(g.values)
+                             for g in gabor_windows(zak_transform(window, M), p, q)])
+            max_mod = mods.max(axis=0)
+            zz = np.sum(mods ** 2, axis=0)
+            v = certify_gabor(window, p, q, M)
+            for got, want in [(v.A_53, max_mod.min()), (v.B_53, max_mod.max()),
+                              (v.zz_min, zz.min()), (v.zz_max, zz.max())]:
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), text
+            if max_mod.min() <= v.eps_zero:
+                verdict = NOT_FRAME
+            else:
+                verdict = FRAME_CERTIFIED if p == 1 else NECESSARY_ONLY
+            assert v.verdict == verdict, text
+
     def test_unit_indicator_orthonormal_case(self):
         v = certify_gabor(chi(0, 1), 1, 1, 64)
         assert v.verdict == FRAME_CERTIFIED
