@@ -40,6 +40,7 @@ from .serialization import (
     FRAME_BOUNDS_HEADER,
     GABOR_HEADER,
     box_label,
+    format_csv,
 )
 from .windows import Window
 from .zak import FRAME_CERTIFIED, NOT_FRAME, certify_gabor
@@ -317,8 +318,6 @@ MAIN_CRITERIA: tuple[Callable[[int], CriterionResult], ...] = (
 
 
 def criterion_12_determinism(seed: int) -> CriterionResult:
-    from .serialization import format_csv
-
     def snapshot():
         out = {}
         for fn in MAIN_CRITERIA:

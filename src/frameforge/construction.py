@@ -191,7 +191,7 @@ def build_lattice_tight_frame(omega: BoxUnionSet, lattice: Lattice,
     spacing = 1.0 / (2.0 * trunc_radius)
     verdict = lattice_residue_check(omega, lattice)
     if not verdict.holds:
-        counterexample = _incompleteness_function(omega, verdict.witness, spacing)
+        counterexample = _incompleteness_function(omega, verdict.witness, spacing, grid_cap)
         raise TightFrameRefusal(
             "two lattice translates of the domain collide on positive measure, "
             "so the dual exponentials are incomplete", verdict.witness,
@@ -210,7 +210,7 @@ def build_lattice_tight_frame(omega: BoxUnionSet, lattice: Lattice,
 
 
 def _incompleteness_function(omega: BoxUnionSet, witness: ResidueWitness,
-                             spacing: float) -> GridFunction:
+                             spacing: float, grid_cap: int) -> GridFunction:
     """chi_{E} - chi_{E - delta} for a residue collision E = omega ∩ (omega+delta);
     every dual-lattice frame coefficient of this function vanishes."""
     delta = tuple(-v for v in witness.gamma_prime)
@@ -223,10 +223,7 @@ def _incompleteness_function(omega: BoxUnionSet, witness: ResidueWitness,
                 plus_boxes.append(cut)
     e_plus = canonicalize(plus_boxes)
     e_minus = e_plus.translate(tuple(-v for v in delta))
-    bb = omega.bounding_box()
-    side = max(bb.sides)
-    n = int(math.ceil(side / spacing - 1e-9))
-    grid_box = Box(bb.lo, tuple(a + n * spacing for a in bb.lo))
+    grid_box, n = _matched_grid(omega, spacing, grid_cap)
     pts = grid_points(grid_box, n)
     vals = np.select([e_plus.contains(pts), e_minus.contains(pts)], [1.0, -1.0])
     weights = cell_volumes(grid_box, n, omega)

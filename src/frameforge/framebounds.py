@@ -131,7 +131,7 @@ def _phase_tables(freqs: np.ndarray, step: float, n: int) -> tuple[np.ndarray, n
 
 
 def _rowwise_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), a.shape[1] * b.shape[1])
 
 
 def _difference_kernel(freqs: np.ndarray, weights: np.ndarray, steps: np.ndarray,
@@ -152,18 +152,58 @@ def _difference_kernel(freqs: np.ndarray, weights: np.ndarray, steps: np.ndarray
     return kernel.reshape((span,) * len(steps))
 
 
+def _lattice_kernel(freq: FreqSpec, steps: np.ndarray, n: int,
+                    box: Box) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Closed-form difference kernel of a lattice frequency set and its
+    per-axis period in cells, or None when the closed form does not apply.
+
+    For a diagonal lattice with spacing s_a and grid step d_a the period is
+    P_a = 1 / (s_a d_a), in cells.  When P_a is an integer and each coset's
+    frequencies in the box number a multiple of P_a along every axis, the
+    coset's exponential sum over a cell difference k is its count times
+    e^{2 pi i <o, k step>} when k = 0 mod P and zero otherwise.
+    """
+    if not isinstance(freq, LatticeCosets) or freq.dim != len(steps):
+        return None
+    mat = freq.lattice.matrix
+    if np.any(mat != np.diag(np.diag(mat))):
+        return None
+    spacing = np.abs(np.diag(mat))
+    ratio = 1.0 / (spacing * steps)
+    periods = np.round(ratio).astype(int)
+    if np.any(periods < 1) or np.any(np.abs(ratio - periods) > 1e-9 * ratio):
+        return None
+    k = np.arange(-(n - 1), n)
+    kernel = np.zeros((2 * n - 1,) * freq.dim, dtype=complex)
+    for o in freq.offsets:
+        lam = LatticeCosets(freq.lattice, (o,)).points_in_box(box)
+        per_axis = [len(np.unique(np.round((lam[:, a] - o[a]) / spacing[a])))
+                    for a in range(freq.dim)]
+        if any(c % p for c, p in zip(per_axis, periods)):
+            return None
+        term = np.array(float(len(lam)))
+        for o_a, s, p in zip(o, steps, periods):
+            term = np.multiply.outer(term, np.exp(2j * np.pi * o_a * s * k) * (k % p == 0))
+        kernel += term
+    return kernel, periods
+
+
 def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
                   steps: np.ndarray, n: int,
-                  box: Box) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[str]]:
-    """(u, K) per pair with frequencies, u = g sqrt(w) over the active cells:
-    the pair's frame operator is u(x) conj(u(y)) K(index of x - index of y)."""
+                  box: Box) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[str]]:
+    """(u, K, P) per pair with frequencies, u = g sqrt(w) over the active
+    cells: the pair's frame operator is u(x) conj(u(y)) K(index of x - index
+    of y), and K vanishes off index differences that are multiples of P."""
     terms, notes = [], []
     for window, freq in system.pairs:
-        lam, weights = _frequency_weights(freq, box)
-        if len(lam) == 0:
+        spec = _lattice_kernel(freq, steps, n, box)
+        if spec is None:
+            lam, weights = _frequency_weights(freq, box)
+            spec = _difference_kernel(lam, weights, steps, n), np.ones(len(steps), dtype=int)
+        if not spec[0].any():
             notes.append(_silent_pair_note(window))
             continue
-        terms.append((window.eval(xs) * sqw, _difference_kernel(lam, weights, steps, n)))
+        terms.append((window.eval(xs) * sqw,) + spec)
     return terms, notes
 
 
@@ -172,19 +212,29 @@ def _silent_pair_note(window: Window) -> str:
             f"it contributes nothing")
 
 
-def _extremal_eigs_dense(terms: list, idx: np.ndarray, n: int) -> tuple[float, float]:
-    """H = sum over pairs of u u* times K at the cells' index differences."""
+def _extremal_eigs_blocks(terms: list, idx: np.ndarray, n: int, fiber: np.ndarray,
+                          sizes: np.ndarray) -> tuple[float, float]:
+    """H = sum over pairs of u u* times K at the cells' index differences,
+    one block per fiber; blocks of one size go through one batched
+    eigensolve."""
     shape = (2 * n - 1,) * idx.shape[1]
     at = np.ravel_multi_index(idx.T, shape)
-    diff = at[:, None] - at[None, :] + np.ravel_multi_index((n - 1,) * idx.shape[1], shape)
-    H = np.zeros(diff.shape, dtype=complex)
-    for u, K in terms:
-        block = K.ravel()[diff]
-        block *= u[:, None]
-        block *= u.conj()[None, :]
-        H += block
-    evs = np.linalg.eigvalsh(H)
-    return max(float(evs[0]), 0.0), float(evs[-1])
+    centre = np.ravel_multi_index((n - 1,) * idx.shape[1], shape)
+    order = np.argsort(fiber, kind="stable")
+    lo, hi = np.inf, -np.inf
+    for size in np.unique(sizes):
+        cells = order[sizes[fiber[order]] == size].reshape(-1, size)
+        diff = at[cells][:, :, None] - at[cells][:, None, :] + centre
+        H = np.zeros(diff.shape, dtype=complex)
+        for u, K, _ in terms:
+            uf = u[cells]
+            block = K.ravel()[diff]
+            block *= uf[:, :, None]
+            block *= uf.conj()[:, None, :]
+            H += block
+        evs = np.linalg.eigvalsh(H)
+        lo, hi = min(lo, float(evs[:, 0].min())), max(hi, float(evs[:, -1].max()))
+    return max(lo, 0.0), hi
 
 
 def _extremal_eigs_iterative(terms: list, idx: np.ndarray, n: int,
@@ -198,7 +248,7 @@ def _extremal_eigs_iterative(terms: list, idx: np.ndarray, n: int,
     cells = tuple(idx.T)
     wrapped = np.ix_(*[np.arange(-(n - 1), n) % (2 * n)] * d)
     spectra = []
-    for u, K in terms:
+    for u, K, _ in terms:
         padded = np.zeros(grid, dtype=complex)
         padded[wrapped] = K
         spectra.append((u, np.fft.fftn(padded)))
@@ -228,88 +278,6 @@ def _extremal_eigs_iterative(terms: list, idx: np.ndarray, n: int,
     return max(shift - top, 0.0), b_val
 
 
-def _lattice_periods(freq: FreqSpec, steps: np.ndarray,
-                     box: Box) -> Optional[tuple[np.ndarray, list[int]]]:
-    """Per-axis periods and per-coset frequency counts of a lattice frequency
-    set, or None when the fiberized solve does not apply to it.
-
-    For a diagonal lattice with spacing s_a and grid step d_a the period is
-    P_a = 1 / (s_a d_a), in cells.  When P_a is an integer and each coset's
-    frequencies in the box number a multiple of P_a along every axis, the
-    coset's exponential sum over a cell difference k is its count times
-    e^{2 pi i o.(x - y)} when k = 0 mod P and zero otherwise.
-    """
-    if not isinstance(freq, LatticeCosets) or freq.dim != len(steps):
-        return None
-    mat = freq.lattice.matrix
-    if np.any(mat != np.diag(np.diag(mat))):
-        return None
-    spacing = np.abs(np.diag(mat))
-    ratio = 1.0 / (spacing * steps)
-    periods = np.round(ratio).astype(int)
-    if np.any(periods < 1) or np.any(np.abs(ratio - periods) > 1e-9 * ratio):
-        return None
-    counts = []
-    for o in freq.offsets:
-        lam = LatticeCosets(freq.lattice, (o,)).points_in_box(box)
-        per_axis = [len(np.unique(np.round((lam[:, a] - o[a]) / spacing[a])))
-                    for a in range(freq.dim)]
-        if any(k % p for k, p in zip(per_axis, periods)):
-            return None
-        counts.append(len(lam))
-    return periods, counts
-
-
-def _fiber_pairs(system: WindowedSystem, steps: np.ndarray,
-                 box: Box) -> Optional[list[tuple]]:
-    """(window, frequency set, periods, coset counts) for every pair, or None
-    when some pair does not fiberize."""
-    out = []
-    for window, freq in system.pairs:
-        spec = _lattice_periods(freq, steps, box)
-        if spec is None:
-            return None
-        out.append((window, freq) + spec)
-    return out
-
-
-def _extremal_eigs_fiberized(pairs: list, grid_n: int, idx: np.ndarray,
-                             xs: np.ndarray, sqw: np.ndarray) -> tuple[float, float, str]:
-    """Extreme eigenvalues of the frame operator of lattice frequency sets.
-
-    The operator couples two cells only when their index difference is a
-    multiple of every pair's period, so it is block diagonal over the fibers
-    of cells with one index residue mod P = gcd of the periods.  On a fiber
-    it is V V*, one column of V per (pair, coset, residue of the cell index
-    mod the pair's period over P); the r x r Grams V* V of all fibers go
-    through one batched eigensolve.
-    """
-    period = np.gcd.reduce([periods for _, _, periods, _ in pairs])
-    slots = -(-grid_n // period)  # cells of one fiber along each axis
-    turn = idx // period
-    _, fiber, sizes = np.unique(np.ravel_multi_index((idx % period).T, period),
-                                return_inverse=True, return_counts=True)
-    slot = np.ravel_multi_index(turn.T, slots)
-    shape = (len(sizes), int(np.prod(slots)))
-    columns = []
-    for window, freq, periods, counts in pairs:
-        q = periods // period
-        col = np.ravel_multi_index((turn % q).T, q)
-        g = window.eval(xs) * sqw
-        for o, c in zip(freq.offsets, counts):
-            v = np.zeros(shape + (int(np.prod(q)),), dtype=complex)
-            v[fiber, slot, col] = math.sqrt(c) * np.exp(2j * np.pi * (xs @ o)) * g
-            columns.append(v)
-    V = np.concatenate(columns, axis=2)
-    r = V.shape[2]
-    evs = np.linalg.eigvalsh(V.conj().transpose(0, 2, 1) @ V)
-    # a fiber of F <= r cells has the top F Gram eigenvalues, the rest are 0
-    low = np.where(sizes > r, 0.0, evs[np.arange(len(sizes)), np.maximum(r - sizes, 0)])
-    note = (f"fiberized eigensolve: {len(sizes)} fibers of at most "
-            f"{int(sizes.max())} cells, {r} columns")
-    return max(float(low.min()), 0.0), float(evs[:, -1].max()), note
-
-
 def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
                           trunc_box: Optional[Box] = None) -> FrameBoundsReport:
     """Extreme eigenvalues of the discretized frame operator.
@@ -332,12 +300,15 @@ def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
     """Frame bounds with the grid laid over ``grid_box``; cells outside the
     domain carry zero weight.
 
-    When every pair carries a diagonal lattice (or cosets of one) whose
-    spacing divides into the grid and whose truncation fills whole periods,
-    the operator splits into fibers and the bounds come from their Grams.
-    Otherwise each pair enters through its difference kernel: the operator
-    is assembled densely from it, or, above ``DENSE_EIG_LIMIT`` active
-    cells, applied as FFT convolutions inside an iterative solve.
+    Each pair enters through its difference kernel: in closed form for a
+    diagonal lattice whose spacing divides into the grid and whose
+    truncation fills whole periods, summed over its frequencies otherwise.
+    The operator couples two cells only when their index difference is a
+    multiple of P, the gcd of every pair's period, so it is block diagonal
+    over the fibers of cells with one index residue mod P (the Walnut /
+    Ron-Shen fiber decomposition).  The blocks are assembled densely, or,
+    when one holds more than ``DENSE_EIG_LIMIT`` cells, the operator is
+    applied as FFT convolutions inside an iterative solve.
     """
     weights = cell_volumes(grid_box, grid_n, system.omega)
     if weights.max() == 0.0:
@@ -350,20 +321,17 @@ def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
     # both faces move down by a hair, so a frequency that rounds to just
     # below the upper face does not alias onto the one at the lower face
     box = trunc_box.translate([-1e-9 * s for s in trunc_box.sides])
-    fibers = _fiber_pairs(system, steps, box)
-    if fibers is None:
-        terms, notes = _kernel_terms(system, xs, sqw, steps, grid_n, box)
-    else:
-        notes = [_silent_pair_note(w) for w, _, _, counts in fibers if not sum(counts)]
-        terms = fibers = [f for f in fibers if sum(f[3])]
+    terms, notes = _kernel_terms(system, xs, sqw, steps, grid_n, box)
     if not terms:
         return FrameBoundsReport(0.0, 0.0, grid_n, trunc_box,
                                  "; ".join(notes + ["no coefficients at all"]))
-    if fibers is not None:
-        a, b, note = _extremal_eigs_fiberized(fibers, grid_n, idx, xs, sqw)
-    elif len(xs) <= DENSE_EIG_LIMIT:
-        a, b = _extremal_eigs_dense(terms, idx, grid_n)
-        note = f"dense eigensolve of order {len(xs)}"
+    period = np.gcd.reduce([p for _, _, p in terms])
+    _, fiber, sizes = np.unique(np.ravel_multi_index((idx % period).T, period),
+                                return_inverse=True, return_counts=True)
+    if sizes.max() <= DENSE_EIG_LIMIT:
+        a, b = _extremal_eigs_blocks(terms, idx, grid_n, fiber, sizes)
+        note = (f"dense eigensolve of order {sizes[0]}" if len(sizes) == 1 else
+                f"dense eigensolve of {len(sizes)} blocks of order at most {sizes.max()}")
     else:
         a, b = _extremal_eigs_iterative(terms, idx, grid_n)
         note = f"iterative extremal eigensolve at tolerance {ITER_EIG_TOL}"
@@ -510,7 +478,6 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
     if len(densities) != len(system.pairs):
         raise InputError("need one density report per system pair")
     windows = [w for w, _ in system.pairs]
-    ess = ess_bounds(windows, system.omega, grid_n)
     rows = []
     for j, ((window, _), dens) in enumerate(zip(system.pairs, densities)):
         if dens.upper <= 0:
@@ -521,7 +488,8 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
         rows.append(WindowBracketRow(window.label, dens.upper, cap,
                                      single.ess_sup_of_max, holds,
                                      cap + tol - single.ess_sup_of_max))
-    j_prime = [j for j in ess.J if densities[j].upper > 0]
+    j_prime = [j for j, w in enumerate(windows)
+               if densities[j].upper > 0 and w.bounded_on(system.omega)]
     notes = []
     if report.A_est == report.B_est:
         notes.append("tight system (A = B); bracket applied anyway")
@@ -538,7 +506,8 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
         combined = comb if combined is None else combined.plus(comb)
     d_sum = density_closed_form(combined).upper
     lower_cap = math.sqrt(report.A_est / d_sum) if d_sum > 0 else 0.0
-    ess_prime = ess_bounds([windows[j] for j in j_prime], system.omega, grid_n)
+    ess_prime = ess_bounds([windows[j] for j in j_prime], system.omega, grid_n,
+                           refine_levels=1)
     upper_cap = max(math.sqrt(report.B_est / densities[j].upper) for j in j_prime)
     lower_holds = lower_cap - tol <= ess_prime.ess_inf_of_max
     upper_holds = ess_prime.ess_sup_of_max <= upper_cap + tol

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InputError
 from .framebounds import ContinuousFreqMeasure, FreqSpec, WindowedSystem
 from .geometry import Box, BoxUnionSet, Lattice, canonicalize, cantor_tower
-from .gridfn import GridFunction
+from .gridfn import GridFunction, cell_volumes
 from .pointsets import (
     EventuallyPeriodic1D,
     FinitePerturbation,
@@ -148,7 +148,6 @@ def _freq_from_dict(data: dict) -> FreqSpec:
             box = Box(tuple(row[:d]), tuple(row[d:]))
             n = int(data["n"])
             samples = np.array(data["density"], dtype=complex).reshape((n,) * d)
-            from .gridfn import cell_volumes
             density = GridFunction(box, samples, cell_volumes(box, n))
         atoms = tuple((tuple(float(v) for v in row[:-1]), float(row[-1]))
                       for row in data.get("atoms", ()))

@@ -132,6 +132,12 @@ class TestLatticeTightFrame:
             build_lattice_tight_frame(TWO_PIECE, Lattice.scaled_integers(2.0),
                                       grid_cap=64, trunc_radius=64.0)
 
+    def test_grid_cap_enforced_on_refusal(self):
+        # the counterexample lives on the same matched grid, 192 cells here
+        with pytest.raises(InputError, match="above the cap 64"):
+            build_lattice_tight_frame(TWO_PIECE, Lattice.scaled_integers(1.0),
+                                      grid_cap=64, trunc_radius=64.0)
+
 
 class TestObstructionScan:
     def test_full_tower_satisfies_hypothesis(self):

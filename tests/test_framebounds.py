@@ -86,51 +86,73 @@ def fiberizable_systems(draw):
 
     Coset offsets are multiples of an eighth of the spacing and the
     truncation faces sit half a sixteenth of the finest spacing off them, so
-    no frequency lies near a face.
+    no frequency lies near a face.  Returns the system, the grid, the
+    truncation box and the gcd of the pairs' periods in cells.
     """
     d = draw(st.sampled_from([1, 2]))
     grid_n = draw(st.sampled_from([6, 8, 12, 16] if d == 1 else [4, 6, 8]))
     omega = draw_domain(draw, d)
     steps = np.array(omega.bounding_box().sides) / grid_n
     base = np.array([draw(st.sampled_from([1, 2, 3, 4, 6])) for _ in range(d)])
-    pairs = []
+    pairs, periods = [], []
     for j in range(draw(st.integers(1, 2))):
-        periods = base * draw(st.sampled_from([1, 2]))
-        spacing = 1.0 / (periods * steps)
-        lattice = Lattice(tuple(tuple(spacing[a] if a == b else 0.0 for b in range(d))
-                                for a in range(d)))
-        offsets = []
-        for e in draw(st.lists(st.integers(0, 7), min_size=1, max_size=2, unique=True)):
-            eighths = [e] + [draw(st.integers(0, 7)) for _ in range(d - 1)]
-            offsets.append(tuple(spacing * eighths / 8.0))
-        pairs.append((draw_window(draw, j), LatticeCosets(lattice, tuple(offsets))))
+        periods.append(base * draw(st.sampled_from([1, 2])))
+        pairs.append((draw_window(draw, j), whole_period_lattice(draw, periods[-1], steps)))
     unit = np.min([np.diag(f.lattice.matrix) for _, f in pairs], axis=0) / 16.0
     width = draw(st.integers(1, 2)) / steps
     lo = [(2 * draw(st.integers(-40, 40)) + 1) * u for u in unit]
     trunc = Box(tuple(lo), tuple(a + w for a, w in zip(lo, width)))
-    return WindowedSystem(omega, tuple(pairs)), grid_n, trunc
+    return WindowedSystem(omega, tuple(pairs)), grid_n, trunc, np.gcd.reduce(periods)
+
+
+def whole_period_lattice(draw, periods, steps):
+    """Cosets of the diagonal lattice with the given periods in cells, at
+    offsets that are multiples of an eighth of the spacing."""
+    d = len(periods)
+    spacing = 1.0 / (periods * steps)
+    lattice = Lattice(tuple(tuple(spacing[a] if a == b else 0.0 for b in range(d))
+                            for a in range(d)))
+    offsets = []
+    for e in draw(st.lists(st.integers(0, 7), min_size=1, max_size=2, unique=True)):
+        eighths = [e] + [draw(st.integers(0, 7)) for _ in range(d - 1)]
+        offsets.append(tuple(spacing * eighths / 8.0))
+    return LatticeCosets(lattice, tuple(offsets))
 
 
 @st.composite
-def dense_systems(draw):
-    """Frequency specs the fiberized solve does not take, up to two pairs on
+def dense_systems(draw, with_lattice=False):
+    """Frequency specs without a closed-form kernel, up to two pairs on
     domains with gaps: finite sets, spacings 0.79 (1 + k/16) (the grid steps
     are quarters over small integers, so no period is a whole number of
     cells), skew 2-D lattices, and measures with a density and atoms.
 
     The truncation box holds the origin, a point of every lattice drawn, so
-    no pair is silent.  Returns the system, the grid, the truncation box and
-    the oracle's (window, frequencies, weights) per pair.
+    no pair is silent.  With ``with_lattice`` the first pair is a diagonal
+    lattice (cosets of one) with a period of 1 to 4 cells, one pair of the
+    kinds above sits beside it, and the truncation box spans one or two
+    Nyquist bands, so the lattice fills whole periods.  Returns the system, the grid, the
+    truncation box and the oracle's (window, frequencies, weights) per pair.
     """
     d = draw(st.sampled_from([1, 2]))
     grid_n = draw(st.sampled_from([6, 8, 12, 16] if d == 1 else [4, 6, 8]))
     omega = draw_domain(draw, d)
     band = grid_n / np.array(omega.bounding_box().sides)
-    trunc = Box(tuple(-draw(st.integers(1, 8)) / 16.0 * w for w in band),
-                tuple(draw(st.integers(1, 8)) / 16.0 * w for w in band))
+    if with_lattice:
+        lo = [-draw(st.integers(1, 15)) / 16.0 * w for w in band]
+        trunc = Box(tuple(lo), tuple(a + draw(st.integers(1, 2)) * w for a, w in zip(lo, band)))
+    else:
+        trunc = Box(tuple(-draw(st.integers(1, 8)) / 16.0 * w for w in band),
+                    tuple(draw(st.integers(1, 8)) / 16.0 * w for w in band))
     hair = trunc.translate([-1e-9 * s for s in trunc.sides])
     pairs, oracle = [], []
-    for j in range(draw(st.integers(1, 2))):
+    if with_lattice:
+        window = draw_window(draw, "L")
+        periods = np.array([draw(st.integers(1, 4)) for _ in range(d)])
+        freq = whole_period_lattice(draw, periods, 1.0 / band)
+        lam = freq.points_in_box(hair)
+        pairs.append((window, freq))
+        oracle.append((window, lam, np.ones(len(lam))))
+    for j in range(1 if with_lattice else draw(st.integers(1, 2))):
         kind = draw(st.sampled_from(["finite", "spacing", "measure"]
                                     + (["skew"] if d == 2 else [])))
         window = draw_window(draw, j)
@@ -267,17 +289,27 @@ class TestEstimateFrameBounds:
         measure = ContinuousFreqMeasure(
             density=GridFunction.indicator(Box((-64.0,), (64.0,)), 100),
             atoms=(((3.3,), 1.5), ((-20.7,), 0.5)))
-        # spacing 0.79 does not divide into the grid, so the operator is dense
-        cases = [(UNIT, Window.indicator(), integers(scale=0.79), 128, 128),
-                 (UNIT, Window.from_string("x^1.0"), measure, 128, 128),
+        # spacing 0.79 does not divide into the grid, so the operator is one
+        # block; cosets of 32Z have a period of 4 cells on the 128-cell grid,
+        # and the gap of cells 96 to 100 leaves blocks of 31, 31, 31 and 30
+        # cells, so only the largest block exceeds the limit
+        gapped = BoxUnionSet.from_intervals([(0.0, 0.75), (101 / 128, 1.0)])
+        cosets = LatticeCosets(Lattice.scaled_integers(32.0),
+                               tuple((1.37 * k,) for k in range(40)))
+        cases = [(UNIT, Window.indicator(), integers(scale=0.79), 128,
+                  "dense eigensolve of order 128"),
+                 (UNIT, Window.from_string("x^1.0"), measure, 128,
+                  "dense eigensolve of order 128"),
                  (l_shape, Window.from_string("(1-x)^1.0"), integers(dim=2, scale=0.79),
-                  16, 192)]
-        for omega, window, freq, grid_n, order in cases:
+                  16, "dense eigensolve of order 192"),
+                 (gapped, Window.from_string("x^1.0"), cosets, 128,
+                  "dense eigensolve of 4 blocks of order at most 31")]
+        for omega, window, freq, grid_n, note in cases:
             system = WindowedSystem(omega, ((window, freq),))
             dense = estimate_frame_bounds(system, grid_n)
-            assert dense.notes == f"dense eigensolve of order {order}"
+            assert dense.notes == note
             with monkeypatch.context() as patch:
-                patch.setattr(framebounds, "DENSE_EIG_LIMIT", 16)
+                patch.setattr(framebounds, "DENSE_EIG_LIMIT", 30)
                 iterative = estimate_frame_bounds(system, grid_n)
             assert "iterative" in iterative.notes
             assert iterative.A_est == pytest.approx(dense.A_est, rel=1e-6)
@@ -301,25 +333,46 @@ class TestEstimateFrameBounds:
         assert rep.B_est == pytest.approx(1.0, abs=1e-9)
 
 
+def assert_one_block_matches_oracle(case):
+    system, grid_n, trunc, oracle = case
+    rep = estimate_frame_bounds(system, grid_n, trunc)
+    bb = system.omega.bounding_box()
+    order = int(np.count_nonzero(cell_volumes(bb, grid_n, system.omega)))
+    assert rep.notes == f"dense eigensolve of order {order}"
+    a, b = dense_gram_oracle(system.omega, oracle, grid_n)
+    assert abs(rep.A_est - a) <= 1e-9 * b
+    assert abs(rep.B_est - b) <= 1e-9 * b
+
+
+def block_note(sizes):
+    if len(sizes) == 1:
+        return f"dense eigensolve of order {sizes[0]}"
+    return f"dense eigensolve of {len(sizes)} blocks of order at most {max(sizes)}"
+
+
 class TestDenseKernelPath:
     @settings(max_examples=60, deadline=None)
     @given(dense_systems())
     def test_matches_dense_assembly(self, case):
-        system, grid_n, trunc, oracle = case
-        rep = estimate_frame_bounds(system, grid_n, trunc)
-        bb = system.omega.bounding_box()
-        order = int(np.count_nonzero(cell_volumes(bb, grid_n, system.omega)))
-        assert rep.notes == f"dense eigensolve of order {order}"
-        a, b = dense_gram_oracle(system.omega, oracle, grid_n)
-        assert abs(rep.A_est - a) <= 1e-9 * b
-        assert abs(rep.B_est - b) <= 1e-9 * b
+        assert_one_block_matches_oracle(case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_systems(with_lattice=True))
+    def test_whole_period_lattice_beside_other_pairs(self, case):
+        # the other pair has period 1, so the lattice's closed-form kernel
+        # enters the one block of every active cell
+        system, grid_n, trunc, _ = case
+        steps = np.array(system.omega.bounding_box().sides) / grid_n
+        hair = trunc.translate([-1e-9 * s for s in trunc.sides])
+        assert framebounds._lattice_kernel(system.pairs[0][1], steps, grid_n, hair) is not None
+        assert_one_block_matches_oracle(case)
 
 
 class TestSilentPairs:
     SILENT = "pair 'x^1.0': no frequencies inside the truncation box; it contributes nothing"
 
-    # 4 + 8Z misses [-2, 2); its period on the 8-cell grid is one cell, so it
-    # takes the fiberized solve
+    # 4 + 8Z misses [-2, 2); its period on the 8-cell grid is one cell, so
+    # its kernel takes the closed form, which is all zero
     @pytest.mark.parametrize("freq", [
         FiniteSet(((99.0,),)), LatticeCosets(Lattice.scaled_integers(8.0), ((4.0,),))],
         ids=["dense", "fiberized"])
@@ -333,7 +386,7 @@ class TestSilentPairs:
         system = WindowedSystem(UNIT, ((Window.indicator(), integers()),
                                        (Window.from_string("x^1.0"), FiniteSet(((99.0,),)))))
         rep = estimate_frame_bounds(system, 8, Box((-4.0,), (4.0,)))
-        assert rep.notes == f"{self.SILENT}; dense eigensolve of order 8"
+        assert rep.notes == f"{self.SILENT}; dense eigensolve of 8 blocks of order at most 1"
         assert rep.A_est == pytest.approx(1.0, rel=1e-12)
         assert rep.B_est == pytest.approx(1.0, rel=1e-12)
 
@@ -342,9 +395,13 @@ class TestFiberizedPath:
     @settings(max_examples=60, deadline=None)
     @given(fiberizable_systems())
     def test_matches_dense_assembly(self, case):
-        system, grid_n, trunc = case
+        # one block per index residue mod the gcd of the periods
+        system, grid_n, trunc, period = case
         rep = estimate_frame_bounds(system, grid_n, trunc)
-        assert rep.notes.startswith("fiberized eigensolve")
+        bb = system.omega.bounding_box()
+        active = np.argwhere(cell_volumes(bb, grid_n, system.omega) > 0)
+        _, sizes = np.unique(active % period, axis=0, return_counts=True)
+        assert rep.notes == block_note(sizes)
         hair = trunc.translate([-1e-9 * s for s in trunc.sides])
         a, b = dense_gram_oracle(
             system.omega, [(w, f.points_in_box(hair)) for w, f in system.pairs], grid_n)
@@ -355,16 +412,31 @@ class TestFiberizedPath:
         system = WindowedSystem(UNIT, ((Window.from_string("x^1.0"), integers()),
                                        (Window.from_string("0.5"), integers(scale=0.5))))
         rep = estimate_frame_bounds(system, 256)
-        assert rep.notes == "fiberized eigensolve: 256 fibers of at most 1 cells, 3 columns"
+        assert rep.notes == "dense eigensolve of 256 blocks of order at most 1"
 
     def test_inactive_cells_leave_fibers_out(self):
         # [0, 1/4) and [3/4, 1) at 8 cells: 4 active cells, one per fiber
         omega = BoxUnionSet.from_intervals([(0.0, 0.25), (0.75, 1.0)])
         system = WindowedSystem(omega, ((Window.indicator(), integers(scale=2.0)),))
         rep = estimate_frame_bounds(system, 8)
-        assert rep.notes == "fiberized eigensolve: 4 fibers of at most 1 cells, 1 columns"
+        assert rep.notes == "dense eigensolve of 4 blocks of order at most 1"
         assert rep.A_est == pytest.approx(0.5, rel=1e-14)
         assert rep.B_est == pytest.approx(0.5, rel=1e-14)
+
+    def test_gapped_domain_with_unequal_fibers(self):
+        # cells 0, 1, 2, 4 and 7 of 8 are active; 2Z and 1/2 + 2Z have a
+        # period of 4 cells, so the blocks are {0, 4}, {1}, {2} and {7}
+        omega = BoxUnionSet.from_intervals([(0.0, 0.375), (0.5, 0.625), (0.875, 1.0)])
+        freq = LatticeCosets(Lattice.scaled_integers(2.0), ((0.0,), (0.5,)))
+        window = Window.from_string("(1-x)^1.0")
+        rep = estimate_frame_bounds(WindowedSystem(omega, ((window, freq),)), 8)
+        assert rep.notes == "dense eigensolve of 4 blocks of order at most 2"
+        lam = freq.points_in_box(Box((-4.0,), (4.0,)))
+        assert len(lam) == 8
+        a, b = dense_gram_oracle(omega, [(window, lam)], 8)
+        assert a > 1e-3
+        assert abs(rep.A_est - a) <= 1e-9 * b
+        assert abs(rep.B_est - b) <= 1e-9 * b
 
     def test_partial_period_truncation_stays_dense(self):
         # 11 integers in the truncation box, against a period of 16 cells

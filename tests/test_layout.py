@@ -26,6 +26,36 @@ def test_checker_sees_function_local_imports(tmp_path):
     assert private_relative_imports(probe) == ["probe.py:2 imports _analysis_blocks"]
 
 
+def function_local_relative_imports(path):
+    """Relative imports inside a function: the package's own modules are
+    imported once, at module level; lazy third-party imports stay allowed."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if node is not fn}
+    return [f"{path.name}:{node.lineno} imports {'.' * node.level}{node.module or ''}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and id(node) in inside]
+
+
+def test_no_function_local_relative_imports():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 10
+    assert [hit for path in paths for hit in function_local_relative_imports(path)] == []
+
+
+def test_function_local_import_checker(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .gridfn import cell_volumes\n\n"
+                     "def f():\n    from scipy.ndimage import map_coordinates\n"
+                     "    import math\n    from . import zak\n\n"
+                     "    def g():\n        from .serialization import format_csv\n\n"
+                     "class C:\n    def m(self):\n        from ..x import y\n")
+    assert function_local_relative_imports(probe) == [
+        "probe.py:6 imports .", "probe.py:9 imports .serialization",
+        "probe.py:13 imports ..x"]
+
+
 BANNED = {"numpy": {"meshgrid", "allclose"}, "itertools": {"product"}}
 ALIASES = {"np": "numpy", "numpy": "numpy", "itertools": "itertools"}
 
