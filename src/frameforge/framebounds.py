@@ -152,16 +152,16 @@ def _difference_kernel(freqs: np.ndarray, weights: np.ndarray, steps: np.ndarray
     return kernel.reshape((span,) * len(steps))
 
 
-def _lattice_kernel(freq: FreqSpec, steps: np.ndarray, n: int,
-                    box: Box) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Closed-form difference kernel of a lattice frequency set and its
-    per-axis period in cells, or None when the closed form does not apply.
+def _lattice_cosets(freq: FreqSpec, steps: np.ndarray,
+                    box: Box) -> Optional[tuple[np.ndarray, tuple]]:
+    """Per-axis period in cells and (offset, count) per coset of a lattice
+    frequency set whose difference kernel has a closed form, or None.
 
-    For a diagonal lattice with spacing s_a and grid step d_a the period is
-    P_a = 1 / (s_a d_a), in cells.  When P_a is an integer and each coset's
-    frequencies in the box number a multiple of P_a along every axis, the
-    coset's exponential sum over a cell difference k is its count times
-    e^{2 pi i <o, k step>} when k = 0 mod P and zero otherwise.
+    A diagonal lattice with spacing s_a on grid step d_a has the period
+    P_a = 1 / (s_a d_a) cells.  When P_a is an integer and each coset fills
+    whole periods of the box, the coset's exponential sum over a cell
+    difference k is its count times e^{2 pi i <o, k step>} when k = 0 mod P
+    and zero otherwise.
     """
     if not isinstance(freq, LatticeCosets) or freq.dim != len(steps):
         return None
@@ -173,37 +173,51 @@ def _lattice_kernel(freq: FreqSpec, steps: np.ndarray, n: int,
     periods = np.round(ratio).astype(int)
     if np.any(periods < 1) or np.any(np.abs(ratio - periods) > 1e-9 * ratio):
         return None
-    k = np.arange(-(n - 1), n)
-    kernel = np.zeros((2 * n - 1,) * freq.dim, dtype=complex)
+    cosets = []
     for o in freq.offsets:
         lam = LatticeCosets(freq.lattice, (o,)).points_in_box(box)
         per_axis = [len(np.unique(np.round((lam[:, a] - o[a]) / spacing[a])))
                     for a in range(freq.dim)]
         if any(c % p for c, p in zip(per_axis, periods)):
             return None
-        term = np.array(float(len(lam)))
+        cosets.append((np.array(o), len(lam)))
+    return periods, tuple(cosets)
+
+
+def _lattice_kernel(periods: np.ndarray, cosets: tuple, steps: np.ndarray,
+                    n: int) -> np.ndarray:
+    """The closed-form difference kernel of ``_lattice_cosets``, laid out as
+    ``_difference_kernel``'s."""
+    k = np.arange(-(n - 1), n)
+    kernel = np.zeros((2 * n - 1,) * len(steps), dtype=complex)
+    for o, count in cosets:
+        term = np.array(float(count))
         for o_a, s, p in zip(o, steps, periods):
-            term = np.multiply.outer(term, np.exp(2j * np.pi * o_a * s * k) * (k % p == 0))
+            phase = np.zeros(len(k), dtype=complex)
+            phase[(n - 1) % p::p] = np.exp(2j * np.pi * o_a * s * k[(n - 1) % p::p])
+            term = np.multiply.outer(term, phase)
         kernel += term
-    return kernel, periods
+    return kernel
 
 
 def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
                   steps: np.ndarray, n: int,
-                  box: Box) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[str]]:
-    """(u, K, P) per pair with frequencies, u = g sqrt(w) over the active
+                  box: Box) -> tuple[list[tuple], list[str]]:
+    """(u, P, spec) per pair with frequencies, u = g sqrt(w) over the active
     cells: the pair's frame operator is u(x) conj(u(y)) K(index of x - index
-    of y), and K vanishes off index differences that are multiples of P."""
+    of y), zero off differences that are multiples of the period P.  The
+    spec is ``_lattice_cosets``'s when K has the closed form, else K."""
     terms, notes = [], []
     for window, freq in system.pairs:
-        spec = _lattice_kernel(freq, steps, n, box)
-        if spec is None:
+        lattice = _lattice_cosets(freq, steps, box)
+        if lattice is None:
             lam, weights = _frequency_weights(freq, box)
-            spec = _difference_kernel(lam, weights, steps, n), np.ones(len(steps), dtype=int)
-        if not spec[0].any():
+            lattice = np.ones(len(steps), dtype=int), _difference_kernel(lam, weights, steps, n)
+        period, spec = lattice
+        if not (spec.any() if isinstance(spec, np.ndarray) else any(c for _, c in spec)):
             notes.append(_silent_pair_note(window))
             continue
-        terms.append((window.eval(xs) * sqw,) + spec)
+        terms.append((window.eval(xs) * sqw, period, spec))
     return terms, notes
 
 
@@ -212,32 +226,57 @@ def _silent_pair_note(window: Window) -> str:
             f"it contributes nothing")
 
 
-def _extremal_eigs_blocks(terms: list, idx: np.ndarray, n: int, fiber: np.ndarray,
-                          sizes: np.ndarray) -> tuple[float, float]:
+def _fiber_factor(terms: list, idx: np.ndarray, xs: np.ndarray,
+                  period: np.ndarray) -> np.ndarray:
+    """V with H = V V* on every fiber, when every pair has the closed form:
+    one column per pair, coset and residue of the cell index mod the pair's
+    period over P, holding sqrt(count) e^{2 pi i <o, x>} u(x) at its cells."""
+    turn, rows, columns = idx // period, np.arange(len(idx)), []
+    for u, periods, cosets in terms:
+        q = periods // period
+        col = np.ravel_multi_index((turn % q).T, q)
+        for o, count in cosets:
+            v = np.zeros((len(idx), int(np.prod(q))), dtype=complex)
+            v[rows, col] = math.sqrt(count) * np.exp(2j * np.pi * (xs @ o)) * u
+            columns.append(v)
+    return np.concatenate(columns, axis=1)
+
+
+def _extremal_eigs_blocks(kernels: list, idx: np.ndarray, n: int, order: np.ndarray,
+                          sizes: np.ndarray, V: Optional[np.ndarray]) -> tuple[float, float]:
     """H = sum over pairs of u u* times K at the cells' index differences,
-    one block per fiber; blocks of one size go through one batched
-    eigensolve."""
+    one block per fiber, the fibers being consecutive runs of ``sizes``
+    cells in ``order``; blocks of one size go through batched eigensolves
+    in stacks of at most DENSE_EIG_LIMIT^2 entries.  Given V, some block has
+    more cells than V has columns, so the lower bound is 0, and each block's
+    top eigenvalue is that of its Gram V* V."""
     shape = (2 * n - 1,) * idx.shape[1]
     at = np.ravel_multi_index(idx.T, shape)
     centre = np.ravel_multi_index((n - 1,) * idx.shape[1], shape)
-    order = np.argsort(fiber, kind="stable")
     lo, hi = np.inf, -np.inf
     for size in np.unique(sizes):
-        cells = order[sizes[fiber[order]] == size].reshape(-1, size)
-        diff = at[cells][:, :, None] - at[cells][:, None, :] + centre
-        H = np.zeros(diff.shape, dtype=complex)
-        for u, K, _ in terms:
-            uf = u[cells]
-            block = K.ravel()[diff]
-            block *= uf[:, :, None]
-            block *= uf.conj()[:, None, :]
-            H += block
-        evs = np.linalg.eigvalsh(H)
-        lo, hi = min(lo, float(evs[:, 0].min())), max(hi, float(evs[:, -1].max()))
+        group = order[np.repeat(sizes == size, sizes)].reshape(-1, size)
+        step = max(1, DENSE_EIG_LIMIT ** 2 // (size * (size if V is None else V.shape[1])))
+        for cells in np.split(group, range(step, len(group), step)):
+            if V is None:
+                diff = at[cells][:, :, None] - at[cells][:, None, :] + centre
+                H = np.zeros(diff.shape, dtype=complex)
+                for u, K in kernels:
+                    block = K.ravel()[diff]
+                    block *= u[cells][:, :, None]
+                    block *= u[cells].conj()[:, None, :]
+                    H += block
+            else:
+                H = V[cells].conj().transpose(0, 2, 1) @ V[cells]
+            # a lone block goes in as a plain matrix, so the solve's order
+            # reads off its leading axis
+            evs = np.linalg.eigvalsh(H[0] if len(H) == 1 else H).reshape(len(H), -1)
+            lo = min(lo, 0.0 if V is not None else float(evs[:, 0].min()))
+            hi = max(hi, float(evs[:, -1].max()))
     return max(lo, 0.0), hi
 
 
-def _extremal_eigs_iterative(terms: list, idx: np.ndarray, n: int,
+def _extremal_eigs_iterative(kernels: list, idx: np.ndarray, n: int,
                              tol: float = ITER_EIG_TOL) -> tuple[float, float]:
     """Lanczos on the frame operator; each pair's product with K is a
     circular convolution on a (2n)^d grid, where no index difference wraps."""
@@ -248,7 +287,7 @@ def _extremal_eigs_iterative(terms: list, idx: np.ndarray, n: int,
     cells = tuple(idx.T)
     wrapped = np.ix_(*[np.arange(-(n - 1), n) % (2 * n)] * d)
     spectra = []
-    for u, K, _ in terms:
+    for u, K in kernels:
         padded = np.zeros(grid, dtype=complex)
         padded[wrapped] = K
         spectra.append((u, np.fft.fftn(padded)))
@@ -306,9 +345,12 @@ def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
     The operator couples two cells only when their index difference is a
     multiple of P, the gcd of every pair's period, so it is block diagonal
     over the fibers of cells with one index residue mod P (the Walnut /
-    Ron-Shen fiber decomposition).  The blocks are assembled densely, or,
-    when one holds more than ``DENSE_EIG_LIMIT`` cells, the operator is
-    applied as FFT convolutions inside an iterative solve.
+    Ron-Shen fiber decomposition).  The blocks are gathered densely from the
+    kernels.  When every kernel has the closed form and a block has more
+    cells than the r columns of ``_fiber_factor``, the operator is singular
+    and the blocks' r x r Grams give the upper bound.  Above
+    ``DENSE_EIG_LIMIT`` in order, the operator is applied as FFT
+    convolutions inside an iterative solve.
     """
     weights = cell_volumes(grid_box, grid_n, system.omega)
     if weights.max() == 0.0:
@@ -325,16 +367,28 @@ def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
     if not terms:
         return FrameBoundsReport(0.0, 0.0, grid_n, trunc_box,
                                  "; ".join(notes + ["no coefficients at all"]))
-    period = np.gcd.reduce([p for _, _, p in terms])
-    _, fiber, sizes = np.unique(np.ravel_multi_index((idx % period).T, period),
-                                return_inverse=True, return_counts=True)
-    if sizes.max() <= DENSE_EIG_LIMIT:
-        a, b = _extremal_eigs_blocks(terms, idx, grid_n, fiber, sizes)
-        note = (f"dense eigensolve of order {sizes[0]}" if len(sizes) == 1 else
-                f"dense eigensolve of {len(sizes)} blocks of order at most {sizes.max()}")
+    period = np.gcd.reduce([p for _, p, _ in terms])
+    residue = np.ravel_multi_index((idx % period).T, period)
+    order = np.argsort(residue, kind="stable")
+    sizes = np.bincount(residue)
+    sizes = sizes[sizes > 0]
+    note = (f"dense eigensolve of order {sizes[0]}" if len(sizes) == 1 else
+            f"dense eigensolve of {len(sizes)} blocks of order at most {sizes.max()}")
+    rank = math.inf
+    if not any(isinstance(spec, np.ndarray) for *_, spec in terms):
+        rank = sum(len(spec) * int(np.prod(p // period)) for _, p, spec in terms)
+    if rank < sizes.max() and rank <= DENSE_EIG_LIMIT:
+        V = _fiber_factor(terms, idx, xs, period)
+        a, b = _extremal_eigs_blocks([], idx, grid_n, order, sizes, V)
+        note += f" and rank at most {rank}"
     else:
-        a, b = _extremal_eigs_iterative(terms, idx, grid_n)
-        note = f"iterative extremal eigensolve at tolerance {ITER_EIG_TOL}"
+        kernels = [(u, spec if isinstance(spec, np.ndarray) else
+                    _lattice_kernel(p, spec, steps, grid_n)) for u, p, spec in terms]
+        if sizes.max() <= DENSE_EIG_LIMIT:
+            a, b = _extremal_eigs_blocks(kernels, idx, grid_n, order, sizes, None)
+        else:
+            a, b = _extremal_eigs_iterative(kernels, idx, grid_n)
+            note = f"iterative extremal eigensolve at tolerance {ITER_EIG_TOL}"
     return FrameBoundsReport(a, b, grid_n, trunc_box, "; ".join(notes + [note]))
 
 

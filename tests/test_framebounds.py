@@ -87,7 +87,7 @@ def fiberizable_systems(draw):
     Coset offsets are multiples of an eighth of the spacing and the
     truncation faces sit half a sixteenth of the finest spacing off them, so
     no frequency lies near a face.  Returns the system, the grid, the
-    truncation box and the gcd of the pairs' periods in cells.
+    truncation box and each pair's periods in cells.
     """
     d = draw(st.sampled_from([1, 2]))
     grid_n = draw(st.sampled_from([6, 8, 12, 16] if d == 1 else [4, 6, 8]))
@@ -102,7 +102,7 @@ def fiberizable_systems(draw):
     width = draw(st.integers(1, 2)) / steps
     lo = [(2 * draw(st.integers(-40, 40)) + 1) * u for u in unit]
     trunc = Box(tuple(lo), tuple(a + w for a, w in zip(lo, width)))
-    return WindowedSystem(omega, tuple(pairs)), grid_n, trunc, np.gcd.reduce(periods)
+    return WindowedSystem(omega, tuple(pairs)), grid_n, trunc, periods
 
 
 def whole_period_lattice(draw, periods, steps):
@@ -344,10 +344,14 @@ def assert_one_block_matches_oracle(case):
     assert abs(rep.B_est - b) <= 1e-9 * b
 
 
-def block_note(sizes):
+def block_note(sizes, rank=None):
     if len(sizes) == 1:
-        return f"dense eigensolve of order {sizes[0]}"
-    return f"dense eigensolve of {len(sizes)} blocks of order at most {max(sizes)}"
+        note = f"dense eigensolve of order {sizes[0]}"
+    else:
+        note = f"dense eigensolve of {len(sizes)} blocks of order at most {max(sizes)}"
+    if rank is not None and max(sizes) > rank:
+        note += f" and rank at most {rank}"
+    return note
 
 
 class TestDenseKernelPath:
@@ -364,7 +368,7 @@ class TestDenseKernelPath:
         system, grid_n, trunc, _ = case
         steps = np.array(system.omega.bounding_box().sides) / grid_n
         hair = trunc.translate([-1e-9 * s for s in trunc.sides])
-        assert framebounds._lattice_kernel(system.pairs[0][1], steps, grid_n, hair) is not None
+        assert framebounds._lattice_cosets(system.pairs[0][1], steps, hair) is not None
         assert_one_block_matches_oracle(case)
 
 
@@ -395,13 +399,18 @@ class TestFiberizedPath:
     @settings(max_examples=60, deadline=None)
     @given(fiberizable_systems())
     def test_matches_dense_assembly(self, case):
-        # one block per index residue mod the gcd of the periods
-        system, grid_n, trunc, period = case
+        # one block per index residue mod the gcd of the periods; when a
+        # block has more cells than the r columns of the pairs' cosets and
+        # residues mod their periods over the gcd, the note names r
+        system, grid_n, trunc, periods = case
         rep = estimate_frame_bounds(system, grid_n, trunc)
         bb = system.omega.bounding_box()
         active = np.argwhere(cell_volumes(bb, grid_n, system.omega) > 0)
+        period = np.gcd.reduce(periods)
         _, sizes = np.unique(active % period, axis=0, return_counts=True)
-        assert rep.notes == block_note(sizes)
+        rank = sum(len(f.offsets) * int(np.prod(p // period))
+                   for (_, f), p in zip(system.pairs, periods))
+        assert rep.notes == block_note(sizes, rank)
         hair = trunc.translate([-1e-9 * s for s in trunc.sides])
         a, b = dense_gram_oracle(
             system.omega, [(w, f.points_in_box(hair)) for w, f in system.pairs], grid_n)
@@ -422,6 +431,61 @@ class TestFiberizedPath:
         assert rep.notes == "dense eigensolve of 4 blocks of order at most 1"
         assert rep.A_est == pytest.approx(0.5, rel=1e-14)
         assert rep.B_est == pytest.approx(0.5, rel=1e-14)
+
+    def test_singular_blocks_solve_as_grams(self, monkeypatch):
+        # Z and 1/2 + Z on [0, 4) at 64 cells: a period of 16 cells, so 16
+        # blocks of 4 cells against 2 columns, and every block is singular
+        omega = BoxUnionSet.from_intervals([(0.0, 4.0)])
+        freq = LatticeCosets(Lattice.scaled_integers(1.0), ((0.0,), (0.5,)))
+        window = Window.from_string("(1-x)^1.0")
+        rep = estimate_frame_bounds(WindowedSystem(omega, ((window, freq),)), 64)
+        assert rep.notes == "dense eigensolve of 16 blocks of order at most 4 and rank at most 2"
+        assert rep.A_est == 0.0
+        a, b = dense_gram_oracle(omega, [(window, freq.points_in_box(Box((-8.0,), (8.0,))))], 64)
+        assert a <= 1e-12 * b
+        assert abs(rep.B_est - b) <= 1e-9 * b
+        # with the rank above the limit too, the operator goes iterative
+        with monkeypatch.context() as patch:
+            patch.setattr(framebounds, "DENSE_EIG_LIMIT", 1)
+            iterative = estimate_frame_bounds(WindowedSystem(omega, ((window, freq),)), 64)
+        assert "iterative" in iterative.notes
+        assert iterative.A_est <= 1e-6 * b
+        assert iterative.B_est == pytest.approx(b, rel=1e-6)
+
+    def test_stacks_stay_within_the_dense_budget(self, monkeypatch):
+        # each batched eigensolve holds at most DENSE_EIG_LIMIT^2 entries, and
+        # a singular block larger than the limit still takes its small Gram
+        solve = np.linalg.eigvalsh
+        shapes = []
+
+        def recording(H):
+            shapes.append(H.shape)
+            return solve(H)
+
+        two = (Window.from_string("x^1.0"), integers()), (Window.from_string("0.5"),
+                                                         integers(scale=0.5))
+        eight = BoxUnionSet.from_intervals([(0.0, 8.0)])
+        ramp = ((Window.from_string("(1-x)^1.0"), integers()),)
+        # a lone block goes in as a plain matrix
+        cases = [(UNIT, ((Window.indicator(), integers(scale=0.79)),), 64, 64, [(64, 64)],
+                  "dense eigensolve of order 64"),
+                 (UNIT, two, 256, 8, [(64, 1, 1)] * 4,
+                  "dense eigensolve of 256 blocks of order at most 1"),
+                 (eight, ramp, 128, 8, [(8, 1, 1)] * 2,
+                  "dense eigensolve of 16 blocks of order at most 8 and rank at most 1"),
+                 (eight, ramp, 128, 4, [(2, 1, 1)] * 8,
+                  "dense eigensolve of 16 blocks of order at most 8 and rank at most 1")]
+        for omega, pairs, grid_n, limit, stacks, note in cases:
+            system = WindowedSystem(omega, pairs)
+            whole = estimate_frame_bounds(system, grid_n)
+            shapes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(framebounds, "DENSE_EIG_LIMIT", limit)
+                patch.setattr(np.linalg, "eigvalsh", recording)
+                rep = estimate_frame_bounds(system, grid_n)
+            assert rep.notes == whole.notes == note
+            assert shapes == stacks
+            assert (rep.A_est, rep.B_est) == (whole.A_est, whole.B_est)
 
     def test_gapped_domain_with_unequal_fibers(self):
         # cells 0, 1, 2, 4 and 7 of 8 are active; 2Z and 1/2 + 2Z have a
