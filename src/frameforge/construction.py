@@ -266,16 +266,18 @@ def tight_frame_obstruction_scan(omega: BoxUnionSet, r_grid: Sequence[float],
     if step <= 0:
         raise InputError("step must be positive")
     axis = np.arange(0.0, x_max + step / 2.0, step)
-    prof = overlap_profile(omega, cartesian([axis] * omega.dim).tolist())
+    shifts = cartesian([axis] * omega.dim)
+    prof = overlap_profile(omega, shifts.tolist())
+    positive = np.array([v for _, v in prof]) > 0.0
+    # squares summed in axis order, as for one shift, so no shift changes side of R
+    radius = np.sqrt(sum(c * c for c in shifts.T))
     caveat_parts = ["verified on the sampled shift range only"]
     if tail_measure is not None:
         caveat_parts.append(f"domain truncation tail measure {tail_measure:.3g}")
     caveat = "; ".join(caveat_parts)
     zero_shifts = [x for x, v in prof if v == 0.0]
     for r in sorted(float(r) for r in r_grid):
-        ok = all(v > 0.0 for x, v in prof
-                 if math.sqrt(sum(c * c for c in x)) > r)
-        if ok:
+        if positive[radius > r].all():
             return ObstructionVerdict(True, r, (), caveat, tuple(prof))
     return ObstructionVerdict(False, None, tuple(zero_shifts), caveat, tuple(prof))
 

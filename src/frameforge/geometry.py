@@ -193,36 +193,42 @@ class BoxUnionSet:
         return los, his
 
 
-def _normalize_sign(x: np.ndarray) -> np.ndarray:
+# entries in one (shifts, boxes, boxes, d) block of pairwise cut widths
+_OVERLAP_BLOCK = 1 << 16
+
+
+def _overlaps(omega: BoxUnionSet, xs: Sequence[Vec] | np.ndarray) -> np.ndarray:
+    """Lebesgue measure of omega ∩ (omega + x) for each shift x in xs."""
+    if any(len(x) != omega.dim for x in xs):
+        raise InputError(f"every translate needs dimension {omega.dim}")
+    xs = np.array(xs, dtype=float).reshape(len(xs), omega.dim)
     # |omega ∩ (omega+x)| = |omega ∩ (omega-x)|; fixing the sign of the first
     # nonzero coordinate makes the computed value bitwise symmetric in x.
-    for v in x:
-        if v != 0.0:
-            return -x if v < 0.0 else x
-    return x
+    first = xs[np.arange(len(xs)), np.argmax(xs != 0.0, axis=1)]
+    xs = np.where((first < 0.0)[:, None], -xs, xs)
+    los, his = omega._corner_arrays()
+    rows = max(1, _OVERLAP_BLOCK // (len(los) * los.size))
+    out = np.empty(len(xs))
+    for start in range(0, len(xs), rows):
+        x = xs[start:start + rows, None, None, :]
+        widths = np.minimum(his[:, None, :], his + x) - np.maximum(los[:, None, :], los + x)
+        np.clip(widths, 0.0, None, out=widths)
+        out[start:start + rows] = widths.prod(axis=-1).reshape(len(x), -1).sum(axis=1)
+    return out
 
 
 def translate_overlap(omega: BoxUnionSet, x: Sequence[float]) -> float:
     """Lebesgue measure of omega ∩ (omega + x), exact via pairwise box cuts."""
-    xv = np.asarray(_as_vec(x), dtype=float)
-    if xv.shape[0] != omega.dim:
-        raise InputError(f"translate has dimension {xv.shape[0]}, set has {omega.dim}")
-    xv = _normalize_sign(xv)
-    los, his = omega._corner_arrays()
-    lo2 = los[None, :, :] + xv
-    hi2 = his[None, :, :] + xv
-    widths = np.minimum(his[:, None, :], hi2) - np.maximum(los[:, None, :], lo2)
-    np.clip(widths, 0.0, None, out=widths)
-    return float(widths.prod(axis=2).sum())
+    return float(_overlaps(omega, [_as_vec(x)])[0])
 
 
 def overlap_profile(omega: BoxUnionSet,
                     x_grid: Sequence[Sequence[float] | float]) -> list[tuple[Vec, float]]:
-    """translate_overlap evaluated pointwise over a grid of shifts."""
-    xs = list(x_grid)
+    """translate_overlap over a grid of shifts, evaluated in one pass."""
+    xs = [_as_vec(x) for x in x_grid]
     if not xs:
         raise InputError("overlap_profile needs a non-empty grid of shifts")
-    return [(_as_vec(x), translate_overlap(omega, _as_vec(x))) for x in xs]
+    return list(zip(xs, _overlaps(omega, xs).tolist()))
 
 
 def cover_cube(omega: BoxUnionSet) -> Box:
@@ -308,24 +314,19 @@ def lattice_residue_check(omega: BoxUnionSet, lattice: Lattice) -> ResidueVerdic
     bb = omega.bounding_box()
     diff = Box(tuple(a - b for a, b in zip(bb.lo, bb.hi)),
                tuple(b - a + 1e-9 for a, b in zip(bb.lo, bb.hi)))
-    for delta in lattice.points_in_box(diff):
-        if np.all(delta == 0.0):
-            continue
-        ov = translate_overlap(omega, delta)
-        if ov > 0.0:
-            point = None
-            for b in omega.boxes:
-                for p in omega.translate(delta).boxes:
-                    cut = b.intersect(p)
-                    if cut is not None:
-                        point = cut.center
-                        break
-                if point is not None:
-                    break
-            zero = tuple(0.0 for _ in range(omega.dim))
-            gamma_prime = tuple(-float(v) for v in delta)
-            return ResidueVerdict(False, ResidueWitness(zero, gamma_prime, point, ov))
-    return ResidueVerdict(True, None)
+    deltas = lattice.points_in_box(diff)
+    deltas = deltas[np.any(deltas != 0.0, axis=1)]
+    overlaps = _overlaps(omega, deltas)
+    hits = np.flatnonzero(overlaps > 0.0)
+    if hits.size == 0:
+        return ResidueVerdict(True, None)
+    delta, ov = deltas[hits[0]], float(overlaps[hits[0]])
+    moved = omega.translate(delta).boxes
+    point = next((cut.center for b in omega.boxes for p in moved
+                  if (cut := b.intersect(p)) is not None), None)
+    zero = tuple(0.0 for _ in range(omega.dim))
+    gamma_prime = tuple(-float(v) for v in delta)
+    return ResidueVerdict(False, ResidueWitness(zero, gamma_prime, point, ov))
 
 
 class CantorTower(NamedTuple):

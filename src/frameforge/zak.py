@@ -5,7 +5,9 @@ M x M grid over the unit square (nodes at i/M), so quasiperiodicity holds to
 roundoff and piecewise-constant windows with grid-commensurate breakpoints
 certify exactly.  Shifted windows for shift p/q are produced by exact
 on-grid rolls with the quasiperiodic phase correction; M must be divisible
-by q so no interpolation ever happens.
+by q so no interpolation ever happens.  The certificate needs only |Zg|, which
+it reduces over the cosets of M/q; where no node meets two integer translates
+of the support, |Zg| does not depend on t and is one column of M values.
 """
 
 from __future__ import annotations
@@ -43,29 +45,50 @@ class ZakGrid:
             raise InputError(f"Zak grid must be {self.M} x {self.M}, got {v.shape}")
 
     def quadrature_norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2)) / self.M ** 2
+        return _quadrature_norm_sq(np.abs(self.values))
 
     def unitarity_residual(self) -> float:
-        if self.source_norm_sq == 0:
-            raise InputError("source window has zero norm")
-        return abs(self.quadrature_norm_sq() - self.source_norm_sq) / self.source_norm_sq
+        return _unitarity_residual(self.quadrature_norm_sq(), self.source_norm_sq)
 
 
-def _window_support(window: Window) -> Box:
+def _quadrature_norm_sq(mod: np.ndarray) -> float:
+    """Grid quadrature of the integral of |Zg|^2 over the unit square from
+    |Zg| on (M, T) nodes; a single column (T = 1) stands for M equal ones."""
+    M, T = mod.shape
+    return float(np.sum(mod ** 2)) * (M // T) / M ** 2
+
+
+def _unitarity_residual(quadrature: float, norm_sq: float) -> float:
+    if norm_sq == 0:
+        raise InputError("source window has zero norm")
+    return abs(quadrature - norm_sq) / norm_sq
+
+
+def _window_support(window: Window, M: int) -> Box:
+    """The window's one-dimensional compact support, for an M x M grid."""
+    if M < MIN_GRID:
+        raise InputError(f"M must be at least {MIN_GRID}")
     support = window.support_box()
     if support is None:
         raise InputError(
             f"window '{window.label}' has no declared compact support; the "
             "Zak transform here only covers compactly supported windows")
+    if support.dim != 1:
+        raise InputError("the Zak engine is one-dimensional; combine axes "
+                         "separably for product windows")
     return support
+
+
+def _translates(xs: np.ndarray, support: Box) -> range:
+    """The integers k for which g(x - k) can be nonzero at some x in xs."""
+    return range(math.floor(xs.min() - support.hi[0]),
+                 math.ceil(xs.max() - support.lo[0]) + 1)
 
 
 def _zak_values(window: Window, xs: np.ndarray, ts: np.ndarray,
                 support: Box) -> np.ndarray:
-    k_min = math.floor(xs.min() - support.hi[0])
-    k_max = math.ceil(xs.max() - support.lo[0])
     out = np.zeros((len(xs), len(ts)), dtype=complex)
-    for k in range(k_min, k_max + 1):
+    for k in _translates(xs, support):
         g = window.eval((xs - k).reshape(-1, 1))
         if not np.any(g):
             continue
@@ -73,14 +96,23 @@ def _zak_values(window: Window, xs: np.ndarray, ts: np.ndarray,
     return out
 
 
+def _zak_modulus(window: Window, M: int, support: Box) -> np.ndarray:
+    """|Zg| at the grid nodes, as an (M, T) array.
+
+    When no node x meets two translates, |Zg(x, t)| = |g(x - k)| for the one
+    k that it meets (or 0) at every t, and T = 1; otherwise T = M.
+    """
+    xs = np.arange(M) / M
+    terms = np.stack([window.eval((xs - k).reshape(-1, 1))
+                      for k in _translates(xs, support)], axis=1)
+    if np.count_nonzero(terms, axis=1).max() <= 1:
+        return np.abs(terms).max(axis=1, keepdims=True)
+    return np.abs(_zak_values(window, xs, xs, support))
+
+
 def zak_transform(window: Window, M: int) -> ZakGrid:
     """Exact finite-sum Zak transform of a compactly supported window."""
-    if M < MIN_GRID:
-        raise InputError(f"M must be at least {MIN_GRID}")
-    support = _window_support(window)
-    if support.dim != 1:
-        raise InputError("the Zak engine is one-dimensional; combine axes "
-                         "separably for product windows")
+    support = _window_support(window, M)
     xs = np.arange(M) / M
     ts = np.arange(M) / M
     values = _zak_values(window, xs, ts, support)
@@ -97,7 +129,7 @@ def _norm_sq_on_support(window: Window, support: Box, n: int = 4096) -> float:
 def quasiperiodicity_residuals(window: Window, M: int) -> tuple[float, float]:
     """Max deviations from Zg(x, t+1) = Zg(x, t) and
     Zg(x+1, t) = e^{2 pi i t} Zg(x, t), via independent re-summation."""
-    support = _window_support(window)
+    support = _window_support(window, M)
     xs = np.arange(M) / M
     ts = np.arange(M) / M
     base = _zak_values(window, xs, ts, support)
@@ -108,35 +140,33 @@ def quasiperiodicity_residuals(window: Window, M: int) -> tuple[float, float]:
     return r_t, r_x
 
 
-def _row_shifts(M: int, p: int, q: int) -> list[int]:
-    """Row offsets s = p j M / q of the q shifted Zak windows, j = 0, ..., q-1.
-
-    Row i of shifted window j is row i - s of the transform; a row that
-    wraps around the square w times picks up the unimodular phase
-    e^{-2 pi i w t}.
-    """
+def _check_shift(M: int, p: int, q: int) -> None:
+    """Refuse a shift p/q that is not a reduced fraction in (0, 1], or whose
+    row offsets p j M / q miss the grid nodes."""
     if math.gcd(p, q) != 1:
         raise InputError(f"p={p} and q={q} must be coprime")
-    if q == 1:
-        return [0]
-    if not 1 <= p < q:
-        raise InputError(f"need 1 <= p < q, got p={p}, q={q}")
+    if not (1 <= p < q or p == q == 1):
+        raise InputError(f"need 1 <= p < q, or p = q = 1, got p={p}, q={q}")
     if M % q != 0:
         raise InputError(f"M={M} must be divisible by q={q} so shifts land "
                          "on grid nodes")
-    return [(p * j * M) // q for j in range(q)]
 
 
 def gabor_windows(zak: ZakGrid, p: int, q: int) -> list[ZakGrid]:
-    """Zak-domain windows for shift p/q: exact rolls with quasiperiodic phases."""
-    shifts = _row_shifts(zak.M, p, q)
+    """Zak-domain windows for shift p/q: exact rolls with quasiperiodic phases.
+
+    Row i of shifted window j is row i - s of the transform, s = p j M / q;
+    a row that wraps around the square w times picks up the unimodular phase
+    e^{-2 pi i w t}.
+    """
+    _check_shift(zak.M, p, q)
     if q == 1:
         return [zak]
     M = zak.M
     i = np.arange(M)
     ts = np.arange(M) / M
     out = []
-    for s in shifts:
+    for s in (p * j * M // q for j in range(q)):
         ii = (i - s) % M
         wraps = (s - i + ii) // M
         values = zak.values[ii, :]
@@ -175,24 +205,29 @@ def certify_gabor(window: Window, p: int, q: int, M: int) -> GaborVerdict:
     rational shift; a positive minimum certifies it only at p = 1, where the
     condition is also sufficient.  The min/max of sum_j |Zg_j|^2 are reported
     alongside as the l2-form comparison.
+
+    The shifts' phases are unimodular, so |Zg_j| is |Zg| with its rows rolled
+    by p j M / q.  With gcd(p, q) = 1 these offsets run over the multiples of
+    M/q, so at row i the max and the square sum over j reduce the coset of i
+    mod M/q, whatever p is.
     """
-    zak = zak_transform(window, M)
-    # the shifts' phases are unimodular, so |Zg_j| is |Zg| with its rows rolled
-    mod = np.abs(zak.values)
-    max_mod, zz = mod, mod ** 2
-    for s in _row_shifts(M, p, q)[1:]:
-        rolled = np.roll(mod, s, axis=0)
-        max_mod = np.maximum(max_mod, rolled)
-        zz += rolled ** 2
+    support = _window_support(window, M)
+    _check_shift(M, p, q)
+    norm_sq = _norm_sq_on_support(window, support)
+    mod = _zak_modulus(window, M, support)
+    cosets = mod.reshape(q, M // q, mod.shape[1])
+    max_mod = cosets.max(axis=0)
+    zz = (cosets ** 2).sum(axis=0)
     a53 = float(max_mod.min())
     b53 = float(max_mod.max())
-    eps_zero = 1e-9 * math.sqrt(zak.source_norm_sq)
+    eps_zero = 1e-9 * math.sqrt(norm_sq)
     if a53 <= eps_zero:
         verdict = NOT_FRAME
     else:
         verdict = FRAME_CERTIFIED if p == 1 else NECESSARY_ONLY
     return GaborVerdict(p, q, M, a53, b53, verdict, float(zz.min()),
-                        float(zz.max()), eps_zero, zak.unitarity_residual())
+                        float(zz.max()), eps_zero,
+                        _unitarity_residual(_quadrature_norm_sq(mod), norm_sq))
 
 
 def certify_gabor_separable(axis_windows: Sequence[Window], p: int, q: int,

@@ -1,5 +1,7 @@
 """Frame builders, obstruction scans and tight-frame-measure certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,21 @@ class TestObstructionScan:
     def test_bad_step_rejected(self):
         with pytest.raises(InputError):
             tight_frame_obstruction_scan(UNIT, [0.0], 4.0, 0.0)
+
+    def test_radius_filter_matches_scalar_norms(self):
+        # the square of a holed tower has zero-overlap shifts out to
+        # |(3.5, 7)|; offering every sampled radius as R makes ties decide
+        tower = cantor_tower(6, k=4).omega
+        omega = canonicalize([Box((a.lo[0], b.lo[0]), (a.hi[0], b.hi[0]))
+                              for a in tower.boxes for b in tower.boxes])
+        axis = [float(x) for x in np.arange(0.0, 7.25, 0.5)]
+        radii = sorted({math.sqrt(x * x + y * y) for x in axis for y in axis})
+        verdict = tight_frame_obstruction_scan(omega, radii, 7.0, 0.5)
+        expected = next(r for r in radii
+                        if all(v > 0.0 for x, v in verdict.profile
+                               if math.sqrt(sum(c * c for c in x)) > r))
+        assert verdict.hypothesis_satisfied
+        assert verdict.R == expected == math.sqrt(3.5 ** 2 + 7.0 ** 2)
 
 
 class TestCosineCertificate:

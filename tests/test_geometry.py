@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frameforge import geometry
 from frameforge.errors import InputError
 from frameforge.geometry import (
     Box,
@@ -160,6 +161,9 @@ class TestTranslateOverlap:
         assert translate_overlap(s, (0.0,)) == pytest.approx(s.measure(), rel=1e-12)
 
 
+EIGHTHS = st.integers(-24, 24).map(lambda v: v / 8)
+
+
 class TestOverlapProfile:
     def test_unit_interval_profile(self):
         s = BoxUnionSet.from_intervals([(0, 1)])
@@ -174,6 +178,39 @@ class TestOverlapProfile:
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
             overlap_profile(BoxUnionSet.from_intervals([(0, 1)]), [])
+
+    @given(st.lists(st.tuples(EIGHTHS, EIGHTHS, st.sampled_from([0.25, 0.5, 1.5]),
+                              st.sampled_from([0.25, 0.75, 1.0])),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(EIGHTHS, EIGHTHS), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pairwise_box_cuts(self, raw, shifts):
+        # oracle: Box.intersect over every pair of boxes, one shift at a time
+        # (corners on a grid of eighths, so no translate degenerates)
+        s = canonicalize([Box((a, b), (a + w, b + h)) for a, b, w, h in raw])
+        prof = overlap_profile(s, shifts)
+        for (x, got), shift in zip(prof, shifts):
+            assert x == shift
+            moved = s.translate(shift)
+            cuts = [b.intersect(p) for b in s.boxes for p in moved.boxes]
+            oracle = sum(c.volume for c in cuts if c is not None)
+            assert got == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+            assert got == translate_overlap(s, shift)
+
+    def test_blocks_of_shifts_change_nothing(self, monkeypatch):
+        omega = cantor_tower(6, k=4).omega
+        xs = [(x,) for x in np.arange(-7.0, 7.0, 0.03)]
+        whole = overlap_profile(omega, xs)
+        for block in (1, 50, 1000):
+            monkeypatch.setattr(geometry, "_OVERLAP_BLOCK", block)
+            assert overlap_profile(omega, xs) == whole
+
+    def test_dimension_mismatch_rejected(self):
+        s = BoxUnionSet.from_intervals([(0, 1)])
+        with pytest.raises(InputError):
+            translate_overlap(s, (0.5, 0.5))
+        with pytest.raises(InputError):
+            overlap_profile(s, [(0.5,), (0.5, 0.5)])
 
     def test_cantor_tower_positive_overlaps(self):
         omega = cantor_tower(12).omega
@@ -193,6 +230,14 @@ class TestLatticeResidue:
         assert s.contains(w.point)
         shifted_back = tuple(p + g for p, g in zip(w.point, w.gamma_prime))
         assert s.contains(shifted_back)
+
+    def test_witness_is_the_first_colliding_vector(self):
+        # ±1, ±2 and ±3 all collide; the witness is the lexicographically
+        # first lattice vector, -3, and carries its own overlap
+        s = BoxUnionSet.from_intervals([(0, 0.5), (1, 1.5), (3, 3.25)])
+        w = lattice_residue_check(s, Lattice.scaled_integers(1.0)).witness
+        assert w.gamma_prime == (3.0,)
+        assert w.overlap == translate_overlap(s, (-3.0,)) == 0.25
 
     def test_even_lattice_holds(self):
         s = BoxUnionSet.from_intervals([(0, 0.5), (1, 1.5)])

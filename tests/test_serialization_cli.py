@@ -238,6 +238,12 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_gabor_shift_above_one_rejected(self, capsys):
+        rc = run_cli("gabor", "--window", "indicator(0,1)", "--p", "3",
+                     "--q", "1", "--M", "64")
+        assert rc == 2
+        assert "p = q = 1" in capsys.readouterr().err
+
     def test_config_override(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"q": 2, "M": 64}))

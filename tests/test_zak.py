@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from frameforge import zak
 from frameforge.errors import InputError
 from frameforge.geometry import Box, canonicalize
 from frameforge.framebounds import WindowedSystem, estimate_frame_bounds
@@ -22,6 +23,7 @@ from frameforge.zak import (
     quasiperiodicity_residuals,
     zak_transform,
 )
+from frameforge.zak import _zak_modulus
 
 
 def chi(a, b):
@@ -113,9 +115,33 @@ class TestGaborWindows:
         with pytest.raises(InputError):
             certify_gabor(chi(0, 1), 2, 4, 32)
 
+    @pytest.mark.parametrize("p", [0, 3, -1])
+    def test_q_one_needs_p_one(self, p):
+        # gcd(p, 1) = 1 for every p, but shift 0 is degenerate and shift
+        # p > 1 has ab = p > 1, which is never a frame
+        with pytest.raises(InputError):
+            gabor_windows(zak_transform(chi(0, 1), 64), p, 1)
+        with pytest.raises(InputError):
+            certify_gabor(chi(0, 1), p, 1, 64)
+
 
 SHIFTS = [(M, p, q) for M in (240, 256) for q in (1, 2, 3, 4) if M % q == 0
           for p in range(1, max(q, 2)) if math.gcd(p, q) == 1]
+
+
+@st.composite
+def gabor_cases(draw):
+    """Windows (x or 1) on [a, a + L) in sixteenths, with every valid shift."""
+    a = draw(st.integers(-16, 16)) / 16
+    length = draw(st.integers(1, 40)) / 16
+    factor = draw(st.sampled_from(["", "x^1.0*"]))
+    M, p, q = draw(st.sampled_from(SHIFTS))
+    return Window.from_string(f"{factor}indicator({a!r},{a + length!r})"), M, p, q
+
+
+def modulus_columns(case):
+    window, M, _, _ = case
+    return _zak_modulus(window, M, window.support_box()).shape[1]
 
 
 class TestCertifyGabor:
@@ -138,6 +164,54 @@ class TestCertifyGabor:
             else:
                 verdict = FRAME_CERTIFIED if p == 1 else NECESSARY_ONLY
             assert v.verdict == verdict, text
+
+    @given(gabor_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_full_grid_oracle(self, case):
+        window, M, p, q = case
+        grid = zak_transform(window, M)
+        mods = np.stack([np.abs(g.values) for g in gabor_windows(grid, p, q)])
+        max_mod = mods.max(axis=0)
+        zz = np.sum(mods ** 2, axis=0)
+        v = certify_gabor(window, p, q, M)
+        for got, want in [(v.A_53, max_mod.min()), (v.B_53, max_mod.max()),
+                          (v.zz_min, zz.min()), (v.zz_max, zz.max()),
+                          (v.unitarity_residual, grid.unitarity_residual())]:
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+        if max_mod.min() <= v.eps_zero:
+            verdict = NOT_FRAME
+        else:
+            verdict = FRAME_CERTIFIED if p == 1 else NECESSARY_ONLY
+        assert v.verdict == verdict
+
+    def test_oracle_draws_reach_both_modulus_shapes(self):
+        # the t-independent column, also with its one term at some k != 0
+        # (a support reaching outside [0, 1)), and the full M x M grid
+        find(gabor_cases(), lambda c: modulus_columns(c) == c[1])
+        find(gabor_cases(), lambda c: modulus_columns(c) == 1
+             and not 0.0 <= c[0].support_box().lo[0] < c[0].support_box().hi[0] <= 1.0)
+
+    def test_refusals(self):
+        with pytest.raises(InputError, match="at least"):
+            certify_gabor(chi(0, 1), 1, 1, 8)
+        with pytest.raises(InputError, match="compact support"):
+            certify_gabor(Window.from_string("x^1.0"), 1, 1, 64)
+        square = Window.indicator(Box((0.0, 0.0), (1.0, 1.0)), label="square")
+        with pytest.raises(InputError, match="one-dimensional"):
+            certify_gabor(square, 1, 1, 64)
+        with pytest.raises(InputError, match="zero norm"):
+            certify_gabor(Window.from_string("0.0*indicator(0,1)"), 1, 1, 64)
+
+    def test_painless_window_builds_no_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("built the M x M Zak grid")
+        monkeypatch.setattr(zak, "_zak_values", no_grid)
+        v = certify_gabor(chi(0.25, 0.9375), 1, 4, 2048)
+        assert v.verdict == FRAME_CERTIFIED
+        assert v.A_53 == v.B_53 == 1.0
+        # a support longer than 1 does need the grid
+        with pytest.raises(AssertionError):
+            certify_gabor(chi(0, 2), 1, 2, 64)
 
     def test_unit_indicator_orthonormal_case(self):
         v = certify_gabor(chi(0, 1), 1, 1, 64)
