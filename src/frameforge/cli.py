@@ -114,7 +114,7 @@ def cmd_density(args) -> int:
 def cmd_overlap(args) -> int:
     omega, tail = load_domain(args.domain)
     xs = np.arange(0.0, args.x_max + args.step / 2.0, args.step)
-    prof = overlap_profile(omega, [(float(x),) for x in xs])
+    prof = overlap_profile(omega, xs)
     if args.csv:
         write_csv(args.csv, ("x", "overlap"), [(x[0], v) for x, v in prof])
     positive = sum(1 for _, v in prof if v > 0)

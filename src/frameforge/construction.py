@@ -22,8 +22,8 @@ from .framebounds import (
     WindowedSystem,
     ess_bounds,
     frame_bounds_on_grid,
-    max_cell_means,
     raw_exponential_tight_constant,
+    window_ranges,
 )
 from .geometry import (
     Box,
@@ -94,17 +94,18 @@ def build_bounded_window_frame(windows: Sequence[Window], omega: BoxUnionSet,
 
     Covers the domain by a cube, gives every bounded window the cube's full
     harmonic lattice and every unbounded window the single zero frequency,
-    and partitions the domain into cells assigned to the locally largest
-    bounded window.  Predicted bounds use the measured tight constant of the
-    raw cube exponentials, the grid essential bounds of the window max, and
-    the window norms.
+    and gives each piece of the domain to a bounded window that clears the
+    essential minimum there.  Predicted bounds use the measured tight
+    constant of the raw cube exponentials, the outer ends of the enclosures
+    of the window max's essential bounds, and the window norms.
     """
     ess = ess_bounds(windows, omega, grid_n)
     if not ess.J:
         raise ConstructionRefusal(
             "every window is unbounded on the domain, so no set of frequency "
             "sets can make these windows a frame", ess)
-    if ess.ess_inf_of_max <= 1e-12 or ess.inf_vanishing:
+    m, big_m = ess.ess_inf_of_max[0], ess.ess_sup_of_max[1]
+    if m <= 1e-12:
         raise ConstructionRefusal(
             "the bounded windows are not bounded away from zero on the domain",
             ess)
@@ -118,44 +119,32 @@ def build_bounded_window_frame(windows: Sequence[Window], omega: BoxUnionSet,
     system = WindowedSystem(omega, pairs)
 
     c_q = raw_exponential_tight_constant(q_r)
-    m_hat, big_m = ess.ess_inf_of_max, ess.ess_sup_of_max
-    predicted_a = c_q * m_hat ** 2
+    predicted_a = c_q * m ** 2
     norms = [w.l2_norm_sq_on(omega) for w in windows]
     predicted_b = len(windows) * (c_q * big_m ** 2 + omega.measure() * max(norms))
-    partition = _first_hit_partition([windows[j] for j in ess.J], omega,
-                                     grid_n, m_hat)
+    partition = _first_hit_partition([windows[j] for j in ess.J], omega, grid_n, m)
     provenance = (f"cube cover side {side}, harmonic lattice spacing {1.0/side}, "
-                  f"bounded windows J={list(ess.J)}, m={m_hat:.6g}, M={big_m:.6g}, "
+                  f"bounded windows J={list(ess.J)}, m={m:.6g}, M={big_m:.6g}, "
                   f"measured cube constant {c_q:.6g}")
     return ConstructionResult(system, predicted_a, predicted_b,
                               tuple(partition), provenance)
 
 
 def _first_hit_partition(bounded_windows: Sequence[Window], omega: BoxUnionSet,
-                         grid_n: int, m_hat: float) -> list[BoxUnionSet]:
-    """Assign each grid cell to the first window whose cell mean clears the
-    essential minimum (falling back to the largest), then clip cells to the
-    domain so the partition measures add up exactly."""
-    bb = omega.bounding_box()
-    d = bb.dim
-    steps = [(b - a) / grid_n for a, b in zip(bb.lo, bb.hi)]
-    means = np.stack([max_cell_means([w], omega, grid_n).ravel()
-                      for w in bounded_windows])
+                         grid_n: int, m: float) -> list[BoxUnionSet]:
+    """Assign each piece of ``window_ranges`` to the first window whose lower
+    range end clears m; on every piece the largest lower end does, as m is
+    the least of them.  Runs of pieces that touch along the last axis and
+    share a window become one box."""
+    lo, hi, infs, _ = window_ranges(bounded_windows, omega, grid_n)
+    hit = np.argmax(infs >= m, axis=0)
+    joined = ((hit[1:] == hit[:-1]) & (hi[:-1, -1] == lo[1:, -1])
+              & np.all(lo[1:, :-1] == lo[:-1, :-1], axis=1))
+    start = np.flatnonzero(np.r_[True, ~joined])
+    end = np.r_[start[1:], len(hit)] - 1
     buckets: list[list[Box]] = [[] for _ in bounded_windows]
-    for flat, idx in enumerate(np.ndindex(*(grid_n,) * d)):
-        col = means[:, flat]
-        if np.all(np.isnan(col)):
-            continue
-        hit = None
-        for j, v in enumerate(col):
-            if not np.isnan(v) and v >= m_hat - 1e-12:
-                hit = j
-                break
-        if hit is None:
-            hit = int(np.nanargmax(col))
-        lo = tuple(a + i * s for a, i, s in zip(bb.lo, idx, steps))
-        hi = tuple(a + (i + 1) * s for a, i, s in zip(bb.lo, idx, steps))
-        buckets[hit].extend(omega.intersect_box(Box(lo, hi)))
+    for j, a, b in zip(hit[start].tolist(), lo[start].tolist(), hi[end].tolist()):
+        buckets[j].append(Box(a, b))
     return [canonicalize(cells) for cells in buckets if cells]
 
 
@@ -267,7 +256,7 @@ def tight_frame_obstruction_scan(omega: BoxUnionSet, r_grid: Sequence[float],
         raise InputError("step must be positive")
     axis = np.arange(0.0, x_max + step / 2.0, step)
     shifts = cartesian([axis] * omega.dim)
-    prof = overlap_profile(omega, shifts.tolist())
+    prof = overlap_profile(omega, shifts)
     positive = np.array([v for _, v in prof]) > 0.0
     # squares summed in axis order, as for one shift, so no shift changes side of R
     radius = np.sqrt(sum(c * c for c in shifts.T))

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, BoxUnionSet, Lattice
+from .geometry import Box, BoxUnionSet, Lattice, cartesian
 from .gridfn import GridFunction, cell_volumes, grid_points
 from .pointsets import (
     DensityReport,
@@ -415,80 +415,59 @@ def raw_exponential_tight_constant(box: Box, cells: int = 64) -> float:
 
 @dataclass(frozen=True)
 class EssBoundsReport:
-    """Grid surrogates for the essential bounds of ``max_{j in J} |g_j|``."""
+    """Enclosures (lo, hi) of the essential inf and sup of ``max_{j in J} |g_j|``
+    over the domain, J being the windows bounded on it."""
 
-    ess_inf_of_max: float
-    ess_sup_of_max: float
+    ess_inf_of_max: tuple[float, float]
+    ess_sup_of_max: tuple[float, float]
     J: tuple[int, ...]
     grid_n: int
-    refinement_trace: tuple[tuple[int, float, float], ...] = ()
-    converged: bool = True
-    inf_vanishing: bool = False
     notes: str = ""
 
 
-def max_cell_means(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int,
-                   subsamples: int = 4) -> np.ndarray:
-    """Per-cell L2 means of max_j |g_j| over the domain part of each cell.
+def window_ranges(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pieces of the domain and the range of every |g_j| on each of them.
 
-    Cells that do not meet the domain come back as NaN.
+    The pieces are the cells of a grid_n grid over the bounding box, cut at
+    the faces of the domain and of every window's support, so each lies in
+    or out of the domain (as its lower corner does) and every indicator is
+    constant on it.  Returns corners lo, hi (m, d) and range ends inf, sup (q, m).
     """
     bb = omega.bounding_box()
-    d = bb.dim
-    pts = grid_points(bb, grid_n * subsamples)
-    inside = omega.contains(pts)
-    vals = np.zeros(len(pts))
-    for w in windows:
-        vals = np.maximum(vals, np.abs(w.eval(pts)) ** 2)
-    vals = np.where(inside, vals, 0.0)
-    counts = inside.astype(float)
-    shape = sum(((grid_n, subsamples),) * d, ())
-    vals = vals.reshape(shape)
-    counts = counts.reshape(shape)
-    sub_axes = tuple(range(1, 2 * d, 2))
-    sums = vals.sum(axis=sub_axes)
-    hits = counts.sum(axis=sub_axes)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = np.sqrt(sums / hits)
-    means[hits == 0] = np.nan
-    return means
+    faces = list(omega.boxes) + [b for w in windows if (b := w.support_box()) is not None]
+    edges = []
+    for k, (a, z) in enumerate(zip(bb.lo, bb.hi)):
+        cuts = np.r_[np.linspace(a, z, grid_n + 1), [b.lo[k] for b in faces],
+                     [b.hi[k] for b in faces]]
+        edges.append(np.unique(np.clip(cuts, a, z)))
+    lo, hi = cartesian([e[:-1] for e in edges]), cartesian([e[1:] for e in edges])
+    inside = omega.contains(lo)
+    lo, hi = lo[inside], hi[inside]
+    infs, sups = zip(*(w.expr.range_on(lo, hi) for w in windows))
+    return lo, hi, np.array(infs), np.array(sups)
 
 
-def ess_bounds(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int,
-               refine_levels: int = 3, cauchy_tol: float = 1e-3) -> EssBoundsReport:
-    """Essential bounds of the pointwise max over the bounded windows.
-
-    Boundedness is decided symbolically on each window's expression tree;
-    grid behaviour under dyadic refinement only cross-checks that call.  The
-    surrogate for the essential bounds is the min/max of per-cell L2 means,
-    which stays finite across integrable singularities.
-    """
+def ess_bounds(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int) -> EssBoundsReport:
+    """Enclosures of the essential bounds of the pointwise max of the bounded
+    windows: on each piece of ``window_ranges`` the max lies between the
+    largest lower and the largest upper range end.  Closed-form ranges are
+    exact, so the enclosures shrink with the pieces; callable windows are
+    sampled at the piece centres."""
     J = tuple(j for j, w in enumerate(windows) if w.bounded_on(omega))
     if not J:
-        return EssBoundsReport(0.0, 0.0, (), grid_n,
-                               notes="every window is unbounded on the domain")
+        return EssBoundsReport((0.0, 0.0), (0.0, 0.0), (), grid_n,
+                               "every window is unbounded on the domain")
     bounded = [windows[j] for j in J]
-    trace = []
-    for level in range(refine_levels):
-        n = grid_n * (2 ** level)
-        means = max_cell_means(bounded, omega, n)
-        valid = means[~np.isnan(means)]
-        trace.append((n, float(valid.min()), float(valid.max())))
-    m_hat, big_m = trace[0][1], trace[0][2]
-    converged = all(
-        abs(trace[i + 1][2] - trace[i][2]) <= cauchy_tol * (1.0 + trace[i][2])
-        for i in range(len(trace) - 1))
-    # a cell-mean infimum that keeps collapsing under dyadic refinement marks
-    # a window max that is not bounded away from zero (ess-inf = 0)
-    inf_vanishing = (len(trace) > 1 and trace[0][1] > 0
-                     and trace[-1][1] < 0.6 * trace[0][1])
-    notes = []
-    if not converged:
-        notes.append("cell means still moving under refinement")
-    if inf_vanishing:
-        notes.append("essential infimum collapses under refinement")
-    return EssBoundsReport(m_hat, big_m, J, grid_n, tuple(trace), converged,
-                           inf_vanishing, "; ".join(notes))
+    _, _, infs, sups = window_ranges(bounded, omega, grid_n)
+    low, high = infs.max(axis=0), sups.max(axis=0)
+    ess_inf = (float(low.min()), float(high.min()))
+    ess_sup = (float(low.max()), float(high.max()))
+    notes = [f"{len(low)} pieces", f"ess inf width {ess_inf[1] - ess_inf[0]:.3g}",
+             f"ess sup width {ess_sup[1] - ess_sup[0]:.3g}"]
+    if any(w.expr.sampled for w in bounded):
+        notes.append("callable windows sampled at the piece centres")
+    return EssBoundsReport(ess_inf, ess_sup, J, grid_n, "; ".join(notes))
 
 
 @dataclass(frozen=True)
@@ -505,8 +484,8 @@ class WindowBracketRow:
 class BracketCheckReport:
     per_window: tuple[WindowBracketRow, ...]
     lower_cap: float       # sqrt(A / D+ of the combined comb over J')
-    ess_inf_max: float
-    ess_sup_max: float
+    ess_inf_max: float     # upper end of the ess inf enclosure
+    ess_sup_max: float     # lower end of the ess sup enclosure
     upper_cap_max: float
     lower_holds: bool
     upper_holds: bool
@@ -528,6 +507,9 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
     Per window with positive upper density: ess-sup |g_j| <= sqrt(B / D+_j).
     Over the bounded positive-density windows J': sqrt(A / D+(sum of combs))
     <= ess-inf max |g_j| and ess-sup max |g_j| <= max_j sqrt(B / D+_j).
+    A violation is reported only when the enclosures prove it: the sup
+    checks read the lower end of the ess sup enclosure, the inf check the
+    upper end of the ess inf enclosure.
     """
     if len(densities) != len(system.pairs):
         raise InputError("need one density report per system pair")
@@ -537,11 +519,9 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
         if dens.upper <= 0:
             continue
         cap = math.sqrt(report.B_est / dens.upper)
-        single = ess_bounds([window], system.omega, grid_n, refine_levels=1)
-        holds = single.ess_sup_of_max <= cap + tol
-        rows.append(WindowBracketRow(window.label, dens.upper, cap,
-                                     single.ess_sup_of_max, holds,
-                                     cap + tol - single.ess_sup_of_max))
+        ess_sup = ess_bounds([window], system.omega, grid_n).ess_sup_of_max[0]
+        rows.append(WindowBracketRow(window.label, dens.upper, cap, ess_sup,
+                                     ess_sup <= cap + tol, cap + tol - ess_sup))
     j_prime = [j for j, w in enumerate(windows)
                if densities[j].upper > 0 and w.bounded_on(system.omega)]
     notes = []
@@ -560,14 +540,12 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
         combined = comb if combined is None else combined.plus(comb)
     d_sum = density_closed_form(combined).upper
     lower_cap = math.sqrt(report.A_est / d_sum) if d_sum > 0 else 0.0
-    ess_prime = ess_bounds([windows[j] for j in j_prime], system.omega, grid_n,
-                           refine_levels=1)
+    ess_prime = ess_bounds([windows[j] for j in j_prime], system.omega, grid_n)
+    ess_inf, ess_sup = ess_prime.ess_inf_of_max[1], ess_prime.ess_sup_of_max[0]
     upper_cap = max(math.sqrt(report.B_est / densities[j].upper) for j in j_prime)
-    lower_holds = lower_cap - tol <= ess_prime.ess_inf_of_max
-    upper_holds = ess_prime.ess_sup_of_max <= upper_cap + tol
     return BracketCheckReport(
-        tuple(rows), lower_cap, ess_prime.ess_inf_of_max, ess_prime.ess_sup_of_max,
-        upper_cap, lower_holds, upper_holds, None, "; ".join(notes))
+        tuple(rows), lower_cap, ess_inf, ess_sup, upper_cap, lower_cap - tol <= ess_inf,
+        ess_sup <= upper_cap + tol, None, "; ".join(notes))
 
 
 def _freq_as_support(freq: FreqSpec) -> StructuredPointSet:

@@ -197,11 +197,10 @@ class BoxUnionSet:
 _OVERLAP_BLOCK = 1 << 16
 
 
-def _overlaps(omega: BoxUnionSet, xs: Sequence[Vec] | np.ndarray) -> np.ndarray:
-    """Lebesgue measure of omega ∩ (omega + x) for each shift x in xs."""
-    if any(len(x) != omega.dim for x in xs):
+def _overlaps(omega: BoxUnionSet, xs: np.ndarray) -> np.ndarray:
+    """Lebesgue measure of omega ∩ (omega + x) for each row x of xs."""
+    if xs.shape[1] != omega.dim:
         raise InputError(f"every translate needs dimension {omega.dim}")
-    xs = np.array(xs, dtype=float).reshape(len(xs), omega.dim)
     # |omega ∩ (omega+x)| = |omega ∩ (omega-x)|; fixing the sign of the first
     # nonzero coordinate makes the computed value bitwise symmetric in x.
     first = xs[np.arange(len(xs)), np.argmax(xs != 0.0, axis=1)]
@@ -219,16 +218,21 @@ def _overlaps(omega: BoxUnionSet, xs: Sequence[Vec] | np.ndarray) -> np.ndarray:
 
 def translate_overlap(omega: BoxUnionSet, x: Sequence[float]) -> float:
     """Lebesgue measure of omega ∩ (omega + x), exact via pairwise box cuts."""
-    return float(_overlaps(omega, [_as_vec(x)])[0])
+    return float(_overlaps(omega, np.array([_as_vec(x)]))[0])
 
 
 def overlap_profile(omega: BoxUnionSet,
-                    x_grid: Sequence[Sequence[float] | float]) -> list[tuple[Vec, float]]:
-    """translate_overlap over a grid of shifts, evaluated in one pass."""
-    xs = [_as_vec(x) for x in x_grid]
-    if not xs:
+                    x_grid: Sequence[Sequence[float] | float] | np.ndarray
+                    ) -> list[tuple[Vec, float]]:
+    """translate_overlap over a grid of shifts, an (S, d) array or a list of
+    S scalars in 1-D, evaluated in one pass."""
+    if len(x_grid) == 0:
         raise InputError("overlap_profile needs a non-empty grid of shifts")
-    return list(zip(xs, _overlaps(omega, xs).tolist()))
+    try:
+        xs = np.asarray(x_grid, dtype=float).reshape(len(x_grid), -1)
+    except ValueError:
+        raise InputError(f"every translate needs dimension {omega.dim}") from None
+    return list(zip(map(tuple, xs.tolist()), _overlaps(omega, xs).tolist()))
 
 
 def cover_cube(omega: BoxUnionSet) -> Box:

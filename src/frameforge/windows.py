@@ -1,10 +1,11 @@
 """Window functions as small closed-form expression trees.
 
 Supported forms: scalars, monomials x^a, reflected monomials (1-x)^a,
-box indicators, and products of these.  Each node knows symbolically whether
-it is essentially bounded on a domain inside [0, R]^d, which takes precedence
-over grid values near integrable singularities.  Windows built from an
-arbitrary callable are supported for probing but are not serializable.
+box indicators, and products of these.  Each node encloses its modulus over
+boxes exactly: |x|^a and |1-x|^a are monotone on either side of their zero,
+and an indicator is 0, 1 or both on a box.  Windows built from an arbitrary
+callable are supported for probing, have sampled ranges and are not
+serializable.
 """
 
 from __future__ import annotations
@@ -20,11 +21,25 @@ from .geometry import Box, BoxUnionSet
 from .gridfn import cell_volumes, grid_points
 
 
+def _power_range(lo: np.ndarray, hi: np.ndarray,
+                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Range of |t|^alpha over each [lo, hi): monotone in |t|, with 0^alpha
+    infinite for alpha < 0."""
+    near = np.where((lo <= 0) & (hi >= 0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+    far = np.maximum(np.abs(lo), np.abs(hi))
+    with np.errstate(divide="ignore", over="ignore"):
+        ends = near ** alpha, far ** alpha
+    return ends if alpha >= 0 else ends[::-1]
+
+
 class Expr:
+    sampled = False  # True when ``range_on`` samples rather than encloses
+
     def eval(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def bounded_on(self, omega: BoxUnionSet) -> bool:
+    def range_on(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(inf, sup) of |expr| over each half-open box [lo[i], hi[i])."""
         raise NotImplementedError
 
     def sqrt(self) -> "Expr":
@@ -45,8 +60,9 @@ class Scalar(Expr):
     def eval(self, pts):
         return np.full(len(pts), self.value, dtype=complex)
 
-    def bounded_on(self, omega):
-        return True
+    def range_on(self, lo, hi):
+        v = np.full(len(lo), abs(self.value))
+        return v, v
 
     def sqrt(self):
         if self.value < 0:
@@ -70,11 +86,8 @@ class Monomial(Expr):
         out[~np.isfinite(out)] = 0.0
         return out
 
-    def bounded_on(self, omega):
-        if self.alpha >= 0:
-            return True
-        bb = omega.bounding_box()
-        return bb.lo[0] > 0  # singularity at 0 lies outside the domain
+    def range_on(self, lo, hi):
+        return _power_range(lo[:, 0], hi[:, 0], self.alpha)
 
     def sqrt(self):
         return Monomial(self.alpha / 2.0)
@@ -96,11 +109,8 @@ class ReflectedMonomial(Expr):
         out[~np.isfinite(out)] = 0.0
         return out
 
-    def bounded_on(self, omega):
-        if self.alpha >= 0:
-            return True
-        bb = omega.bounding_box()
-        return bb.hi[0] < 1
+    def range_on(self, lo, hi):
+        return _power_range(1.0 - hi[:, 0], 1.0 - lo[:, 0], self.alpha)
 
     def sqrt(self):
         return ReflectedMonomial(self.alpha / 2.0)
@@ -120,8 +130,12 @@ class Indicator(Expr):
             return np.ones(len(pts), dtype=complex)
         return self.box.contains(pts).astype(complex)
 
-    def bounded_on(self, omega):
-        return True
+    def range_on(self, lo, hi):
+        if self.box is None:
+            return np.ones(len(lo)), np.ones(len(lo))
+        inside = np.all((lo >= self.box.lo) & (hi <= self.box.hi), axis=1)
+        meets = np.all((hi > self.box.lo) & (lo < self.box.hi), axis=1)
+        return inside.astype(float), meets.astype(float)
 
     def sqrt(self):
         return self
@@ -146,8 +160,17 @@ class Product(Expr):
             out = out * f.eval(pts)
         return out
 
-    def bounded_on(self, omega):
-        return all(f.bounded_on(omega) for f in self.factors)
+    @property
+    def sampled(self):
+        return any(f.sampled for f in self.factors)
+
+    def range_on(self, lo, hi):
+        infs, sups = zip(*(f.range_on(lo, hi) for f in self.factors))
+        # a factor that vanishes on the whole box zeroes the product, inf or not
+        zero = np.any(np.equal(sups, 0.0), axis=0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return (np.where(zero, 0.0, np.prod(infs, axis=0)),
+                    np.where(zero, 0.0, np.prod(sups, axis=0)))
 
     def sqrt(self):
         return Product(tuple(f.sqrt() for f in self.factors))
@@ -173,12 +196,14 @@ class CallableExpr(Expr):
     label: str
     bounded: bool = True
     support: Optional[Box] = None
+    sampled = True
 
     def eval(self, pts):
         return np.asarray(self.fn(pts), dtype=complex)
 
-    def bounded_on(self, omega):
-        return self.bounded
+    def range_on(self, lo, hi):  # |fn| at the box centres
+        v = np.abs(self.eval((lo + hi) / 2.0))
+        return v, (v if self.bounded else np.full(len(v), np.inf))
 
     def to_string(self):
         raise InputError(f"window '{self.label}' has no closed-form serialization")
@@ -250,7 +275,10 @@ class Window:
         return self.expr.eval(np.atleast_2d(np.asarray(pts, dtype=float)))
 
     def bounded_on(self, omega: BoxUnionSet) -> bool:
-        return self.expr.bounded_on(omega)
+        """Whether |g| is essentially bounded on every box of the domain."""
+        lo = np.array([b.lo for b in omega.boxes])
+        hi = np.array([b.hi for b in omega.boxes])
+        return bool(np.isfinite(self.expr.range_on(lo, hi)[1]).all())
 
     def support_box(self) -> Optional[Box]:
         return self.expr.support_box()

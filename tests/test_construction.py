@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameforge.errors import InputError
 from frameforge.construction import (
@@ -76,6 +78,57 @@ class TestBoundedWindowFrame:
         with pytest.raises(ConstructionRefusal):
             build_bounded_window_frame([Window.from_string("x^1.0")],
                                        BoxUnionSet.from_intervals([(0, 1)]))
+
+    def test_small_infimum_is_not_vanishing(self):
+        # x >= 1/1024 on the domain, so m = 1/1024 and the guaranteed lower
+        # bound is the cube constant (the cover side) times m^2
+        omega = BoxUnionSet.from_intervals([(1 / 1024, 1)])
+        result = build_bounded_window_frame([Window.from_string("x^1.0")], omega)
+        assert result.predicted_A == pytest.approx((1023 / 1024) / 1024 ** 2, rel=1e-12)
+
+    def test_window_vanishing_at_the_left_face_refused(self):
+        omega = BoxUnionSet.from_intervals([(0, 3 / 16)])
+        with pytest.raises(ConstructionRefusal):
+            build_bounded_window_frame(
+                [Window.from_string("1.196*x^0.273*(1-x)^0.625")], omega)
+
+    @given(st.integers(0, 15).flatmap(
+               lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 16))),
+           st.lists(st.tuples(*[st.integers(lo, hi).map(lambda k: k / 1000)
+                                for lo, hi in ((500, 1500), (0, 2000), (0, 2000))]),
+                    min_size=1, max_size=2))
+    @settings(max_examples=40, deadline=None)
+    def test_refusal_follows_the_theorem_and_predictions_are_bounds(self, faces, params):
+        # s x^a (1-x)^b vanishes only at a face: at 0 when a > 0, at 1 when b > 0
+        lo, hi = faces[0] / 16, faces[1] / 16
+        omega = BoxUnionSet.from_intervals([(lo, hi)])
+        windows = [Window.from_string(f"{s}*x^{a}*(1-x)^{b}") for s, a, b in params]
+        vanishes = ((lo == 0 and all(a > 0 for _, a, _ in params))
+                    or (hi == 1 and all(b > 0 for *_, b in params)))
+        if vanishes:
+            with pytest.raises(ConstructionRefusal):
+                build_bounded_window_frame(windows, omega)
+            return
+        result = build_bounded_window_frame(windows, omega)
+        rep = estimate_frame_bounds(result.system, 256)
+        assert result.predicted_A <= rep.A_est * (1 + 1e-9)
+        assert result.predicted_B >= rep.B_est * (1 - 1e-9)
+
+    def test_partition_goes_to_the_first_window_that_clears_m(self):
+        # m = 1 and both windows clear it on [1/2, 1)
+        result = build_bounded_window_frame(
+            [Window.from_string("1.0"), Window.from_string("2.0*indicator(0.5,1)")], UNIT)
+        assert result.partition == (UNIT,)
+
+    def test_partition_keeps_the_gaps(self):
+        result = build_bounded_window_frame([Window.indicator()], TWO_PIECE, grid_n=8)
+        assert result.partition == (TWO_PIECE,)
+
+    def test_partition_of_a_staircase(self):
+        # one column's pieces end at y = 1/2 where the next column's begin
+        stairs = canonicalize([Box((0.0, 0.0), (0.5, 0.5)), Box((0.5, 0.5), (1.0, 1.0))])
+        result = build_bounded_window_frame([Window.indicator()], stairs, grid_n=8)
+        assert result.partition == (stairs,)
 
     def test_partition_sets_disjoint(self):
         result = build_bounded_window_frame(

@@ -19,6 +19,7 @@ from frameforge.framebounds import (
     raw_exponential_tight_constant,
     weighted_transform,
     window_density_bracket_check,
+    window_ranges,
 )
 from frameforge.geometry import Box, BoxUnionSet, Lattice, canonicalize
 from frameforge.gridfn import GridFunction, cell_volumes
@@ -559,19 +560,36 @@ class TestEssBounds:
         ws = [Window.from_string("x^1.0"), Window.from_string("(1-x)^1.0")]
         rep = ess_bounds(ws, UNIT_CLOSED, 256)
         assert rep.J == (0, 1)
-        assert abs(rep.ess_inf_of_max - 0.5) <= 0.01
-        assert 0.99 <= rep.ess_sup_of_max <= 1.0 + 1e-9
-        assert rep.converged
+        lo, hi = rep.ess_inf_of_max
+        assert lo == 0.5
+        assert hi - lo <= 1 / 256
+        assert 0.99 <= rep.ess_sup_of_max[0] <= rep.ess_sup_of_max[1] <= 1.0 + 1e-9
 
     def test_all_unbounded_empty_J(self):
         rep = ess_bounds([Window.from_string("x^-0.25")], UNIT, 128)
         assert rep.J == ()
-        assert rep.ess_inf_of_max == 0.0
+        assert rep.ess_inf_of_max == (0.0, 0.0)
 
     def test_indicator_is_exactly_one(self):
         rep = ess_bounds([Window.indicator()], UNIT, 64)
-        assert rep.ess_inf_of_max == pytest.approx(1.0, abs=1e-12)
-        assert rep.ess_sup_of_max == pytest.approx(1.0, abs=1e-12)
+        assert rep.ess_inf_of_max == pytest.approx((1.0, 1.0), abs=1e-12)
+        assert rep.ess_sup_of_max == pytest.approx((1.0, 1.0), abs=1e-12)
+
+    def test_indicators_meeting_off_the_grid(self):
+        # 0.3 is no grid line; the pieces are cut at the supports' faces
+        ws = [Window.from_string("indicator(0,0.3)"), Window.from_string("indicator(0.3,1)")]
+        rep = ess_bounds(ws, UNIT, 256)
+        assert rep.ess_inf_of_max == (1.0, 1.0)
+        assert rep.ess_sup_of_max == (1.0, 1.0)
+
+    def test_pieces_tile_the_domain(self):
+        # the grid line 1.0624999999999998 misses the face 1.0625 by one ulp,
+        # and the sliver between them lies outside the domain
+        omega = BoxUnionSet.from_intervals([(-0.25, 0.0), (1.0625, 1.4999999999999998)])
+        lo, hi, infs, sups = window_ranges([Window.indicator()], omega, 4)
+        assert omega.contains(lo).all()
+        assert np.sum(hi - lo) == pytest.approx(omega.measure(), rel=1e-15)
+        assert infs.shape == sups.shape == (1, len(lo))
 
     def test_unbounded_windows_excluded_from_J(self):
         ws = [Window.from_string("x^1.0"), Window.from_string("x^-0.25")]
@@ -599,6 +617,18 @@ class TestBracketCheck:
         assert out.all_hold
         assert out.lower_cap == pytest.approx(np.sqrt(rep.A_est / 2.0), rel=1e-12)
         assert out.ess_inf_max >= 0.5 - 0.02
+
+    def test_equality_needs_no_tolerance(self):
+        # A = 1/2 and B = 1 meet ess inf max = 1/2 and ess sup = 1 head-on;
+        # only a violation the enclosures prove may be reported
+        ws = (Window.from_string("x^1.0"), Window.from_string("(1-x)^1.0"))
+        system = WindowedSystem(UNIT, tuple((w, integers()) for w in ws))
+        rep = estimate_frame_bounds(system, 256)
+        dens = [density_closed_form(WeightedComb.single(integers()))] * 2
+        out = window_density_bracket_check(system, rep, dens, tol=0.0)
+        assert out.all_hold
+        assert out.ess_inf_max == 0.50390625
+        assert [row.ess_sup for row in out.per_window] == [0.99609375] * 2
 
     def test_scaled_indicator_equality(self):
         system = WindowedSystem(
@@ -652,10 +682,8 @@ class TestWeightedTransform:
     def test_vanishing_weight_not_bounded_away_from_zero(self):
         out = weighted_transform(Window.from_string("x^1.0"), [Window.indicator()],
                                  UNIT)
-        low = ess_bounds(out, UNIT, 64, refine_levels=3)
-        finer = ess_bounds(out, UNIT, 256, refine_levels=1)
-        assert low.ess_inf_of_max < 0.1
-        assert finer.ess_inf_of_max < low.ess_inf_of_max
+        for grid_n in (64, 256):
+            assert ess_bounds(out, UNIT, grid_n).ess_inf_of_max[0] == 0.0
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InputError):

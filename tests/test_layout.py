@@ -127,3 +127,41 @@ def test_unused_import_checker(tmp_path):
                      "def f():\n    import math\n    return np.pi + a\n")
     assert unused_imports(probe) == ["probe.py:2 imports os", "probe.py:4 imports c",
                                      "probe.py:7 imports math"]
+
+
+def foreign_private_calls(path):
+    """Calls of an `_`-prefixed attribute on anything but self or cls whose
+    name the module does not define itself: another module's private
+    helpers stay behind its public names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    defined |= {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    defined |= {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    return [f"{path.name}:{node.lineno} calls {node.func.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr.startswith("_") and not node.func.attr.startswith("__")
+            and not (isinstance(node.func.value, ast.Name)
+                     and node.func.value.id in ("self", "cls"))
+            and node.func.attr not in defined]
+
+
+def test_no_module_calls_another_modules_private_attributes():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 10
+    assert [hit for path in paths for hit in foreign_private_calls(path)] == []
+
+
+def test_private_call_checker(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import geometry\n\n"
+                     "def _own(x):\n    return x\n\n"
+                     "class C:\n    def m(self, omega):\n"
+                     "        self._helper()\n        omega._own()\n"
+                     "        omega._corner_arrays()\n        geometry._overlaps(omega, [])\n"
+                     "        return object.__setattr__(self, 'a', 1)\n")
+    assert foreign_private_calls(probe) == ["probe.py:10 calls _corner_arrays",
+                                            "probe.py:11 calls _overlaps"]

@@ -1,13 +1,31 @@
 """The verify runner: artifact layout and byte-level determinism."""
 
+import csv
 import filecmp
 import os
 import pathlib
+from itertools import zip_longest
 
 from frameforge.cli import main
 
 # CSVs of `frameforge verify --seed 7`; a change to any cell must be explained
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_seed7"
+
+
+def changed_cells(new, golden):
+    """Each cell where ``new`` differs from ``golden``, one line apiece naming
+    the file, the row (the header is row 0), the column and both values."""
+    with open(new, newline="") as f_new, open(golden, newline="") as f_old:
+        rows_new, rows_old = list(csv.reader(f_new)), list(csv.reader(f_old))
+    header = rows_old[0] if rows_old else []
+    lines = []
+    for r, (old, cur) in enumerate(zip_longest(rows_old, rows_new, fillvalue=[])):
+        for c, (a, b) in enumerate(zip_longest(old, cur)):
+            if a != b:
+                column = header[c] if c < len(header) else f"#{c}"
+                lines.append(f"{pathlib.Path(new).name} row {r} column {column}: "
+                             f"golden {a!r}, new {b!r}")
+    return "\n".join(lines) or f"{pathlib.Path(new).name}: bytes differ, cells agree"
 
 
 def test_verify_writes_deterministic_artifacts(tmp_path, capsys):
@@ -24,4 +42,17 @@ def test_verify_writes_deterministic_artifacts(tmp_path, capsys):
     assert names == sorted(os.listdir(GOLDEN))
     for name in names:
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
-        assert filecmp.cmp(out1 / name, GOLDEN / name, shallow=False), name
+        assert filecmp.cmp(out1 / name, GOLDEN / name, shallow=False), \
+            changed_cells(out1 / name, GOLDEN / name)
+
+
+def test_changed_cells_names_each_cell(tmp_path):
+    golden, new = tmp_path / "golden.csv", tmp_path / "c04.csv"
+    golden.write_text("variant,A\nbase,0.25\nwide,1.5\n")
+    new.write_text("variant,A\nbase,0.2519\nwide,1.5\nextra,2\n")
+    assert changed_cells(new, golden).splitlines() == [
+        "c04.csv row 1 column A: golden '0.25', new '0.2519'",
+        "c04.csv row 3 column variant: golden None, new 'extra'",
+        "c04.csv row 3 column A: golden None, new '2'"]
+    new.write_text("variant,A\r\nbase,0.25\r\nwide,1.5\r\n")
+    assert changed_cells(new, golden) == "c04.csv: bytes differ, cells agree"
