@@ -1,8 +1,8 @@
 """Command-line front end: dispatch, reports, CSV artifacts.
 
 Exit status is 0 whenever a verdict was computed, including negative
-verdicts and refusals; nonzero only for unusable input.  One seed governs
-every randomized trial in a run, and identical configurations produce
+verdicts and refusals; nonzero only for unusable input.  The seed governs
+only ``verify``'s randomized trials, and identical configurations produce
 byte-identical CSV output.
 """
 
@@ -220,8 +220,7 @@ def cmd_certify_measure(args) -> int:
     omega, _ = load_domain(args.domain)
     x0 = tuple(float(v) for v in args.x0.split(","))
     try:
-        cert = cosine_measure_certificate(omega, x0, grid_n=args.grid_n,
-                                          trials=args.trials, seed=args.seed)
+        cert = cosine_measure_certificate(omega, x0, grid_n=args.grid_n)
     except CertificateRefusal as refusal:
         lines = ["verdict: refused",
                  f"reason: {refusal.reason}",
@@ -229,14 +228,14 @@ def cmd_certify_measure(args) -> int:
                  f"overlap_minus: {refusal.overlap_minus!r}"]
         _emit(lines, args)
         return 0
+    rep = cert.report
     if args.csv:
         write_csv(args.csv, CERTIFICATE_HEADER,
-                  [(",".join(repr(v) for v in x0), cert.residual,
-                    cert.test_family_size)])
-    lines = ["verdict: certified",
-             f"constant_A: {cert.constant_A!r}",
-             f"residual: {cert.residual!r}",
-             f"trials: {cert.test_family_size}"]
+                  [(",".join(repr(v) for v in x0), rep.A_est, rep.B_est)])
+    lines = [f"verdict: {'certified' if cert.holds else 'not tight'}",
+             f"A_est: {rep.A_est!r}",
+             f"B_est: {rep.B_est!r}",
+             f"notes: {rep.notes}"]
     _emit(lines, args)
     return 0
 
@@ -338,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify-measure", help="cosine tight-frame-measure certificate")
     p.add_argument("--domain", required=True)
     p.add_argument("--x0", required=True, help="shift vector, comma-separated")
-    p.add_argument("--grid-n", type=int, default=256)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--grid-n", type=int, help="default: the coarsest aligned grid "
+                   "with at least 256 cells")
     p.add_argument("--csv")
     p.add_argument("--report")
     p.set_defaults(handler=cmd_certify_measure)

@@ -17,11 +17,14 @@ import numpy as np
 
 from .errors import InputError
 from .framebounds import (
+    DENSE_EIG_LIMIT,
     ContinuousFreqMeasure,
     EssBoundsReport,
+    FrameBoundsReport,
     WindowedSystem,
     ess_bounds,
     frame_bounds_on_grid,
+    nyquist_box,
     raw_exponential_tight_constant,
     window_ranges,
 )
@@ -273,26 +276,29 @@ def tight_frame_obstruction_scan(omega: BoxUnionSet, r_grid: Sequence[float],
 
 @dataclass(frozen=True)
 class TightCertificate:
-    measure_descriptor: ContinuousFreqMeasure
-    constant_A: float
-    residual: float
-    test_family_size: int
+    """The cosine measure and its frame bounds as measured on the domain."""
 
-    def __post_init__(self):
-        if self.residual < 0:
-            raise InputError("residual must be non-negative")
+    measure_descriptor: ContinuousFreqMeasure
+    report: FrameBoundsReport
+
+    @property
+    def holds(self) -> bool:
+        return self.report.B_est - self.report.A_est <= 1e-9 * self.report.B_est
 
 
 def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
-                               grid_n: int = 256, trials: int = 20,
-                               seed: int = 0) -> TightCertificate:
-    """Certify the cosine-modulated Lebesgue measure as a tight frame measure.
+                               grid_n: Optional[int] = None) -> TightCertificate:
+    """Measured frame bounds of (1 + cos 2 pi <xi, x0>) d xi with the
+    indicator window, tight exactly when |omega ∩ (omega ± x0)| = 0.
 
-    Requires |omega ∩ (omega ± x0)| = 0 (exact box check).  For seeded random
-    test functions on the domain grid, the modulated part of the measure
-    integrates |f-hat|^2 to the cross-correlation of f at lag x0, which the
-    disjointness kills; the residual records the worst deviation from the
-    plain Parseval value.
+    The exact box check refuses an overlapping shift; a positive verdict
+    rests only on the bounds.  x0 and every face of the domain must be whole
+    numbers of the grid's cells; grid_n=None picks the coarsest such grid
+    with at least 256 cells, and none above DENSE_EIG_LIMIT cells.  The
+    density fills the Nyquist band with the fewest cells per axis above
+    grid_n that move every alias of lag 0 and of ±x0 off the grid's index
+    differences: grid_n + s + 1 when every |x0| is at most grid_n cells, s
+    being the largest.
     """
     x0 = tuple(float(v) for v in x0) if not isinstance(x0, (int, float)) else (float(x0),)
     ov_plus = translate_overlap(omega, x0)
@@ -302,38 +308,39 @@ def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
             "the domain meets its own translate by x0 on positive measure, so "
             "the cosine measure is not a tight frame measure for it",
             ov_plus, ov_minus)
-    bb = omega.bounding_box()
-    d = omega.dim
-    weights = cell_volumes(bb, grid_n, omega)
-    flat_w = weights.ravel()
-    pts = grid_points(bb, grid_n)
-    active = flat_w > 0
-    steps = [(b - a) / grid_n for a, b in zip(bb.lo, bb.hi)]
-    # pairs (i, j): centre of active cell i, shifted by +x0 or -x0, in omega and in cell j
-    i = np.flatnonzero(active)
-    src, dst = [], []
-    for sign in (+1.0, -1.0):
-        p = pts[i] + np.asarray(tuple(sign * v for v in x0))
-        idx = np.floor((p - bb.lo) / steps).astype(int)
-        hit = omega.contains(p) & np.all((idx >= 0) & (idx < grid_n), axis=1)
-        src.append(i[hit])
-        dst.append(np.ravel_multi_index(idx[hit].T, (grid_n,) * d))
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    worst = 0.0
-    for t in range(trials):
-        rng = np.random.default_rng(seed + t)
-        f = np.zeros(len(pts), dtype=complex)
-        raw = rng.standard_normal(active.sum()) + 1j * rng.standard_normal(active.sum())
-        f[active] = raw
-        norm = math.sqrt(float(np.sum(flat_w * np.abs(f) ** 2)))
-        f /= norm
-        corr = sum((0.5 * flat_w[src] * f[dst] * np.conj(f[src])).tolist(), 0j)
-        worst = max(worst, abs(corr.real))
-    xi_box = Box(tuple(-4.0 for _ in range(d)), tuple(4.0 for _ in range(d)))
+    bb, d = omega.bounding_box(), omega.dim
+    faces = np.array([b.lo for b in omega.boxes] + [b.hi for b in omega.boxes])
+    units = np.vstack([np.asarray(x0), faces - bb.lo]) / np.array(bb.sides)
 
-    def cosine_density(xi):
-        return 1.0 + np.cos(2.0 * np.pi * (xi @ np.asarray(x0)))
+    def aligned(n: int) -> bool:
+        cells = units * n
+        return n >= 1 and bool(np.all(np.abs(cells - np.round(cells))
+                                      <= 1e-9 * np.maximum(1.0, np.abs(cells))))
 
-    descriptor = ContinuousFreqMeasure(
-        density=GridFunction.from_callable(cosine_density, xi_box, 64))
-    return TightCertificate(descriptor, 1.0, worst, trials)
+    sizes = [grid_n] if grid_n is not None else range(
+        math.ceil(256 ** (1 / d) - 1e-9), int(DENSE_EIG_LIMIT ** (1 / d) + 1e-9) + 1)
+    grid_n = next((n for n in sizes if aligned(n)), None)
+    if grid_n is None:
+        tried = f"{sizes[0]}" if len(sizes) == 1 else f"{sizes[0]} to {sizes[-1]}"
+        raise InputError(
+            f"x0 and every face of the domain must be whole numbers of grid "
+            f"cells; no grid of {tried} cells per axis on the bounding box "
+            f"from {bb.lo} to {bb.hi} aligns")
+    c = np.abs(np.round(units[0] * grid_n)).astype(int)
+    # the lags c + m N (m != 0) alias onto the grid unless some axis's
+    # M_a = {m : |c_a - m N| <= n} is empty, or every M_a is {0}; N = n + s + 1
+    # always clears them, and a far x0 is cleared within about 4 n
+    density_n = next(N for N in range(grid_n + 1, grid_n + c.max() + 2)
+                     if np.any(-((grid_n - c) // N) > (c + grid_n) // N)
+                     or not np.any((c + grid_n) // N))
+    # at the band's cell centres 2 pi <xi_j, x0> = pi sum_a ±c_a (2 j_a + 1 - N) / N,
+    # whole half-turns over N, so a far x0 costs the cosine no precision
+    j = np.indices((density_n,) * d).reshape(d, -1)
+    shift = np.sign(x0).astype(int) * c % (2 * density_n)
+    turns = shift @ (2 * j + 1 - density_n) % (2 * density_n)
+    band = nyquist_box(bb, grid_n)
+    measure = ContinuousFreqMeasure(density=GridFunction(
+        band, 1.0 + np.cos(np.pi * turns / density_n).reshape((density_n,) * d),
+        cell_volumes(band, density_n)))
+    system = WindowedSystem(omega, ((Window.indicator(), measure),))
+    return TightCertificate(measure, frame_bounds_on_grid(system, bb, grid_n, band))

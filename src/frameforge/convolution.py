@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import Box, cartesian
 from .gridfn import GridFunction, cell_volumes, grid_points
-from .pointsets import DensityReport, WeightedComb, density_closed_form
+from .pointsets import DensityReport, LatticeCosets, WeightedComb, density_closed_form
 
 TOL_FLOOR = 1e-12
 
@@ -140,7 +140,7 @@ class ConvolutionBracketReport:
     tol: float
     upper_holds: bool          # D+ <= sup + tol
     lower_holds: bool          # inf - tol <= D-
-    inconclusive: bool
+    inconclusive: bool         # the box need not hold S's global extremes
     sum_grid: GridFunction
 
 
@@ -152,8 +152,11 @@ def check_density_convolution_bracket(
 
     Forms S = sum_i (mu_i * h_i) and the comb mu = sum_i (integral of h_i)
     mu_i, then tests D+(mu) <= sup S + tol and inf S - tol <= D-(mu), with
-    the exact extremes of S over eval_box and a roundoff tolerance.  The
-    report's ``sum_grid`` holds S at the cell centres of the n_eval grid.
+    the exact extremes of S over eval_box and a roundoff tolerance.  They
+    are global only when every support is a ``LatticeCosets`` of one lattice
+    (in any basis) and the box covers a fundamental cell; otherwise the
+    report is inconclusive.  ``sum_grid`` holds S at the n_eval grid's cell
+    centres.
     """
     if not pairs:
         raise InputError("need at least one (comb, function) pair")
@@ -170,7 +173,12 @@ def check_density_convolution_bracket(
         scaled = comb.scaled(mass)
         combined = scaled if combined is None else combined.plus(scaled)
     densities = density_closed_form(combined)
-    inconclusive = densities.method != "closed_form"
+    supports = [support for comb, _ in pairs for _, support in comb.terms]
+    periodic = all(isinstance(s, LatticeCosets)
+                   and s.lattice.same_group(supports[0].lattice) for s in supports)
+    # each side must span the fundamental parallelepiped's extent sum_j |b_j|
+    inconclusive = not (periodic and np.all(
+        np.array(eval_box.sides) >= np.abs(supports[0].lattice.matrix).sum(axis=1)))
     inf_sum, sup_sum = _exact_extremes(pairs, eval_box)
     tol = TOL_FLOOR * max(1.0, abs(inf_sum), abs(sup_sum))
     grid = GridFunction(eval_box, total.astype(complex),

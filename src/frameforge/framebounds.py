@@ -101,23 +101,37 @@ def nyquist_box(bb: Box, grid_n: int) -> Box:
     return Box(tuple(lo), tuple(hi))
 
 
-def _frequency_weights(freq: FreqSpec, box: Box) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies (m, d) of a pair and their weights: a point set truncated
-    to ``box`` weighs 1 per point, a measure gives its density-cell masses
-    and its atom weights."""
+def _sum_kernel(freq: FreqSpec, steps: np.ndarray, n: int, box: Box) -> np.ndarray:
+    """``_difference_kernel`` over a pair's frequencies: a point set truncated
+    to ``box`` weighs 1 per point, a measure gives its atom weights plus the
+    ``_density_kernel`` of its density."""
     if not isinstance(freq, ContinuousFreqMeasure):
         lam = freq.points_in_box(box)
-        return lam, np.ones(len(lam))
-    points, weights = [], []
-    if freq.density is not None:
-        mass = (freq.density.samples.real * freq.density.cell_weights).ravel()
-        keep = mass > 0
-        points.append(freq.density.points()[keep])
-        weights.append(mass[keep])
-    if freq.atoms:
-        points.append(np.array([p for p, _ in freq.atoms], dtype=float))
-        weights.append(np.array([w for _, w in freq.atoms]))
-    return np.vstack(points), np.concatenate(weights)
+        return _difference_kernel(lam, np.ones(len(lam)), steps, n)
+    atoms = np.array([p for p, _ in freq.atoms], dtype=float).reshape(-1, len(steps))
+    kernel = _difference_kernel(atoms, np.array([w for _, w in freq.atoms]), steps, n)
+    return kernel if freq.density is None else kernel + _density_kernel(freq.density, steps, n)
+
+
+def _density_kernel(density: GridFunction, steps: np.ndarray, n: int) -> np.ndarray:
+    """The kernel of a density's cell masses.  When the N cells per axis are
+    each 1/M_a of the grid's alias band (h_a step_a = 1/M_a, M_a >= N whole),
+    the sum over the centres c + j h is e^{2 pi i <c, k step>} times the
+    inverse DFT of the masses read at k mod M: M^d log M work, where the
+    plain sum takes (2n)^d per cell."""
+    mass = np.maximum(density.samples.real * density.cell_weights, 0.0)
+    ratio = 1.0 / (np.array(density.spacing) * steps)
+    cycle = np.round(ratio).astype(int)
+    if np.any(np.abs(ratio - cycle) > 1e-9 * ratio) or np.any(cycle < mass.shape):
+        keep = mass.ravel() > 0
+        return _difference_kernel(density.points()[keep], mass.ravel()[keep], steps, n)
+    k = np.arange(-(n - 1), n)
+    kernel = np.fft.ifftn(mass, s=tuple(cycle), axes=range(len(cycle))) * np.prod(cycle)
+    kernel = kernel[np.ix_(*[k % m for m in cycle])]
+    centre = np.array(density.bounding_box.lo) + 0.5 * np.array(density.spacing)
+    for a, (c, s) in enumerate(zip(centre, steps)):
+        kernel *= np.exp(2j * np.pi * c * s * k).reshape((-1,) + (1,) * (len(steps) - a - 1))
+    return kernel
 
 
 def _phase_tables(freqs: np.ndarray, step: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,8 +225,7 @@ def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
     for window, freq in system.pairs:
         lattice = _lattice_cosets(freq, steps, box)
         if lattice is None:
-            lam, weights = _frequency_weights(freq, box)
-            lattice = np.ones(len(steps), dtype=int), _difference_kernel(lam, weights, steps, n)
+            lattice = np.ones(len(steps), dtype=int), _sum_kernel(freq, steps, n, box)
         period, spec = lattice
         if not (spec.any() if isinstance(spec, np.ndarray) else any(c for _, c in spec)):
             notes.append(_silent_pair_note(window))
@@ -341,7 +354,8 @@ def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
 
     Each pair enters through its difference kernel: in closed form for a
     diagonal lattice whose spacing divides into the grid and whose
-    truncation fills whole periods, summed over its frequencies otherwise.
+    truncation fills whole periods, as a DFT for a density on whole
+    fractions of the alias band, summed over its frequencies otherwise.
     The operator couples two cells only when their index difference is a
     multiple of P, the gcd of every pair's period, so it is block diagonal
     over the fibers of cells with one index residue mod P (the Walnut /
@@ -504,7 +518,8 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
                                  tol: float = 0.02) -> BracketCheckReport:
     """Verify the bound/density bracket on the windows.
 
-    Per window with positive upper density: ess-sup |g_j| <= sqrt(B / D+_j).
+    Per window with positive upper density: ess-sup |g_j| <= sqrt(B / D+_j),
+    which an unbounded window fails.
     Over the bounded positive-density windows J': sqrt(A / D+(sum of combs))
     <= ess-inf max |g_j| and ess-sup max |g_j| <= max_j sqrt(B / D+_j).
     A violation is reported only when the enclosures prove it: the sup
@@ -519,7 +534,8 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
         if dens.upper <= 0:
             continue
         cap = math.sqrt(report.B_est / dens.upper)
-        ess_sup = ess_bounds([window], system.omega, grid_n).ess_sup_of_max[0]
+        rep = ess_bounds([window], system.omega, grid_n)
+        ess_sup = rep.ess_sup_of_max[0] if rep.J else math.inf
         rows.append(WindowBracketRow(window.label, dens.upper, cap, ess_sup,
                                      ess_sup <= cap + tol, cap + tol - ess_sup))
     j_prime = [j for j, w in enumerate(windows)

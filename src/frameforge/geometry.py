@@ -275,6 +275,12 @@ class Lattice:
     def covolume(self) -> float:
         return float(abs(np.linalg.det(self.matrix)))
 
+    def same_group(self, other: "Lattice") -> bool:
+        """Whether both bases generate one group: B^-1 B' is integral and unimodular."""
+        t = np.linalg.solve(self.matrix, other.matrix)
+        return bool(np.all(np.abs(t - np.round(t)) <= 1e-9)
+                    and round(abs(np.linalg.det(np.round(t)))) == 1)
+
     def dual(self) -> "Lattice":
         inv_t = np.linalg.inv(self.matrix).T
         return Lattice(tuple(tuple(row) for row in inv_t))

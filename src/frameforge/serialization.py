@@ -212,5 +212,5 @@ def box_label(box: Box) -> str:
 
 DENSITY_TRACE_HEADER = ("h", "inf_density", "sup_density")
 FRAME_BOUNDS_HEADER = ("system", "grid_n", "trunc", "A_est", "B_est", "tight_ratio")
-CERTIFICATE_HEADER = ("x0", "residual", "trials")
+CERTIFICATE_HEADER = ("x0", "A_est", "B_est")
 GABOR_HEADER = ("p", "q", "M", "A53", "B53", "verdict", "zz_min", "zz_max")

@@ -275,9 +275,12 @@ class Window:
         return self.expr.eval(np.atleast_2d(np.asarray(pts, dtype=float)))
 
     def bounded_on(self, omega: BoxUnionSet) -> bool:
-        """Whether |g| is essentially bounded on every box of the domain."""
-        lo = np.array([b.lo for b in omega.boxes])
-        hi = np.array([b.hi for b in omega.boxes])
+        """Whether |g| is essentially bounded on the domain.  The window is 0
+        outside its support box, so only the domain's parts inside it count."""
+        support = self.support_box()
+        boxes = omega.boxes if support is None else omega.intersect_box(support)
+        lo = np.array([b.lo for b in boxes]).reshape(-1, omega.dim)
+        hi = np.array([b.hi for b in boxes]).reshape(-1, omega.dim)
         return bool(np.isfinite(self.expr.range_on(lo, hi)[1]).all())
 
     def support_box(self) -> Optional[Box]:

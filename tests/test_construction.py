@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frameforge import construction
 from frameforge.errors import InputError
 from frameforge.construction import (
     CertificateRefusal,
@@ -19,12 +20,20 @@ from frameforge.construction import (
     tight_frame_obstruction_scan,
 )
 from frameforge.framebounds import estimate_frame_bounds
-from frameforge.geometry import Box, BoxUnionSet, Lattice, cantor_tower, canonicalize
+from frameforge.geometry import (
+    Box,
+    BoxUnionSet,
+    Lattice,
+    canonicalize,
+    cantor_tower,
+    translate_overlap,
+)
 from frameforge.pointsets import FiniteSet, LatticeCosets
 from frameforge.windows import Window
 
 UNIT = BoxUnionSet.from_intervals([(0, 1)])
 TWO_PIECE = BoxUnionSet.from_intervals([(0, 0.5), (1, 1.5)])
+SQUARE = BoxUnionSet(2, (Box((0.0, 0.0), (1.0, 1.0)),))
 
 
 class TestBoundedWindowFrame:
@@ -73,6 +82,18 @@ class TestBoundedWindowFrame:
             build_bounded_window_frame(
                 [Window.from_string("x^-0.25"), Window.from_string("(1-x)^-0.25")],
                 UNIT)
+
+    def test_singularity_outside_the_support_is_bounded(self):
+        # x^-0.25 blows up at 0, where its indicator factor is 0, so both
+        # windows are bounded and max |g_j| lies in [1, 2^0.25] on [0, 1)
+        windows = [Window.from_string("indicator(0,0.5)"),
+                   Window.from_string("x^-0.25*indicator(0.5,1)")]
+        result = build_bounded_window_frame(windows, UNIT)
+        assert "J=[0, 1]" in result.provenance
+        assert result.predicted_A == 1.0
+        rep = estimate_frame_bounds(result.system, 256)
+        assert rep.A_est == pytest.approx(1.0, abs=1e-9)
+        assert rep.B_est <= result.predicted_B
 
     def test_not_bounded_away_from_zero_refused(self):
         with pytest.raises(ConstructionRefusal):
@@ -247,13 +268,32 @@ class TestObstructionScan:
         assert verdict.R == expected == math.sqrt(3.5 ** 2 + 7.0 ** 2)
 
 
+def no_overlap_check(monkeypatch):
+    """Skip the exact overlap refusal, so overlapping shifts are measured."""
+    monkeypatch.setattr(construction, "translate_overlap", lambda omega, x: 0.0)
+
+
+@st.composite
+def aligned_shift_cases(draw):
+    """1-3 intervals with ends in sixteenths of [0, 2), a shift in
+    sixteenths of (0, 4] and a grid_n <= 256 whose cells divide a sixteenth."""
+    count = draw(st.integers(1, 3))
+    ends = sorted(draw(st.sets(st.integers(0, 31), min_size=2 * count,
+                               max_size=2 * count)))
+    omega = BoxUnionSet.from_intervals(
+        [(a / 16, b / 16) for a, b in zip(ends[::2], ends[1::2])])
+    width = ends[-1] - ends[0]
+    return omega, draw(st.integers(1, 64)) / 16, width * draw(st.integers(1, 256 // width))
+
+
 class TestCosineCertificate:
     def test_unit_interval_shift_two(self):
-        cert = cosine_measure_certificate(UNIT, (2.0,), grid_n=128, trials=20,
-                                          seed=7)
-        assert cert.residual <= 1e-6
-        assert cert.constant_A == 1.0
-        assert cert.test_family_size == 20
+        cert = cosine_measure_certificate(UNIT, (2.0,), grid_n=128)
+        assert cert.holds
+        assert cert.report.A_est == pytest.approx(1.0, abs=1e-9)
+        assert cert.report.B_est == pytest.approx(1.0, abs=1e-9)
+        assert cert.report.notes == "dense eigensolve of order 128"
+        assert cert.measure_descriptor.density.n_per_axis == 128 + 256 + 1
 
     def test_overlapping_shift_refused(self):
         with pytest.raises(CertificateRefusal) as exc:
@@ -261,12 +301,80 @@ class TestCosineCertificate:
         assert exc.value.overlap_plus == pytest.approx(0.5)
 
     def test_two_component_domain(self):
+        # 192 cells on [0, 3) put both gaps' faces on cell boundaries
         omega = BoxUnionSet.from_intervals([(0, 1), (2, 3)])
-        cert = cosine_measure_certificate(omega, (4.0,), grid_n=128, trials=10,
-                                          seed=3)
-        assert cert.residual <= 1e-6
+        cert = cosine_measure_certificate(omega, (4.0,), grid_n=192)
+        assert cert.holds
+        assert cert.report.A_est == pytest.approx(1.0, abs=1e-9)
 
-    def test_deterministic_for_fixed_seed(self):
-        c1 = cosine_measure_certificate(UNIT, (2.0,), grid_n=64, trials=5, seed=1)
-        c2 = cosine_measure_certificate(UNIT, (2.0,), grid_n=64, trials=5, seed=1)
-        assert c1.residual == c2.residual
+    @pytest.mark.parametrize("omega, x0, grid_n", [(TWO_PIECE, 0.75, 258), (UNIT, 0.5, 256)])
+    def test_overlap_measures_as_not_tight(self, monkeypatch, omega, x0, grid_n):
+        no_overlap_check(monkeypatch)
+        cert = cosine_measure_certificate(omega, (x0,), grid_n=grid_n)
+        assert not cert.holds
+        assert cert.report.A_est == pytest.approx(0.5, abs=1e-9)
+        assert cert.report.B_est == pytest.approx(1.5, abs=1e-9)
+
+    @pytest.mark.parametrize("x0, tight", [((2.0, 0.0), True), ((0.5, 0.0), False),
+                                           ((0.5, 0.25), False)])
+    def test_unit_square(self, monkeypatch, x0, tight):
+        no_overlap_check(monkeypatch)
+        cert = cosine_measure_certificate(SQUARE, x0, grid_n=16)
+        assert cert.holds is tight
+        assert cert.report.A_est == pytest.approx(1.0 if tight else 0.5, abs=1e-9)
+        assert cert.report.B_est == pytest.approx(1.0 if tight else 1.5, abs=1e-9)
+
+    @pytest.mark.parametrize("omega, x0", [
+        (TWO_PIECE, 0.5), (BoxUnionSet.from_intervals([(0, 1), (2, 3)]), 3.0),
+    ], ids=["x0_off_the_grid", "faces_off_the_grid"])
+    def test_misaligned_grid_rejected(self, omega, x0):
+        with pytest.raises(InputError, match="whole numbers of grid cells"):
+            cosine_measure_certificate(omega, (x0,), grid_n=256)
+
+    def test_no_grid_up_to_the_cap_aligns(self):
+        # x0 = 2 + 1/4099 is a whole number of cells only on multiples of 4099
+        with pytest.raises(InputError, match="no grid of 256 to 4096 cells"):
+            cosine_measure_certificate(UNIT, (2.0 + 1.0 / 4099,))
+
+    @pytest.mark.parametrize("omega, x0, grid_n", [
+        (TWO_PIECE, (0.5,), 258), (BoxUnionSet.from_intervals([(0, 1), (2, 3)]), (4.0,), 258),
+        (UNIT, (2.0,), 256), (SQUARE, (2.0, 0.0), 16), (SQUARE, (0.0, 1.25), 16),
+    ])
+    def test_default_grid_is_the_coarsest_aligned_one(self, omega, x0, grid_n):
+        # at least 256 cells: 256 per axis in 1-D, 16 in 2-D
+        cert = cosine_measure_certificate(omega, x0)
+        assert cert.report.grid_n == grid_n
+        assert cert.holds
+
+    @pytest.mark.parametrize("omega, x0, grid_n, density_n", [
+        (UNIT, (1e5,), 256, 543), (UNIT, (-1e5,), 256, 543),
+        (SQUARE, (1e5, 3.0), 16, 45), (SQUARE, (2.0, 0.0), 256, 769),
+    ])
+    def test_density_stays_small_for_far_shifts_and_fine_grids(self, omega, x0, grid_n,
+                                                               density_n):
+        # x0 = 1e5 lies 2.56e7 cells out; the density's cells only have to
+        # keep its aliases off the grid, which a few grid widths do, and its
+        # cosine is sampled in whole half-turns, so A and B stay at 1
+        cert = cosine_measure_certificate(omega, x0, grid_n)
+        assert cert.measure_descriptor.density.n_per_axis == density_n <= 4 * grid_n + 2
+        assert cert.holds
+        assert cert.report.A_est == pytest.approx(1.0, abs=1e-12)
+        assert cert.report.B_est == pytest.approx(1.0, abs=1e-12)
+
+    @given(aligned_shift_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_verdict_follows_the_true_overlap(self, case):
+        # the measured verdict alone, with the exact check skipped, must
+        # agree with the geometry: a lag that meets the domain joins cells
+        # into paths, whose operator I + (T + T*)/2 has B - A >= 1
+        omega, x0, grid_n = case
+        disjoint = translate_overlap(omega, (x0,)) == 0.0 == translate_overlap(omega, (-x0,))
+        with pytest.MonkeyPatch.context() as mp:
+            no_overlap_check(mp)
+            cert = cosine_measure_certificate(omega, (x0,), grid_n=grid_n)
+        assert cert.holds is disjoint
+        rep = cert.report
+        if disjoint:
+            assert rep.A_est == pytest.approx(1.0, abs=1e-9)
+        else:
+            assert rep.B_est - rep.A_est >= 1.0 - 1e-9

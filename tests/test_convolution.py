@@ -11,10 +11,12 @@ from frameforge.convolution import (
     comb_convolve,
     translation_bounded_probe,
 )
-from frameforge.geometry import Box
+from frameforge.geometry import Box, Lattice
 from frameforge.gridfn import GridFunction
 from frameforge.pointsets import (
     EventuallyPeriodic1D,
+    FinitePerturbation,
+    FiniteSet,
     LatticeCosets,
     WeightedComb,
     integers,
@@ -97,7 +99,6 @@ class TestTranslationBoundedProbe:
         assert rep.sup_estimate == 1.0
 
     def test_two_cosets(self):
-        from frameforge.geometry import Lattice
         comb = WeightedComb.single(
             LatticeCosets(Lattice.scaled_integers(1.0), ((0.0,), (0.5,))))
         rep = translation_bounded_probe(comb, Box((0.0,), (1.0,)))
@@ -118,7 +119,6 @@ class TestTranslationBoundedProbe:
     def test_2d_corner_from_two_cosets(self):
         # the sup 12 sits at a corner whose x comes from one coset and whose
         # y from the other; whole points as corners reach only 10
-        from frameforge.geometry import Lattice
         cosets = LatticeCosets(Lattice.scaled_integers(1.08, 2),
                                ((0.0, 0.0), (0.26784, 0.66096)))
         window = Box((0.0, 0.0), (2.429, 1.515))
@@ -210,7 +210,6 @@ class TestDensityConvolutionBracket:
         assert rep.upper_holds and rep.lower_holds
 
     def test_2d_product_support(self):
-        from frameforge.geometry import Lattice
         # chi of [0, 1.25) x [0, 0.5) on Z^2 covers each x by 1 or 2
         # translates and each y by 0 or 1
         chi = GridFunction.indicator(Box((0.0, 0.0), (1.25, 0.5)), 8)
@@ -220,3 +219,44 @@ class TestDensityConvolutionBracket:
         assert (rep.inf_sum, rep.sup_sum) == (0.0, 2.0)
         assert rep.densities.upper == pytest.approx(0.625)
         assert rep.upper_holds and rep.lower_holds
+
+    @pytest.mark.parametrize("supports, hi", [
+        ([FiniteSet(((0.0,), (1.0,), (2.5,)))], 4.0),
+        ([FinitePerturbation(integers(), added=((0.5,),))], 4.0),
+        ([EventuallyPeriodic1D(right_period=1.0, left_period=2.0)], 4.0),
+        ([integers(), integers(scale=2.0)], 4.0),
+        ([integers()], 0.5),
+    ], ids=["finite_set", "finite_perturbation", "eventually_periodic",
+            "two_lattices", "box_below_a_period"])
+    def test_box_without_every_value_of_s_is_inconclusive(self, supports, hi):
+        # no common period, or a box narrower than one period: the extremes
+        # of S outside the box are unknown
+        chi = GridFunction.indicator(Box((0.0,), (1.0,)), 64)
+        rep = check_density_convolution_bracket(
+            [(WeightedComb.single(s), chi) for s in supports], Box((0.0,), (hi,)), 64)
+        assert rep.inconclusive
+
+    def test_periodic_supports_over_whole_periods_stay_conclusive(self):
+        chi = GridFunction.indicator(Box((0.0,), (1.0,)), 64)
+        cosets = LatticeCosets(Lattice.scaled_integers(1.0), ((0.0,), (0.5,)))
+        rep = check_density_convolution_bracket(
+            [(WeightedComb.single(integers()), chi), (WeightedComb.single(cosets), chi)],
+            Box((0.0,), (4.0,)), 64)
+        assert not rep.inconclusive
+
+    def test_one_lattice_in_two_bases_stays_conclusive(self):
+        # (1, 0), (1, 1) and (1, 0), (0, 1) generate the same group Z^2
+        chi = GridFunction.indicator(Box((0.0, 0.0), (1.0, 1.0)), 8)
+        supports = [integers(dim=2), LatticeCosets(Lattice(((1.0, 1.0), (0.0, 1.0))))]
+        rep = check_density_convolution_bracket(
+            [(WeightedComb.single(s), chi) for s in supports], Box((0.0, 0.0), (2.0, 2.0)), 8)
+        assert not rep.inconclusive
+
+    @pytest.mark.parametrize("width, inconclusive", [(1.5, False), (0.75, True)])
+    def test_skew_lattice_box_spans_the_cell(self, width, inconclusive):
+        # basis (1, 0), (1/2, 1): the fundamental parallelepiped spans 3/2 along x
+        skew = LatticeCosets(Lattice(((1.0, 0.5), (0.0, 1.0))))
+        chi = GridFunction.indicator(Box((0.0, 0.0), (1.0, 1.0)), 8)
+        rep = check_density_convolution_bracket(
+            [(WeightedComb.single(skew), chi)], Box((0.0, 0.0), (width, 1.0)), 8)
+        assert rep.inconclusive is inconclusive

@@ -125,7 +125,8 @@ def dense_systems(draw, with_lattice=False):
     """Frequency specs without a closed-form kernel, up to two pairs on
     domains with gaps: finite sets, spacings 0.79 (1 + k/16) (the grid steps
     are quarters over small integers, so no period is a whole number of
-    cells), skew 2-D lattices, and measures with a density and atoms.
+    cells), skew 2-D lattices, and measures with a density and atoms, the
+    density's cells on or off a whole fraction of the alias band.
 
     The truncation box holds the origin, a point of every lattice drawn, so
     no pair is silent.  With ``with_lattice`` the first pair is a diagonal
@@ -159,10 +160,16 @@ def dense_systems(draw, with_lattice=False):
         window = draw_window(draw, j)
         if kind == "measure":
             lo = [draw(st.floats(-3.0, 1.0)) for _ in range(d)]
-            box = Box(tuple(lo), tuple(a + draw(st.floats(0.5, 3.0)) for a in lo))
+            cells = draw(st.integers(2, 5))
+            # cells of 1/M of the alias band, M >= cells, make the density's
+            # kernel a DFT of its masses; other cells take the plain sum
+            cycle = draw(st.sampled_from([None, cells, cells + 3]))
+            sides = ([draw(st.floats(0.5, 3.0)) for _ in range(d)] if cycle is None
+                     else cells * band / cycle)
+            box = Box(tuple(lo), tuple(a + s for a, s in zip(lo, sides)))
             c = [draw(st.floats(0.1, 2.0)) for _ in range(2)]
             density = GridFunction.from_callable(
-                lambda xi, c=c: c[0] + c[1] * xi[:, 0] ** 2, box, draw(st.integers(2, 5)))
+                lambda xi, c=c: c[0] + c[1] * xi[:, 0] ** 2, box, cells)
             atoms = tuple((tuple(draw(st.floats(-3.0, 3.0)) for _ in range(d)),
                            draw(st.floats(0.5, 2.0)))
                           for _ in range(draw(st.integers(0, 2))))
@@ -641,6 +648,17 @@ class TestBracketCheck:
         assert row.cap == pytest.approx(2.0, abs=1e-6)
         assert row.ess_sup == pytest.approx(2.0, abs=1e-6)
         assert out.all_hold
+
+    def test_unbounded_window_fails_its_row(self):
+        # a finite B with D+ > 0 forbids an unbounded window
+        ws = (Window.indicator(), Window.from_string("x^-0.25"))
+        system = WindowedSystem(UNIT, tuple((w, integers()) for w in ws))
+        rep = estimate_frame_bounds(system, 256)
+        dens = [density_closed_form(WeightedComb.single(integers()))] * 2
+        out = window_density_bracket_check(system, rep, dens)
+        assert [(row.ess_sup, row.holds) for row in out.per_window] == [
+            (1.0, True), (np.inf, False)]
+        assert not out.all_hold
 
     def test_contradiction_flagged_for_claimed_frame_without_density(self):
         system = WindowedSystem(UNIT, ((Window.indicator(), FiniteSet(((0.0,),))),))

@@ -1,9 +1,12 @@
 """Package layout: modules share no private names, and each job has one home."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "frameforge"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "frameforge"
 
 
 def private_relative_imports(path):
@@ -165,3 +168,41 @@ def test_private_call_checker(tmp_path):
                      "        return object.__setattr__(self, 'a', 1)\n")
     assert foreign_private_calls(probe) == ["probe.py:10 calls _corner_arrays",
                                             "probe.py:11 calls _overlaps"]
+
+
+def unresolved_bindings(targets):
+    """(module, attribute) pairs the tracer could not rebind: a missing
+    module attribute, or a "Class.method" the class does not define itself."""
+    missing = []
+    for module, attr in targets:
+        owner = importlib.import_module(module)
+        *cls, name = attr.split(".")
+        if cls:
+            owner = getattr(owner, cls[0], None)
+        if name not in vars(owner or object):
+            missing.append(f"{module}.{attr}")
+    return missing
+
+
+def test_benchmark_bindings_resolve():
+    # the benchmark's tracer rebinds these names by string, so a rename in
+    # the package would break the benchmark without failing a package test
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [t[:2] for t in tracer.SPANNED + tracer.COUNTED + tracer._criteria()]
+    assert len(targets) >= 39
+    assert unresolved_bindings(targets) == []
+
+
+def test_binding_checker():
+    assert unresolved_bindings([
+        ("frameforge.construction", "cosine_measure_certificate"),
+        ("frameforge.pointsets", "StructuredPointSet.count_in_box"),
+        ("frameforge.pointsets", "FiniteSet.count_in_box"),
+        ("frameforge.construction", "cosine_certificate"),
+        ("frameforge.geometry", "NoSuchClass.contains"),
+    ]) == ["frameforge.pointsets.FiniteSet.count_in_box",
+           "frameforge.construction.cosine_certificate",
+           "frameforge.geometry.NoSuchClass.contains"]

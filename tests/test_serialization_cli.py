@@ -208,13 +208,37 @@ class TestCli:
     def test_certify_measure_and_refusal(self, tmp_path, capsys):
         domain = tmp_path / "omega.json"
         domain.write_text(json.dumps({"dim": 1, "boxes": [[0.0, 1.0]]}))
+        csv_path = tmp_path / "cert.csv"
         rc = run_cli("certify-measure", "--domain", str(domain), "--x0", "2.0",
-                     "--grid-n", "64", "--trials", "5")
+                     "--grid-n", "64", "--csv", str(csv_path))
         out = capsys.readouterr().out
-        assert rc == 0 and "verdict: certified" in out
+        assert rc == 0
+        assert out.splitlines()[0] == "verdict: certified"
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "verdict", "A_est", "B_est", "notes"]
+        header, row = csv_path.read_text().splitlines()
+        assert header == "x0,A_est,B_est" and row.startswith("2.0,")
         rc = run_cli("certify-measure", "--domain", str(domain), "--x0", "0.5")
         out = capsys.readouterr().out
         assert rc == 0 and "verdict: refused" in out
+
+    def test_certify_measure_off_the_grid_exits_two(self, tmp_path, capsys):
+        domain = tmp_path / "omega.json"
+        domain.write_text(json.dumps({"dim": 1, "boxes": [[0.0, 0.5], [1.0, 1.5]]}))
+        rc = run_cli("certify-measure", "--domain", str(domain), "--x0", "0.5",
+                     "--grid-n", "256")
+        assert rc == 2
+        assert "whole numbers of grid cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("boxes, x0", [([[0.0, 0.0, 1.0, 1.0]], "2,0"),
+                                           ([[0.0, 1.0]], "1e5")],
+                             ids=["unit_square", "far_shift"])
+    def test_certify_measure_default_grid(self, tmp_path, capsys, boxes, x0):
+        domain = tmp_path / "omega.json"
+        domain.write_text(json.dumps({"dim": len(boxes[0]) // 2, "boxes": boxes}))
+        rc = run_cli("certify-measure", "--domain", str(domain), "--x0", x0)
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == "verdict: certified"
 
     def test_gabor_command(self, tmp_path, capsys):
         csv_path = tmp_path / "gabor.csv"

@@ -73,9 +73,13 @@ def test_boundedness_flags():
     ("x^-0.25", [(0, 1)], False),
     ("(1-x)^-0.25", [(0.5, 1)], False),
     ("x^-0.25", [(-1, 1)], False),
+    ("x^-0.25*indicator(0.5,1)", [(0, 1)], True),
+    ("x^-0.25*indicator(0,0.5)", [(0, 1)], False),
+    ("x^-0.25*indicator(-1,1)", [(0.5, 2)], True),
 ])
 def test_bounded_on_reads_each_box_of_the_domain(text, intervals, bounded):
-    # a singularity between two boxes, or beyond the far face, is harmless
+    # a singularity between two boxes, beyond the far face, or where the
+    # window's indicator factor vanishes is harmless
     omega = BoxUnionSet.from_intervals(intervals)
     assert Window.from_string(text).bounded_on(omega) is bounded
 
