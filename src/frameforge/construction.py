@@ -334,10 +334,13 @@ def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
                      if np.any(-((grid_n - c) // N) > (c + grid_n) // N)
                      or not np.any((c + grid_n) // N))
     # at the band's cell centres 2 pi <xi_j, x0> = pi sum_a ±c_a (2 j_a + 1 - N) / N,
-    # whole half-turns over N, so a far x0 costs the cosine no precision
+    # whole half-turns over N, so a far x0 costs the cosine no precision;
+    # folding t to min(t, 2N - t) makes the mirrored cells' masses equal
+    # bit for bit, so the density is even and the operator real
     j = np.indices((density_n,) * d).reshape(d, -1)
     shift = np.sign(x0).astype(int) * c % (2 * density_n)
     turns = shift @ (2 * j + 1 - density_n) % (2 * density_n)
+    turns = np.minimum(turns, 2 * density_n - turns)
     band = nyquist_box(bb, grid_n)
     measure = ContinuousFreqMeasure(density=GridFunction(
         band, 1.0 + np.cos(np.pi * turns / density_n).reshape((density_n,) * d),

@@ -113,25 +113,40 @@ def _sum_kernel(freq: FreqSpec, steps: np.ndarray, n: int, box: Box) -> np.ndarr
     return kernel if freq.density is None else kernel + _density_kernel(freq.density, steps, n)
 
 
+def _mirrors(freqs: np.ndarray, weights: np.ndarray) -> bool:
+    """Whether the weighted points equal their reflection xi -> -xi exactly;
+    IEEE rounding is sign-symmetric, so k s and (-k) s match bit for bit."""
+    a, b = (np.column_stack([sign * freqs, weights]) for sign in (1, -1))
+    return np.array_equal(a[np.lexsort(a[:, ::-1].T)], b[np.lexsort(b[:, ::-1].T)])
+
+
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    return a if a.imag.any() else a.real.copy()
+
+
 def _density_kernel(density: GridFunction, steps: np.ndarray, n: int) -> np.ndarray:
     """The kernel of a density's cell masses.  When the N cells per axis are
     each 1/M_a of the grid's alias band (h_a step_a = 1/M_a, M_a >= N whole),
     the sum over the centres c + j h is e^{2 pi i <c, k step>} times the
     inverse DFT of the masses read at k mod M: M^d log M work, where the
-    plain sum takes (2n)^d per cell."""
+    plain sum takes (2n)^d per cell.  Masses that mirror on a box with
+    lo = -hi make an even density, whose kernel is real."""
     mass = np.maximum(density.samples.real * density.cell_weights, 0.0)
+    box = density.bounding_box
+    even = np.array_equal(mass, np.flip(mass)) and box.lo == tuple(-v for v in box.hi)
     ratio = 1.0 / (np.array(density.spacing) * steps)
     cycle = np.round(ratio).astype(int)
     if np.any(np.abs(ratio - cycle) > 1e-9 * ratio) or np.any(cycle < mass.shape):
         keep = mass.ravel() > 0
-        return _difference_kernel(density.points()[keep], mass.ravel()[keep], steps, n)
+        kernel = _difference_kernel(density.points()[keep], mass.ravel()[keep], steps, n)
+        return kernel.real.copy() if even else kernel
     k = np.arange(-(n - 1), n)
     kernel = np.fft.ifftn(mass, s=tuple(cycle), axes=range(len(cycle))) * np.prod(cycle)
     kernel = kernel[np.ix_(*[k % m for m in cycle])]
-    centre = np.array(density.bounding_box.lo) + 0.5 * np.array(density.spacing)
+    centre = np.array(box.lo) + 0.5 * np.array(density.spacing)
     for a, (c, s) in enumerate(zip(centre, steps)):
         kernel *= np.exp(2j * np.pi * c * s * k).reshape((-1,) + (1,) * (len(steps) - a - 1))
-    return kernel
+    return kernel.real.copy() if even else kernel
 
 
 def _phase_tables(freqs: np.ndarray, step: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +169,8 @@ def _difference_kernel(freqs: np.ndarray, weights: np.ndarray, steps: np.ndarray
     differences k in (-n, n)^d, as a (2n - 1)^d array holding K(k) at k + n - 1.
 
     Every axis but the last enters as its full phase table; the last axis's
-    fine table is the right factor of the one matrix product.
+    fine table is the right factor of the one matrix product.  Weighted
+    points equal to their reflection make K a cosine sum, returned real.
     """
     span = 2 * n - 1
     *axes, (coarse, fine) = [_phase_tables(freqs[:, a], s, n) for a, s in enumerate(steps)]
@@ -163,7 +179,8 @@ def _difference_kernel(freqs: np.ndarray, weights: np.ndarray, steps: np.ndarray
         left = _rowwise_outer(left, _rowwise_outer(c, f)[:, :span])
     kernel = _rowwise_outer(left, coarse).T @ fine
     kernel = kernel.reshape(-1, coarse.shape[1] * fine.shape[1])[:, :span]
-    return kernel.reshape((span,) * len(steps))
+    kernel = kernel.reshape((span,) * len(steps))
+    return kernel.real.copy() if _mirrors(freqs, weights) else kernel
 
 
 def _lattice_cosets(freq: FreqSpec, steps: np.ndarray,
@@ -211,7 +228,7 @@ def _lattice_kernel(periods: np.ndarray, cosets: tuple, steps: np.ndarray,
             phase[(n - 1) % p::p] = np.exp(2j * np.pi * o_a * s * k[(n - 1) % p::p])
             term = np.multiply.outer(term, phase)
         kernel += term
-    return kernel
+    return _real_if_exact(kernel)
 
 
 def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
@@ -230,7 +247,7 @@ def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
         if not (spec.any() if isinstance(spec, np.ndarray) else any(c for _, c in spec)):
             notes.append(_silent_pair_note(window))
             continue
-        terms.append((window.eval(xs) * sqw, period, spec))
+        terms.append((_real_if_exact(window.eval(xs) * sqw), period, spec))
     return terms, notes
 
 
@@ -273,9 +290,9 @@ def _extremal_eigs_blocks(kernels: list, idx: np.ndarray, n: int, order: np.ndar
         for cells in np.split(group, range(step, len(group), step)):
             if V is None:
                 diff = at[cells][:, :, None] - at[cells][:, None, :] + centre
-                H = np.zeros(diff.shape, dtype=complex)
+                H = np.zeros(diff.shape, dtype=np.result_type(*(x for p in kernels for x in p)))
                 for u, K in kernels:
-                    block = K.ravel()[diff]
+                    block = K.ravel()[diff].astype(H.dtype, copy=False)
                     block *= u[cells][:, :, None]
                     block *= u[cells].conj()[:, None, :]
                     H += block
@@ -400,6 +417,8 @@ def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
                     _lattice_kernel(p, spec, steps, grid_n)) for u, p, spec in terms]
         if sizes.max() <= DENSE_EIG_LIMIT:
             a, b = _extremal_eigs_blocks(kernels, idx, grid_n, order, sizes, None)
+            if not any(np.iscomplexobj(x) for p in kernels for x in p):
+                note += " in real arithmetic"
         else:
             a, b = _extremal_eigs_iterative(kernels, idx, grid_n)
             note = f"iterative extremal eigensolve at tolerance {ITER_EIG_TOL}"

@@ -292,7 +292,7 @@ class TestCosineCertificate:
         assert cert.holds
         assert cert.report.A_est == pytest.approx(1.0, abs=1e-9)
         assert cert.report.B_est == pytest.approx(1.0, abs=1e-9)
-        assert cert.report.notes == "dense eigensolve of order 128"
+        assert cert.report.notes == "dense eigensolve of order 128 in real arithmetic"
         assert cert.measure_descriptor.density.n_per_axis == 128 + 256 + 1
 
     def test_overlapping_shift_refused(self):

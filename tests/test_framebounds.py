@@ -65,6 +65,21 @@ def dense_gram_oracle(omega, pairs, grid_n):
     return max(evs[0], 0.0), evs[-1]
 
 
+def oracle_frequencies(freq, box):
+    """The oracle's frequencies and weights: a point set's points in
+    ``box``, weighing 1, or a measure's atoms and density cell centres,
+    weighing their weights and masses."""
+    if not isinstance(freq, ContinuousFreqMeasure):
+        lam = freq.points_in_box(box)
+        return lam, np.ones(len(lam))
+    lam = [np.array([p for p, _ in freq.atoms]).reshape(-1, box.dim)]
+    weights = [np.array([w for _, w in freq.atoms])]
+    if freq.density is not None:
+        lam.append(freq.density.points())
+        weights.append((freq.density.samples.real * freq.density.cell_weights).ravel())
+    return np.vstack(lam), np.concatenate(weights)
+
+
 def draw_domain(draw, d):
     """One to three boxes on a quarter grid, so the union may have gaps."""
     boxes = []
@@ -74,10 +89,12 @@ def draw_domain(draw, d):
     return canonicalize(boxes)
 
 
-def draw_window(draw, j):
+def draw_window(draw, j, real=False):
+    """c0 + c1 x_0 + i c2 x_last^2, or with a real last term when ``real``."""
     c = [draw(st.floats(0.2, 1.5)) for _ in range(3)]
+    unit = 1.0 if real else 1j
     return Window.from_callable(
-        lambda p, c=c: c[0] + c[1] * p[:, 0] + 1j * c[2] * p[:, -1] ** 2, f"w{j}")
+        lambda p, c=c: c[0] + c[1] * p[:, 0] + unit * c[2] * p[:, -1] ** 2, f"w{j}")
 
 
 @st.composite
@@ -121,12 +138,19 @@ def whole_period_lattice(draw, periods, steps):
 
 
 @st.composite
-def dense_systems(draw, with_lattice=False):
+def dense_systems(draw, with_lattice=False, even=False):
     """Frequency specs without a closed-form kernel, up to two pairs on
     domains with gaps: finite sets, spacings 0.79 (1 + k/16) (the grid steps
     are quarters over small integers, so no period is a whole number of
     cells), skew 2-D lattices, and measures with a density and atoms, the
     density's cells on or off a whole fraction of the alias band.
+
+    With ``even`` every window is real and every frequency measure equals
+    its reflection xi -> -xi: the truncation box is symmetric about 0, a
+    finite set holds -p with each p, the skew lattice's entries are
+    0.79 (1 + k/16) too (so no point meets a face of the box), and the
+    density sits on a box with lo = -hi with its samples and atoms
+    mirrored, so the operator is real.
 
     The truncation box holds the origin, a point of every lattice drawn, so
     no pair is silent.  With ``with_lattice`` the first pair is a diagonal
@@ -142,6 +166,9 @@ def dense_systems(draw, with_lattice=False):
     if with_lattice:
         lo = [-draw(st.integers(1, 15)) / 16.0 * w for w in band]
         trunc = Box(tuple(lo), tuple(a + draw(st.integers(1, 2)) * w for a, w in zip(lo, band)))
+    elif even:
+        half = [draw(st.integers(1, 8)) / 16.0 * w for w in band]
+        trunc = Box(tuple(-h for h in half), tuple(half))
     else:
         trunc = Box(tuple(-draw(st.integers(1, 8)) / 16.0 * w for w in band),
                     tuple(draw(st.integers(1, 8)) / 16.0 * w for w in band))
@@ -151,13 +178,12 @@ def dense_systems(draw, with_lattice=False):
         window = draw_window(draw, "L")
         periods = np.array([draw(st.integers(1, 4)) for _ in range(d)])
         freq = whole_period_lattice(draw, periods, 1.0 / band)
-        lam = freq.points_in_box(hair)
         pairs.append((window, freq))
-        oracle.append((window, lam, np.ones(len(lam))))
+        oracle.append((window, *oracle_frequencies(freq, hair)))
     for j in range(1 if with_lattice else draw(st.integers(1, 2))):
         kind = draw(st.sampled_from(["finite", "spacing", "measure"]
                                     + (["skew"] if d == 2 else [])))
-        window = draw_window(draw, j)
+        window = draw_window(draw, j, real=even)
         if kind == "measure":
             lo = [draw(st.floats(-3.0, 1.0)) for _ in range(d)]
             cells = draw(st.integers(2, 5))
@@ -166,6 +192,8 @@ def dense_systems(draw, with_lattice=False):
             cycle = draw(st.sampled_from([None, cells, cells + 3]))
             sides = ([draw(st.floats(0.5, 3.0)) for _ in range(d)] if cycle is None
                      else cells * band / cycle)
+            if even:
+                lo = [-0.5 * s for s in sides]
             box = Box(tuple(lo), tuple(a + s for a, s in zip(lo, sides)))
             c = [draw(st.floats(0.1, 2.0)) for _ in range(2)]
             density = GridFunction.from_callable(
@@ -173,12 +201,20 @@ def dense_systems(draw, with_lattice=False):
             atoms = tuple((tuple(draw(st.floats(-3.0, 3.0)) for _ in range(d)),
                            draw(st.floats(0.5, 2.0)))
                           for _ in range(draw(st.integers(0, 2))))
+            if even:
+                # a sum is commutative, so the samples mirror bit for bit
+                density = GridFunction(box, density.samples + np.flip(density.samples),
+                                       density.cell_weights)
+                atoms += tuple((tuple(-v for v in p), w) for p, w in atoms)
             freq = ContinuousFreqMeasure(density=density, atoms=atoms)
-            mass = (density.samples.real * density.cell_weights).ravel()
-            lam = np.vstack([density.points()] + [np.array([p]) for p, _ in atoms])
-            weights = np.concatenate([mass, [w for _, w in atoms]])
         else:
-            if kind == "finite":
+            if kind == "finite" and even:
+                cells = draw(st.sets(st.tuples(*[st.integers(-15, 15)] * d),
+                                     min_size=1, max_size=3))
+                cells |= {tuple(-k for k in cell) for cell in cells}
+                freq = FiniteSet(tuple(tuple(k / 16.0 * h for k, h in zip(cell, trunc.hi))
+                                       for cell in sorted(cells)), d)
+            elif kind == "finite":
                 cells = draw(st.lists(st.tuples(*[st.integers(1, 15)] * d),
                                       min_size=1, max_size=5, unique=True))
                 freq = FiniteSet(tuple(
@@ -187,12 +223,11 @@ def dense_systems(draw, with_lattice=False):
             elif kind == "spacing":
                 freq = integers(d, 0.79 * (1.0 + draw(st.integers(0, 16)) / 16.0))
             else:
-                sides = [draw(st.floats(0.5, 1.5)) for _ in range(3)]
+                sides = [0.79 * (1.0 + draw(st.integers(0, 16)) / 16.0) if even
+                         else draw(st.floats(0.5, 1.5)) for _ in range(3)]
                 freq = LatticeCosets(Lattice(((sides[0], sides[1]), (0.0, sides[2]))))
-            lam = freq.points_in_box(hair)
-            weights = np.ones(len(lam))
         pairs.append((window, freq))
-        oracle.append((window, lam, weights))
+        oracle.append((window, *oracle_frequencies(freq, hair)))
     return WindowedSystem(omega, tuple(pairs)), grid_n, trunc, oracle
 
 
@@ -297,19 +332,24 @@ class TestEstimateFrameBounds:
         measure = ContinuousFreqMeasure(
             density=GridFunction.indicator(Box((-64.0,), (64.0,)), 100),
             atoms=(((3.3,), 1.5), ((-20.7,), 0.5)))
+        even = ContinuousFreqMeasure(density=measure.density,
+                                     atoms=(((3.3,), 1.5), ((-3.3,), 1.5)))
         # spacing 0.79 does not divide into the grid, so the operator is one
         # block; cosets of 32Z have a period of 4 cells on the 128-cell grid,
         # and the gap of cells 96 to 100 leaves blocks of 31, 31, 31 and 30
-        # cells, so only the largest block exceeds the limit
+        # cells, so only the largest block exceeds the limit; Z 0.79 and the
+        # even measure have real kernels, which the iterative path takes too
         gapped = BoxUnionSet.from_intervals([(0.0, 0.75), (101 / 128, 1.0)])
         cosets = LatticeCosets(Lattice.scaled_integers(32.0),
                                tuple((1.37 * k,) for k in range(40)))
         cases = [(UNIT, Window.indicator(), integers(scale=0.79), 128,
-                  "dense eigensolve of order 128"),
+                  "dense eigensolve of order 128 in real arithmetic"),
                  (UNIT, Window.from_string("x^1.0"), measure, 128,
                   "dense eigensolve of order 128"),
+                 (UNIT, Window.from_string("x^1.0"), even, 128,
+                  "dense eigensolve of order 128 in real arithmetic"),
                  (l_shape, Window.from_string("(1-x)^1.0"), integers(dim=2, scale=0.79),
-                  16, "dense eigensolve of order 192"),
+                  16, "dense eigensolve of order 192 in real arithmetic"),
                  (gapped, Window.from_string("x^1.0"), cosets, 128,
                   "dense eigensolve of 4 blocks of order at most 31")]
         for omega, window, freq, grid_n, note in cases:
@@ -341,12 +381,12 @@ class TestEstimateFrameBounds:
         assert rep.B_est == pytest.approx(1.0, abs=1e-9)
 
 
-def assert_one_block_matches_oracle(case):
+def assert_one_block_matches_oracle(case, arithmetic=""):
     system, grid_n, trunc, oracle = case
     rep = estimate_frame_bounds(system, grid_n, trunc)
     bb = system.omega.bounding_box()
     order = int(np.count_nonzero(cell_volumes(bb, grid_n, system.omega)))
-    assert rep.notes == f"dense eigensolve of order {order}"
+    assert rep.notes == f"dense eigensolve of order {order}{arithmetic}"
     a, b = dense_gram_oracle(system.omega, oracle, grid_n)
     assert abs(rep.A_est - a) <= 1e-9 * b
     assert abs(rep.B_est - b) <= 1e-9 * b
@@ -380,6 +420,68 @@ class TestDenseKernelPath:
         assert_one_block_matches_oracle(case)
 
 
+class TestRealPath:
+    """A real window against a frequency measure equal to its reflection has
+    a real kernel, and the one block solve then runs in real arithmetic; the
+    complex dense Gram is its oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_systems(even=True))
+    def test_even_systems_solve_in_real_arithmetic(self, case):
+        assert_one_block_matches_oracle(case, " in real arithmetic")
+
+    RAMP = Window.from_string("(1-x)^1.0")
+    TILTED = Window.from_callable(lambda p: 1.0 + 0.5j * p[:, 0], "tilted")
+    ONE_SIDED = FiniteSet(((1.0,), (2.5,)))
+
+    # each case has a complex factor somewhere: a one-sided set; atoms at
+    # +-p with unequal weights; a constant density on [0, 4), whose masses
+    # mirror on a box that does not; 1/2 + 2Z,
+    # a coset at a quarter of its spacing whose closed-form kernel has the
+    # phase i at a lag of one period (beside a real pair, so it enters the
+    # one block); the band-edge set, whose top frequency 63.99999999999999
+    # lies within the hair below the upper face and is dropped while its
+    # negative stays (at 96 cells its period is no whole number of cells, so
+    # its kernel is summed); a complex window; and real pairs beside complex
+    # ones
+    @pytest.mark.parametrize("pairs, grid_n, trunc", [
+        (((RAMP, ONE_SIDED),), 16, None),
+        (((RAMP, ContinuousFreqMeasure(atoms=(((1.5,), 1.0), ((-1.5,), 2.0)))),), 16, None),
+        (((RAMP, ContinuousFreqMeasure(
+            density=GridFunction.indicator(Box((0.0,), (4.0,)), 8))),), 16, None),
+        (((RAMP, LatticeCosets(Lattice.scaled_integers(2.0), ((0.5,),))),
+          (Window.indicator(), FiniteSet(((0.0,),)))), 16, None),
+        (((Window.from_string("0.5"), integers(scale=128 / 214)),), 96, Box((-64.0,), (64.0,))),
+        (((TILTED, integers(scale=0.79)),), 16, None),
+        (((Window.indicator(), integers(scale=0.79)), (RAMP, ONE_SIDED)), 16, None),
+        (((TILTED, FiniteSet(((0.0,), (1.0,), (-1.0,)))), (RAMP, integers(scale=0.79))), 16,
+         None),
+    ], ids=["one_sided_set", "unequal_mirrored_atoms", "off_centre_density",
+            "coset_offset_quarter", "band_edge_set", "complex_window",
+            "real_beside_complex_kernel", "complex_window_beside_real"])
+    def test_complex_factors_keep_the_complex_solve(self, pairs, grid_n, trunc):
+        rep = estimate_frame_bounds(WindowedSystem(UNIT, pairs), grid_n, trunc)
+        assert rep.notes == f"dense eigensolve of order {grid_n}"
+        trunc = trunc or nyquist_box(UNIT.bounding_box(), grid_n)
+        hair = trunc.translate([-1e-9 * s for s in trunc.sides])
+        a, b = dense_gram_oracle(UNIT, [(w, *oracle_frequencies(f, hair)) for w, f in pairs],
+                                 grid_n)
+        assert abs(rep.A_est - a) <= 1e-9 * b
+        assert abs(rep.B_est - b) <= 1e-9 * b
+
+    @pytest.mark.parametrize("freq", [integers(scale=0.79), FiniteSet(((-2.0,), (2.0,)))])
+    def test_a_constant_phase_moves_the_solve_not_the_bounds(self, freq):
+        # e^{0.3i} (1 - x) gives the operator of 1 - x, since the phase
+        # cancels in u(x) conj(u(y)), but it is stored complex
+        phased = Window.from_callable(lambda p: np.exp(0.3j) * (1.0 - p[:, 0]), "phased")
+        real = estimate_frame_bounds(WindowedSystem(UNIT, ((self.RAMP, freq),)), 64)
+        cplx = estimate_frame_bounds(WindowedSystem(UNIT, ((phased, freq),)), 64)
+        assert real.notes == "dense eigensolve of order 64 in real arithmetic"
+        assert cplx.notes == "dense eigensolve of order 64"
+        assert abs(real.A_est - cplx.A_est) <= 1e-12 * real.B_est
+        assert abs(real.B_est - cplx.B_est) <= 1e-12 * real.B_est
+
+
 class TestSilentPairs:
     SILENT = "pair 'x^1.0': no frequencies inside the truncation box; it contributes nothing"
 
@@ -398,7 +500,8 @@ class TestSilentPairs:
         system = WindowedSystem(UNIT, ((Window.indicator(), integers()),
                                        (Window.from_string("x^1.0"), FiniteSet(((99.0,),)))))
         rep = estimate_frame_bounds(system, 8, Box((-4.0,), (4.0,)))
-        assert rep.notes == f"{self.SILENT}; dense eigensolve of 8 blocks of order at most 1"
+        assert rep.notes == (f"{self.SILENT}; dense eigensolve of 8 blocks of order at most 1"
+                             " in real arithmetic")
         assert rep.A_est == pytest.approx(1.0, rel=1e-12)
         assert rep.B_est == pytest.approx(1.0, rel=1e-12)
 
@@ -429,14 +532,14 @@ class TestFiberizedPath:
         system = WindowedSystem(UNIT, ((Window.from_string("x^1.0"), integers()),
                                        (Window.from_string("0.5"), integers(scale=0.5))))
         rep = estimate_frame_bounds(system, 256)
-        assert rep.notes == "dense eigensolve of 256 blocks of order at most 1"
+        assert rep.notes == "dense eigensolve of 256 blocks of order at most 1 in real arithmetic"
 
     def test_inactive_cells_leave_fibers_out(self):
         # [0, 1/4) and [3/4, 1) at 8 cells: 4 active cells, one per fiber
         omega = BoxUnionSet.from_intervals([(0.0, 0.25), (0.75, 1.0)])
         system = WindowedSystem(omega, ((Window.indicator(), integers(scale=2.0)),))
         rep = estimate_frame_bounds(system, 8)
-        assert rep.notes == "dense eigensolve of 4 blocks of order at most 1"
+        assert rep.notes == "dense eigensolve of 4 blocks of order at most 1 in real arithmetic"
         assert rep.A_est == pytest.approx(0.5, rel=1e-14)
         assert rep.B_est == pytest.approx(0.5, rel=1e-14)
 
@@ -476,9 +579,9 @@ class TestFiberizedPath:
         ramp = ((Window.from_string("(1-x)^1.0"), integers()),)
         # a lone block goes in as a plain matrix
         cases = [(UNIT, ((Window.indicator(), integers(scale=0.79)),), 64, 64, [(64, 64)],
-                  "dense eigensolve of order 64"),
+                  "dense eigensolve of order 64 in real arithmetic"),
                  (UNIT, two, 256, 8, [(64, 1, 1)] * 4,
-                  "dense eigensolve of 256 blocks of order at most 1"),
+                  "dense eigensolve of 256 blocks of order at most 1 in real arithmetic"),
                  (eight, ramp, 128, 8, [(8, 1, 1)] * 2,
                   "dense eigensolve of 16 blocks of order at most 8 and rank at most 1"),
                  (eight, ramp, 128, 4, [(2, 1, 1)] * 8,
@@ -515,7 +618,7 @@ class TestFiberizedPath:
         window = Window.from_string("x^1.0")
         system = WindowedSystem(UNIT, ((window, integers()),))
         rep = estimate_frame_bounds(system, 16, Box((-5.5,), (5.5,)))
-        assert rep.notes == "dense eigensolve of order 16"
+        assert rep.notes == "dense eigensolve of order 16 in real arithmetic"
         a, b = dense_gram_oracle(UNIT, [(window, np.arange(-5.0, 6.0).reshape(-1, 1))], 16)
         assert rep.A_est == pytest.approx(a, rel=1e-9, abs=1e-12)
         assert rep.B_est == pytest.approx(b, rel=1e-9)
@@ -523,7 +626,8 @@ class TestFiberizedPath:
     @pytest.mark.parametrize("freq", [FiniteSet(((0.0,),)), integers(scale=0.79)])
     def test_other_frequency_sets_stay_dense(self, freq):
         system = WindowedSystem(UNIT, ((Window.indicator(), freq),))
-        assert estimate_frame_bounds(system, 64).notes == "dense eigensolve of order 64"
+        assert (estimate_frame_bounds(system, 64).notes
+                == "dense eigensolve of order 64 in real arithmetic")
 
     def test_unit_interval_is_tight_to_roundoff(self):
         system = WindowedSystem(UNIT, ((Window.indicator(), integers()),))

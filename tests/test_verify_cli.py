@@ -12,9 +12,21 @@ from frameforge.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_seed7"
 
 
+def relative_change(a, b):
+    """`` (rel r)`` for two cells that parse as floats, r being their
+    difference over the larger magnitude; empty otherwise."""
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return ""
+    return f" (rel {abs(y - x) / (max(abs(x), abs(y)) or 1.0):.1e})"
+
+
 def changed_cells(new, golden):
     """Each cell where ``new`` differs from ``golden``, one line apiece naming
-    the file, the row (the header is row 0), the column and both values."""
+    the file, the row (the header is row 0), the column and both values, and
+    their relative difference when both are numbers, so a roundoff-only
+    change reads as one."""
     with open(new, newline="") as f_new, open(golden, newline="") as f_old:
         rows_new, rows_old = list(csv.reader(f_new)), list(csv.reader(f_old))
     header = rows_old[0] if rows_old else []
@@ -24,7 +36,7 @@ def changed_cells(new, golden):
             if a != b:
                 column = header[c] if c < len(header) else f"#{c}"
                 lines.append(f"{pathlib.Path(new).name} row {r} column {column}: "
-                             f"golden {a!r}, new {b!r}")
+                             f"golden {a!r}, new {b!r}{relative_change(a, b)}")
     return "\n".join(lines) or f"{pathlib.Path(new).name}: bytes differ, cells agree"
 
 
@@ -51,8 +63,16 @@ def test_changed_cells_names_each_cell(tmp_path):
     golden.write_text("variant,A\nbase,0.25\nwide,1.5\n")
     new.write_text("variant,A\nbase,0.2519\nwide,1.5\nextra,2\n")
     assert changed_cells(new, golden).splitlines() == [
-        "c04.csv row 1 column A: golden '0.25', new '0.2519'",
+        "c04.csv row 1 column A: golden '0.25', new '0.2519' (rel 7.5e-03)",
         "c04.csv row 3 column variant: golden None, new 'extra'",
         "c04.csv row 3 column A: golden None, new '2'"]
     new.write_text("variant,A\r\nbase,0.25\r\nwide,1.5\r\n")
     assert changed_cells(new, golden) == "c04.csv: bytes differ, cells agree"
+    new.write_text("variant,A\nbase,0.25\nnarrow,1.5000000000000002\n")
+    assert changed_cells(new, golden).splitlines() == [
+        "c04.csv row 2 column variant: golden 'wide', new 'narrow'",
+        "c04.csv row 2 column A: golden '1.5', new '1.5000000000000002' (rel 1.5e-16)"]
+    golden.write_text("variant,A\nbase,0.0\n")
+    new.write_text("variant,A\nbase,-0.0\n")
+    assert changed_cells(new, golden) == \
+        "c04.csv row 1 column A: golden '0.0', new '-0.0' (rel 0.0e+00)"
