@@ -12,6 +12,7 @@ from .geometry import (
     cover_cube,
     lattice_residue_check,
     overlap_profile,
+    overlap_zero_set,
     translate_overlap,
 )
 from .pointsets import (

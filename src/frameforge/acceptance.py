@@ -24,7 +24,7 @@ from .construction import (
 )
 from .framebounds import WindowedSystem, estimate_frame_bounds, \
     lower_bound_decay_probe
-from .geometry import Box, BoxUnionSet, Lattice, cantor_tower
+from .geometry import Box, BoxUnionSet, Lattice, cantor_tower, overlap_profile
 from .pointsets import (
     EventuallyPeriodic1D,
     WeightedComb,
@@ -234,25 +234,24 @@ def criterion_08_obstruction(seed: int) -> CriterionResult:
     start = time.monotonic()
     full = cantor_tower(12)
     verdict_full = tight_frame_obstruction_scan(
-        full.omega, r_grid=[0.0], x_max=8.0, step=0.01,
-        tail_measure=full.tail_measure)
+        full.omega, x_max=8.0, tail_measure=full.tail_measure)
     holed = cantor_tower(12, k=5)
     verdict_holed = tight_frame_obstruction_scan(
-        holed.omega, r_grid=[0.0], x_max=8.0, step=0.01,
-        tail_measure=holed.tail_measure)
+        holed.omega, x_max=8.0, tail_measure=holed.tail_measure)
     elapsed = time.monotonic() - start
-    witnesses = sorted(x[0] for x in verdict_holed.witnesses
-                       if 2.4 <= x[0] <= 2.6)
-    window_ok = bool(witnesses) and witnesses[-1] - witnesses[0] >= 0.02 \
-        and any(abs(x - 2.5) < 1e-9 for x in witnesses)
+    # zero runs end where two tower intervals start to meet: those at 6 and 8
+    # at 2 + 2^-6 + 2^-8, at 6 and 9 at 3 - 2^-6 - 2^-9, at 6 and 11 at
+    # R = 5 - 2^-6 - 2^-11
+    around = ((2.01953125,), (2.982421875,))
     passed = (verdict_full.hypothesis_satisfied and verdict_full.R == 0.0
-              and not verdict_holed.hypothesis_satisfied and window_ok
-              and elapsed < 5.0)
-    detail = (f"full tower: overlap positive on 0..8 step 0.01 ({verdict_full.hypothesis_satisfied}); "
-              f"holed tower: zero-overlap witnesses around 5/2 spanning "
-              f"{witnesses[-1] - witnesses[0]:.2f} >= 0.02; {elapsed:.2f}s < 5s")
+              and verdict_holed.hypothesis_satisfied and verdict_holed.R == 4.98388671875
+              and around in verdict_holed.zero_set and elapsed < 5.0)
+    detail = (f"full tower: overlap positive on [0, 8], R={verdict_full.R!r}; "
+              f"holed tower: R={verdict_holed.R!r} <= k=5, zero interval "
+              f"[{around[0][0]!r}, {around[1][0]!r}] around 5/2; {elapsed:.2f}s < 5s")
+    xs = np.arange(0.0, 8.0 + 0.005, 0.01)
     art = CsvArtifact("c08_holed_profile.csv", ("x", "overlap"),
-                      tuple((x[0], v) for x, v in verdict_holed.profile))
+                      tuple((x[0], v) for x, v in overlap_profile(holed.omega, xs)))
     return CriterionResult(8, "tight-frame obstruction", passed, detail, (art,))
 
 

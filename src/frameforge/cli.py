@@ -159,35 +159,26 @@ def cmd_frame_bounds(args) -> int:
 
 def cmd_construct(args) -> int:
     omega, _ = load_domain(args.domain)
-    lines = []
     try:
         if args.lattice is not None:
             lattice = _parse_lattice(args.lattice, omega.dim)
-            result = build_lattice_tight_frame(omega, lattice,
-                                               grid_cap=args.grid_cap,
+            result = build_lattice_tight_frame(omega, lattice, grid_cap=args.grid_cap,
                                                trunc_radius=args.trunc_radius)
         elif args.windows is not None:
             windows = [Window.from_string(w) for w in args.windows.split(",")]
             result = build_bounded_window_frame(windows, omega, args.grid_n)
         else:
             raise InputError("construct needs --windows or --lattice")
-    except ConstructionRefusal as refusal:
-        lines.append("verdict: refused")
-        lines.append(f"reason: {refusal.reason}")
+    except (ConstructionRefusal, TightFrameRefusal) as refusal:
+        lines = ["verdict: refused", f"reason: {refusal.reason}"]
+        if isinstance(refusal, TightFrameRefusal):
+            norm = float(np.sqrt(refusal.counterexample.norm_sq()))
+            lines += [f"witness_shift: {list(refusal.witness.gamma_prime)}",
+                      f"counterexample_norm: {norm!r}"]
         _emit(lines, args)
         return 0
-    except TightFrameRefusal as refusal:
-        lines.append("verdict: refused")
-        lines.append(f"reason: {refusal.reason}")
-        lines.append(f"witness_shift: {list(refusal.witness.gamma_prime)}")
-        norm = float(np.sqrt(refusal.counterexample.norm_sq()))
-        lines.append(f"counterexample_norm: {norm!r}")
-        _emit(lines, args)
-        return 0
-    lines.append("verdict: constructed")
-    lines.append(f"predicted_A: {result.predicted_A!r}")
-    lines.append(f"predicted_B: {result.predicted_B!r}")
-    lines.append(f"provenance: {result.provenance}")
+    lines = ["verdict: constructed", f"predicted_A: {result.predicted_A!r}",
+             f"predicted_B: {result.predicted_B!r}", f"provenance: {result.provenance}"]
     if args.out:
         save_system(result.system, args.out)
         lines.append(f"system_file: {args.out}")
@@ -197,20 +188,15 @@ def cmd_construct(args) -> int:
 
 def cmd_obstruction(args) -> int:
     omega, tail = load_domain(args.domain)
-    r_grid = [float(r) for r in args.r_grid.split(",")]
-    verdict = tight_frame_obstruction_scan(omega, r_grid, args.x_max, args.step,
-                                           tail_measure=tail)
+    verdict = tight_frame_obstruction_scan(omega, args.x_max, tail_measure=tail)
     if args.csv:
-        write_csv(args.csv, ("x", "overlap"),
-                  [(x[0], v) for x, v in verdict.profile])
-    lines = [f"hypothesis_satisfied: {verdict.hypothesis_satisfied}"]
+        header = [f"{end}_{a}" for end in ("lo", "hi") for a in range(omega.dim)]
+        write_csv(args.csv, header, [lo + hi for lo, hi in verdict.zero_set])
+    lines = [f"hypothesis_satisfied: {verdict.hypothesis_satisfied}", f"R: {verdict.R!r}",
+             f"zero_boxes: {len(verdict.zero_set)}"]
+    lines += [f"first_zero_box: {list(lo)} to {list(hi)}" for lo, hi in verdict.zero_set[:1]]
     if verdict.hypothesis_satisfied:
-        lines.append(f"R: {verdict.R!r}")
-        lines.append("conclusion: no tight exponential frame on the sampled range")
-    else:
-        lines.append(f"zero_overlap_witnesses: {len(verdict.witnesses)}")
-        if verdict.witnesses:
-            lines.append(f"first_witness: {list(verdict.witnesses[0])}")
+        lines.append("conclusion: no tight exponential frame on the scanned range")
     lines.append(f"caveat: {verdict.caveat}")
     _emit(lines, args)
     return 0
@@ -328,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("obstruction", help="tight-frame obstruction scan")
     p.add_argument("--domain", required=True)
     p.add_argument("--x-max", type=float, default=8.0)
-    p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--r-grid", default="0")
     p.add_argument("--csv")
     p.add_argument("--report")
     p.set_defaults(handler=cmd_obstruction)

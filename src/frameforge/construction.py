@@ -34,10 +34,9 @@ from .geometry import (
     Lattice,
     ResidueWitness,
     canonicalize,
-    cartesian,
     cover_cube,
     lattice_residue_check,
-    overlap_profile,
+    overlap_zero_set,
     translate_overlap,
 )
 from .gridfn import GridFunction, cell_volumes, grid_points
@@ -207,13 +206,7 @@ def _incompleteness_function(omega: BoxUnionSet, witness: ResidueWitness,
     every dual-lattice frame coefficient of this function vanishes."""
     delta = tuple(-v for v in witness.gamma_prime)
     shifted = omega.translate(delta)
-    plus_boxes = []
-    for b in omega.boxes:
-        for s in shifted.boxes:
-            cut = b.intersect(s)
-            if cut is not None:
-                plus_boxes.append(cut)
-    e_plus = canonicalize(plus_boxes)
+    e_plus = canonicalize([cut for s in shifted.boxes for cut in omega.intersect_box(s)])
     e_minus = e_plus.translate(tuple(-v for v in delta))
     grid_box, n = _matched_grid(omega, spacing, grid_cap)
     pts = grid_points(grid_box, n)
@@ -235,43 +228,31 @@ def analysis_coefficients(f: GridFunction, window: Window,
 
 @dataclass(frozen=True)
 class ObstructionVerdict:
-    """Outcome of scanning translate overlaps for the tightness obstruction."""
+    """The exact zero set of the translate overlap, for the tightness obstruction."""
 
     hypothesis_satisfied: bool
-    R: Optional[float]
-    witnesses: tuple[tuple[float, ...], ...]
+    R: float
+    zero_set: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
     caveat: str
-    profile: tuple[tuple[tuple[float, ...], float], ...]
 
 
-def tight_frame_obstruction_scan(omega: BoxUnionSet, r_grid: Sequence[float],
-                                 x_max: float, step: float,
+def tight_frame_obstruction_scan(omega: BoxUnionSet, x_max: float,
                                  tail_measure: Optional[float] = None
                                  ) -> ObstructionVerdict:
-    """Scan |omega ∩ (omega+x)| on a grid of shifts.
+    """Find every shift |x_a| <= x_max with |omega ∩ (omega+x)| = 0.
 
-    If for some R in ``r_grid`` every sampled shift with |x| > R has positive
-    overlap, the no-tight-frame obstruction holds on the sampled range;
-    otherwise the zero-overlap shifts are returned as witnesses.  Overlap is
-    symmetric in x, so only non-negative shifts are scanned.
+    The zero set comes from ``overlap_zero_set`` as closed boxes, one sign of
+    x up to x -> -x; R is the largest |x| on it (0 when it is empty).  When
+    R < x_max the overlap is positive for every scanned shift with |x| > R,
+    the no-tight-frame obstruction on the scanned range.  Exact for
+    dyadic-rational faces; other faces carry one rounding in each breakpoint.
     """
-    if step <= 0:
-        raise InputError("step must be positive")
-    axis = np.arange(0.0, x_max + step / 2.0, step)
-    shifts = cartesian([axis] * omega.dim)
-    prof = overlap_profile(omega, shifts)
-    positive = np.array([v for _, v in prof]) > 0.0
-    # squares summed in axis order, as for one shift, so no shift changes side of R
-    radius = np.sqrt(sum(c * c for c in shifts.T))
-    caveat_parts = ["verified on the sampled shift range only"]
-    if tail_measure is not None:
-        caveat_parts.append(f"domain truncation tail measure {tail_measure:.3g}")
-    caveat = "; ".join(caveat_parts)
-    zero_shifts = [x for x, v in prof if v == 0.0]
-    for r in sorted(float(r) for r in r_grid):
-        if positive[radius > r].all():
-            return ObstructionVerdict(True, r, (), caveat, tuple(prof))
-    return ObstructionVerdict(False, None, tuple(zero_shifts), caveat, tuple(prof))
+    zero_set = overlap_zero_set(omega, x_max)
+    R = max((math.sqrt(sum(max(a * a, b * b) for a, b in zip(lo, hi)))
+             for lo, hi in zero_set), default=0.0)
+    caveat = f"exact on the shift box |x_a| <= {x_max!r} only" + (
+        "" if tail_measure is None else f"; domain truncation tail measure {tail_measure:.3g}")
+    return ObstructionVerdict(R < x_max, R, tuple(zero_set), caveat)
 
 
 @dataclass(frozen=True)
@@ -329,10 +310,15 @@ def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
     c = np.abs(np.round(units[0] * grid_n)).astype(int)
     # the lags c + m N (m != 0) alias onto the grid unless some axis's
     # M_a = {m : |c_a - m N| <= n} is empty, or every M_a is {0}; N = n + s + 1
-    # always clears them, and a far x0 is cleared within about 4 n
-    density_n = next(N for N in range(grid_n + 1, grid_n + c.max() + 2)
-                     if np.any(-((grid_n - c) // N) > (c + grid_n) // N)
-                     or not np.any((c + grid_n) // N))
+    # always clears them, and a far x0 is cleared within about 4 n, so the
+    # sizes are tested 4 n at a time, in order, up to the first that clears
+    for first in range(grid_n + 1, grid_n + c.max() + 2, 4 * grid_n):
+        N = np.arange(first, first + 4 * grid_n)[:, None]
+        clear = (np.any(-((grid_n - c) // N) > (c + grid_n) // N, axis=1)
+                 | ~np.any((c + grid_n) // N, axis=1))
+        if clear.any():
+            break
+    density_n = int(N[clear.argmax(), 0])
     # at the band's cell centres 2 pi <xi_j, x0> = pi sum_a ±c_a (2 j_a + 1 - N) / N,
     # whole half-turns over N, so a far x0 costs the cosine no precision;
     # folding t to min(t, 2N - t) makes the mirrored cells' masses equal

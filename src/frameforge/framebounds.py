@@ -468,7 +468,7 @@ def window_ranges(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int
     constant on it.  Returns corners lo, hi (m, d) and range ends inf, sup (q, m).
     """
     bb = omega.bounding_box()
-    faces = list(omega.boxes) + [b for w in windows if (b := w.support_box()) is not None]
+    faces = list(omega.boxes) + [b for w in windows if (b := w.support_box())]
     edges = []
     for k, (a, z) in enumerate(zip(bb.lo, bb.hi)):
         cuts = np.r_[np.linspace(a, z, grid_n + 1), [b.lo[k] for b in faces],

@@ -8,6 +8,7 @@ input data every quantity in this module is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -177,12 +178,7 @@ class BoxUnionSet:
 
     def intersect_box(self, box: Box) -> list[Box]:
         """Pieces of the set inside ``box`` (possibly empty)."""
-        out = []
-        for b in self.boxes:
-            piece = b.intersect(box)
-            if piece is not None:
-                out.append(piece)
-        return out
+        return [p for b in self.boxes if (p := b.intersect(box)) is not None]
 
     def intersection_volume(self, box: Box) -> float:
         return float(sum(p.volume for p in self.intersect_box(box)))
@@ -233,6 +229,36 @@ def overlap_profile(omega: BoxUnionSet,
     except ValueError:
         raise InputError(f"every translate needs dimension {omega.dim}") from None
     return list(zip(map(tuple, xs.tolist()), _overlaps(omega, xs).tolist()))
+
+
+def overlap_zero_set(omega: BoxUnionSet, x_max: float) -> list[tuple[Vec, Vec]]:
+    """The shifts x with |omega ∩ (omega + x)| = 0 in the half-box 0 <= x_0,
+    |x_a| <= x_max, as closed boxes (lo, hi): every sign pattern of the shift
+    up to x -> -x.  Box i meets box j + x exactly when each x_a lies in
+    (lo_ia - hi_ja, hi_ia - lo_ja), so between breakpoints at these face
+    differences every pair term is zero or positive throughout.  The overlap
+    is read at each breakpoint and midpoint; a run of zero reads along axis 0
+    is one box, closed up to the breakpoints around it (in 1-D, the maximal
+    zero intervals).  Exact for dyadic-rational faces, like every quantity in
+    this module; other faces carry one rounding in each breakpoint."""
+    if not (math.isfinite(x_max) and x_max > 0):
+        raise InputError(f"x_max must be positive and finite, got {x_max}")
+    los, his = omega._corner_arrays()
+    breaks = []
+    for a in range(omega.dim):
+        start, diffs = -x_max if a else 0.0, np.subtract.outer(los[:, a], his[:, a]).ravel()
+        b = np.unique(np.r_[start, x_max, diffs, 0.0 - diffs])  # no -0.0 from touching faces
+        breaks.append(b[(b >= start) & (b <= x_max)])
+    # node k of an axis lies between its breakpoints k // 2 and (k + 1) // 2
+    nodes = [(b[k // 2] + b[(k + 1) // 2]) / 2.0 for b in breaks
+             for k in [np.arange(2 * len(b) - 1)]]
+    zero = _overlaps(omega, cartesian(nodes)).reshape([len(n) for n in nodes]) == 0.0
+    edges = np.diff(np.moveaxis(zero, 0, -1).astype(np.int8), axis=-1, prepend=0, append=0)
+    *rest, first = np.nonzero(edges == 1)
+    last = np.nonzero(edges == -1)[-1] - 1
+    lo = np.stack([b[k // 2] for b, k in zip(breaks, [first, *rest])], 1)
+    hi = np.stack([b[(k + 1) // 2] for b, k in zip(breaks, [last, *rest])], 1)
+    return list(zip(map(tuple, lo.tolist()), map(tuple, hi.tolist())))
 
 
 def cover_cube(omega: BoxUnionSet) -> Box:

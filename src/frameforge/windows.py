@@ -32,6 +32,9 @@ def _power_range(lo: np.ndarray, hi: np.ndarray,
     return ends if alpha >= 0 else ends[::-1]
 
 
+EMPTY_SUPPORT = ()  # support_box() of a product whose factors' boxes do not meet
+
+
 class Expr:
     sampled = False  # True when ``range_on`` samples rather than encloses
 
@@ -49,7 +52,7 @@ class Expr:
         raise NotImplementedError
 
     def support_box(self) -> Optional[Box]:
-        """Box outside which the expression is identically zero, if known."""
+        """Box outside which the expression is zero, if known (or EMPTY_SUPPORT)."""
         return None
 
 
@@ -180,11 +183,9 @@ class Product(Expr):
 
     def support_box(self):
         box = None
-        for f in self.factors:
-            b = f.support_box()
-            if b is None:
-                continue
-            box = b if box is None else box.intersect(b)
+        for b in (f.support_box() for f in self.factors):
+            if b is not None:
+                box = b if box is None else (box and b and box.intersect(b)) or EMPTY_SUPPORT
         return box
 
 
@@ -278,7 +279,7 @@ class Window:
         """Whether |g| is essentially bounded on the domain.  The window is 0
         outside its support box, so only the domain's parts inside it count."""
         support = self.support_box()
-        boxes = omega.boxes if support is None else omega.intersect_box(support)
+        boxes = omega.boxes if support is None else support and omega.intersect_box(support)
         lo = np.array([b.lo for b in boxes]).reshape(-1, omega.dim)
         hi = np.array([b.hi for b in boxes]).reshape(-1, omega.dim)
         return bool(np.isfinite(self.expr.range_on(lo, hi)[1]).all())

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import Box
-from .windows import Window
+from .windows import EMPTY_SUPPORT, Window
 
 MIN_GRID = 16
 
@@ -73,6 +73,9 @@ def _window_support(window: Window, M: int) -> Box:
         raise InputError(
             f"window '{window.label}' has no declared compact support; the "
             "Zak transform here only covers compactly supported windows")
+    if support == EMPTY_SUPPORT:
+        raise InputError(f"window '{window.label}' has empty support: the boxes "
+                         "of its factors have no common point")
     if support.dim != 1:
         raise InputError("the Zak engine is one-dimensional; combine axes "
                          "separably for product windows")

@@ -219,53 +219,70 @@ class TestObstructionScan:
     def test_full_tower_satisfies_hypothesis(self):
         tower = cantor_tower(12)
         verdict = tight_frame_obstruction_scan(
-            tower.omega, r_grid=[0.0], x_max=8.0, step=0.01,
-            tail_measure=tower.tail_measure)
+            tower.omega, x_max=8.0, tail_measure=tower.tail_measure)
         assert verdict.hypothesis_satisfied
-        assert verdict.R == 0.0
+        assert verdict.R == 0.0 and verdict.zero_set == ()
         assert "tail measure" in verdict.caveat
 
-    def test_holed_tower_witness_interval_at_five_halves(self):
+    def test_holed_tower_zero_intervals_are_exact(self):
+        # each end is where two tower intervals start to meet, 2 + 2^-6 + 2^-8
+        # for those at 6 and 8, and so on; the gap around 5/2 is one of them
         tower = cantor_tower(12, k=5)
-        verdict = tight_frame_obstruction_scan(
-            tower.omega, r_grid=[0.0], x_max=8.0, step=0.01)
-        assert not verdict.hypothesis_satisfied
-        xs = sorted(x[0] for x in verdict.witnesses)
-        band = [x for x in xs if 2.4 <= x <= 2.6]
-        assert any(abs(x - 2.5) < 1e-9 for x in band)
-        assert band[-1] - band[0] >= 0.02
+        verdict = tight_frame_obstruction_scan(tower.omega, x_max=8.0)
+        assert verdict.zero_set == (((2.01953125,), (2.982421875,)),
+                                    ((3.017578125,), (3.9833984375,)),
+                                    ((4.0166015625,), (4.98388671875,)))
 
     def test_holed_tower_satisfied_beyond_k(self):
         tower = cantor_tower(12, k=5)
-        verdict = tight_frame_obstruction_scan(
-            tower.omega, r_grid=[0.0, 5.0], x_max=8.0, step=0.01)
+        verdict = tight_frame_obstruction_scan(tower.omega, x_max=8.0)
         assert verdict.hypothesis_satisfied
-        assert verdict.R == 5.0
+        assert verdict.R == 4.98388671875 <= 5
 
     def test_bounded_set_fails_hypothesis(self):
-        verdict = tight_frame_obstruction_scan(UNIT, r_grid=[0.0, 1.0, 2.0],
-                                               x_max=4.0, step=0.05)
+        verdict = tight_frame_obstruction_scan(UNIT, x_max=4.0)
         assert not verdict.hypothesis_satisfied
-        assert all(x[0] >= 1.0 for x in verdict.witnesses)
+        assert verdict.zero_set == (((1.0,), (4.0,)),)
+        assert verdict.R == 4.0
 
-    def test_bad_step_rejected(self):
-        with pytest.raises(InputError):
-            tight_frame_obstruction_scan(UNIT, [0.0], 4.0, 0.0)
+    @pytest.mark.parametrize("x_max", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_x_max_rejected(self, x_max):
+        with pytest.raises(InputError, match="x_max"):
+            tight_frame_obstruction_scan(UNIT, x_max)
 
-    def test_radius_filter_matches_scalar_norms(self):
+    def test_holed_square_zero_set_reaches_the_scan_face(self):
         # the square of a holed tower has zero-overlap shifts out to
-        # |(3.5, 7)|; offering every sampled radius as R makes ties decide
+        # (3.96875, -7) and (7, 3.96875) on the face of the scanned box
         tower = cantor_tower(6, k=4).omega
         omega = canonicalize([Box((a.lo[0], b.lo[0]), (a.hi[0], b.hi[0]))
                               for a in tower.boxes for b in tower.boxes])
-        axis = [float(x) for x in np.arange(0.0, 7.25, 0.5)]
-        radii = sorted({math.sqrt(x * x + y * y) for x in axis for y in axis})
-        verdict = tight_frame_obstruction_scan(omega, radii, 7.0, 0.5)
-        expected = next(r for r in radii
-                        if all(v > 0.0 for x, v in verdict.profile
-                               if math.sqrt(sum(c * c for c in x)) > r))
-        assert verdict.hypothesis_satisfied
-        assert verdict.R == expected == math.sqrt(3.5 ** 2 + 7.0 ** 2)
+        verdict = tight_frame_obstruction_scan(omega, 7.0)
+        assert not verdict.hypothesis_satisfied
+        assert verdict.R == math.sqrt(3.96875 ** 2 + 7.0 ** 2)
+        for x in ((3.96875, -7.0), (7.0, 3.96875)):
+            assert translate_overlap(omega, x) == 0.0
+            assert any(all(a <= v <= b for a, v, b in zip(lo, x, hi))
+                       for lo, hi in verdict.zero_set)
+
+    def test_zero_interval_between_samples(self):
+        # the overlap vanishes on [1.002, 1.007], between two shifts of a
+        # 0.01 grid
+        omega = BoxUnionSet.from_intervals([(0, 1.002), (2.009, 3)])
+        verdict = tight_frame_obstruction_scan(omega, x_max=2.5)
+        assert verdict.zero_set == (((1.002,), (2.009 - 1.002,)),)
+        assert verdict.R == 2.009 - 1.002
+        assert translate_overlap(omega, (1.004,)) == 0.0
+
+    def test_zero_shift_with_mixed_signs(self):
+        # a staircase along the diagonal misses its translate only for shifts
+        # across the diagonal, such as (2, -2) or its mirror (-2, 2); none of
+        # them has two coordinates of one sign
+        omega = canonicalize([Box((k, k), (k + 1.5, k + 1.5)) for k in range(5)])
+        verdict = tight_frame_obstruction_scan(omega, x_max=2.0)
+        assert not verdict.hypothesis_satisfied
+        assert translate_overlap(omega, (2.0, -2.0)) == 0.0
+        assert any(lo[0] <= 2.0 <= hi[0] and lo[1] <= -2.0 <= hi[1]
+                   for lo, hi in verdict.zero_set)
 
 
 def no_overlap_check(monkeypatch):
@@ -360,6 +377,19 @@ class TestCosineCertificate:
         assert cert.holds
         assert cert.report.A_est == pytest.approx(1.0, abs=1e-12)
         assert cert.report.B_est == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("omega, n, cells", [
+        (UNIT, 256, (c,)) for c in (1, 100, 255, 256, 257, 600, 1024, 1025, 4097, 10 ** 6)
+    ] + [(SQUARE, 16, (40, 3)), (SQUARE, 16, (-5, 70)), (SQUARE, 16, (0, 16))])
+    def test_density_size_is_the_first_that_clears_the_aliases(self, monkeypatch,
+                                                                 omega, n, cells):
+        # reference: every candidate size in turn, smallest first
+        no_overlap_check(monkeypatch)
+        c = np.abs(cells)
+        first = next(N for N in range(n + 1, n + c.max() + 2)
+                     if np.any(-((n - c) // N) > (c + n) // N) or not np.any((c + n) // N))
+        cert = cosine_measure_certificate(omega, tuple(v / n for v in cells), n)
+        assert cert.measure_descriptor.density.n_per_axis == first
 
     @given(aligned_shift_cases())
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 """Box-union geometry: canonical form, measures, overlaps, lattice packing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from frameforge.geometry import (
     cover_cube,
     lattice_residue_check,
     overlap_profile,
+    overlap_zero_set,
     translate_overlap,
 )
 
@@ -217,6 +220,59 @@ class TestOverlapProfile:
         xs = np.arange(0.0, 8.0 + 1e-9, 0.01)
         prof = overlap_profile(omega, [(x,) for x in xs])
         assert all(v > 0 for _, v in prof)
+
+
+SIXTEENTHS = st.integers(-16, 32).map(lambda v: v / 16)
+
+
+@st.composite
+def sixteenth_unions(draw):
+    """A 1-D or 2-D box union with every face on a sixteenth."""
+    d = draw(st.sampled_from([1, 2]))
+    corner = st.tuples(*[SIXTEENTHS] * d)
+    side = st.tuples(*[st.integers(1, 24).map(lambda v: v / 16)] * d)
+    raw = draw(st.lists(st.tuples(corner, side), min_size=1, max_size=4))
+    return canonicalize([Box(lo, tuple(a + w for a, w in zip(lo, sides)))
+                         for lo, sides in raw])
+
+
+class TestOverlapZeroSet:
+    @given(sixteenth_unions(), st.integers(1, 40).map(lambda v: v / 16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_profile_on_the_thirty_second_grid(self, omega, x_max):
+        # every breakpoint is a sixteenth and every midpoint a thirty-second,
+        # so the grid meets every cell and face the zero set is made of
+        zero_set = overlap_zero_set(omega, x_max)
+        axis = np.arange(-32 * x_max, 32 * x_max + 1) / 32
+        shifts = cartesian([axis[axis >= 0]] + [axis] * (omega.dim - 1))
+        zero = np.array([v for _, v in overlap_profile(omega, shifts)]) == 0.0
+        lo, hi = (np.array([box[e] for box in zero_set]).reshape(-1, 1, omega.dim)
+                  for e in (0, 1))
+        inside = np.any(np.all((lo <= shifts) & (shifts <= hi), axis=2), axis=0)
+        assert np.array_equal(zero, inside), shifts[zero != inside]
+
+    def test_unit_interval_vanishes_beyond_its_length(self):
+        s = BoxUnionSet.from_intervals([(0, 1)])
+        assert overlap_zero_set(s, 3.0) == [((1.0,), (3.0,))]
+        assert overlap_zero_set(s, 0.5) == []
+
+    def test_boxes_are_maximal_runs_along_the_first_axis(self):
+        s = BoxUnionSet.from_intervals([(0, 1), (3, 4)])
+        assert overlap_zero_set(s, 6.0) == [((1.0,), (2.0,)), ((4.0,), (6.0,))]
+
+    def test_touching_faces_give_no_negative_zero(self):
+        # lo_i - hi_j = 0 for boxes that share a face; a -0.0 end would
+        # print as such in the CSV
+        s = canonicalize([Box((0, 0), (1, 1)), Box((1, 0), (2, 0.5))])
+        ends = [v for lo, hi in overlap_zero_set(s, 3.0) for v in lo + hi]
+        assert 0.0 in ends
+        assert all(math.copysign(1.0, v) > 0 for v in ends if v == 0.0)
+
+    def test_bad_x_max_rejected(self):
+        s = BoxUnionSet.from_intervals([(0, 1)])
+        for x_max in (0.0, -2.0, float("inf"), float("nan")):
+            with pytest.raises(InputError, match="x_max"):
+                overlap_zero_set(s, x_max)
 
 
 class TestLatticeResidue:

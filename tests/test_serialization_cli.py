@@ -198,12 +198,37 @@ class TestCli:
         assert "verdict: refused" in out
         assert "counterexample_norm" in out
 
-    def test_obstruction_holed_tower(self, capsys):
+    def test_construct_window_refusal_exits_zero(self, tmp_path, capsys):
+        domain = tmp_path / "omega.json"
+        domain.write_text(json.dumps({"dim": 1, "boxes": [[0.0, 1.0]]}))
+        rc = run_cli("construct", "--domain", str(domain), "--windows", "x^-1.0")
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[0] == "verdict: refused" and out[1].startswith("reason: every window")
+        assert len(out) == 2
+
+    def test_obstruction_holed_tower(self, tmp_path, capsys):
+        # scanned to 4.5 the zero set reaches the scan's end; scanned to 8 the
+        # overlap is positive beyond R
+        csv_path = tmp_path / "zero_set.csv"
         rc = run_cli("obstruction", "--domain", "cantor_tower:12:5",
-                     "--x-max", "4", "--step", "0.01")
+                     "--x-max", "4.5", "--csv", str(csv_path))
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[:4] == ["hypothesis_satisfied: False", "R: 4.5", "zero_boxes: 3",
+                           "first_zero_box: [2.01953125] to [2.982421875]"]
+        assert csv_path.read_text() == ("lo_0,hi_0\n2.01953125,2.982421875\n"
+                                        "3.017578125,3.9833984375\n4.0166015625,4.5\n")
+        rc = run_cli("obstruction", "--domain", "cantor_tower:12:5", "--x-max", "8")
         out = capsys.readouterr().out
         assert rc == 0
-        assert "hypothesis_satisfied: False" in out
+        assert "hypothesis_satisfied: True\nR: 4.98388671875\n" in out
+        assert "conclusion: no tight exponential frame" in out
+
+    def test_obstruction_takes_no_sampling_options(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("obstruction", "--domain", "cantor_tower:12:5", "--step", "0.01")
+        assert "unrecognized arguments: --step" in capsys.readouterr().err
 
     def test_certify_measure_and_refusal(self, tmp_path, capsys):
         domain = tmp_path / "omega.json"

@@ -9,6 +9,7 @@ from frameforge.errors import InputError
 from frameforge.framebounds import ess_bounds, window_ranges
 from frameforge.geometry import Box, BoxUnionSet, canonicalize, cartesian
 from frameforge.windows import (
+    EMPTY_SUPPORT,
     Indicator,
     Monomial,
     Product,
@@ -117,6 +118,20 @@ def test_sqrt_of_scalar_and_indicator():
 def test_support_box_intersection():
     e = Product((Indicator(Box((0.0,), (2.0,))), Indicator(Box((1.0,), (3.0,)))))
     assert e.support_box() == Box((1.0,), (2.0,))
+    # an empty intersection stays empty, whatever factor follows
+    for text in ("indicator(0,1)*indicator(2,3)*indicator(0.5,0.7)",
+                 "indicator(0,1)*indicator(2,3)"):
+        assert Window.from_string(text).support_box() == EMPTY_SUPPORT
+
+
+def test_empty_support_window_is_zero_and_bounded():
+    # identically zero, even where a factor is singular: no piece counts
+    zero = Window.from_string("x^-1.0*indicator(0,1)*indicator(2,3)")
+    omega = BoxUnionSet.from_intervals([(0.0, 3.0)])
+    assert zero.bounded_on(omega)
+    rep = ess_bounds([zero, Window.from_string("1.0")], omega, 64)
+    assert rep.J == (0, 1) and rep.ess_inf_of_max == (1.0, 1.0)
+    assert ess_bounds([zero], omega, 64).ess_sup_of_max == (0.0, 0.0)
 
 
 def test_callable_window_not_serializable():

@@ -201,6 +201,10 @@ class TestCertifyGabor:
             certify_gabor(square, 1, 1, 64)
         with pytest.raises(InputError, match="zero norm"):
             certify_gabor(Window.from_string("0.0*indicator(0,1)"), 1, 1, 64)
+        for text in ("indicator(0,1)*indicator(2,3)*indicator(0.5,0.7)",
+                     "indicator(0,1)*indicator(2,3)"):
+            with pytest.raises(InputError, match="has empty support"):
+                certify_gabor(Window.from_string(text), 1, 1, 64)
 
     def test_painless_window_builds_no_grid(self, monkeypatch):
         def no_grid(*args):
