@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional
 
@@ -28,7 +29,7 @@ from .construction import (
 )
 from .errors import InputError
 from .framebounds import estimate_frame_bounds
-from .geometry import Box, Lattice, lattice_residue_check, overlap_profile
+from .geometry import Box, Lattice, cartesian, lattice_residue_check, overlap_profile
 from .pointsets import WeightedComb, density_closed_form, density_windowed
 from .serialization import (
     CERTIFICATE_HEADER,
@@ -113,10 +114,13 @@ def cmd_density(args) -> int:
 
 def cmd_overlap(args) -> int:
     omega, tail = load_domain(args.domain)
-    xs = np.arange(0.0, args.x_max + args.step / 2.0, args.step)
-    prof = overlap_profile(omega, xs)
+    # the half-box 0 <= x_0 <= x_max, |x_a| <= x_max that overlap_zero_set scans
+    half = np.arange(0.0, args.x_max + args.step / 2.0, args.step)
+    whole = np.r_[-half[:0:-1], half]
+    prof = overlap_profile(omega, cartesian([half] + [whole] * (omega.dim - 1)))
     if args.csv:
-        write_csv(args.csv, ("x", "overlap"), [(x[0], v) for x, v in prof])
+        axes = ("x",) if omega.dim == 1 else tuple(f"x_{a}" for a in range(omega.dim))
+        write_csv(args.csv, axes + ("overlap",), [x + (v,) for x, v in prof])
     positive = sum(1 for _, v in prof if v > 0)
     lines = [f"shifts_sampled: {len(prof)}", f"positive_overlaps: {positive}"]
     if tail is not None:
@@ -165,7 +169,8 @@ def cmd_construct(args) -> int:
             result = build_lattice_tight_frame(omega, lattice, grid_cap=args.grid_cap,
                                                trunc_radius=args.trunc_radius)
         elif args.windows is not None:
-            windows = [Window.from_string(w) for w in args.windows.split(",")]
+            # commas inside parentheses separate a factor's arguments
+            windows = [Window.from_string(w) for w in re.split(r",(?![^()]*\))", args.windows)]
             result = build_bounded_window_frame(windows, omega, args.grid_n)
         else:
             raise InputError("construct needs --windows or --lattice")

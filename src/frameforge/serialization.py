@@ -204,7 +204,9 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -
         fh.write(format_csv(header, rows))
 
 
-def box_label(box: Box) -> str:
+def box_label(box: Optional[Box]) -> str:
+    if box is None:
+        return "untruncated"
     lo = ",".join(repr(float(v)) for v in box.lo)
     hi = ",".join(repr(float(v)) for v in box.hi)
     return f"[{lo};{hi})"

@@ -334,8 +334,10 @@ class TestEstimateFrameBounds:
             atoms=(((3.3,), 1.5), ((-20.7,), 0.5)))
         even = ContinuousFreqMeasure(density=measure.density,
                                      atoms=(((3.3,), 1.5), ((-3.3,), 1.5)))
-        # spacing 0.79 does not divide into the grid, so the operator is one
-        # block; cosets of 32Z have a period of 4 cells on the 128-cell grid,
+        # each case is truncated to its Nyquist band, which keeps the lattices
+        # off the untruncated path; spacing 0.79 does not divide into the
+        # grid, so the operator is one block; cosets of 32Z have a period of
+        # 4 cells on the 128-cell grid,
         # and the gap of cells 96 to 100 leaves blocks of 31, 31, 31 and 30
         # cells, so only the largest block exceeds the limit; Z 0.79 and the
         # even measure have real kernels, which the iterative path takes too
@@ -354,11 +356,12 @@ class TestEstimateFrameBounds:
                   "dense eigensolve of 4 blocks of order at most 31")]
         for omega, window, freq, grid_n, note in cases:
             system = WindowedSystem(omega, ((window, freq),))
-            dense = estimate_frame_bounds(system, grid_n)
+            band = nyquist_box(omega.bounding_box(), grid_n)
+            dense = estimate_frame_bounds(system, grid_n, band)
             assert dense.notes == note
             with monkeypatch.context() as patch:
                 patch.setattr(framebounds, "DENSE_EIG_LIMIT", 30)
-                iterative = estimate_frame_bounds(system, grid_n)
+                iterative = estimate_frame_bounds(system, grid_n, band)
             assert "iterative" in iterative.notes
             assert iterative.A_est == pytest.approx(dense.A_est, rel=1e-6)
             assert iterative.B_est == pytest.approx(dense.B_est, rel=1e-6)
@@ -369,7 +372,7 @@ class TestEstimateFrameBounds:
         # rounds to 63.99999999999999, which aliases onto -64 on a 128 grid
         system = WindowedSystem(UNIT, ((Window.from_string("0.5"),
                                         integers(scale=128 / m)),))
-        rep = estimate_frame_bounds(system, 128)
+        rep = estimate_frame_bounds(system, 128, Box((-64.0,), (64.0,)))
         assert rep.A_est == pytest.approx(0.25 * m / 128, rel=1e-9)
         assert rep.B_est == pytest.approx(0.25 * m / 128, rel=1e-9)
 
@@ -452,7 +455,7 @@ class TestRealPath:
         (((RAMP, LatticeCosets(Lattice.scaled_integers(2.0), ((0.5,),))),
           (Window.indicator(), FiniteSet(((0.0,),)))), 16, None),
         (((Window.from_string("0.5"), integers(scale=128 / 214)),), 96, Box((-64.0,), (64.0,))),
-        (((TILTED, integers(scale=0.79)),), 16, None),
+        (((TILTED, integers(scale=0.79)),), 16, Box((-8.0,), (8.0,))),
         (((Window.indicator(), integers(scale=0.79)), (RAMP, ONE_SIDED)), 16, None),
         (((TILTED, FiniteSet(((0.0,), (1.0,), (-1.0,)))), (RAMP, integers(scale=0.79))), 16,
          None),
@@ -474,8 +477,9 @@ class TestRealPath:
         # e^{0.3i} (1 - x) gives the operator of 1 - x, since the phase
         # cancels in u(x) conj(u(y)), but it is stored complex
         phased = Window.from_callable(lambda p: np.exp(0.3j) * (1.0 - p[:, 0]), "phased")
-        real = estimate_frame_bounds(WindowedSystem(UNIT, ((self.RAMP, freq),)), 64)
-        cplx = estimate_frame_bounds(WindowedSystem(UNIT, ((phased, freq),)), 64)
+        band = Box((-32.0,), (32.0,))
+        real = estimate_frame_bounds(WindowedSystem(UNIT, ((self.RAMP, freq),)), 64, band)
+        cplx = estimate_frame_bounds(WindowedSystem(UNIT, ((phased, freq),)), 64, band)
         assert real.notes == "dense eigensolve of order 64 in real arithmetic"
         assert cplx.notes == "dense eigensolve of order 64"
         assert abs(real.A_est - cplx.A_est) <= 1e-12 * real.B_est
@@ -531,14 +535,14 @@ class TestFiberizedPath:
     def test_notes_name_the_fibers(self):
         system = WindowedSystem(UNIT, ((Window.from_string("x^1.0"), integers()),
                                        (Window.from_string("0.5"), integers(scale=0.5))))
-        rep = estimate_frame_bounds(system, 256)
+        rep = estimate_frame_bounds(system, 256, Box((-128.0,), (128.0,)))
         assert rep.notes == "dense eigensolve of 256 blocks of order at most 1 in real arithmetic"
 
     def test_inactive_cells_leave_fibers_out(self):
         # [0, 1/4) and [3/4, 1) at 8 cells: 4 active cells, one per fiber
         omega = BoxUnionSet.from_intervals([(0.0, 0.25), (0.75, 1.0)])
         system = WindowedSystem(omega, ((Window.indicator(), integers(scale=2.0)),))
-        rep = estimate_frame_bounds(system, 8)
+        rep = estimate_frame_bounds(system, 8, Box((-4.0,), (4.0,)))
         assert rep.notes == "dense eigensolve of 4 blocks of order at most 1 in real arithmetic"
         assert rep.A_est == pytest.approx(0.5, rel=1e-14)
         assert rep.B_est == pytest.approx(0.5, rel=1e-14)
@@ -549,16 +553,17 @@ class TestFiberizedPath:
         omega = BoxUnionSet.from_intervals([(0.0, 4.0)])
         freq = LatticeCosets(Lattice.scaled_integers(1.0), ((0.0,), (0.5,)))
         window = Window.from_string("(1-x)^1.0")
-        rep = estimate_frame_bounds(WindowedSystem(omega, ((window, freq),)), 64)
+        band = Box((-8.0,), (8.0,))
+        rep = estimate_frame_bounds(WindowedSystem(omega, ((window, freq),)), 64, band)
         assert rep.notes == "dense eigensolve of 16 blocks of order at most 4 and rank at most 2"
         assert rep.A_est == 0.0
-        a, b = dense_gram_oracle(omega, [(window, freq.points_in_box(Box((-8.0,), (8.0,))))], 64)
+        a, b = dense_gram_oracle(omega, [(window, freq.points_in_box(band))], 64)
         assert a <= 1e-12 * b
         assert abs(rep.B_est - b) <= 1e-9 * b
         # with the rank above the limit too, the operator goes iterative
         with monkeypatch.context() as patch:
             patch.setattr(framebounds, "DENSE_EIG_LIMIT", 1)
-            iterative = estimate_frame_bounds(WindowedSystem(omega, ((window, freq),)), 64)
+            iterative = estimate_frame_bounds(WindowedSystem(omega, ((window, freq),)), 64, band)
         assert "iterative" in iterative.notes
         assert iterative.A_est <= 1e-6 * b
         assert iterative.B_est == pytest.approx(b, rel=1e-6)
@@ -588,12 +593,13 @@ class TestFiberizedPath:
                   "dense eigensolve of 16 blocks of order at most 8 and rank at most 1")]
         for omega, pairs, grid_n, limit, stacks, note in cases:
             system = WindowedSystem(omega, pairs)
-            whole = estimate_frame_bounds(system, grid_n)
+            band = nyquist_box(omega.bounding_box(), grid_n)
+            whole = estimate_frame_bounds(system, grid_n, band)
             shapes.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(framebounds, "DENSE_EIG_LIMIT", limit)
                 patch.setattr(np.linalg, "eigvalsh", recording)
-                rep = estimate_frame_bounds(system, grid_n)
+                rep = estimate_frame_bounds(system, grid_n, band)
             assert rep.notes == whole.notes == note
             assert shapes == stacks
             assert (rep.A_est, rep.B_est) == (whole.A_est, whole.B_est)
@@ -604,9 +610,10 @@ class TestFiberizedPath:
         omega = BoxUnionSet.from_intervals([(0.0, 0.375), (0.5, 0.625), (0.875, 1.0)])
         freq = LatticeCosets(Lattice.scaled_integers(2.0), ((0.0,), (0.5,)))
         window = Window.from_string("(1-x)^1.0")
-        rep = estimate_frame_bounds(WindowedSystem(omega, ((window, freq),)), 8)
+        band = Box((-4.0,), (4.0,))
+        rep = estimate_frame_bounds(WindowedSystem(omega, ((window, freq),)), 8, band)
         assert rep.notes == "dense eigensolve of 4 blocks of order at most 2"
-        lam = freq.points_in_box(Box((-4.0,), (4.0,)))
+        lam = freq.points_in_box(band)
         assert len(lam) == 8
         a, b = dense_gram_oracle(omega, [(window, lam)], 8)
         assert a > 1e-3
@@ -626,7 +633,7 @@ class TestFiberizedPath:
     @pytest.mark.parametrize("freq", [FiniteSet(((0.0,),)), integers(scale=0.79)])
     def test_other_frequency_sets_stay_dense(self, freq):
         system = WindowedSystem(UNIT, ((Window.indicator(), freq),))
-        assert (estimate_frame_bounds(system, 64).notes
+        assert (estimate_frame_bounds(system, 64, Box((-32.0,), (32.0,))).notes
                 == "dense eigensolve of order 64 in real arithmetic")
 
     def test_unit_interval_is_tight_to_roundoff(self):
@@ -645,6 +652,107 @@ class TestFiberizedPath:
             [Window.indicator()], [integers()],
             lambda n: BoxUnionSet.from_intervals([(0.0, float(n))]), [1, 2, 4])
         assert abs(rows[0].A_est - 1.0) <= 1e-14 and abs(rows[0].B_est - 1.0) <= 1e-14
+
+
+@st.composite
+def grid_line_lattice_systems(draw):
+    """Whole-period diagonal lattices (cosets of them too), one or two pairs,
+    on unions of the cells of a k-cell grid over a box; the grid has a whole
+    multiple of k cells and every length is dyadic, so each face of the
+    domain lies on a grid line and every cell is in or out.  Returns the
+    system and the grid."""
+    d = draw(st.sampled_from([1, 2]))
+    k = draw(st.sampled_from([2, 4]))
+    grid_n = k * draw(st.sampled_from([1, 2, 4] if d == 1 else [1, 2]))
+    lo = np.array([draw(st.integers(-4, 4)) / 4.0 for _ in range(d)])
+    cell = np.array([draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(d)]) / k
+    # the two far corners keep the bounding box at the k-cell grid's box
+    cells = {(0,) * d, (k - 1,) * d} | {c for c in np.ndindex(*(k,) * d) if draw(st.booleans())}
+    omega = canonicalize([Box(tuple(lo + np.array(c) * cell), tuple(lo + (np.array(c) + 1) * cell))
+                          for c in sorted(cells)])
+    steps = cell * k / grid_n
+    base = np.array([draw(st.sampled_from([1, 2, 3, 4, 6])) for _ in range(d)])
+    pairs = [(draw_window(draw, j),
+              whole_period_lattice(draw, base * draw(st.sampled_from([1, 2])), steps))
+             for j in range(draw(st.integers(1, 2)))]
+    return WindowedSystem(omega, tuple(pairs)), grid_n
+
+
+class TestRonShenPath:
+    """With no truncation given, lattices whose duals share a period stay
+    untruncated: the frame operator's fibers over the cell centres.  The
+    grid's kernel and block solves at the Nyquist band are its oracle where
+    the period is a whole number of cells, and the painless closed form
+    where no fiber holds two points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_line_lattice_systems())
+    def test_matches_the_nyquist_grid_on_whole_periods(self, case):
+        system, grid_n = case
+        rep = estimate_frame_bounds(system, grid_n)
+        assert rep.trunc_box is None and rep.notes.startswith("Ron-Shen")
+        grid = estimate_frame_bounds(system, grid_n,
+                                     nyquist_box(system.omega.bounding_box(), grid_n))
+        assert abs(rep.A_est - grid.A_est) <= 1e-9 * grid.B_est
+        assert abs(rep.B_est - grid.B_est) <= 1e-9 * grid.B_est
+
+    # a spacing s up to 0.79 (1 + 4/16) stays below the domain's length 1,
+    # so the fibers over [0, 1) are the cell centres one by one and
+    # S = sum_j |g_j|^2 / s there
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 2), st.sampled_from([64, 128, 256]), st.data())
+    def test_painless_spacings_meet_the_closed_form(self, k, count, grid_n, data):
+        s = 0.79 * (1.0 + k / 16.0)
+        windows = [draw_window(data.draw, j) for j in range(count)]
+        system = WindowedSystem(UNIT, tuple((w, integers(scale=s)) for w in windows))
+        rep = estimate_frame_bounds(system, grid_n)
+        assert rep.notes.startswith("Ron-Shen") and "lattice untruncated" in rep.notes
+        x = ((np.arange(grid_n) + 0.5) / grid_n).reshape(-1, 1)
+        total = sum(np.abs(w.eval(x)) ** 2 for w in windows) / s
+        assert rep.A_est == pytest.approx(total.min(), rel=1e-12)
+        assert rep.B_est == pytest.approx(total.max(), rel=1e-12)
+
+    def test_truncated_grid_converges_toward_the_fibers(self):
+        # x and 1 - x with 0.79 Z: the Nyquist cut lifts B far above the
+        # exact 1 / 0.79, and less so as the grid refines
+        system = WindowedSystem(UNIT, tuple((Window.from_string(w), integers(scale=0.79))
+                                            for w in ("x^1.0", "(1-x)^1.0")))
+        gaps = []
+        for grid_n in (256, 512, 1024):
+            exact = estimate_frame_bounds(system, grid_n)
+            cut = estimate_frame_bounds(system, grid_n, nyquist_box(UNIT.bounding_box(), grid_n))
+            assert exact.B_est == pytest.approx(1 / 0.79, rel=2 / grid_n)
+            gaps.append(abs(cut.B_est - exact.B_est))
+        assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_long_fibers_are_singular(self):
+        # Z and 1/2 + Z on [0, 4): fibers of 4 points against 2 columns
+        omega = BoxUnionSet.from_intervals([(0.0, 4.0)])
+        freq = LatticeCosets(Lattice.scaled_integers(1.0), ((0.0,), (0.5,)))
+        system = WindowedSystem(omega, ((Window.from_string("(1-x)^1.0"), freq),))
+        rep = estimate_frame_bounds(system, 64)
+        assert rep.notes == ("Ron-Shen fiber eigensolve (samples 16, largest fiber 4, "
+                             "columns 2); lattice untruncated; sampled in x at the cell centres")
+        grid = estimate_frame_bounds(system, 64, Box((-8.0,), (8.0,)))
+        assert rep.A_est == grid.A_est == 0.0
+        assert abs(rep.B_est - grid.B_est) <= 1e-12 * grid.B_est
+
+    @pytest.mark.parametrize("pairs", [
+        ((Window.indicator(), LatticeCosets(Lattice(((1.0, 0.5), (0.0, 1.0))))),),
+        ((Window.indicator(), integers(2)), (Window.indicator(), FiniteSet(((0.0, 0.0),), 2))),
+        ((Window.indicator(), integers(2)), (Window.indicator(), integers(2, np.sqrt(2.0)))),
+        ((Window.indicator(), integers(2, 512.0)),),
+    ], ids=["skew", "beside_a_finite_set", "incommensurable", "period_below_a_step"])
+    def test_other_systems_keep_the_nyquist_grid(self, pairs):
+        square = canonicalize([Box((0.0, 0.0), (1.0, 1.0))])
+        rep = estimate_frame_bounds(WindowedSystem(square, pairs), 8)
+        assert rep.trunc_box == nyquist_box(square.bounding_box(), 8)
+        assert rep.notes.startswith("dense eigensolve")
+
+    def test_no_cell_centre_in_the_domain(self):
+        omega = BoxUnionSet.from_intervals([(0.0, 0.1), (0.9, 1.0)])
+        with pytest.raises(InputError, match="every cell centre misses the domain"):
+            estimate_frame_bounds(WindowedSystem(omega, ((Window.indicator(), integers()),)), 2)
 
 
 class TestRawExponentialConstant:

@@ -150,6 +150,18 @@ class TestCli:
         assert rc == 0
         assert "positive_overlaps: 5" in out
 
+    def test_overlap_on_a_square_scans_the_half_box(self, tmp_path, capsys):
+        domain = tmp_path / "square.json"
+        domain.write_text(json.dumps({"dim": 2, "boxes": [[0, 0, 1, 1]]}))
+        csv_path = tmp_path / "overlap.csv"
+        rc = run_cli("overlap", "--domain", str(domain), "--x-max", "1", "--step", "0.5",
+                     "--csv", str(csv_path))
+        assert rc == 0
+        assert capsys.readouterr().out == "shifts_sampled: 15\npositive_overlaps: 6\n"
+        lines = csv_path.read_text().splitlines()
+        assert lines[:3] == ["x_0,x_1,overlap", "0.0,-1.0,0.0", "0.0,-0.5,0.5"]
+        assert "0.5,0.5,0.25" in lines and len(lines) == 16
+
     def test_residue_verdicts(self, tmp_path, capsys):
         domain = tmp_path / "omega.json"
         domain.write_text(json.dumps({"dim": 1, "boxes": [[0, 0.5], [1, 1.5]]}))
@@ -173,9 +185,13 @@ class TestCli:
                      "--csv", str(csv_path))
         out = capsys.readouterr().out
         assert rc == 0
-        assert "tight_ratio: 1.0" in out
-        header = csv_path.read_text().split("\n")[0]
+        assert "tight_ratio: 1.0" in out and "trunc: untruncated" in out
+        header, row = csv_path.read_text().splitlines()
         assert header == "system,grid_n,trunc,A_est,B_est,tight_ratio"
+        assert row == "system.json,256,untruncated,1.0,1.0,1.0"
+        rc = run_cli("frame-bounds", "--system", str(system), "--grid-n", "256",
+                     "--trunc=-128:128")
+        assert rc == 0 and "trunc: [-128.0;128.0)" in capsys.readouterr().out
 
     def test_construct_bounded_windows_and_roundtrip(self, tmp_path, capsys):
         domain = tmp_path / "omega.json"
@@ -188,6 +204,17 @@ class TestCli:
         assert "verdict: constructed" in out
         rc = run_cli("frame-bounds", "--system", str(out_system), "--grid-n", "128")
         assert rc == 0
+
+    def test_construct_splits_windows_outside_parentheses(self, tmp_path, capsys):
+        domain = tmp_path / "omega.json"
+        domain.write_text(json.dumps({"dim": 1, "boxes": [[0.0, 1.0]]}))
+        out_system = tmp_path / "built.json"
+        rc = run_cli("construct", "--domain", str(domain),
+                     "--windows", "indicator(0,0.5),x^1.0", "--out", str(out_system))
+        assert rc == 0
+        assert "verdict: constructed" in capsys.readouterr().out
+        assert [w.label for w, _ in load_system(str(out_system)).pairs] == [
+            "indicator(0.0,0.5)", "x^1.0"]
 
     def test_construct_lattice_refusal_exits_zero(self, tmp_path, capsys):
         domain = tmp_path / "omega.json"
