@@ -102,16 +102,20 @@ def nyquist_box(bb: Box, grid_n: int) -> Box:
     return Box(tuple(lo), tuple(hi))
 
 
-def _sum_kernel(freq: FreqSpec, steps: np.ndarray, n: int, box: Box) -> np.ndarray:
-    """``_difference_kernel`` over a pair's frequencies: a point set truncated
-    to ``box`` weighs 1 per point, a measure gives its atom weights plus the
-    ``_density_kernel`` of its density."""
-    if not isinstance(freq, ContinuousFreqMeasure):
-        lam = freq.points_in_box(box)
-        return _difference_kernel(lam, np.ones(len(lam)), steps, n)
-    atoms = np.array([p for p, _ in freq.atoms], dtype=float).reshape(-1, len(steps))
-    kernel = _difference_kernel(atoms, np.array([w for _, w in freq.atoms]), steps, n)
-    return kernel if freq.density is None else kernel + _density_kernel(freq.density, steps, n)
+def _constant_density(density: GridFunction, steps: np.ndarray) -> Optional[tuple]:
+    """(N, cosets) when bitwise equal masses fill one alias cycle per axis
+    (N_a cells, h_a step_a = 1 / N_a): the kernel is the total mass times
+    e^{2 pi i <c, k step>} at lags k = 0 mod N and zero elsewhere, c the
+    first cell centre.  On a box with lo = -hi, c and -c (the last centre,
+    mod h) share the mass, so the kernel is a cosine sum, real."""
+    mass = np.maximum(density.samples.real * density.cell_weights, 0.0)
+    ratio = 1.0 / (np.array(density.spacing) * steps)
+    if np.any(np.abs(ratio - mass.shape) > 1e-9 * ratio) or np.any(mass != mass.flat[0]):
+        return None
+    box = density.bounding_box
+    c = np.array(box.lo) + 0.5 * np.array(density.spacing)
+    offsets = (c, -c) if box.lo == tuple(-v for v in box.hi) else (c,)
+    return np.array(mass.shape), tuple((o, float(mass.sum()) / len(offsets)) for o in offsets)
 
 
 def _mirrors(freqs: np.ndarray, weights: np.ndarray) -> bool:
@@ -221,8 +225,8 @@ def _lattice_cosets(freq: FreqSpec, steps: np.ndarray,
 
 def _lattice_kernel(periods: np.ndarray, cosets: tuple, steps: np.ndarray,
                     n: int) -> np.ndarray:
-    """The closed-form difference kernel of ``_lattice_cosets``, laid out as
-    ``_difference_kernel``'s."""
+    """The closed-form difference kernel of ``_lattice_cosets`` and
+    ``_constant_density``, laid out as ``_difference_kernel``'s."""
     k = np.arange(-(n - 1), n)
     kernel = np.zeros((2 * n - 1,) * len(steps), dtype=complex)
     for o, count in cosets:
@@ -238,20 +242,35 @@ def _lattice_kernel(periods: np.ndarray, cosets: tuple, steps: np.ndarray,
 def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
                   steps: np.ndarray, n: int,
                   box: Box) -> tuple[list[tuple], list[str]]:
-    """(u, P, spec) per pair with frequencies, u = g sqrt(w) over the active
-    cells: the pair's frame operator is u(x) conj(u(y)) K(index of x - index
-    of y), zero off differences that are multiples of the period P.  The
-    spec is ``_lattice_cosets``'s when K has the closed form, else K."""
+    """(u, P, spec) per part of each pair's frequencies, u = g sqrt(w) over
+    the active cells: the part's frame operator is u(x) conj(u(y)) K(index
+    of x - index of y), zero off lags that are multiples of the period P.
+    The spec is closed-form (offset, weight) cosets with P in cells; finite
+    (points, weights) with P = None, a point set's points in ``box`` or a
+    measure's atoms; or a density kernel K with P = 1."""
     terms, notes = [], []
     for window, freq in system.pairs:
-        lattice = _lattice_cosets(freq, steps, box)
-        if lattice is None:
-            lattice = np.ones(len(steps), dtype=int), _sum_kernel(freq, steps, n, box)
-        period, spec = lattice
-        if not (spec.any() if isinstance(spec, np.ndarray) else any(c for _, c in spec)):
+        if isinstance(freq, ContinuousFreqMeasure):
+            atoms = np.array([p for p, _ in freq.atoms], dtype=float).reshape(-1, len(steps))
+            parts = [(None, (atoms, np.array([w for _, w in freq.atoms])))] if freq.atoms else []
+            if freq.density is not None:
+                closed = _constant_density(freq.density, steps)
+                parts.append(closed or (np.ones(len(steps), dtype=int),
+                                        _density_kernel(freq.density, steps, n)))
+                if closed:
+                    notes.append(f"pair '{window.label}': constant density in closed form "
+                                 f"with period {'x'.join(map(str, closed[0]))} cells")
+        else:
+            lam = freq.points_in_box(box)
+            parts = [_lattice_cosets(freq, steps, box) or (None, (lam, np.ones(len(lam))))]
+        parts = [(p, spec) for p, spec in parts
+                 if (len(spec[0]) if p is None else spec.any() if isinstance(spec, np.ndarray)
+                     else any(c for _, c in spec))]
+        if not parts:
             notes.append(_silent_pair_note(window))
             continue
-        terms.append((_real_if_exact(window.eval(xs) * sqw), period, spec))
+        u = _real_if_exact(window.eval(xs) * sqw)
+        terms += [(u, p, spec) for p, spec in parts]
     return terms, notes
 
 
@@ -274,20 +293,18 @@ def _fiber_factor(terms: list, turn: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.concatenate(columns, axis=1)
 
 
-def _extremal_eigs_blocks(order: np.ndarray, sizes: np.ndarray, V: Optional[np.ndarray],
-                          kernels: Sequence = (), idx=None, n: int = 0) -> tuple[float, float]:
-    """H = V V*, or without V the sum over pairs of u u* times K at the
-    cells' index differences, one block per fiber, the fibers being
-    consecutive runs of ``sizes`` rows in ``order``; blocks of one size go
-    through batched eigensolves in stacks of at most DENSE_EIG_LIMIT^2
-    entries.  When a block has more rows than V has columns, the lower bound
-    is 0, and each block's top eigenvalue is that of its Gram V* V."""
+def _block_stacks(order: np.ndarray, sizes: np.ndarray, V: Optional[np.ndarray],
+                  kernels: Sequence = (), idx=None, n: int = 0):
+    """(cells, H) per stack of blocks of one size, at most DENSE_EIG_LIMIT^2
+    entries: H = V V*, or without V the sum over pairs of u u* times K at the
+    cells' index differences, one block per fiber, the fibers being runs of
+    ``sizes`` rows in ``order``; V* V when a block has more rows than V has
+    columns."""
     if V is None:
         shape = (2 * n - 1,) * idx.shape[1]
         at = np.ravel_multi_index(idx.T, shape)
         centre = np.ravel_multi_index((n - 1,) * idx.shape[1], shape)
     singular = V is not None and sizes.max() > V.shape[1]
-    lo, hi = np.inf, -np.inf
     for size in np.unique(sizes):
         group = order[np.repeat(sizes == size, sizes)].reshape(-1, size)
         step = max(1, DENSE_EIG_LIMIT ** 2 // (size * (size if V is None else V.shape[1])))
@@ -304,12 +321,72 @@ def _extremal_eigs_blocks(order: np.ndarray, sizes: np.ndarray, V: Optional[np.n
                 H = V[cells].conj().transpose(0, 2, 1) @ V[cells]
             else:  # column by column: each entry sums its terms in pair order
                 H = sum(v[:, :, None] * v[:, None, :].conj() for v in np.moveaxis(V[cells], 2, 0))
-            # a lone block goes in as a plain matrix, so the solve's order
-            # reads off its leading axis
-            evs = np.linalg.eigvalsh(H[0] if len(H) == 1 else H).reshape(len(H), -1)
-            lo = min(lo, 0.0 if singular else float(evs[:, 0].min()))
-            hi = max(hi, float(evs[:, -1].max()))
+            yield cells, H
+
+
+def _extremal_eigs_blocks(order: np.ndarray, sizes: np.ndarray, V: Optional[np.ndarray],
+                          kernels: Sequence = (), idx=None, n: int = 0) -> tuple[float, float]:
+    """Extreme eigenvalues of ``_block_stacks``, a batched eigensolve per
+    stack; Gram blocks give a lower bound of 0."""
+    singular = V is not None and sizes.max() > V.shape[1]
+    lo, hi = np.inf, -np.inf
+    for _, H in _block_stacks(order, sizes, V, kernels, idx, n):
+        # a lone block goes in as a plain matrix, so the solve's order
+        # reads off its leading axis
+        evs = np.linalg.eigvalsh(H[0] if len(H) == 1 else H).reshape(len(H), -1)
+        lo = min(lo, 0.0 if singular else float(evs[:, 0].min()))
+        hi = max(hi, float(evs[:, -1].max()))
     return max(lo, 0.0), hi
+
+
+def _rank_update_bounds(closed: list, finite: list, idx: np.ndarray, xs: np.ndarray,
+                        steps: np.ndarray, n: int) -> Optional[tuple[float, float, str]]:
+    """A, B and the note of H = H_d + V V*: H_d the blocks of the closed-form
+    terms (0, each cell alone, without them), V a column sqrt(w) e^{2 pi i
+    <lam, x>} u(x) per finite point, R in all.  None when the blocks' solves
+    and ~2 x 60 bisection shifts of n R^2 each cost more than one dense
+    block.  With H_d = Q diag(lam) Q* and W = Q* V, Sylvester's law of
+    inertia on [[lam - t, W], [W*, -I]] counts the eigenvalues of H below t
+    as #{lam < t} + #{eigenvalues of -I - W* (lam - t)^-1 W below 0} - R.
+    A lies in [lam_1, lam_(R+1)] and B in [lam_max, lam_max + |V|_F^2];
+    each is bisected to 4 ulps of the top."""
+    d, cells, r = idx.shape[1], len(idx), sum(len(w) for _, (_, w) in finite)
+    order, sizes = _fibers(idx, np.gcd.reduce([p for _, p, _ in closed]) if closed else
+                           np.full(d, n))
+    if sizes.max() > DENSE_EIG_LIMIT or \
+            np.sum(sizes ** 3.0) + 120.0 * cells * r ** 2 >= float(cells) ** 3:
+        return None
+    V = _real_if_exact(_fiber_factor(
+        [(u, np.ones(d, dtype=int), [(o, math.sqrt(w)) for o, w in zip(*spec)])
+         for u, spec in finite], idx, xs))
+    lam, W = np.zeros(cells), V
+    if closed:
+        kernels = [(u, _lattice_kernel(p, spec, steps, n)) for u, p, spec in closed]
+        eig = [(np.linalg.eigh(H), c)
+               for c, H in _block_stacks(order, sizes, None, kernels, idx, n)]
+        lam = np.concatenate([evs.ravel() for (evs, _), _ in eig])
+        W = np.concatenate([(Q.conj().transpose(0, 2, 1) @ V[c]).reshape(-1, r)
+                            for (_, Q), c in eig])
+    top, Wh, eye, count = lam.max() + float(np.sum(np.abs(V) ** 2)), W.conj().T, np.eye(r), 0
+
+    def bisect(lo: float, hi: float, k: int) -> tuple[float, float]:
+        nonlocal count
+        while hi - lo > 4 * np.finfo(float).eps * top:
+            t = 0.5 * (lo + hi)
+            while np.any(lam == t):  # lam - t must be invertible
+                t = 0.5 * (lo + t)
+            below = np.count_nonzero(np.linalg.eigvalsh(-eye - (Wh / (lam - t)) @ W) < 0)
+            lo, hi = (t, hi) if np.count_nonzero(lam < t) + below - r <= k else (lo, t)
+            count += 1
+        return lo, hi
+
+    ends = np.sort(lam)
+    a, a_hi = bisect(ends[0], ends[min(r, len(lam) - 1)], 0)
+    b_lo, b = bisect(ends[-1], top, len(lam) - 1)
+    return max(float(a), 0.0), float(b), (
+        f"rank-{r} update of {len(sizes)} blocks of order at most {sizes.max()}"
+        f"{'' if np.iscomplexobj(W) else ' in real arithmetic'}: inertia bisection in "
+        f"{count} steps, brackets {a_hi - a:.2g} (A) and {b - b_lo:.2g} (B) wide")
 
 
 def _extremal_eigs_iterative(kernels: list, idx: np.ndarray, n: int,
@@ -416,25 +493,36 @@ def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
     return FrameBoundsReport(a, b, grid_n, None, note)
 
 
+def _fibers(idx: np.ndarray, period: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells in order of their index residue mod ``period``, and the
+    sizes of the runs that share one."""
+    residue = np.ravel_multi_index((idx % period).T, period)
+    sizes = np.bincount(residue)
+    return np.argsort(residue, kind="stable"), sizes[sizes > 0]
+
+
 def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
                          trunc_box: Optional[Box] = None) -> FrameBoundsReport:
     """Frame bounds with the grid laid over ``grid_box``; cells outside the
     domain carry zero weight.  With no ``trunc_box``, ``_ron_shen_bounds``
     takes the systems it covers, and the rest are cut to the Nyquist band.
 
-    Each pair enters through its difference kernel: in closed form for a
+    Each pair enters through difference kernels: in closed form for a
     diagonal lattice whose spacing divides into the grid and whose
-    truncation fills whole periods, as a DFT for a density on whole
-    fractions of the alias band, summed over its frequencies otherwise.
-    The operator couples two cells only when their index difference is a
-    multiple of P, the gcd of every pair's period, so it is block diagonal
-    over the fibers of cells with one index residue mod P (the Walnut /
-    Ron-Shen fiber decomposition).  The blocks are gathered densely from the
-    kernels.  When every kernel has the closed form and a block has more
-    cells than the r columns of ``_fiber_factor``, the operator is singular
-    and the blocks' r x r Grams give the upper bound.  Above
-    ``DENSE_EIG_LIMIT`` in order, the operator is applied as FFT
-    convolutions inside an iterative solve.
+    truncation fills whole periods and for a constant density on one alias
+    cycle, as a DFT for a density on whole fractions of the alias band,
+    summed over the finite points (other point sets truncated, atoms)
+    otherwise.  The operator couples two cells only when their index
+    difference is a multiple of P, the gcd of every pair's period (1 for a
+    summed kernel), so it is block diagonal over the fibers of cells with
+    one index residue mod P (the Walnut / Ron-Shen fiber decomposition).
+    The blocks are gathered densely from the kernels.  When every kernel has
+    the closed form and a block has more cells than the r columns of
+    ``_fiber_factor``, the operator is singular and the blocks' r x r Grams
+    give the upper bound.  With closed forms and R finite points alone, the
+    points become R columns beside the closed forms' blocks when that costs
+    less (``_rank_update_bounds``).  Above ``DENSE_EIG_LIMIT`` in order,
+    the operator is applied as FFT convolutions inside an iterative solve.
     """
     if trunc_box is None and (untruncated := _ron_shen_bounds(system, grid_box, grid_n)):
         return untruncated
@@ -454,23 +542,28 @@ def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
     if not terms:
         return FrameBoundsReport(0.0, 0.0, grid_n, trunc_box,
                                  "; ".join(notes + ["no coefficients at all"]))
-    period = np.gcd.reduce([p for _, p, _ in terms])
-    residue = np.ravel_multi_index((idx % period).T, period)
-    order = np.argsort(residue, kind="stable")
-    sizes = np.bincount(residue)
-    sizes = sizes[sizes > 0]
+    closed = [t for t in terms if isinstance(t[1], np.ndarray) and isinstance(t[2], tuple)]
+    finite = [(u, spec) for u, p, spec in terms if p is None]
+    general = len(terms) > len(closed) + len(finite)
+    period = np.gcd.reduce([np.ones(len(steps), dtype=int) if p is None else p
+                            for _, p, _ in terms])
+    order, sizes = _fibers(idx, period)
     note = (f"dense eigensolve of order {sizes[0]}" if len(sizes) == 1 else
             f"dense eigensolve of {len(sizes)} blocks of order at most {sizes.max()}")
     rank = math.inf
-    if not any(isinstance(spec, np.ndarray) for *_, spec in terms):
+    if not (finite or general):
         rank = sum(len(spec) * int(np.prod(p // period)) for _, p, spec in terms)
     if rank < sizes.max() and rank <= DENSE_EIG_LIMIT:
         V = _fiber_factor([(u, p // period, [(o, math.sqrt(c)) for o, c in spec])
                            for u, p, spec in terms], idx // period, xs)
         a, b = _extremal_eigs_blocks(order, sizes, V)
         note += f" and rank at most {rank}"
+    elif finite and not general and (update := _rank_update_bounds(closed, finite, idx, xs,
+                                                                     steps, grid_n)):
+        a, b, note = update
     else:
         kernels = [(u, spec if isinstance(spec, np.ndarray) else
+                    _difference_kernel(*spec, steps, grid_n) if p is None else
                     _lattice_kernel(p, spec, steps, grid_n)) for u, p, spec in terms]
         if sizes.max() <= DENSE_EIG_LIMIT:
             a, b = _extremal_eigs_blocks(order, sizes, None, kernels, idx, grid_n)
@@ -482,13 +575,14 @@ def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
     return FrameBoundsReport(a, b, grid_n, trunc_box, "; ".join(notes + [note]))
 
 
-def raw_exponential_tight_constant(box: Box, cells: int = 64) -> float:
+def raw_exponential_tight_constant(box: Box) -> float:
     """Measured tight constant of the raw exponential family on a box.
 
     The exponentials carry the dual lattice of the box's side lattice,
     untruncated, so the family is exactly tight; the measured constant (the
     box volume under this convention) anchors every predicted bound instead
-    of a hard-coded normalization.
+    of a hard-coded normalization.  Every Ron-Shen fiber of the cube is one
+    point, where G = covol^-1, so a grid of 2 cells per axis measures it.
     """
     d = box.dim
     sides = box.sides
@@ -497,7 +591,7 @@ def raw_exponential_tight_constant(box: Box, cells: int = 64) -> float:
     omega = BoxUnionSet(d, (box,))
     freq = LatticeCosets(Lattice.scaled_integers(1.0 / sides[0], d))
     system = WindowedSystem(omega, ((Window.indicator(), freq),))
-    rep = estimate_frame_bounds(system, cells)
+    rep = estimate_frame_bounds(system, 2)
     return 0.5 * (rep.A_est + rep.B_est)
 
 

@@ -1,6 +1,8 @@
 """Frame-bound estimation, essential window bounds, and the bound/density
 bracket checks."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,11 +331,15 @@ class TestEstimateFrameBounds:
 
     def test_iterative_path_agrees_with_dense(self, monkeypatch):
         l_shape = canonicalize([Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 0.5))])
-        measure = ContinuousFreqMeasure(
-            density=GridFunction.indicator(Box((-64.0,), (64.0,)), 100),
-            atoms=(((3.3,), 1.5), ((-20.7,), 0.5)))
-        even = ContinuousFreqMeasure(density=measure.density,
-                                     atoms=(((3.3,), 1.5), ((-3.3,), 1.5)))
+        # a bowl-shaped density, so the measures keep a general kernel (a
+        # constant one on whole cycles would take the closed form)
+        bowl = GridFunction.from_callable(lambda xi: 1.0 + (xi[:, 0] / 64.0) ** 2,
+                                          Box((-64.0,), (64.0,)), 100)
+        measure = ContinuousFreqMeasure(density=bowl, atoms=(((3.3,), 1.5), ((-20.7,), 0.5)))
+        even = ContinuousFreqMeasure(
+            density=GridFunction(bowl.bounding_box, bowl.samples + np.flip(bowl.samples),
+                                 bowl.cell_weights),
+            atoms=(((3.3,), 1.5), ((-3.3,), 1.5)))
         # each case is truncated to its Nyquist band, which keeps the lattices
         # off the untruncated path; spacing 0.79 does not divide into the
         # grid, so the operator is one block; cosets of 32Z have a period of
@@ -385,11 +391,33 @@ class TestEstimateFrameBounds:
 
 
 def assert_one_block_matches_oracle(case, arithmetic=""):
+    """The one dense block, or the rank-R update where no measure keeps a
+    general density kernel, R being the finite points: a pair's points that
+    are not a whole-period lattice, and a measure's atoms.  A constant
+    density on whole alias cycles takes the closed form, which the notes
+    name."""
     system, grid_n, trunc, oracle = case
     rep = estimate_frame_bounds(system, grid_n, trunc)
     bb = system.omega.bounding_box()
     order = int(np.count_nonzero(cell_volumes(bb, grid_n, system.omega)))
-    assert rep.notes == f"dense eigensolve of order {order}{arithmetic}"
+    steps = np.array(bb.sides) / grid_n
+    hair = trunc.translate([-1e-9 * s for s in trunc.sides])
+    rank, general, constant = 0, False, []
+    for (window, freq), (_, lam, _) in zip(system.pairs, oracle):
+        if isinstance(freq, ContinuousFreqMeasure):
+            rank += len(freq.atoms)
+            if framebounds._constant_density(freq.density, steps):
+                constant.append(f"pair '{window.label}': constant density in closed form")
+            else:
+                general = True
+        elif framebounds._lattice_cosets(freq, steps, hair) is None:
+            rank += len(lam)
+    *named, note = rep.notes.split("; ")
+    assert [n[:n.index(" with period")] for n in named] == constant
+    if note.startswith("rank-"):
+        assert not general and note.startswith(f"rank-{rank} update of ")
+    else:
+        assert note == f"dense eigensolve of order {order}{arithmetic}"
     a, b = dense_gram_oracle(system.omega, oracle, grid_n)
     assert abs(rep.A_est - a) <= 1e-9 * b
     assert abs(rep.B_est - b) <= 1e-9 * b
@@ -441,8 +469,9 @@ class TestRealPath:
     # +-p with unequal weights; a constant density on [0, 4), whose masses
     # mirror on a box that does not; 1/2 + 2Z,
     # a coset at a quarter of its spacing whose closed-form kernel has the
-    # phase i at a lag of one period (beside a real pair, so it enters the
-    # one block); the band-edge set, whose top frequency 63.99999999999999
+    # phase i at a lag of one period (beside a real pair of three points,
+    # whose columns would cost more than the one block it so enters); the
+    # band-edge set, whose top frequency 63.99999999999999
     # lies within the hair below the upper face and is dropped while its
     # negative stays (at 96 cells its period is no whole number of cells, so
     # its kernel is summed); a complex window; and real pairs beside complex
@@ -453,7 +482,7 @@ class TestRealPath:
         (((RAMP, ContinuousFreqMeasure(
             density=GridFunction.indicator(Box((0.0,), (4.0,)), 8))),), 16, None),
         (((RAMP, LatticeCosets(Lattice.scaled_integers(2.0), ((0.5,),))),
-          (Window.indicator(), FiniteSet(((0.0,),)))), 16, None),
+          (Window.indicator(), FiniteSet(((0.0,), (1.0,), (-1.0,))))), 16, None),
         (((Window.from_string("0.5"), integers(scale=128 / 214)),), 96, Box((-64.0,), (64.0,))),
         (((TILTED, integers(scale=0.79)),), 16, Box((-8.0,), (8.0,))),
         (((Window.indicator(), integers(scale=0.79)), (RAMP, ONE_SIDED)), 16, None),
@@ -472,18 +501,127 @@ class TestRealPath:
         assert abs(rep.A_est - a) <= 1e-9 * b
         assert abs(rep.B_est - b) <= 1e-9 * b
 
-    @pytest.mark.parametrize("freq", [integers(scale=0.79), FiniteSet(((-2.0,), (2.0,)))])
-    def test_a_constant_phase_moves_the_solve_not_the_bounds(self, freq):
+    # two points take the rank-2 update, whose columns are complex either way
+    @pytest.mark.parametrize("freq, real_note, complex_note", [
+        (integers(scale=0.79), "dense eigensolve of order 64 in real arithmetic",
+         "dense eigensolve of order 64"),
+        (FiniteSet(((-2.0,), (2.0,))), "rank-2 update of 64 blocks of order at most 1",
+         "rank-2 update of 64 blocks of order at most 1"),
+    ], ids=["freq0", "freq1"])
+    def test_a_constant_phase_moves_the_solve_not_the_bounds(self, freq, real_note,
+                                                             complex_note):
         # e^{0.3i} (1 - x) gives the operator of 1 - x, since the phase
         # cancels in u(x) conj(u(y)), but it is stored complex
         phased = Window.from_callable(lambda p: np.exp(0.3j) * (1.0 - p[:, 0]), "phased")
         band = Box((-32.0,), (32.0,))
         real = estimate_frame_bounds(WindowedSystem(UNIT, ((self.RAMP, freq),)), 64, band)
         cplx = estimate_frame_bounds(WindowedSystem(UNIT, ((phased, freq),)), 64, band)
-        assert real.notes == "dense eigensolve of order 64 in real arithmetic"
-        assert cplx.notes == "dense eigensolve of order 64"
+        # the rank update's note goes on after a colon
+        assert real.notes.split(": ")[0] == real_note
+        assert cplx.notes.split(": ")[0] == complex_note
         assert abs(real.A_est - cplx.A_est) <= 1e-12 * real.B_est
         assert abs(real.B_est - cplx.B_est) <= 1e-12 * real.B_est
+
+
+@st.composite
+def rank_update_systems(draw):
+    """Closed-form blocks beside R <= 3 finite points, on a box filled by a
+    grid of 48 or 64 cells (1-D) or 8 x 8 (2-D), where the rank-R update
+    costs less than the one dense block.
+
+    The closed part is nothing (finite sets alone), a constant density whose
+    N = 2, 3 or 5 cells per axis fill one alias band (on a box with lo = -hi
+    or not), or cosets of a diagonal lattice with a period of 2 to 4 cells,
+    truncated to one or two whole bands.  The finite points are a point set
+    drawn in the truncation box and the density's atoms.  Windows are
+    polynomials, indicators (whose blocks have tied eigenvalues) or vanish on
+    the cells below a cut.  Returns the system, the grid, the truncation
+    box, the oracle's (window, frequencies, weights) per pair and R.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    grid_n = draw(st.sampled_from([48, 64] if d == 1 else [8]))
+    lo = np.array([draw(st.integers(-4, 4)) / 4.0 for _ in range(d)])
+    side = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    omega = BoxUnionSet(d, (Box(tuple(lo), tuple(lo + side)),))
+    band = grid_n / side
+    start = [-draw(st.integers(1, 15)) / 16.0 * band for _ in range(d)]
+    trunc = Box(tuple(start), tuple(a + draw(st.integers(1, 2)) * band for a in start))
+    hair = trunc.translate([-1e-9 * s for s in trunc.sides])
+
+    def window(j):
+        kind = draw(st.sampled_from(["poly", "indicator", "vanishing"]))
+        if kind == "indicator":
+            return Window.indicator()
+        if kind == "poly":
+            return draw_window(draw, j)
+        cut = lo[0] + draw(st.integers(1, 3)) / 4.0 * side
+        return Window.from_callable(lambda p, cut=cut: np.where(p[:, 0] < cut, 0.0, p[:, 0] - cut),
+                                    f"v{j}")
+
+    pairs, rank = [], 0
+    closed = draw(st.sampled_from(["none", "density", "lattice"]))
+    if closed == "density":
+        cells = draw(st.sampled_from([2, 3, 5]))
+        at = (-0.5 * band if draw(st.booleans()) else draw(st.floats(-3.0, 3.0)))
+        box = Box((at,) * d, (at + band,) * d)
+        atoms = tuple((tuple(draw(st.floats(-band / 2, band / 2)) for _ in range(d)),
+                       draw(st.floats(0.5, 2.0))) for _ in range(draw(st.integers(0, 2))))
+        rank += len(atoms)
+        density = GridFunction.from_callable(lambda xi: np.full(len(xi), 0.7), box, cells)
+        pairs.append((window("D"), ContinuousFreqMeasure(density=density, atoms=atoms)))
+    elif closed == "lattice":
+        periods = np.array([draw(st.integers(2, 4)) for _ in range(d)])
+        pairs.append((window("L"), whole_period_lattice(draw, periods, np.full(d, side / grid_n))))
+    if rank == 0 or draw(st.booleans()):
+        points = draw(st.lists(st.tuples(*[st.integers(1, 15)] * d), min_size=1,
+                               max_size=3 - rank, unique=True))
+        rank += len(points)
+        pairs.append((window(0), FiniteSet(tuple(
+            tuple(a + (b - a) * k / 16.0 for a, b, k in zip(trunc.lo, trunc.hi, p))
+            for p in points), d)))
+    oracle = [(w, *oracle_frequencies(f, hair)) for w, f in pairs]
+    return WindowedSystem(omega, tuple(pairs)), grid_n, trunc, oracle, rank
+
+
+class TestRankUpdatePath:
+    """Finite points and atoms enter as R columns beside the closed forms'
+    blocks, and inertia counts bisect A and B; the dense Gram is the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rank_update_systems())
+    def test_matches_the_dense_gram(self, case):
+        system, grid_n, trunc, oracle, rank = case
+        rep = estimate_frame_bounds(system, grid_n, trunc)
+        assert rep.notes.split("; ")[-1].startswith(f"rank-{rank} update of ")
+        a, b = dense_gram_oracle(system.omega, oracle, grid_n)
+        assert abs(rep.A_est - a) <= 1e-9 * b
+        assert abs(rep.B_est - b) <= 1e-9 * b
+        if len(system.pairs) == 1 and isinstance(system.pairs[0][1], FiniteSet):
+            assert rep.A_est == 0.0  # R columns on more cells than R
+
+    def test_shaped_like_the_continuous_benchmark(self):
+        # a constant density over the Nyquist band of 1024 cells, on 1331
+        # cells, plus three atoms: one coset of period 1331 > 1024 cells, so
+        # every cell is its own block beside three columns
+        n = 1024
+        band = Box((-n / 2.0,), (n / 2.0,))
+        density = GridFunction.from_callable(lambda xi: np.full(len(xi), 1.1), band, 1331)
+        freq = ContinuousFreqMeasure(density=density, atoms=(((-301.7,), 0.8), ((12.25,), 1.9),
+                                                             ((400.5,), 1.2)))
+        window = Window.from_string("0.8*x^1.3")
+        rep = estimate_frame_bounds(WindowedSystem(UNIT, ((window, freq),)), n)
+        assert re.fullmatch(
+            r"pair '0\.8\*x\^1\.3': constant density in closed form with period 1331 cells; "
+            r"rank-3 update of 1024 blocks of order at most 1: inertia bisection in \d+ steps, "
+            r"brackets \S+ \(A\) and \S+ \(B\) wide", rep.notes)
+        a, b = dense_gram_oracle(UNIT, [(window, *oracle_frequencies(freq, band))], n)
+        assert abs(rep.A_est - a) <= 1e-9 * b
+        assert abs(rep.B_est - b) <= 1e-9 * b
+
+    def test_costly_columns_keep_the_dense_block(self):
+        # two points on 16 cells: 120 n R^2 = 7680 exceeds 16^3
+        system = WindowedSystem(UNIT, ((Window.indicator(), FiniteSet(((1.0,), (2.5,)))),))
+        assert estimate_frame_bounds(system, 16).notes == "dense eigensolve of order 16"
 
 
 class TestSilentPairs:
@@ -630,7 +768,9 @@ class TestFiberizedPath:
         assert rep.A_est == pytest.approx(a, rel=1e-9, abs=1e-12)
         assert rep.B_est == pytest.approx(b, rel=1e-9)
 
-    @pytest.mark.parametrize("freq", [FiniteSet(((0.0,),)), integers(scale=0.79)])
+    # nine points: as columns they would cost more than the one block
+    @pytest.mark.parametrize("freq", [FiniteSet(tuple((float(k),) for k in range(-4, 5))),
+                                      integers(scale=0.79)], ids=["freq0", "freq1"])
     def test_other_frequency_sets_stay_dense(self, freq):
         system = WindowedSystem(UNIT, ((Window.indicator(), freq),))
         assert (estimate_frame_bounds(system, 64, Box((-32.0,), (32.0,))).notes
@@ -737,17 +877,22 @@ class TestRonShenPath:
         assert rep.A_est == grid.A_est == 0.0
         assert abs(rep.B_est - grid.B_est) <= 1e-12 * grid.B_est
 
-    @pytest.mark.parametrize("pairs", [
-        ((Window.indicator(), LatticeCosets(Lattice(((1.0, 0.5), (0.0, 1.0))))),),
-        ((Window.indicator(), integers(2)), (Window.indicator(), FiniteSet(((0.0, 0.0),), 2))),
-        ((Window.indicator(), integers(2)), (Window.indicator(), integers(2, np.sqrt(2.0)))),
-        ((Window.indicator(), integers(2, 512.0)),),
+    # a lone point in the band, beside a whole-period lattice or alone,
+    # takes the rank-1 update on the grid
+    @pytest.mark.parametrize("pairs, note", [
+        (((Window.indicator(), LatticeCosets(Lattice(((1.0, 0.5), (0.0, 1.0))))),),
+         "dense eigensolve"),
+        (((Window.indicator(), integers(2)), (Window.indicator(), FiniteSet(((0.0, 0.0),), 2))),
+         "rank-1 update of 64 blocks"),
+        (((Window.indicator(), integers(2)), (Window.indicator(), integers(2, np.sqrt(2.0)))),
+         "dense eigensolve"),
+        (((Window.indicator(), integers(2, 512.0)),), "rank-1 update of 64 blocks"),
     ], ids=["skew", "beside_a_finite_set", "incommensurable", "period_below_a_step"])
-    def test_other_systems_keep_the_nyquist_grid(self, pairs):
+    def test_other_systems_keep_the_nyquist_grid(self, pairs, note):
         square = canonicalize([Box((0.0, 0.0), (1.0, 1.0))])
         rep = estimate_frame_bounds(WindowedSystem(square, pairs), 8)
         assert rep.trunc_box == nyquist_box(square.bounding_box(), 8)
-        assert rep.notes.startswith("dense eigensolve")
+        assert rep.notes.startswith(note)
 
     def test_no_cell_centre_in_the_domain(self):
         omega = BoxUnionSet.from_intervals([(0.0, 0.1), (0.9, 1.0)])
@@ -766,7 +911,7 @@ class TestRawExponentialConstant:
 
     def test_unit_square(self):
         square = Box((0.0, 0.0), (1.0, 1.0))
-        assert raw_exponential_tight_constant(square, cells=8) == pytest.approx(
+        assert raw_exponential_tight_constant(square) == pytest.approx(
             1.0, abs=1e-9)
 
     def test_unit_square_at_the_default_grid(self):
