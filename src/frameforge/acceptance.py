@@ -39,8 +39,9 @@ from .serialization import (
     DENSITY_TRACE_HEADER,
     FRAME_BOUNDS_HEADER,
     GABOR_HEADER,
-    box_label,
     format_csv,
+    frame_bounds_row,
+    gabor_row,
 )
 from .windows import Window
 from .zak import FRAME_CERTIFIED, NOT_FRAME, certify_gabor
@@ -65,18 +66,13 @@ class CriterionResult:
     artifacts: tuple[CsvArtifact, ...] = ()
 
 
-def _bounds_row(label: str, rep) -> tuple:
-    return (label, rep.grid_n, box_label(rep.trunc_box), rep.A_est, rep.B_est,
-            rep.tight_ratio)
-
-
 def criterion_01_orthonormal_saturation(seed: int) -> CriterionResult:
     system = WindowedSystem(UNIT, ((Window.indicator(), integers()),))
     rep = estimate_frame_bounds(system, 256)
     passed = abs(rep.A_est - 1.0) <= 1e-9 and abs(rep.B_est - 1.0) <= 1e-9
     detail = f"A_est={rep.A_est:.12f}, B_est={rep.B_est:.12f}, target 1 within 1e-9"
     art = CsvArtifact("c01_frame_bounds.csv", FRAME_BOUNDS_HEADER,
-                      (_bounds_row("unit_interval_integers", rep),))
+                      (frame_bounds_row("unit_interval_integers", rep),))
     return CriterionResult(1, "orthonormal saturation", passed, detail, (art,))
 
 
@@ -276,9 +272,8 @@ def criterion_10_gabor_certification(seed: int) -> CriterionResult:
     detail = (f"a=1 box: {full.verdict} A={full.A_53!r}; a=1 half box: "
               f"{half_crit.verdict} A={half_crit.A_53!r}; a=1/2 half box: "
               f"{half_over.verdict} A={half_over.A_53!r}; unitarity <= 1e-6")
-    rows = tuple((v.p, v.q, v.M, v.A_53, v.B_53, v.verdict, v.zz_min, v.zz_max)
-                 for v in (full, half_crit, half_over))
-    art = CsvArtifact("c10_gabor.csv", GABOR_HEADER, rows)
+    art = CsvArtifact("c10_gabor.csv", GABOR_HEADER,
+                      tuple(gabor_row(v) for v in (full, half_crit, half_over)))
     return CriterionResult(10, "Gabor certification", passed, detail, (art,))
 
 

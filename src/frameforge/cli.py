@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -37,6 +38,8 @@ from .serialization import (
     FRAME_BOUNDS_HEADER,
     GABOR_HEADER,
     box_label,
+    frame_bounds_row,
+    gabor_row,
     load_domain,
     load_system,
     pointset_from_dict,
@@ -88,7 +91,7 @@ def _parse_comb(descriptor: str) -> WeightedComb:
 
 def _emit(report_lines: list[str], args) -> None:
     text = "\n".join(report_lines) + "\n"
-    if getattr(args, "report", None):
+    if args.report:
         with open(args.report, "w") as fh:
             fh.write(text)
     else:
@@ -114,8 +117,14 @@ def cmd_density(args) -> int:
 
 def cmd_overlap(args) -> int:
     omega, tail = load_domain(args.domain)
-    # the half-box 0 <= x_0 <= x_max, |x_a| <= x_max that overlap_zero_set scans
-    half = np.arange(0.0, args.x_max + args.step / 2.0, args.step)
+    # the half-box 0 <= x_0 <= x_max, |x_a| <= x_max that overlap_zero_set scans,
+    # by default at the finest step 0.01 k that keeps it within 10^5 shifts
+    step, k = args.step, 0
+    while step is None:  # n = len(half) at step 0.01 k
+        k += 1
+        n = math.ceil((args.x_max + 0.01 * k / 2.0) / (0.01 * k))
+        step = 0.01 * k if n * (2 * n - 1) ** (omega.dim - 1) <= 10 ** 5 else None
+    half = np.arange(0.0, args.x_max + step / 2.0, step)
     whole = np.r_[-half[:0:-1], half]
     prof = overlap_profile(omega, cartesian([half] + [whole] * (omega.dim - 1)))
     if args.csv:
@@ -149,9 +158,7 @@ def cmd_frame_bounds(args) -> int:
     rep = estimate_frame_bounds(system, args.grid_n, trunc)
     label = os.path.basename(args.system) if os.path.exists(args.system) else "inline"
     if args.csv:
-        write_csv(args.csv, FRAME_BOUNDS_HEADER,
-                  [(label, rep.grid_n, box_label(rep.trunc_box), rep.A_est,
-                    rep.B_est, rep.tight_ratio)])
+        write_csv(args.csv, FRAME_BOUNDS_HEADER, [frame_bounds_row(label, rep)])
     lines = [f"A_est: {rep.A_est!r}", f"B_est: {rep.B_est!r}",
              f"tight_ratio: {rep.tight_ratio!r}", f"grid_n: {rep.grid_n}",
              f"trunc: {box_label(rep.trunc_box)}"]
@@ -235,9 +242,7 @@ def cmd_gabor(args) -> int:
     window = Window.from_string(args.window)
     verdict = certify_gabor(window, args.p, args.q, args.M)
     if args.csv:
-        write_csv(args.csv, GABOR_HEADER,
-                  [(verdict.p, verdict.q, verdict.M, verdict.A_53, verdict.B_53,
-                    verdict.verdict, verdict.zz_min, verdict.zz_max)])
+        write_csv(args.csv, GABOR_HEADER, [gabor_row(verdict)])
     lines = [f"verdict: {verdict.verdict}",
              f"A_53: {verdict.A_53!r}", f"B_53: {verdict.B_53!r}",
              f"zz_min: {verdict.zz_min!r}", f"zz_max: {verdict.zz_max!r}",
@@ -271,41 +276,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="windowed-exponential frame toolkit")
     parser.add_argument("--config", help="JSON file overriding subcommand options")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand takes --report; those that write a table take --csv too
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report")
+    table = argparse.ArgumentParser(add_help=False, parents=[report])
+    table.add_argument("--csv")
 
-    p = sub.add_parser("density", help="Beurling densities of a weighted comb")
+    p = sub.add_parser("density", parents=[table], help="Beurling densities of a weighted comb")
     p.add_argument("--points", required=True, help="point set or comb descriptor")
     p.add_argument("--windowed", action="store_true",
                    help="use the sliding-window estimator instead of closed forms")
     p.add_argument("--h-list", default="10,100,1000")
     p.add_argument("--x-samples", type=int, default=400)
-    p.add_argument("--csv")
-    p.add_argument("--report")
     p.set_defaults(handler=cmd_density)
 
-    p = sub.add_parser("overlap", help="translate overlap profile of a domain")
+    p = sub.add_parser("overlap", parents=[table], help="translate overlap profile of a domain")
     p.add_argument("--domain", required=True)
     p.add_argument("--x-max", type=float, default=8.0)
-    p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--csv")
-    p.add_argument("--report")
+    p.add_argument("--step", type=float, help="default: the finest multiple of 0.01 "
+                   "that keeps the half-box within 10^5 shifts")
     p.set_defaults(handler=cmd_overlap)
 
-    p = sub.add_parser("residue", help="lattice residue packing check")
+    p = sub.add_parser("residue", parents=[report], help="lattice residue packing check")
     p.add_argument("--domain", required=True)
     p.add_argument("--lattice", required=True,
                    help="covolume scalar or JSON basis matrix")
-    p.add_argument("--report")
     p.set_defaults(handler=cmd_residue)
 
-    p = sub.add_parser("frame-bounds", help="frame bound estimation for a system")
+    p = sub.add_parser("frame-bounds", parents=[table], help="frame bound estimation for a system")
     p.add_argument("--system", required=True, help="system description file")
     p.add_argument("--grid-n", type=int, default=256)
     p.add_argument("--trunc", help="frequency truncation as lo:hi per axis")
-    p.add_argument("--csv")
-    p.add_argument("--report")
     p.set_defaults(handler=cmd_frame_bounds)
 
-    p = sub.add_parser("construct", help="build a frame (cube harmonics or lattice)")
+    p = sub.add_parser("construct", parents=[report],
+                       help="build a frame (cube harmonics or lattice)")
     p.add_argument("--domain", required=True)
     p.add_argument("--windows", help="comma-separated window expressions")
     p.add_argument("--lattice", help="covolume scalar or JSON basis matrix")
@@ -313,38 +318,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-cap", type=int, default=4096)
     p.add_argument("--trunc-radius", type=float, default=64.0)
     p.add_argument("--out", help="write the constructed system description here")
-    p.add_argument("--report")
     p.set_defaults(handler=cmd_construct)
 
-    p = sub.add_parser("obstruction", help="tight-frame obstruction scan")
+    p = sub.add_parser("obstruction", parents=[table], help="tight-frame obstruction scan")
     p.add_argument("--domain", required=True)
     p.add_argument("--x-max", type=float, default=8.0)
-    p.add_argument("--csv")
-    p.add_argument("--report")
     p.set_defaults(handler=cmd_obstruction)
 
-    p = sub.add_parser("certify-measure", help="cosine tight-frame-measure certificate")
+    p = sub.add_parser("certify-measure", parents=[table],
+                       help="cosine tight-frame-measure certificate")
     p.add_argument("--domain", required=True)
     p.add_argument("--x0", required=True, help="shift vector, comma-separated")
     p.add_argument("--grid-n", type=int, help="default: the coarsest aligned grid "
                    "with at least 256 cells")
-    p.add_argument("--csv")
-    p.add_argument("--report")
     p.set_defaults(handler=cmd_certify_measure)
 
-    p = sub.add_parser("gabor", help="rational-shift Gabor certification")
+    p = sub.add_parser("gabor", parents=[table], help="rational-shift Gabor certification")
     p.add_argument("--window", required=True)
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--M", type=int, default=256)
-    p.add_argument("--csv")
-    p.add_argument("--report")
     p.set_defaults(handler=cmd_gabor)
 
-    p = sub.add_parser("verify", help="run the acceptance suite")
+    p = sub.add_parser("verify", parents=[report], help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--outdir", help="directory for CSV artifacts")
-    p.add_argument("--report")
     p.set_defaults(handler=cmd_verify)
 
     return parser

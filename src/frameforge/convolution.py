@@ -95,35 +95,26 @@ class TranslationBoundReport(NamedTuple):
     attained_at: tuple[float, ...]
 
 
-def translation_bounded_probe(comb: WeightedComb, window: Box,
-                              x_samples: int = 200) -> TranslationBoundReport:
-    """Estimate sup_x mu(x + K) by sliding the box over structural placements.
-
-    Each axis takes a uniform sweep (over the structure plus tails in 1-D,
-    over one period cell per axis otherwise) plus every point coordinate on
-    that axis, and the box's lower corner runs over their Cartesian product.
-    Sliding a half-open box up until a point sits on each lower face never
-    loses mass, so for lattice-type combs the corner placements make the
-    supremum exact.
-    """
+def translation_bounded_probe(comb: WeightedComb, window: Box) -> TranslationBoundReport:
+    """sup_x mu(x + K) over the box corners whose coordinates are point
+    coordinates: sliding a half-open box up on each axis until a point sits on
+    its lower face never loses mass, so these corners attain the supremum.
+    They are read over the structure plus tails in 1-D and over one period
+    cell per axis otherwise; a probe that holds no point reports mass 0."""
     if window.dim != comb.dim:
         raise InputError("window dimension does not match the comb")
-    d = comb.dim
     sides = window.sides
     span = max(s.min_period() or 1.0 for _, s in comb.terms)
-    if d == 1:
-        anchors = [s.anchor_interval() for _, s in comb.terms]
-        a = min(x[0] for x in anchors) - 2.0 * (sides[0] + span)
-        b = max(x[1] for x in anchors) + 2.0 * (sides[0] + span)
-        sweeps = [np.linspace(a, b, x_samples)]
-        probe = Box((a,), (b + 1e-9,))
+    if comb.dim == 1:
+        anchors = [v for _, s in comb.terms for v in s.anchor_interval()]
+        reach = 2.0 * (sides[0] + span)
+        probe = Box((min(anchors) - reach,), (max(anchors) + reach + 1e-9,))
     else:
-        per_axis = max(2, int(round(x_samples ** (1.0 / d))))
-        sweeps = [np.linspace(-span, span, per_axis)] * d
         probe = Box(tuple(-span - s for s in sides), tuple(span + s for s in sides))
     pts = np.vstack([s.points_in_box(probe) for _, s in comb.terms])
-    corners = cartesian(list(dict.fromkeys(sweep.tolist() + pts[:, k].tolist()))
-                        for k, sweep in enumerate(sweeps))
+    if not len(pts):
+        return TranslationBoundReport(0.0, probe.lo)
+    corners = cartesian([np.unique(axis) for axis in pts.T])
     masses = comb.masses_in_boxes(corners, corners + np.asarray(sides))
     best = int(np.argmax(masses))
     return TranslationBoundReport(float(masses[best]), tuple(corners[best].tolist()))
@@ -160,18 +151,12 @@ def check_density_convolution_bracket(
     """
     if not pairs:
         raise InputError("need at least one (comb, function) pair")
-    total = np.zeros((n_eval,) * eval_box.dim)
-    masses = []
-    combined = None
-    for comb, h in pairs:
-        conv = comb_convolve(comb, h, eval_box, n_eval)
-        total = total + conv.samples.real
-        mass = float(h.integral().real)
-        if mass <= 0:
-            raise InputError("each function in the bracket check needs positive mass")
-        masses.append(mass)
-        scaled = comb.scaled(mass)
-        combined = scaled if combined is None else combined.plus(scaled)
+    masses = [float(h.integral().real) for _, h in pairs]
+    if min(masses) <= 0:
+        raise InputError("each function in the bracket check needs positive mass")
+    total = sum(comb_convolve(comb, h, eval_box, n_eval).samples.real for comb, h in pairs)
+    combined = WeightedComb(tuple((mass * w, s) for mass, (comb, _) in zip(masses, pairs)
+                                  for w, s in comb.terms))
     densities = density_closed_form(combined)
     supports = [support for comb, _ in pairs for _, support in comb.terms]
     periodic = all(isinstance(s, LatticeCosets)

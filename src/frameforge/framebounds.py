@@ -389,8 +389,7 @@ def _rank_update_bounds(closed: list, finite: list, idx: np.ndarray, xs: np.ndar
         f"{count} steps, brackets {a_hi - a:.2g} (A) and {b - b_lo:.2g} (B) wide")
 
 
-def _extremal_eigs_iterative(kernels: list, idx: np.ndarray, n: int,
-                             tol: float = ITER_EIG_TOL) -> tuple[float, float]:
+def _extremal_eigs_iterative(kernels: list, idx: np.ndarray, n: int) -> tuple[float, float]:
     """Lanczos on the frame operator; each pair's product with K is a
     circular convolution on a (2n)^d grid, where no index difference wraps."""
     from scipy.sparse.linalg import LinearOperator, eigsh
@@ -416,7 +415,7 @@ def _extremal_eigs_iterative(kernels: list, idx: np.ndarray, n: int,
         return out
 
     op = LinearOperator((nc, nc), matvec=apply, dtype=complex)
-    b_val = float(eigsh(op, k=1, which="LA", tol=tol,
+    b_val = float(eigsh(op, k=1, which="LA", tol=ITER_EIG_TOL,
                         return_eigenvectors=False)[0])
     shift = b_val * (1.0 + 1e-3) + 1e-12
 
@@ -425,7 +424,7 @@ def _extremal_eigs_iterative(kernels: list, idx: np.ndarray, n: int,
         return shift * u - apply(u)
 
     op2 = LinearOperator((nc, nc), matvec=apply_shifted, dtype=complex)
-    top = float(eigsh(op2, k=1, which="LA", tol=tol,
+    top = float(eigsh(op2, k=1, which="LA", tol=ITER_EIG_TOL,
                       return_eigenvectors=False)[0])
     return max(shift - top, 0.0), b_val
 
@@ -636,18 +635,23 @@ def ess_bounds(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int) -> Es
     largest lower and the largest upper range end.  Closed-form ranges are
     exact, so the enclosures shrink with the pieces; callable windows are
     sampled at the piece centres."""
-    J = tuple(j for j, w in enumerate(windows) if w.bounded_on(omega))
+    return _ess_report(windows, *window_ranges(windows, omega, grid_n)[2:], grid_n)
+
+
+def _ess_report(windows: Sequence[Window], infs: np.ndarray, sups: np.ndarray,
+                grid_n: int) -> EssBoundsReport:
+    """``ess_bounds`` from a ``window_ranges`` table: J holds the rows whose
+    upper range ends are finite on every piece (the test of ``bounded_on``)."""
+    J = tuple(np.flatnonzero(np.isfinite(sups).all(axis=1)).tolist())
     if not J:
         return EssBoundsReport((0.0, 0.0), (0.0, 0.0), (), grid_n,
                                "every window is unbounded on the domain")
-    bounded = [windows[j] for j in J]
-    _, _, infs, sups = window_ranges(bounded, omega, grid_n)
-    low, high = infs.max(axis=0), sups.max(axis=0)
+    low, high = infs[list(J)].max(axis=0), sups[list(J)].max(axis=0)
     ess_inf = (float(low.min()), float(high.min()))
     ess_sup = (float(low.max()), float(high.max()))
     notes = [f"{len(low)} pieces", f"ess inf width {ess_inf[1] - ess_inf[0]:.3g}",
              f"ess sup width {ess_sup[1] - ess_sup[0]:.3g}"]
-    if any(w.expr.sampled for w in bounded):
+    if any(windows[j].expr.sampled for j in J):
         notes.append("callable windows sampled at the piece centres")
     return EssBoundsReport(ess_inf, ess_sup, J, grid_n, "; ".join(notes))
 
@@ -697,34 +701,32 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
     if len(densities) != len(system.pairs):
         raise InputError("need one density report per system pair")
     windows = [w for w, _ in system.pairs]
+    # one table for every row: its pieces are cut at every pair's support
+    # faces, so each enclosure is at least as tight as the window's own
+    _, _, infs, sups = window_ranges(windows, system.omega, grid_n)
+    bounded = np.isfinite(sups).all(axis=1)
     rows = []
-    for j, ((window, _), dens) in enumerate(zip(system.pairs, densities)):
+    for j, (window, dens) in enumerate(zip(windows, densities)):
         if dens.upper <= 0:
             continue
         cap = math.sqrt(report.B_est / dens.upper)
-        rep = ess_bounds([window], system.omega, grid_n)
-        ess_sup = rep.ess_sup_of_max[0] if rep.J else math.inf
+        ess_sup = float(infs[j].max()) if bounded[j] else math.inf
         rows.append(WindowBracketRow(window.label, dens.upper, cap, ess_sup,
                                      ess_sup <= cap + tol, cap + tol - ess_sup))
-    j_prime = [j for j, w in enumerate(windows)
-               if densities[j].upper > 0 and w.bounded_on(system.omega)]
+    j_prime = [j for j in range(len(windows)) if densities[j].upper > 0 and bounded[j]]
     notes = []
     if report.A_est == report.B_est:
         notes.append("tight system (A = B); bracket applied anyway")
     if not j_prime:
-        contradiction = None
-        if report.A_est > 1e-6:
-            contradiction = ("system reports a positive lower frame bound but no "
-                             "bounded window has positive upper density")
+        contradiction = ("system reports a positive lower frame bound but no bounded "
+                         "window has positive upper density") if report.A_est > 1e-6 else None
         return BracketCheckReport((), 0.0, 0.0, 0.0, 0.0, False, False,
                                   contradiction, "; ".join(notes))
-    combined = None
-    for j in j_prime:
-        comb = WeightedComb.single(_freq_as_support(system.pairs[j][1]))
-        combined = comb if combined is None else combined.plus(comb)
+    combined = WeightedComb(tuple((1.0, _freq_as_support(system.pairs[j][1]))
+                                  for j in j_prime))
     d_sum = density_closed_form(combined).upper
     lower_cap = math.sqrt(report.A_est / d_sum) if d_sum > 0 else 0.0
-    ess_prime = ess_bounds([windows[j] for j in j_prime], system.omega, grid_n)
+    ess_prime = _ess_report([windows[j] for j in j_prime], infs[j_prime], sups[j_prime], grid_n)
     ess_inf, ess_sup = ess_prime.ess_inf_of_max[1], ess_prime.ess_sup_of_max[0]
     upper_cap = max(math.sqrt(report.B_est / densities[j].upper) for j in j_prime)
     return BracketCheckReport(

@@ -258,7 +258,10 @@ def overlap_zero_set(omega: BoxUnionSet, x_max: float) -> list[tuple[Vec, Vec]]:
     last = np.nonzero(edges == -1)[-1] - 1
     lo = np.stack([b[k // 2] for b, k in zip(breaks, [first, *rest])], 1)
     hi = np.stack([b[(k + 1) // 2] for b, k in zip(breaks, [last, *rest])], 1)
-    return list(zip(map(tuple, lo.tolist()), map(tuple, hi.tolist())))
+    # a run on a breakpoint row can lie inside the run on a midpoint row beside it
+    inside = np.all((lo[:, None] >= lo[None]) & (hi[:, None] <= hi[None]), axis=2)
+    keep = ~(inside & ~np.eye(len(lo), dtype=bool)).any(axis=1)
+    return list(zip(map(tuple, lo[keep].tolist()), map(tuple, hi[keep].tolist())))
 
 
 def cover_cube(omega: BoxUnionSet) -> Box:

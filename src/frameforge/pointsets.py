@@ -375,18 +375,10 @@ def density_closed_form(comb: WeightedComb) -> DensityReport:
     families have equal upper and lower densities, which add.
     """
     if comb.dim == 1:
-        try:
-            d_left = sum(w * s.tail_densities()[0] for w, s in comb.terms)
-            d_right = sum(w * s.tail_densities()[1] for w, s in comb.terms)
-        except NotImplementedError:
-            return density_windowed(comb, (100.0, 1000.0), 400)
+        d_left = sum(w * s.tail_densities()[0] for w, s in comb.terms)
+        d_right = sum(w * s.tail_densities()[1] for w, s in comb.terms)
         return DensityReport(min(d_left, d_right), max(d_left, d_right), "closed_form")
-    rho = 0.0
-    for w, s in comb.terms:
-        u = s.uniform_density()
-        if u is None:
-            return density_windowed(comb, (100.0, 1000.0), 400)
-        rho += w * u
+    rho = sum(w * s.uniform_density() for w, s in comb.terms)
     return DensityReport(rho, rho, "closed_form")
 
 

@@ -15,7 +15,7 @@ from typing import Any, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InputError
-from .framebounds import ContinuousFreqMeasure, FreqSpec, WindowedSystem
+from .framebounds import ContinuousFreqMeasure, FrameBoundsReport, FreqSpec, WindowedSystem
 from .geometry import Box, BoxUnionSet, Lattice, canonicalize, cantor_tower
 from .gridfn import GridFunction, cell_volumes
 from .pointsets import (
@@ -26,6 +26,7 @@ from .pointsets import (
     StructuredPointSet,
 )
 from .windows import Window
+from .zak import GaborVerdict
 
 
 def domain_to_dict(omega: BoxUnionSet) -> dict:
@@ -216,3 +217,11 @@ DENSITY_TRACE_HEADER = ("h", "inf_density", "sup_density")
 FRAME_BOUNDS_HEADER = ("system", "grid_n", "trunc", "A_est", "B_est", "tight_ratio")
 CERTIFICATE_HEADER = ("x0", "A_est", "B_est")
 GABOR_HEADER = ("p", "q", "M", "A53", "B53", "verdict", "zz_min", "zz_max")
+
+
+def frame_bounds_row(label: str, rep: FrameBoundsReport) -> tuple:
+    return (label, rep.grid_n, box_label(rep.trunc_box), rep.A_est, rep.B_est, rep.tight_ratio)
+
+
+def gabor_row(v: GaborVerdict) -> tuple:
+    return (v.p, v.q, v.M, v.A_53, v.B_53, v.verdict, v.zz_min, v.zz_max)

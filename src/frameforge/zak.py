@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,21 +82,18 @@ def _window_support(window: Window, M: int) -> Box:
     return support
 
 
-def _translates(xs: np.ndarray, support: Box) -> range:
-    """The integers k for which g(x - k) can be nonzero at some x in xs."""
-    return range(math.floor(xs.min() - support.hi[0]),
-                 math.ceil(xs.max() - support.lo[0]) + 1)
+def _translates(window: Window, xs: np.ndarray, support: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Every k for which some g(x - k), x in xs, can be nonzero, and g(xs - k) as columns."""
+    ks = np.arange(math.floor(xs.min() - support.hi[0]),
+                   math.ceil(xs.max() - support.lo[0]) + 1)
+    return ks, np.stack([window.eval((xs - k).reshape(-1, 1)) for k in ks], axis=1)
 
 
-def _zak_values(window: Window, xs: np.ndarray, ts: np.ndarray,
-                support: Box) -> np.ndarray:
-    out = np.zeros((len(xs), len(ts)), dtype=complex)
-    for k in _translates(xs, support):
-        g = window.eval((xs - k).reshape(-1, 1))
-        if not np.any(g):
-            continue
-        out += np.outer(g, np.exp(2j * np.pi * k * ts))
-    return out
+def _zak_values(window: Window, xs: np.ndarray, ts: np.ndarray, support: Box,
+                translates: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+    """Zg on xs x ts: the translates g(xs - k) (or ``translates``) times e^{2 pi i k t}."""
+    ks, terms = translates or _translates(window, xs, support)
+    return terms @ np.exp(2j * np.pi * np.outer(ks, ts))
 
 
 def _zak_modulus(window: Window, M: int, support: Box) -> np.ndarray:
@@ -106,19 +103,17 @@ def _zak_modulus(window: Window, M: int, support: Box) -> np.ndarray:
     k that it meets (or 0) at every t, and T = 1; otherwise T = M.
     """
     xs = np.arange(M) / M
-    terms = np.stack([window.eval((xs - k).reshape(-1, 1))
-                      for k in _translates(xs, support)], axis=1)
+    ks, terms = _translates(window, xs, support)
     if np.count_nonzero(terms, axis=1).max() <= 1:
         return np.abs(terms).max(axis=1, keepdims=True)
-    return np.abs(_zak_values(window, xs, xs, support))
+    return np.abs(_zak_values(window, xs, xs, support, (ks, terms)))
 
 
 def zak_transform(window: Window, M: int) -> ZakGrid:
     """Exact finite-sum Zak transform of a compactly supported window."""
     support = _window_support(window, M)
     xs = np.arange(M) / M
-    ts = np.arange(M) / M
-    values = _zak_values(window, xs, ts, support)
+    values = _zak_values(window, xs, xs, support)
     return ZakGrid(values, M, support, _norm_sq_on_support(window, support))
 
 
@@ -133,8 +128,7 @@ def quasiperiodicity_residuals(window: Window, M: int) -> tuple[float, float]:
     """Max deviations from Zg(x, t+1) = Zg(x, t) and
     Zg(x+1, t) = e^{2 pi i t} Zg(x, t), via independent re-summation."""
     support = _window_support(window, M)
-    xs = np.arange(M) / M
-    ts = np.arange(M) / M
+    xs = ts = np.arange(M) / M
     base = _zak_values(window, xs, ts, support)
     t_shift = _zak_values(window, xs, ts + 1.0, support)
     x_shift = _zak_values(window, xs + 1.0, ts, support)
@@ -200,6 +194,11 @@ class GaborVerdict:
             raise InputError("certification is only valid for shift 1/q")
 
 
+def _verdict(a53: float, eps_zero: float, p: int) -> str:
+    """Refuted at every shift when max_j |Zg_j| vanishes, else certified only at p = 1."""
+    return NOT_FRAME if a53 <= eps_zero else FRAME_CERTIFIED if p == 1 else NECESSARY_ONLY
+
+
 def certify_gabor(window: Window, p: int, q: int, M: int) -> GaborVerdict:
     """Certify or refute the lattice Gabor system at shift p/q (modulation 1).
 
@@ -224,11 +223,7 @@ def certify_gabor(window: Window, p: int, q: int, M: int) -> GaborVerdict:
     a53 = float(max_mod.min())
     b53 = float(max_mod.max())
     eps_zero = 1e-9 * math.sqrt(norm_sq)
-    if a53 <= eps_zero:
-        verdict = NOT_FRAME
-    else:
-        verdict = FRAME_CERTIFIED if p == 1 else NECESSARY_ONLY
-    return GaborVerdict(p, q, M, a53, b53, verdict, float(zz.min()),
+    return GaborVerdict(p, q, M, a53, b53, _verdict(a53, eps_zero, p), float(zz.min()),
                         float(zz.max()), eps_zero,
                         _unitarity_residual(_quadrature_norm_sq(mod), norm_sq))
 
@@ -244,16 +239,9 @@ def certify_gabor_separable(axis_windows: Sequence[Window], p: int, q: int,
     if not axis_windows:
         raise InputError("need at least one axis window")
     parts = [certify_gabor(w, p, q, M) for w in axis_windows]
-    a53 = float(np.prod([v.A_53 for v in parts]))
-    b53 = float(np.prod([v.B_53 for v in parts]))
-    zz_min = float(np.prod([v.zz_min for v in parts]))
-    zz_max = float(np.prod([v.zz_max for v in parts]))
-    eps_zero = 1e-9 * float(np.prod(
-        [v.eps_zero / 1e-9 for v in parts]))
+    a53, b53, zz_min, zz_max = (float(np.prod([getattr(v, name) for v in parts]))
+                                for name in ("A_53", "B_53", "zz_min", "zz_max"))
+    eps_zero = 1e-9 * float(np.prod([v.eps_zero / 1e-9 for v in parts]))
     residual = max(v.unitarity_residual for v in parts)
-    if a53 <= eps_zero:
-        verdict = NOT_FRAME
-    else:
-        verdict = FRAME_CERTIFIED if p == 1 else NECESSARY_ONLY
-    return GaborVerdict(p, q, M, a53, b53, verdict, zz_min, zz_max, eps_zero,
-                        residual)
+    return GaborVerdict(p, q, M, a53, b53, _verdict(a53, eps_zero, p), zz_min, zz_max,
+                        eps_zero, residual)

@@ -11,7 +11,7 @@ from frameforge.convolution import (
     comb_convolve,
     translation_bounded_probe,
 )
-from frameforge.geometry import Box, Lattice
+from frameforge.geometry import Box, Lattice, cartesian
 from frameforge.gridfn import GridFunction
 from frameforge.pointsets import (
     EventuallyPeriodic1D,
@@ -112,8 +112,7 @@ class TestTranslationBoundedProbe:
 
     def test_2d_lattice_unit_window(self):
         comb = WeightedComb.single(integers(dim=2))
-        rep = translation_bounded_probe(comb, Box((0.0, 0.0), (1.0, 1.0)),
-                                        x_samples=100)
+        rep = translation_bounded_probe(comb, Box((0.0, 0.0), (1.0, 1.0)))
         assert rep.sup_estimate == 1.0
 
     def test_2d_corner_from_two_cosets(self):
@@ -127,6 +126,75 @@ class TestTranslationBoundedProbe:
         corner = rep.attained_at
         placed = Box(corner, tuple(c + s for c, s in zip(corner, window.sides)))
         assert len(cosets.points_in_box(placed)) == 12
+
+
+def sixteenths(lo, hi):
+    return st.integers(round(16 * lo), round(16 * hi)).map(lambda v: v / 16)
+
+
+@st.composite
+def perturbed_eventually_periodic(draw):
+    """Tails, a core and a finite perturbation, all on sixteenths so every
+    point and box face is exact and the set repeats exactly in its tails."""
+    periods = (draw(st.none() | sixteenths(0.25, 2)), draw(st.none() | sixteenths(0.25, 2)))
+    starts = (draw(sixteenths(0, 3)), draw(sixteenths(-3, -0.0625)))
+    tails = EventuallyPeriodic1D(periods[0], starts[0], periods[1], starts[1])
+    taken = set(tails.points_in_box(Box((-8.0,), (8.0,)))[:, 0].tolist())
+    core = [x for x in draw(st.lists(sixteenths(-4, 4), max_size=4, unique=True))
+            if x not in taken]
+    base = EventuallyPeriodic1D(periods[0], starts[0], periods[1], starts[1], tuple(core))
+    near = sorted(taken | set(core))
+    removed = draw(st.lists(st.sampled_from(near), max_size=3, unique=True)) if near else []
+    added = [x for x in draw(st.lists(sixteenths(-6, 6), max_size=3, unique=True))
+             if x not in near]
+    return FinitePerturbation(base, tuple(added), tuple(removed))
+
+
+@st.composite
+def lattice_cosets_2d(draw):
+    """Cosets of a diagonal lattice with spacings in [1/2, 3/2], on sixteenths."""
+    spacing = [draw(sixteenths(0.5, 1.5)) for _ in range(2)]
+    offsets = draw(st.lists(st.tuples(*[sixteenths(0, c - 0.0625) for c in spacing]),
+                            min_size=1, max_size=3, unique=True))
+    return LatticeCosets(Lattice(((spacing[0], 0.0), (0.0, spacing[1]))), tuple(offsets))
+
+
+def brute_sup(support, sides, wide, reach):
+    """max over every corner with point coordinates within ``reach`` of the
+    origin of the count in [corner, corner + sides), all points of ``wide``."""
+    pts = support.points_in_box(wide)
+    axes = [np.unique(a[np.abs(a) <= reach]) for a in pts.T]
+    corners = cartesian(axes)
+    inside = np.all((pts[None] >= corners[:, None]) & (pts[None] < corners[:, None] + sides),
+                    axis=2)
+    return float(inside.sum(axis=1).max(initial=0))
+
+
+class TestProbeIsExact:
+    """The probe equals a brute-force sup over every point-coordinate corner
+    in a box much wider than its own, and attains it at its reported corner."""
+
+    def check(self, support, sides, wide, reach):
+        window = Box((0.0,) * len(sides), tuple(sides))
+        rep = translation_bounded_probe(WeightedComb.single(support), window)
+        assert rep.sup_estimate == brute_sup(support, np.array(sides), wide, reach)
+        placed = Box(rep.attained_at, tuple(c + s for c, s in zip(rep.attained_at, sides)))
+        assert len(support.points_in_box(placed)) == rep.sup_estimate
+
+    @given(perturbed_eventually_periodic(), sixteenths(0.0625, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_eventually_periodic_with_perturbation(self, support, side):
+        self.check(support, [side], Box((-48.0,), (48.0,)), 40.0)
+
+    @given(lattice_cosets_2d(), st.tuples(sixteenths(0.0625, 2), sixteenths(0.0625, 2)))
+    @settings(max_examples=40, deadline=None)
+    def test_2d_lattice_cosets(self, support, sides):
+        self.check(support, list(sides), Box((-8.0, -8.0), (8.0, 8.0)), 6.0)
+
+    def test_empty_probe_reports_zero(self):
+        rep = translation_bounded_probe(WeightedComb.single(EventuallyPeriodic1D()),
+                                        Box((0.0,), (1.0,)))
+        assert rep.sup_estimate == 0.0
 
 
 class TestDensityConvolutionBracket:

@@ -1024,6 +1024,48 @@ class TestBracketCheck:
         out = window_density_bracket_check(system, fake, dens)
         assert out.contradiction is not None
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_table_matches_the_per_window_enclosures(self, data):
+        # one table cut at every pair's support faces: without faces each
+        # row is the window's own ess_bounds bit for bit, with them no
+        # enclosure is looser than the one the windows give alone
+        faces = data.draw(st.booleans())
+        face = st.integers(-4, 20).map(lambda v: v / 16) | st.floats(-0.25, 1.25)
+        pairs = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            text = data.draw(st.sampled_from(
+                ["x^1.0", "(1-x)^2.0", "x^-0.5", "(1-x)^-0.25", "0.5", "x^0.5*(1-x)^1.5"]))
+            if faces and data.draw(st.booleans()):
+                lo, hi = sorted(data.draw(st.tuples(face, face).filter(lambda p: p[0] != p[1])))
+                text += f"*indicator({lo!r},{hi!r})"
+            freq = data.draw(st.sampled_from([integers(), integers(scale=0.75),
+                                              FiniteSet(((0.0,),))]))
+            pairs.append((Window.from_string(text), freq))
+        omega = data.draw(st.sampled_from(
+            [UNIT, BoxUnionSet.from_intervals([(0, 0.5), (0.75, 1.25)])]))
+        grid_n = data.draw(st.sampled_from([4, 8, 16]))
+        system = WindowedSystem(omega, tuple(pairs))
+        dens = [density_closed_form(WeightedComb.single(f)) for _, f in pairs]
+        out = window_density_bracket_check(system, FrameBoundsReport(0.5, 2.0, grid_n, None),
+                                           dens, grid_n)
+        positive = [j for j, d in enumerate(dens) if d.upper > 0]
+        j_prime = [pairs[j][0] for j in positive if pairs[j][0].bounded_on(omega)]
+        if not j_prime:  # the report then holds no rows
+            assert out.per_window == () and not out.all_hold
+            return
+        assert len(out.per_window) == len(positive)
+        for j, row in zip(positive, out.per_window):
+            alone = ess_bounds([pairs[j][0]], omega, grid_n)
+            own = alone.ess_sup_of_max[0] if alone.J else np.inf
+            assert row.ess_sup >= own if faces else row.ess_sup == own
+        alone = ess_bounds(j_prime, omega, grid_n)
+        own = (alone.ess_inf_of_max[1], alone.ess_sup_of_max[0])
+        if faces:
+            assert out.ess_inf_max <= own[0] and out.ess_sup_max >= own[1]
+        else:
+            assert (out.ess_inf_max, out.ess_sup_max) == own
+
     def test_random_piecewise_constant_property(self):
         rng = np.random.default_rng(11)
         for trial in range(5):

@@ -268,6 +268,14 @@ class TestOverlapZeroSet:
         assert 0.0 in ends
         assert all(math.copysign(1.0, v) > 0 for v in ends if v == 0.0)
 
+    def test_no_box_lies_inside_another(self):
+        # the L-shape's breakpoint rows gave six degenerate boxes, each inside
+        # the box of a midpoint row beside it
+        s = canonicalize([Box((0, 0), (1, 1)), Box((1, 0), (2, 0.5))])
+        assert overlap_zero_set(s, 3.0) == [
+            ((0.0, -3.0), (3.0, -1.0)), ((2.0, -1.0), (3.0, -0.5)), ((2.0, -0.5), (3.0, 0.5)),
+            ((1.0, 0.5), (3.0, 1.0)), ((0.0, 1.0), (3.0, 3.0))]
+
     def test_bad_x_max_rejected(self):
         s = BoxUnionSet.from_intervals([(0, 1)])
         for x_max in (0.0, -2.0, float("inf"), float("nan")):

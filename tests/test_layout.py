@@ -206,3 +206,50 @@ def test_binding_checker():
     ]) == ["frameforge.pointsets.FiniteSet.count_in_box",
            "frameforge.construction.cosine_certificate",
            "frameforge.geometry.NoSuchClass.contains"]
+
+
+def package_chains(path, alias="ff"):
+    """Every outermost attribute chain on the name ``alias`` that a file
+    reads, such as "zak.NOT_FRAME" for ``ff.zak.NOT_FRAME``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    chains = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            names = []
+            while isinstance(node, ast.Attribute):
+                names.insert(0, node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id == alias:
+                chains.add(".".join(names))
+    return sorted(chains)
+
+
+def unresolved_chains(package, chains):
+    missing = []
+    for chain in chains:
+        owner = package
+        for name in chain.split("."):
+            owner = getattr(owner, name, missing)
+        if owner is missing:
+            missing.append(chain)
+    return missing
+
+
+def test_benchmark_package_attributes_resolve():
+    # the benchmark's workloads read names such as ff.zak.NECESSARY_ONLY, so
+    # deleting or renaming one in the package must fail a package test first
+    chains = package_chains(ROOT / "perfbench" / "workloads.py")
+    assert "zak.NECESSARY_ONLY" in chains and len(chains) >= 15
+    assert unresolved_chains(importlib.import_module("frameforge"), chains) == []
+
+
+def test_package_chain_checker(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import frameforge as ff\nx = ff.zak.NOT_FRAME\n"
+                     "y = ff.Window.from_string('x').label\nz = ff.zak.NO_SUCH\n"
+                     "w = ff.no_such.thing\nv = other.ff.Window\n")
+    chains = package_chains(probe)
+    assert chains == ["Window.from_string", "no_such.thing", "zak.NOT_FRAME", "zak.NO_SUCH"]
+    assert unresolved_chains(importlib.import_module("frameforge"), chains) == [
+        "no_such.thing", "zak.NO_SUCH"]

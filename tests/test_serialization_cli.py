@@ -162,6 +162,18 @@ class TestCli:
         assert lines[:3] == ["x_0,x_1,overlap", "0.0,-1.0,0.0", "0.0,-0.5,0.5"]
         assert "0.5,0.5,0.25" in lines and len(lines) == 16
 
+    def test_overlap_default_step_fits_the_dimension(self, tmp_path, capsys):
+        # at x_max 8 the square takes step 0.04, the finest multiple of 0.01
+        # within 10^5 shifts: 201 x 401; the interval keeps step 0.01
+        domain = tmp_path / "square.json"
+        domain.write_text(json.dumps({"dim": 2, "boxes": [[0, 0, 1, 1]]}))
+        assert run_cli("overlap", "--domain", str(domain)) == 0
+        assert capsys.readouterr().out.startswith("shifts_sampled: 80601\n")
+        interval = tmp_path / "interval.json"
+        interval.write_text(json.dumps({"dim": 1, "boxes": [[0, 1]]}))
+        assert run_cli("overlap", "--domain", str(interval)) == 0
+        assert capsys.readouterr().out.startswith("shifts_sampled: 801\n")
+
     def test_residue_verdicts(self, tmp_path, capsys):
         domain = tmp_path / "omega.json"
         domain.write_text(json.dumps({"dim": 1, "boxes": [[0, 0.5], [1, 1.5]]}))
