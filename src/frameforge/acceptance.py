@@ -78,8 +78,7 @@ def criterion_01_orthonormal_saturation(seed: int) -> CriterionResult:
 
 def criterion_02_lattice_tight_frame(seed: int) -> CriterionResult:
     start = time.monotonic()
-    result = build_lattice_tight_frame(TWO_PIECE, Lattice.scaled_integers(2.0),
-                                       grid_cap=512, trunc_radius=64.0)
+    result = build_lattice_tight_frame(TWO_PIECE, Lattice.scaled_integers(2.0), grid_n=512)
     elapsed = time.monotonic() - start
     a, b = result.predicted_A, result.predicted_B
     ratio = b / a if a > 0 else float("inf")
@@ -88,14 +87,13 @@ def criterion_02_lattice_tight_frame(seed: int) -> CriterionResult:
     detail = (f"constant [{a:.6f}, {b:.6f}] vs oracle 2 (2% tol), "
               f"ratio {ratio:.6f} <= 1.05, {elapsed:.2f}s < 10s")
     art = CsvArtifact("c02_frame_bounds.csv", FRAME_BOUNDS_HEADER,
-                      ((("two_piece_even_lattice", 512, "matched", a, b, ratio)),))
+                      ((("two_piece_even_lattice", 512, "untruncated", a, b, ratio)),))
     return CriterionResult(2, "lattice packing tight frame", passed, detail, (art,))
 
 
 def criterion_03_lattice_refusal(seed: int) -> CriterionResult:
     try:
-        build_lattice_tight_frame(TWO_PIECE, Lattice.scaled_integers(1.0),
-                                  grid_cap=512, trunc_radius=64.0)
+        build_lattice_tight_frame(TWO_PIECE, Lattice.scaled_integers(1.0))
         return CriterionResult(3, "lattice packing refusal", False,
                                "expected a refusal but the build succeeded")
     except TightFrameRefusal as refusal:

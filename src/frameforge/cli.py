@@ -173,8 +173,7 @@ def cmd_construct(args) -> int:
     try:
         if args.lattice is not None:
             lattice = _parse_lattice(args.lattice, omega.dim)
-            result = build_lattice_tight_frame(omega, lattice, grid_cap=args.grid_cap,
-                                               trunc_radius=args.trunc_radius)
+            result = build_lattice_tight_frame(omega, lattice, args.grid_n)
         elif args.windows is not None:
             # commas inside parentheses separate a factor's arguments
             windows = [Window.from_string(w) for w in re.split(r",(?![^()]*\))", args.windows)]
@@ -314,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--windows", help="comma-separated window expressions")
     p.add_argument("--lattice", help="covolume scalar or JSON basis matrix")
-    p.add_argument("--grid-n", type=int, default=256)
-    p.add_argument("--grid-cap", type=int, default=4096)
-    p.add_argument("--trunc-radius", type=float, default=64.0)
+    p.add_argument("--grid-n", type=int, default=256,
+                   help="cells per axis: of the window-range pieces with --windows, of "
+                   "the grid that measures the tight constant with --lattice")
     p.add_argument("--out", help="write the constructed system description here")
     p.set_defaults(handler=cmd_construct)
 

@@ -2,9 +2,10 @@
 
 Two builders: one covers the domain by a cube and rides the cube's harmonic
 exponentials through bounded windows; the other turns a lattice packing of
-the domain into a tight Fourier frame and verifies the constant at a
-Nyquist-matched discretization.  Refusals carry concrete counterexample
-data rather than just a message.
+the domain into a tight Fourier frame and measures its constant with the
+frame-bounds engine, on the untruncated Ron-Shen fibers for a diagonal
+lattice.  Refusals carry concrete counterexample data rather than just a
+message.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from .framebounds import (
     FrameBoundsReport,
     WindowedSystem,
     ess_bounds,
-    frame_bounds_on_grid,
+    estimate_frame_bounds,
     nyquist_box,
-    raw_exponential_tight_constant,
     window_ranges,
 )
 from .geometry import (
@@ -120,7 +120,10 @@ def build_bounded_window_frame(windows: Sequence[Window], omega: BoxUnionSet,
                   for j, w in enumerate(windows))
     system = WindowedSystem(omega, pairs)
 
-    c_q = raw_exponential_tight_constant(q_r)
+    # the cube's side lattice packs it, and every Ron-Shen fiber of a cube
+    # is one point, so a grid of 2 cells per axis measures the constant
+    c_q = build_lattice_tight_frame(BoxUnionSet(d, (q_r,)), Lattice.scaled_integers(side, d),
+                                    grid_n=2).predicted_A
     predicted_a = c_q * m ** 2
     norms = [w.l2_norm_sq_on(omega) for w in windows]
     predicted_b = len(windows) * (c_q * big_m ** 2 + omega.measure() * max(norms))
@@ -150,69 +153,75 @@ def _first_hit_partition(bounded_windows: Sequence[Window], omega: BoxUnionSet,
     return [canonicalize(cells) for cells in buckets if cells]
 
 
-def _matched_grid(omega: BoxUnionSet, spacing: float,
-                  grid_cap: int) -> tuple[Box, int]:
-    """Cube grid box whose cells have exactly the requested spacing."""
-    bb = omega.bounding_box()
-    side = max(bb.sides)
-    n = int(math.ceil(side / spacing - 1e-9))
-    if n > grid_cap:
-        raise InputError(
-            f"matched verification needs {n} cells per axis, above the cap "
-            f"{grid_cap}; lower the truncation radius or raise the cap")
-    grid_box = Box(bb.lo, tuple(a + n * spacing for a in bb.lo))
-    return grid_box, n
-
-
 def build_lattice_tight_frame(omega: BoxUnionSet, lattice: Lattice,
-                              grid_cap: int = 4096,
-                              trunc_radius: float = 64.0) -> ConstructionResult:
+                              grid_n: int = 256) -> ConstructionResult:
     """Tight Fourier frame for a domain packing under the lattice.
 
     Requires that the domain meets each lattice residue class at most once;
     the frame is the dual-lattice exponentials with the single indicator
-    window.  The tight constant is measured as the extreme eigenvalues of the
-    frame operator at a Nyquist-matched discretization (grid spacing =
-    1 / truncation bandwidth; ``grid_cap`` caps the resolution), never
-    hard-coded from a normalization convention.
+    window.  The tight constant is measured by ``estimate_frame_bounds`` at
+    grid_n cells per axis and its default truncation, never hard-coded from
+    a normalization convention: a diagonal lattice stays untruncated on the
+    Ron-Shen fibers, a skew one is cut to the grid's Nyquist band.
 
     On refusal, the exception carries a nonzero function whose frame
     coefficients all vanish: the indicator difference of a residue collision.
     """
-    spacing = 1.0 / (2.0 * trunc_radius)
     verdict = lattice_residue_check(omega, lattice)
     if not verdict.holds:
-        counterexample = _incompleteness_function(omega, verdict.witness, spacing, grid_cap)
+        counterexample = _incompleteness_function(omega, verdict.witness)
         raise TightFrameRefusal(
             "two lattice translates of the domain collide on positive measure, "
             "so the dual exponentials are incomplete", verdict.witness,
             counterexample)
-    d = omega.dim
-    freq = LatticeCosets(lattice.dual())
-    system = WindowedSystem(omega, ((Window.indicator(), freq),))
-    grid_box, n = _matched_grid(omega, spacing, grid_cap)
-    trunc_box = Box(tuple(-trunc_radius for _ in range(d)),
-                    tuple(trunc_radius for _ in range(d)))
-    rep = frame_bounds_on_grid(system, grid_box, n, trunc_box)
+    system = WindowedSystem(omega, ((Window.indicator(), LatticeCosets(lattice.dual())),))
+    rep = estimate_frame_bounds(system, grid_n)
     provenance = (f"dual lattice exponentials, covolume {lattice.covolume:.6g}; "
-                  f"constant measured at spacing {spacing:.6g}, "
-                  f"truncation radius {trunc_radius}")
+                  f"constant measured at {grid_n} cells per axis, "
+                  f"{'untruncated' if rep.trunc_box is None else 'Nyquist band'}")
     return ConstructionResult(system, rep.A_est, rep.B_est, (omega,), provenance)
 
 
-def _incompleteness_function(omega: BoxUnionSet, witness: ResidueWitness,
-                             spacing: float, grid_cap: int) -> GridFunction:
-    """chi_{E} - chi_{E - delta} for a residue collision E = omega ∩ (omega+delta);
-    every dual-lattice frame coefficient of this function vanishes."""
+def _incompleteness_function(omega: BoxUnionSet, witness: ResidueWitness) -> GridFunction:
+    """chi_{E} - chi_{E - delta} for a residue collision E = omega ∩ (omega+delta),
+    on the coarsest grid where delta and every face are whole cells, so both
+    indicators are exact there; every dual-lattice frame coefficient of this
+    function vanishes."""
     delta = tuple(-v for v in witness.gamma_prime)
     shifted = omega.translate(delta)
     e_plus = canonicalize([cut for s in shifted.boxes for cut in omega.intersect_box(s)])
     e_minus = e_plus.translate(tuple(-v for v in delta))
-    grid_box, n = _matched_grid(omega, spacing, grid_cap)
-    pts = grid_points(grid_box, n)
+    bb, n = omega.bounding_box(), _aligned_grid(omega, delta)
+    pts = grid_points(bb, n)
     vals = np.select([e_plus.contains(pts), e_minus.contains(pts)], [1.0, -1.0])
-    weights = cell_volumes(grid_box, n, omega)
-    return GridFunction(grid_box, vals.reshape((n,) * omega.dim), weights)
+    return GridFunction(bb, vals.reshape((n,) * omega.dim), cell_volumes(bb, n, omega))
+
+
+def _aligned_grid(omega: BoxUnionSet, shift: Sequence[float],
+                  grid_n: Optional[int] = None) -> int:
+    """Cells per axis of a grid over the bounding box on which the shift and
+    every face of the domain are whole numbers of cells: grid_n when it
+    aligns, by default the coarsest with at least 256 cells and none above
+    DENSE_EIG_LIMIT cells."""
+    bb, d = omega.bounding_box(), omega.dim
+    faces = np.array([b.lo for b in omega.boxes] + [b.hi for b in omega.boxes])
+    units = np.vstack([np.asarray(shift), faces - bb.lo]) / np.array(bb.sides)
+
+    def aligned(n: int) -> bool:
+        cells = units * n
+        return n >= 1 and bool(np.all(np.abs(cells - np.round(cells))
+                                      <= 1e-9 * np.maximum(1.0, np.abs(cells))))
+
+    sizes = [grid_n] if grid_n is not None else range(
+        math.ceil(256 ** (1 / d) - 1e-9), int(DENSE_EIG_LIMIT ** (1 / d) + 1e-9) + 1)
+    found = next((n for n in sizes if aligned(n)), None)
+    if found is None:
+        tried = f"{sizes[0]}" if len(sizes) == 1 else f"{sizes[0]} to {sizes[-1]}"
+        raise InputError(
+            f"the shift {tuple(shift)} and every face of the domain must be whole "
+            f"numbers of grid cells; no grid of {tried} cells per axis on the "
+            f"bounding box from {bb.lo} to {bb.hi} aligns")
+    return found
 
 
 def analysis_coefficients(f: GridFunction, window: Window,
@@ -290,24 +299,8 @@ def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
             "the cosine measure is not a tight frame measure for it",
             ov_plus, ov_minus)
     bb, d = omega.bounding_box(), omega.dim
-    faces = np.array([b.lo for b in omega.boxes] + [b.hi for b in omega.boxes])
-    units = np.vstack([np.asarray(x0), faces - bb.lo]) / np.array(bb.sides)
-
-    def aligned(n: int) -> bool:
-        cells = units * n
-        return n >= 1 and bool(np.all(np.abs(cells - np.round(cells))
-                                      <= 1e-9 * np.maximum(1.0, np.abs(cells))))
-
-    sizes = [grid_n] if grid_n is not None else range(
-        math.ceil(256 ** (1 / d) - 1e-9), int(DENSE_EIG_LIMIT ** (1 / d) + 1e-9) + 1)
-    grid_n = next((n for n in sizes if aligned(n)), None)
-    if grid_n is None:
-        tried = f"{sizes[0]}" if len(sizes) == 1 else f"{sizes[0]} to {sizes[-1]}"
-        raise InputError(
-            f"x0 and every face of the domain must be whole numbers of grid "
-            f"cells; no grid of {tried} cells per axis on the bounding box "
-            f"from {bb.lo} to {bb.hi} aligns")
-    c = np.abs(np.round(units[0] * grid_n)).astype(int)
+    grid_n = _aligned_grid(omega, x0, grid_n)
+    c = np.abs(np.round(np.asarray(x0) / np.array(bb.sides) * grid_n)).astype(int)
     # the lags c + m N (m != 0) alias onto the grid unless some axis's
     # M_a = {m : |c_a - m N| <= n} is empty, or every M_a is {0}; N = n + s + 1
     # always clears them, and a far x0 is cleared within about 4 n, so the
@@ -332,4 +325,4 @@ def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
         band, 1.0 + np.cos(np.pi * turns / density_n).reshape((density_n,) * d),
         cell_volumes(band, density_n)))
     system = WindowedSystem(omega, ((Window.indicator(), measure),))
-    return TightCertificate(measure, frame_bounds_on_grid(system, bb, grid_n, band))
+    return TightCertificate(measure, estimate_frame_bounds(system, grid_n, band))

@@ -99,18 +99,16 @@ def translation_bounded_probe(comb: WeightedComb, window: Box) -> TranslationBou
     """sup_x mu(x + K) over the box corners whose coordinates are point
     coordinates: sliding a half-open box up on each axis until a point sits on
     its lower face never loses mass, so these corners attain the supremum.
-    They are read over the structure plus tails in 1-D and over one period
-    cell per axis otherwise; a probe that holds no point reports mass 0."""
+    They are read over the hull of every support's non-periodic part, widened
+    by twice the box and the longest period on each side; a probe that holds
+    no point reports mass 0."""
     if window.dim != comb.dim:
         raise InputError("window dimension does not match the comb")
     sides = window.sides
     span = max(s.min_period() or 1.0 for _, s in comb.terms)
-    if comb.dim == 1:
-        anchors = [v for _, s in comb.terms for v in s.anchor_interval()]
-        reach = 2.0 * (sides[0] + span)
-        probe = Box((min(anchors) - reach,), (max(anchors) + reach + 1e-9,))
-    else:
-        probe = Box(tuple(-span - s for s in sides), tuple(span + s for s in sides))
+    lo, hi = zip(*(s.anchor_hull() for _, s in comb.terms))
+    reach = 2.0 * (np.array(sides) + span)
+    probe = Box(tuple(np.min(lo, axis=0) - reach), tuple(np.max(hi, axis=0) + reach + 1e-9))
     pts = np.vstack([s.points_in_box(probe) for _, s in comb.terms])
     if not len(pts):
         return TranslationBoundReport(0.0, probe.lo)

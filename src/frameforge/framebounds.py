@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, BoxUnionSet, Lattice, cartesian
+from .geometry import Box, BoxUnionSet, cartesian
 from .gridfn import GridFunction, cell_volumes, grid_points
 from .pointsets import (
     DensityReport,
@@ -429,21 +429,6 @@ def _extremal_eigs_iterative(kernels: list, idx: np.ndarray, n: int) -> tuple[fl
     return max(shift - top, 0.0), b_val
 
 
-def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
-                          trunc_box: Optional[Box] = None) -> FrameBoundsReport:
-    """Extreme eigenvalues of the discretized frame operator.
-
-    The grid covers the domain's bounding box.  Discrete frequency sets are
-    truncated to ``trunc_box`` (default: the grid's Nyquist band, which keeps
-    the eigenproblem well posed, or no truncation for the lattices that
-    ``frame_bounds_on_grid`` takes to Ron-Shen fibers); continuous frequency
-    measures enter by quadrature against their density plus exact atom sums.
-    """
-    if grid_n < 2:
-        raise InputError(f"grid_n must be at least 2, got {grid_n}")
-    return frame_bounds_on_grid(system, system.omega.bounding_box(), grid_n, trunc_box)
-
-
 def _common_period(duals: np.ndarray, step: float) -> Optional[float]:
     """finest / m for the least m >= 1 making every dual spacing a whole
     multiple of it (within 1e-9), or None when that falls below ``step`` or
@@ -500,11 +485,16 @@ def _fibers(idx: np.ndarray, period: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.argsort(residue, kind="stable"), sizes[sizes > 0]
 
 
-def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
-                         trunc_box: Optional[Box] = None) -> FrameBoundsReport:
-    """Frame bounds with the grid laid over ``grid_box``; cells outside the
-    domain carry zero weight.  With no ``trunc_box``, ``_ron_shen_bounds``
-    takes the systems it covers, and the rest are cut to the Nyquist band.
+def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
+                          trunc_box: Optional[Box] = None) -> FrameBoundsReport:
+    """Extreme eigenvalues of the discretized frame operator.
+
+    The grid covers the domain's bounding box; cells outside the domain
+    carry zero weight.  Discrete frequency sets are truncated to
+    ``trunc_box``.  With none, ``_ron_shen_bounds`` takes the lattices it
+    keeps untruncated, and the rest are cut to the grid's Nyquist band,
+    which keeps the eigenproblem well posed.  Continuous frequency measures
+    enter by quadrature against their density plus exact atom sums.
 
     Each pair enters through difference kernels: in closed form for a
     diagonal lattice whose spacing divides into the grid and whose
@@ -523,6 +513,9 @@ def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
     less (``_rank_update_bounds``).  Above ``DENSE_EIG_LIMIT`` in order,
     the operator is applied as FFT convolutions inside an iterative solve.
     """
+    if grid_n < 1:
+        raise InputError(f"grid_n must be at least 1, got {grid_n}")
+    grid_box = system.omega.bounding_box()
     if trunc_box is None and (untruncated := _ron_shen_bounds(system, grid_box, grid_n)):
         return untruncated
     trunc_box = trunc_box or nyquist_box(grid_box, grid_n)
@@ -572,26 +565,6 @@ def frame_bounds_on_grid(system: WindowedSystem, grid_box: Box, grid_n: int,
             a, b = _extremal_eigs_iterative(kernels, idx, grid_n)
             note = f"iterative extremal eigensolve at tolerance {ITER_EIG_TOL}"
     return FrameBoundsReport(a, b, grid_n, trunc_box, "; ".join(notes + [note]))
-
-
-def raw_exponential_tight_constant(box: Box) -> float:
-    """Measured tight constant of the raw exponential family on a box.
-
-    The exponentials carry the dual lattice of the box's side lattice,
-    untruncated, so the family is exactly tight; the measured constant (the
-    box volume under this convention) anchors every predicted bound instead
-    of a hard-coded normalization.  Every Ron-Shen fiber of the cube is one
-    point, where G = covol^-1, so a grid of 2 cells per axis measures it.
-    """
-    d = box.dim
-    sides = box.sides
-    if max(sides) - min(sides) > 1e-12 * max(sides):
-        raise InputError("raw exponential constant is measured on cubes")
-    omega = BoxUnionSet(d, (box,))
-    freq = LatticeCosets(Lattice.scaled_integers(1.0 / sides[0], d))
-    system = WindowedSystem(omega, ((Window.indicator(), freq),))
-    rep = estimate_frame_bounds(system, 2)
-    return 0.5 * (rep.A_est + rep.B_est)
 
 
 @dataclass(frozen=True)
@@ -720,7 +693,7 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
     if not j_prime:
         contradiction = ("system reports a positive lower frame bound but no bounded "
                          "window has positive upper density") if report.A_est > 1e-6 else None
-        return BracketCheckReport((), 0.0, 0.0, 0.0, 0.0, False, False,
+        return BracketCheckReport(tuple(rows), 0.0, 0.0, 0.0, 0.0, False, False,
                                   contradiction, "; ".join(notes))
     combined = WeightedComb(tuple((1.0, _freq_as_support(system.pairs[j][1]))
                                   for j in j_prime))

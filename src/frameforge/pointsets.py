@@ -41,6 +41,13 @@ def _near(p: Vec) -> Box:
     return Box(tuple(v - MATCH_TOL for v in p), tuple(v + MATCH_TOL for v in p))
 
 
+def _hull(pts: Sequence, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Corners of the closed bounding box of the points; the origin when
+    there are none."""
+    pts = np.array(pts, dtype=float).reshape(-1, dim) if len(pts) else np.zeros((1, dim))
+    return pts.min(axis=0), pts.max(axis=0)
+
+
 def _lexsort(pts: np.ndarray) -> np.ndarray:
     return pts[np.lexsort(pts[:, ::-1].T)]
 
@@ -65,8 +72,9 @@ class StructuredPointSet:
         """Common value of the upper and lower density, if the set has one."""
         return None
 
-    def anchor_interval(self) -> tuple[float, float]:
-        """1-D interval containing the non-periodic part of the structure."""
+    def anchor_hull(self) -> tuple[np.ndarray, np.ndarray]:
+        """Corners (lo, hi) of a closed box holding the non-periodic part of
+        the structure; the rest repeats it."""
         raise NotImplementedError
 
     def min_period(self) -> Optional[float]:
@@ -121,9 +129,11 @@ class LatticeCosets(StructuredPointSet):
         rho = self.uniform_density()
         return (rho, rho)
 
-    def anchor_interval(self) -> tuple[float, float]:
-        vals = [o[0] for o in self.offsets] + [0.0, self.lattice.covolume]
-        return (min(vals), max(vals))
+    def anchor_hull(self) -> tuple[np.ndarray, np.ndarray]:
+        # the offsets and the fundamental cell {sum_j t_j b_j : 0 <= t_j <= 1}
+        mat = self.lattice.matrix
+        return _hull(self.offsets + (np.minimum(mat, 0.0).sum(axis=1),
+                                     np.maximum(mat, 0.0).sum(axis=1)), self.dim)
 
     def min_period(self) -> float:
         return self.lattice.covolume
@@ -196,15 +206,10 @@ class EventuallyPeriodic1D(StructuredPointSet):
         d_left, d_right = self.tail_densities()
         return d_left if d_left == d_right else None
 
-    def anchor_interval(self) -> tuple[float, float]:
-        vals = list(self.core)
-        if self.right_period is not None:
-            vals.append(self.right_start)
-        if self.left_period is not None:
-            vals.append(self.left_start)
-        if not vals:
-            vals = [0.0]
-        return (min(vals), max(vals))
+    def anchor_hull(self) -> tuple[np.ndarray, np.ndarray]:
+        starts = [s for s, p in ((self.right_start, self.right_period),
+                                 (self.left_start, self.left_period)) if p is not None]
+        return _hull(self.core + tuple(starts), 1)
 
     def min_period(self) -> Optional[float]:
         ps = [p for p in (self.right_period, self.left_period) if p is not None]
@@ -238,9 +243,8 @@ class FiniteSet(StructuredPointSet):
     def tail_densities(self) -> tuple[float, float]:
         return (0.0, 0.0)
 
-    def anchor_interval(self) -> tuple[float, float]:
-        xs = [p[0] for p in self.points] or [0.0]
-        return (min(xs), max(xs))
+    def anchor_hull(self) -> tuple[np.ndarray, np.ndarray]:
+        return _hull(self.points, self.dim)
 
 
 @dataclass(frozen=True)
@@ -284,12 +288,8 @@ class FinitePerturbation(StructuredPointSet):
     def tail_densities(self) -> tuple[float, float]:
         return self.base.tail_densities()
 
-    def anchor_interval(self) -> tuple[float, float]:
-        a, b = self.base.anchor_interval()
-        xs = [p[0] for p in self.added] + [p[0] for p in self.removed]
-        if xs:
-            a, b = min(a, *xs), max(b, *xs)
-        return (a, b)
+    def anchor_hull(self) -> tuple[np.ndarray, np.ndarray]:
+        return _hull(self.base.anchor_hull() + self.added + self.removed, self.dim)
 
     def min_period(self) -> Optional[float]:
         return self.base.min_period()
@@ -399,9 +399,9 @@ def density_windowed(comb: WeightedComb, h_list: Sequence[float],
     trace = []
     for h in hs:
         if d == 1:
-            anchors = [s.anchor_interval() for _, s in comb.terms]
-            a = min(x[0] for x in anchors) - 3.0 * h
-            b = max(x[1] for x in anchors) + 3.0 * h
+            anchors = [s.anchor_hull() for _, s in comb.terms]
+            a = min(lo[0] for lo, _ in anchors) - 3.0 * h
+            b = max(hi[0] for _, hi in anchors) + 3.0 * h
             periods = [s.min_period() for _, s in comb.terms]
             periods = [p for p in periods if p is not None]
             step = min(periods) / 4.0 if periods else (b - a) / x_samples

@@ -167,11 +167,11 @@ class TestLatticeTightFrame:
         assert result.predicted_B == pytest.approx(1.0, abs=1e-9)
 
     def test_two_piece_packing_constant_two(self):
-        result = build_lattice_tight_frame(TWO_PIECE, Lattice.scaled_integers(2.0),
-                                           grid_cap=512, trunc_radius=64.0)
-        assert result.predicted_A == pytest.approx(2.0, rel=0.02)
-        assert result.predicted_B == pytest.approx(2.0, rel=0.02)
-        assert result.predicted_B / result.predicted_A <= 1.05
+        # a diagonal lattice is measured on the untruncated fibers
+        result = build_lattice_tight_frame(TWO_PIECE, Lattice.scaled_integers(2.0))
+        assert result.predicted_A == pytest.approx(2.0, abs=1e-12)
+        assert result.predicted_B == pytest.approx(2.0, abs=1e-12)
+        assert result.provenance.endswith("at 256 cells per axis, untruncated")
         freq = result.system.pairs[0][1]
         assert isinstance(freq, LatticeCosets)
         assert freq.lattice.covolume == pytest.approx(0.5)
@@ -188,8 +188,7 @@ class TestLatticeTightFrame:
 
     def test_l_shape_unit_square_lattice(self):
         l_shape = canonicalize([Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 0.5))])
-        result = build_lattice_tight_frame(l_shape, Lattice.scaled_integers(1.0, 2),
-                                           trunc_radius=4.0)
+        result = build_lattice_tight_frame(l_shape, Lattice.scaled_integers(1.0, 2))
         assert result.predicted_A == pytest.approx(1.0, abs=1e-9)
         assert result.predicted_B == pytest.approx(1.0, abs=1e-9)
         assert result.system.pairs[0][1].offsets == ((0.0, 0.0),)
@@ -203,16 +202,55 @@ class TestLatticeTightFrame:
         coefs = analysis_coefficients(counter, Window.indicator(), lam)
         assert np.max(np.abs(coefs)) < 1e-9
 
-    def test_grid_cap_enforced(self):
-        with pytest.raises(InputError):
-            build_lattice_tight_frame(TWO_PIECE, Lattice.scaled_integers(2.0),
-                                      grid_cap=64, trunc_radius=64.0)
+    def test_skew_lattice_on_the_nyquist_grid(self):
+        # a skew lattice is cut to the Nyquist band of the grid; on the unit
+        # square at 8 cells that band is [-4, 4)^2, as the old matched grid's
+        # truncation radius 4 was, and the bounds agree to the last bit
+        skew = Lattice(((1.0, 0.5), (0.0, 1.0)))
+        result = build_lattice_tight_frame(SQUARE, skew, grid_n=8)
+        assert (result.predicted_A, result.predicted_B) == (0.999999999999996,
+                                                            1.0000000000000036)
+        assert result.provenance.endswith("Nyquist band")
 
-    def test_grid_cap_enforced_on_refusal(self):
-        # the counterexample lives on the same matched grid, 192 cells here
-        with pytest.raises(InputError, match="above the cap 64"):
-            build_lattice_tight_frame(TWO_PIECE, Lattice.scaled_integers(1.0),
-                                      grid_cap=64, trunc_radius=64.0)
+    def test_counterexample_lies_on_the_coarsest_aligned_grid(self):
+        # the faces of [0, 0.5) and [1, 1.5) and the shift 1 are whole cells
+        # on multiples of 3 cells over [0, 1.5), the first from 256 being 258
+        with pytest.raises(TightFrameRefusal) as exc:
+            build_lattice_tight_frame(TWO_PIECE, Lattice.scaled_integers(1.0))
+        assert exc.value.counterexample.n_per_axis == 258
+
+    def test_refusal_without_an_aligned_grid(self):
+        # the face at 1 + 1/pi is a whole number of cells on no grid up to
+        # the limit, so no exact counterexample can be sampled
+        omega = BoxUnionSet.from_intervals([(0, 0.5), (1, 1 + 1 / math.pi)])
+        with pytest.raises(InputError, match="no grid of 256 to 4096 cells"):
+            build_lattice_tight_frame(omega, Lattice.scaled_integers(1.0))
+
+
+class TestCubeConstant:
+    """The constant of a cube's harmonic exponentials, as the bounded-window
+    builder measures it: the cube packs under its side lattice, and the dual
+    exponentials are tight with constant side^d."""
+
+    @staticmethod
+    def constant(lo, hi, grid_n=2):
+        cube = BoxUnionSet(len(lo), (Box(lo, hi),))
+        result = build_lattice_tight_frame(cube, Lattice.scaled_integers(hi[0] - lo[0], len(lo)),
+                                           grid_n)
+        assert result.predicted_A == result.predicted_B
+        return result.predicted_A
+
+    def test_unit_cube(self):
+        assert self.constant((0.0,), (1.0,)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_side_two_cube(self):
+        assert self.constant((0.0,), (2.0,)) == pytest.approx(2.0, abs=1e-9)
+
+    def test_unit_square(self):
+        assert self.constant((0.0, 0.0), (1.0, 1.0)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_unit_square_at_the_default_grid(self):
+        assert self.constant((0.0, 0.0), (1.0, 1.0), 256) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestObstructionScan:

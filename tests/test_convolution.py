@@ -115,6 +115,16 @@ class TestTranslationBoundedProbe:
         rep = translation_bounded_probe(comb, Box((0.0, 0.0), (1.0, 1.0)))
         assert rep.sup_estimate == 1.0
 
+    def test_2d_points_far_from_the_origin(self):
+        # every support's hull is read, wherever it lies
+        far = FiniteSet(((10.0, 10.0),), dimension=2)
+        rep = translation_bounded_probe(WeightedComb.single(far), Box((0.0, 0.0), (1.0, 1.0)))
+        assert rep == (1.0, (10.0, 10.0))
+        added = FinitePerturbation(integers(dim=2), added=((10.5, 10.5),))
+        rep = translation_bounded_probe(WeightedComb.single(added),
+                                        Box((0.0, 0.0), (1.0, 1.0)))
+        assert rep.sup_estimate == 2.0
+
     def test_2d_corner_from_two_cosets(self):
         # the sup 12 sits at a corner whose x comes from one coset and whose
         # y from the other; whole points as corners reach only 10

@@ -18,7 +18,6 @@ from frameforge.framebounds import (
     estimate_frame_bounds,
     lower_bound_decay_probe,
     nyquist_box,
-    raw_exponential_tight_constant,
     weighted_transform,
     window_density_bracket_check,
     window_ranges,
@@ -395,29 +394,42 @@ def assert_one_block_matches_oracle(case, arithmetic=""):
     general density kernel, R being the finite points: a pair's points that
     are not a whole-period lattice, and a measure's atoms.  A constant
     density on whole alias cycles takes the closed form, which the notes
-    name."""
+    name.  When every pair is a closed form, the blocks are the cells of
+    one index residue mod the periods' gcd, and r, the columns of their
+    cosets over that residue, bounds each block's rank: a block of more
+    cells is singular and solved by its r x r Gram."""
     system, grid_n, trunc, oracle = case
     rep = estimate_frame_bounds(system, grid_n, trunc)
     bb = system.omega.bounding_box()
-    order = int(np.count_nonzero(cell_volumes(bb, grid_n, system.omega)))
+    idx = np.argwhere(cell_volumes(bb, grid_n, system.omega) > 0)
     steps = np.array(bb.sides) / grid_n
     hair = trunc.translate([-1e-9 * s for s in trunc.sides])
-    rank, general, constant = 0, False, []
+    rank, general, constant, closed = 0, False, [], []
     for (window, freq), (_, lam, _) in zip(system.pairs, oracle):
         if isinstance(freq, ContinuousFreqMeasure):
             rank += len(freq.atoms)
-            if framebounds._constant_density(freq.density, steps):
+            form = framebounds._constant_density(freq.density, steps)
+            if form:
                 constant.append(f"pair '{window.label}': constant density in closed form")
+                closed.append(form)
             else:
                 general = True
-        elif framebounds._lattice_cosets(freq, steps, hair) is None:
+        elif (form := framebounds._lattice_cosets(freq, steps, hair)) is None:
             rank += len(lam)
+        else:
+            closed.append(form)
     *named, note = rep.notes.split("; ")
     assert [n[:n.index(" with period")] for n in named] == constant
     if note.startswith("rank-"):
         assert not general and note.startswith(f"rank-{rank} update of ")
+    elif rank == 0 and not general:
+        period = np.gcd.reduce([p for p, _ in closed])
+        sizes = np.bincount(np.ravel_multi_index((idx % period).T, period))
+        r = sum(len(cosets) * int(np.prod(p // period)) for p, cosets in closed)
+        singular = sizes.max() > r
+        assert note == block_note(sizes[sizes > 0].tolist(), r) + ("" if singular else arithmetic)
     else:
-        assert note == f"dense eigensolve of order {order}{arithmetic}"
+        assert note == f"dense eigensolve of order {len(idx)}{arithmetic}"
     a, b = dense_gram_oracle(system.omega, oracle, grid_n)
     assert abs(rep.A_est - a) <= 1e-9 * b
     assert abs(rep.B_est - b) <= 1e-9 * b
@@ -460,6 +472,26 @@ class TestRealPath:
     @given(dense_systems(even=True))
     def test_even_systems_solve_in_real_arithmetic(self, case):
         assert_one_block_matches_oracle(case, " in real arithmetic")
+
+    def test_constant_density_on_singular_blocks(self):
+        # two equal cells on [-12, 12) fill one alias cycle of the 6-cell grid
+        # on [0, 1/4): the closed form with period 2 cells, so the operator is
+        # 2 blocks of 3 cells, each of rank at most 2 (the offsets c and -c)
+        omega = BoxUnionSet.from_intervals([(0.0, 0.25)])
+        window = Window.from_callable(lambda p: 1.0 + p[:, 0] + p[:, -1] ** 2, "w0")
+        density = GridFunction(Box((-12.0,), (12.0,)), np.array([74.0, 74.0]),
+                               np.array([12.0, 12.0]))
+        freq = ContinuousFreqMeasure(density=density)
+        trunc = Box((-1.5,), (1.5,))
+        hair = trunc.translate([-1e-9 * s for s in trunc.sides])
+        case = (WindowedSystem(omega, ((window, freq),)), 6, trunc,
+                [(window, *oracle_frequencies(freq, hair))])
+        assert_one_block_matches_oracle(case, " in real arithmetic")
+        rep = estimate_frame_bounds(*case[:3])
+        assert rep.notes.endswith("dense eigensolve of 2 blocks of order at most 3 "
+                                  "and rank at most 2")
+        assert rep.A_est == 0.0
+        assert rep.B_est == pytest.approx(306.5124598373602, rel=1e-12)
 
     RAMP = Window.from_string("(1-x)^1.0")
     TILTED = Window.from_callable(lambda p: 1.0 + 0.5j * p[:, 0], "tilted")
@@ -900,25 +932,6 @@ class TestRonShenPath:
             estimate_frame_bounds(WindowedSystem(omega, ((Window.indicator(), integers()),)), 2)
 
 
-class TestRawExponentialConstant:
-    def test_unit_cube(self):
-        assert raw_exponential_tight_constant(Box((0.0,), (1.0,))) == pytest.approx(
-            1.0, abs=1e-9)
-
-    def test_side_two_cube(self):
-        assert raw_exponential_tight_constant(Box((0.0,), (2.0,))) == pytest.approx(
-            2.0, abs=1e-9)
-
-    def test_unit_square(self):
-        square = Box((0.0, 0.0), (1.0, 1.0))
-        assert raw_exponential_tight_constant(square) == pytest.approx(
-            1.0, abs=1e-9)
-
-    def test_unit_square_at_the_default_grid(self):
-        square = Box((0.0, 0.0), (1.0, 1.0))
-        assert raw_exponential_tight_constant(square) == pytest.approx(1.0, abs=1e-14)
-
-
 class TestEssBounds:
     def test_linear_pair(self):
         ws = [Window.from_string("x^1.0"), Window.from_string("(1-x)^1.0")]
@@ -1017,6 +1030,16 @@ class TestBracketCheck:
             (1.0, True), (np.inf, False)]
         assert not out.all_hold
 
+    def test_rows_kept_when_no_window_is_bounded(self):
+        # with no bounded window of positive density the caps are moot, but
+        # the unbounded window's failing row still stands
+        system = WindowedSystem(UNIT, ((Window.from_string("x^-0.5"), integers()),))
+        dens = [density_closed_form(WeightedComb.single(integers()))]
+        out = window_density_bracket_check(system, FrameBoundsReport(0.5, 2.0, 64, None), dens)
+        assert [(row.label, row.ess_sup, row.holds) for row in out.per_window] == [
+            ("x^-0.5", np.inf, False)]
+        assert not (out.lower_holds or out.upper_holds or out.all_hold)
+
     def test_contradiction_flagged_for_claimed_frame_without_density(self):
         system = WindowedSystem(UNIT, ((Window.indicator(), FiniteSet(((0.0,),))),))
         fake = FrameBoundsReport(0.5, 1.0, 64, Box((-1.0,), (1.0,)))
@@ -1051,14 +1074,14 @@ class TestBracketCheck:
                                            dens, grid_n)
         positive = [j for j, d in enumerate(dens) if d.upper > 0]
         j_prime = [pairs[j][0] for j in positive if pairs[j][0].bounded_on(omega)]
-        if not j_prime:  # the report then holds no rows
-            assert out.per_window == () and not out.all_hold
-            return
         assert len(out.per_window) == len(positive)
         for j, row in zip(positive, out.per_window):
             alone = ess_bounds([pairs[j][0]], omega, grid_n)
             own = alone.ess_sup_of_max[0] if alone.J else np.inf
             assert row.ess_sup >= own if faces else row.ess_sup == own
+        if not j_prime:
+            assert not out.all_hold
+            return
         alone = ess_bounds(j_prime, omega, grid_n)
         own = (alone.ess_inf_of_max[1], alone.ess_sup_of_max[0])
         if faces:

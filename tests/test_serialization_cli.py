@@ -9,7 +9,7 @@ import pytest
 from frameforge.cli import main
 from frameforge.errors import InputError
 from frameforge.framebounds import ContinuousFreqMeasure, WindowedSystem
-from frameforge.geometry import Box, BoxUnionSet
+from frameforge.geometry import Box, BoxUnionSet, Lattice
 from frameforge.gridfn import GridFunction
 from frameforge.pointsets import (
     EventuallyPeriodic1D,
@@ -236,6 +236,21 @@ class TestCli:
         assert rc == 0
         assert "verdict: refused" in out
         assert "counterexample_norm" in out
+
+    def test_construct_skew_lattice_from_a_json_basis(self, tmp_path, capsys):
+        # the skew lattice is cut to the Nyquist band of the 8-cell grid
+        domain = tmp_path / "square.json"
+        domain.write_text(json.dumps({"dim": 2, "boxes": [[0.0, 0.0, 1.0, 1.0]]}))
+        out_system = tmp_path / "built.json"
+        rc = run_cli("construct", "--domain", str(domain), "--lattice", "[[1, 0.5], [0, 1]]",
+                     "--grid-n", "8", "--out", str(out_system))
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[:3] == ["verdict: constructed", "predicted_A: 0.999999999999996",
+                           "predicted_B: 1.0000000000000036"]
+        assert out[3].endswith("constant measured at 8 cells per axis, Nyquist band")
+        freq = load_system(str(out_system)).pairs[0][1]
+        assert freq.lattice.same_group(Lattice(((1.0, 0.5), (0.0, 1.0))).dual())
 
     def test_construct_window_refusal_exits_zero(self, tmp_path, capsys):
         domain = tmp_path / "omega.json"
