@@ -45,7 +45,6 @@ from .framebounds import (
     estimate_frame_bounds,
     lower_bound_decay_probe,
     nyquist_box,
-    weighted_transform,
     window_density_bracket_check,
 )
 from .construction import (

@@ -713,19 +713,6 @@ def _freq_as_support(freq: FreqSpec) -> StructuredPointSet:
     return freq
 
 
-def weighted_transform(weight: Window, windows: Sequence[Window],
-                       omega: BoxUnionSet, grid_n: int = 256) -> list[Window]:
-    """Multiply each window by the square root of a non-negative weight.
-
-    The transformed system inherits frame behaviour from the weighted one,
-    so the usual bracket checks apply to the returned windows.
-    """
-    vals = weight.eval(grid_points(omega.bounding_box(), grid_n)).real
-    if vals.min() < -1e-12:
-        raise InputError("the weight must be non-negative on the domain")
-    return [w.times_sqrt(weight.expr) for w in windows]
-
-
 @dataclass(frozen=True)
 class DecayRow:
     N: float

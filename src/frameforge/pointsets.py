@@ -300,6 +300,28 @@ def integers(dim: int = 1, scale: float = 1.0) -> LatticeCosets:
     return LatticeCosets(Lattice.scaled_integers(scale, dim))
 
 
+SLAB_CHUNK = 1 << 12  # slab points tested against their boxes in one broadcast
+
+
+def _count_in_slabs(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                    start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Points of ``pts[start[i]:stop[i]]`` inside each half-open box
+    [lo[i], hi[i]).  The slabs are laid end to end and cut into runs of
+    whole boxes holding about ``SLAB_CHUNK`` points, each tested in one
+    broadcast, so memory stays linear in the points."""
+    sizes = stop - start
+    ends = np.cumsum(sizes)
+    cuts = np.searchsorted(ends, np.arange(SLAB_CHUNK, ends[-1], SLAB_CHUNK))
+    counts = np.zeros(len(lo), dtype=np.int64)
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(lo)]):
+        n = sizes[a:b]
+        box = np.repeat(np.arange(a, b), n)
+        at = np.arange(len(box)) + np.repeat(start[a:b] - (np.cumsum(n) - n), n)
+        inside = np.all((pts[at] >= lo[box]) & (pts[at] < hi[box]), axis=1)
+        counts[a:b] = np.bincount(box[inside] - a, minlength=b - a)
+    return counts
+
+
 @dataclass(frozen=True)
 class WeightedComb:
     """Positive combination of Dirac combs over structured supports."""
@@ -331,17 +353,16 @@ class WeightedComb:
 
         Each support is enumerated once over the hull of the boxes.  Its
         points come sorted on the first axis, so ``searchsorted`` cuts each
-        box's slab on that axis; in d > 1 the slab's points are then tested
-        against the whole box, which keeps memory linear in the points.
+        box's slab on that axis; in d > 1 the slabs' points are then tested
+        against their boxes (``_count_in_slabs``).
         """
         hull = Box(tuple(lo.min(axis=0)), tuple(hi.max(axis=0)))
         total = 0.0
         for w, s in self.terms:
             pts = s.points_in_box(hull)
             start, stop = (np.searchsorted(pts[:, 0], x[:, 0]) for x in (lo, hi))
-            counts = stop - start if self.dim == 1 else np.array([
-                np.count_nonzero(Box(tuple(a), tuple(b)).contains(pts[i:j]))
-                for a, b, i, j in zip(lo, hi, start, stop)])
+            counts = (stop - start if self.dim == 1
+                      else _count_in_slabs(pts, lo, hi, start, stop))
             total = total + w * counts
         return total
 

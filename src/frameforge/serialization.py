@@ -43,8 +43,10 @@ def domain_from_dict(data: dict) -> BoxUnionSet:
             if len(row) != 2 * dim:
                 raise InputError(f"box row {row} does not match dim={dim}")
             boxes.append(Box(tuple(row[:dim]), tuple(row[dim:])))
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InputError(f"bad domain description: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad domain description: {exc}") from exc
     return canonicalize(boxes)
 
 

@@ -45,9 +45,6 @@ class Expr:
         """(inf, sup) of |expr| over each half-open box [lo[i], hi[i])."""
         raise NotImplementedError
 
-    def sqrt(self) -> "Expr":
-        raise InputError(f"cannot take an exact square root of {self.to_string()}")
-
     def to_string(self) -> str:
         raise NotImplementedError
 
@@ -66,11 +63,6 @@ class Scalar(Expr):
     def range_on(self, lo, hi):
         v = np.full(len(lo), abs(self.value))
         return v, v
-
-    def sqrt(self):
-        if self.value < 0:
-            raise InputError("cannot take the square root of a negative scalar")
-        return Scalar(self.value ** 0.5)
 
     def to_string(self):
         return repr(self.value)
@@ -92,9 +84,6 @@ class Monomial(Expr):
     def range_on(self, lo, hi):
         return _power_range(lo[:, 0], hi[:, 0], self.alpha)
 
-    def sqrt(self):
-        return Monomial(self.alpha / 2.0)
-
     def to_string(self):
         return f"x^{self.alpha}"
 
@@ -114,9 +103,6 @@ class ReflectedMonomial(Expr):
 
     def range_on(self, lo, hi):
         return _power_range(1.0 - hi[:, 0], 1.0 - lo[:, 0], self.alpha)
-
-    def sqrt(self):
-        return ReflectedMonomial(self.alpha / 2.0)
 
     def to_string(self):
         return f"(1-x)^{self.alpha}"
@@ -139,9 +125,6 @@ class Indicator(Expr):
         inside = np.all((lo >= self.box.lo) & (hi <= self.box.hi), axis=1)
         meets = np.all((hi > self.box.lo) & (lo < self.box.hi), axis=1)
         return inside.astype(float), meets.astype(float)
-
-    def sqrt(self):
-        return self
 
     def to_string(self):
         if self.box is None:
@@ -174,9 +157,6 @@ class Product(Expr):
         with np.errstate(invalid="ignore", over="ignore"):
             return (np.where(zero, 0.0, np.prod(infs, axis=0)),
                     np.where(zero, 0.0, np.prod(sups, axis=0)))
-
-    def sqrt(self):
-        return Product(tuple(f.sqrt() for f in self.factors))
 
     def to_string(self):
         return "*".join(f.to_string() for f in self.factors)
@@ -297,11 +277,3 @@ class Window:
         w = cell_volumes(bb, grid_n, omega).ravel()
         return float(np.sum(vals * w))
 
-    def times_sqrt(self, weight_expr: Expr) -> "Window":
-        """The window multiplied by the square root of a non-negative weight."""
-        root = weight_expr.sqrt()
-        if isinstance(self.expr, Product):
-            new = Product(self.expr.factors + (root,))
-        else:
-            new = Product((self.expr, root))
-        return Window(f"{self.label}*sqrt", new)

@@ -18,7 +18,6 @@ from frameforge.framebounds import (
     estimate_frame_bounds,
     lower_bound_decay_probe,
     nyquist_box,
-    weighted_transform,
     window_density_bracket_check,
     window_ranges,
 )
@@ -1107,27 +1106,6 @@ class TestBracketCheck:
             d_plus = density_closed_form(WeightedComb.single(freq)).upper
             cap = np.sqrt(rep.B_est / d_plus)
             assert vals.max() <= cap + 0.02
-
-
-class TestWeightedTransform:
-    def test_identity_weight(self):
-        out = weighted_transform(Window.from_string("1.0"), [Window.indicator()], UNIT)
-        pts = np.array([[0.3], [0.7]])
-        assert np.allclose(out[0].eval(pts).real, 1.0)
-
-    def test_constant_weight_four_gives_two(self):
-        out = weighted_transform(Window.from_string("4.0"), [Window.indicator()], UNIT)
-        assert np.allclose(out[0].eval(np.array([[0.5]])).real, 2.0)
-
-    def test_vanishing_weight_not_bounded_away_from_zero(self):
-        out = weighted_transform(Window.from_string("x^1.0"), [Window.indicator()],
-                                 UNIT)
-        for grid_n in (64, 256):
-            assert ess_bounds(out, UNIT, grid_n).ess_inf_of_max[0] == 0.0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InputError):
-            weighted_transform(Window.from_string("-1.0"), [Window.indicator()], UNIT)
 
 
 class TestDecayProbe:

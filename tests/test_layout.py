@@ -208,6 +208,15 @@ def test_binding_checker():
            "frameforge.geometry.NoSuchClass.contains"]
 
 
+def test_criteria_keep_their_numbered_names_in_order():
+    # the tracer names its acceptance.cNN spans after these function names,
+    # so a renamed or reordered criterion would zero a per-layer metric
+    acceptance = importlib.import_module("frameforge.acceptance")
+    prefixes = [fn.__name__[:len("criterion_00_")] for fn in acceptance.ALL_CRITERIA]
+    assert prefixes == [f"criterion_{n:02d}_" for n in range(1, 13)]
+    assert [r.number for r in acceptance.run_all(7)] == list(range(1, 13))
+
+
 def package_chains(path, alias="ff"):
     """Every outermost attribute chain on the name ``alias`` that a file
     reads, such as "zak.NOT_FRAME" for ``ff.zak.NOT_FRAME``."""

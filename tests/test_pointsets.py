@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from frameforge import pointsets
 from frameforge.errors import InputError
 from frameforge.geometry import Box, Lattice
 from frameforge.pointsets import (
@@ -192,6 +193,21 @@ class TestMassesInBoxes:
                                       np.array([b.hi for b in boxes]))
         assert masses.tolist() == [sum(w * s.count_in_box(b) for w, s in comb.terms)
                                    for b in boxes]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 12])
+    @pytest.mark.parametrize("support", SUPPORTS[2], ids=lambda s: type(s).__name__)
+    def test_chunked_slabs_match_the_per_box_loop(self, monkeypatch, support, chunk):
+        # a chunk of 1 or 7 points splits the boxes into many broadcasts, and
+        # some slabs hold more points than a chunk
+        monkeypatch.setattr(pointsets, "SLAB_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(-4.0, 3.0, size=(60, 2))
+        hi = lo + rng.uniform(0.1, 3.0, size=(60, 2))
+        pts = support.points_in_box(Box(tuple(lo.min(axis=0)), tuple(hi.max(axis=0))))
+        loop = [np.count_nonzero(Box(tuple(a), tuple(b)).contains(pts))
+                for a, b in zip(lo, hi)]
+        masses = WeightedComb.single(support).masses_in_boxes(lo, hi)
+        assert masses.tolist() == loop and max(loop) > 1
 
 
 class TestWindowedEstimator:

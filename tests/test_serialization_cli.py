@@ -252,6 +252,15 @@ class TestCli:
         freq = load_system(str(out_system)).pairs[0][1]
         assert freq.lattice.same_group(Lattice(((1.0, 0.5), (0.0, 1.0))).dual())
 
+    @pytest.mark.parametrize("domain", [
+        '{"dim": 2, "boxes": [{"lo": [0, 0], "hi": [1, 1]}]}',
+        '{"dim": 1, "boxes": [["a", 1]]}',
+    ], ids=["box_as_object", "non_numeric_corner"])
+    def test_construct_malformed_domain_exits_two(self, capsys, domain):
+        rc = run_cli("construct", "--domain", domain, "--lattice", "1")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: bad domain description")
+
     def test_construct_window_refusal_exits_zero(self, tmp_path, capsys):
         domain = tmp_path / "omega.json"
         domain.write_text(json.dumps({"dim": 1, "boxes": [[0.0, 1.0]]}))

@@ -100,21 +100,6 @@ def test_l2_norm_quadrature():
     assert chi.l2_norm_sq_on(UNIT) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_times_sqrt_weight():
-    g = Window.indicator()
-    phi = Window.from_string("x^1.0")
-    weighted = g.times_sqrt(phi.expr)
-    pts = np.array([[0.25], [0.81]])
-    assert np.allclose(weighted.eval(pts).real, [0.5, 0.9])
-
-
-def test_sqrt_of_scalar_and_indicator():
-    assert Scalar(4.0).sqrt().value == 2.0
-    assert Indicator(None).sqrt() == Indicator(None)
-    with pytest.raises(InputError):
-        Scalar(-1.0).sqrt()
-
-
 def test_support_box_intersection():
     e = Product((Indicator(Box((0.0,), (2.0,))), Indicator(Box((1.0,), (3.0,)))))
     assert e.support_box() == Box((1.0,), (2.0,))
