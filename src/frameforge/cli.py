@@ -1,9 +1,14 @@
 """Command-line front end: dispatch, reports, CSV artifacts.
 
-Exit status is 0 whenever a verdict was computed, including negative
-verdicts and refusals; nonzero only for unusable input.  The seed governs
-only ``verify``'s randomized trials, and identical configurations produce
-byte-identical CSV output.
+Every descriptor option (``--domain``, ``--system``, ``--points``, a
+``--lattice`` basis and ``--config``) takes a file path or inline JSON, read
+by ``serialization.read_json`` and decoded by the ``serialization`` decoders;
+``--config`` values are converted and checked as on the command line.  Each
+``cmd_*`` handler returns its report lines, and ``main`` alone writes them
+and sets the exit status: 0 whenever a verdict was computed, including
+negative verdicts and refusals; 2, with one ``error:`` line, for unusable
+input.  The seed governs only ``verify``'s randomized trials, and identical
+configurations produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -31,18 +36,20 @@ from .construction import (
 from .errors import InputError
 from .framebounds import estimate_frame_bounds
 from .geometry import Box, Lattice, cartesian, lattice_residue_check, overlap_profile
-from .pointsets import WeightedComb, density_closed_form, density_windowed
+from .pointsets import density_closed_form, density_windowed
 from .serialization import (
     CERTIFICATE_HEADER,
     DENSITY_TRACE_HEADER,
     FRAME_BOUNDS_HEADER,
     GABOR_HEADER,
     box_label,
+    comb_from_dict,
     frame_bounds_row,
     gabor_row,
+    lattice_from_rows,
     load_domain,
     load_system,
-    pointset_from_dict,
+    read_json,
     save_system,
     write_csv,
 )
@@ -50,43 +57,26 @@ from .windows import Window
 from .zak import certify_gabor
 
 
-def _load_json_arg(text: str) -> dict:
-    if os.path.exists(text):
-        with open(text) as fh:
-            return json.load(fh)
+def _numbers(text: str, option: str, sep: str = ",", count: Optional[int] = None
+             ) -> tuple[float, ...]:
+    """The numbers of an option value such as ``2,0`` (or ``lo:hi`` with
+    ``sep=":"``, ``count=2``)."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"argument {text!r} is neither a file nor inline JSON") from exc
+        values = tuple(float(v) for v in text.split(sep))
+    except ValueError:
+        values = ()
+    if not values or count not in (None, len(values)):
+        raise InputError(f"{option} takes {count or 'one or more'} numbers "
+                         f"separated by {sep!r}, got {text!r}")
+    return values
 
 
 def _parse_lattice(text: str, dim: int) -> Lattice:
     try:
-        return Lattice.scaled_integers(float(text), dim)
+        scale = float(text)
     except ValueError:
-        pass
-    data = _load_json_arg(text)
-    return Lattice(tuple(tuple(float(v) for v in row) for row in data))
-
-
-def _parse_trunc(text: Optional[str], dim: int) -> Optional[Box]:
-    if text is None:
-        return None
-    try:
-        lo_s, hi_s = text.split(":")
-        lo, hi = float(lo_s), float(hi_s)
-    except ValueError as exc:
-        raise InputError(f"truncation must look like 'lo:hi', got {text!r}") from exc
-    return Box((lo,) * dim, (hi,) * dim)
-
-
-def _parse_comb(descriptor: str) -> WeightedComb:
-    data = _load_json_arg(descriptor)
-    if "terms" in data:
-        terms = tuple((float(t.get("weight", 1.0)), pointset_from_dict(t["support"]))
-                      for t in data["terms"])
-        return WeightedComb(terms)
-    return WeightedComb.single(pointset_from_dict(data))
+        return lattice_from_rows(read_json(text))
+    return Lattice.scaled_integers(scale, dim)
 
 
 def _emit(report_lines: list[str], args) -> None:
@@ -98,24 +88,19 @@ def _emit(report_lines: list[str], args) -> None:
         sys.stdout.write(text)
 
 
-def cmd_density(args) -> int:
-    comb = _parse_comb(args.points)
-    lines = []
+def cmd_density(args) -> list[str]:
+    comb = comb_from_dict(read_json(args.points))
     if args.windowed:
-        h_list = [float(h) for h in args.h_list.split(",")]
-        rep = density_windowed(comb, h_list, args.x_samples)
+        rep = density_windowed(comb, _numbers(args.h_list, "--h-list"), args.x_samples)
         if args.csv:
             write_csv(args.csv, DENSITY_TRACE_HEADER, rep.estimator_trace)
     else:
         rep = density_closed_form(comb)
-    lines.append(f"method: {rep.method}")
-    lines.append(f"lower_density: {rep.lower!r}")
-    lines.append(f"upper_density: {rep.upper!r}")
-    _emit(lines, args)
-    return 0
+    return [f"method: {rep.method}", f"lower_density: {rep.lower!r}",
+            f"upper_density: {rep.upper!r}"]
 
 
-def cmd_overlap(args) -> int:
+def cmd_overlap(args) -> list[str]:
     omega, tail = load_domain(args.domain)
     # the half-box 0 <= x_0 <= x_max, |x_a| <= x_max that overlap_zero_set scans,
     # by default at the finest step 0.01 k that keeps it within 10^5 shifts
@@ -134,11 +119,10 @@ def cmd_overlap(args) -> int:
     lines = [f"shifts_sampled: {len(prof)}", f"positive_overlaps: {positive}"]
     if tail is not None:
         lines.append(f"truncation_tail_measure: {tail!r}")
-    _emit(lines, args)
-    return 0
+    return lines
 
 
-def cmd_residue(args) -> int:
+def cmd_residue(args) -> list[str]:
     omega, _ = load_domain(args.domain)
     lattice = _parse_lattice(args.lattice, omega.dim)
     verdict = lattice_residue_check(omega, lattice)
@@ -148,15 +132,17 @@ def cmd_residue(args) -> int:
         lines.append(f"witness_shift: {list(w.gamma_prime)}")
         lines.append(f"witness_point: {list(w.point)}")
         lines.append(f"witness_overlap: {w.overlap!r}")
-    _emit(lines, args)
-    return 0
+    return lines
 
 
-def cmd_frame_bounds(args) -> int:
+def cmd_frame_bounds(args) -> list[str]:
     system = load_system(args.system)
-    trunc = _parse_trunc(args.trunc, system.omega.dim)
+    trunc = None
+    if args.trunc is not None:
+        lo, hi = _numbers(args.trunc, "--trunc", sep=":", count=2)
+        trunc = Box((lo,) * system.omega.dim, (hi,) * system.omega.dim)
     rep = estimate_frame_bounds(system, args.grid_n, trunc)
-    label = os.path.basename(args.system) if os.path.exists(args.system) else "inline"
+    label = os.path.basename(args.system) if os.path.isfile(args.system) else "inline"
     if args.csv:
         write_csv(args.csv, FRAME_BOUNDS_HEADER, [frame_bounds_row(label, rep)])
     lines = [f"A_est: {rep.A_est!r}", f"B_est: {rep.B_est!r}",
@@ -164,11 +150,10 @@ def cmd_frame_bounds(args) -> int:
              f"trunc: {box_label(rep.trunc_box)}"]
     if rep.notes:
         lines.append(f"notes: {rep.notes}")
-    _emit(lines, args)
-    return 0
+    return lines
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> list[str]:
     omega, _ = load_domain(args.domain)
     try:
         if args.lattice is not None:
@@ -186,18 +171,16 @@ def cmd_construct(args) -> int:
             norm = float(np.sqrt(refusal.counterexample.norm_sq()))
             lines += [f"witness_shift: {list(refusal.witness.gamma_prime)}",
                       f"counterexample_norm: {norm!r}"]
-        _emit(lines, args)
-        return 0
+        return lines
     lines = ["verdict: constructed", f"predicted_A: {result.predicted_A!r}",
              f"predicted_B: {result.predicted_B!r}", f"provenance: {result.provenance}"]
     if args.out:
         save_system(result.system, args.out)
         lines.append(f"system_file: {args.out}")
-    _emit(lines, args)
-    return 0
+    return lines
 
 
-def cmd_obstruction(args) -> int:
+def cmd_obstruction(args) -> list[str]:
     omega, tail = load_domain(args.domain)
     verdict = tight_frame_obstruction_scan(omega, args.x_max, tail_measure=tail)
     if args.csv:
@@ -209,48 +192,39 @@ def cmd_obstruction(args) -> int:
     if verdict.hypothesis_satisfied:
         lines.append("conclusion: no tight exponential frame on the scanned range")
     lines.append(f"caveat: {verdict.caveat}")
-    _emit(lines, args)
-    return 0
+    return lines
 
 
-def cmd_certify_measure(args) -> int:
+def cmd_certify_measure(args) -> list[str]:
     omega, _ = load_domain(args.domain)
-    x0 = tuple(float(v) for v in args.x0.split(","))
+    x0 = _numbers(args.x0, "--x0")
     try:
         cert = cosine_measure_certificate(omega, x0, grid_n=args.grid_n)
     except CertificateRefusal as refusal:
-        lines = ["verdict: refused",
-                 f"reason: {refusal.reason}",
-                 f"overlap_plus: {refusal.overlap_plus!r}",
-                 f"overlap_minus: {refusal.overlap_minus!r}"]
-        _emit(lines, args)
-        return 0
+        return ["verdict: refused", f"reason: {refusal.reason}",
+                f"overlap_plus: {refusal.overlap_plus!r}",
+                f"overlap_minus: {refusal.overlap_minus!r}"]
     rep = cert.report
     if args.csv:
         write_csv(args.csv, CERTIFICATE_HEADER,
                   [(",".join(repr(v) for v in x0), rep.A_est, rep.B_est)])
-    lines = [f"verdict: {'certified' if cert.holds else 'not tight'}",
-             f"A_est: {rep.A_est!r}",
-             f"B_est: {rep.B_est!r}",
-             f"notes: {rep.notes}"]
-    _emit(lines, args)
-    return 0
+    return [f"verdict: {'certified' if cert.holds else 'not tight'}",
+            f"A_est: {rep.A_est!r}", f"B_est: {rep.B_est!r}", f"notes: {rep.notes}"]
 
 
-def cmd_gabor(args) -> int:
+def cmd_gabor(args) -> list[str]:
     window = Window.from_string(args.window)
     verdict = certify_gabor(window, args.p, args.q, args.M)
     if args.csv:
         write_csv(args.csv, GABOR_HEADER, [gabor_row(verdict)])
-    lines = [f"verdict: {verdict.verdict}",
-             f"A_53: {verdict.A_53!r}", f"B_53: {verdict.B_53!r}",
-             f"zz_min: {verdict.zz_min!r}", f"zz_max: {verdict.zz_max!r}",
-             f"unitarity_residual: {verdict.unitarity_residual!r}"]
-    _emit(lines, args)
-    return 0
+    return [f"verdict: {verdict.verdict}",
+            f"A_53: {verdict.A_53!r}", f"B_53: {verdict.B_53!r}",
+            f"zz_min: {verdict.zz_min!r}", f"zz_max: {verdict.zz_max!r}",
+            f"unitarity_residual: {verdict.unitarity_residual!r}"]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> list[str]:
+    # failing criteria are still computed verdicts, reported with exit status 0
     lines: list[str] = []
     results = acceptance.run_all(args.seed, echo=lines.append)
     if args.outdir:
@@ -263,17 +237,15 @@ def cmd_verify(args) -> int:
                   [(r.number, r.name, int(r.passed)) for r in results])
     failed = [r for r in results if not r.passed]
     lines.append(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    _emit(lines, args)
-    # failing criteria are still computed verdicts; only unusable input is a
-    # process failure
-    return 0
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frameforge",
         description="windowed-exponential frame toolkit")
-    parser.add_argument("--config", help="JSON file overriding subcommand options")
+    parser.add_argument("--config", help="JSON object (file or inline) overriding "
+                        "subcommand options")
     sub = parser.add_subparsers(dest="command", required=True)
     # every subcommand takes --report; those that write a table take --csv too
     report = argparse.ArgumentParser(add_help=False)
@@ -282,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--csv")
 
     p = sub.add_parser("density", parents=[table], help="Beurling densities of a weighted comb")
-    p.add_argument("--points", required=True, help="point set or comb descriptor")
+    p.add_argument("--points", required=True,
+                   help="point set or comb descriptor (file or inline JSON)")
     p.add_argument("--windowed", action="store_true",
                    help="use the sliding-window estimator instead of closed forms")
     p.add_argument("--h-list", default="10,100,1000")
@@ -299,11 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("residue", parents=[report], help="lattice residue packing check")
     p.add_argument("--domain", required=True)
     p.add_argument("--lattice", required=True,
-                   help="covolume scalar or JSON basis matrix")
+                   help="covolume scalar or JSON basis matrix (file or inline)")
     p.set_defaults(handler=cmd_residue)
 
     p = sub.add_parser("frame-bounds", parents=[table], help="frame bound estimation for a system")
-    p.add_argument("--system", required=True, help="system description file")
+    p.add_argument("--system", required=True, help="system description (file or inline JSON)")
     p.add_argument("--grid-n", type=int, default=256)
     p.add_argument("--trunc", help="frequency truncation as lo:hi per axis")
     p.set_defaults(handler=cmd_frame_bounds)
@@ -312,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build a frame (cube harmonics or lattice)")
     p.add_argument("--domain", required=True)
     p.add_argument("--windows", help="comma-separated window expressions")
-    p.add_argument("--lattice", help="covolume scalar or JSON basis matrix")
+    p.add_argument("--lattice", help="covolume scalar or JSON basis matrix (file or inline)")
     p.add_argument("--grid-n", type=int, default=256,
                    help="cells per axis: of the window-range pieces with --windows, of "
                    "the grid that measures the tight constant with --lattice")
@@ -347,30 +320,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        overrides = json.load(fh)
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Set the subcommand options that the ``--config`` JSON object names,
+    each value converted and checked as on the command line: a string is the
+    option's text, any other value its JSON text; a flag takes true or false."""
+    overrides = read_json(args.config)
+    if not isinstance(overrides, dict):
+        raise InputError(f"--config must hold one JSON object, got {overrides!r}")
+    command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    options = {a.dest: a for a in command._actions
+               if a.option_strings and a.default != argparse.SUPPRESS}
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             raise InputError(f"config key {key!r} does not match any option")
-        setattr(args, dest, value)
+        text = value if isinstance(value, str) else json.dumps(value)
+        flag = action.nargs == 0
+        try:
+            value = {"true": True, "false": False}[text] if flag else (action.type or str)(text)
+        except (KeyError, ValueError):
+            expected = "true or false" if flag else f"{action.type.__name__} values"
+            raise InputError(f"config key {key!r} takes {expected}, got {text!r}") from None
+        setattr(args, action.dest, value)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand: 0 for any computed verdict, negative verdicts and
+    refusals included; 2, with one ``error:`` line, for unusable input."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
-        return args.handler(args)
+        if args.config is not None:
+            _apply_config(parser, args)
+        _emit(args.handler(args), args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: missing file {exc.filename}\n")
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 Every supported set family carries exact upper/lower Beurling densities in
 closed form; a sliding-window counting estimator is provided as an
-independent cross-check.  In one dimension each family reduces to a pair of
-tail densities (far-left, far-right), and densities of weighted sums combine
-additively per tail.
+independent cross-check.  Each family reduces to a pair of tail densities
+(far-left, far-right; in d > 1 both are its uniform density), and densities
+of weighted sums combine additively per tail.
 """
 
 from __future__ import annotations
@@ -65,12 +65,9 @@ class StructuredPointSet:
         return float(len(self.points_in_box(box)))
 
     def tail_densities(self) -> tuple[float, float]:
-        """(far-left, far-right) asymptotic densities; 1-D only."""
+        """(far-left, far-right) asymptotic densities in 1-D; in d > 1 every
+        family's density is uniform, and both entries are it."""
         raise NotImplementedError
-
-    def uniform_density(self) -> Optional[float]:
-        """Common value of the upper and lower density, if the set has one."""
-        return None
 
     def anchor_hull(self) -> tuple[np.ndarray, np.ndarray]:
         """Corners (lo, hi) of a closed box holding the non-periodic part of
@@ -120,13 +117,8 @@ class LatticeCosets(StructuredPointSet):
         pts = np.vstack(parts)
         return _lexsort(pts[box.contains(pts)])
 
-    def uniform_density(self) -> float:
-        return len(self.offsets) / self.lattice.covolume
-
     def tail_densities(self) -> tuple[float, float]:
-        if self.dim != 1:
-            raise InputError("tail densities are one-dimensional")
-        rho = self.uniform_density()
+        rho = len(self.offsets) / self.lattice.covolume
         return (rho, rho)
 
     def anchor_hull(self) -> tuple[np.ndarray, np.ndarray]:
@@ -168,52 +160,39 @@ class EventuallyPeriodic1D(StructuredPointSet):
             if self._in_tail(c):
                 raise InputError(f"core point {c} collides with a periodic tail")
 
+    def _tails(self) -> list[tuple[float, float, int]]:
+        """(start, period, direction) of each present tail: the points
+        start + direction * period * n, n >= 0."""
+        return [(s, p, e) for s, p, e in ((self.right_start, self.right_period, 1),
+                                          (self.left_start, self.left_period, -1))
+                if p is not None]
+
     def _in_tail(self, x: float) -> bool:
-        if self.right_period is not None:
-            t = (x - self.right_start) / self.right_period
-            if t > -1e-12 and abs(t - round(t)) < 1e-12:
-                return True
-        if self.left_period is not None:
-            t = (self.left_start - x) / self.left_period
-            if t > -1e-12 and abs(t - round(t)) < 1e-12:
-                return True
-        return False
+        ts = [(x - s) / (e * p) for s, p, e in self._tails()]
+        return any(t > -1e-12 and abs(t - round(t)) < 1e-12 for t in ts)
 
     def points_in_box(self, box: Box) -> np.ndarray:
         if box.dim != 1:
             raise InputError("EventuallyPeriodic1D lives on the real line")
         lo, hi = box.lo[0], box.hi[0]
         parts = [np.array(self.core, dtype=float)]
-        if self.right_period is not None:
-            p, s = self.right_period, self.right_start
-            n0 = max(0, math.ceil((lo - s) / p - 1e-12))
-            n1 = math.floor((hi - s) / p + 1e-12)
-            parts.append(s + p * np.arange(n0, n1 + 1))
-        if self.left_period is not None:
-            p, s = self.left_period, self.left_start
-            n0 = max(0, math.ceil((s - hi) / p - 1e-12))
-            n1 = math.floor((s - lo) / p + 1e-12)
-            parts.append(s - p * np.arange(n0, n1 + 1))
+        for s, p, e in self._tails():
+            # the indices n >= 0 of the points s + e p n between lo and hi
+            a, b = sorted(((lo - s) / (e * p), (hi - s) / (e * p)))
+            n = np.arange(max(0, math.ceil(a - 1e-12)), math.floor(b + 1e-12) + 1)
+            parts.append(s + (e * p) * n)
         pts = np.concatenate(parts).reshape(-1, 1)
         return np.sort(pts[box.contains(pts)], axis=0)
 
     def tail_densities(self) -> tuple[float, float]:
-        d_left = 0.0 if self.left_period is None else 1.0 / self.left_period
-        d_right = 0.0 if self.right_period is None else 1.0 / self.right_period
-        return (d_left, d_right)
-
-    def uniform_density(self) -> Optional[float]:
-        d_left, d_right = self.tail_densities()
-        return d_left if d_left == d_right else None
+        density = {e: 1.0 / p for _, p, e in self._tails()}
+        return (density.get(-1, 0.0), density.get(1, 0.0))
 
     def anchor_hull(self) -> tuple[np.ndarray, np.ndarray]:
-        starts = [s for s, p in ((self.right_start, self.right_period),
-                                 (self.left_start, self.left_period)) if p is not None]
-        return _hull(self.core + tuple(starts), 1)
+        return _hull(self.core + tuple(s for s, _, _ in self._tails()), 1)
 
     def min_period(self) -> Optional[float]:
-        ps = [p for p in (self.right_period, self.left_period) if p is not None]
-        return min(ps) if ps else None
+        return min((p for _, p, _ in self._tails()), default=None)
 
 
 @dataclass(frozen=True)
@@ -236,9 +215,6 @@ class FiniteSet(StructuredPointSet):
     def points_in_box(self, box: Box) -> np.ndarray:
         pts = np.array(self.points, dtype=float).reshape(-1, self.dim)
         return _lexsort(pts[box.contains(pts)])
-
-    def uniform_density(self) -> float:
-        return 0.0
 
     def tail_densities(self) -> tuple[float, float]:
         return (0.0, 0.0)
@@ -281,9 +257,6 @@ class FinitePerturbation(StructuredPointSet):
             keep &= ~_near(r).contains(pts)
         added = np.array(self.added, dtype=float).reshape(-1, self.dim)
         return _lexsort(np.vstack([pts[keep], added[box.contains(added)]]))
-
-    def uniform_density(self) -> Optional[float]:
-        return self.base.uniform_density()
 
     def tail_densities(self) -> tuple[float, float]:
         return self.base.tail_densities()
@@ -390,17 +363,14 @@ class DensityReport:
 def density_closed_form(comb: WeightedComb) -> DensityReport:
     """Exact Beurling densities of a weighted comb of structured supports.
 
-    In 1-D every supported family contributes a pair of tail densities and
-    these add across terms; the upper density is the larger tail and the
-    lower density the smaller one.  In higher dimension all supported
-    families have equal upper and lower densities, which add.
+    Every supported family contributes a pair of tail densities and these
+    add across terms; the upper density is the larger tail and the lower
+    density the smaller one.  In d > 1 both tails of every family are its
+    uniform density.
     """
-    if comb.dim == 1:
-        d_left = sum(w * s.tail_densities()[0] for w, s in comb.terms)
-        d_right = sum(w * s.tail_densities()[1] for w, s in comb.terms)
-        return DensityReport(min(d_left, d_right), max(d_left, d_right), "closed_form")
-    rho = sum(w * s.uniform_density() for w, s in comb.terms)
-    return DensityReport(rho, rho, "closed_form")
+    d_left = sum(w * s.tail_densities()[0] for w, s in comb.terms)
+    d_right = sum(w * s.tail_densities()[1] for w, s in comb.terms)
+    return DensityReport(min(d_left, d_right), max(d_left, d_right), "closed_form")
 
 
 def density_windowed(comb: WeightedComb, h_list: Sequence[float],
@@ -412,8 +382,8 @@ def density_windowed(comb: WeightedComb, h_list: Sequence[float],
     densities come from the largest h.
     """
     hs = sorted(float(h) for h in h_list)
-    if not hs:
-        raise InputError("h_list must be non-empty")
+    if not hs or not hs[0] > 0:
+        raise InputError(f"h_list must be non-empty and positive, got {hs}")
     if x_samples < 2:
         raise InputError("x_samples must be at least 2")
     d = comb.dim

@@ -2,12 +2,15 @@
 
 Domains, point sets and windowed systems round-trip through plain JSON
 dictionaries; a domain may also be named by a generator tag such as
-``cantor_tower:12`` or ``cantor_tower:12:5``.  CSV cells use ``repr`` for
-floats, so identical inputs produce byte-identical artifacts.
+``cantor_tower:12`` or ``cantor_tower:12:5``.  Every JSON input, a file or
+inline text, is read by ``read_json``, and every public ``*_from_dict``
+decoder reports malformed data as an ``InputError``.  CSV cells use
+``repr`` for floats, so identical inputs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from typing import Any, Optional, Sequence, Union
@@ -24,6 +27,7 @@ from .pointsets import (
     FiniteSet,
     LatticeCosets,
     StructuredPointSet,
+    WeightedComb,
 )
 from .windows import Window
 from .zak import GaborVerdict
@@ -34,50 +38,63 @@ def domain_to_dict(omega: BoxUnionSet) -> dict:
             "boxes": [list(b.lo) + list(b.hi) for b in omega.boxes]}
 
 
-def domain_from_dict(data: dict) -> BoxUnionSet:
+def read_json(text: str) -> Any:
+    """The JSON held by the file that ``text`` names, or else ``text`` itself."""
+    is_file = os.path.isfile(text)
     try:
-        dim = int(data["dim"])
-        boxes = []
-        for row in data["boxes"]:
-            row = [float(v) for v in row]
-            if len(row) != 2 * dim:
-                raise InputError(f"box row {row} does not match dim={dim}")
-            boxes.append(Box(tuple(row[:dim]), tuple(row[dim:])))
-    except KeyError as exc:
-        raise InputError(f"bad domain description: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad domain description: {exc}") from exc
+        if is_file:
+            with open(text) as fh:
+                return json.load(fh)
+        return json.loads(text)
+    except ValueError as exc:
+        where = f"file {text!r} holds no" if is_file else f"{text!r} is neither a file nor"
+        raise InputError(f"{where} valid JSON ({exc})") from None
+
+
+@contextlib.contextmanager
+def _decoding(kind: str):
+    """The decoding rule, worn by every public decoder: a ``KeyError``,
+    ``TypeError`` or ``ValueError`` the data raises becomes
+    ``InputError("bad <kind> description: ...")``; an ``InputError`` raised
+    inside, such as a nested decoder's, passes through unchanged."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise InputError(f"bad {kind} description: {detail}") from exc
+
+
+@_decoding("domain")
+def domain_from_dict(data: dict) -> BoxUnionSet:
+    dim = int(data["dim"])
+    boxes = []
+    for row in data["boxes"]:
+        row = [float(v) for v in row]
+        if len(row) != 2 * dim:
+            raise ValueError(f"box row {row} does not match dim={dim}")
+        boxes.append(Box(tuple(row[:dim]), tuple(row[dim:])))
     return canonicalize(boxes)
 
 
+@_decoding("domain")
 def load_domain(descriptor: Union[str, dict]) -> tuple[BoxUnionSet, Optional[float]]:
-    """Resolve a domain descriptor: inline dict, generator tag, or file path.
+    """Resolve a domain descriptor: a generator tag, a file path or inline
+    JSON text, or decoded JSON.
 
     Returns the domain and, for truncated generators, the tail measure."""
-    if isinstance(descriptor, dict):
-        return domain_from_dict(descriptor), None
-    text = descriptor.strip()
-    if text.startswith("cantor_tower:"):
-        parts = text.split(":")
-        if len(parts) not in (2, 3):
-            raise InputError(f"bad generator tag {text!r}; use "
-                             "cantor_tower:n_max or cantor_tower:n_max:k")
-        try:
-            n_max = int(parts[1])
-            k = int(parts[2]) if len(parts) == 3 else None
-        except ValueError as exc:
-            raise InputError(f"bad generator tag {text!r}: {exc}") from exc
-        tower = cantor_tower(n_max, k)
-        return tower.omega, tower.tail_measure
-    if os.path.exists(text):
-        with open(text) as fh:
-            return domain_from_dict(json.load(fh)), None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        raise InputError(f"domain descriptor {text!r} is neither a generator "
-                         "tag, an existing file, nor inline JSON") from None
-    return domain_from_dict(data), None
+    if isinstance(descriptor, str):
+        text = descriptor.strip()
+        if text.startswith("cantor_tower:"):
+            parts = text.split(":")
+            if len(parts) not in (2, 3):
+                raise InputError(f"bad generator tag {text!r}; use "
+                                 "cantor_tower:n_max or cantor_tower:n_max:k")
+            tower = cantor_tower(*(int(v) for v in parts[1:]))
+            return tower.omega, tower.tail_measure
+        descriptor = read_json(text)
+    return domain_from_dict(descriptor), None
 
 
 def pointset_to_dict(s: StructuredPointSet) -> dict:
@@ -100,16 +117,19 @@ def pointset_to_dict(s: StructuredPointSet) -> dict:
     raise InputError(f"cannot serialize point set of type {type(s).__name__}")
 
 
+@_decoding("lattice")
+def lattice_from_rows(rows: Sequence[Sequence[float]]) -> Lattice:
+    """A lattice from its basis rows, as ``--lattice`` and ``lattice_cosets``
+    give them."""
+    return Lattice(tuple(map(tuple, rows)))
+
+
+@_decoding("point set")
 def pointset_from_dict(data: dict) -> StructuredPointSet:
-    try:
-        kind = data["kind"]
-    except (KeyError, TypeError) as exc:
-        raise InputError("point set description needs a 'kind' field") from exc
+    kind = data["kind"]
     if kind == "lattice_cosets":
-        lattice = Lattice(tuple(tuple(float(v) for v in row)
-                                for row in data["basis"]))
         offsets = tuple(tuple(float(v) for v in o) for o in data["offsets"])
-        return LatticeCosets(lattice, offsets)
+        return LatticeCosets(lattice_from_rows(data["basis"]), offsets)
     if kind == "eventually_periodic_1d":
         return EventuallyPeriodic1D(
             right_period=data.get("right_period"),
@@ -129,6 +149,16 @@ def pointset_from_dict(data: dict) -> StructuredPointSet:
     raise InputError(f"unknown point set kind {kind!r}")
 
 
+@_decoding("comb")
+def comb_from_dict(data: dict) -> WeightedComb:
+    """A weighted comb ``{"terms": [{"weight": w, "support": {...}}, ...]}``,
+    or a bare point set as the comb of weight 1 on it."""
+    if "terms" in data:
+        return WeightedComb(tuple((t["weight"] if "weight" in t else 1.0,
+                                   pointset_from_dict(t["support"])) for t in data["terms"]))
+    return WeightedComb.single(pointset_from_dict(data))
+
+
 def _freq_to_dict(freq: FreqSpec) -> dict:
     if isinstance(freq, ContinuousFreqMeasure):
         out: dict[str, Any] = {"kind": "continuous"}
@@ -143,7 +173,7 @@ def _freq_to_dict(freq: FreqSpec) -> dict:
 
 
 def _freq_from_dict(data: dict) -> FreqSpec:
-    if data.get("kind") == "continuous":
+    if data["kind"] == "continuous":
         density = None
         if "box" in data:
             row = [float(v) for v in data["box"]]
@@ -164,21 +194,17 @@ def system_to_dict(system: WindowedSystem) -> dict:
                       for w, f in system.pairs]}
 
 
+@_decoding("system")
 def system_from_dict(data: dict) -> WindowedSystem:
-    try:
-        omega, _ = load_domain(data["omega"])
-        pairs = tuple((Window.from_string(p["window"]), _freq_from_dict(p["freq"]))
-                      for p in data["pairs"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad system description: missing field {exc}") from exc
+    omega, _ = load_domain(data["omega"])
+    pairs = tuple((Window.from_string(p["window"]), _freq_from_dict(p["freq"]))
+                  for p in data["pairs"])
     return WindowedSystem(omega, pairs)
 
 
-def load_system(path_or_dict: Union[str, dict]) -> WindowedSystem:
-    if isinstance(path_or_dict, dict):
-        return system_from_dict(path_or_dict)
-    with open(path_or_dict) as fh:
-        return system_from_dict(json.load(fh))
+def load_system(descriptor: str) -> WindowedSystem:
+    """A system from a file path or inline JSON text."""
+    return system_from_dict(read_json(descriptor))
 
 
 def save_system(system: WindowedSystem, path: str) -> None:

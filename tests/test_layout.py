@@ -262,3 +262,53 @@ def test_package_chain_checker(tmp_path):
     assert chains == ["Window.from_string", "no_such.thing", "zak.NOT_FRAME", "zak.NO_SUCH"]
     assert unresolved_chains(importlib.import_module("frameforge"), chains) == [
         "no_such.thing", "zak.NO_SUCH"]
+
+
+def json_reads(path):
+    """Calls of json.load or json.loads: every JSON input is read by
+    serialization.read_json."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno} calls json.{node.func.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+            and node.func.attr in ("load", "loads")]
+
+
+def handler_exits(path):
+    """``cmd_*`` handlers that emit their report or return an exit status
+    themselves: they return report lines, and ``main`` alone writes them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+            continue
+        if isinstance(fn.returns, ast.Name) and fn.returns.id == "int":
+            hits.append(f"{path.name}:{fn.lineno} {fn.name} is annotated to return int")
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_emit"):
+                hits.append(f"{path.name}:{node.lineno} {fn.name} calls _emit")
+            elif (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                  and isinstance(node.value.value, int)):
+                hits.append(f"{path.name}:{node.lineno} {fn.name} returns an int")
+    return sorted(hits)
+
+
+def test_one_way_in_and_one_way_out():
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "serialization.py"]
+    assert len(paths) > 10
+    assert [hit for path in paths for hit in json_reads(path)] == []
+    assert json_reads(SRC / "serialization.py") != []
+    assert handler_exits(SRC / "cli.py") == []
+
+
+def test_one_way_checkers(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import json\n\ndef cmd_a(args) -> int:\n    _emit([], args)\n"
+                     "    return 0\n\ndef cmd_b(args):\n    return json.loads(args.x)\n\n"
+                     "def main():\n    _emit(json.dumps({}), None)\n    return 2\n")
+    assert json_reads(probe) == ["probe.py:8 calls json.loads"]
+    assert handler_exits(probe) == ["probe.py:3 cmd_a is annotated to return int",
+                                    "probe.py:4 cmd_a calls _emit",
+                                    "probe.py:5 cmd_a returns an int"]

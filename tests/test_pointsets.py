@@ -78,6 +78,26 @@ class TestEnumeration:
         pts = s.points_in_box(box)
         assert len(pts) == 6 and box.contains(pts).all()
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tails_match_their_enumeration(self, data):
+        # dyadic starts, periods, core points and box ends keep every s ± p n
+        # exact; a point both tails reach is enumerated once by each
+        def eighths(lo, hi):
+            return st.integers(lo, hi).map(lambda k: k / 8)
+        sides = data.draw(st.sampled_from([(1,), (-1,), (1, -1)]))
+        tails = {e: (data.draw(eighths(-40, 40)), data.draw(eighths(1, 24))) for e in sides}
+        tail_points = [s + e * p * n for e, (s, p) in tails.items() for n in range(480)]
+        core = [c for c in data.draw(st.lists(eighths(-200, 200), max_size=4, unique=True))
+                if c not in tail_points]
+        lo = data.draw(eighths(-200, 200))
+        hi = lo + data.draw(eighths(1, 200))
+        kwargs = {f"{side}_{field}": v for e, side in ((1, "right"), (-1, "left"))
+                  if e in tails for field, v in zip(("start", "period"), tails[e])}
+        s = EventuallyPeriodic1D(core=tuple(core), **kwargs)
+        expected = sorted(x for x in tail_points + core if lo <= x < hi)
+        assert s.points_in_box(Box((lo,), (hi,))).ravel().tolist() == expected
+
     def test_invalid_duplicate_offsets(self):
         with pytest.raises(InputError):
             LatticeCosets(Lattice.scaled_integers(1.0), ((0.0,), (1.0,)))
@@ -116,6 +136,14 @@ class TestClosedFormDensity:
         s = LatticeCosets(Lattice.scaled_integers(0.5, 2), ((0.0, 0.0),))
         rep = density_closed_form(WeightedComb.single(s))
         assert rep.lower == rep.upper == pytest.approx(4.0)
+
+    def test_2d_families_report_their_density_as_both_tails(self):
+        cosets = LatticeCosets(Lattice.scaled_integers(0.5, 2), ((0.0, 0.0), (0.25, 0.0)))
+        moved = FinitePerturbation(cosets, added=((0.1, 0.1),), removed=((0.0, 0.0),))
+        assert cosets.tail_densities() == moved.tail_densities() == (8.0, 8.0)
+        assert FiniteSet(((0.0, 1.0),), dimension=2).tail_densities() == (0.0, 0.0)
+        rep = density_closed_form(WeightedComb(((0.5, cosets), (2.0, moved))))
+        assert rep.lower == rep.upper == 20.0
 
     def test_offsets_scale_the_density(self):
         s = LatticeCosets(Lattice.scaled_integers(1.0), ((0.0,), (0.25,)))

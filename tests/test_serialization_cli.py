@@ -261,6 +261,36 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: bad domain description")
 
+    def test_inline_system_reports_as_its_file_does(self, tmp_path, capsys):
+        text = json.dumps({
+            "omega": {"dim": 1, "boxes": [[0.0, 1.0]]},
+            "pairs": [{"window": "x^1.0", "freq": {"kind": "lattice_cosets",
+                                                   "basis": [[1.0]], "offsets": [[0.0]]}}]})
+        system = tmp_path / "system.json"
+        system.write_text(text)
+        reports = []
+        for descriptor in (str(system), text):
+            csv_path = tmp_path / "bounds.csv"
+            assert run_cli("frame-bounds", "--system", descriptor, "--grid-n", "64",
+                           "--csv", str(csv_path)) == 0
+            reports.append(capsys.readouterr().out)
+            reports.append(csv_path.read_text().splitlines()[1].split(",", 1))
+        assert reports[0] == reports[2]
+        assert reports[1][0] == "system.json" and reports[3][0] == "inline"
+        assert reports[1][1] == reports[3][1]
+
+    def test_config_values_are_converted_as_on_the_command_line(self, tmp_path, capsys):
+        domain = '{"dim": 1, "boxes": [[0.0, 1.0]]}'
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid-n": "64"}))
+        assert run_cli("--config", str(config), "construct", "--domain", domain,
+                       "--lattice", "1.0") == 0
+        from_config = capsys.readouterr().out
+        assert run_cli("construct", "--domain", domain, "--lattice", "1.0",
+                       "--grid-n", "64") == 0
+        assert from_config == capsys.readouterr().out
+        assert "64 cells per axis" in from_config
+
     def test_construct_window_refusal_exits_zero(self, tmp_path, capsys):
         domain = tmp_path / "omega.json"
         domain.write_text(json.dumps({"dim": 1, "boxes": [[0.0, 1.0]]}))
@@ -370,3 +400,65 @@ class TestCli:
         config.write_text(json.dumps({"fantasy-knob": 3}))
         rc = run_cli("--config", str(config), "gabor", "--window", "indicator(0,1)")
         assert rc == 2
+
+
+SYSTEM = {"omega": {"dim": 1, "boxes": [[0.0, 1.0]]},
+          "pairs": [{"window": "indicator",
+                     "freq": {"kind": "lattice_cosets", "basis": [[1.0]], "offsets": [[0.0]]}}]}
+DOMAIN = '{"dim": 1, "boxes": [[0.0, 1.0]]}'
+
+
+def system_with_freq(freq):
+    return json.dumps(dict(SYSTEM, pairs=[{"window": "indicator", "freq": freq}]))
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["certify-measure", "--domain", DOMAIN, "--x0", "abc"], {}),
+    (["density", "--points", "points.json", "--windowed", "--h-list", "1,x"],
+     {"points.json": json.dumps(SYSTEM["pairs"][0]["freq"])}),
+    (["density", "--points", "points.json", "--windowed", "--h-list", "0,10"],
+     {"points.json": json.dumps(SYSTEM["pairs"][0]["freq"])}),
+    (["frame-bounds", "--system", json.dumps(SYSTEM), "--trunc", "1:2:3"], {}),
+    (["residue", "--domain", DOMAIN, "--lattice", '[["a"]]'], {}),
+    (["residue", "--domain", DOMAIN, "--lattice", '{"a": 1}'], {}),
+    (["density", "--points", '{"terms": [{"weight": 1.0}]}'], {}),
+    (["density", "--points", '{"kind": "lattice_cosets", "offsets": [[0.0]]}'], {}),
+    (["density", "--points", '{"kind": "quasicrystal"}'], {}),
+    (["--config", "config.json", "gabor", "--window", "indicator(0,0.5)"],
+     {"config.json": "{not json"}),
+    (["--config", "config.json", "gabor", "--window", "indicator(0,0.5)"],
+     {"config.json": "[1]"}),
+    (["--config", "config.json", "gabor", "--window", "indicator(0,0.5)"],
+     {"config.json": '{"M": "x"}'}),
+    (["--config", '{"windowed": 1}', "density", "--points", "points.json"],
+     {"points.json": json.dumps(SYSTEM["pairs"][0]["freq"])}),
+    (["frame-bounds", "--system", "system.json"],
+     {"system.json": system_with_freq({"kind": "lattice_cosets", "basis": [["a"]],
+                                       "offsets": [[0.0]]})}),
+    (["frame-bounds", "--system", "system.json"],
+     {"system.json": system_with_freq({"kind": "continuous", "box": [-1.0, 1.0], "n": 3,
+                                       "density": [1.0, 1.0]})}),
+    (["frame-bounds", "--system", "missing.json"], {}),
+], ids=["x0", "h_list", "h_zero", "trunc", "lattice_entry", "lattice_object", "comb_term",
+        "coset_basis", "point_set_kind", "config_not_json", "config_not_object",
+        "config_value", "config_flag", "system_basis", "system_density",
+        "missing_system"])
+def test_malformed_input_exits_two_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                                       argv, files):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_nested_decoder_errors_keep_their_own_prefix():
+    with pytest.raises(InputError, match="^bad lattice description: "):
+        pointset_from_dict({"kind": "lattice_cosets", "basis": [["a"]], "offsets": [[0.0]]})
+    with pytest.raises(InputError, match="^unknown point set kind 'x'$"):
+        system_from_dict(json.loads(system_with_freq({"kind": "finite_perturbation",
+                                                      "base": {"kind": "x"}})))
+    with pytest.raises(InputError, match="^bad system description: missing field 'pairs'$"):
+        system_from_dict({"omega": SYSTEM["omega"]})
