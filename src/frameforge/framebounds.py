@@ -4,8 +4,10 @@ The model space is the grid over the domain's bounding box with exact
 per-cell domain weights.  The analysis map sends a grid function to its
 inner products against windowed exponentials; frame bounds are the extreme
 eigenvalues of the (weighted) frame operator.  Frequencies enter the
-operator only through the difference x - y of two cells, so each pair
-contributes one Toeplitz kernel over the cell-index differences.  A grid
+operator only through the difference x - y of two cells.  Each discrete
+part of a pair's frequencies is one triple (points, weights, period in
+cells) that acts only at the cell-index differences that are multiples of
+its period; a non-constant density enters as its Toeplitz kernel.  A grid
 whose Nyquist band matches the frequency truncation reproduces tight
 continuous systems exactly; that band is the default truncation, save for
 the lattice cosets kept untruncated on the continuum's Ron-Shen fibers.
@@ -102,22 +104,6 @@ def nyquist_box(bb: Box, grid_n: int) -> Box:
     return Box(tuple(lo), tuple(hi))
 
 
-def _constant_density(density: GridFunction, steps: np.ndarray) -> Optional[tuple]:
-    """(N, cosets) when bitwise equal masses fill one alias cycle per axis
-    (N_a cells, h_a step_a = 1 / N_a): the kernel is the total mass times
-    e^{2 pi i <c, k step>} at lags k = 0 mod N and zero elsewhere, c the
-    first cell centre.  On a box with lo = -hi, c and -c (the last centre,
-    mod h) share the mass, so the kernel is a cosine sum, real."""
-    mass = np.maximum(density.samples.real * density.cell_weights, 0.0)
-    ratio = 1.0 / (np.array(density.spacing) * steps)
-    if np.any(np.abs(ratio - mass.shape) > 1e-9 * ratio) or np.any(mass != mass.flat[0]):
-        return None
-    box = density.bounding_box
-    c = np.array(box.lo) + 0.5 * np.array(density.spacing)
-    offsets = (c, -c) if box.lo == tuple(-v for v in box.hi) else (c,)
-    return np.array(mass.shape), tuple((o, float(mass.sum()) / len(offsets)) for o in offsets)
-
-
 def _mirrors(freqs: np.ndarray, weights: np.ndarray) -> bool:
     """Whether the weighted points equal their reflection xi -> -xi exactly;
     IEEE rounding is sign-symmetric, so k s and (-k) s match bit for bit."""
@@ -129,28 +115,42 @@ def _real_if_exact(a: np.ndarray) -> np.ndarray:
     return a if a.imag.any() else a.real.copy()
 
 
-def _density_kernel(density: GridFunction, steps: np.ndarray, n: int) -> np.ndarray:
-    """The kernel of a density's cell masses.  When the N cells per axis are
-    each 1/M_a of the grid's alias band (h_a step_a = 1/M_a, M_a >= N whole),
-    the sum over the centres c + j h is e^{2 pi i <c, k step>} times the
-    inverse DFT of the masses read at k mod M: M^d log M work, where the
-    plain sum takes (2n)^d per cell.  Masses that mirror on a box with
-    lo = -hi make an even density, whose kernel is real."""
+def _arithmetic(a: np.ndarray) -> str:
+    """The ending of a block solve's note: the arithmetic of ``a``."""
+    return "" if np.iscomplexobj(a) else " in real arithmetic"
+
+
+def _density_part(density: GridFunction, steps: np.ndarray, n: int):
+    """A density's cell masses as a triple or as a kernel.  Bitwise equal
+    masses that fill one alias cycle per axis (N_a cells, h_a step_a = 1/N_a)
+    vanish off the lags k = 0 mod N: the triple (c, total mass, N), c the
+    first centre, or (+-c, half the mass each, N) on a box with lo = -hi
+    (-c is the last centre mod h).  Cells of 1/M_a of the alias band
+    (M_a >= N whole) give e^{2 pi i <c, k step>} times the inverse DFT of the
+    masses read at k mod M, M^d log M work; other cells the plain sum over
+    the centres, (2n)^d per cell.  Masses that mirror on a box with lo = -hi
+    make an even density, whose kernel is real."""
     mass = np.maximum(density.samples.real * density.cell_weights, 0.0)
     box = density.bounding_box
-    even = np.array_equal(mass, np.flip(mass)) and box.lo == tuple(-v for v in box.hi)
+    centre = np.array(box.lo) + 0.5 * np.array(density.spacing)
+    symmetric = box.lo == tuple(-v for v in box.hi)
     ratio = 1.0 / (np.array(density.spacing) * steps)
     cycle = np.round(ratio).astype(int)
-    if np.any(np.abs(ratio - cycle) > 1e-9 * ratio) or np.any(cycle < mass.shape):
+    whole = np.all(np.abs(ratio - cycle) <= 1e-9 * ratio)
+    if whole and np.all(cycle == mass.shape) and np.all(mass == mass.flat[0]):
+        points = np.array([centre, -centre] if symmetric else [centre])
+        return points, np.full(len(points), float(mass.sum()) / len(points)), cycle
+    if not whole or np.any(cycle < mass.shape):
         keep = mass.ravel() > 0
-        kernel = _difference_kernel(density.points()[keep], mass.ravel()[keep], steps, n)
-        return kernel.real.copy() if even else kernel
-    k = np.arange(-(n - 1), n)
-    kernel = np.fft.ifftn(mass, s=tuple(cycle), axes=range(len(cycle))) * np.prod(cycle)
-    kernel = kernel[np.ix_(*[k % m for m in cycle])]
-    centre = np.array(box.lo) + 0.5 * np.array(density.spacing)
-    for a, (c, s) in enumerate(zip(centre, steps)):
-        kernel *= np.exp(2j * np.pi * c * s * k).reshape((-1,) + (1,) * (len(steps) - a - 1))
+        kernel = _difference_kernel(density.points()[keep], mass.ravel()[keep],
+                                    np.ones(len(steps), dtype=int), steps, n)
+    else:
+        k = np.arange(-(n - 1), n)
+        kernel = np.fft.ifftn(mass, s=tuple(cycle), axes=range(len(cycle))) * np.prod(cycle)
+        kernel = kernel[np.ix_(*[k % m for m in cycle])]
+        for a, (c, s) in enumerate(zip(centre, steps)):
+            kernel *= np.exp(2j * np.pi * c * s * k).reshape((-1,) + (1,) * (len(steps) - a - 1))
+    even = symmetric and np.array_equal(mass, np.flip(mass))
     return kernel.real.copy() if even else kernel
 
 
@@ -168,10 +168,11 @@ def _rowwise_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(len(a), a.shape[1] * b.shape[1])
 
 
-def _difference_kernel(freqs: np.ndarray, weights: np.ndarray, steps: np.ndarray,
-                       n: int) -> np.ndarray:
+def _difference_kernel(freqs: np.ndarray, weights: np.ndarray, period: np.ndarray,
+                       steps: np.ndarray, n: int) -> np.ndarray:
     """K(k) = sum_lam w_lam e^{2 pi i <lam, k step>} over the cell-index
-    differences k in (-n, n)^d, as a (2n - 1)^d array holding K(k) at k + n - 1.
+    differences k in (-n, n)^d that are multiples of ``period`` per axis,
+    and 0 at the others, as a (2n - 1)^d array holding K(k) at k + n - 1.
 
     Every axis but the last enters as its full phase table; the last axis's
     fine table is the right factor of the one matrix product.  Weighted
@@ -185,6 +186,8 @@ def _difference_kernel(freqs: np.ndarray, weights: np.ndarray, steps: np.ndarray
     kernel = _rowwise_outer(left, coarse).T @ fine
     kernel = kernel.reshape(-1, coarse.shape[1] * fine.shape[1])[:, :span]
     kernel = kernel.reshape((span,) * len(steps))
+    for a, p in enumerate(period):
+        kernel[(slice(None),) * a + (np.arange(-(n - 1), n) % p != 0,)] = 0.0
     return kernel.real.copy() if _mirrors(freqs, weights) else kernel
 
 
@@ -194,17 +197,13 @@ def _diagonal_spacing(freq: FreqSpec, d: int) -> Optional[np.ndarray]:
     return None if mat is None or np.any(mat != np.diag(np.diag(mat))) else np.abs(np.diag(mat))
 
 
-def _lattice_cosets(freq: FreqSpec, steps: np.ndarray,
-                    box: Box) -> Optional[tuple[np.ndarray, tuple]]:
-    """Per-axis period in cells and (offset, count) per coset of a lattice
-    frequency set whose difference kernel has a closed form, or None.
-
-    A diagonal lattice with spacing s_a on grid step d_a has the period
-    P_a = 1 / (s_a d_a) cells.  When P_a is an integer and each coset fills
-    whole periods of the box, the coset's exponential sum over a cell
+def _lattice_cosets(freq: FreqSpec, steps: np.ndarray, box: Box) -> Optional[tuple]:
+    """The triple (offsets, counts in ``box``, period in cells) of the cosets
+    of a diagonal lattice, or None.  Spacing s_a on grid step d_a makes the
+    period P_a = 1 / (s_a d_a) cells; when P_a is an integer and each coset
+    fills whole periods of the box, its exponential sum over a cell
     difference k is its count times e^{2 pi i <o, k step>} when k = 0 mod P
-    and zero otherwise.
-    """
+    and zero otherwise."""
     spacing = _diagonal_spacing(freq, len(steps))
     if spacing is None:
         return None
@@ -212,85 +211,63 @@ def _lattice_cosets(freq: FreqSpec, steps: np.ndarray,
     periods = np.round(ratio).astype(int)
     if np.any(periods < 1) or np.any(np.abs(ratio - periods) > 1e-9 * ratio):
         return None
-    cosets = []
+    counts = []
     for o in freq.offsets:
         lam = LatticeCosets(freq.lattice, (o,)).points_in_box(box)
         per_axis = [len(np.unique(np.round((lam[:, a] - o[a]) / spacing[a])))
                     for a in range(freq.dim)]
         if any(c % p for c, p in zip(per_axis, periods)):
             return None
-        cosets.append((np.array(o), len(lam)))
-    return periods, tuple(cosets)
-
-
-def _lattice_kernel(periods: np.ndarray, cosets: tuple, steps: np.ndarray,
-                    n: int) -> np.ndarray:
-    """The closed-form difference kernel of ``_lattice_cosets`` and
-    ``_constant_density``, laid out as ``_difference_kernel``'s."""
-    k = np.arange(-(n - 1), n)
-    kernel = np.zeros((2 * n - 1,) * len(steps), dtype=complex)
-    for o, count in cosets:
-        term = np.array(float(count))
-        for o_a, s, p in zip(o, steps, periods):
-            phase = np.zeros(len(k), dtype=complex)
-            phase[(n - 1) % p::p] = np.exp(2j * np.pi * o_a * s * k[(n - 1) % p::p])
-            term = np.multiply.outer(term, phase)
-        kernel += term
-    return _real_if_exact(kernel)
+        counts.append(float(len(lam)))
+    return np.array(freq.offsets, dtype=float), np.array(counts), periods
 
 
 def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
-                  steps: np.ndarray, n: int,
-                  box: Box) -> tuple[list[tuple], list[str]]:
-    """(u, P, spec) per part of each pair's frequencies, u = g sqrt(w) over
-    the active cells: the part's frame operator is u(x) conj(u(y)) K(index
-    of x - index of y), zero off lags that are multiples of the period P.
-    The spec is closed-form (offset, weight) cosets with P in cells; finite
-    (points, weights) with P = None, a point set's points in ``box`` or a
-    measure's atoms; or a density kernel K with P = 1."""
-    terms, notes = [], []
+                  steps: np.ndarray, n: int, box: Box) -> tuple[list[tuple], list[str]]:
+    """(u, part) per part of each pair's frequencies, u = g sqrt(w) over the
+    active cells.  A discrete part is the triple (points, weights, period in
+    cells) whose frame operator is u(x) conj(u(y)) times ``_difference_kernel``
+    at the index difference of x and y: whole-period lattice cosets
+    (``_lattice_cosets``) and a constant density (``_density_part``) with
+    their periods, and with period 1 a point set's points in ``box`` and a
+    measure's atoms.  Any other density enters as its kernel array.  A part
+    of no weight is dropped, and a pair left with no part is named."""
+    terms, notes, ones = [], [], np.ones(len(steps), dtype=int)
     for window, freq in system.pairs:
         if isinstance(freq, ContinuousFreqMeasure):
             atoms = np.array([p for p, _ in freq.atoms], dtype=float).reshape(-1, len(steps))
-            parts = [(None, (atoms, np.array([w for _, w in freq.atoms])))] if freq.atoms else []
+            parts = [(atoms, np.array([w for _, w in freq.atoms], dtype=float), ones)]
             if freq.density is not None:
-                closed = _constant_density(freq.density, steps)
-                parts.append(closed or (np.ones(len(steps), dtype=int),
-                                        _density_kernel(freq.density, steps, n)))
-                if closed:
+                parts.append(_density_part(freq.density, steps, n))
+                if isinstance(parts[-1], tuple):
                     notes.append(f"pair '{window.label}': constant density in closed form "
-                                 f"with period {'x'.join(map(str, closed[0]))} cells")
+                                 f"with period {'x'.join(map(str, parts[-1][2]))} cells")
         else:
             lam = freq.points_in_box(box)
-            parts = [_lattice_cosets(freq, steps, box) or (None, (lam, np.ones(len(lam))))]
-        parts = [(p, spec) for p, spec in parts
-                 if (len(spec[0]) if p is None else spec.any() if isinstance(spec, np.ndarray)
-                     else any(c for _, c in spec))]
+            parts = [_lattice_cosets(freq, steps, box) or (lam, np.ones(len(lam)), ones)]
+        parts = [part for part in parts if np.any(part[1] if isinstance(part, tuple) else part)]
         if not parts:
-            notes.append(_silent_pair_note(window))
+            notes.append(f"pair '{window.label}': no frequencies inside the truncation box; "
+                         f"it contributes nothing")
             continue
         u = _real_if_exact(window.eval(xs) * sqw)
-        terms += [(u, p, spec) for p, spec in parts]
+        terms += [(u, part) for part in parts]
     return terms, notes
 
 
-def _silent_pair_note(window: Window) -> str:
-    return (f"pair '{window.label}': no frequencies inside the truncation box; "
-            f"it contributes nothing")
-
-
 def _fiber_factor(terms: list, turn: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """V with H = V V* on every fiber: a term (u, q, cosets) of a pair with q
-    common periods per axis gets one column per (offset o, weight c) and
-    residue mod q of the point's ``turn``, holding c e^{2 pi i <o, x>} u(x)."""
+    """V with H = V V* on every fiber: a term (u, points, weights, q) of a
+    part with q periods per axis in common gets one column per point o of
+    weight w and residue mod q of the row's ``turn``, holding
+    sqrt(w) e^{2 pi i <o, x>} u(x); real when no entry has an imaginary part."""
     rows, columns = np.arange(len(turn)), []
-    for u, q, cosets in terms:
+    for u, points, weights, q in terms:
         col = np.ravel_multi_index((turn % q).T, q)
-        for o, weight in cosets:
+        for o, w in zip(points, np.sqrt(weights)):
             v = np.zeros((len(turn), int(np.prod(q))), dtype=complex)
-            v[rows, col] = weight * np.exp(2j * np.pi * (xs @ o)) * u
+            v[rows, col] = w * np.exp(2j * np.pi * (xs @ o)) * u
             columns.append(v)
-    return np.concatenate(columns, axis=1)
+    return _real_if_exact(np.concatenate(columns, axis=1))
 
 
 def _block_stacks(order: np.ndarray, sizes: np.ndarray, V: Optional[np.ndarray],
@@ -325,9 +302,10 @@ def _block_stacks(order: np.ndarray, sizes: np.ndarray, V: Optional[np.ndarray],
 
 
 def _extremal_eigs_blocks(order: np.ndarray, sizes: np.ndarray, V: Optional[np.ndarray],
-                          kernels: Sequence = (), idx=None, n: int = 0) -> tuple[float, float]:
+                          kernels: Sequence = (), idx=None, n=0) -> tuple[float, float, str]:
     """Extreme eigenvalues of ``_block_stacks``, a batched eigensolve per
-    stack; Gram blocks give a lower bound of 0."""
+    stack, and the note's ending for the blocks' arithmetic; Gram blocks
+    give a lower bound of 0."""
     singular = V is not None and sizes.max() > V.shape[1]
     lo, hi = np.inf, -np.inf
     for _, H in _block_stacks(order, sizes, V, kernels, idx, n):
@@ -336,32 +314,33 @@ def _extremal_eigs_blocks(order: np.ndarray, sizes: np.ndarray, V: Optional[np.n
         evs = np.linalg.eigvalsh(H[0] if len(H) == 1 else H).reshape(len(H), -1)
         lo = min(lo, 0.0 if singular else float(evs[:, 0].min()))
         hi = max(hi, float(evs[:, -1].max()))
-    return max(lo, 0.0), hi
+    return max(lo, 0.0), hi, _arithmetic(H)
 
 
-def _rank_update_bounds(closed: list, finite: list, idx: np.ndarray, xs: np.ndarray,
-                        steps: np.ndarray, n: int) -> Optional[tuple[float, float, str]]:
-    """A, B and the note of H = H_d + V V*: H_d the blocks of the closed-form
-    terms (0, each cell alone, without them), V a column sqrt(w) e^{2 pi i
-    <lam, x>} u(x) per finite point, R in all.  None when the blocks' solves
-    and ~2 x 60 bisection shifts of n R^2 each cost more than one dense
-    block.  With H_d = Q diag(lam) Q* and W = Q* V, Sylvester's law of
+def _rank_update_bounds(parts: list, idx: np.ndarray, xs: np.ndarray, steps: np.ndarray,
+                        n: int) -> Optional[tuple[float, float, str]]:
+    """A, B and the note of H = H_d + V V*: V a column sqrt(w) e^{2 pi i
+    <lam, x>} u(x) per point of the parts (u, points, weights, period) of
+    period 1, R in all, and H_d the blocks of the other parts (0, each cell
+    alone, without them).  None without such a point, or when the blocks'
+    solves and ~2 x 60 bisection shifts of n R^2 each cost more than one
+    dense block.  With H_d = Q diag(lam) Q* and W = Q* V, Sylvester's law of
     inertia on [[lam - t, W], [W*, -I]] counts the eigenvalues of H below t
     as #{lam < t} + #{eigenvalues of -I - W* (lam - t)^-1 W below 0} - R.
     A lies in [lam_1, lam_(R+1)] and B in [lam_max, lam_max + |V|_F^2];
     each is bisected to 4 ulps of the top."""
-    d, cells, r = idx.shape[1], len(idx), sum(len(w) for _, (_, w) in finite)
-    order, sizes = _fibers(idx, np.gcd.reduce([p for _, p, _ in closed]) if closed else
-                           np.full(d, n))
-    if sizes.max() > DENSE_EIG_LIMIT or \
+    columns = [part for part in parts if np.all(part[3] == 1)]
+    blocks = [part for part in parts if np.any(part[3] > 1)]
+    cells, r = len(idx), sum(len(w) for _, _, w, _ in columns)
+    alone = np.full(idx.shape[1], n)  # a period at which every cell is its own block
+    order, sizes = _fibers(idx, np.gcd.reduce([q for *_, q in blocks] or [alone]))
+    if not r or sizes.max() > DENSE_EIG_LIMIT or \
             np.sum(sizes ** 3.0) + 120.0 * cells * r ** 2 >= float(cells) ** 3:
         return None
-    V = _real_if_exact(_fiber_factor(
-        [(u, np.ones(d, dtype=int), [(o, math.sqrt(w)) for o, w in zip(*spec)])
-         for u, spec in finite], idx, xs))
+    V = _fiber_factor(columns, idx, xs)
     lam, W = np.zeros(cells), V
-    if closed:
-        kernels = [(u, _lattice_kernel(p, spec, steps, n)) for u, p, spec in closed]
+    if blocks:
+        kernels = [(u, _difference_kernel(*part, steps, n)) for u, *part in blocks]
         eig = [(np.linalg.eigh(H), c)
                for c, H in _block_stacks(order, sizes, None, kernels, idx, n)]
         lam = np.concatenate([evs.ravel() for (evs, _), _ in eig])
@@ -385,7 +364,7 @@ def _rank_update_bounds(closed: list, finite: list, idx: np.ndarray, xs: np.ndar
     b_lo, b = bisect(ends[-1], top, len(lam) - 1)
     return max(float(a), 0.0), float(b), (
         f"rank-{r} update of {len(sizes)} blocks of order at most {sizes.max()}"
-        f"{'' if np.iscomplexobj(W) else ' in real arithmetic'}: inertia bisection in "
+        f"{_arithmetic(W)}: inertia bisection in "
         f"{count} steps, brackets {a_hi - a:.2g} (A) and {b - b_lo:.2g} (B) wide")
 
 
@@ -466,14 +445,14 @@ def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
     if not inside.any():
         raise InputError("singular sampling: every cell centre misses the domain")
     sizes, pts, turn = inside.sum(axis=1), pts[inside], np.broadcast_to(turns, at.shape)[inside]
-    V = _real_if_exact(_fiber_factor(
-        [(w.eval(pts), np.round(dual / period).astype(int),
-          [(np.array(o), math.sqrt(1.0 / f.lattice.covolume)) for o in f.offsets])
-         for (w, f), dual in zip(system.pairs, duals)], turn, pts))
-    a, b = _extremal_eigs_blocks(np.arange(len(pts)), sizes[sizes > 0], V)
+    V = _fiber_factor([(w.eval(pts), np.array(f.offsets, dtype=float),
+                        np.full(len(f.offsets), 1.0 / f.lattice.covolume),
+                        np.round(dual / period).astype(int))
+                       for (w, f), dual in zip(system.pairs, duals)], turn, pts)
+    a, b, arithmetic = _extremal_eigs_blocks(np.arange(len(pts)), sizes[sizes > 0], V)
     note = (f"Ron-Shen fiber eigensolve (samples {np.count_nonzero(sizes)}, largest fiber "
             f"{sizes.max()}, columns {V.shape[1]}); lattice untruncated; sampled in x at the "
-            f"cell centres" + ("" if np.iscomplexobj(V) else " in real arithmetic"))
+            f"cell centres{arithmetic}")
     return FrameBoundsReport(a, b, grid_n, None, note)
 
 
@@ -496,22 +475,21 @@ def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
     which keeps the eigenproblem well posed.  Continuous frequency measures
     enter by quadrature against their density plus exact atom sums.
 
-    Each pair enters through difference kernels: in closed form for a
-    diagonal lattice whose spacing divides into the grid and whose
-    truncation fills whole periods and for a constant density on one alias
-    cycle, as a DFT for a density on whole fractions of the alias band,
-    summed over the finite points (other point sets truncated, atoms)
-    otherwise.  The operator couples two cells only when their index
-    difference is a multiple of P, the gcd of every pair's period (1 for a
-    summed kernel), so it is block diagonal over the fibers of cells with
-    one index residue mod P (the Walnut / Ron-Shen fiber decomposition).
-    The blocks are gathered densely from the kernels.  When every kernel has
-    the closed form and a block has more cells than the r columns of
-    ``_fiber_factor``, the operator is singular and the blocks' r x r Grams
-    give the upper bound.  With closed forms and R finite points alone, the
-    points become R columns beside the closed forms' blocks when that costs
-    less (``_rank_update_bounds``).  Above ``DENSE_EIG_LIMIT`` in order,
-    the operator is applied as FFT convolutions inside an iterative solve.
+    Every discrete part is a triple (points, weights, period) from
+    ``_kernel_terms``; a density kernel has period 1.  The operator couples
+    two cells only when their index difference is a multiple of P, the gcd
+    of the periods, so it is block diagonal over the fibers of cells with one
+    index residue mod P (the Walnut / Ron-Shen fiber decomposition).  When
+    every part is discrete and r, the columns of ``_fiber_factor`` over the
+    residues mod P, is below the largest fiber, A = 0 and B comes from the
+    blocks' r x r Grams: a finite set alone on more active cells than points
+    reads ``dense eigensolve of order n and rank at most R``.  Otherwise,
+    with every part discrete, the period-1 points become R columns beside
+    the other parts' blocks when that costs less (``_rank_update_bounds``).
+    Otherwise the blocks are gathered from the kernels, or above
+    ``DENSE_EIG_LIMIT`` in order the kernels are applied as FFT convolutions
+    inside an iterative solve.  A block solve's note ends in ``in real
+    arithmetic`` when its matrices are real.
     """
     if grid_n < 1:
         raise InputError(f"grid_n must be at least 1, got {grid_n}")
@@ -534,33 +512,26 @@ def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
     if not terms:
         return FrameBoundsReport(0.0, 0.0, grid_n, trunc_box,
                                  "; ".join(notes + ["no coefficients at all"]))
-    closed = [t for t in terms if isinstance(t[1], np.ndarray) and isinstance(t[2], tuple)]
-    finite = [(u, spec) for u, p, spec in terms if p is None]
-    general = len(terms) > len(closed) + len(finite)
-    period = np.gcd.reduce([np.ones(len(steps), dtype=int) if p is None else p
-                            for _, p, _ in terms])
+    discrete = [(u, *part) for u, part in terms if isinstance(part, tuple)]
+    general = len(discrete) < len(terms)
+    period = np.gcd.reduce([q for *_, q in discrete] + [np.ones_like(idx[0])] * general)
     order, sizes = _fibers(idx, period)
     note = (f"dense eigensolve of order {sizes[0]}" if len(sizes) == 1 else
             f"dense eigensolve of {len(sizes)} blocks of order at most {sizes.max()}")
-    rank = math.inf
-    if not (finite or general):
-        rank = sum(len(spec) * int(np.prod(p // period)) for _, p, spec in terms)
+    rank = math.inf if general else sum(len(w) * np.prod(q // period) for *_, w, q in discrete)
     if rank < sizes.max() and rank <= DENSE_EIG_LIMIT:
-        V = _fiber_factor([(u, p // period, [(o, math.sqrt(c)) for o, c in spec])
-                           for u, p, spec in terms], idx // period, xs)
-        a, b = _extremal_eigs_blocks(order, sizes, V)
-        note += f" and rank at most {rank}"
-    elif finite and not general and (update := _rank_update_bounds(closed, finite, idx, xs,
-                                                                     steps, grid_n)):
+        V = _fiber_factor([(u, points, w, q // period) for u, points, w, q in discrete],
+                          idx // period, xs)
+        a, b, arithmetic = _extremal_eigs_blocks(order, sizes, V)
+        note += f" and rank at most {rank}{arithmetic}"
+    elif not general and (update := _rank_update_bounds(discrete, idx, xs, steps, grid_n)):
         a, b, note = update
     else:
-        kernels = [(u, spec if isinstance(spec, np.ndarray) else
-                    _difference_kernel(*spec, steps, grid_n) if p is None else
-                    _lattice_kernel(p, spec, steps, grid_n)) for u, p, spec in terms]
+        kernels = [(u, part if isinstance(part, np.ndarray) else
+                    _difference_kernel(*part, steps, grid_n)) for u, part in terms]
         if sizes.max() <= DENSE_EIG_LIMIT:
-            a, b = _extremal_eigs_blocks(order, sizes, None, kernels, idx, grid_n)
-            if not any(np.iscomplexobj(x) for p in kernels for x in p):
-                note += " in real arithmetic"
+            a, b, arithmetic = _extremal_eigs_blocks(order, sizes, None, kernels, idx, grid_n)
+            note += arithmetic
         else:
             a, b = _extremal_eigs_iterative(kernels, idx, grid_n)
             note = f"iterative extremal eigensolve at tolerance {ITER_EIG_TOL}"
@@ -724,15 +695,15 @@ def lower_bound_decay_probe(windows: Sequence[Window],
                             freqs: Sequence[FreqSpec],
                             domain_family: Callable[[float], BoxUnionSet],
                             n_list: Sequence[float],
-                            cells_per_unit: int = 128,
-                            trunc_box: Optional[Box] = None) -> list[DecayRow]:
+                            cells_per_unit: int = 128) -> list[DecayRow]:
     """Lower frame bound of a fixed system across a growing domain family.
 
     The grid spacing and the frequency truncation stay fixed across the
-    family, so the rows are comparable; for a fixed finite system the lower
-    bound must decay as the domain grows.
+    family, so the rows are comparable: the truncation is the first
+    domain's Nyquist box.  For a fixed finite system the lower bound must
+    decay as the domain grows.
     """
-    rows = []
+    rows, trunc_box = [], None
     for n_val in n_list:
         omega = domain_family(n_val)
         bb = omega.bounding_box()

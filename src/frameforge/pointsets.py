@@ -157,7 +157,7 @@ class EventuallyPeriodic1D(StructuredPointSet):
         if len(set(core)) != len(core):
             raise InputError("core points must be distinct")
         for c in core:
-            if self._in_tail(c):
+            if self._in_tail(c, self._tails()):
                 raise InputError(f"core point {c} collides with a periodic tail")
 
     def _tails(self) -> list[tuple[float, float, int]]:
@@ -167,20 +167,24 @@ class EventuallyPeriodic1D(StructuredPointSet):
                                           (self.left_start, self.left_period, -1))
                 if p is not None]
 
-    def _in_tail(self, x: float) -> bool:
-        ts = [(x - s) / (e * p) for s, p, e in self._tails()]
-        return any(t > -1e-12 and abs(t - round(t)) < 1e-12 for t in ts)
+    def _in_tail(self, x, tails: list) -> np.ndarray:
+        """Whether x, a number or an array, lies on one of ``tails``."""
+        ts = [(np.asarray(x) - s) / (e * p) for s, p, e in tails]
+        return np.any([(t > -1e-12) & (np.abs(t - np.round(t)) < 1e-12) for t in ts], axis=0)
 
     def points_in_box(self, box: Box) -> np.ndarray:
         if box.dim != 1:
             raise InputError("EventuallyPeriodic1D lives on the real line")
         lo, hi = box.lo[0], box.hi[0]
         parts = [np.array(self.core, dtype=float)]
-        for s, p, e in self._tails():
-            # the indices n >= 0 of the points s + e p n between lo and hi
+        tails = self._tails()
+        for k, (s, p, e) in enumerate(tails):
+            # the indices n >= 0 of the points s + e p n between lo and hi;
+            # a point an earlier tail reaches too is reported once
             a, b = sorted(((lo - s) / (e * p), (hi - s) / (e * p)))
             n = np.arange(max(0, math.ceil(a - 1e-12)), math.floor(b + 1e-12) + 1)
-            parts.append(s + (e * p) * n)
+            pts = s + (e * p) * n
+            parts.append(pts[~self._in_tail(pts, tails[:k])] if k else pts)
         pts = np.concatenate(parts).reshape(-1, 1)
         return np.sort(pts[box.contains(pts)], axis=0)
 

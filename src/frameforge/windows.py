@@ -202,6 +202,8 @@ _SCALAR_RE = re.compile(r"^-?\d+(?:\.\d+)?$")
 def parse_expr(text: str) -> Expr:
     """Parse a window expression such as ``x^1.0``, ``indicator(0,0.5)`` or
     ``2.0*(1-x)^0.5``."""
+    if not isinstance(text, str):
+        raise InputError(f"a window expression must be a string, got {text!r}")
     factors = []
     for part in text.replace(" ", "").split("*"):
         if not part:

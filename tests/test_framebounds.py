@@ -389,49 +389,63 @@ class TestEstimateFrameBounds:
 
 
 def assert_one_block_matches_oracle(case, arithmetic=""):
-    """The one dense block, or the rank-R update where no measure keeps a
-    general density kernel, R being the finite points: a pair's points that
-    are not a whole-period lattice, and a measure's atoms.  A constant
-    density on whole alias cycles takes the closed form, which the notes
-    name.  When every pair is a closed form, the blocks are the cells of
-    one index residue mod the periods' gcd, and r, the columns of their
-    cosets over that residue, bounds each block's rank: a block of more
-    cells is singular and solved by its r x r Gram."""
+    """Predict the route from the parts, then check the bounds against the
+    dense Gram.  Every part but a non-constant density is a triple (points,
+    weights, period): a whole-period lattice its cosets, a constant density
+    on whole alias cycles its closed form (which the notes name), and the
+    other point sets and the atoms their R points with period 1.  With no
+    density kernel, r columns over the residues mod the periods' gcd bound
+    each block's rank, and a block of more cells takes the r x r Gram, real
+    only when every point is 0 (``arithmetic`` then names the windows' real
+    arithmetic); else the period-1 points become R columns beside the other
+    parts' blocks where that costs less than the one block.  Otherwise the
+    blocks are gathered from the kernels, in ``arithmetic``."""
     system, grid_n, trunc, oracle = case
     rep = estimate_frame_bounds(system, grid_n, trunc)
     bb = system.omega.bounding_box()
     idx = np.argwhere(cell_volumes(bb, grid_n, system.omega) > 0)
     steps = np.array(bb.sides) / grid_n
     hair = trunc.translate([-1e-9 * s for s in trunc.sides])
-    rank, general, constant, closed = 0, False, [], []
-    for (window, freq), (_, lam, _) in zip(system.pairs, oracle):
+    ones = np.ones(bb.dim, dtype=int)
+    general, constant, parts = False, [], []
+    for (window, freq), (_, lam, weights) in zip(system.pairs, oracle):
         if isinstance(freq, ContinuousFreqMeasure):
-            rank += len(freq.atoms)
-            form = framebounds._constant_density(freq.density, steps)
-            if form:
+            parts.append((np.array([w for _, w in freq.atoms]), ones))
+            form = framebounds._density_part(freq.density, steps, grid_n)
+            if isinstance(form, tuple):
                 constant.append(f"pair '{window.label}': constant density in closed form")
-                closed.append(form)
+                parts.append(form[1:])
             else:
                 general = True
-        elif (form := framebounds._lattice_cosets(freq, steps, hair)) is None:
-            rank += len(lam)
         else:
-            closed.append(form)
+            form = framebounds._lattice_cosets(freq, steps, hair)
+            parts.append((weights, ones) if form is None else form[1:])
+    parts = [(w, p) for w, p in parts if len(w)]
     *named, note = rep.notes.split("; ")
     assert [n[:n.index(" with period")] for n in named] == constant
-    if note.startswith("rank-"):
-        assert not general and note.startswith(f"rank-{rank} update of ")
-    elif rank == 0 and not general:
-        period = np.gcd.reduce([p for p, _ in closed])
-        sizes = np.bincount(np.ravel_multi_index((idx % period).T, period))
-        r = sum(len(cosets) * int(np.prod(p // period)) for p, cosets in closed)
-        singular = sizes.max() > r
-        assert note == block_note(sizes[sizes > 0].tolist(), r) + ("" if singular else arithmetic)
+    period = np.gcd.reduce([p for _, p in parts] + [ones] * general)
+    sizes = fiber_sizes(idx, period)
+    r = sum(len(w) * int(np.prod(p // period)) for w, p in parts)
+    columns = sum(len(w) for w, p in parts if np.all(p == 1))
+    blocks = [p for _, p in parts if np.any(p > 1)]
+    update = fiber_sizes(idx, np.gcd.reduce(blocks) if blocks else np.full(bb.dim, grid_n))
+    if not general and r < max(sizes):
+        zero = not any(lam.any() for _, lam, _ in oracle)
+        assert note == block_note(sizes, r) + (arithmetic if zero else "")
+    elif (not general and columns and max(update) <= framebounds.DENSE_EIG_LIMIT
+          and np.sum(update ** 3.0) + 120.0 * len(idx) * columns ** 2 < float(len(idx)) ** 3):
+        assert note.startswith(f"rank-{columns} update of {len(update)} blocks ")
     else:
-        assert note == f"dense eigensolve of order {len(idx)}{arithmetic}"
+        assert note == block_note(sizes) + arithmetic
     a, b = dense_gram_oracle(system.omega, oracle, grid_n)
     assert abs(rep.A_est - a) <= 1e-9 * b
     assert abs(rep.B_est - b) <= 1e-9 * b
+
+
+def fiber_sizes(idx, period):
+    """The number of active cells of each index residue mod ``period``."""
+    _, sizes = np.unique(idx % period, axis=0, return_counts=True)
+    return sizes
 
 
 def block_note(sizes, rank=None):
@@ -453,8 +467,9 @@ class TestDenseKernelPath:
     @settings(max_examples=60, deadline=None)
     @given(dense_systems(with_lattice=True))
     def test_whole_period_lattice_beside_other_pairs(self, case):
-        # the other pair has period 1, so the lattice's closed-form kernel
-        # enters the one block of every active cell
+        # the other pair has period 1, so the lattice's coset triple enters
+        # the one block of every active cell: its Gram, the rank update or
+        # the kernels' block, as the harness predicts
         system, grid_n, trunc, _ = case
         steps = np.array(system.omega.bounding_box().sides) / grid_n
         hair = trunc.translate([-1e-9 * s for s in trunc.sides])
@@ -496,35 +511,41 @@ class TestRealPath:
     TILTED = Window.from_callable(lambda p: 1.0 + 0.5j * p[:, 0], "tilted")
     ONE_SIDED = FiniteSet(((1.0,), (2.5,)))
 
-    # each case has a complex factor somewhere: a one-sided set; atoms at
-    # +-p with unequal weights; a constant density on [0, 4), whose masses
+    # each case has a complex factor somewhere: a one-sided set and atoms at
+    # +-p with unequal weights, two points on 16 cells, so their 2 x 2 Gram
+    # of complex columns; a constant density on [0, 4), whose masses
     # mirror on a box that does not; 1/2 + 2Z,
     # a coset at a quarter of its spacing whose closed-form kernel has the
-    # phase i at a lag of one period (beside a real pair of three points,
-    # whose columns would cost more than the one block it so enters); the
-    # band-edge set, whose top frequency 63.99999999999999
+    # phase i at a lag of one period (beside the 21 points of Z 0.79 in the
+    # band, which outnumber the cells and as columns would cost more than
+    # the one block); the band-edge set, whose top frequency 63.99999999999999
     # lies within the hair below the upper face and is dropped while its
     # negative stays (at 96 cells its period is no whole number of cells, so
     # its kernel is summed); a complex window; and real pairs beside complex
     # ones
-    @pytest.mark.parametrize("pairs, grid_n, trunc", [
-        (((RAMP, ONE_SIDED),), 16, None),
-        (((RAMP, ContinuousFreqMeasure(atoms=(((1.5,), 1.0), ((-1.5,), 2.0)))),), 16, None),
+    @pytest.mark.parametrize("pairs, grid_n, trunc, note", [
+        (((RAMP, ONE_SIDED),), 16, None, "dense eigensolve of order 16 and rank at most 2"),
+        (((RAMP, ContinuousFreqMeasure(atoms=(((1.5,), 1.0), ((-1.5,), 2.0)))),), 16, None,
+         "dense eigensolve of order 16 and rank at most 2"),
         (((RAMP, ContinuousFreqMeasure(
-            density=GridFunction.indicator(Box((0.0,), (4.0,)), 8))),), 16, None),
+            density=GridFunction.indicator(Box((0.0,), (4.0,)), 8))),), 16, None,
+         "dense eigensolve of order 16"),
         (((RAMP, LatticeCosets(Lattice.scaled_integers(2.0), ((0.5,),))),
-          (Window.indicator(), FiniteSet(((0.0,), (1.0,), (-1.0,))))), 16, None),
-        (((Window.from_string("0.5"), integers(scale=128 / 214)),), 96, Box((-64.0,), (64.0,))),
-        (((TILTED, integers(scale=0.79)),), 16, Box((-8.0,), (8.0,))),
-        (((Window.indicator(), integers(scale=0.79)), (RAMP, ONE_SIDED)), 16, None),
+          (Window.indicator(), integers(scale=0.79))), 16, None, "dense eigensolve of order 16"),
+        (((Window.from_string("0.5"), integers(scale=128 / 214)),), 96, Box((-64.0,), (64.0,)),
+         "dense eigensolve of order 96"),
+        (((TILTED, integers(scale=0.79)),), 16, Box((-8.0,), (8.0,)),
+         "dense eigensolve of order 16"),
+        (((Window.indicator(), integers(scale=0.79)), (RAMP, ONE_SIDED)), 16, None,
+         "dense eigensolve of order 16"),
         (((TILTED, FiniteSet(((0.0,), (1.0,), (-1.0,)))), (RAMP, integers(scale=0.79))), 16,
-         None),
+         None, "dense eigensolve of order 16"),
     ], ids=["one_sided_set", "unequal_mirrored_atoms", "off_centre_density",
             "coset_offset_quarter", "band_edge_set", "complex_window",
             "real_beside_complex_kernel", "complex_window_beside_real"])
-    def test_complex_factors_keep_the_complex_solve(self, pairs, grid_n, trunc):
+    def test_complex_factors_keep_the_complex_solve(self, pairs, grid_n, trunc, note):
         rep = estimate_frame_bounds(WindowedSystem(UNIT, pairs), grid_n, trunc)
-        assert rep.notes == f"dense eigensolve of order {grid_n}"
+        assert rep.notes == note
         trunc = trunc or nyquist_box(UNIT.bounding_box(), grid_n)
         hair = trunc.translate([-1e-9 * s for s in trunc.sides])
         a, b = dense_gram_oracle(UNIT, [(w, *oracle_frequencies(f, hair)) for w, f in pairs],
@@ -532,12 +553,12 @@ class TestRealPath:
         assert abs(rep.A_est - a) <= 1e-9 * b
         assert abs(rep.B_est - b) <= 1e-9 * b
 
-    # two points take the rank-2 update, whose columns are complex either way
+    # two points take the 2 x 2 Gram, whose columns are complex either way
     @pytest.mark.parametrize("freq, real_note, complex_note", [
         (integers(scale=0.79), "dense eigensolve of order 64 in real arithmetic",
          "dense eigensolve of order 64"),
-        (FiniteSet(((-2.0,), (2.0,))), "rank-2 update of 64 blocks of order at most 1",
-         "rank-2 update of 64 blocks of order at most 1"),
+        (FiniteSet(((-2.0,), (2.0,))), "dense eigensolve of order 64 and rank at most 2",
+         "dense eigensolve of order 64 and rank at most 2"),
     ], ids=["freq0", "freq1"])
     def test_a_constant_phase_moves_the_solve_not_the_bounds(self, freq, real_note,
                                                              complex_note):
@@ -547,22 +568,23 @@ class TestRealPath:
         band = Box((-32.0,), (32.0,))
         real = estimate_frame_bounds(WindowedSystem(UNIT, ((self.RAMP, freq),)), 64, band)
         cplx = estimate_frame_bounds(WindowedSystem(UNIT, ((phased, freq),)), 64, band)
-        # the rank update's note goes on after a colon
-        assert real.notes.split(": ")[0] == real_note
-        assert cplx.notes.split(": ")[0] == complex_note
+        assert real.notes == real_note
+        assert cplx.notes == complex_note
         assert abs(real.A_est - cplx.A_est) <= 1e-12 * real.B_est
         assert abs(real.B_est - cplx.B_est) <= 1e-12 * real.B_est
 
 
 @st.composite
 def rank_update_systems(draw):
-    """Closed-form blocks beside R <= 3 finite points, on a box filled by a
-    grid of 48 or 64 cells (1-D) or 8 x 8 (2-D), where the rank-R update
-    costs less than the one dense block.
+    """A closed form of rank at least the cells beside R <= 3 finite points,
+    on a box filled by a grid of 48 or 64 cells (1-D) or 8 x 8 (2-D), so
+    the r x r Grams do not apply and the rank-R update costs less than the
+    one dense block.
 
-    The closed part is nothing (finite sets alone), a constant density whose
-    N = 2, 3 or 5 cells per axis fill one alias band (on a box with lo = -hi
-    or not), or cosets of a diagonal lattice with a period of 2 to 4 cells,
+    The closed part is a constant density whose N cells per axis fill one
+    alias band (on a box with lo = -hi or not), N being the grid's cells,
+    3 more, or in 1-D half of them where +-c make 2 N columns; or cosets of
+    a diagonal lattice with a period of the grid's cells or one more,
     truncated to one or two whole bands.  The finite points are a point set
     drawn in the truncation box and the density's atoms.  Windows are
     polynomials, indicators (whose blocks have tied eigenvalues) or vanish on
@@ -590,18 +612,19 @@ def rank_update_systems(draw):
                                     f"v{j}")
 
     pairs, rank = [], 0
-    closed = draw(st.sampled_from(["none", "density", "lattice"]))
-    if closed == "density":
-        cells = draw(st.sampled_from([2, 3, 5]))
-        at = (-0.5 * band if draw(st.booleans()) else draw(st.floats(-3.0, 3.0)))
+    if draw(st.booleans()):
+        symmetric = draw(st.booleans())
+        at = -0.5 * band if symmetric else draw(st.floats(-3.0, 3.0))
+        halves = [grid_n // 2] if symmetric and d == 1 else []
+        cells = draw(st.sampled_from([grid_n, grid_n + 3] + halves))
         box = Box((at,) * d, (at + band,) * d)
         atoms = tuple((tuple(draw(st.floats(-band / 2, band / 2)) for _ in range(d)),
                        draw(st.floats(0.5, 2.0))) for _ in range(draw(st.integers(0, 2))))
         rank += len(atoms)
         density = GridFunction.from_callable(lambda xi: np.full(len(xi), 0.7), box, cells)
         pairs.append((window("D"), ContinuousFreqMeasure(density=density, atoms=atoms)))
-    elif closed == "lattice":
-        periods = np.array([draw(st.integers(2, 4)) for _ in range(d)])
+    else:
+        periods = np.array([grid_n + draw(st.integers(0, 1)) for _ in range(d)])
         pairs.append((window("L"), whole_period_lattice(draw, periods, np.full(d, side / grid_n))))
     if rank == 0 or draw(st.booleans()):
         points = draw(st.lists(st.tuples(*[st.integers(1, 15)] * d), min_size=1,
@@ -624,11 +647,7 @@ class TestRankUpdatePath:
         system, grid_n, trunc, oracle, rank = case
         rep = estimate_frame_bounds(system, grid_n, trunc)
         assert rep.notes.split("; ")[-1].startswith(f"rank-{rank} update of ")
-        a, b = dense_gram_oracle(system.omega, oracle, grid_n)
-        assert abs(rep.A_est - a) <= 1e-9 * b
-        assert abs(rep.B_est - b) <= 1e-9 * b
-        if len(system.pairs) == 1 and isinstance(system.pairs[0][1], FiniteSet):
-            assert rep.A_est == 0.0  # R columns on more cells than R
+        assert_one_block_matches_oracle(case[:4])
 
     def test_shaped_like_the_continuous_benchmark(self):
         # a constant density over the Nyquist band of 1024 cells, on 1331
@@ -650,16 +669,69 @@ class TestRankUpdatePath:
         assert abs(rep.B_est - b) <= 1e-9 * b
 
     def test_costly_columns_keep_the_dense_block(self):
-        # two points on 16 cells: 120 n R^2 = 7680 exceeds 16^3
-        system = WindowedSystem(UNIT, ((Window.indicator(), FiniteSet(((1.0,), (2.5,)))),))
-        assert estimate_frame_bounds(system, 16).notes == "dense eigensolve of order 16"
+        # Z has a period of 16 cells on the 16-cell grid, so 16 + 2 columns
+        # outnumber the cells, and beside its 16 blocks of one cell two
+        # points cost 120 n R^2 = 7680 > 16^3
+        pairs = ((Window.indicator(), integers()),
+                 (Window.from_string("(1-x)^1.0"), FiniteSet(((1.0,), (2.5,)))))
+        rep = estimate_frame_bounds(WindowedSystem(UNIT, pairs), 16)
+        assert rep.notes == "dense eigensolve of order 16"
+        band = nyquist_box(UNIT.bounding_box(), 16)
+        a, b = dense_gram_oracle(UNIT, [(w, *oracle_frequencies(f, band)) for w, f in pairs], 16)
+        assert abs(rep.A_est - a) <= 1e-9 * b
+        assert abs(rep.B_est - b) <= 1e-9 * b
+
+
+class TestRouting:
+    """One small system per route of the grid model on [0, 1) at its Nyquist
+    band, each against the dense Gram: a finite set alone on more cells than
+    points takes its R x R Gram (A = 0); closed forms beside atoms the
+    rank-R update; whole-period lattices alone their blocks; a non-constant
+    density the one dense block, and the iterative solve above the limit."""
+
+    RAMP = Window.from_string("(1-x)^1.0")
+    # a constant density on 67 cells over the band of 64: one coset pair
+    # +-c of period 67 cells, 134 columns, so every cell is its own block
+    CONSTANT = ContinuousFreqMeasure(
+        density=GridFunction.from_callable(lambda xi: np.full(len(xi), 0.9),
+                                           Box((-32.0,), (32.0,)), 67),
+        atoms=(((5.3,), 1.2), ((-11.7,), 0.6)))
+    # cells of 1/32 of the alias band, on a box with lo != -hi: a DFT kernel
+    BOWL = ContinuousFreqMeasure(density=GridFunction.from_callable(
+        lambda xi: 1.0 + (xi[:, 0] / 32.0) ** 2, Box((-30.0,), (34.0,)), 32))
+
+    @pytest.mark.parametrize("pairs, limit, note", [
+        (((RAMP, FiniteSet(((1.0,), (2.5,), (-3.0,)))),), None,
+         r"dense eigensolve of order 64 and rank at most 3"),
+        (((RAMP, CONSTANT),), None,
+         r"pair '\(1-x\)\^1\.0': constant density in closed form with period 67 cells; "
+         r"rank-2 update of 64 blocks of order at most 1: inertia bisection in \d+ steps, "
+         r"brackets \S+ \(A\) and \S+ \(B\) wide"),
+        (((RAMP, integers()), (Window.indicator(), integers(scale=2.0))), None,
+         r"dense eigensolve of 32 blocks of order at most 2 in real arithmetic"),
+        (((RAMP, BOWL),), None, r"dense eigensolve of order 64"),
+        (((RAMP, BOWL),), 30, r"iterative extremal eigensolve at tolerance 1e-08"),
+    ], ids=["finite_gram", "rank_update", "closed_blocks", "density_block", "iterative"])
+    def test_route(self, monkeypatch, pairs, limit, note):
+        band = nyquist_box(UNIT.bounding_box(), 64)
+        with monkeypatch.context() as patch:
+            if limit is not None:
+                patch.setattr(framebounds, "DENSE_EIG_LIMIT", limit)
+            rep = estimate_frame_bounds(WindowedSystem(UNIT, pairs), 64, band)
+        assert re.fullmatch(note, rep.notes)
+        hair = band.translate([-1e-9 * s for s in band.sides])
+        a, b = dense_gram_oracle(UNIT, [(w, *oracle_frequencies(f, hair)) for w, f in pairs], 64)
+        assert abs(rep.A_est - a) <= 1e-9 * b
+        assert abs(rep.B_est - b) <= 1e-9 * b
+        if "rank at most" in note:
+            assert rep.A_est == 0.0
 
 
 class TestSilentPairs:
     SILENT = "pair 'x^1.0': no frequencies inside the truncation box; it contributes nothing"
 
     # 4 + 8Z misses [-2, 2); its period on the 8-cell grid is one cell, so
-    # its kernel takes the closed form, which is all zero
+    # it takes the closed form, whose one coset counts no point
     @pytest.mark.parametrize("freq", [
         FiniteSet(((99.0,),)), LatticeCosets(Lattice.scaled_integers(8.0), ((4.0,),))],
         ids=["dense", "fiberized"])
@@ -757,9 +829,11 @@ class TestFiberizedPath:
                  (UNIT, two, 256, 8, [(64, 1, 1)] * 4,
                   "dense eigensolve of 256 blocks of order at most 1 in real arithmetic"),
                  (eight, ramp, 128, 8, [(8, 1, 1)] * 2,
-                  "dense eigensolve of 16 blocks of order at most 8 and rank at most 1"),
+                  "dense eigensolve of 16 blocks of order at most 8 and rank at most 1"
+                  " in real arithmetic"),
                  (eight, ramp, 128, 4, [(2, 1, 1)] * 8,
-                  "dense eigensolve of 16 blocks of order at most 8 and rank at most 1")]
+                  "dense eigensolve of 16 blocks of order at most 8 and rank at most 1"
+                  " in real arithmetic")]
         for omega, pairs, grid_n, limit, stacks, note in cases:
             system = WindowedSystem(omega, pairs)
             band = nyquist_box(omega.bounding_box(), grid_n)
@@ -790,22 +864,27 @@ class TestFiberizedPath:
         assert abs(rep.B_est - b) <= 1e-9 * b
 
     def test_partial_period_truncation_stays_dense(self):
-        # 11 integers in the truncation box, against a period of 16 cells
+        # 11 integers in the truncation box, against a period of 16 cells:
+        # no closed form, so 11 points on 16 cells and their 11 x 11 Gram
         window = Window.from_string("x^1.0")
         system = WindowedSystem(UNIT, ((window, integers()),))
         rep = estimate_frame_bounds(system, 16, Box((-5.5,), (5.5,)))
-        assert rep.notes == "dense eigensolve of order 16 in real arithmetic"
+        assert rep.notes == "dense eigensolve of order 16 and rank at most 11"
         a, b = dense_gram_oracle(UNIT, [(window, np.arange(-5.0, 6.0).reshape(-1, 1))], 16)
         assert rep.A_est == pytest.approx(a, rel=1e-9, abs=1e-12)
         assert rep.B_est == pytest.approx(b, rel=1e-9)
 
-    # nine points: as columns they would cost more than the one block
-    @pytest.mark.parametrize("freq", [FiniteSet(tuple((float(k),) for k in range(-4, 5))),
-                                      integers(scale=0.79)], ids=["freq0", "freq1"])
-    def test_other_frequency_sets_stay_dense(self, freq):
+    # nine points on 64 cells take their 9 x 9 Gram of complex columns; the
+    # 81 points of Z 0.79 outnumber the cells, and as columns they would
+    # cost more than the one block
+    @pytest.mark.parametrize("freq, note", [
+        (FiniteSet(tuple((float(k),) for k in range(-4, 5))),
+         "dense eigensolve of order 64 and rank at most 9"),
+        (integers(scale=0.79), "dense eigensolve of order 64 in real arithmetic"),
+    ], ids=["freq0", "freq1"])
+    def test_other_frequency_sets_stay_dense(self, freq, note):
         system = WindowedSystem(UNIT, ((Window.indicator(), freq),))
-        assert (estimate_frame_bounds(system, 64, Box((-32.0,), (32.0,))).notes
-                == "dense eigensolve of order 64 in real arithmetic")
+        assert estimate_frame_bounds(system, 64, Box((-32.0,), (32.0,))).notes == note
 
     def test_unit_interval_is_tight_to_roundoff(self):
         system = WindowedSystem(UNIT, ((Window.indicator(), integers()),))
@@ -908,8 +987,8 @@ class TestRonShenPath:
         assert rep.A_est == grid.A_est == 0.0
         assert abs(rep.B_est - grid.B_est) <= 1e-12 * grid.B_est
 
-    # a lone point in the band, beside a whole-period lattice or alone,
-    # takes the rank-1 update on the grid
+    # a lone point in the band takes the rank-1 update beside a
+    # whole-period lattice and its 1 x 1 Gram alone
     @pytest.mark.parametrize("pairs, note", [
         (((Window.indicator(), LatticeCosets(Lattice(((1.0, 0.5), (0.0, 1.0))))),),
          "dense eigensolve"),
@@ -917,7 +996,8 @@ class TestRonShenPath:
          "rank-1 update of 64 blocks"),
         (((Window.indicator(), integers(2)), (Window.indicator(), integers(2, np.sqrt(2.0)))),
          "dense eigensolve"),
-        (((Window.indicator(), integers(2, 512.0)),), "rank-1 update of 64 blocks"),
+        (((Window.indicator(), integers(2, 512.0)),),
+         "dense eigensolve of order 64 and rank at most 1 in real arithmetic"),
     ], ids=["skew", "beside_a_finite_set", "incommensurable", "period_below_a_step"])
     def test_other_systems_keep_the_nyquist_grid(self, pairs, note):
         square = canonicalize([Box((0.0, 0.0), (1.0, 1.0))])

@@ -82,7 +82,7 @@ class TestEnumeration:
     @settings(max_examples=150, deadline=None)
     def test_tails_match_their_enumeration(self, data):
         # dyadic starts, periods, core points and box ends keep every s ± p n
-        # exact; a point both tails reach is enumerated once by each
+        # exact; a point both tails reach is one point of the set
         def eighths(lo, hi):
             return st.integers(lo, hi).map(lambda k: k / 8)
         sides = data.draw(st.sampled_from([(1,), (-1,), (1, -1)]))
@@ -95,8 +95,23 @@ class TestEnumeration:
         kwargs = {f"{side}_{field}": v for e, side in ((1, "right"), (-1, "left"))
                   if e in tails for field, v in zip(("start", "period"), tails[e])}
         s = EventuallyPeriodic1D(core=tuple(core), **kwargs)
-        expected = sorted(x for x in tail_points + core if lo <= x < hi)
+        expected = sorted({x for x in tail_points + core if lo <= x < hi})
         assert s.points_in_box(Box((lo,), (hi,))).ravel().tolist() == expected
+
+    def test_points_both_tails_reach_are_reported_once(self):
+        both = EventuallyPeriodic1D(right_period=1.0, left_period=1.0)
+        assert both.points_in_box(Box((-2.0,), (2.0,))).ravel().tolist() == [-2, -1, 0, 1]
+        # 0.5 - 0.1 n and 0.1 n differ by rounding at three of the six points
+        tenths = EventuallyPeriodic1D(right_period=0.1, right_start=0.0,
+                                      left_period=0.1, left_start=0.5)
+        pts = tenths.points_in_box(Box((-0.05,), (0.55,))).ravel()
+        assert pts == pytest.approx(np.arange(6) * 0.1, abs=1e-15)
+        # the integers as two tails that overlap on 0, 1, 2 and 3
+        z = WeightedComb.single(EventuallyPeriodic1D(right_period=1.0, left_period=1.0,
+                                                     left_start=3.0))
+        assert z.masses_in_boxes(np.array([[-0.5]]), np.array([[3.5]])).tolist() == [4.0]
+        rep = density_windowed(z, (10.0,))
+        assert (rep.lower, rep.upper) == (1.0, 1.0)
 
     def test_invalid_duplicate_offsets(self):
         with pytest.raises(InputError):

@@ -439,10 +439,12 @@ def system_with_freq(freq):
      {"system.json": system_with_freq({"kind": "continuous", "box": [-1.0, 1.0], "n": 3,
                                        "density": [1.0, 1.0]})}),
     (["frame-bounds", "--system", "missing.json"], {}),
+    (["frame-bounds", "--system", json.dumps(dict(SYSTEM, pairs=[
+        {"window": 5, "freq": {"kind": "finite_set", "points": [[0]]}}]))], {}),
 ], ids=["x0", "h_list", "h_zero", "trunc", "lattice_entry", "lattice_object", "comb_term",
         "coset_basis", "point_set_kind", "config_not_json", "config_not_object",
         "config_value", "config_flag", "system_basis", "system_density",
-        "missing_system"])
+        "missing_system", "window_not_string"])
 def test_malformed_input_exits_two_with_one_error_line(tmp_path, monkeypatch, capsys,
                                                        argv, files):
     monkeypatch.chdir(tmp_path)

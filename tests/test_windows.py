@@ -49,6 +49,12 @@ def test_parse_rejects_garbage():
         parse_expr("sin(x)")
 
 
+@pytest.mark.parametrize("value", [5, None, ["x^1.0"]], ids=["int", "none", "list"])
+def test_parse_rejects_a_non_string(value):
+    with pytest.raises(InputError, match="^a window expression must be a string, got "):
+        parse_expr(value)
+
+
 def test_roundtrip_to_string():
     for text in ["x^1.0", "(1-x)^0.5", "indicator(0.0,0.5)", "2.0*x^-0.25"]:
         w = Window.from_string(text)
