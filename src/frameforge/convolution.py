@@ -101,7 +101,9 @@ def translation_bounded_probe(comb: WeightedComb, window: Box) -> TranslationBou
     its lower face never loses mass, so these corners attain the supremum.
     They are read over the hull of every support's non-periodic part, widened
     by twice the box and the longest period on each side; a probe that holds
-    no point reports mass 0."""
+    no point reports mass 0.  The corners form a product grid of the unique
+    point coordinates per axis, so one ``masses_in_boxes`` call counts every
+    corner's box, and the first maximum in C order is reported."""
     if window.dim != comb.dim:
         raise InputError("window dimension does not match the comb")
     sides = window.sides
@@ -112,10 +114,11 @@ def translation_bounded_probe(comb: WeightedComb, window: Box) -> TranslationBou
     pts = np.vstack([s.points_in_box(probe) for _, s in comb.terms])
     if not len(pts):
         return TranslationBoundReport(0.0, probe.lo)
-    corners = cartesian([np.unique(axis) for axis in pts.T])
-    masses = comb.masses_in_boxes(corners, corners + np.asarray(sides))
-    best = int(np.argmax(masses))
-    return TranslationBoundReport(float(masses[best]), tuple(corners[best].tolist()))
+    axes = [np.unique(axis) for axis in pts.T]
+    masses = comb.masses_in_boxes(axes, [axis + side for axis, side in zip(axes, sides)])
+    best = np.unravel_index(np.argmax(masses), masses.shape)
+    return TranslationBoundReport(float(masses[best]),
+                                  tuple(float(axis[i]) for axis, i in zip(axes, best)))
 
 
 @dataclass(frozen=True)

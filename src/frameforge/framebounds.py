@@ -585,7 +585,8 @@ def ess_bounds(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int) -> Es
 def _ess_report(windows: Sequence[Window], infs: np.ndarray, sups: np.ndarray,
                 grid_n: int) -> EssBoundsReport:
     """``ess_bounds`` from a ``window_ranges`` table: J holds the rows whose
-    upper range ends are finite on every piece (the test of ``bounded_on``)."""
+    upper range ends are finite on every piece, the windows essentially
+    bounded on the domain."""
     J = tuple(np.flatnonzero(np.isfinite(sups).all(axis=1)).tolist())
     if not J:
         return EssBoundsReport((0.0, 0.0), (0.0, 0.0), (), grid_n,

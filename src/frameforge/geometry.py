@@ -88,6 +88,27 @@ def cartesian(axes: Sequence[Sequence[float]]) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
+def cover_counts(runs: Sequence[tuple[np.ndarray, np.ndarray]],
+                 shape: Sequence[int]) -> np.ndarray:
+    """How many items cover each node of a product grid of ``shape``, where
+    ``runs[a]`` holds every item's half-open run [start, stop) of node
+    indices on axis a (an empty run on any axis covers nothing).  Each item
+    puts +-1 at the 2^d corners of its box in a difference array, one
+    ``bincount`` per corner pattern, and cumulative sums along every axis
+    turn it into the counts."""
+    ends = np.array(runs, dtype=np.intp)
+    ends = ends[:, :, np.all(ends[:, 0] < ends[:, 1], axis=0)]
+    ext = tuple(n + 1 for n in shape)
+    diff = np.zeros(math.prod(ext), dtype=np.int64)
+    for pattern in cartesian([(0, 1)] * len(ext)):
+        at = np.ravel_multi_index(tuple(ends[np.arange(len(ext)), pattern]), ext)
+        diff += (-1) ** pattern.sum() * np.bincount(at, minlength=diff.size)
+    diff = diff.reshape(ext)
+    for a in range(len(ext)):
+        np.cumsum(diff, axis=a, out=diff)
+    return diff[tuple(slice(n) for n in shape)]
+
+
 def _sweep_1d(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Merge 1-D intervals by endpoint sweep; touching intervals coalesce."""
     ivs = sorted(intervals)
@@ -236,23 +257,29 @@ def overlap_zero_set(omega: BoxUnionSet, x_max: float) -> list[tuple[Vec, Vec]]:
     |x_a| <= x_max, as closed boxes (lo, hi): every sign pattern of the shift
     up to x -> -x.  Box i meets box j + x exactly when each x_a lies in
     (lo_ia - hi_ja, hi_ia - lo_ja), so between breakpoints at these face
-    differences every pair term is zero or positive throughout.  The overlap
-    is read at each breakpoint and midpoint; a run of zero reads along axis 0
-    is one box, closed up to the breakpoints around it (in 1-D, the maximal
-    zero intervals).  Exact for dyadic-rational faces, like every quantity in
-    this module; other faces carry one rounding in each breakpoint."""
+    differences every pair term is zero or positive throughout.  The nodes
+    are the breakpoints and the midpoints between them; the overlap is zero
+    at a node exactly when no box pair's open interval product holds it, and
+    ``cover_counts`` counts the pairs holding each node in one pass.  A run
+    of zero nodes along axis 0 is one box, closed up to the breakpoints
+    around it (in 1-D, the maximal zero intervals).  Exact for
+    dyadic-rational faces, like every quantity in this module; other faces
+    carry one rounding in each breakpoint."""
     if not (math.isfinite(x_max) and x_max > 0):
         raise InputError(f"x_max must be positive and finite, got {x_max}")
     los, his = omega._corner_arrays()
-    breaks = []
+    breaks, runs = [], []
     for a in range(omega.dim):
-        start, diffs = -x_max if a else 0.0, np.subtract.outer(los[:, a], his[:, a]).ravel()
-        b = np.unique(np.r_[start, x_max, diffs, 0.0 - diffs])  # no -0.0 from touching faces
-        breaks.append(b[(b >= start) & (b <= x_max)])
-    # node k of an axis lies between its breakpoints k // 2 and (k + 1) // 2
-    nodes = [(b[k // 2] + b[(k + 1) // 2]) / 2.0 for b in breaks
-             for k in [np.arange(2 * len(b) - 1)]]
-    zero = _overlaps(omega, cartesian(nodes)).reshape([len(n) for n in nodes]) == 0.0
+        start, diffs = -x_max if a else 0.0, np.subtract.outer(los[:, a], his[:, a])
+        # pair (i, j) holds the shifts strictly between its opening and closing ends
+        opens, closes = diffs.ravel(), 0.0 - diffs.T.ravel()  # no -0.0 from touching faces
+        b = np.unique(np.r_[start, x_max, opens, closes])
+        breaks.append(b := b[(b >= start) & (b <= x_max)])
+        # node k lies between breakpoints k // 2 and (k + 1) // 2
+        k = np.arange(2 * len(b) - 1)
+        nodes = (b[k // 2] + b[(k + 1) // 2]) / 2.0
+        runs.append((np.searchsorted(nodes, opens, "right"), np.searchsorted(nodes, closes)))
+    zero = cover_counts(runs, [2 * len(b) - 1 for b in breaks]) == 0
     edges = np.diff(np.moveaxis(zero, 0, -1).astype(np.int8), axis=-1, prepend=0, append=0)
     *rest, first = np.nonzero(edges == 1)
     last = np.nonzero(edges == -1)[-1] - 1

@@ -153,9 +153,3 @@ class GridFunction:
     def indicator(box: Box, n: int) -> "GridFunction":
         return GridFunction(box, np.ones((n,) * box.dim, dtype=complex),
                             cell_volumes(box, n))
-
-    @staticmethod
-    def on_domain(fn: Callable[[np.ndarray], np.ndarray], omega: BoxUnionSet,
-                  n: int) -> "GridFunction":
-        """Sample over the domain's bounding box with exact domain weights."""
-        return GridFunction.from_callable(fn, omega.bounding_box(), n, omega=omega)

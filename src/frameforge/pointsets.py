@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, Lattice, cartesian
+from .geometry import Box, Lattice, cover_counts
 
 Vec = tuple[float, ...]
 
@@ -277,28 +277,6 @@ def integers(dim: int = 1, scale: float = 1.0) -> LatticeCosets:
     return LatticeCosets(Lattice.scaled_integers(scale, dim))
 
 
-SLAB_CHUNK = 1 << 12  # slab points tested against their boxes in one broadcast
-
-
-def _count_in_slabs(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Points of ``pts[start[i]:stop[i]]`` inside each half-open box
-    [lo[i], hi[i]).  The slabs are laid end to end and cut into runs of
-    whole boxes holding about ``SLAB_CHUNK`` points, each tested in one
-    broadcast, so memory stays linear in the points."""
-    sizes = stop - start
-    ends = np.cumsum(sizes)
-    cuts = np.searchsorted(ends, np.arange(SLAB_CHUNK, ends[-1], SLAB_CHUNK))
-    counts = np.zeros(len(lo), dtype=np.int64)
-    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(lo)]):
-        n = sizes[a:b]
-        box = np.repeat(np.arange(a, b), n)
-        at = np.arange(len(box)) + np.repeat(start[a:b] - (np.cumsum(n) - n), n)
-        inside = np.all((pts[at] >= lo[box]) & (pts[at] < hi[box]), axis=1)
-        counts[a:b] = np.bincount(box[inside] - a, minlength=b - a)
-    return counts
-
-
 @dataclass(frozen=True)
 class WeightedComb:
     """Positive combination of Dirac combs over structured supports."""
@@ -325,22 +303,24 @@ class WeightedComb:
     def dim(self) -> int:
         return self.terms[0][1].dim
 
-    def masses_in_boxes(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Comb mass of each half-open box [lo[i], hi[i]) of two (m, d) arrays.
+    def masses_in_boxes(self, lows: Sequence[np.ndarray],
+                        highs: Sequence[np.ndarray]) -> np.ndarray:
+        """Comb mass of every box of a product grid, in the grid's shape.
 
-        Each support is enumerated once over the hull of the boxes.  Its
-        points come sorted on the first axis, so ``searchsorted`` cuts each
-        box's slab on that axis; in d > 1 the slabs' points are then tested
-        against their boxes (``_count_in_slabs``).
+        Box (i_0, ..., i_{d-1}) is the half-open product of the intervals
+        [lows[a][i_a], highs[a][i_a]), and both face arrays ascend on each
+        axis.  Each support is enumerated once over the hull of the boxes;
+        a point p lies in the boxes whose index on axis a runs over
+        lows[a][i] <= p_a < highs[a][i], two ``searchsorted`` calls, and
+        ``cover_counts`` adds up these runs on the grid.
         """
-        hull = Box(tuple(lo.min(axis=0)), tuple(hi.max(axis=0)))
+        hull = Box(tuple(lo[0] for lo in lows), tuple(hi[-1] for hi in highs))
         total = 0.0
         for w, s in self.terms:
             pts = s.points_in_box(hull)
-            start, stop = (np.searchsorted(pts[:, 0], x[:, 0]) for x in (lo, hi))
-            counts = (stop - start if self.dim == 1
-                      else _count_in_slabs(pts, lo, hi, start, stop))
-            total = total + w * counts
+            runs = [(np.searchsorted(hi, p, "right"), np.searchsorted(lo, p, "right"))
+                    for lo, hi, p in zip(lows, highs, pts.T)]
+            total = total + w * cover_counts(runs, [len(lo) for lo in lows])
         return total
 
     def scaled(self, c: float) -> "WeightedComb":
@@ -382,7 +362,9 @@ def density_windowed(comb: WeightedComb, h_list: Sequence[float],
     """Sliding-window estimate of the Beurling densities.
 
     For each window size h the cube of side h is slid over a sampling grid
-    covering one structural period cell plus 3h into each tail; the reported
+    covering one structural period cell plus 3h into each tail (in d > 1,
+    the product of one sample axis over [-h, h]).  The windows form a product
+    grid, so one ``masses_in_boxes`` call counts them all; the reported
     densities come from the largest h.
     """
     hs = sorted(float(h) for h in h_list)
@@ -401,15 +383,12 @@ def density_windowed(comb: WeightedComb, h_list: Sequence[float],
             periods = [p for p in periods if p is not None]
             step = min(periods) / 4.0 if periods else (b - a) / x_samples
             n_steps = int(math.floor((b - a) / step)) + 1
-            if n_steps > x_samples:
-                xs = np.linspace(a, b, x_samples)
-            else:
-                xs = a + step * np.arange(n_steps)
-            xs = xs.reshape(-1, 1)
+            axes = [np.linspace(a, b, x_samples) if n_steps > x_samples
+                    else a + step * np.arange(n_steps)]
         else:
             per_axis = max(2, int(round(x_samples ** (1.0 / d))))
-            xs = cartesian([np.linspace(-h, h, per_axis)] * d)
-        counts = comb.masses_in_boxes(xs - h / 2.0, xs + h / 2.0)
+            axes = [np.linspace(-h, h, per_axis)] * d
+        counts = comb.masses_in_boxes([x - h / 2.0 for x in axes], [x + h / 2.0 for x in axes])
         trace.append((h, float(counts.min()) / h ** d, float(counts.max()) / h ** d))
     lower, upper = trace[-1][1], trace[-1][2]
     return DensityReport(lower, upper, "windowed_estimate", tuple(trace))

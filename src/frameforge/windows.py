@@ -193,10 +193,11 @@ class CallableExpr(Expr):
         return self.support
 
 
-_MONOMIAL_RE = re.compile(r"^x\^(-?\d+(?:\.\d+)?)$")
-_REFLECTED_RE = re.compile(r"^\(1-x\)\^(-?\d+(?:\.\d+)?)$")
+_NUMBER = r"(-?\d+(?:\.\d+)?(?:e[+-]?\d+)?)"  # every finite repr(float), e.g. 1e-05
+_MONOMIAL_RE = re.compile(rf"^x\^{_NUMBER}$")
+_REFLECTED_RE = re.compile(rf"^\(1-x\)\^{_NUMBER}$")
 _INDICATOR_RE = re.compile(r"^indicator(?:\(([^)]*)\))?$")
-_SCALAR_RE = re.compile(r"^-?\d+(?:\.\d+)?$")
+_SCALAR_RE = re.compile(rf"^{_NUMBER}$")
 
 
 def parse_expr(text: str) -> Expr:
@@ -256,15 +257,6 @@ class Window:
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
         return self.expr.eval(np.atleast_2d(np.asarray(pts, dtype=float)))
-
-    def bounded_on(self, omega: BoxUnionSet) -> bool:
-        """Whether |g| is essentially bounded on the domain.  The window is 0
-        outside its support box, so only the domain's parts inside it count."""
-        support = self.support_box()
-        boxes = omega.boxes if support is None else support and omega.intersect_box(support)
-        lo = np.array([b.lo for b in boxes]).reshape(-1, omega.dim)
-        hi = np.array([b.hi for b in boxes]).reshape(-1, omega.dim)
-        return bool(np.isfinite(self.expr.range_on(lo, hi)[1]).all())
 
     def support_box(self) -> Optional[Box]:
         return self.expr.support_box()

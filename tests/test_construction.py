@@ -180,7 +180,8 @@ class TestLatticeTightFrame:
         # direct Parseval cross-check for f ≡ 1: quadrature coefficients over
         # the dual lattice must sum close to 2 * ||f||^2
         from frameforge.gridfn import GridFunction
-        f = GridFunction.on_domain(lambda p: np.ones(len(p)), TWO_PIECE, 1536)
+        f = GridFunction.from_callable(lambda p: np.ones(len(p)), TWO_PIECE.bounding_box(),
+                                       1536, omega=TWO_PIECE)
         lam = (np.arange(-256, 256) * 0.5).reshape(-1, 1)
         coefs = analysis_coefficients(f, Window.indicator(), lam)
         total = float(np.sum(np.abs(coefs) ** 2))

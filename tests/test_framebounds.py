@@ -1152,7 +1152,8 @@ class TestBracketCheck:
         out = window_density_bracket_check(system, FrameBoundsReport(0.5, 2.0, grid_n, None),
                                            dens, grid_n)
         positive = [j for j, d in enumerate(dens) if d.upper > 0]
-        j_prime = [pairs[j][0] for j in positive if pairs[j][0].bounded_on(omega)]
+        j_prime = [pairs[j][0] for j in positive
+                   if ess_bounds([pairs[j][0]], omega, grid_n).J]
         assert len(out.per_window) == len(positive)
         for j, row in zip(positive, out.per_window):
             alone = ess_bounds([pairs[j][0]], omega, grid_n)

@@ -1,5 +1,6 @@
 """Box-union geometry: canonical form, measures, overlaps, lattice packing."""
 
+import functools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from frameforge.geometry import (
     canonicalize,
     cantor_tower,
     cartesian,
+    cover_counts,
     cover_cube,
     lattice_residue_check,
     overlap_profile,
@@ -281,6 +283,107 @@ class TestOverlapZeroSet:
         for x_max in (0.0, -2.0, float("inf"), float("nan")):
             with pytest.raises(InputError, match="x_max"):
                 overlap_zero_set(s, x_max)
+
+
+    def test_reads_no_overlap_at_the_nodes(self, monkeypatch):
+        # the zero set counts covering box pairs; reading the overlap at
+        # every node costs nodes x pairs and took seconds on these boxes
+        def forbidden(omega, xs):
+            raise AssertionError(f"overlap read at {len(xs)} shifts")
+
+        rng = np.random.default_rng(19)
+        lo, hi = np.sort(rng.uniform(0.0, 5.0, size=(2, 10, 2)), axis=0)
+        omega = canonicalize([Box(tuple(a), tuple(b)) for a, b in zip(lo, hi)])
+        holed, full = cantor_tower(12, k=5).omega, cantor_tower(12).omega
+        monkeypatch.setattr(geometry, "_overlaps", forbidden)
+        zero_set = overlap_zero_set(omega, 5.0)
+        assert zero_set and all(0.0 <= a[0] and max(map(abs, a + b)) <= 5.0
+                                for a, b in zero_set)
+        assert ((2.01953125,), (2.982421875,)) in overlap_zero_set(holed, 8.0)
+        assert overlap_zero_set(full, 8.0) == []
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_overlap_read_at_every_node(self, data):
+        # on dyadic faces the old node reading is exact; on other faces it
+        # rounds lo_j + x, so there the oracle is the exact pair test, which
+        # float comparisons give when every face lies in [1, 2]: each face
+        # difference is then exact (Sterbenz)
+        d = data.draw(st.integers(1, 3))
+        dyadic = data.draw(st.booleans())
+        if dyadic:
+            face, side = SIXTEENTHS, st.integers(1, 24).map(lambda v: v / 16)
+        else:
+            face, side = st.floats(1.0, 1.5), st.floats(0.01, 0.5)
+        raw = data.draw(st.lists(st.tuples(st.tuples(*[face] * d), st.tuples(*[side] * d)),
+                                 min_size=1, max_size=4 if d < 3 else 2))
+        omega = canonicalize([Box(lo, tuple(a + w for a, w in zip(lo, sides)))
+                              for lo, sides in raw])
+        x_max = data.draw(st.sampled_from([0.25, 1.0, 2.5]))
+        zero_at = overlap_read_at_nodes if dyadic else no_pair_holds_the_nodes
+        assert overlap_zero_set(omega, x_max) == zero_set_from_nodes(omega, x_max, zero_at)
+
+
+def overlap_read_at_nodes(omega, nodes):
+    """Zero reads of the translate overlap over the whole node grid."""
+    shape = [len(n) for n in nodes]
+    return geometry._overlaps(omega, cartesian(nodes)).reshape(shape) == 0.0
+
+
+def no_pair_holds_the_nodes(omega, nodes):
+    """Nodes outside every pair's open product (lo_i - hi_j, hi_i - lo_j)."""
+    held = np.zeros([len(n) for n in nodes], dtype=bool)
+    for p in omega.boxes:
+        for q in omega.boxes:
+            masks = [(a - d < n) & (n < b - c) for a, b, c, d, n
+                     in zip(p.lo, p.hi, q.lo, q.hi, nodes)]
+            held |= functools.reduce(np.multiply.outer, masks)
+    return ~held
+
+
+def zero_set_from_nodes(omega, x_max, zero_at):
+    """``overlap_zero_set`` with the zero nodes read by ``zero_at``; with
+    ``overlap_read_at_nodes`` this is how it read them before it counted
+    covering pairs."""
+    los = np.array([b.lo for b in omega.boxes])
+    his = np.array([b.hi for b in omega.boxes])
+    breaks = []
+    for a in range(omega.dim):
+        start, diffs = -x_max if a else 0.0, np.subtract.outer(los[:, a], his[:, a]).ravel()
+        b = np.unique(np.r_[start, x_max, diffs, 0.0 - diffs])
+        breaks.append(b[(b >= start) & (b <= x_max)])
+    nodes = [(b[k // 2] + b[(k + 1) // 2]) / 2.0 for b in breaks
+             for k in [np.arange(2 * len(b) - 1)]]
+    zero = zero_at(omega, nodes)
+    edges = np.diff(np.moveaxis(zero, 0, -1).astype(np.int8), axis=-1, prepend=0, append=0)
+    *rest, first = np.nonzero(edges == 1)
+    last = np.nonzero(edges == -1)[-1] - 1
+    lo = np.stack([b[k // 2] for b, k in zip(breaks, [first, *rest])], 1)
+    hi = np.stack([b[(k + 1) // 2] for b, k in zip(breaks, [last, *rest])], 1)
+    inside = np.all((lo[:, None] >= lo[None]) & (hi[:, None] <= hi[None]), axis=2)
+    keep = ~(inside & ~np.eye(len(lo), dtype=bool)).any(axis=1)
+    return list(zip(map(tuple, lo[keep].tolist()), map(tuple, hi[keep].tolist())))
+
+
+class TestCoverCounts:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_count_over_the_items(self, data):
+        # runs may be empty (start >= stop) or end at the last node
+        shape = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        m = data.draw(st.integers(0, 8))
+        runs = [tuple(np.array(data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m)),
+                               dtype=int) for _ in "se") for n in shape]
+        counts = cover_counts(runs, shape)
+        assert counts.shape == tuple(shape)
+        assert counts.ravel().tolist() == [
+            sum(all(s[k] <= i < e[k] for i, (s, e) in zip(node, runs)) for k in range(m))
+            for node in np.ndindex(*shape)]
+
+    def test_one_item_covers_its_box(self):
+        counts = cover_counts([(np.array([1, 0]), np.array([3, 2])),
+                               (np.array([0, 2]), np.array([2, 2]))], (3, 2))
+        assert counts.tolist() == [[0, 0], [1, 1], [1, 1]]
 
 
 class TestLatticeResidue:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from frameforge import pointsets
 from frameforge.errors import InputError
 from frameforge.geometry import Box, Lattice
 from frameforge.pointsets import (
@@ -109,7 +108,7 @@ class TestEnumeration:
         # the integers as two tails that overlap on 0, 1, 2 and 3
         z = WeightedComb.single(EventuallyPeriodic1D(right_period=1.0, left_period=1.0,
                                                      left_start=3.0))
-        assert z.masses_in_boxes(np.array([[-0.5]]), np.array([[3.5]])).tolist() == [4.0]
+        assert z.masses_in_boxes([np.array([-0.5])], [np.array([3.5])]).tolist() == [4.0]
         rep = density_windowed(z, (10.0,))
         assert (rep.lower, rep.upper) == (1.0, 1.0)
 
@@ -212,45 +211,38 @@ SUPPORTS = {
 class TestMassesInBoxes:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_matches_one_box_counts(self, data):
+    def test_product_grid_matches_one_box_counts(self, data):
         d = data.draw(st.sampled_from([1, 2]))
         supports = data.draw(st.lists(st.sampled_from(SUPPORTS[d]), min_size=1, max_size=3))
         weights = data.draw(st.lists(st.floats(0.25, 4.0), min_size=len(supports),
                                      max_size=len(supports)))
         comb = WeightedComb(tuple(zip(weights, supports)))
-        # box faces on point coordinates as well as anywhere
+        # faces on point coordinates as well as anywhere; upper faces are
+        # lo + side sums, as the probe and the windowed estimator form them,
+        # or drawn on their own, when some boxes are empty
         near = Box((-6.0,) * d, (6.0,) * d)
         coords = [sorted({p[k] for s in supports for p in s.points_in_box(near).tolist()})
                   for k in range(d)]
-        boxes = []
-        for _ in range(data.draw(st.integers(1, 8))):
-            lo, hi = [], []
-            for k in range(d):
-                pick = st.one_of(st.sampled_from(coords[k]), st.floats(-6.0, 6.0))
-                a, b = data.draw(pick), data.draw(pick)
-                assume(a != b)
-                lo.append(min(a, b))
-                hi.append(max(a, b))
-            boxes.append(Box(tuple(lo), tuple(hi)))
-        masses = comb.masses_in_boxes(np.array([b.lo for b in boxes]),
-                                      np.array([b.hi for b in boxes]))
-        assert masses.tolist() == [sum(w * s.count_in_box(b) for w, s in comb.terms)
-                                   for b in boxes]
-
-    @pytest.mark.parametrize("chunk", [1, 7, 1 << 12])
-    @pytest.mark.parametrize("support", SUPPORTS[2], ids=lambda s: type(s).__name__)
-    def test_chunked_slabs_match_the_per_box_loop(self, monkeypatch, support, chunk):
-        # a chunk of 1 or 7 points splits the boxes into many broadcasts, and
-        # some slabs hold more points than a chunk
-        monkeypatch.setattr(pointsets, "SLAB_CHUNK", chunk)
-        rng = np.random.default_rng(5)
-        lo = rng.uniform(-4.0, 3.0, size=(60, 2))
-        hi = lo + rng.uniform(0.1, 3.0, size=(60, 2))
-        pts = support.points_in_box(Box(tuple(lo.min(axis=0)), tuple(hi.max(axis=0))))
-        loop = [np.count_nonzero(Box(tuple(a), tuple(b)).contains(pts))
-                for a, b in zip(lo, hi)]
-        masses = WeightedComb.single(support).masses_in_boxes(lo, hi)
-        assert masses.tolist() == loop and max(loop) > 1
+        lows, highs = [], []
+        for k in range(d):
+            face = st.one_of(st.sampled_from(coords[k]), st.floats(-6.0, 6.0))
+            lo = sorted(data.draw(st.lists(face, min_size=1, max_size=5)))
+            if data.draw(st.booleans()):
+                side = data.draw(st.one_of(st.floats(0.01, 6.0), st.sampled_from(
+                    [b - a for a in coords[k] for b in coords[k] if b > a])))
+                hi = [a + side for a in lo]
+            else:
+                hi = sorted(data.draw(st.lists(face, min_size=len(lo), max_size=len(lo))))
+            lows.append(np.array(lo))
+            highs.append(np.array(hi))
+        assume(all(lo[0] < hi[-1] for lo, hi in zip(lows, highs)))
+        masses = comb.masses_in_boxes(lows, highs)
+        assert masses.shape == tuple(len(lo) for lo in lows)
+        for index in np.ndindex(*masses.shape):
+            lo, hi = zip(*((low[i], high[i]) for low, high, i in zip(lows, highs, index)))
+            one = (sum(w * s.count_in_box(Box(lo, hi)) for w, s in comb.terms)
+                   if all(a < b for a, b in zip(lo, hi)) else 0.0)
+            assert masses[index] == one, (lo, hi)
 
 
 class TestWindowedEstimator:

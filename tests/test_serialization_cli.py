@@ -228,6 +228,17 @@ class TestCli:
         assert [w.label for w, _ in load_system(str(out_system)).pairs] == [
             "indicator(0.0,0.5)", "x^1.0"]
 
+    def test_construct_writes_windows_frame_bounds_reads(self, tmp_path, capsys):
+        # the system file holds repr(float): 0.00001 is written as 1e-05
+        out_system = tmp_path / "built.json"
+        rc = run_cli("construct", "--domain", '{"dim": 1, "boxes": [[0, 1]]}',
+                     "--windows", "0.00001,(1-x)^0.00001", "--out", str(out_system))
+        assert rc == 0 and "verdict: constructed" in capsys.readouterr().out
+        pairs = json.loads(out_system.read_text())["pairs"]
+        assert [p["window"] for p in pairs] == ["1e-05", "(1-x)^1e-05"]
+        rc = run_cli("frame-bounds", "--system", str(out_system), "--grid-n", "64")
+        assert rc == 0 and "A_est:" in capsys.readouterr().out
+
     def test_construct_lattice_refusal_exits_zero(self, tmp_path, capsys):
         domain = tmp_path / "omega.json"
         domain.write_text(json.dumps({"dim": 1, "boxes": [[0, 0.5], [1, 1.5]]}))
