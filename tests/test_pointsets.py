@@ -244,6 +244,25 @@ class TestMassesInBoxes:
                    if all(a < b for a, b in zip(lo, hi)) else 0.0)
             assert masses[index] == one, (lo, hi)
 
+    @pytest.mark.parametrize("support", SUPPORTS[2], ids=lambda s: type(s).__name__)
+    def test_product_grid_matches_the_per_box_loop(self, support):
+        # an 8 x 8 grid of overlapping boxes: each point lies in several boxes
+        # on each axis, and some boxes hold several points; half the lower
+        # faces come from point coordinates and each side is the spread of
+        # the coordinates, so some points sit on lower and on upper faces
+        rng = np.random.default_rng(5)
+        coords = support.points_in_box(Box((-4.0, -4.0), (3.0, 3.0))).T
+        lows = [np.sort(np.r_[rng.choice(c, 4), rng.uniform(-4.0, 3.0, 4)]) for c in coords]
+        highs = [lo + np.ptp(c) for lo, c in zip(lows, coords)]
+        hull = Box(tuple(lo[0] for lo in lows), tuple(hi[-1] for hi in highs))
+        pts = support.points_in_box(hull)
+        loop = np.zeros((8, 8))
+        for i, j in np.ndindex(8, 8):
+            box = Box((lows[0][i], lows[1][j]), (highs[0][i], highs[1][j]))
+            loop[i, j] = np.count_nonzero(box.contains(pts))
+        masses = WeightedComb.single(support).masses_in_boxes(lows, highs)
+        assert masses.tolist() == loop.tolist() and loop.max() > 1
+
 
 class TestWindowedEstimator:
     def test_integer_lattice_bracket(self):
