@@ -35,7 +35,7 @@ from .construction import (
 )
 from .errors import InputError
 from .framebounds import estimate_frame_bounds
-from .geometry import Box, Lattice, cartesian, lattice_residue_check, overlap_profile
+from .geometry import Box, Lattice, as_vec, cartesian, lattice_residue_check, overlap_profile
 from .pointsets import density_closed_form, density_windowed
 from .serialization import (
     CERTIFICATE_HEADER,
@@ -62,7 +62,9 @@ def _numbers(text: str, option: str, sep: str = ",", count: Optional[int] = None
     """The numbers of an option value such as ``2,0`` (or ``lo:hi`` with
     ``sep=":"``, ``count=2``)."""
     try:
-        values = tuple(float(v) for v in text.split(sep))
+        values = as_vec(text.split(sep))
+    except InputError:
+        raise
     except ValueError:
         values = ()
     if not values or count not in (None, len(values)):
@@ -101,6 +103,9 @@ def cmd_density(args) -> list[str]:
 
 
 def cmd_overlap(args) -> list[str]:
+    for option, value in (("--x-max", args.x_max), ("--step", args.step)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise InputError(f"{option} must be positive and finite, got {value}")
     omega, tail = load_domain(args.domain)
     # the half-box 0 <= x_0 <= x_max, |x_a| <= x_max that overlap_zero_set scans,
     # by default at the finest step 0.01 k that keeps it within 10^5 shifts

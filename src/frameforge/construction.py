@@ -23,7 +23,7 @@ from .framebounds import (
     EssBoundsReport,
     FrameBoundsReport,
     WindowedSystem,
-    ess_bounds,
+    ess_report,
     estimate_frame_bounds,
     nyquist_box,
     window_ranges,
@@ -33,6 +33,7 @@ from .geometry import (
     BoxUnionSet,
     Lattice,
     ResidueWitness,
+    as_vec,
     canonicalize,
     cover_cube,
     lattice_residue_check,
@@ -101,7 +102,8 @@ def build_bounded_window_frame(windows: Sequence[Window], omega: BoxUnionSet,
     constant of the raw cube exponentials, the outer ends of the enclosures
     of the window max's essential bounds, and the window norms.
     """
-    ess = ess_bounds(windows, omega, grid_n)
+    lo, hi, infs, sups = window_ranges(windows, omega, grid_n)
+    ess = ess_report(windows, infs, sups, grid_n)
     if not ess.J:
         raise ConstructionRefusal(
             "every window is unbounded on the domain, so no set of frequency "
@@ -127,7 +129,7 @@ def build_bounded_window_frame(windows: Sequence[Window], omega: BoxUnionSet,
     predicted_a = c_q * m ** 2
     norms = [w.l2_norm_sq_on(omega) for w in windows]
     predicted_b = len(windows) * (c_q * big_m ** 2 + omega.measure() * max(norms))
-    partition = _first_hit_partition([windows[j] for j in ess.J], omega, grid_n, m)
+    partition = _first_hit_partition(lo, hi, infs, ess.J, m)
     provenance = (f"cube cover side {side}, harmonic lattice spacing {1.0/side}, "
                   f"bounded windows J={list(ess.J)}, m={m:.6g}, M={big_m:.6g}, "
                   f"measured cube constant {c_q:.6g}")
@@ -135,19 +137,18 @@ def build_bounded_window_frame(windows: Sequence[Window], omega: BoxUnionSet,
                               tuple(partition), provenance)
 
 
-def _first_hit_partition(bounded_windows: Sequence[Window], omega: BoxUnionSet,
-                         grid_n: int, m: float) -> list[BoxUnionSet]:
-    """Assign each piece of ``window_ranges`` to the first window whose lower
-    range end clears m; on every piece the largest lower end does, as m is
-    the least of them.  Runs of pieces that touch along the last axis and
-    share a window become one box."""
-    lo, hi, infs, _ = window_ranges(bounded_windows, omega, grid_n)
-    hit = np.argmax(infs >= m, axis=0)
+def _first_hit_partition(lo: np.ndarray, hi: np.ndarray, infs: np.ndarray,
+                         J: Sequence[int], m: float) -> list[BoxUnionSet]:
+    """Assign each piece of a ``window_ranges`` table to the first window of
+    J whose lower range end clears m; on every piece the largest lower end
+    does, as m is the least of them over the same table.  Runs of pieces
+    that touch along the last axis and share a window become one box."""
+    hit = np.argmax(infs[list(J)] >= m, axis=0)
     joined = ((hit[1:] == hit[:-1]) & (hi[:-1, -1] == lo[1:, -1])
               & np.all(lo[1:, :-1] == lo[:-1, :-1], axis=1))
     start = np.flatnonzero(np.r_[True, ~joined])
     end = np.r_[start[1:], len(hit)] - 1
-    buckets: list[list[Box]] = [[] for _ in bounded_windows]
+    buckets: list[list[Box]] = [[] for _ in J]
     for j, a, b in zip(hit[start].tolist(), lo[start].tolist(), hi[end].tolist()):
         buckets[j].append(Box(a, b))
     return [canonicalize(cells) for cells in buckets if cells]
@@ -290,7 +291,7 @@ def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
     differences: grid_n + s + 1 when every |x0| is at most grid_n cells, s
     being the largest.
     """
-    x0 = tuple(float(v) for v in x0) if not isinstance(x0, (int, float)) else (float(x0),)
+    x0 = as_vec(x0)
     ov_plus = translate_overlap(omega, x0)
     ov_minus = translate_overlap(omega, tuple(-v for v in x0))
     if ov_plus > 0.0 or ov_minus > 0.0:

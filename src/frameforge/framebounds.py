@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, BoxUnionSet, cartesian
+from .geometry import Box, BoxUnionSet, as_vec, cartesian
 from .gridfn import GridFunction, cell_volumes, grid_points
 from .pointsets import (
     DensityReport,
@@ -47,7 +47,8 @@ class ContinuousFreqMeasure:
     atoms: tuple[tuple[tuple[float, ...], float], ...] = ()
 
     def __post_init__(self):
-        atoms = tuple((tuple(float(v) for v in p), float(w)) for p, w in self.atoms)
+        atoms = tuple(zip(map(as_vec, (p for p, _ in self.atoms)),
+                          as_vec([w for _, w in self.atoms])))
         object.__setattr__(self, "atoms", atoms)
         if self.density is None and not atoms:
             raise InputError("a frequency measure needs a density or atoms")
@@ -579,11 +580,11 @@ def ess_bounds(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int) -> Es
     largest lower and the largest upper range end.  Closed-form ranges are
     exact, so the enclosures shrink with the pieces; callable windows are
     sampled at the piece centres."""
-    return _ess_report(windows, *window_ranges(windows, omega, grid_n)[2:], grid_n)
+    return ess_report(windows, *window_ranges(windows, omega, grid_n)[2:], grid_n)
 
 
-def _ess_report(windows: Sequence[Window], infs: np.ndarray, sups: np.ndarray,
-                grid_n: int) -> EssBoundsReport:
+def ess_report(windows: Sequence[Window], infs: np.ndarray, sups: np.ndarray,
+               grid_n: int) -> EssBoundsReport:
     """``ess_bounds`` from a ``window_ranges`` table: J holds the rows whose
     upper range ends are finite on every piece, the windows essentially
     bounded on the domain."""
@@ -671,7 +672,7 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
                                   for j in j_prime))
     d_sum = density_closed_form(combined).upper
     lower_cap = math.sqrt(report.A_est / d_sum) if d_sum > 0 else 0.0
-    ess_prime = _ess_report([windows[j] for j in j_prime], infs[j_prime], sups[j_prime], grid_n)
+    ess_prime = ess_report([windows[j] for j in j_prime], infs[j_prime], sups[j_prime], grid_n)
     ess_inf, ess_sup = ess_prime.ess_inf_of_max[1], ess_prime.ess_sup_of_max[0]
     upper_cap = max(math.sqrt(report.B_est / densities[j].upper) for j in j_prime)
     return BracketCheckReport(

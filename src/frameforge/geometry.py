@@ -19,10 +19,25 @@ from .errors import InputError
 Vec = tuple[float, ...]
 
 
-def _as_vec(x: Sequence[float] | float) -> Vec:
-    if isinstance(x, (int, float)):
-        return (float(x),)
-    return tuple(float(v) for v in x)
+def as_vec(x: Sequence[float] | float) -> Vec:
+    """The one conversion of outside numbers, a number (or its text) or a
+    sequence of them, to a tuple of floats: ``float`` raises on what it
+    cannot read, and NaN or an infinity raises an ``InputError`` naming it."""
+    raw = (x,) if isinstance(x, (int, float, str)) else tuple(x)
+    vec = tuple(map(float, raw))
+    if not all(map(math.isfinite, vec)):
+        bad = next(r for r, v in zip(raw, vec) if not math.isfinite(v))
+        raise InputError(f"every number must be finite, got {bad}")
+    return vec
+
+
+def as_points(pts: Iterable[Sequence[float] | float], dim: int) -> tuple[Vec, ...]:
+    """``as_vec`` of every point, each of dimension ``dim``."""
+    out = tuple(map(as_vec, pts))
+    for p in out:
+        if len(p) != dim:
+            raise InputError(f"point {p} has dimension {len(p)}, expected {dim}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -33,7 +48,7 @@ class Box:
     hi: Vec
 
     def __post_init__(self):
-        lo, hi = _as_vec(self.lo), _as_vec(self.hi)
+        lo, hi = as_vec(self.lo), as_vec(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi):
@@ -70,7 +85,7 @@ class Box:
         return inside if pts.ndim == 2 else bool(inside)
 
     def translate(self, x: Sequence[float]) -> "Box":
-        v = _as_vec(x)
+        v = as_vec(x)
         return Box(tuple(a + s for a, s in zip(self.lo, v)),
                    tuple(b + s for b, s in zip(self.hi, v)))
 
@@ -235,7 +250,7 @@ def _overlaps(omega: BoxUnionSet, xs: np.ndarray) -> np.ndarray:
 
 def translate_overlap(omega: BoxUnionSet, x: Sequence[float]) -> float:
     """Lebesgue measure of omega ∩ (omega + x), exact via pairwise box cuts."""
-    return float(_overlaps(omega, np.array([_as_vec(x)]))[0])
+    return float(_overlaps(omega, np.array([as_vec(x)]))[0])
 
 
 def overlap_profile(omega: BoxUnionSet,
@@ -305,7 +320,7 @@ class Lattice:
     basis: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        b = tuple(tuple(float(v) for v in row) for row in self.basis)
+        b = tuple(map(as_vec, self.basis))
         object.__setattr__(self, "basis", b)
         mat = np.array(b, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

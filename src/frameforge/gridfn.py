@@ -78,6 +78,9 @@ class GridFunction:
         w = np.asarray(self.cell_weights, dtype=float)
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "cell_weights", w)
+        for a in (s, w):  # the rule of geometry.as_vec, over whole arrays
+            if not np.isfinite(a).all():
+                raise InputError(f"every number must be finite, got {a[~np.isfinite(a)][0]}")
         d = self.bounding_box.dim
         if s.ndim != d or w.shape != s.shape:
             raise InputError(f"samples of shape {s.shape} do not fit a {d}-d grid")

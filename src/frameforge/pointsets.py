@@ -11,29 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, Lattice, cover_counts
+from .geometry import Box, Lattice, as_points, as_vec, cover_counts
 
 Vec = tuple[float, ...]
 
 MATCH_TOL = 1e-9  # absolute tolerance for matching a given point to a set point
-
-
-def _as_points(pts: Iterable[Sequence[float] | float], dim: int) -> tuple[Vec, ...]:
-    out = []
-    for p in pts:
-        if isinstance(p, (int, float)):
-            p = (float(p),)
-        else:
-            p = tuple(float(v) for v in p)
-        if len(p) != dim:
-            raise InputError(f"point {p} has dimension {len(p)}, expected {dim}")
-        out.append(p)
-    return tuple(out)
 
 
 def _near(p: Vec) -> Box:
@@ -88,7 +75,7 @@ class LatticeCosets(StructuredPointSet):
 
     def __post_init__(self):
         d = self.lattice.dim
-        offs = _as_points(((0.0,) * d,) if self.offsets is None else self.offsets, d)
+        offs = as_points(((0.0,) * d,) if self.offsets is None else self.offsets, d)
         object.__setattr__(self, "offsets", offs)
         if not offs:
             raise InputError("lattice_cosets needs at least one offset")
@@ -148,12 +135,14 @@ class EventuallyPeriodic1D(StructuredPointSet):
     dim = 1
 
     def __post_init__(self):
-        core = tuple(sorted(float(c) for c in self.core))
+        core = tuple(sorted(as_vec(self.core)))
         object.__setattr__(self, "core", core)
-        for name in ("right_period", "left_period"):
-            p = getattr(self, name)
-            if p is not None and not p > 0:
-                raise InputError(f"{name} must be positive or None, got {p}")
+        names = [n for n in ("right_start", "left_start", "right_period", "left_period")
+                 if n.endswith("start") or getattr(self, n) is not None]
+        for name, value in zip(names, as_vec([getattr(self, n) for n in names])):
+            object.__setattr__(self, name, value)
+            if name.endswith("period") and not value > 0:
+                raise InputError(f"{name} must be positive or None, got {value}")
         if len(set(core)) != len(core):
             raise InputError("core points must be distinct")
         for c in core:
@@ -207,7 +196,7 @@ class FiniteSet(StructuredPointSet):
     dimension: int = 1
 
     def __post_init__(self):
-        pts = _as_points(self.points, self.dimension)
+        pts = as_points(self.points, self.dimension)
         object.__setattr__(self, "points", pts)
         if len(set(pts)) != len(pts):
             raise InputError("finite set points must be distinct")
@@ -236,8 +225,8 @@ class FinitePerturbation(StructuredPointSet):
     removed: tuple[Vec, ...] = ()
 
     def __post_init__(self):
-        added = _as_points(self.added, self.base.dim)
-        removed = _as_points(self.removed, self.base.dim)
+        added = as_points(self.added, self.base.dim)
+        removed = as_points(self.removed, self.base.dim)
         object.__setattr__(self, "added", added)
         object.__setattr__(self, "removed", removed)
         for p in added:
@@ -284,7 +273,7 @@ class WeightedComb:
     terms: tuple[tuple[float, StructuredPointSet], ...]
 
     def __post_init__(self):
-        terms = tuple((float(w), s) for w, s in self.terms)
+        terms = tuple(zip(as_vec([w for w, _ in self.terms]), (s for _, s in self.terms)))
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise InputError("a weighted comb needs at least one term")
@@ -367,7 +356,7 @@ def density_windowed(comb: WeightedComb, h_list: Sequence[float],
     grid, so one ``masses_in_boxes`` call counts them all; the reported
     densities come from the largest h.
     """
-    hs = sorted(float(h) for h in h_list)
+    hs = sorted(as_vec(h_list))
     if not hs or not hs[0] > 0:
         raise InputError(f"h_list must be non-empty and positive, got {hs}")
     if x_samples < 2:

@@ -53,15 +53,15 @@ def read_json(text: str) -> Any:
 
 @contextlib.contextmanager
 def _decoding(kind: str):
-    """The decoding rule, worn by every public decoder: a ``KeyError``,
-    ``TypeError`` or ``ValueError`` the data raises becomes
+    """The decoding rule, worn by every public decoder: a ``LookupError``,
+    ``OverflowError``, ``TypeError`` or ``ValueError`` the data raises becomes
     ``InputError("bad <kind> description: ...")``; an ``InputError`` raised
     inside, such as a nested decoder's, passes through unchanged."""
     try:
         yield
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, OverflowError, TypeError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise InputError(f"bad {kind} description: {detail}") from exc
 
@@ -71,10 +71,9 @@ def domain_from_dict(data: dict) -> BoxUnionSet:
     dim = int(data["dim"])
     boxes = []
     for row in data["boxes"]:
-        row = [float(v) for v in row]
         if len(row) != 2 * dim:
             raise ValueError(f"box row {row} does not match dim={dim}")
-        boxes.append(Box(tuple(row[:dim]), tuple(row[dim:])))
+        boxes.append(Box(row[:dim], row[dim:]))
     return canonicalize(boxes)
 
 
@@ -128,24 +127,15 @@ def lattice_from_rows(rows: Sequence[Sequence[float]]) -> Lattice:
 def pointset_from_dict(data: dict) -> StructuredPointSet:
     kind = data["kind"]
     if kind == "lattice_cosets":
-        offsets = tuple(tuple(float(v) for v in o) for o in data["offsets"])
-        return LatticeCosets(lattice_from_rows(data["basis"]), offsets)
+        return LatticeCosets(lattice_from_rows(data["basis"]), data["offsets"])
     if kind == "eventually_periodic_1d":
-        return EventuallyPeriodic1D(
-            right_period=data.get("right_period"),
-            right_start=float(data.get("right_start", 0.0)),
-            left_period=data.get("left_period"),
-            left_start=float(data.get("left_start", 0.0)),
-            core=tuple(float(c) for c in data.get("core", ())))
+        fields = ("right_period", "right_start", "left_period", "left_start", "core")
+        return EventuallyPeriodic1D(**{k: data[k] for k in fields if k in data})
     if kind == "finite_set":
-        return FiniteSet(tuple(tuple(float(v) for v in p)
-                               for p in data["points"]),
-                         dimension=int(data.get("dim", 1)))
+        return FiniteSet(data["points"], dimension=int(data.get("dim", 1)))
     if kind == "finite_perturbation":
-        return FinitePerturbation(
-            pointset_from_dict(data["base"]),
-            added=tuple(tuple(float(v) for v in p) for p in data.get("added", ())),
-            removed=tuple(tuple(float(v) for v in p) for p in data.get("removed", ())))
+        return FinitePerturbation(pointset_from_dict(data["base"]),
+                                  data.get("added", ()), data.get("removed", ()))
     raise InputError(f"unknown point set kind {kind!r}")
 
 
@@ -166,7 +156,7 @@ def _freq_to_dict(freq: FreqSpec) -> dict:
             box = freq.density.bounding_box
             out["box"] = list(box.lo) + list(box.hi)
             out["n"] = freq.density.n_per_axis
-            out["density"] = [float(v) for v in freq.density.samples.real.ravel()]
+            out["density"] = freq.density.samples.real.ravel().tolist()
         out["atoms"] = [list(p) + [w] for p, w in freq.atoms]
         return out
     return pointset_to_dict(freq)
@@ -176,14 +166,13 @@ def _freq_from_dict(data: dict) -> FreqSpec:
     if data["kind"] == "continuous":
         density = None
         if "box" in data:
-            row = [float(v) for v in data["box"]]
+            row = data["box"]
             d = len(row) // 2
-            box = Box(tuple(row[:d]), tuple(row[d:]))
+            box = Box(row[:d], row[d:])
             n = int(data["n"])
             samples = np.array(data["density"], dtype=complex).reshape((n,) * d)
             density = GridFunction(box, samples, cell_volumes(box, n))
-        atoms = tuple((tuple(float(v) for v in row[:-1]), float(row[-1]))
-                      for row in data.get("atoms", ()))
+        atoms = tuple((row[:-1], row[-1]) for row in data.get("atoms", ()))
         return ContinuousFreqMeasure(density=density, atoms=atoms)
     return pointset_from_dict(data)
 
@@ -236,8 +225,8 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -
 def box_label(box: Optional[Box]) -> str:
     if box is None:
         return "untruncated"
-    lo = ",".join(repr(float(v)) for v in box.lo)
-    hi = ",".join(repr(float(v)) for v in box.hi)
+    lo = ",".join(map(repr, box.lo))
+    hi = ",".join(map(repr, box.hi))
     return f"[{lo};{hi})"
 
 

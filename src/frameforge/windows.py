@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, BoxUnionSet
+from .geometry import Box, BoxUnionSet, as_vec
 from .gridfn import cell_volumes, grid_points
 
 
@@ -175,8 +175,6 @@ class CallableExpr(Expr):
 
     fn: Callable[[np.ndarray], np.ndarray]
     label: str
-    bounded: bool = True
-    support: Optional[Box] = None
     sampled = True
 
     def eval(self, pts):
@@ -184,19 +182,16 @@ class CallableExpr(Expr):
 
     def range_on(self, lo, hi):  # |fn| at the box centres
         v = np.abs(self.eval((lo + hi) / 2.0))
-        return v, (v if self.bounded else np.full(len(v), np.inf))
+        return v, v
 
     def to_string(self):
         raise InputError(f"window '{self.label}' has no closed-form serialization")
-
-    def support_box(self):
-        return self.support
 
 
 _NUMBER = r"(-?\d+(?:\.\d+)?(?:e[+-]?\d+)?)"  # every finite repr(float), e.g. 1e-05
 _MONOMIAL_RE = re.compile(rf"^x\^{_NUMBER}$")
 _REFLECTED_RE = re.compile(rf"^\(1-x\)\^{_NUMBER}$")
-_INDICATOR_RE = re.compile(r"^indicator(?:\(([^)]*)\))?$")
+_INDICATOR_RE = re.compile(rf"^indicator(?:\(({_NUMBER}(?:,{_NUMBER})*)\))?$")
 _SCALAR_RE = re.compile(rf"^{_NUMBER}$")
 
 
@@ -211,25 +206,25 @@ def parse_expr(text: str) -> Expr:
             raise InputError(f"empty factor in window expression {text!r}")
         m = _MONOMIAL_RE.match(part)
         if m:
-            factors.append(Monomial(float(m.group(1))))
+            factors.append(Monomial(*as_vec(m.group(1))))
             continue
         m = _REFLECTED_RE.match(part)
         if m:
-            factors.append(ReflectedMonomial(float(m.group(1))))
+            factors.append(ReflectedMonomial(*as_vec(m.group(1))))
             continue
         m = _INDICATOR_RE.match(part)
         if m:
             if m.group(1) is None:
                 factors.append(Indicator(None))
             else:
-                vals = [float(v) for v in m.group(1).split(",")]
+                vals = as_vec(m.group(1).split(","))
                 if len(vals) % 2 != 0:
                     raise InputError(f"indicator needs lo and hi corners: {part!r}")
                 d = len(vals) // 2
-                factors.append(Indicator(Box(tuple(vals[:d]), tuple(vals[d:]))))
+                factors.append(Indicator(Box(vals[:d], vals[d:])))
             continue
         if _SCALAR_RE.match(part):
-            factors.append(Scalar(float(part)))
+            factors.append(Scalar(*as_vec(part)))
             continue
         raise InputError(f"cannot parse window factor {part!r}")
     return factors[0] if len(factors) == 1 else Product(tuple(factors))
@@ -247,9 +242,8 @@ class Window:
         return Window(label if label is not None else text, parse_expr(text))
 
     @staticmethod
-    def from_callable(fn: Callable[[np.ndarray], np.ndarray], label: str,
-                      bounded: bool = True, support: Optional[Box] = None) -> "Window":
-        return Window(label, CallableExpr(fn, label, bounded, support))
+    def from_callable(fn: Callable[[np.ndarray], np.ndarray], label: str) -> "Window":
+        return Window(label, CallableExpr(fn, label))
 
     @staticmethod
     def indicator(box: Optional[Box] = None, label: str = "indicator") -> "Window":

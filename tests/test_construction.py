@@ -19,7 +19,7 @@ from frameforge.construction import (
     cosine_measure_certificate,
     tight_frame_obstruction_scan,
 )
-from frameforge.framebounds import estimate_frame_bounds
+from frameforge.framebounds import ess_report, estimate_frame_bounds, window_ranges
 from frameforge.geometry import (
     Box,
     BoxUnionSet,
@@ -150,6 +150,35 @@ class TestBoundedWindowFrame:
         stairs = canonicalize([Box((0.0, 0.0), (0.5, 0.5)), Box((0.5, 0.5), (1.0, 1.0))])
         result = build_bounded_window_frame([Window.indicator()], stairs, grid_n=8)
         assert result.partition == (stairs,)
+
+    def test_partition_reads_the_table_that_gives_m(self):
+        # the unbounded window's face at 0.3819 cuts the cell where x and
+        # (1-x)^2 cross; left of it only (1-x)^2 clears m = 0.3819
+        windows = [Window.from_string(t) for t in
+                   ("x^1.0", "(1-x)^2.0", "(1-x)^-1.0*indicator(0.3819,1)")]
+        result = build_bounded_window_frame(windows, UNIT, 256)
+        assert result.partition == (BoxUnionSet.from_intervals([(0.3819, 1)]),
+                                    BoxUnionSet.from_intervals([(0, 0.3819)]))
+
+    @given(st.tuples(*[st.sampled_from([0.5, 1.0, 2.0]), st.integers(1, 24).map(lambda k: k / 8)]
+                     * 2),
+           st.lists(st.integers(1, 9999).map(lambda k: k / 10000).flatmap(
+               lambda c: st.sampled_from([f"(1-x)^-1.0*indicator({c},1)",
+                                          f"x^-0.5*indicator(0,{c})",
+                                          f"1.5*indicator({c},1)"])), min_size=1, max_size=2),
+           st.integers(2, 32))
+    @settings(max_examples=60, deadline=None)
+    def test_every_partition_piece_has_a_window_that_clears_m(self, powers, cut, grid_n):
+        # s x^a and t (1-x)^b together stay away from 0 on [0, 1]; a cut
+        # window's face in the cell where they cross moves m
+        s, a, t, b = powers
+        windows = [Window.from_string(w) for w in [f"{s}*x^{a}", f"{t}*(1-x)^{b}"] + cut]
+        lo, _, infs, sups = window_ranges(windows, UNIT, grid_n)
+        ess = ess_report(windows, infs, sups, grid_n)
+        result = build_bounded_window_frame(windows, UNIT, grid_n)
+        for part in result.partition:
+            inside = part.contains(lo)
+            assert any(np.all(infs[j, inside] >= ess.ess_inf_of_max[0]) for j in ess.J)
 
     def test_partition_sets_disjoint(self):
         result = build_bounded_window_frame(

@@ -24,6 +24,10 @@ from frameforge.geometry import (
     overlap_zero_set,
     translate_overlap,
 )
+from frameforge.framebounds import ContinuousFreqMeasure
+from frameforge.gridfn import GridFunction, cell_volumes
+from frameforge.pointsets import FiniteSet, WeightedComb, integers
+from frameforge.windows import parse_expr
 
 
 def interval_sweep_measure(intervals):
@@ -524,3 +528,55 @@ class TestCantorTower:
             cantor_tower(6, k=6)
         with pytest.raises(InputError):
             cantor_tower(12, k=3)
+
+
+UNIT_BOX = Box((0.0,), (1.0,))
+# each builds a valid object from one finite number v
+NUMBER_TAKERS = {
+    "box": lambda v: Box((0.0, v), (1.0, 2.0)),
+    "box_translate": lambda v: UNIT_BOX.translate((v,)),
+    "lattice": lambda v: Lattice(((1.0, v), (0.0, 1.0))),
+    "finite_set": lambda v: FiniteSet(((0.5,), (v,))),
+    "comb_weight": lambda v: WeightedComb.single(integers(), v if v else 1.0),
+    "atom_point": lambda v: ContinuousFreqMeasure(atoms=(((v,), 1.0),)),
+    "atom_weight": lambda v: ContinuousFreqMeasure(atoms=(((0.0,), v if v else 1.0),)),
+    "grid_samples": lambda v: GridFunction(UNIT_BOX, np.array([1.0, v]),
+                                           cell_volumes(UNIT_BOX, 2)),
+    "grid_weights": lambda v: GridFunction(UNIT_BOX, np.ones(2), np.array([0.25, v])),
+}
+
+
+class TestNumberRule:
+    def test_finite_numbers_convert_as_float_does(self):
+        assert geometry.as_vec(3) == (3.0,) and geometry.as_vec("0.1") == (0.1,)
+        assert geometry.as_vec([1, "2.5", np.float64(0.3), True]) == (1.0, 2.5, 0.3, 1.0)
+        assert geometry.as_points([[1], 2], 1) == ((1.0,), (2.0,))
+        with pytest.raises(InputError, match="dimension 2, expected 1"):
+            geometry.as_points([[1, 2]], 1)
+
+    def test_unreadable_numbers_keep_float_errors(self):
+        # the decoders turn these into "bad ... description"
+        with pytest.raises(ValueError) as exc:
+            geometry.as_vec(["a"])
+        assert not isinstance(exc.value, InputError)
+        with pytest.raises(TypeError):
+            geometry.as_vec([None])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_points_refuse_non_finite_coordinates(self, value):
+        with pytest.raises(InputError, match=f"^every number must be finite, got {value}$"):
+            geometry.as_points([[0.0], [value]], 1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("take", list(NUMBER_TAKERS), ids=list(NUMBER_TAKERS))
+    def test_constructors_refuse_non_finite_numbers(self, take, value):
+        NUMBER_TAKERS[take](0.0)
+        with pytest.raises(InputError, match="must be finite, got"):
+            NUMBER_TAKERS[take](value)
+
+    @pytest.mark.parametrize("text", ["x^1e400", "(1-x)^-1e400", "indicator(0,1e400)",
+                                      "2.0*-1e400"])
+    def test_window_numbers_refuse_overflow(self, text):
+        # the window syntax has no spelling of NaN
+        with pytest.raises(InputError, match="must be finite, got -?1e400"):
+            parse_expr(text)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "frameforge"
@@ -312,3 +313,47 @@ def test_one_way_checkers(tmp_path):
     assert handler_exits(probe) == ["probe.py:3 cmd_a is annotated to return int",
                                     "probe.py:4 cmd_a calls _emit",
                                     "probe.py:5 cmd_a returns an int"]
+
+
+DECODER = re.compile(r"^(\w*_from_dict|load_\w+|lattice_from_rows)$")
+
+
+def number_conversions(path):
+    """Definitions of as_vec or as_points outside geometry.py, and calls of
+    float inside the serialization decoders: every outside number is
+    converted once, by the constructors, through geometry.as_vec."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = [f"{path.name}:{fn.lineno} defines {fn.name}" for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and fn.name in ("as_vec", "as_points") and path.name != "geometry.py"]
+    if path.name == "serialization.py":
+        hits += [f"{path.name}:{node.lineno} {fn.name} calls float"
+                 for fn in tree.body if isinstance(fn, ast.FunctionDef) and DECODER.match(fn.name)
+                 for node in ast.walk(fn) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "float"]
+    return sorted(hits)
+
+
+def test_outside_numbers_have_one_conversion():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 10
+    assert [hit for path in paths for hit in number_conversions(path)] == []
+    geometry = importlib.import_module("frameforge.geometry")
+    assert callable(geometry.as_vec) and callable(geometry.as_points)
+
+
+def test_number_conversion_checker(tmp_path):
+    (tmp_path / "geometry.py").write_text("def as_vec(x):\n    return float(x)\n")
+    assert number_conversions(tmp_path / "geometry.py") == []
+    (tmp_path / "pointsets.py").write_text("def as_points(p, d):\n    return p\n")
+    assert number_conversions(tmp_path / "pointsets.py") == [
+        "pointsets.py:1 defines as_points"]
+    serialization = tmp_path / "serialization.py"
+    serialization.write_text(
+        "def domain_from_dict(d):\n    return [float(v) for v in d]\n\n"
+        "def load_domain(t):\n    def as_vec(x):\n        return x\n    return float(t)\n\n"
+        "def lattice_from_rows(r):\n    return r\n\n"
+        "def box_label(b):\n    return repr(float(b))\n")
+    assert number_conversions(serialization) == [
+        "serialization.py:2 domain_from_dict calls float",
+        "serialization.py:5 defines as_vec", "serialization.py:7 load_domain calls float"]

@@ -1,10 +1,16 @@
 """File schemas, CSV determinism, and the command-line interface."""
 
+import copy
+import functools
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameforge.cli import main
 from frameforge.errors import InputError
@@ -18,6 +24,7 @@ from frameforge.pointsets import (
     integers,
 )
 from frameforge.serialization import (
+    comb_from_dict,
     domain_from_dict,
     domain_to_dict,
     format_csv,
@@ -423,47 +430,91 @@ def system_with_freq(freq):
     return json.dumps(dict(SYSTEM, pairs=[{"window": "indicator", "freq": freq}]))
 
 
-@pytest.mark.parametrize("argv, files", [
-    (["certify-measure", "--domain", DOMAIN, "--x0", "abc"], {}),
+POINT = {"kind": "finite_set", "points": [[0]]}
+INFINITE_DOMAIN = '{"dim": 1, "boxes": [[0, Infinity]]}'
+
+
+@pytest.mark.parametrize("argv, files, named", [
+    (["certify-measure", "--domain", DOMAIN, "--x0", "abc"], {}, ""),
     (["density", "--points", "points.json", "--windowed", "--h-list", "1,x"],
-     {"points.json": json.dumps(SYSTEM["pairs"][0]["freq"])}),
+     {"points.json": json.dumps(SYSTEM["pairs"][0]["freq"])}, ""),
     (["density", "--points", "points.json", "--windowed", "--h-list", "0,10"],
-     {"points.json": json.dumps(SYSTEM["pairs"][0]["freq"])}),
-    (["frame-bounds", "--system", json.dumps(SYSTEM), "--trunc", "1:2:3"], {}),
-    (["residue", "--domain", DOMAIN, "--lattice", '[["a"]]'], {}),
-    (["residue", "--domain", DOMAIN, "--lattice", '{"a": 1}'], {}),
-    (["density", "--points", '{"terms": [{"weight": 1.0}]}'], {}),
-    (["density", "--points", '{"kind": "lattice_cosets", "offsets": [[0.0]]}'], {}),
-    (["density", "--points", '{"kind": "quasicrystal"}'], {}),
+     {"points.json": json.dumps(SYSTEM["pairs"][0]["freq"])}, ""),
+    (["frame-bounds", "--system", json.dumps(SYSTEM), "--trunc", "1:2:3"], {}, ""),
+    (["residue", "--domain", DOMAIN, "--lattice", '[["a"]]'], {}, ""),
+    (["residue", "--domain", DOMAIN, "--lattice", '{"a": 1}'], {}, ""),
+    (["density", "--points", '{"terms": [{"weight": 1.0}]}'], {}, ""),
+    (["density", "--points", '{"kind": "lattice_cosets", "offsets": [[0.0]]}'], {}, ""),
+    (["density", "--points", '{"kind": "quasicrystal"}'], {}, ""),
     (["--config", "config.json", "gabor", "--window", "indicator(0,0.5)"],
-     {"config.json": "{not json"}),
+     {"config.json": "{not json"}, ""),
     (["--config", "config.json", "gabor", "--window", "indicator(0,0.5)"],
-     {"config.json": "[1]"}),
+     {"config.json": "[1]"}, ""),
     (["--config", "config.json", "gabor", "--window", "indicator(0,0.5)"],
-     {"config.json": '{"M": "x"}'}),
+     {"config.json": '{"M": "x"}'}, ""),
     (["--config", '{"windowed": 1}', "density", "--points", "points.json"],
-     {"points.json": json.dumps(SYSTEM["pairs"][0]["freq"])}),
+     {"points.json": json.dumps(SYSTEM["pairs"][0]["freq"])}, ""),
     (["frame-bounds", "--system", "system.json"],
      {"system.json": system_with_freq({"kind": "lattice_cosets", "basis": [["a"]],
-                                       "offsets": [[0.0]]})}),
+                                       "offsets": [[0.0]]})}, ""),
     (["frame-bounds", "--system", "system.json"],
      {"system.json": system_with_freq({"kind": "continuous", "box": [-1.0, 1.0], "n": 3,
-                                       "density": [1.0, 1.0]})}),
-    (["frame-bounds", "--system", "missing.json"], {}),
+                                       "density": [1.0, 1.0]})}, ""),
+    (["frame-bounds", "--system", "missing.json"], {}, ""),
     (["frame-bounds", "--system", json.dumps(dict(SYSTEM, pairs=[
-        {"window": 5, "freq": {"kind": "finite_set", "points": [[0]]}}]))], {}),
+        {"window": 5, "freq": {"kind": "finite_set", "points": [[0]]}}]))], {}, ""),
+    (["residue", "--domain", DOMAIN, "--lattice", "[[NaN]]"], {}, "finite, got nan"),
+    (["residue", "--domain", DOMAIN, "--lattice", "inf"], {}, "finite, got inf"),
+    (["obstruction", "--domain", INFINITE_DOMAIN], {}, "finite, got inf"),
+    (["overlap", "--domain", INFINITE_DOMAIN], {}, "finite, got inf"),
+    (["density", "--points", json.dumps({"terms": [{"weight": math.inf, "support": POINT}]})],
+     {}, "finite, got inf"),
+    (["density", "--points", json.dumps(dict(POINT, points=[[math.nan]]))], {},
+     "finite, got nan"),
+    (["density", "--points", json.dumps({"kind": "eventually_periodic_1d",
+                                         "right_period": math.inf})], {},
+     "finite, got inf"),
+    (["density", "--points", json.dumps(POINT), "--windowed", "--h-list", "inf"], {},
+     "finite, got inf"),
+    (["gabor", "--window", "indicator(0,1e400)"], {}, "finite, got 1e400"),
+    (["frame-bounds", "--grid-n", "8", "--system", system_with_freq(
+        {"kind": "continuous", "box": [-4.0, 4.0], "n": 2, "density": [1.0, math.nan]})],
+     {}, "finite, got (nan+0j)"),
+    (["frame-bounds", "--grid-n", "8", "--system", json.dumps(dict(SYSTEM, pairs=[
+        dict(SYSTEM["pairs"][0], window="1e400")]))], {}, "finite, got 1e400"),
+    (["frame-bounds", "--grid-n", "8", "--system", system_with_freq(
+        {"kind": "continuous", "atoms": [[0.0, math.inf]]})], {}, "finite, got inf"),
+    (["certify-measure", "--domain", DOMAIN, "--x0", "nan"], {}, "finite, got nan"),
+    (["overlap", "--domain", DOMAIN, "--step", "0"], {}, "--step"),
+    (["overlap", "--domain", DOMAIN, "--step", "nan"], {}, "--step"),
+    (["overlap", "--domain", DOMAIN, "--x-max", "nan"], {}, "--x-max"),
+    (["overlap", "--domain", DOMAIN, "--step", "-1"], {}, "--step"),
+    (["overlap", "--domain", DOMAIN, "--x-max", "-2"], {}, "--x-max"),
+    (["overlap", "--domain", DOMAIN, "--x-max", "0"], {}, "--x-max"),
+    (["gabor", "--window", "indicator()"], {}, "indicator()"),
+    (["gabor", "--window", "indicator(a,b)"], {}, "indicator(a,b)"),
+    (["frame-bounds", "--system", system_with_freq({"kind": "continuous", "atoms": [[]]})],
+     {}, "bad system description"),
+    (["residue", "--domain", '{"dim": Infinity, "boxes": [[0, 1]]}', "--lattice", "1"],
+     {}, "bad domain description"),
 ], ids=["x0", "h_list", "h_zero", "trunc", "lattice_entry", "lattice_object", "comb_term",
         "coset_basis", "point_set_kind", "config_not_json", "config_not_object",
         "config_value", "config_flag", "system_basis", "system_density",
-        "missing_system", "window_not_string"])
+        "missing_system", "window_not_string", "lattice_nan", "lattice_scale_inf",
+        "obstruction_infinite_box", "overlap_infinite_box", "comb_weight_inf", "point_nan",
+        "period_inf", "h_list_inf", "window_corner_overflow", "density_nan", "window_overflow",
+        "atom_weight_inf", "x0_nan", "step_zero", "step_nan", "x_max_nan", "step_negative",
+        "x_max_negative", "x_max_zero", "indicator_empty", "indicator_letters", "atom_empty",
+        "dim_inf"])
 def test_malformed_input_exits_two_with_one_error_line(tmp_path, monkeypatch, capsys,
-                                                       argv, files):
+                                                       argv, files, named):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
     assert captured.out == ""
 
 
@@ -475,3 +526,122 @@ def test_nested_decoder_errors_keep_their_own_prefix():
                                                       "base": {"kind": "x"}})))
     with pytest.raises(InputError, match="^bad system description: missing field 'pairs'$"):
         system_from_dict({"omega": SYSTEM["omega"]})
+
+
+eighths = st.integers(-16, 16).map(lambda k: k / 8)
+widths = st.integers(1, 16).map(lambda k: k / 8)
+
+
+@st.composite
+def domain_dicts(draw, dim=None):
+    dim = dim or draw(st.integers(1, 2))
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = [draw(eighths) for _ in range(dim)]
+        boxes.append(lo + [a + draw(widths) for a in lo])
+    return {"dim": dim, "boxes": boxes}
+
+
+@st.composite
+def pointset_dicts(draw, dim):
+    kinds = ["lattice_cosets", "finite_set", "finite_perturbation"]
+    kind = draw(st.sampled_from(kinds + ["eventually_periodic_1d"] * (dim == 1)))
+    spacing = draw(widths)
+    if kind == "eventually_periodic_1d":
+        # the core sits halfway between two points of the right tail
+        start = draw(eighths)
+        return {"kind": kind, "right_period": spacing, "right_start": start,
+                "left_period": draw(st.none() | widths), "left_start": start - 1.0,
+                "core": draw(st.sampled_from([[], [start + spacing / 2.0]]))}
+    if kind == "finite_set":
+        points = draw(st.lists(st.lists(eighths, min_size=dim, max_size=dim),
+                               min_size=1, max_size=3, unique_by=tuple))
+        return {"kind": kind, "dim": dim, "points": points}
+    basis = [[spacing if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+    cosets = {"kind": "lattice_cosets", "basis": basis, "offsets": [[0.0] * dim]}
+    if kind == "lattice_cosets":
+        return cosets
+    k = draw(st.integers(-3, 3))
+    return {"kind": kind, "base": cosets, "added": [[spacing * (k + 0.5)] * dim],
+            "removed": [[spacing * k] * dim]}
+
+
+@st.composite
+def comb_dicts(draw, dim=None):
+    dim = dim or draw(st.integers(1, 2))
+    return {"terms": [{"weight": draw(widths), "support": draw(pointset_dicts(dim))}
+                      for _ in range(draw(st.integers(1, 2)))]}
+
+
+@st.composite
+def window_texts(draw):
+    lo = draw(eighths)
+    factors = [draw(st.sampled_from([f"{draw(widths)!r}", f"x^{draw(eighths)!r}",
+                                     f"(1-x)^{draw(eighths)!r}", "indicator",
+                                     f"indicator({lo!r},{lo + draw(widths)!r})"]))
+               for _ in range(draw(st.integers(1, 3)))]
+    return "*".join(factors)
+
+
+@st.composite
+def system_dicts(draw):
+    dim = draw(st.integers(1, 2))
+    pairs = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            freq = draw(pointset_dicts(dim))
+        else:
+            n = draw(st.integers(1, 3))
+            freq = {"kind": "continuous", "box": [-4.0] * dim + [4.0] * dim, "n": n,
+                    "density": [draw(widths) for _ in range(n ** dim)],
+                    "atoms": [[draw(eighths)] * dim + [draw(widths)]]}
+        pairs.append({"window": draw(window_texts()), "freq": freq})
+    return {"omega": draw(domain_dicts(dim)), "pairs": pairs}
+
+
+# a number of a window text; the 1 of (1-x) is part of the syntax
+WINDOW_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[+-]?\d+)?(?!-x)")
+
+
+def number_sites(data, path=()):
+    """(path, None) for every number in decoded JSON, and (path, span) for
+    every number inside a window text."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            yield from number_sites(value, path + (key,))
+    elif isinstance(data, list):
+        for key, value in enumerate(data):
+            yield from number_sites(value, path + (key,))
+    elif isinstance(data, str) and path[-1:] == ("window",):
+        yield from ((path, m.span()) for m in WINDOW_NUMBER.finditer(data))
+    elif isinstance(data, (int, float)) and not isinstance(data, bool):
+        yield path, None
+
+
+def replaced(data, path, value):
+    data = copy.deepcopy(data)
+    *head, last = path
+    functools.reduce(lambda node, key: node[key], head, data)[last] = value
+    return data
+
+
+DESCRIPTIONS = {domain_from_dict: domain_dicts(), comb_from_dict: comb_dicts(),
+                pointset_from_dict: st.integers(1, 2).flatmap(pointset_dicts),
+                system_from_dict: system_dicts()}
+
+
+@given(st.sampled_from(list(DESCRIPTIONS)).flatmap(
+           lambda decode: st.tuples(st.just(decode), DESCRIPTIONS[decode])),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_decoder_refuses_one_non_finite_number(case, data):
+    decode, valid = case
+    decode(copy.deepcopy(valid))
+    path, span = data.draw(st.sampled_from(list(number_sites(valid))))
+    if span is None:
+        bad = replaced(valid, path, data.draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+    else:
+        text = functools.reduce(lambda node, key: node[key], path, valid)
+        bad = replaced(valid, path, text[:span[0]] + "1e400" + text[span[1]:])
+    with pytest.raises(InputError):
+        decode(bad)
