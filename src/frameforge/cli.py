@@ -102,18 +102,27 @@ def cmd_density(args) -> list[str]:
             f"upper_density: {rep.upper!r}"]
 
 
+def default_overlap_step(x_max: float, dim: int) -> float:
+    """The finest step 0.01 k that keeps the half-box 0 <= x_0 <= x_max, |x_a| <= x_max
+    within 10^5 shifts: the count falls as k grows, so k doubles, then bisects."""
+    def fits(k: int) -> bool:  # n = len(half) at step 0.01 k
+        n = math.ceil((x_max + 0.01 * k / 2.0) / (0.01 * k))
+        return n * (2 * n - 1) ** (dim - 1) <= 10 ** 5
+
+    lo, hi = 0, 1  # hi fits; lo is 0 or does not fit
+    while not fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        lo, hi = (lo, mid) if fits(mid := (lo + hi) // 2) else (mid, hi)
+    return 0.01 * hi
+
+
 def cmd_overlap(args) -> list[str]:
     for option, value in (("--x-max", args.x_max), ("--step", args.step)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise InputError(f"{option} must be positive and finite, got {value}")
     omega, tail = load_domain(args.domain)
-    # the half-box 0 <= x_0 <= x_max, |x_a| <= x_max that overlap_zero_set scans,
-    # by default at the finest step 0.01 k that keeps it within 10^5 shifts
-    step, k = args.step, 0
-    while step is None:  # n = len(half) at step 0.01 k
-        k += 1
-        n = math.ceil((args.x_max + 0.01 * k / 2.0) / (0.01 * k))
-        step = 0.01 * k if n * (2 * n - 1) ** (omega.dim - 1) <= 10 ** 5 else None
+    step = args.step or default_overlap_step(args.x_max, omega.dim)
     half = np.arange(0.0, args.x_max + step / 2.0, step)
     whole = np.r_[-half[:0:-1], half]
     prof = overlap_profile(omega, cartesian([half] + [whole] * (omega.dim - 1)))

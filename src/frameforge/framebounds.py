@@ -324,12 +324,12 @@ def _rank_update_bounds(parts: list, idx: np.ndarray, xs: np.ndarray, steps: np.
     <lam, x>} u(x) per point of the parts (u, points, weights, period) of
     period 1, R in all, and H_d the blocks of the other parts (0, each cell
     alone, without them).  None without such a point, or when the blocks'
-    solves and ~2 x 60 bisection shifts of n R^2 each cost more than one
-    dense block.  With H_d = Q diag(lam) Q* and W = Q* V, Sylvester's law of
-    inertia on [[lam - t, W], [W*, -I]] counts the eigenvalues of H below t
-    as #{lam < t} + #{eigenvalues of -I - W* (lam - t)^-1 W below 0} - R.
-    A lies in [lam_1, lam_(R+1)] and B in [lam_max, lam_max + |V|_F^2];
-    each is bisected to 4 ulps of the top."""
+    solves and ~2 x 60 shifts of n R^2 each (all bisection, the worst case)
+    cost more than one dense block.  With H_d = Q diag(lam) Q* and W = Q* V,
+    #{lam < t} - #{eigenvalues of I + W* (lam - t)^-1 W <= 0} of H's
+    eigenvalues lie below t (Sylvester).  A lies in [lam_1, lam_(R+1)], B in
+    [lam_max, lam_max + |V|_F^2]; the counts close each bracket to 4 ulps of
+    the top around secular Newton shifts, or midpoints (README, item 2)."""
     columns = [part for part in parts if np.all(part[3] == 1)]
     blocks = [part for part in parts if np.any(part[3] > 1)]
     cells, r = len(idx), sum(len(w) for _, _, w, _ in columns)
@@ -348,25 +348,33 @@ def _rank_update_bounds(parts: list, idx: np.ndarray, xs: np.ndarray, steps: np.
         W = np.concatenate([(Q.conj().transpose(0, 2, 1) @ V[c]).reshape(-1, r)
                             for (_, Q), c in eig])
     top, Wh, eye, count = lam.max() + float(np.sum(np.abs(V) ** 2)), W.conj().T, np.eye(r), 0
+    ends, tol = np.sort(lam), 4 * np.finfo(float).eps * top
 
-    def bisect(lo: float, hi: float, k: int) -> tuple[float, float]:
+    def solve(lo: float, hi: float, k: int, t: float) -> tuple[float, float]:
         nonlocal count
-        while hi - lo > 4 * np.finfo(float).eps * top:
-            t = 0.5 * (lo + hi)
+        # the bisection's probes; tol is 0 only when H = 0, with nothing to solve
+        budget = count + math.log2(1 + (hi - lo) / tol) if tol else count
+        while hi - lo > tol:
             while np.any(lam == t):  # lam - t must be invertible
                 t = 0.5 * (lo + t)
-            below = np.count_nonzero(np.linalg.eigvalsh(-eye - (Wh / (lam - t)) @ W) < 0)
-            lo, hi = (t, hi) if np.count_nonzero(lam < t) + below - r <= k else (lo, t)
-            count += 1
+            j, (m, U) = np.searchsorted(ends, t), np.linalg.eigh(eye + (Wh / (lam - t)) @ W)
+            count, i, step = count + 1, j - k - 1, np.nan  # m[i] crosses 0 at the root
+            lo, hi = (t, hi) if np.count_nonzero(m <= 0) > i else (lo, t)
+            if 0 <= i < r and (slope := np.sum(np.abs(W @ U[:, i] / (lam - t)) ** 2)) > 0:
+                if j == len(lam):  # above every pole: Newton on the concave 1 / (1 - m)
+                    step = -m[i] * (1 - m[i]) / slope
+                elif (c := m[i] + slope * (t - ends[j - 1])) > 0:  # m ~ c + s / (p - t)
+                    step = -m[i] * (t - ends[j - 1]) / c
+            newton = count < budget and lo - tol / 2 < t + step < hi + tol / 2
+            t = min(max(t + step, lo + tol / 2), hi - tol / 2) if newton else 0.5 * (lo + hi)
         return lo, hi
 
-    ends = np.sort(lam)
-    a, a_hi = bisect(ends[0], ends[min(r, len(lam) - 1)], 0)
-    b_lo, b = bisect(ends[-1], top, len(lam) - 1)
+    a, a_hi = solve(ends[0], ends[min(r, len(lam) - 1)], 0, ends[0] + tol)
+    b_lo, b = solve(ends[-1], top, len(lam) - 1, top)
     return max(float(a), 0.0), float(b), (
         f"rank-{r} update of {len(sizes)} blocks of order at most {sizes.max()}"
-        f"{_arithmetic(W)}: inertia bisection in "
-        f"{count} steps, brackets {a_hi - a:.2g} (A) and {b - b_lo:.2g} (B) wide")
+        f"{_arithmetic(W)}: inertia-bracketed Newton in "
+        f"{count} probes, brackets {a_hi - a:.2g} (A) and {b - b_lo:.2g} (B) wide")
 
 
 def _extremal_eigs_iterative(kernels: list, idx: np.ndarray, n: int) -> tuple[float, float]:

@@ -31,6 +31,14 @@ def as_vec(x: Sequence[float] | float) -> Vec:
     return vec
 
 
+def as_whole(x: int | float | str) -> int:
+    """An outside count (a dimension, cells per axis): one whole number, no boolean."""
+    value = as_vec([x])[0] if np.ndim(x) == 0 else math.nan
+    if isinstance(x, bool) or not value.is_integer():
+        raise InputError(f"every count must be a whole number, got {x}")
+    return int(value)
+
+
 def as_points(pts: Iterable[Sequence[float] | float], dim: int) -> tuple[Vec, ...]:
     """``as_vec`` of every point, each of dimension ``dim``."""
     out = tuple(map(as_vec, pts))

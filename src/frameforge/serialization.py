@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .framebounds import ContinuousFreqMeasure, FrameBoundsReport, FreqSpec, WindowedSystem
-from .geometry import Box, BoxUnionSet, Lattice, canonicalize, cantor_tower
+from .geometry import Box, BoxUnionSet, Lattice, as_whole, canonicalize, cantor_tower
 from .gridfn import GridFunction, cell_volumes
 from .pointsets import (
     EventuallyPeriodic1D,
@@ -68,7 +68,7 @@ def _decoding(kind: str):
 
 @_decoding("domain")
 def domain_from_dict(data: dict) -> BoxUnionSet:
-    dim = int(data["dim"])
+    dim = as_whole(data["dim"])
     boxes = []
     for row in data["boxes"]:
         if len(row) != 2 * dim:
@@ -90,7 +90,7 @@ def load_domain(descriptor: Union[str, dict]) -> tuple[BoxUnionSet, Optional[flo
             if len(parts) not in (2, 3):
                 raise InputError(f"bad generator tag {text!r}; use "
                                  "cantor_tower:n_max or cantor_tower:n_max:k")
-            tower = cantor_tower(*(int(v) for v in parts[1:]))
+            tower = cantor_tower(*map(as_whole, parts[1:]))
             return tower.omega, tower.tail_measure
         descriptor = read_json(text)
     return domain_from_dict(descriptor), None
@@ -132,7 +132,7 @@ def pointset_from_dict(data: dict) -> StructuredPointSet:
         fields = ("right_period", "right_start", "left_period", "left_start", "core")
         return EventuallyPeriodic1D(**{k: data[k] for k in fields if k in data})
     if kind == "finite_set":
-        return FiniteSet(data["points"], dimension=int(data.get("dim", 1)))
+        return FiniteSet(data["points"], dimension=as_whole(data.get("dim", 1)))
     if kind == "finite_perturbation":
         return FinitePerturbation(pointset_from_dict(data["base"]),
                                   data.get("added", ()), data.get("removed", ()))
@@ -169,7 +169,7 @@ def _freq_from_dict(data: dict) -> FreqSpec:
             row = data["box"]
             d = len(row) // 2
             box = Box(row[:d], row[d:])
-            n = int(data["n"])
+            n = as_whole(data["n"])
             samples = np.array(data["density"], dtype=complex).reshape((n,) * d)
             density = GridFunction(box, samples, cell_volumes(box, n))
         atoms = tuple((row[:-1], row[-1]) for row in data.get("atoms", ()))

@@ -639,7 +639,8 @@ def rank_update_systems(draw):
 
 class TestRankUpdatePath:
     """Finite points and atoms enter as R columns beside the closed forms'
-    blocks, and inertia counts bisect A and B; the dense Gram is the oracle."""
+    blocks, and inertia counts bracket A and B around secular Newton probes;
+    the dense Gram is the oracle."""
 
     @settings(max_examples=80, deadline=None)
     @given(rank_update_systems())
@@ -660,11 +661,51 @@ class TestRankUpdatePath:
                                                              ((400.5,), 1.2)))
         window = Window.from_string("0.8*x^1.3")
         rep = estimate_frame_bounds(WindowedSystem(UNIT, ((window, freq),)), n)
-        assert re.fullmatch(
+        probes = re.fullmatch(
             r"pair '0\.8\*x\^1\.3': constant density in closed form with period 1331 cells; "
-            r"rank-3 update of 1024 blocks of order at most 1: inertia bisection in \d+ steps, "
-            r"brackets \S+ \(A\) and \S+ \(B\) wide", rep.notes)
+            r"rank-3 update of 1024 blocks of order at most 1: inertia-bracketed Newton in "
+            r"(\d+) probes, brackets \S+ \(A\) and \S+ \(B\) wide", rep.notes)
+        assert int(probes.group(1)) <= 16
         a, b = dense_gram_oracle(UNIT, [(window, *oracle_frequencies(freq, band))], n)
+        assert abs(rep.A_est - a) <= 1e-9 * b
+        assert abs(rep.B_est - b) <= 1e-9 * b
+
+    @staticmethod
+    def constant_density(n, cells, value, atoms, d=1):
+        """A constant density over the Nyquist band of n cells per axis,
+        sampled on ``cells`` > n cells per axis, so every grid cell is its
+        own block, plus ``atoms``; and that band."""
+        band = Box((-n / 2.0,) * d, (n / 2.0,) * d)
+        density = GridFunction.from_callable(lambda xi: np.full(len(xi), value), band, cells)
+        return ContinuousFreqMeasure(density=density, atoms=atoms), band
+
+    ATOMS = (((-20.3,), 0.8), ((5.25,), 1.9), ((17.5,), 1.2))
+    HALF = Window.from_callable(lambda p: np.where(p[:, 0] < 0.5, 0.0, 1.0 + p[:, 0]), "half")
+
+    # tied poles: the indicator makes every block 1.1, so A = 1.1 lies at
+    # both ends of its bracket; zero rows of W: the window vanishes on half
+    # the cells, whose blocks are 0, so A = 0 is read the same way; a window
+    # that vanishes everywhere (H = 0, tol = 0: no probe at all); one
+    # column; and a 2-D system on 16 x 16 cells beside two atoms
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega, window, args, n, a_read", [
+        (UNIT, Window.indicator(), (64, 67, 1.1, ATOMS), 64, True),
+        (UNIT, HALF, (64, 67, 1.1, ATOMS), 64, True),
+        (UNIT, Window.from_callable(lambda p: np.zeros(len(p)), "zero"),
+         (64, 67, 1.1, ATOMS), 64, True),
+        (UNIT, Window.from_string("(1-x)^1.0"), (64, 67, 0.9, (((7.5,), 1.3),)), 64, False),
+        (BoxUnionSet(2, (Box((0.0, 0.0), (1.0, 1.0)),)),
+         Window.from_callable(lambda p: 1.0 + p[:, 0] * p[:, 1], "tilt"),
+         (16, 19, 1.2, (((2.5, -3.25), 0.7), ((-6.0, 1.5), 1.4)), 2), 16, False),
+    ], ids=["tied_poles", "zero_rows", "silent_window", "one_column", "two_d"])
+    def test_fixed_systems_match_the_dense_gram(self, omega, window, args, n, a_read):
+        freq, band = self.constant_density(*args)
+        rep = estimate_frame_bounds(WindowedSystem(omega, ((window, freq),)), n)
+        probes, a_width = re.search(r"Newton in (\d+) probes, brackets (\S+) \(A\)",
+                                    rep.notes).groups()
+        assert int(probes) <= 16
+        assert (float(a_width) == 0.0) == a_read
+        a, b = dense_gram_oracle(omega, [(window, *oracle_frequencies(freq, band))], n)
         assert abs(rep.A_est - a) <= 1e-9 * b
         assert abs(rep.B_est - b) <= 1e-9 * b
 
@@ -705,8 +746,8 @@ class TestRouting:
          r"dense eigensolve of order 64 and rank at most 3"),
         (((RAMP, CONSTANT),), None,
          r"pair '\(1-x\)\^1\.0': constant density in closed form with period 67 cells; "
-         r"rank-2 update of 64 blocks of order at most 1: inertia bisection in \d+ steps, "
-         r"brackets \S+ \(A\) and \S+ \(B\) wide"),
+         r"rank-2 update of 64 blocks of order at most 1: inertia-bracketed Newton in "
+         r"\d+ probes, brackets \S+ \(A\) and \S+ \(B\) wide"),
         (((RAMP, integers()), (Window.indicator(), integers(scale=2.0))), None,
          r"dense eigensolve of 32 blocks of order at most 2 in real arithmetic"),
         (((RAMP, BOWL),), None, r"dense eigensolve of order 64"),

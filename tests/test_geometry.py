@@ -562,6 +562,19 @@ class TestNumberRule:
         with pytest.raises(TypeError):
             geometry.as_vec([None])
 
+    def test_whole_numbers_convert_to_int(self):
+        assert geometry.as_whole(3) == 3 and geometry.as_whole(2.0) == 2
+        assert geometry.as_whole("4") == 4 and geometry.as_whole(np.int64(5)) == 5
+
+    @pytest.mark.parametrize("value, named", [
+        (1.9, "whole number, got 1.9"), (True, "whole number, got True"),
+        ("2.5", "whole number, got 2.5"), ([1], r"whole number, got \[1\]"),
+        (math.nan, "finite, got nan"), (math.inf, "finite, got inf"),
+    ], ids=["fraction", "boolean", "fraction_text", "sequence", "nan", "inf"])
+    def test_counts_refuse_what_is_not_one_whole_number(self, value, named):
+        with pytest.raises(InputError, match=named):
+            geometry.as_whole(value)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_points_refuse_non_finite_coordinates(self, value):
         with pytest.raises(InputError, match=f"^every number must be finite, got {value}$"):

@@ -319,18 +319,19 @@ DECODER = re.compile(r"^(\w*_from_dict|load_\w+|lattice_from_rows)$")
 
 
 def number_conversions(path):
-    """Definitions of as_vec or as_points outside geometry.py, and calls of
-    float inside the serialization decoders: every outside number is
-    converted once, by the constructors, through geometry.as_vec."""
+    """Definitions of as_vec, as_points or as_whole outside geometry.py, and
+    calls of float or int inside the serialization decoders: every outside
+    number is converted once, through geometry.as_vec or, for a count,
+    geometry.as_whole."""
     tree = ast.parse(path.read_text(), filename=str(path))
     hits = [f"{path.name}:{fn.lineno} defines {fn.name}" for fn in ast.walk(tree)
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and fn.name in ("as_vec", "as_points") and path.name != "geometry.py"]
+            and fn.name in ("as_vec", "as_points", "as_whole") and path.name != "geometry.py"]
     if path.name == "serialization.py":
-        hits += [f"{path.name}:{node.lineno} {fn.name} calls float"
+        hits += [f"{path.name}:{node.lineno} {fn.name} calls {node.func.id}"
                  for fn in tree.body if isinstance(fn, ast.FunctionDef) and DECODER.match(fn.name)
                  for node in ast.walk(fn) if isinstance(node, ast.Call)
-                 and isinstance(node.func, ast.Name) and node.func.id == "float"]
+                 and isinstance(node.func, ast.Name) and node.func.id in ("float", "int")]
     return sorted(hits)
 
 
@@ -340,6 +341,7 @@ def test_outside_numbers_have_one_conversion():
     assert [hit for path in paths for hit in number_conversions(path)] == []
     geometry = importlib.import_module("frameforge.geometry")
     assert callable(geometry.as_vec) and callable(geometry.as_points)
+    assert callable(geometry.as_whole)
 
 
 def test_number_conversion_checker(tmp_path):
@@ -352,8 +354,9 @@ def test_number_conversion_checker(tmp_path):
     serialization.write_text(
         "def domain_from_dict(d):\n    return [float(v) for v in d]\n\n"
         "def load_domain(t):\n    def as_vec(x):\n        return x\n    return float(t)\n\n"
-        "def lattice_from_rows(r):\n    return r\n\n"
+        "def lattice_from_rows(r):\n    return int(r)\n\n"
         "def box_label(b):\n    return repr(float(b))\n")
     assert number_conversions(serialization) == [
+        "serialization.py:10 lattice_from_rows calls int",
         "serialization.py:2 domain_from_dict calls float",
         "serialization.py:5 defines as_vec", "serialization.py:7 load_domain calls float"]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameforge.cli import main
+from frameforge.cli import default_overlap_step, main
 from frameforge.errors import InputError
 from frameforge.framebounds import ContinuousFreqMeasure, WindowedSystem
 from frameforge.geometry import Box, BoxUnionSet, Lattice
@@ -180,6 +180,32 @@ class TestCli:
         interval.write_text(json.dumps({"dim": 1, "boxes": [[0, 1]]}))
         assert run_cli("overlap", "--domain", str(interval)) == 0
         assert capsys.readouterr().out.startswith("shifts_sampled: 801\n")
+
+    @staticmethod
+    def one_k_at_a_time(x_max, dim):
+        """The reference for the default step: k = 1, 2, ... one at a time
+        until 0.01 k keeps the half-box within 10^5 shifts."""
+        k = 0
+        while True:
+            k += 1
+            n = math.ceil((x_max + 0.01 * k / 2.0) / (0.01 * k))
+            if n * (2 * n - 1) ** (dim - 1) <= 10 ** 5:
+                return 0.01 * k
+
+    @pytest.mark.parametrize("dim, x_maxes", [
+        (1, [0.004, 0.5, 1.0, 8.0, 999.99, 1000.0, 1000.005, 1234.5, 4096.0, 20000.0]),
+        (2, [0.004, 0.5, 1.0, 2.23, 2.24, 8.0, 10.0, 31.6, 100.0, 257.3, 500.0]),
+    ], ids=["1d", "2d"])
+    def test_default_step_is_the_least_k_that_fits(self, dim, x_maxes):
+        for x_max in x_maxes:
+            assert default_overlap_step(x_max, dim) == self.one_k_at_a_time(x_max, dim)
+
+    def test_default_step_at_a_huge_x_max(self, capsys):
+        for domain, shifts in (('{"dim": 1, "boxes": [[0, 1]]}', 100000),
+                               ('{"dim": 2, "boxes": [[0, 0, 1, 1]]}', 99235)):
+            assert run_cli("overlap", "--domain", domain, "--x-max", "1e300") == 0
+            assert capsys.readouterr().out == (f"shifts_sampled: {shifts}\n"
+                                               "positive_overlaps: 1\n")
 
     def test_residue_verdicts(self, tmp_path, capsys):
         domain = tmp_path / "omega.json"
@@ -496,7 +522,13 @@ INFINITE_DOMAIN = '{"dim": 1, "boxes": [[0, Infinity]]}'
     (["frame-bounds", "--system", system_with_freq({"kind": "continuous", "atoms": [[]]})],
      {}, "bad system description"),
     (["residue", "--domain", '{"dim": Infinity, "boxes": [[0, 1]]}', "--lattice", "1"],
-     {}, "bad domain description"),
+     {}, "finite, got inf"),
+    (["residue", "--domain", '{"dim": 1.9, "boxes": [[0, 1]]}', "--lattice", "1"],
+     {}, "whole number, got 1.9"),
+    (["density", "--points", json.dumps(dict(POINT, dim=1.5))], {}, "whole number, got 1.5"),
+    (["frame-bounds", "--grid-n", "8", "--system", system_with_freq(
+        {"kind": "continuous", "box": [-4.0, 4.0], "n": 2.5, "density": [1.0, 1.0]})],
+     {}, "whole number, got 2.5"),
 ], ids=["x0", "h_list", "h_zero", "trunc", "lattice_entry", "lattice_object", "comb_term",
         "coset_basis", "point_set_kind", "config_not_json", "config_not_object",
         "config_value", "config_flag", "system_basis", "system_density",
@@ -505,7 +537,7 @@ INFINITE_DOMAIN = '{"dim": 1, "boxes": [[0, Infinity]]}'
         "period_inf", "h_list_inf", "window_corner_overflow", "density_nan", "window_overflow",
         "atom_weight_inf", "x0_nan", "step_zero", "step_nan", "x_max_nan", "step_negative",
         "x_max_negative", "x_max_zero", "indicator_empty", "indicator_letters", "atom_empty",
-        "dim_inf"])
+        "dim_inf", "dim_fraction", "set_dim_fraction", "density_cells_fraction"])
 def test_malformed_input_exits_two_with_one_error_line(tmp_path, monkeypatch, capsys,
                                                        argv, files, named):
     monkeypatch.chdir(tmp_path)
