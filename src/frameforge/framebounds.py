@@ -370,7 +370,9 @@ def _rank_update_bounds(parts: list, idx: np.ndarray, xs: np.ndarray, steps: np.
         return lo, hi
 
     a, a_hi = solve(ends[0], ends[min(r, len(lam) - 1)], 0, ends[0] + tol)
-    b_lo, b = solve(ends[-1], top, len(lam) - 1, top)
+    # B = lam_max stays possible when W's rows at lam_max vanish: probe just above it
+    silent = not np.any(W[lam == ends[-1]])
+    b_lo, b = solve(ends[-1], top, len(lam) - 1, ends[-1] + tol if silent else top)
     return max(float(a), 0.0), float(b), (
         f"rank-{r} update of {len(sizes)} blocks of order at most {sizes.max()}"
         f"{_arithmetic(W)}: inertia-bracketed Newton in "

@@ -1,10 +1,11 @@
-"""Window functions as small closed-form expression trees.
+"""Window functions in one closed form, c * x^a * (1-x)^b * 1_B.
 
-Supported forms: scalars, monomials x^a, reflected monomials (1-x)^a,
-box indicators, and products of these.  Each node encloses its modulus over
-boxes exactly: |x|^a and |1-x|^a are monotone on either side of their zero,
-and an indicator is 0, 1 or both on a box.  Windows built from an arbitrary
-callable are supported for probing, have sampled ranges and are not
+A window expression is a product of scalars, monomials x^a, reflected
+monomials (1-x)^b and box indicators; parsing folds it into the one form:
+scalars multiply, exponents add and indicator boxes intersect.  Its modulus
+is monotone between 0, 1 and its one critical point a / (a + b), so its range
+over a box is read at a few points and is exact.  Windows built from an
+arbitrary callable are supported for probing, have sampled ranges and are not
 serializable.
 """
 
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import reduce
+from operator import mul
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -20,157 +23,92 @@ from .errors import InputError
 from .geometry import Box, BoxUnionSet, as_vec
 from .gridfn import cell_volumes, grid_points
 
-
-def _power_range(lo: np.ndarray, hi: np.ndarray,
-                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Range of |t|^alpha over each [lo, hi): monotone in |t|, with 0^alpha
-    infinite for alpha < 0."""
-    near = np.where((lo <= 0) & (hi >= 0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
-    far = np.maximum(np.abs(lo), np.abs(hi))
-    with np.errstate(divide="ignore", over="ignore"):
-        ends = near ** alpha, far ** alpha
-    return ends if alpha >= 0 else ends[::-1]
+EMPTY_SUPPORT = ()  # the box of a window whose indicator boxes do not meet
 
 
-EMPTY_SUPPORT = ()  # support_box() of a product whose factors' boxes do not meet
+def _power(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base^exponent in complex arithmetic, 0 where it is singular."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = base.astype(complex) ** exponent
+    out[~np.isfinite(out)] = 0.0
+    return out
 
 
-class Expr:
-    sampled = False  # True when ``range_on`` samples rather than encloses
+@dataclass(frozen=True)
+class ClosedForm:
+    """c * x^a * (1-x)^b * 1_B in the first coordinate x.  ``box`` None is
+    the whole domain and EMPTY_SUPPORT none of it; x^a and (1-x)^b read 0
+    at their singular points."""
 
-    def eval(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    c: float = 1.0
+    a: float = 0.0
+    b: float = 0.0
+    box: Union[Box, None, tuple] = None
+    sampled = False  # its ranges are exact; a CallableExpr samples its own
+
+    def eval(self, pts):
+        if self.box == EMPTY_SUPPORT:
+            return np.zeros(len(pts), dtype=complex)
+        # c, x^a, (1-x)^b, 1_B in turn, so s*x^a*(1-x)^b reads as its factors did
+        factors = [np.full(len(pts), self.c, dtype=complex)] if self.c != 1 else []
+        if self.a:
+            factors.append(_power(pts[:, 0], self.a))
+        if self.b:
+            factors.append(_power(1.0 - pts[:, 0], self.b))
+        if self.box is not None:
+            factors.append(self.box.contains(pts).astype(complex))
+        return reduce(mul, factors) if factors else np.ones(len(pts), dtype=complex)
+
+    def _modulus(self, to_0, to_1):
+        """|c| |x|^a |1-x|^b from |x| and |1-x|, infinite at a singular point."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return abs(self.c) * np.power(to_0, self.a) * np.power(to_1, self.b)
 
     def range_on(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(inf, sup) of |expr| over each half-open box [lo[i], hi[i])."""
-        raise NotImplementedError
-
-    def to_string(self) -> str:
-        raise NotImplementedError
-
-    def support_box(self) -> Optional[Box]:
-        """Box outside which the expression is zero, if known (or EMPTY_SUPPORT)."""
-        return None
-
-
-@dataclass(frozen=True)
-class Scalar(Expr):
-    value: float
-
-    def eval(self, pts):
-        return np.full(len(pts), self.value, dtype=complex)
-
-    def range_on(self, lo, hi):
-        v = np.full(len(lo), abs(self.value))
-        return v, v
-
-    def to_string(self):
-        return repr(self.value)
-
-
-@dataclass(frozen=True)
-class Monomial(Expr):
-    """x^alpha in the first coordinate; singular at 0 when alpha < 0."""
-
-    alpha: float
-
-    def eval(self, pts):
-        x = pts[:, 0].astype(complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = x ** self.alpha
-        out[~np.isfinite(out)] = 0.0
-        return out
-
-    def range_on(self, lo, hi):
-        return _power_range(lo[:, 0], hi[:, 0], self.alpha)
-
-    def to_string(self):
-        return f"x^{self.alpha}"
-
-
-@dataclass(frozen=True)
-class ReflectedMonomial(Expr):
-    """(1-x)^alpha in the first coordinate; singular at 1 when alpha < 0."""
-
-    alpha: float
-
-    def eval(self, pts):
-        x = (1.0 - pts[:, 0]).astype(complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = x ** self.alpha
-        out[~np.isfinite(out)] = 0.0
-        return out
-
-    def range_on(self, lo, hi):
-        return _power_range(1.0 - hi[:, 0], 1.0 - lo[:, 0], self.alpha)
-
-    def to_string(self):
-        return f"(1-x)^{self.alpha}"
-
-
-@dataclass(frozen=True)
-class Indicator(Expr):
-    """Indicator of a half-open box; ``box=None`` means the whole domain."""
-
-    box: Optional[Box] = None
-
-    def eval(self, pts):
+        """(inf, sup) of |g| over each half-open box [lo[i], hi[i]), exact."""
+        zero = np.zeros(len(lo))
+        if self.c == 0 or self.box == EMPTY_SUPPORT:
+            return zero, zero
+        left, right = lo[:, 0], hi[:, 0]
+        if self.box is not None:
+            left, right = np.maximum(left, self.box.lo[0]), np.minimum(right, self.box.hi[0])
+        ends = np.stack([left, right])
+        vals = self._modulus(np.abs(ends), np.abs(1.0 - ends))
+        inf, sup = vals.min(axis=0), vals.max(axis=0)
+        # |g| is monotone between 0, 1 and t = a / (a + b), so it is also read
+        # at those inside [left, right]; at t from |t| and |1 - t| = |b / (a + b)|,
+        # exact where t rounds to 0 or 1
+        turns = [(0.0, 0.0, 1.0)] * (self.a != 0) + [(1.0, 1.0, 0.0)] * (self.b != 0)
+        if self.a and self.b and (s := self.a + self.b):
+            turns.append((self.a / s, abs(self.a / s), abs(self.b / s)))
+        for t, to_0, to_1 in turns:
+            at, v = (left <= t) & (t <= right), self._modulus(to_0, to_1)
+            inf, sup = np.where(at, np.minimum(inf, v), inf), np.where(at, np.maximum(sup, v), sup)
         if self.box is None:
-            return np.ones(len(pts), dtype=complex)
-        return self.box.contains(pts).astype(complex)
-
-    def range_on(self, lo, hi):
-        if self.box is None:
-            return np.ones(len(lo)), np.ones(len(lo))
+            return inf, sup
         inside = np.all((lo >= self.box.lo) & (hi <= self.box.hi), axis=1)
         meets = np.all((hi > self.box.lo) & (lo < self.box.hi), axis=1)
-        return inside.astype(float), meets.astype(float)
+        return np.where(inside, inf, 0.0), np.where(meets, sup, 0.0)
 
     def to_string(self):
-        if self.box is None:
-            return "indicator"
-        parts = [str(v) for v in self.box.lo] + [str(v) for v in self.box.hi]
-        return "indicator(" + ",".join(parts) + ")"
+        parts = [repr(self.c)] if self.c != 1 else []
+        if self.a:
+            parts.append(f"x^{self.a!r}")
+        if self.b:
+            parts.append(f"(1-x)^{self.b!r}")
+        if self.box == EMPTY_SUPPORT:  # two boxes that do not meet
+            parts.append("indicator(0.0,1.0)*indicator(1.0,2.0)")
+        elif self.box is not None:
+            parts.append(f"indicator({','.join(map(repr, self.box.lo + self.box.hi))})")
+        return "*".join(parts) or "1.0"
 
-    def support_box(self):
+    def support_box(self) -> Union[Box, None, tuple]:
+        """Box outside which the window is zero (None: the whole domain)."""
         return self.box
 
 
 @dataclass(frozen=True)
-class Product(Expr):
-    factors: tuple[Expr, ...]
-
-    def eval(self, pts):
-        out = np.ones(len(pts), dtype=complex)
-        for f in self.factors:
-            out = out * f.eval(pts)
-        return out
-
-    @property
-    def sampled(self):
-        return any(f.sampled for f in self.factors)
-
-    def range_on(self, lo, hi):
-        infs, sups = zip(*(f.range_on(lo, hi) for f in self.factors))
-        # a factor that vanishes on the whole box zeroes the product, inf or not
-        zero = np.any(np.equal(sups, 0.0), axis=0)
-        with np.errstate(invalid="ignore", over="ignore"):
-            return (np.where(zero, 0.0, np.prod(infs, axis=0)),
-                    np.where(zero, 0.0, np.prod(sups, axis=0)))
-
-    def to_string(self):
-        return "*".join(f.to_string() for f in self.factors)
-
-    def support_box(self):
-        box = None
-        for b in (f.support_box() for f in self.factors):
-            if b is not None:
-                box = b if box is None else (box and b and box.intersect(b)) or EMPTY_SUPPORT
-        return box
-
-
-@dataclass(frozen=True)
-class CallableExpr(Expr):
+class CallableExpr:
     """Escape hatch for windows without a closed form (not serializable)."""
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -187,6 +125,9 @@ class CallableExpr(Expr):
     def to_string(self):
         raise InputError(f"window '{self.label}' has no closed-form serialization")
 
+    def support_box(self):
+        return None
+
 
 _NUMBER = r"(-?\d+(?:\.\d+)?(?:e[+-]?\d+)?)"  # every finite repr(float), e.g. 1e-05
 _MONOMIAL_RE = re.compile(rf"^x\^{_NUMBER}$")
@@ -195,39 +136,36 @@ _INDICATOR_RE = re.compile(rf"^indicator(?:\(({_NUMBER}(?:,{_NUMBER})*)\))?$")
 _SCALAR_RE = re.compile(rf"^{_NUMBER}$")
 
 
-def parse_expr(text: str) -> Expr:
-    """Parse a window expression such as ``x^1.0``, ``indicator(0,0.5)`` or
-    ``2.0*(1-x)^0.5``."""
+def parse_expr(text: str) -> ClosedForm:
+    """Fold a window expression such as ``x^1.0``, ``indicator(0,0.5)`` or
+    ``2.0*(1-x)^0.5`` into its closed form."""
     if not isinstance(text, str):
         raise InputError(f"a window expression must be a string, got {text!r}")
-    factors = []
+    c, a, b, box, dim = 1.0, 0.0, 0.0, None, None
     for part in text.replace(" ", "").split("*"):
         if not part:
             raise InputError(f"empty factor in window expression {text!r}")
-        m = _MONOMIAL_RE.match(part)
-        if m:
-            factors.append(Monomial(*as_vec(m.group(1))))
-            continue
-        m = _REFLECTED_RE.match(part)
-        if m:
-            factors.append(ReflectedMonomial(*as_vec(m.group(1))))
-            continue
-        m = _INDICATOR_RE.match(part)
-        if m:
+        if m := _MONOMIAL_RE.match(part):
+            a += as_vec(m.group(1))[0]
+        elif m := _REFLECTED_RE.match(part):
+            b += as_vec(m.group(1))[0]
+        elif m := _INDICATOR_RE.match(part):
             if m.group(1) is None:
-                factors.append(Indicator(None))
-            else:
-                vals = as_vec(m.group(1).split(","))
-                if len(vals) % 2 != 0:
-                    raise InputError(f"indicator needs lo and hi corners: {part!r}")
-                d = len(vals) // 2
-                factors.append(Indicator(Box(vals[:d], vals[d:])))
-            continue
-        if _SCALAR_RE.match(part):
-            factors.append(Scalar(*as_vec(part)))
-            continue
-        raise InputError(f"cannot parse window factor {part!r}")
-    return factors[0] if len(factors) == 1 else Product(tuple(factors))
+                continue
+            vals = as_vec(m.group(1).split(","))
+            if len(vals) % 2 != 0:
+                raise InputError(f"indicator needs lo and hi corners: {part!r}")
+            d = len(vals) // 2
+            if dim not in (None, d):
+                raise InputError(f"indicator boxes of dimensions {dim} and {d} "
+                                 f"in one window expression {text!r}")
+            factor, dim = Box(vals[:d], vals[d:]), d
+            box = factor if box is None else (box and box.intersect(factor)) or EMPTY_SUPPORT
+        elif _SCALAR_RE.match(part):
+            c *= as_vec(part)[0]
+        else:
+            raise InputError(f"cannot parse window factor {part!r}")
+    return ClosedForm(*as_vec((c, a, b)), box)
 
 
 @dataclass(frozen=True)
@@ -235,7 +173,7 @@ class Window:
     """A labelled window function on a domain."""
 
     label: str
-    expr: Expr
+    expr: Union[ClosedForm, CallableExpr]
 
     @staticmethod
     def from_string(text: str, label: Optional[str] = None) -> "Window":
@@ -247,12 +185,12 @@ class Window:
 
     @staticmethod
     def indicator(box: Optional[Box] = None, label: str = "indicator") -> "Window":
-        return Window(label, Indicator(box))
+        return Window(label, ClosedForm(box=box))
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
         return self.expr.eval(np.atleast_2d(np.asarray(pts, dtype=float)))
 
-    def support_box(self) -> Optional[Box]:
+    def support_box(self) -> Union[Box, None, tuple]:
         return self.expr.support_box()
 
     def to_string(self) -> str:
@@ -264,4 +202,3 @@ class Window:
         vals = np.abs(self.eval(grid_points(bb, grid_n))) ** 2
         w = cell_volumes(bb, grid_n, omega).ravel()
         return float(np.sum(vals * w))
-

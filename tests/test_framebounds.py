@@ -709,6 +709,22 @@ class TestRankUpdatePath:
         assert abs(rep.A_est - a) <= 1e-9 * b
         assert abs(rep.B_est - b) <= 1e-9 * b
 
+    @pytest.mark.parametrize("first, most", [("2.0*x^1.0*indicator(0.5,1)", 4),
+                                             ("2.0*x^1.0", 16)])
+    def test_b_at_a_pole_that_the_columns_miss(self, first, most):
+        # the columns vanish on [0.5, 1), where Z's one-cell blocks peak, so
+        # H keeps lam_max: the B end starts just above it, not at the top
+        pairs = ((Window.from_string(first), integers()),
+                 (Window.from_string("indicator(0,0.5)"), FiniteSet(((0.0,), (1.0,), (2.0,)))))
+        band = nyquist_box(UNIT.bounding_box(), 256)
+        rep = estimate_frame_bounds(WindowedSystem(UNIT, pairs), 256, band)
+        probes = re.search(r"rank-3 update of 256 blocks of order at most 1: "
+                           r"inertia-bracketed Newton in (\d+) probes", rep.notes)
+        assert int(probes.group(1)) <= most
+        a, b = dense_gram_oracle(UNIT, [(w, *oracle_frequencies(f, band)) for w, f in pairs], 256)
+        assert abs(rep.A_est - a) <= 1e-9 * b
+        assert abs(rep.B_est - b) <= 1e-9 * b
+
     def test_costly_columns_keep_the_dense_block(self):
         # Z has a period of 16 cells on the 16-cell grid, so 16 + 2 columns
         # outnumber the cells, and beside its 16 blocks of one cell two

@@ -1,23 +1,16 @@
-"""Window expression trees: parsing, evaluation, boundedness and range enclosures."""
+"""Window expressions: folding into the one closed form, evaluation,
+boundedness and exact ranges."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frameforge.cli import main
 from frameforge.errors import InputError
 from frameforge.framebounds import ess_bounds, window_ranges
 from frameforge.geometry import Box, BoxUnionSet, canonicalize, cartesian
-from frameforge.windows import (
-    EMPTY_SUPPORT,
-    Indicator,
-    Monomial,
-    Product,
-    ReflectedMonomial,
-    Scalar,
-    Window,
-    parse_expr,
-)
+from frameforge.windows import EMPTY_SUPPORT, ClosedForm, Window, parse_expr
 
 UNIT = BoxUnionSet.from_intervals([(0, 1)])
 
@@ -67,34 +60,75 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def closed_form_exprs(draw):
-    """A factor, or a product of two or three, as ``parse_expr`` builds them."""
-    def factor():
-        kind = draw(st.sampled_from([Scalar, Monomial, ReflectedMonomial, Indicator]))
-        if kind is not Indicator:
-            return kind(draw(FINITE))
-        if draw(st.booleans()):
-            return Indicator(None)
-        d = draw(st.integers(1, 2))
-        lo = draw(st.tuples(*[FINITE] * d))
-        hi = draw(st.tuples(*[FINITE] * d).filter(lambda h: all(a < b for a, b in zip(lo, h))))
-        return Indicator(Box(lo, hi))
-
-    n = draw(st.integers(1, 3))
-    return factor() if n == 1 else Product(tuple(factor() for _ in range(n)))
+def closed_forms(draw):
+    """Any normal form with a one-dimensional box, the whole domain or none."""
+    box = draw(st.sampled_from(["box", None, EMPTY_SUPPORT]))
+    if box == "box":
+        lo = draw(FINITE)
+        box = Box((lo,), (draw(FINITE.filter(lambda hi: lo < hi)),))
+    return ClosedForm(draw(FINITE), draw(FINITE), draw(FINITE), box)
 
 
-@given(closed_form_exprs())
+@given(closed_forms())
 @settings(max_examples=200, deadline=None)
-def test_every_closed_form_round_trips(expr):
+def test_every_closed_form_round_trips(form):
     # to_string writes repr(float), so 1e-05, -2e-05 and 1e+17 must parse
-    assert parse_expr(Window("w", expr).to_string()) == expr
+    assert parse_expr(Window("w", form).to_string()) == form
+
+
+@pytest.mark.parametrize("text, form", [
+    ("x^1.0*2.0", ClosedForm(2.0, 1.0)),
+    ("2.0*x^1.0", ClosedForm(2.0, 1.0)),
+    ("x^1.0*x^2.0", ClosedForm(a=3.0)),
+    ("(1-x)^0.5*3.0*(1-x)^0.5*0.5", ClosedForm(1.5, b=1.0)),
+    ("indicator(0,2)*x^-1.0*indicator(1,3)", ClosedForm(a=-1.0, box=Box((1.0,), (2.0,)))),
+    ("indicator(0,0,2,2)*indicator(1,-1,3,1)", ClosedForm(box=Box((1.0, 0.0), (2.0, 1.0)))),
+    ("indicator*1.0", ClosedForm()),
+    ("0.0*x^-1.0", ClosedForm(0.0, -1.0)),
+    ("indicator(0,1)*indicator(2,3)*indicator(0.5,0.7)", ClosedForm(box=EMPTY_SUPPORT)),
+], ids=["scalar_last", "scalar_first", "exponents_add", "reflected_and_scalars",
+        "boxes_meet", "boxes_meet_2d", "trivial", "zero", "boxes_miss"])
+def test_factors_fold_into_one_form(text, form):
+    assert parse_expr(text) == form
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("indicator(0,1)*x^2.0*3.0", "3.0*x^2.0*indicator(0.0,1.0)"),
+    ("(1-x)^0.5*x^1.0", "x^1.0*(1-x)^0.5"),
+    ("1.0*indicator", "1.0"),
+    ("x^1.0*x^-1.0", "1.0"),
+    ("-1.0*x^0.0", "-1.0"),
+    ("x^1.0*indicator(0,1)*indicator(2,3)", "x^1.0*indicator(0.0,1.0)*indicator(1.0,2.0)"),
+])
+def test_to_string_writes_the_canonical_text(text, canonical):
+    assert parse_expr(text).to_string() == canonical
+
+
+def test_cancelled_exponents_read_one_at_the_singular_point():
+    # x^1.0 * x^-1.0 folds to x^0.0 = 1, also at 0 where x^-1.0 alone reads 0
+    w = Window.from_string("x^1.0*x^-1.0")
+    assert w.eval(np.array([[0.0], [0.5]])).tolist() == [1.0, 1.0]
+    assert Window.from_string("x^-1.0").eval(np.array([[0.0]])).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("text", ["1e200*1e200", "x^1e308*x^1e308", "(1-x)^-1e308*(1-x)^-1e308"])
+def test_a_folded_number_must_be_finite(text, capsys):
+    with pytest.raises(InputError, match=r"^every number must be finite, got -?inf$"):
+        parse_expr(text)
+    assert main(["gabor", "--window", text, "--M", "64"]) == 2
+    assert "every number must be finite" in capsys.readouterr().err
+
+
+def test_indicator_boxes_share_one_dimension():
+    with pytest.raises(InputError, match=r"^indicator boxes of dimensions 1 and 2 in one "):
+        parse_expr("indicator(0,1)*indicator(0,0,1,1)")
+    with pytest.raises(InputError, match=r"^indicator boxes of dimensions 2 and 1 in one "):
+        parse_expr("indicator(0,0,1,1)*indicator(2,2,3,3)*indicator(0,1)")
 
 
 def test_exponent_notation_parses():
-    assert parse_expr("1e-05") == Scalar(1e-05)
-    assert parse_expr("x^-2e-05*(1-x)^1e-05*1e+17") == Product(
-        (Monomial(-2e-05), ReflectedMonomial(1e-05), Scalar(1e17)))
+    assert parse_expr("1e-05") == ClosedForm(1e-05)
+    assert parse_expr("x^-2e-05*(1-x)^1e-05*1e+17") == ClosedForm(1e17, -2e-05, 1e-05)
     for text in ("1e", "1.e5", ".5", "1e+", "x^e5"):
         with pytest.raises(InputError, match="cannot parse window factor"):
             parse_expr(text)
@@ -114,6 +148,7 @@ def test_exponent_notation_parses():
     ("x^-0.25*indicator(0.5,1)", [(0, 1)], True),
     ("x^-0.25*indicator(0,0.5)", [(0, 1)], False),
     ("x^-0.25*indicator(-1,1)", [(0.5, 2)], True),
+    ("0.0*x^-0.25", [(0, 1)], True),
 ])
 def test_boundedness_reads_each_box_of_the_domain(text, intervals, bounded):
     # a singularity between two boxes, beyond the far face, or where the
@@ -124,7 +159,7 @@ def test_boundedness_reads_each_box_of_the_domain(text, intervals, bounded):
 
 def test_vanishing_factor_zeroes_the_product():
     # 0 * inf would be nan: the indicator is 0 on the whole box
-    expr = Product((Indicator(Box((2.0,), (3.0,))), Monomial(-0.5)))
+    expr = ClosedForm(a=-0.5, box=Box((2.0,), (3.0,)))
     inf, sup = expr.range_on(np.array([[0.0]]), np.array([[1.0]]))
     assert (inf.tolist(), sup.tolist()) == ([0.0], [0.0])
     assert ess_bounds([Window("cut", expr)], UNIT, 64).J == (0,)
@@ -137,8 +172,15 @@ def test_l2_norm_quadrature():
     assert chi.l2_norm_sq_on(UNIT) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ess_sup_of_a_product_is_exact():
+    # x^2 (1-x) peaks at its critical point 2/3 with 4/27; the piece
+    # [0.5, 0.75) holds it, and its inf 0.125 is the largest piece inf
+    rep = ess_bounds([Window.from_string("x^2.0*(1-x)^1.0")], UNIT, 4)
+    assert rep.ess_sup_of_max == (0.125, pytest.approx(4 / 27, rel=1e-15, abs=0))
+
+
 def test_support_box_intersection():
-    e = Product((Indicator(Box((0.0,), (2.0,))), Indicator(Box((1.0,), (3.0,)))))
+    e = parse_expr("indicator(0,2)*indicator(1,3)")
     assert e.support_box() == Box((1.0,), (2.0,))
     # an empty intersection stays empty, whatever factor follows
     for text in ("indicator(0,1)*indicator(2,3)*indicator(0.5,0.7)",
@@ -173,16 +215,27 @@ def boxes(d):
                     min_size=d, max_size=d).map(build)
 
 
-def factors(d):
-    exponent = st.floats(-1, 2, allow_nan=False)
-    return st.one_of(st.floats(-2, 2, allow_nan=False).map(Scalar),
-                     exponent.map(Monomial), exponent.map(ReflectedMonomial),
-                     boxes(d).map(Indicator))
+def indicator_text(box):
+    return f"indicator({','.join(map(repr, box.lo + box.hi))})"
+
+
+# scalars of moderate size, so no order of multiplying underflows
+SCALARS = st.floats(0.5, 2.0).flatmap(lambda v: st.sampled_from([v, -v]))
+EXPONENTS = st.floats(-1.0, 2.0, allow_nan=False)
+
+
+def factor_texts(d):
+    """One factor: a scalar, x^a, (1-x)^b, the whole-domain indicator or a box's."""
+    return st.one_of(SCALARS.map(repr), EXPONENTS.map(lambda a: f"x^{a!r}"),
+                     EXPONENTS.map(lambda b: f"(1-x)^{b!r}"), st.just("indicator"),
+                     boxes(d).map(indicator_text))
 
 
 def exprs(d):
-    return st.one_of(factors(d), st.lists(factors(d), min_size=2, max_size=3).map(
-        lambda fs: Product(tuple(fs))))
+    """A normal form with a box of dimension d or the whole domain; the
+    exponents span the sums of two factors'."""
+    exponent = st.floats(-2.0, 4.0, allow_nan=False)
+    return st.builds(ClosedForm, SCALARS, exponent, exponent, st.none() | boxes(d))
 
 
 def points_in(lo, hi, per_axis):
@@ -197,17 +250,55 @@ def points_in(lo, hi, per_axis):
     return pts[Box(tuple(lo), tuple(hi)).contains(pts)]
 
 
-def regular(exprs, pts):
-    """The points off every singular point: x^a and (1-x)^a with a < 0 read
-    0 there, on a null set."""
+def regular(forms, pts):
+    """The points off every singular point: x^a and (1-x)^b with a, b < 0
+    read 0 there, on a null set."""
     keep = np.ones(len(pts), dtype=bool)
-    for e in exprs:
-        for f in (e.factors if isinstance(e, Product) else (e,)):
-            if isinstance(f, Monomial) and f.alpha < 0:
-                keep &= pts[:, 0] != 0.0
-            if isinstance(f, ReflectedMonomial) and f.alpha < 0:
-                keep &= 1.0 - pts[:, 0] != 0.0
+    for form in forms:
+        if form.a < 0:
+            keep &= pts[:, 0] != 0.0
+        if form.b < 0:
+            keep &= 1.0 - pts[:, 0] != 0.0
     return pts[keep]
+
+
+@given(st.sampled_from([1, 2]).flatmap(
+    lambda d: st.tuples(st.lists(factor_texts(d), min_size=1, max_size=3),
+                        st.lists(boxes(d), min_size=1, max_size=2))))
+@settings(max_examples=200, deadline=None)
+def test_folding_keeps_the_product_of_the_factors(drawn):
+    # the oracle multiplies the factors' own values one by one, off the
+    # points where some factor is singular
+    texts, cells = drawn
+    pts = regular([parse_expr(t) for t in texts],
+                  np.vstack([points_in(b.lo, b.hi, 16 if b.dim == 1 else 4) for b in cells]))
+    folded = Window.from_string("*".join(texts)).eval(pts)
+    product = np.prod([Window.from_string(t).eval(pts) for t in texts], axis=0)
+    assert np.all(np.abs(folded - product) <= 1e-12 * np.abs(product))
+
+
+def pieces_away(d):
+    """A piece with sixteenths for faces, at least 1/8 away from 0 and 1 along x."""
+    def faces(lo, hi):
+        return st.lists(st.integers(lo, hi), min_size=2, max_size=2, unique=True).map(
+            lambda ks: (min(ks) / 16, max(ks) / 16))
+    along_x = st.sampled_from([(2, 14), (2, 14), (-8, -2), (18, 24)]).flatmap(
+        lambda r: faces(*r))
+    return st.tuples(along_x, *[faces(-8, 24)] * (d - 1)).map(lambda axes: Box(*zip(*axes)))
+
+
+def dense_points(piece, box):
+    """4096 points along x and 4 along another axis in the piece, plus points
+    just inside each face of its parts cut at the window's box faces."""
+    axes = []
+    for k, (a, b) in enumerate(zip(piece.lo, piece.hi)):
+        n = 4096 if k == 0 else 4
+        cuts = np.unique(np.clip([a, b] + ([box.lo[k], box.hi[k]] if box else []), a, b))
+        near = np.minimum(1e-12, np.diff(cuts) / 4)
+        axes.append(np.r_[a + (b - a) * (np.arange(n) + 0.5) / n,
+                          cuts[:-1] + near, cuts[1:] - near])
+    pts = cartesian(axes)
+    return pts[piece.contains(pts)]
 
 
 def assert_within(vals, inf, sup):
@@ -243,9 +334,10 @@ class TestEnclosureOracle:
         bounded = [windows[j] for j in rep.J]
         if not bounded:
             return
-        # a dense grid over the domain, and points in every piece, so the
+        # a dense grid over the domain, and points in every piece of
+        # ess_bounds (cut at every window's support, bounded or not), so the
         # piece that attains an enclosure end is sampled too
-        lo, hi, _, _ = window_ranges(bounded, omega, grid_n)
+        lo, hi, _, _ = window_ranges(windows, omega, grid_n)
         bb = omega.bounding_box()
         dense = points_in(bb.lo, bb.hi, 256 if omega.dim == 1 else 32)
         pts = regular(found, np.vstack([dense[omega.contains(dense)]]
@@ -256,3 +348,17 @@ class TestEnclosureOracle:
         assert vals.min() <= rep.ess_inf_of_max[1] * (1 + 1e-12)
         assert rep.ess_sup_of_max[0] <= vals.max() * (1 + 1e-12)
         assert vals.max() <= rep.ess_sup_of_max[1] * (1 + 1e-12)
+
+    @given(st.sampled_from([1, 2]).flatmap(
+        lambda d: st.tuples(exprs(d), st.lists(pieces_away(d), min_size=1, max_size=3))))
+    @settings(max_examples=200, deadline=None)
+    def test_range_on_ends_are_attained(self, drawn):
+        # away from 0 and 1 the modulus is smooth, so the exact ends are the
+        # extremes of a dense sample, to its spacing squared at a critical point
+        form, cells = drawn
+        inf, sup = form.range_on(np.array([b.lo for b in cells]),
+                                 np.array([b.hi for b in cells]))
+        for i, piece in enumerate(cells):
+            vals = np.abs(form.eval(dense_points(piece, form.box)))
+            assert np.isclose(vals.min(), inf[i], rtol=1e-5, atol=0)
+            assert np.isclose(vals.max(), sup[i], rtol=1e-5, atol=0)
