@@ -122,8 +122,8 @@ def build_bounded_window_frame(windows: Sequence[Window], omega: BoxUnionSet,
                   for j, w in enumerate(windows))
     system = WindowedSystem(omega, pairs)
 
-    # the cube's side lattice packs it, and every Ron-Shen fiber of a cube
-    # is one point, so a grid of 2 cells per axis measures the constant
+    # the cube's side lattice packs it and every Ron-Shen fiber of a cube is
+    # one point, so 2 cells per axis read the constant as the painless sum
     c_q = build_lattice_tight_frame(BoxUnionSet(d, (q_r,)), Lattice.scaled_integers(side, d),
                                     grid_n=2).predicted_A
     predicted_a = c_q * m ** 2

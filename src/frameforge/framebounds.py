@@ -11,6 +11,8 @@ its period; a non-constant density enters as its Toeplitz kernel.  A grid
 whose Nyquist band matches the frequency truncation reproduces tight
 continuous systems exactly; that band is the default truncation, save for
 the lattice cosets kept untruncated on the continuum's Ron-Shen fibers.
+Where each such fiber is one point (the painless case), the bounds are the
+extremes of sum_j covol(L_j)^-1 |offsets_j| |g_j|^2 over the samples.
 """
 
 from __future__ import annotations
@@ -52,14 +54,29 @@ class ContinuousFreqMeasure:
         object.__setattr__(self, "atoms", atoms)
         if self.density is None and not atoms:
             raise InputError("a frequency measure needs a density or atoms")
+        dims = {len(p) for p, _ in atoms}
+        dims |= {self.density.dim} if self.density is not None else set()
+        if len(dims) > 1:
+            raise InputError(f"a frequency measure mixes dimensions {sorted(dims)}")
         if self.density is not None and np.min(self.density.samples.real) < -1e-12:
             raise InputError("frequency density must be non-negative")
         for _, w in atoms:
             if not w > 0:
                 raise InputError("atom weights must be positive")
 
+    @property
+    def dim(self) -> int:
+        return self.density.dim if self.density is not None else len(self.atoms[0][0])
+
 
 FreqSpec = Union[StructuredPointSet, ContinuousFreqMeasure]
+
+
+def _refuse_window_dimension(name: str, window: Window, omega: BoxUnionSet) -> None:
+    """Refuse a window whose support box has a dimension other than the domain's."""
+    if (box := window.support_box()) and box.dim != omega.dim:
+        raise InputError(f"{name}: window support box of dimension {box.dim} on a "
+                         f"domain of dimension {omega.dim}")
 
 
 @dataclass(frozen=True)
@@ -72,6 +89,12 @@ class WindowedSystem:
     def __post_init__(self):
         if not self.pairs:
             raise InputError("a windowed system needs at least one pair")
+        for j, (window, freq) in enumerate(self.pairs):
+            name = f"pair {j} ('{window.label}')"
+            _refuse_window_dimension(name, window, self.omega)
+            if freq.dim != self.omega.dim:
+                raise InputError(f"{name}: frequency set of dimension {freq.dim} on a "
+                                 f"domain of dimension {self.omega.dim}")
 
     @property
     def q(self) -> int:
@@ -437,7 +460,10 @@ def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
     direct integral of G(x) = V V* over the fibers x + k t in the domain (V
     from ``_fiber_factor``, u = g_j, weight covol(L_j)^-1/2), sampled at the
     cell centres x within one period of the grid's corner.  k t is counted
-    in cells, whole where t is, so the fiber points are then cell centres."""
+    in cells, whole where t is, so the fiber points are then cell centres.
+    Where every fiber is one point (painless), G = sum_j covol(L_j)^-1
+    |offsets_j| |g_j|^2 is summed as V V* sums its columns, with no V and
+    no eigensolve."""
     spacing = [_diagonal_spacing(f, grid_box.dim) for _, f in system.pairs]
     if any(s is None for s in spacing):
         return None
@@ -455,16 +481,26 @@ def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
     inside[inside] = system.omega.contains(pts[inside])
     if not inside.any():
         raise InputError("singular sampling: every cell centre misses the domain")
-    sizes, pts, turn = inside.sum(axis=1), pts[inside], np.broadcast_to(turns, at.shape)[inside]
-    V = _fiber_factor([(w.eval(pts), np.array(f.offsets, dtype=float),
-                        np.full(len(f.offsets), 1.0 / f.lattice.covolume),
-                        np.round(dual / period).astype(int))
-                       for (w, f), dual in zip(system.pairs, duals)], turn, pts)
-    a, b, arithmetic = _extremal_eigs_blocks(np.arange(len(pts)), sizes[sizes > 0], V)
-    note = (f"Ron-Shen fiber eigensolve (samples {np.count_nonzero(sizes)}, largest fiber "
-            f"{sizes.max()}, columns {V.shape[1]}); lattice untruncated; sampled in x at the "
-            f"cell centres{arithmetic}")
-    return FrameBoundsReport(a, b, grid_n, None, note)
+    sizes, pts = inside.sum(axis=1), pts[inside]
+    terms = [(w.eval(pts), np.array(f.offsets, dtype=float),
+              np.full(len(f.offsets), 1.0 / f.lattice.covolume),
+              np.round(dual / period).astype(int))
+             for (w, f), dual in zip(system.pairs, duals)]
+    kept, r = np.count_nonzero(sizes), sum(len(w) * np.prod(q) for *_, w, q in terms)
+    if sizes.max() == 1:  # painless: each column's v conj(v), once per coset offset
+        g, arithmetic = 0.0, ""
+        for u, _, w, _ in terms:
+            square = ((v := np.sqrt(w[0]) * u) * v.conj()).real
+            for _ in w:
+                g = g + square
+        a, b = max(float(g.min()), 0.0), float(g.max())
+        head = f"Ron-Shen fibers of one point each, summed in closed form (samples {kept}"
+    else:
+        V = _fiber_factor(terms, np.broadcast_to(turns, at.shape)[inside], pts)
+        a, b, arithmetic = _extremal_eigs_blocks(np.arange(len(pts)), sizes[sizes > 0], V)
+        head = f"Ron-Shen fiber eigensolve (samples {kept}, largest fiber {sizes.max()}"
+    note = f"{head}, columns {r}); lattice untruncated; sampled in x at the cell centres"
+    return FrameBoundsReport(a, b, grid_n, None, note + arithmetic)
 
 
 def _fibers(idx: np.ndarray, period: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -570,6 +606,8 @@ def window_ranges(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int
     or out of the domain (as its lower corner does) and every indicator is
     constant on it.  Returns corners lo, hi (m, d) and range ends inf, sup (q, m).
     """
+    for j, w in enumerate(windows):
+        _refuse_window_dimension(f"window {j} ('{w.label}')", w, omega)
     bb = omega.bounding_box()
     faces = list(omega.boxes) + [b for w in windows if (b := w.support_box())]
     edges = []

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frameforge import framebounds
@@ -22,7 +22,7 @@ from frameforge.framebounds import (
     window_ranges,
 )
 from frameforge.geometry import Box, BoxUnionSet, Lattice, canonicalize
-from frameforge.gridfn import GridFunction, cell_volumes
+from frameforge.gridfn import GridFunction, cell_volumes, grid_points
 from frameforge.pointsets import (
     FiniteSet,
     LatticeCosets,
@@ -961,6 +961,11 @@ class TestFiberizedPath:
         assert abs(rows[0].A_est - 1.0) <= 1e-14 and abs(rows[0].B_est - 1.0) <= 1e-14
 
 
+def painless_note(samples, columns):
+    return (f"Ron-Shen fibers of one point each, summed in closed form (samples {samples}, "
+            f"columns {columns}); lattice untruncated; sampled in x at the cell centres")
+
+
 @st.composite
 def grid_line_lattice_systems(draw):
     """Whole-period diagonal lattices (cosets of them too), one or two pairs,
@@ -1005,19 +1010,90 @@ class TestRonShenPath:
 
     # a spacing s up to 0.79 (1 + 4/16) stays below the domain's length 1,
     # so the fibers over [0, 1) are the cell centres one by one and
-    # S = sum_j |g_j|^2 / s there
+    # S = |offsets| sum_j |g_j|^2 / s there: each coset's phase has modulus 1
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 4), st.integers(1, 2), st.sampled_from([64, 128, 256]), st.data())
-    def test_painless_spacings_meet_the_closed_form(self, k, count, grid_n, data):
+    @given(st.integers(0, 4), st.integers(1, 2), st.sampled_from([64, 128, 256]),
+           st.lists(st.integers(1, 7), max_size=3, unique=True), st.data())
+    def test_painless_spacings_meet_the_closed_form(self, k, count, grid_n, eighths, data):
         s = 0.79 * (1.0 + k / 16.0)
         windows = [draw_window(data.draw, j) for j in range(count)]
-        system = WindowedSystem(UNIT, tuple((w, integers(scale=s)) for w in windows))
-        rep = estimate_frame_bounds(system, grid_n)
-        assert rep.notes.startswith("Ron-Shen") and "lattice untruncated" in rep.notes
+        offsets = tuple((s * e / 8.0,) for e in eighths) or ((0.0,),)
+        cosets = LatticeCosets(Lattice.scaled_integers(s), offsets)
+        rep = estimate_frame_bounds(WindowedSystem(UNIT, tuple((w, cosets) for w in windows)),
+                                    grid_n)
+        assert rep.notes == painless_note(grid_n, count * len(offsets))
         x = ((np.arange(grid_n) + 0.5) / grid_n).reshape(-1, 1)
-        total = sum(np.abs(w.eval(x)) ** 2 for w in windows) / s
+        total = len(offsets) * sum(np.abs(w.eval(x)) ** 2 for w in windows) / s
         assert rep.A_est == pytest.approx(total.min(), rel=1e-12)
         assert rep.B_est == pytest.approx(total.max(), rel=1e-12)
+
+    # the benchmark's L-shape: the unit square at a shift of eighths minus
+    # one quadrant, with cosets of Z^2 at 48 cells, one fiber point per cell
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 3), st.tuples(st.integers(-16, 16), st.integers(-16, 16)),
+           st.integers(1, 2), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                                       min_size=1, max_size=3, unique=True), st.data())
+    def test_painless_l_shape_meets_the_closed_form(self, missing, shift, count, eighths, data):
+        tx, ty = np.array(shift) / 8.0
+        omega = canonicalize([Box((tx + 0.5 * i, ty + 0.5 * j),
+                                  (tx + 0.5 * (i + 1), ty + 0.5 * (j + 1)))
+                              for i in (0, 1) for j in (0, 1) if 2 * i + j != missing])
+        windows = [draw_window(data.draw, j) for j in range(count)]
+        cosets = LatticeCosets(Lattice.scaled_integers(1.0, 2),
+                               tuple((a / 8.0, b / 8.0) for a, b in eighths))
+        rep = estimate_frame_bounds(WindowedSystem(omega, tuple((w, cosets) for w in windows)),
+                                    48)
+        assert rep.notes == painless_note(48 * 36, count * len(eighths))
+        x = grid_points(omega.bounding_box(), 48)
+        x = x[omega.contains(x)]
+        total = len(eighths) * sum(np.abs(w.eval(x)) ** 2 for w in windows)
+        assert rep.A_est == pytest.approx(total.min(), rel=1e-12)
+        assert rep.B_est == pytest.approx(total.max(), rel=1e-12)
+
+    # with every offset 0 the sum is the one-point block solve bit for bit
+    @settings(max_examples=40, deadline=None)
+    @given(grid_line_lattice_systems())
+    def test_painless_sum_is_the_block_solve_at_offset_zero(self, case):
+        system, grid_n = case
+        system = WindowedSystem(system.omega, tuple(
+            (w, LatticeCosets(f.lattice)) for w, f in system.pairs))
+        rep = estimate_frame_bounds(system, grid_n)
+        assume(rep.notes.startswith("Ron-Shen fibers of one point each"))
+        x = grid_points(system.omega.bounding_box(), grid_n)
+        x = x[system.omega.contains(x)]
+        covols = [f.lattice.covolume for _, f in system.pairs]
+        V = framebounds._fiber_factor(
+            [(w.eval(x), np.zeros((1, x.shape[1])), np.array([1.0 / c]), np.ones(x.shape[1], int))
+             for (w, _), c in zip(system.pairs, covols)], np.zeros_like(x, dtype=int), x)
+        a, b, _ = framebounds._extremal_eigs_blocks(np.arange(len(x)), np.ones(len(x), int), V)
+        assert (rep.A_est, rep.B_est) == (a, b)
+
+    def test_readme_pair_keeps_its_bits(self):
+        system = WindowedSystem(UNIT, tuple((Window.from_string(w), integers())
+                                            for w in ("x^1.0", "(1-x)^1.0")))
+        rep = estimate_frame_bounds(system, 256)
+        assert (rep.A_est, rep.B_est) == (0.5000076293945312, 0.9961013793945312)
+        assert rep.notes == painless_note(256, 2)
+
+    def test_painless_systems_call_no_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a painless system needs no factor and no eigensolve")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(framebounds, "_fiber_factor", refuse)
+        lshape = canonicalize([Box((0.0, 0.0), (1.0, 0.5)), Box((0.0, 0.5), (0.5, 1.0))])
+        windows = [Window.from_string(w) for w in ("x^1.0", "2.0*(1-x)^0.5", "indicator")]
+        for omega, pairs, grid_n in [
+                (UNIT, [(w, integers()) for w in windows], 1024),
+                (UNIT, [(w, integers(scale=0.8)) for w in windows[:2]], 1024),
+                (lshape, [(Window.indicator(), integers(2))], 48)]:
+            rep = estimate_frame_bounds(WindowedSystem(omega, tuple(pairs)), grid_n)
+            assert rep.notes.startswith("Ron-Shen fibers of one point each")
+        # a fiber of two points still takes the block solve
+        long = WindowedSystem(BoxUnionSet.from_intervals([(0.0, 2.0)]),
+                              ((Window.indicator(), integers()),))
+        with pytest.raises(AssertionError, match="no eigensolve"):
+            estimate_frame_bounds(long, 64)
 
     def test_truncated_grid_converges_toward_the_fibers(self):
         # x and 1 - x with 0.79 Z: the Nyquist cut lifts B far above the
@@ -1066,6 +1142,52 @@ class TestRonShenPath:
         omega = BoxUnionSet.from_intervals([(0.0, 0.1), (0.9, 1.0)])
         with pytest.raises(InputError, match="every cell centre misses the domain"):
             estimate_frame_bounds(WindowedSystem(omega, ((Window.indicator(), integers()),)), 2)
+
+
+class TestDimensionRule:
+    """A window's support box and a frequency set must have the domain's
+    dimension; the error names the pair (or window) and both dimensions."""
+
+    SQUARE = canonicalize([Box((0.0, 0.0), (1.0, 1.0))])
+
+    def test_one_dimensional_window_on_a_square(self):
+        window = Window.from_string("indicator(0,0.5)")
+        with pytest.raises(InputError, match=re.escape(
+                "window 0 ('indicator(0,0.5)'): window support box of dimension 1 on a "
+                "domain of dimension 2")):
+            ess_bounds([window], self.SQUARE, 8)
+        with pytest.raises(InputError, match=r"^pair 0 .* dimension 1 on a domain of dimension 2"):
+            WindowedSystem(self.SQUARE, ((window, integers(2)),))
+
+    def test_two_dimensional_window_on_a_line(self):
+        window = Window.from_string("indicator(0,0,0.5,0.5)")
+        with pytest.raises(InputError, match="dimension 2 on a domain of dimension 1"):
+            ess_bounds([Window.indicator(), window], UNIT, 8)
+        with pytest.raises(InputError, match=re.escape(
+                "pair 1 ('indicator(0,0,0.5,0.5)'): window support box of dimension 2")):
+            WindowedSystem(UNIT, ((Window.indicator(), integers()), (window, integers())))
+
+    @pytest.mark.parametrize("freq", [
+        integers(), FiniteSet(((0.0,),)),
+        ContinuousFreqMeasure(atoms=(((0.0,), 1.0),))], ids=["lattice", "finite", "atoms"])
+    def test_one_dimensional_frequencies_on_a_square(self, freq):
+        with pytest.raises(InputError, match=re.escape(
+                "pair 0 ('indicator'): frequency set of dimension 1 on a domain of dimension 2")):
+            WindowedSystem(self.SQUARE, ((Window.indicator(), freq),))
+
+    @pytest.mark.parametrize("atoms, density", [
+        ((((0.0,), 1.0), ((0.0, 1.0), 1.0)), None),
+        ((((0.0, 1.0), 1.0),), GridFunction(Box((-1.0,), (1.0,)), np.ones(2), np.ones(2)))],
+        ids=["atoms", "atom_and_density"])
+    def test_a_measure_of_mixed_dimensions(self, atoms, density):
+        with pytest.raises(InputError, match=re.escape("mixes dimensions [1, 2]")):
+            ContinuousFreqMeasure(density, atoms)
+
+    def test_windows_without_a_box_fit_any_domain(self):
+        pairs = ((Window.from_string("x^1.0"), integers(2)),
+                 (Window.from_callable(lambda p: p[:, 1], "y"), integers(2)))
+        rep = estimate_frame_bounds(WindowedSystem(self.SQUARE, pairs), 8)
+        assert rep.notes.startswith("Ron-Shen fibers of one point each")
 
 
 class TestEssBounds:

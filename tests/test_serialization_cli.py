@@ -529,6 +529,13 @@ INFINITE_DOMAIN = '{"dim": 1, "boxes": [[0, Infinity]]}'
     (["frame-bounds", "--grid-n", "8", "--system", system_with_freq(
         {"kind": "continuous", "box": [-4.0, 4.0], "n": 2.5, "density": [1.0, 1.0]})],
      {}, "whole number, got 2.5"),
+    (["frame-bounds", "--grid-n", "8", "--system", json.dumps(dict(SYSTEM, pairs=[
+        dict(SYSTEM["pairs"][0], window="indicator(0,0,0.5,0.5)")]))], {},
+     "pair 0 ('indicator(0,0,0.5,0.5)'): window support box of dimension 2 on a domain "
+     "of dimension 1"),
+    (["frame-bounds", "--grid-n", "8", "--system", system_with_freq(
+        {"kind": "finite_set", "dim": 2, "points": [[0.0, 0.0]]})], {},
+     "pair 0 ('indicator'): frequency set of dimension 2 on a domain of dimension 1"),
 ], ids=["x0", "h_list", "h_zero", "trunc", "lattice_entry", "lattice_object", "comb_term",
         "coset_basis", "point_set_kind", "config_not_json", "config_not_object",
         "config_value", "config_flag", "system_basis", "system_density",
@@ -537,7 +544,8 @@ INFINITE_DOMAIN = '{"dim": 1, "boxes": [[0, Infinity]]}'
         "period_inf", "h_list_inf", "window_corner_overflow", "density_nan", "window_overflow",
         "atom_weight_inf", "x0_nan", "step_zero", "step_nan", "x_max_nan", "step_negative",
         "x_max_negative", "x_max_zero", "indicator_empty", "indicator_letters", "atom_empty",
-        "dim_inf", "dim_fraction", "set_dim_fraction", "density_cells_fraction"])
+        "dim_inf", "dim_fraction", "set_dim_fraction", "density_cells_fraction",
+        "window_dimension", "frequency_dimension"])
 def test_malformed_input_exits_two_with_one_error_line(tmp_path, monkeypatch, capsys,
                                                        argv, files, named):
     monkeypatch.chdir(tmp_path)
@@ -606,11 +614,13 @@ def comb_dicts(draw, dim=None):
 
 
 @st.composite
-def window_texts(draw):
-    lo = draw(eighths)
+def window_texts(draw, dim):
+    """A window whose indicator boxes have the domain's dimension."""
+    lo = [draw(eighths) for _ in range(dim)]
+    box = ",".join(map(repr, lo + [a + draw(widths) for a in lo]))
     factors = [draw(st.sampled_from([f"{draw(widths)!r}", f"x^{draw(eighths)!r}",
                                      f"(1-x)^{draw(eighths)!r}", "indicator",
-                                     f"indicator({lo!r},{lo + draw(widths)!r})"]))
+                                     f"indicator({box})"]))
                for _ in range(draw(st.integers(1, 3)))]
     return "*".join(factors)
 
@@ -627,7 +637,7 @@ def system_dicts(draw):
             freq = {"kind": "continuous", "box": [-4.0] * dim + [4.0] * dim, "n": n,
                     "density": [draw(widths) for _ in range(n ** dim)],
                     "atoms": [[draw(eighths)] * dim + [draw(widths)]]}
-        pairs.append({"window": draw(window_texts()), "freq": freq})
+        pairs.append({"window": draw(window_texts(dim)), "freq": freq})
     return {"omega": draw(domain_dicts(dim)), "pairs": pairs}
 
 
