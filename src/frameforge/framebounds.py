@@ -136,7 +136,7 @@ def _mirrors(freqs: np.ndarray, weights: np.ndarray) -> bool:
 
 
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    return a if a.imag.any() else a.real.copy()
+    return a if not np.iscomplexobj(a) or a.imag.any() else a.real.copy()
 
 
 def _arithmetic(a: np.ndarray) -> str:

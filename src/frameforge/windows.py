@@ -7,6 +7,10 @@ is monotone between 0, 1 and its one critical point a / (a + b), so its range
 over a box is read at a few points and is exact.  Windows built from an
 arbitrary callable are supported for probing, have sampled ranges and are not
 serializable.
+
+A window's values are real unless some value is not: a closed form is real
+unless a negative base meets a fractional exponent, and a callable's result
+keeps its own kind.
 """
 
 from __future__ import annotations
@@ -27,9 +31,13 @@ EMPTY_SUPPORT = ()  # the box of a window whose indicator boxes do not meet
 
 
 def _power(base: np.ndarray, exponent: float) -> np.ndarray:
-    """base^exponent in complex arithmetic, 0 where it is singular."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = base.astype(complex) ** exponent
+    """base^exponent, 0 where it is singular or overflows: real, and complex
+    (the principal branch) only when a negative base meets a fractional
+    exponent."""
+    if exponent % 1 and (base < 0).any():
+        base = base.astype(complex)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = base ** exponent
     out[~np.isfinite(out)] = 0.0
     return out
 
@@ -48,16 +56,16 @@ class ClosedForm:
 
     def eval(self, pts):
         if self.box == EMPTY_SUPPORT:
-            return np.zeros(len(pts), dtype=complex)
+            return np.zeros(len(pts))
         # c, x^a, (1-x)^b, 1_B in turn, so s*x^a*(1-x)^b reads as its factors did
-        factors = [np.full(len(pts), self.c, dtype=complex)] if self.c != 1 else []
+        factors = [np.full(len(pts), self.c, dtype=float)] if self.c != 1 else []
         if self.a:
             factors.append(_power(pts[:, 0], self.a))
         if self.b:
             factors.append(_power(1.0 - pts[:, 0], self.b))
         if self.box is not None:
-            factors.append(self.box.contains(pts).astype(complex))
-        return reduce(mul, factors) if factors else np.ones(len(pts), dtype=complex)
+            factors.append(self.box.contains(pts).astype(float))
+        return reduce(mul, factors) if factors else np.ones(len(pts))
 
     def _modulus(self, to_0, to_1):
         """|c| |x|^a |1-x|^b from |x| and |1-x|, infinite at a singular point."""
@@ -77,12 +85,16 @@ class ClosedForm:
         inf, sup = vals.min(axis=0), vals.max(axis=0)
         # |g| is monotone between 0, 1 and t = a / (a + b), so it is also read
         # at those inside [left, right]; at t from |t| and |1 - t| = |b / (a + b)|,
-        # exact where t rounds to 0 or 1
-        turns = [(0.0, 0.0, 1.0)] * (self.a != 0) + [(1.0, 1.0, 0.0)] * (self.b != 0)
+        # exact where t rounds to 0 or 1, and from logs where either underflows
+        turns = [(0.0, self._modulus(0.0, 1.0))] * (self.a != 0)
+        turns += [(1.0, self._modulus(1.0, 0.0))] * (self.b != 0)
         if self.a and self.b and (s := self.a + self.b):
-            turns.append((self.a / s, abs(self.a / s), abs(self.b / s)))
-        for t, to_0, to_1 in turns:
-            at, v = (left <= t) & (t <= right), self._modulus(to_0, to_1)
+            to_0, to_1 = abs(self.a / s), abs(self.b / s)
+            logs = np.log(np.abs([self.a, self.b])) - np.log(abs(s))  # log |t|, log |1 - t|
+            turns.append((self.a / s, self._modulus(to_0, to_1) if to_0 and to_1
+                          else abs(self.c) * np.exp(np.dot([self.a, self.b], logs))))
+        for t, v in turns:
+            at = (left <= t) & (t <= right)
             inf, sup = np.where(at, np.minimum(inf, v), inf), np.where(at, np.maximum(sup, v), sup)
         if self.box is None:
             return inf, sup
@@ -116,7 +128,8 @@ class CallableExpr:
     sampled = True
 
     def eval(self, pts):
-        return np.asarray(self.fn(pts), dtype=complex)
+        v = np.asarray(self.fn(pts))
+        return v.astype(np.result_type(v, np.float64), copy=False)
 
     def range_on(self, lo, hi):  # |fn| at the box centres
         v = np.abs(self.eval((lo + hi) / 2.0))
@@ -188,6 +201,7 @@ class Window:
         return Window(label, ClosedForm(box=box))
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
+        """g at each point: float64 unless some value is not real, then complex128."""
         return self.expr.eval(np.atleast_2d(np.asarray(pts, dtype=float)))
 
     def support_box(self) -> Union[Box, None, tuple]:

@@ -1,16 +1,21 @@
 """Window expressions: folding into the one closed form, evaluation,
 boundedness and exact ranges."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameforge.cli import main
 from frameforge.errors import InputError
 from frameforge.framebounds import ess_bounds, window_ranges
 from frameforge.geometry import Box, BoxUnionSet, canonicalize, cartesian
-from frameforge.windows import EMPTY_SUPPORT, ClosedForm, Window, parse_expr
+from frameforge.windows import EMPTY_SUPPORT, CallableExpr, ClosedForm, Window, parse_expr
+
+# a singular or overflowing power reads 0 by design, so none may warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 UNIT = BoxUnionSet.from_intervals([(0, 1)])
 
@@ -310,6 +315,8 @@ class TestEnclosureOracle:
     @given(st.sampled_from([1, 2]).flatmap(
         lambda d: st.tuples(exprs(d), st.lists(boxes(d), min_size=1, max_size=4))))
     @settings(max_examples=200, deadline=None)
+    # a / (a + b) underflows to 0, where 0^a = 0 would hide the sup 1
+    @example(drawn=(ClosedForm(1.0, 5e-324, 2.0, None), [Box((0.0,), (0.0625,))]))
     def test_range_on_contains_every_sample(self, drawn):
         expr, cells = drawn
         lo = np.array([b.lo for b in cells])
@@ -362,3 +369,67 @@ class TestEnclosureOracle:
             vals = np.abs(form.eval(dense_points(piece, form.box)))
             assert np.isclose(vals.min(), inf[i], rtol=1e-5, atol=0)
             assert np.isclose(vals.max(), sup[i], rtol=1e-5, atol=0)
+
+
+def centres(n, lo=0.0, hi=1.0):
+    """The n cell centres of [lo, hi) as points."""
+    return (lo + (hi - lo) * (np.arange(n) + 0.5) / n).reshape(-1, 1)
+
+
+class TestRealArithmetic:
+    """A window's values are real unless some value is not."""
+
+    @pytest.mark.parametrize("a", [-0.9, -0.25, 0.1, 1.37, 2.9])
+    def test_real_powers_are_within_one_ulp(self, a):
+        # cell centres and 1 - x are exact in binary, and the two grids'
+        # centres mirror onto themselves, so one reference serves x^a and
+        # (1-x)^a; complex pow is off by up to 15 ulp at these exponents
+        x = np.vstack([centres(256), centres(1024)])
+        with localcontext() as ctx:
+            ctx.prec = 50
+            ref = {v: float(Decimal(v) ** Decimal(a)) for v in x[:, 0].tolist()}
+        for form, base in ((ClosedForm(a=a), x[:, 0]), (ClosedForm(b=a), 1.0 - x[:, 0])):
+            vals = form.eval(x)
+            want = np.array([ref[v] for v in base.tolist()])
+            assert vals.dtype == np.float64
+            assert np.all(np.abs(vals - want) <= np.spacing(want))
+
+    @pytest.mark.parametrize("a", [-0.9, 0.5, 2.9])
+    def test_negative_base_with_a_fractional_exponent_stays_complex(self, a):
+        # x < 0 and 1 - x < 0 both occur; the principal branch of complex pow
+        x = centres(192, -1.0, 2.0)
+        for form in (ClosedForm(a=a), ClosedForm(b=a), ClosedForm(-1.5, a)):
+            base = x[:, 0] if form.a else 1.0 - x[:, 0]
+            vals = form.eval(x)
+            assert vals.dtype == np.complex128
+            assert np.array_equal(vals, form.c * base.astype(complex) ** a)
+            assert np.all(vals[base < 0].imag != 0)
+
+    @pytest.mark.parametrize("form", [
+        ClosedForm(), ClosedForm(-2.0), ClosedForm(a=-0.25), ClosedForm(0.5, 1.5, -0.75),
+        ClosedForm(2.0, 2.0, 3.0, Box((-0.5,), (0.5,))), ClosedForm(a=-1.0, box=EMPTY_SUPPORT),
+    ], ids=["one", "scalar", "singular", "product", "boxed", "empty"])
+    def test_closed_forms_on_real_bases_are_real(self, form):
+        x = np.vstack([[[0.0], [1.0]], centres(32)])  # singular points included
+        vals = form.eval(x)
+        assert vals.dtype == np.float64
+        assert np.all(np.isfinite(vals))
+
+    def test_integer_exponents_of_negative_bases_are_real(self):
+        x = centres(32, -2.0, 0.0)
+        assert ClosedForm(3.0, 2.0, -3.0).eval(x).dtype == np.float64
+        assert np.array_equal(ClosedForm(a=2.0).eval(x)[:, None], x ** 2)
+
+    @pytest.mark.parametrize("fn, dtype", [
+        (lambda p: np.exp(-p[:, 0] ** 2), np.float64),
+        (lambda p: p[:, 0].astype(np.float32), np.float64),
+        (lambda p: (p[:, 0] > 0.5).astype(int), np.float64),
+        (lambda p: np.exp(2j * np.pi * p[:, 0]), np.complex128),
+        (lambda p: np.ones(len(p), dtype=np.complex64), np.complex128),
+    ], ids=["real", "float32", "int", "complex", "complex64"])
+    def test_callables_keep_their_kind(self, fn, dtype):
+        x = centres(16)
+        vals = Window.from_callable(fn, "f").eval(x)
+        assert vals.dtype == dtype
+        assert np.array_equal(vals, fn(x))
+        assert CallableExpr(fn, "f").range_on(x, x)[0].dtype == np.float64
