@@ -41,7 +41,7 @@ from .geometry import (
     translate_overlap,
 )
 from .gridfn import GridFunction, cell_volumes, grid_points
-from .pointsets import FiniteSet, LatticeCosets
+from .pointsets import LatticeCosets
 from .windows import Window
 
 
@@ -95,12 +95,14 @@ def build_bounded_window_frame(windows: Sequence[Window], omega: BoxUnionSet,
                                grid_n: int = 256) -> ConstructionResult:
     """Build a frame of windowed exponentials from windows bounded away from 0.
 
-    Covers the domain by a cube, gives every bounded window the cube's full
-    harmonic lattice and every unbounded window the single zero frequency,
-    and gives each piece of the domain to a bounded window that clears the
-    essential minimum there.  Predicted bounds use the measured tight
-    constant of the raw cube exponentials, the outer ends of the enclosures
-    of the window max's essential bounds, and the window norms.
+    Covers the domain by a cube, gives every window bounded on the domain
+    (the set J) the cube's full harmonic lattice and every other window no
+    frequency, and gives each piece of the domain to a window of J that
+    clears the essential minimum m there.  The domain lies in the cube, so
+    every Ron-Shen fiber is one point and the bounds are the measured tight
+    constant c of the raw cube exponentials times the ess inf and ess sup of
+    sum_J |g_j|^2: predicted bounds are c m^2 and c times the largest sum
+    over J of squared upper range ends on one piece.
     """
     lo, hi, infs, sups = window_ranges(windows, omega, grid_n)
     ess = ess_report(windows, infs, sups, grid_n)
@@ -117,22 +119,19 @@ def build_bounded_window_frame(windows: Sequence[Window], omega: BoxUnionSet,
     q_r = cover_cube(omega)
     side = q_r.sides[0]
     harmonic = LatticeCosets(Lattice.scaled_integers(1.0 / side, d))
-    zero = FiniteSet((tuple(0.0 for _ in range(d)),), dimension=d)
-    pairs = tuple((w, harmonic if j in ess.J else zero)
-                  for j, w in enumerate(windows))
-    system = WindowedSystem(omega, pairs)
+    system = WindowedSystem(omega, tuple((windows[j], harmonic) for j in ess.J))
 
     # the cube's side lattice packs it and every Ron-Shen fiber of a cube is
     # one point, so 2 cells per axis read the constant as the painless sum
     c_q = build_lattice_tight_frame(BoxUnionSet(d, (q_r,)), Lattice.scaled_integers(side, d),
                                     grid_n=2).predicted_A
     predicted_a = c_q * m ** 2
-    norms = [w.l2_norm_sq_on(omega) for w in windows]
-    predicted_b = len(windows) * (c_q * big_m ** 2 + omega.measure() * max(norms))
+    predicted_b = c_q * float((sups[list(ess.J)] ** 2).sum(axis=0).max())
     partition = _first_hit_partition(lo, hi, infs, ess.J, m)
     provenance = (f"cube cover side {side}, harmonic lattice spacing {1.0/side}, "
-                  f"bounded windows J={list(ess.J)}, m={m:.6g}, M={big_m:.6g}, "
-                  f"measured cube constant {c_q:.6g}")
+                  f"bounded windows J={list(ess.J)}, no frequencies for windows "
+                  f"{[j for j in range(len(windows)) if j not in ess.J]}, m={m:.6g}, "
+                  f"M={big_m:.6g}, measured cube constant {c_q:.6g}")
     return ConstructionResult(system, predicted_a, predicted_b,
                               tuple(partition), provenance)
 

@@ -685,7 +685,8 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
     """Verify the bound/density bracket on the windows.
 
     Per window with positive upper density: ess-sup |g_j| <= sqrt(B / D+_j),
-    which an unbounded window fails.
+    which an unbounded window fails: such a system is not Bessel, and the
+    notes say so.
     Over the bounded positive-density windows J': sqrt(A / D+(sum of combs))
     <= ess-inf max |g_j| and ess-sup max |g_j| <= max_j sqrt(B / D+_j).
     A violation is reported only when the enclosures prove it: the sup
@@ -699,7 +700,7 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
     # faces, so each enclosure is at least as tight as the window's own
     _, _, infs, sups = window_ranges(windows, system.omega, grid_n)
     bounded = np.isfinite(sups).all(axis=1)
-    rows = []
+    rows, notes = [], []
     for j, (window, dens) in enumerate(zip(windows, densities)):
         if dens.upper <= 0:
             continue
@@ -707,13 +708,15 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
         ess_sup = float(infs[j].max()) if bounded[j] else math.inf
         rows.append(WindowBracketRow(window.label, dens.upper, cap, ess_sup,
                                      ess_sup <= cap + tol, cap + tol - ess_sup))
+        if not bounded[j]:
+            notes.append(f"not Bessel: window '{window.label}' is unbounded on the domain "
+                         f"and carries frequencies of upper density {dens.upper:.6g}")
     j_prime = [j for j in range(len(windows)) if densities[j].upper > 0 and bounded[j]]
-    notes = []
     if report.A_est == report.B_est:
         notes.append("tight system (A = B); bracket applied anyway")
     if not j_prime:
-        contradiction = ("system reports a positive lower frame bound but no bounded "
-                         "window has positive upper density") if report.A_est > 1e-6 else None
+        contradiction = ("system reports a positive lower frame bound but no window has "
+                         "positive upper density") if report.A_est > 1e-6 and not rows else None
         return BracketCheckReport(tuple(rows), 0.0, 0.0, 0.0, 0.0, False, False,
                                   contradiction, "; ".join(notes))
     combined = WeightedComb(tuple((1.0, _freq_as_support(system.pairs[j][1]))

@@ -24,8 +24,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, BoxUnionSet, as_vec
-from .gridfn import cell_volumes, grid_points
+from .geometry import Box, as_vec
 
 EMPTY_SUPPORT = ()  # the box of a window whose indicator boxes do not meet
 
@@ -209,10 +208,3 @@ class Window:
 
     def to_string(self) -> str:
         return self.expr.to_string()
-
-    def l2_norm_sq_on(self, omega: BoxUnionSet, grid_n: int = 1024) -> float:
-        """Quadrature of |g|^2 over the domain (midpoint rule, exact weights)."""
-        bb = omega.bounding_box()
-        vals = np.abs(self.eval(grid_points(bb, grid_n))) ** 2
-        w = cell_volumes(bb, grid_n, omega).ravel()
-        return float(np.sum(vals * w))

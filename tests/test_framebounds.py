@@ -32,6 +32,9 @@ from frameforge.pointsets import (
 )
 from frameforge.windows import Window
 
+# a singular or overflowing power reads 0 by design, so none may warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 UNIT = BoxUnionSet.from_intervals([(0, 1)])
 UNIT_CLOSED = BoxUnionSet.from_intervals([(0, 1)])
 
@@ -1297,6 +1300,10 @@ class TestBracketCheck:
         assert [(row.label, row.ess_sup, row.holds) for row in out.per_window] == [
             ("x^-0.5", np.inf, False)]
         assert not (out.lower_holds or out.upper_holds or out.all_hold)
+        # the system is not Bessel, which is no contradiction of the bracket
+        assert out.contradiction is None
+        assert out.notes == ("not Bessel: window 'x^-0.5' is unbounded on the domain and "
+                             "carries frequencies of upper density 1")
 
     def test_contradiction_flagged_for_claimed_frame_without_density(self):
         system = WindowedSystem(UNIT, ((Window.indicator(), FiniteSet(((0.0,),))),))

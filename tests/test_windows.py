@@ -170,13 +170,6 @@ def test_vanishing_factor_zeroes_the_product():
     assert ess_bounds([Window("cut", expr)], UNIT, 64).J == (0,)
 
 
-def test_l2_norm_quadrature():
-    w = Window.from_string("x^1.0")
-    assert w.l2_norm_sq_on(UNIT) == pytest.approx(1.0 / 3.0, abs=1e-5)
-    chi = Window.indicator()
-    assert chi.l2_norm_sq_on(UNIT) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_ess_sup_of_a_product_is_exact():
     # x^2 (1-x) peaks at its critical point 2/3 with 4/27; the piece
     # [0.5, 0.75) holds it, and its inf 0.125 is the largest piece inf
