@@ -9,7 +9,6 @@ from .geometry import (
     ResidueWitness,
     canonicalize,
     cantor_tower,
-    cover_cube,
     lattice_residue_check,
     overlap_profile,
     overlap_zero_set,

@@ -145,21 +145,19 @@ def criterion_05_window_bound_bracket(seed: int) -> CriterionResult:
     rng = np.random.default_rng(seed)
     rows, checks = [], []
     for trial in range(20):
-        k = 8
         constant = trial % 4 == 0
         if constant:
-            vals = np.full(k, float(rng.uniform(0.3, 1.2)))
+            text = repr(float(rng.uniform(0.3, 1.2)))
             c = 128.0 / int(rng.integers(128, 257))
         else:
-            vals = rng.uniform(0.2, 1.5, size=k)
+            # the bracket reads only the largest of the 8 drawn values, so the
+            # window is that value on the eighth where it was drawn
+            vals = rng.uniform(0.2, 1.5, size=8)
             c = float(rng.uniform(0.5, 1.0))
-
-        def piecewise(pts, vals=vals, k=k):
-            idx = np.clip((pts[:, 0] * k).astype(int), 0, k - 1)
-            return vals[idx]
-
+            k = int(vals.argmax())
+            text = f"{float(vals[k])!r}*indicator({k / 8!r},{(k + 1) / 8!r})"
         freq = integers(scale=c)
-        system = WindowedSystem(UNIT, ((Window.from_callable(piecewise, f"pw{trial}"), freq),))
+        system = WindowedSystem(UNIT, ((Window.from_string(text, f"pw{trial}"), freq),))
         rep = estimate_frame_bounds(system, 128)
         checks.append(window_density_bracket_check(
             system, rep, [density_closed_form(WeightedComb.single(freq))]))

@@ -35,7 +35,6 @@ from .geometry import (
     ResidueWitness,
     as_vec,
     canonicalize,
-    cover_cube,
     lattice_residue_check,
     overlap_zero_set,
     translate_overlap,
@@ -95,17 +94,18 @@ def build_bounded_window_frame(windows: Sequence[Window], omega: BoxUnionSet,
                                grid_n: int = 256) -> ConstructionResult:
     """Build a frame of windowed exponentials from windows bounded away from 0.
 
-    Covers the domain by a cube, gives every window bounded on the domain
-    (the set J) the cube's full harmonic lattice and every other window no
-    frequency, and gives each piece of the domain to a window of J that
-    clears the essential minimum m there.  The domain lies in the cube, so
-    every Ron-Shen fiber is one point and the bounds are the measured tight
-    constant c of the raw cube exponentials times the ess inf and ess sup of
-    sum_J |g_j|^2: predicted bounds are c m^2 and c times the largest sum
-    over J of squared upper range ends on one piece.
+    Gives every window bounded on the domain (the set J) the harmonic
+    lattice of a cube whose side is the largest side of the domain's
+    bounding box, every other window no frequency, and each piece of the
+    domain to a window of J that clears the essential minimum m there.  The
+    domain fits in such a cube, so every Ron-Shen fiber is one point and the
+    bounds are the measured tight constant c of the raw cube exponentials
+    times the ess inf and ess sup of sum_J |g_j|^2: predicted bounds are
+    c m^2 and c times the largest sum over J of squared upper range ends on
+    one piece.  The ranges are exact, so a callable window is refused.
     """
     lo, hi, infs, sups = window_ranges(windows, omega, grid_n)
-    ess = ess_report(windows, infs, sups, grid_n)
+    ess = ess_report(infs, sups, grid_n)
     if not ess.J:
         raise ConstructionRefusal(
             "every window is unbounded on the domain, so no set of frequency "
@@ -115,16 +115,16 @@ def build_bounded_window_frame(windows: Sequence[Window], omega: BoxUnionSet,
         raise ConstructionRefusal(
             "the bounded windows are not bounded away from zero on the domain",
             ess)
-    d = omega.dim
-    q_r = cover_cube(omega)
-    side = q_r.sides[0]
+    d, side = omega.dim, max(omega.bounding_box().sides)
     harmonic = LatticeCosets(Lattice.scaled_integers(1.0 / side, d))
     system = WindowedSystem(omega, tuple((windows[j], harmonic) for j in ess.J))
 
-    # the cube's side lattice packs it and every Ron-Shen fiber of a cube is
-    # one point, so 2 cells per axis read the constant as the painless sum
-    c_q = build_lattice_tight_frame(BoxUnionSet(d, (q_r,)), Lattice.scaled_integers(side, d),
-                                    grid_n=2).predicted_A
+    # the constant does not depend on where the cube lies, so it is measured
+    # on [0, side)^d, where every side is exactly side; the side lattice
+    # packs that cube and every Ron-Shen fiber of a cube is one point, so 2
+    # cells per axis read the constant as the painless sum
+    cube = BoxUnionSet(d, (Box((0.0,) * d, (side,) * d),))
+    c_q = build_lattice_tight_frame(cube, Lattice.scaled_integers(side, d), grid_n=2).predicted_A
     predicted_a = c_q * m ** 2
     predicted_b = c_q * float((sups[list(ess.J)] ** 2).sum(axis=0).max())
     partition = _first_hit_partition(lo, hi, infs, ess.J, m)

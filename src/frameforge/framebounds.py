@@ -605,6 +605,8 @@ def window_ranges(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int
     the faces of the domain and of every window's support, so each lies in
     or out of the domain (as its lower corner does) and every indicator is
     constant on it.  Returns corners lo, hi (m, d) and range ends inf, sup (q, m).
+    The ends are exact ranges of closed forms; a callable window has none
+    and is refused with an ``InputError`` that names it.
     """
     for j, w in enumerate(windows):
         _refuse_window_dimension(f"window {j} ('{w.label}')", w, omega)
@@ -626,13 +628,12 @@ def ess_bounds(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int) -> Es
     """Enclosures of the essential bounds of the pointwise max of the bounded
     windows: on each piece of ``window_ranges`` the max lies between the
     largest lower and the largest upper range end.  Closed-form ranges are
-    exact, so the enclosures shrink with the pieces; callable windows are
-    sampled at the piece centres."""
-    return ess_report(windows, *window_ranges(windows, omega, grid_n)[2:], grid_n)
+    exact, so the enclosures shrink with the pieces; a callable window has
+    no exact range and is refused."""
+    return ess_report(*window_ranges(windows, omega, grid_n)[2:], grid_n)
 
 
-def ess_report(windows: Sequence[Window], infs: np.ndarray, sups: np.ndarray,
-               grid_n: int) -> EssBoundsReport:
+def ess_report(infs: np.ndarray, sups: np.ndarray, grid_n: int) -> EssBoundsReport:
     """``ess_bounds`` from a ``window_ranges`` table: J holds the rows whose
     upper range ends are finite on every piece, the windows essentially
     bounded on the domain."""
@@ -645,8 +646,6 @@ def ess_report(windows: Sequence[Window], infs: np.ndarray, sups: np.ndarray,
     ess_sup = (float(low.max()), float(high.max()))
     notes = [f"{len(low)} pieces", f"ess inf width {ess_inf[1] - ess_inf[0]:.3g}",
              f"ess sup width {ess_sup[1] - ess_sup[0]:.3g}"]
-    if any(windows[j].expr.sampled for j in J):
-        notes.append("callable windows sampled at the piece centres")
     return EssBoundsReport(ess_inf, ess_sup, J, grid_n, "; ".join(notes))
 
 
@@ -680,7 +679,6 @@ class BracketCheckReport:
 
 def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsReport,
                                  densities: Sequence[DensityReport],
-                                 grid_n: int = 256,
                                  tol: float = 0.02) -> BracketCheckReport:
     """Verify the bound/density bracket on the windows.
 
@@ -691,14 +689,16 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
     <= ess-inf max |g_j| and ess-sup max |g_j| <= max_j sqrt(B / D+_j).
     A violation is reported only when the enclosures prove it: the sup
     checks read the lower end of the ess sup enclosure, the inf check the
-    upper end of the ess inf enclosure.
+    upper end of the ess inf enclosure.  The enclosures come from
+    ``window_ranges`` on the report's grid, the grid A and B were sampled on,
+    so every window needs a closed form: a callable one is refused.
     """
     if len(densities) != len(system.pairs):
         raise InputError("need one density report per system pair")
     windows = [w for w, _ in system.pairs]
     # one table for every row: its pieces are cut at every pair's support
     # faces, so each enclosure is at least as tight as the window's own
-    _, _, infs, sups = window_ranges(windows, system.omega, grid_n)
+    _, _, infs, sups = window_ranges(windows, system.omega, report.grid_n)
     bounded = np.isfinite(sups).all(axis=1)
     rows, notes = [], []
     for j, (window, dens) in enumerate(zip(windows, densities)):
@@ -723,7 +723,7 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
                                   for j in j_prime))
     d_sum = density_closed_form(combined).upper
     lower_cap = math.sqrt(report.A_est / d_sum) if d_sum > 0 else 0.0
-    ess_prime = ess_report([windows[j] for j in j_prime], infs[j_prime], sups[j_prime], grid_n)
+    ess_prime = ess_report(infs[j_prime], sups[j_prime], report.grid_n)
     ess_inf, ess_sup = ess_prime.ess_inf_of_max[1], ess_prime.ess_sup_of_max[0]
     upper_cap = max(math.sqrt(report.B_est / densities[j].upper) for j in j_prime)
     return BracketCheckReport(

@@ -314,13 +314,6 @@ def overlap_zero_set(omega: BoxUnionSet, x_max: float) -> list[tuple[Vec, Vec]]:
     return list(zip(map(tuple, lo[keep].tolist()), map(tuple, hi[keep].tolist())))
 
 
-def cover_cube(omega: BoxUnionSet) -> Box:
-    """Smallest axis-aligned cube containing omega, anchored at its lower corner."""
-    bb = omega.bounding_box()
-    side = max(bb.sides)
-    return Box(bb.lo, tuple(a + side for a in bb.lo))
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Full-rank lattice; columns of ``basis`` generate the group."""

@@ -5,8 +5,8 @@ monomials (1-x)^b and box indicators; parsing folds it into the one form:
 scalars multiply, exponents add and indicator boxes intersect.  Its modulus
 is monotone between 0, 1 and its one critical point a / (a + b), so its range
 over a box is read at a few points and is exact.  Windows built from an
-arbitrary callable are supported for probing, have sampled ranges and are not
-serializable.
+arbitrary callable can be sampled, as the frame operator samples them, but
+have no exact range and are not serializable: the range layer refuses them.
 
 A window's values are real unless some value is not: a closed form is real
 unless a negative base meets a fractional exponent, and a callable's result
@@ -51,7 +51,6 @@ class ClosedForm:
     a: float = 0.0
     b: float = 0.0
     box: Union[Box, None, tuple] = None
-    sampled = False  # its ranges are exact; a CallableExpr samples its own
 
     def eval(self, pts):
         if self.box == EMPTY_SUPPORT:
@@ -120,19 +119,18 @@ class ClosedForm:
 
 @dataclass(frozen=True)
 class CallableExpr:
-    """Escape hatch for windows without a closed form (not serializable)."""
+    """Escape hatch for windows without a closed form: sampled only, with no
+    exact range and no serialization."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     label: str
-    sampled = True
 
     def eval(self, pts):
         v = np.asarray(self.fn(pts))
         return v.astype(np.result_type(v, np.float64), copy=False)
 
-    def range_on(self, lo, hi):  # |fn| at the box centres
-        v = np.abs(self.eval((lo + hi) / 2.0))
-        return v, v
+    def range_on(self, lo, hi):
+        raise InputError(f"window '{self.label}' has no closed form, so no exact range")
 
     def to_string(self):
         raise InputError(f"window '{self.label}' has no closed-form serialization")

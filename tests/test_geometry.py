@@ -18,7 +18,6 @@ from frameforge.geometry import (
     cantor_tower,
     cartesian,
     cover_counts,
-    cover_cube,
     lattice_residue_check,
     overlap_profile,
     overlap_zero_set,
@@ -425,19 +424,6 @@ class TestLatticeResidue:
         verdict = lattice_residue_check(s, Lattice.scaled_integers(covol))
         if verdict.holds:
             assert s.measure() <= covol + 1e-9
-
-
-class TestCoverCube:
-    def test_unit_interval(self):
-        assert cover_cube(BoxUnionSet.from_intervals([(0, 1)])) == Box((0.0,), (1.0,))
-
-    def test_two_intervals(self):
-        s = BoxUnionSet.from_intervals([(0, 0.5), (1, 1.5)])
-        assert cover_cube(s) == Box((0.0,), (1.5,))
-
-    def test_rectangle_hull_is_square(self):
-        s = canonicalize([Box((0.0, 0.0), (1.0, 2.0))])
-        assert cover_cube(s) == Box((0.0, 0.0), (2.0, 2.0))
 
 
 class TestLattice:
