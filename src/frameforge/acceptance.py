@@ -185,7 +185,7 @@ def criterion_06_density_calculus(seed: int) -> CriterionResult:
     artifacts = []
     windowed_ok = True
     for name, comb, rep in zip(("mu", "nu", "mu_plus_nu"), (mu, nu, both), reps):
-        est = density_windowed(comb, (1000.0,), x_samples=600)
+        est = density_windowed(comb, (1000.0,))
         windowed_ok &= (abs(est.upper - rep.upper) <= slack
                         and abs(est.lower - rep.lower) <= slack)
         artifacts.append(CsvArtifact(f"c06_trace_{name}.csv", DENSITY_TRACE_HEADER,

@@ -93,7 +93,7 @@ def _emit(report_lines: list[str], args) -> None:
 def cmd_density(args) -> list[str]:
     comb = comb_from_dict(read_json(args.points))
     if args.windowed:
-        rep = density_windowed(comb, _numbers(args.h_list, "--h-list"), args.x_samples)
+        rep = density_windowed(comb, _numbers(args.h_list, "--h-list"))
         if args.csv:
             write_csv(args.csv, DENSITY_TRACE_HEADER, rep.estimator_trace)
     else:
@@ -271,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True,
                    help="point set or comb descriptor (file or inline JSON)")
     p.add_argument("--windowed", action="store_true",
-                   help="use the sliding-window estimator instead of closed forms")
+                   help="exact sliding-cube count extremes at each h instead of closed forms")
     p.add_argument("--h-list", default="10,100,1000")
-    p.add_argument("--x-samples", type=int, default=400)
     p.set_defaults(handler=cmd_density)
 
     p = sub.add_parser("overlap", parents=[table], help="translate overlap profile of a domain")
@@ -301,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", help="comma-separated window expressions")
     p.add_argument("--lattice", help="covolume scalar or JSON basis matrix (file or inline)")
     p.add_argument("--grid-n", type=int, default=256,
-                   help="cells per axis: of the window-range pieces with --windows, of "
-                   "the grid that measures the tight constant with --lattice")
+                   help="cells: on axis 0 of the window-range pieces with --windows, per "
+                   "axis of the grid that measures the tight constant with --lattice")
     p.add_argument("--out", help="write the constructed system description here")
     p.set_defaults(handler=cmd_construct)
 

@@ -96,29 +96,15 @@ class TranslationBoundReport(NamedTuple):
 
 
 def translation_bounded_probe(comb: WeightedComb, window: Box) -> TranslationBoundReport:
-    """sup_x mu(x + K) over the box corners whose coordinates are point
-    coordinates: sliding a half-open box up on each axis until a point sits on
-    its lower face never loses mass, so these corners attain the supremum.
-    They are read over the hull of every support's non-periodic part, widened
-    by twice the box and the longest period on each side; a probe that holds
-    no point reports mass 0.  The corners form a product grid of the unique
-    point coordinates per axis, so one ``masses_in_boxes`` call counts every
-    corner's box, and the first maximum in C order is reported."""
+    """sup_x mu(x + K): the largest mass of ``WeightedComb.sliding_masses``
+    for boxes of K's sides, reported at the first corner in C order that
+    attains it; a comb with no point near its hull reports mass 0."""
     if window.dim != comb.dim:
         raise InputError("window dimension does not match the comb")
-    sides = window.sides
-    span = max(s.min_period() or 1.0 for _, s in comb.terms)
-    lo, hi = zip(*(s.anchor_hull() for _, s in comb.terms))
-    reach = 2.0 * (np.array(sides) + span)
-    probe = Box(tuple(np.min(lo, axis=0) - reach), tuple(np.max(hi, axis=0) + reach + 1e-9))
-    pts = np.vstack([s.points_in_box(probe) for _, s in comb.terms])
-    if not len(pts):
-        return TranslationBoundReport(0.0, probe.lo)
-    axes = [np.unique(axis) for axis in pts.T]
-    masses = comb.masses_in_boxes(axes, [axis + side for axis, side in zip(axes, sides)])
+    corners, masses = comb.sliding_masses(window.sides)
     best = np.unravel_index(np.argmax(masses), masses.shape)
     return TranslationBoundReport(float(masses[best]),
-                                  tuple(float(axis[i]) for axis, i in zip(axes, best)))
+                                  tuple(float(c[i]) for c, i in zip(corners, best)))
 
 
 @dataclass(frozen=True)

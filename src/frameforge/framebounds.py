@@ -601,10 +601,11 @@ def window_ranges(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pieces of the domain and the range of every |g_j| on each of them.
 
-    The pieces are the cells of a grid_n grid over the bounding box, cut at
-    the faces of the domain and of every window's support, so each lies in
-    or out of the domain (as its lower corner does) and every indicator is
-    constant on it.  Returns corners lo, hi (m, d) and range ends inf, sup (q, m).
+    The pieces are the slabs of a grid_n grid on axis 0 of the bounding box,
+    as a closed form depends on x_0 alone, cut on every axis at the faces of
+    the domain and of every window's support, so each lies in or out of the
+    domain (as its lower corner does) and every indicator is constant on it.
+    Returns corners lo, hi (m, d) and range ends inf, sup (q, m).
     The ends are exact ranges of closed forms; a callable window has none
     and is refused with an ``InputError`` that names it.
     """
@@ -614,8 +615,8 @@ def window_ranges(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int
     faces = list(omega.boxes) + [b for w in windows if (b := w.support_box())]
     edges = []
     for k, (a, z) in enumerate(zip(bb.lo, bb.hi)):
-        cuts = np.r_[np.linspace(a, z, grid_n + 1), [b.lo[k] for b in faces],
-                     [b.hi[k] for b in faces]]
+        grid = np.linspace(a, z, grid_n + 1) if k == 0 else (a, z)
+        cuts = np.r_[grid, [b.lo[k] for b in faces], [b.hi[k] for b in faces]]
         edges.append(np.unique(np.clip(cuts, a, z)))
     lo, hi = cartesian([e[:-1] for e in edges]), cartesian([e[1:] for e in edges])
     inside = omega.contains(lo)

@@ -1,8 +1,8 @@
 """Finitely described infinite point sets and weighted combs.
 
 Every supported set family carries exact upper/lower Beurling densities in
-closed form; a sliding-window counting estimator is provided as an
-independent cross-check.  Each family reduces to a pair of tail densities
+closed form; the exact extremes of the sliding-cube count at finite h are
+an independent cross-check.  Each family reduces to a pair of tail densities
 (far-left, far-right; in d > 1 both are its uniform density), and densities
 of weighted sums combine additively per tail.
 """
@@ -61,8 +61,11 @@ class StructuredPointSet:
         the structure; the rest repeats it."""
         raise NotImplementedError
 
-    def min_period(self) -> Optional[float]:
-        return None
+    def period(self) -> np.ndarray:
+        """Per axis, the extent of one full period of every periodic part: a
+        lattice's fundamental cell, an eventually periodic set's longer tail
+        period; zeros when nothing repeats."""
+        return np.zeros(self.dim)
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,9 @@ class LatticeCosets(StructuredPointSet):
         return _hull(self.offsets + (np.minimum(mat, 0.0).sum(axis=1),
                                      np.maximum(mat, 0.0).sum(axis=1)), self.dim)
 
-    def min_period(self) -> float:
-        return self.lattice.covolume
+    def period(self) -> np.ndarray:
+        # the extent of the fundamental cell on each axis
+        return np.abs(self.lattice.matrix).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -184,8 +188,8 @@ class EventuallyPeriodic1D(StructuredPointSet):
     def anchor_hull(self) -> tuple[np.ndarray, np.ndarray]:
         return _hull(self.core + tuple(s for s, _, _ in self._tails()), 1)
 
-    def min_period(self) -> Optional[float]:
-        return min((p for _, p, _ in self._tails()), default=None)
+    def period(self) -> np.ndarray:
+        return np.array([max((p for _, p, _ in self._tails()), default=0.0)])
 
 
 @dataclass(frozen=True)
@@ -257,8 +261,8 @@ class FinitePerturbation(StructuredPointSet):
     def anchor_hull(self) -> tuple[np.ndarray, np.ndarray]:
         return _hull(self.base.anchor_hull() + self.added + self.removed, self.dim)
 
-    def min_period(self) -> Optional[float]:
-        return self.base.min_period()
+    def period(self) -> np.ndarray:
+        return self.base.period()
 
 
 def integers(dim: int = 1, scale: float = 1.0) -> LatticeCosets:
@@ -312,6 +316,31 @@ class WeightedComb:
             total = total + w * cover_counts(runs, [len(lo) for lo in lows])
         return total
 
+    def sliding_masses(self, sides: Sequence[float]) -> tuple[list[np.ndarray], np.ndarray]:
+        """Every value of x -> mu(x + [0, sides)), on a product grid of corners.
+
+        On axis a the count is constant on each (b, b'] between consecutive
+        breakpoints in {p_a, p_a - sides_a}, so over the region
+        [lo - sides - P, hi + P] it takes each of its values at a breakpoint or
+        at the region's upper end: (lo, hi) spans every support's anchor hull
+        and P is the largest ``period`` on the axis.  A box placed beyond the
+        region meets only periodic parts, and the period P next to it inside
+        the region holds the same boxes; so for one support, or supports with
+        a common period P, the table holds every value over all of R^d.
+        Returns the corners per axis and their masses in their shape.
+        """
+        sides = np.asarray(sides, dtype=float)
+        lo, hi = zip(*(s.anchor_hull() for _, s in self.terms))
+        period = np.max([s.period() for _, s in self.terms], axis=0)
+        start, stop = np.min(lo, axis=0) - sides - period, np.max(hi, axis=0) + period
+        reach = Box(tuple(start), tuple(stop + sides))
+        pts = np.vstack([s.points_in_box(reach) for _, s in self.terms])
+        corners = [np.unique(np.r_[p, p - side, a, b]) for p, side, a, b
+                   in zip(pts.T, sides, start, stop)]
+        corners = [c[(a <= c) & (c <= b)] for c, a, b in zip(corners, start, stop)]
+        highs = [c + side for c, side in zip(corners, sides)]
+        return corners, self.masses_in_boxes(corners, highs)
+
     def scaled(self, c: float) -> "WeightedComb":
         if not c > 0:
             raise InputError("scaling factor must be positive")
@@ -346,38 +375,19 @@ def density_closed_form(comb: WeightedComb) -> DensityReport:
     return DensityReport(min(d_left, d_right), max(d_left, d_right), "closed_form")
 
 
-def density_windowed(comb: WeightedComb, h_list: Sequence[float],
-                     x_samples: int = 400) -> DensityReport:
-    """Sliding-window estimate of the Beurling densities.
+def density_windowed(comb: WeightedComb, h_list: Sequence[float]) -> DensityReport:
+    """Exact extremes of the sliding-cube count at finite h.
 
-    For each window size h the cube of side h is slid over a sampling grid
-    covering one structural period cell plus 3h into each tail (in d > 1,
-    the product of one sample axis over [-h, h]).  The windows form a product
-    grid, so one ``masses_in_boxes`` call counts them all; the reported
-    densities come from the largest h.
+    For each window size h the trace row holds the least and the largest
+    mass of a half-open cube of side h over every position, over h^d, read
+    from ``WeightedComb.sliding_masses``; the reported densities come from
+    the largest h.
     """
     hs = sorted(as_vec(h_list))
     if not hs or not hs[0] > 0:
         raise InputError(f"h_list must be non-empty and positive, got {hs}")
-    if x_samples < 2:
-        raise InputError("x_samples must be at least 2")
-    d = comb.dim
     trace = []
     for h in hs:
-        if d == 1:
-            anchors = [s.anchor_hull() for _, s in comb.terms]
-            a = min(lo[0] for lo, _ in anchors) - 3.0 * h
-            b = max(hi[0] for _, hi in anchors) + 3.0 * h
-            periods = [s.min_period() for _, s in comb.terms]
-            periods = [p for p in periods if p is not None]
-            step = min(periods) / 4.0 if periods else (b - a) / x_samples
-            n_steps = int(math.floor((b - a) / step)) + 1
-            axes = [np.linspace(a, b, x_samples) if n_steps > x_samples
-                    else a + step * np.arange(n_steps)]
-        else:
-            per_axis = max(2, int(round(x_samples ** (1.0 / d))))
-            axes = [np.linspace(-h, h, per_axis)] * d
-        counts = comb.masses_in_boxes([x - h / 2.0 for x in axes], [x + h / 2.0 for x in axes])
-        trace.append((h, float(counts.min()) / h ** d, float(counts.max()) / h ** d))
-    lower, upper = trace[-1][1], trace[-1][2]
-    return DensityReport(lower, upper, "windowed_estimate", tuple(trace))
+        masses, volume = comb.sliding_masses((h,) * comb.dim)[1], h ** comb.dim
+        trace.append((h, float(masses.min()) / volume, float(masses.max()) / volume))
+    return DensityReport(trace[-1][1], trace[-1][2], "windowed_estimate", tuple(trace))

@@ -21,6 +21,7 @@ from frameforge.pointsets import (
     WeightedComb,
     integers,
 )
+from strategies import lattice_cosets_2d, perturbed_eventually_periodic, sixteenths
 
 
 def tent(peak_at=1.0, half_width=1.0):
@@ -136,37 +137,6 @@ class TestTranslationBoundedProbe:
         corner = rep.attained_at
         placed = Box(corner, tuple(c + s for c, s in zip(corner, window.sides)))
         assert len(cosets.points_in_box(placed)) == 12
-
-
-def sixteenths(lo, hi):
-    return st.integers(round(16 * lo), round(16 * hi)).map(lambda v: v / 16)
-
-
-@st.composite
-def perturbed_eventually_periodic(draw):
-    """Tails, a core and a finite perturbation, all on sixteenths so every
-    point and box face is exact and the set repeats exactly in its tails."""
-    periods = (draw(st.none() | sixteenths(0.25, 2)), draw(st.none() | sixteenths(0.25, 2)))
-    starts = (draw(sixteenths(0, 3)), draw(sixteenths(-3, -0.0625)))
-    tails = EventuallyPeriodic1D(periods[0], starts[0], periods[1], starts[1])
-    taken = set(tails.points_in_box(Box((-8.0,), (8.0,)))[:, 0].tolist())
-    core = [x for x in draw(st.lists(sixteenths(-4, 4), max_size=4, unique=True))
-            if x not in taken]
-    base = EventuallyPeriodic1D(periods[0], starts[0], periods[1], starts[1], tuple(core))
-    near = sorted(taken | set(core))
-    removed = draw(st.lists(st.sampled_from(near), max_size=3, unique=True)) if near else []
-    added = [x for x in draw(st.lists(sixteenths(-6, 6), max_size=3, unique=True))
-             if x not in near]
-    return FinitePerturbation(base, tuple(added), tuple(removed))
-
-
-@st.composite
-def lattice_cosets_2d(draw):
-    """Cosets of a diagonal lattice with spacings in [1/2, 3/2], on sixteenths."""
-    spacing = [draw(sixteenths(0.5, 1.5)) for _ in range(2)]
-    offsets = draw(st.lists(st.tuples(*[sixteenths(0, c - 0.0625) for c in spacing]),
-                            min_size=1, max_size=3, unique=True))
-    return LatticeCosets(Lattice(((spacing[0], 0.0), (0.0, spacing[1]))), tuple(offsets))
 
 
 def brute_sup(support, sides, wide, reach):

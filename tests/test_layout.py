@@ -360,3 +360,28 @@ def test_number_conversion_checker(tmp_path):
         "serialization.py:10 lattice_from_rows calls int",
         "serialization.py:2 domain_from_dict calls float",
         "serialization.py:5 defines as_vec", "serialization.py:7 load_domain calls float"]
+
+
+def calls_of(name, paths):
+    """Every call of a function or method named ``name`` in these files."""
+    hits = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None),
+                                                      getattr(node.func, "id", None)):
+                hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_sliding_box_count_has_one_home():
+    # WeightedComb.sliding_masses is the one reader of the sliding-box count
+    hits = calls_of("masses_in_boxes", sorted(SRC.glob("*.py")))
+    assert [hit.split(":")[0] for hit in hits] == ["pointsets.py"]
+
+
+def test_call_checker(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def masses_in_boxes(a):\n    return a\n\n"
+                     "x = comb.masses_in_boxes([], [])\ny = masses_in_boxes(1)\n"
+                     "z = comb.masses_in_boxes\nw = other(masses_in_boxes)\n")
+    assert calls_of("masses_in_boxes", [probe]) == ["probe.py:4", "probe.py:5"]

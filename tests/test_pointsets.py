@@ -1,8 +1,9 @@
-"""Structured point sets: enumeration and exact/windowed Beurling densities."""
+"""Structured point sets: enumeration, closed-form Beurling densities and
+the exact finite-h extremes of the sliding-cube count."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frameforge.errors import InputError
@@ -16,6 +17,12 @@ from frameforge.pointsets import (
     density_closed_form,
     density_windowed,
     integers,
+)
+from strategies import (
+    lattice_cosets_2d,
+    perturbed_eventually_periodic,
+    perturbed_lattice_cosets_2d,
+    sixteenths,
 )
 
 
@@ -292,7 +299,7 @@ class TestWindowedEstimator:
     def test_consistency_with_closed_form_at_h_1000(self, support):
         comb = WeightedComb.single(support)
         cf = density_closed_form(comb)
-        est = density_windowed(comb, (1000.0,), x_samples=600)
+        est = density_windowed(comb, (1000.0,))
         slack = 2.0 / 1000.0
         assert abs(est.upper - cf.upper) <= slack
         assert abs(est.lower - cf.lower) <= slack
@@ -302,11 +309,51 @@ class TestWindowedEstimator:
         assert [row[0] for row in rep.estimator_trace] == [10.0, 50.0]
 
     def test_2d_lattice_estimate(self):
-        rep = density_windowed(WeightedComb.single(integers(dim=2)), (20.0,),
-                               x_samples=25)
+        rep = density_windowed(WeightedComb.single(integers(dim=2)), (20.0,))
         assert rep.upper == pytest.approx(1.0, abs=0.11)
         assert rep.lower == pytest.approx(1.0, abs=0.11)
 
     def test_empty_h_list_rejected(self):
         with pytest.raises(InputError):
             density_windowed(WeightedComb.single(integers()), ())
+
+
+def brute_extremes(support, h):
+    """min and max over h^d of the count in [c, c + h)^d, over every corner c
+    whose coordinates are breakpoints p_a or p_a - h within 2h + 8 of the
+    support's anchor hull, or the upper end of that range, where the count
+    past the last breakpoint is read; all points are enumerated over a box
+    wider by h."""
+    lo, hi = support.anchor_hull()
+    reach = 2.0 * h + 8.0
+    pts = support.points_in_box(Box(tuple(lo - reach), tuple(hi + reach + h)))
+    axes = [np.unique(np.r_[p, p - h, b + reach]) for p, b in zip(pts.T, hi)]
+    axes = [c[(a - reach <= c) & (c <= b + reach)] for c, a, b in zip(axes, lo, hi)]
+    counts = []
+    for index in np.ndindex(*(len(c) for c in axes[:-1])):
+        inside = np.ones(len(pts), dtype=bool)
+        for a, i in enumerate(index):
+            inside &= (pts[:, a] >= axes[a][i]) & (pts[:, a] < axes[a][i] + h)
+        last = np.sort(pts[inside, -1])
+        counts.append(np.searchsorted(last, axes[-1] + h) - np.searchsorted(last, axes[-1]))
+    counts = np.concatenate(counts)
+    return counts.min() / h ** support.dim, counts.max() / h ** support.dim
+
+
+class TestWindowedIsExact:
+    """Every trace row holds the least and the largest count over all
+    positions, as a brute-force reading of a much wider box finds them."""
+
+    @given(st.one_of(perturbed_eventually_periodic(), lattice_cosets_2d(),
+                     perturbed_lattice_cosets_2d()),
+           st.lists(sixteenths(0.0625, 4), min_size=1, max_size=2, unique=True))
+    # [-999.5, 0.5) holds 999 points and [0.5, 1000.5) 1001: (0.999, 1.001);
+    # a square on the one point holds it: an upper density of 1/100
+    @example(FinitePerturbation(integers(), added=((0.5,),), removed=((0.0,),)), [1000.0])
+    @example(FiniteSet(((5000.0, 5000.0),), dimension=2), [10.0])
+    @settings(max_examples=80, deadline=None)
+    def test_trace_rows_are_the_brute_force_extremes(self, support, hs):
+        rep = density_windowed(WeightedComb.single(support), hs)
+        assert [row[0] for row in rep.estimator_trace] == sorted(hs)
+        for h, lower, upper in rep.estimator_trace:
+            assert (lower, upper) == brute_extremes(support, h)
