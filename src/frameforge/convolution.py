@@ -148,9 +148,8 @@ def check_density_convolution_bracket(
     supports = [support for comb, _ in pairs for _, support in comb.terms]
     periodic = all(isinstance(s, LatticeCosets)
                    and s.lattice.same_group(supports[0].lattice) for s in supports)
-    # each side must span the fundamental parallelepiped's extent sum_j |b_j|
-    inconclusive = not (periodic and np.all(
-        np.array(eval_box.sides) >= np.abs(supports[0].lattice.matrix).sum(axis=1)))
+    # each side must span the fundamental parallelepiped, the lattice's ``period``
+    inconclusive = not (periodic and np.all(np.array(eval_box.sides) >= supports[0].period()))
     inf_sum, sup_sum = _exact_extremes(pairs, eval_box)
     tol = TOL_FLOOR * max(1.0, abs(inf_sum), abs(sup_sum))
     grid = GridFunction(eval_box, total.astype(complex),

@@ -67,6 +67,10 @@ class StructuredPointSet:
         period; zeros when nothing repeats."""
         return np.zeros(self.dim)
 
+    def repeats_along(self, axis: int, t: float) -> bool:
+        """Whether the shift by t along the axis maps every periodic part onto itself."""
+        return True
+
 
 @dataclass(frozen=True)
 class LatticeCosets(StructuredPointSet):
@@ -118,8 +122,10 @@ class LatticeCosets(StructuredPointSet):
                                      np.maximum(mat, 0.0).sum(axis=1)), self.dim)
 
     def period(self) -> np.ndarray:
-        # the extent of the fundamental cell on each axis
         return np.abs(self.lattice.matrix).sum(axis=1)
+
+    def repeats_along(self, axis: int, t: float) -> bool:
+        return len(self.lattice.points_in_box(_near(tuple(t * np.eye(self.dim)[axis])))) > 0
 
 
 @dataclass(frozen=True)
@@ -190,6 +196,9 @@ class EventuallyPeriodic1D(StructuredPointSet):
 
     def period(self) -> np.ndarray:
         return np.array([max((p for _, p, _ in self._tails()), default=0.0)])
+
+    def repeats_along(self, axis: int, t: float) -> bool:
+        return all(abs(t / p - round(t / p)) <= 1e-9 for _, p, _ in self._tails())
 
 
 @dataclass(frozen=True)
@@ -264,6 +273,9 @@ class FinitePerturbation(StructuredPointSet):
     def period(self) -> np.ndarray:
         return self.base.period()
 
+    def repeats_along(self, axis: int, t: float) -> bool:
+        return self.base.repeats_along(axis, t)
+
 
 def integers(dim: int = 1, scale: float = 1.0) -> LatticeCosets:
     """The scaled integer lattice as a structured set."""
@@ -296,21 +308,19 @@ class WeightedComb:
     def dim(self) -> int:
         return self.terms[0][1].dim
 
-    def masses_in_boxes(self, lows: Sequence[np.ndarray],
-                        highs: Sequence[np.ndarray]) -> np.ndarray:
+    def masses_in_boxes(self, lows: Sequence[np.ndarray], highs: Sequence[np.ndarray],
+                        points: Sequence[np.ndarray]) -> np.ndarray:
         """Comb mass of every box of a product grid, in the grid's shape.
 
         Box (i_0, ..., i_{d-1}) is the half-open product of the intervals
         [lows[a][i_a], highs[a][i_a]), and both face arrays ascend on each
-        axis.  Each support is enumerated once over the hull of the boxes;
-        a point p lies in the boxes whose index on axis a runs over
-        lows[a][i] <= p_a < highs[a][i], two ``searchsorted`` calls, and
-        ``cover_counts`` adds up these runs on the grid.
+        axis.  ``points[j]`` holds term j's points in the boxes, and maybe
+        others, which cover nothing.  A point p lies in the boxes whose index
+        on axis a runs over lows[a][i] <= p_a < highs[a][i], two
+        ``searchsorted`` calls, and ``cover_counts`` adds up these runs.
         """
-        hull = Box(tuple(lo[0] for lo in lows), tuple(hi[-1] for hi in highs))
         total = 0.0
-        for w, s in self.terms:
-            pts = s.points_in_box(hull)
+        for (w, _), pts in zip(self.terms, points):
             runs = [(np.searchsorted(hi, p, "right"), np.searchsorted(lo, p, "right"))
                     for lo, hi, p in zip(lows, highs, pts.T)]
             total = total + w * cover_counts(runs, [len(lo) for lo in lows])
@@ -320,26 +330,30 @@ class WeightedComb:
         """Every value of x -> mu(x + [0, sides)), on a product grid of corners.
 
         On axis a the count is constant on each (b, b'] between consecutive
-        breakpoints in {p_a, p_a - sides_a}, so over the region
-        [lo - sides - P, hi + P] it takes each of its values at a breakpoint or
-        at the region's upper end: (lo, hi) spans every support's anchor hull
-        and P is the largest ``period`` on the axis.  A box placed beyond the
-        region meets only periodic parts, and the period P next to it inside
-        the region holds the same boxes; so for one support, or supports with
-        a common period P, the table holds every value over all of R^d.
+        breakpoints in {p_a, p_a - sides_a}, so over [lo - sides - W, hi + W],
+        with (lo, hi) spanning every anchor hull, it takes each of its values
+        at a breakpoint or at the upper end.  Beyond that region a box meets
+        only periodic parts.  W is the least of the first sixteen multiples of
+        the longest ``period`` P on the axis that every support
+        ``repeats_along``, so the W beside the hull holds the same boxes and
+        the table every value over R^d; failing that W = 2 (sides + P), which
+        holds every value for one support.  Each support is enumerated once.
         Returns the corners per axis and their masses in their shape.
         """
         sides = np.asarray(sides, dtype=float)
         lo, hi = zip(*(s.anchor_hull() for _, s in self.terms))
-        period = np.max([s.period() for _, s in self.terms], axis=0)
-        start, stop = np.min(lo, axis=0) - sides - period, np.max(hi, axis=0) + period
-        reach = Box(tuple(start), tuple(stop + sides))
-        pts = np.vstack([s.points_in_box(reach) for _, s in self.terms])
+        widen = []
+        for a, p in enumerate(np.max([s.period() for _, s in self.terms], axis=0)):
+            common = (k * p for k in range(1, 17)
+                      if all(s.repeats_along(a, k * p) for _, s in self.terms))
+            widen.append(next(common, 2.0 * (sides[a] + p)))
+        start, stop = np.min(lo, axis=0) - sides - widen, np.max(hi, axis=0) + widen
+        points = [s.points_in_box(Box(tuple(start), tuple(stop + sides))) for _, s in self.terms]
         corners = [np.unique(np.r_[p, p - side, a, b]) for p, side, a, b
-                   in zip(pts.T, sides, start, stop)]
+                   in zip(np.vstack(points).T, sides, start, stop)]
         corners = [c[(a <= c) & (c <= b)] for c, a, b in zip(corners, start, stop)]
         highs = [c + side for c, side in zip(corners, sides)]
-        return corners, self.masses_in_boxes(corners, highs)
+        return corners, self.masses_in_boxes(corners, highs, points)
 
     def scaled(self, c: float) -> "WeightedComb":
         if not c > 0:

@@ -3,7 +3,23 @@
 from hypothesis import strategies as st
 
 from frameforge.geometry import Box, Lattice
-from frameforge.pointsets import EventuallyPeriodic1D, FinitePerturbation, LatticeCosets
+from frameforge.pointsets import (
+    EventuallyPeriodic1D,
+    FinitePerturbation,
+    LatticeCosets,
+    WeightedComb,
+    integers,
+)
+
+
+def two_period_comb():
+    """0.75Z without -1.5 and 0, plus 1.75Z + 1/4, over the hull [-1.5, 1.75].
+    The supports coincide every 5.25; the coincidences nearest the hull, 3.75
+    and -6.75, lie more than the longer period 1.75 beyond it, and only there
+    does a box of side 1/4 hold mass 2."""
+    return WeightedComb(((1.0, FinitePerturbation(integers(scale=0.75),
+                                                  removed=((-1.5,), (0.0,)))),
+                         (1.0, LatticeCosets(Lattice.scaled_integers(1.75), ((0.25,),)))))
 
 
 def sixteenths(lo, hi):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameforge.errors import InputError
@@ -21,7 +21,12 @@ from frameforge.pointsets import (
     WeightedComb,
     integers,
 )
-from strategies import lattice_cosets_2d, perturbed_eventually_periodic, sixteenths
+from strategies import (
+    lattice_cosets_2d,
+    perturbed_eventually_periodic,
+    sixteenths,
+    two_period_comb,
+)
 
 
 def tent(peak_at=1.0, half_width=1.0):
@@ -139,37 +144,40 @@ class TestTranslationBoundedProbe:
         assert len(cosets.points_in_box(placed)) == 12
 
 
-def brute_sup(support, sides, wide, reach):
+def brute_sup(comb, sides, wide, reach):
     """max over every corner with point coordinates within ``reach`` of the
-    origin of the count in [corner, corner + sides), all points of ``wide``."""
-    pts = support.points_in_box(wide)
-    axes = [np.unique(a[np.abs(a) <= reach]) for a in pts.T]
+    origin of the comb's mass in [corner, corner + sides), all points of ``wide``."""
+    parts = [(w, s.points_in_box(wide)) for w, s in comb.terms]
+    axes = [np.unique(a[np.abs(a) <= reach]) for a in np.vstack([p for _, p in parts]).T]
     corners = cartesian(axes)
-    inside = np.all((pts[None] >= corners[:, None]) & (pts[None] < corners[:, None] + sides),
-                    axis=2)
-    return float(inside.sum(axis=1).max(initial=0))
+    masses = sum(w * np.all((p[None] >= corners[:, None]) & (p[None] < corners[:, None] + sides),
+                            axis=2).sum(axis=1) for w, p in parts)
+    return float(np.max(masses, initial=0))
 
 
 class TestProbeIsExact:
     """The probe equals a brute-force sup over every point-coordinate corner
     in a box much wider than its own, and attains it at its reported corner."""
 
-    def check(self, support, sides, wide, reach):
+    def check(self, comb, sides, wide, reach):
         window = Box((0.0,) * len(sides), tuple(sides))
-        rep = translation_bounded_probe(WeightedComb.single(support), window)
-        assert rep.sup_estimate == brute_sup(support, np.array(sides), wide, reach)
+        rep = translation_bounded_probe(comb, window)
+        assert rep.sup_estimate == brute_sup(comb, np.array(sides), wide, reach)
         placed = Box(rep.attained_at, tuple(c + s for c, s in zip(rep.attained_at, sides)))
-        assert len(support.points_in_box(placed)) == rep.sup_estimate
+        assert sum(w * len(s.points_in_box(placed)) for w, s in comb.terms) == rep.sup_estimate
 
-    @given(perturbed_eventually_periodic(), sixteenths(0.0625, 4))
+    @given(perturbed_eventually_periodic().map(WeightedComb.single), sixteenths(0.0625, 4))
+    # the supports meet only more than one longer period past the hull
+    @example(two_period_comb(), 0.25)
     @settings(max_examples=80, deadline=None)
-    def test_eventually_periodic_with_perturbation(self, support, side):
-        self.check(support, [side], Box((-48.0,), (48.0,)), 40.0)
+    def test_eventually_periodic_with_perturbation(self, comb, side):
+        self.check(comb, [side], Box((-48.0,), (48.0,)), 40.0)
 
-    @given(lattice_cosets_2d(), st.tuples(sixteenths(0.0625, 2), sixteenths(0.0625, 2)))
+    @given(lattice_cosets_2d().map(WeightedComb.single),
+           st.tuples(sixteenths(0.0625, 2), sixteenths(0.0625, 2)))
     @settings(max_examples=40, deadline=None)
-    def test_2d_lattice_cosets(self, support, sides):
-        self.check(support, list(sides), Box((-8.0, -8.0), (8.0, 8.0)), 6.0)
+    def test_2d_lattice_cosets(self, comb, sides):
+        self.check(comb, list(sides), Box((-8.0, -8.0), (8.0, 8.0)), 6.0)
 
     def test_empty_probe_reports_zero(self):
         rep = translation_bounded_probe(WeightedComb.single(EventuallyPeriodic1D()),

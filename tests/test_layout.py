@@ -363,25 +363,36 @@ def test_number_conversion_checker(tmp_path):
 
 
 def calls_of(name, paths):
-    """Every call of a function or method named ``name`` in these files."""
-    hits = []
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None),
-                                                      getattr(node.func, "id", None)):
-                hits.append(f"{path.name}:{node.lineno}")
-    return hits
+    """Every call of a function or method named ``name`` in these files, with
+    the qualified name of the innermost class or function around it."""
+    def visit(node, path, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "attr", None),
+                                                       getattr(child.func, "id", None)):
+                yield f"{path.name}:{child.lineno} in {where or '<module>'}"
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, path, f"{where}.{child.name}".lstrip("."))
+            else:
+                yield from visit(child, path, where)
+    return [hit for path in paths
+            for hit in visit(ast.parse(path.read_text(), filename=str(path)), path, "")]
 
 
 def test_sliding_box_count_has_one_home():
     # WeightedComb.sliding_masses is the one reader of the sliding-box count
     hits = calls_of("masses_in_boxes", sorted(SRC.glob("*.py")))
-    assert [hit.split(":")[0] for hit in hits] == ["pointsets.py"]
+    assert [re.sub(r":\d+", "", hit) for hit in hits] == [
+        "pointsets.py in WeightedComb.sliding_masses"]
 
 
 def test_call_checker(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("def masses_in_boxes(a):\n    return a\n\n"
                      "x = comb.masses_in_boxes([], [])\ny = masses_in_boxes(1)\n"
-                     "z = comb.masses_in_boxes\nw = other(masses_in_boxes)\n")
-    assert calls_of("masses_in_boxes", [probe]) == ["probe.py:4", "probe.py:5"]
+                     "z = comb.masses_in_boxes\nw = other(masses_in_boxes)\n\n"
+                     "class Comb:\n    def read(self):\n"
+                     "        def inner():\n            return self.masses_in_boxes()\n"
+                     "        return self.masses_in_boxes(inner())\n")
+    assert calls_of("masses_in_boxes", [probe]) == [
+        "probe.py:4 in <module>", "probe.py:5 in <module>",
+        "probe.py:12 in Comb.read.inner", "probe.py:13 in Comb.read"]

@@ -23,6 +23,7 @@ from strategies import (
     perturbed_eventually_periodic,
     perturbed_lattice_cosets_2d,
     sixteenths,
+    two_period_comb,
 )
 
 
@@ -115,7 +116,8 @@ class TestEnumeration:
         # the integers as two tails that overlap on 0, 1, 2 and 3
         z = WeightedComb.single(EventuallyPeriodic1D(right_period=1.0, left_period=1.0,
                                                      left_start=3.0))
-        assert z.masses_in_boxes([np.array([-0.5])], [np.array([3.5])]).tolist() == [4.0]
+        pts = [z.terms[0][1].points_in_box(Box((-0.5,), (3.5,)))]
+        assert z.masses_in_boxes([np.array([-0.5])], [np.array([3.5])], pts).tolist() == [4.0]
         rep = density_windowed(z, (10.0,))
         assert (rep.lower, rep.upper) == (1.0, 1.0)
 
@@ -243,7 +245,8 @@ class TestMassesInBoxes:
             lows.append(np.array(lo))
             highs.append(np.array(hi))
         assume(all(lo[0] < hi[-1] for lo, hi in zip(lows, highs)))
-        masses = comb.masses_in_boxes(lows, highs)
+        hull = Box(tuple(lo[0] for lo in lows), tuple(hi[-1] for hi in highs))
+        masses = comb.masses_in_boxes(lows, highs, [s.points_in_box(hull) for _, s in comb.terms])
         assert masses.shape == tuple(len(lo) for lo in lows)
         for index in np.ndindex(*masses.shape):
             lo, hi = zip(*((low[i], high[i]) for low, high, i in zip(lows, highs, index)))
@@ -267,7 +270,7 @@ class TestMassesInBoxes:
         for i, j in np.ndindex(8, 8):
             box = Box((lows[0][i], lows[1][j]), (highs[0][i], highs[1][j]))
             loop[i, j] = np.count_nonzero(box.contains(pts))
-        masses = WeightedComb.single(support).masses_in_boxes(lows, highs)
+        masses = WeightedComb.single(support).masses_in_boxes(lows, highs, [pts])
         assert masses.tolist() == loop.tolist() and loop.max() > 1
 
 
@@ -318,26 +321,32 @@ class TestWindowedEstimator:
             density_windowed(WeightedComb.single(integers()), ())
 
 
-def brute_extremes(support, h):
-    """min and max over h^d of the count in [c, c + h)^d, over every corner c
-    whose coordinates are breakpoints p_a or p_a - h within 2h + 8 of the
-    support's anchor hull, or the upper end of that range, where the count
-    past the last breakpoint is read; all points are enumerated over a box
-    wider by h."""
-    lo, hi = support.anchor_hull()
+def brute_extremes(comb, h):
+    """min and max over h^d of the comb's mass in [c, c + h)^d, over every
+    corner c whose coordinates are breakpoints p_a or p_a - h within 2h + 8
+    of the supports' anchor hulls, or the upper end of that range, where the
+    mass past the last breakpoint is read; all points are enumerated over a
+    box wider by h."""
+    lo = np.min([s.anchor_hull()[0] for _, s in comb.terms], axis=0)
+    hi = np.max([s.anchor_hull()[1] for _, s in comb.terms], axis=0)
     reach = 2.0 * h + 8.0
-    pts = support.points_in_box(Box(tuple(lo - reach), tuple(hi + reach + h)))
+    parts = [(w, s.points_in_box(Box(tuple(lo - reach), tuple(hi + reach + h))))
+             for w, s in comb.terms]
+    pts = np.vstack([p for _, p in parts])
+    weights = np.concatenate([np.full(len(p), w) for w, p in parts])
     axes = [np.unique(np.r_[p, p - h, b + reach]) for p, b in zip(pts.T, hi)]
     axes = [c[(a - reach <= c) & (c <= b + reach)] for c, a, b in zip(axes, lo, hi)]
-    counts = []
+    masses = []
     for index in np.ndindex(*(len(c) for c in axes[:-1])):
         inside = np.ones(len(pts), dtype=bool)
         for a, i in enumerate(index):
             inside &= (pts[:, a] >= axes[a][i]) & (pts[:, a] < axes[a][i] + h)
-        last = np.sort(pts[inside, -1])
-        counts.append(np.searchsorted(last, axes[-1] + h) - np.searchsorted(last, axes[-1]))
-    counts = np.concatenate(counts)
-    return counts.min() / h ** support.dim, counts.max() / h ** support.dim
+        order = np.argsort(pts[inside, -1])
+        last, cum = pts[inside, -1][order], np.r_[0.0, np.cumsum(weights[inside][order])]
+        masses.append(cum[np.searchsorted(last, axes[-1] + h)]
+                      - cum[np.searchsorted(last, axes[-1])])
+    masses = np.concatenate(masses)
+    return masses.min() / h ** comb.dim, masses.max() / h ** comb.dim
 
 
 class TestWindowedIsExact:
@@ -345,15 +354,18 @@ class TestWindowedIsExact:
     positions, as a brute-force reading of a much wider box finds them."""
 
     @given(st.one_of(perturbed_eventually_periodic(), lattice_cosets_2d(),
-                     perturbed_lattice_cosets_2d()),
+                     perturbed_lattice_cosets_2d()).map(WeightedComb.single),
            st.lists(sixteenths(0.0625, 4), min_size=1, max_size=2, unique=True))
     # [-999.5, 0.5) holds 999 points and [0.5, 1000.5) 1001: (0.999, 1.001);
     # a square on the one point holds it: an upper density of 1/100
-    @example(FinitePerturbation(integers(), added=((0.5,),), removed=((0.0,),)), [1000.0])
-    @example(FiniteSet(((5000.0, 5000.0),), dimension=2), [10.0])
+    @example(WeightedComb.single(FinitePerturbation(integers(), added=((0.5,),),
+                                                    removed=((0.0,),))), [1000.0])
+    @example(WeightedComb.single(FiniteSet(((5000.0, 5000.0),), dimension=2)), [10.0])
+    # the supports meet only more than one longer period past the hull
+    @example(two_period_comb(), [0.25])
     @settings(max_examples=80, deadline=None)
-    def test_trace_rows_are_the_brute_force_extremes(self, support, hs):
-        rep = density_windowed(WeightedComb.single(support), hs)
+    def test_trace_rows_are_the_brute_force_extremes(self, comb, hs):
+        rep = density_windowed(comb, hs)
         assert [row[0] for row in rep.estimator_trace] == sorted(hs)
         for h, lower, upper in rep.estimator_trace:
-            assert (lower, upper) == brute_extremes(support, h)
+            assert (lower, upper) == brute_extremes(comb, h)
