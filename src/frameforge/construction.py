@@ -36,6 +36,7 @@ from .geometry import (
     as_vec,
     canonicalize,
     lattice_residue_check,
+    nearest_whole,
     overlap_zero_set,
     translate_overlap,
 )
@@ -56,7 +57,7 @@ class ConstructionResult:
         if self.predicted_A > self.predicted_B + 1e-9:
             raise InputError("predicted_A exceeds predicted_B")
         total = sum(p.measure() for p in self.partition)
-        if abs(total - self.system.omega.measure()) > 1e-9:
+        if abs(total - self.system.omega.measure()) > 1e-9 * self.system.omega.measure():
             raise InputError("partition does not cover the domain exactly")
 
 
@@ -206,15 +207,9 @@ def _aligned_grid(omega: BoxUnionSet, shift: Sequence[float],
     bb, d = omega.bounding_box(), omega.dim
     faces = np.array([b.lo for b in omega.boxes] + [b.hi for b in omega.boxes])
     units = np.vstack([np.asarray(shift), faces - bb.lo]) / np.array(bb.sides)
-
-    def aligned(n: int) -> bool:
-        cells = units * n
-        return n >= 1 and bool(np.all(np.abs(cells - np.round(cells))
-                                      <= 1e-9 * np.maximum(1.0, np.abs(cells))))
-
     sizes = [grid_n] if grid_n is not None else range(
         math.ceil(256 ** (1 / d) - 1e-9), int(DENSE_EIG_LIMIT ** (1 / d) + 1e-9) + 1)
-    found = next((n for n in sizes if aligned(n)), None)
+    found = next((n for n in sizes if n >= 1 and nearest_whole(units * n)[1].all()), None)
     if found is None:
         tried = f"{sizes[0]}" if len(sizes) == 1 else f"{sizes[0]} to {sizes[-1]}"
         raise InputError(
@@ -300,7 +295,7 @@ def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
             ov_plus, ov_minus)
     bb, d = omega.bounding_box(), omega.dim
     grid_n = _aligned_grid(omega, x0, grid_n)
-    c = np.abs(np.round(np.asarray(x0) / np.array(bb.sides) * grid_n)).astype(int)
+    c = np.abs(nearest_whole(np.asarray(x0) / np.array(bb.sides) * grid_n)[0])
     # the lags c + m N (m != 0) alias onto the grid unless some axis's
     # M_a = {m : |c_a - m N| <= n} is empty, or every M_a is {0}; N = n + s + 1
     # always clears them, and a far x0 is cleared within about 4 n, so the

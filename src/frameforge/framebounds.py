@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, BoxUnionSet, as_vec, cartesian
+from .geometry import Box, BoxUnionSet, as_vec, cartesian, nearest_whole
 from .gridfn import GridFunction, cell_volumes, grid_points
 from .pointsets import (
     DensityReport,
@@ -158,13 +158,11 @@ def _density_part(density: GridFunction, steps: np.ndarray, n: int):
     box = density.bounding_box
     centre = np.array(box.lo) + 0.5 * np.array(density.spacing)
     symmetric = box.lo == tuple(-v for v in box.hi)
-    ratio = 1.0 / (np.array(density.spacing) * steps)
-    cycle = np.round(ratio).astype(int)
-    whole = np.all(np.abs(ratio - cycle) <= 1e-9 * ratio)
-    if whole and np.all(cycle == mass.shape) and np.all(mass == mass.flat[0]):
+    cycle, whole = nearest_whole(1.0 / (np.array(density.spacing) * steps))
+    if whole.all() and np.all(cycle == mass.shape) and np.all(mass == mass.flat[0]):
         points = np.array([centre, -centre] if symmetric else [centre])
         return points, np.full(len(points), float(mass.sum()) / len(points)), cycle
-    if not whole or np.any(cycle < mass.shape):
+    if not whole.all() or np.any(cycle < mass.shape):
         keep = mass.ravel() > 0
         kernel = _difference_kernel(density.points()[keep], mass.ravel()[keep],
                                     np.ones(len(steps), dtype=int), steps, n)
@@ -231,14 +229,13 @@ def _lattice_cosets(freq: FreqSpec, steps: np.ndarray, box: Box) -> Optional[tup
     spacing = _diagonal_spacing(freq, len(steps))
     if spacing is None:
         return None
-    ratio = 1.0 / (spacing * steps)
-    periods = np.round(ratio).astype(int)
-    if np.any(periods < 1) or np.any(np.abs(ratio - periods) > 1e-9 * ratio):
+    periods, whole = nearest_whole(1.0 / (spacing * steps))
+    if np.any(periods < 1) or not whole.all():
         return None
     counts = []
     for o in freq.offsets:
         lam = LatticeCosets(freq.lattice, (o,)).points_in_box(box)
-        per_axis = [len(np.unique(np.round((lam[:, a] - o[a]) / spacing[a])))
+        per_axis = [len(np.unique(nearest_whole((lam[:, a] - o[a]) / spacing[a])[0]))
                     for a in range(freq.dim)]
         if any(c % p for c, p in zip(per_axis, periods)):
             return None
@@ -444,11 +441,11 @@ def _extremal_eigs_iterative(kernels: list, idx: np.ndarray, n: int) -> tuple[fl
 
 def _common_period(duals: np.ndarray, step: float) -> Optional[float]:
     """finest / m for the least m >= 1 making every dual spacing a whole
-    multiple of it (within 1e-9), or None when that falls below ``step`` or
+    multiple of it (``nearest_whole``), or None when that falls below ``step`` or
     m exceeds DENSE_EIG_LIMIT, as the fiber factor would have m columns."""
     top = min(int(duals.min() / step * (1.0 + 1e-9)), DENSE_EIG_LIMIT)
     ratio = np.arange(1, top + 1)[:, None] * duals / duals.min()
-    whole = np.all(np.abs(ratio - np.round(ratio)) <= 1e-9 * ratio, axis=1)
+    whole = nearest_whole(ratio)[1].all(axis=1)
     return duals.min() / (whole.argmax() + 1) if whole.any() else None
 
 
@@ -471,8 +468,8 @@ def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
     period = np.array([_common_period(v, h) for v, h in zip(duals.T, steps)], dtype=float)
     if np.isnan(period).any():
         return None
-    cells = period / steps
-    cells = np.where(np.abs(cells - np.round(cells)) <= 1e-9 * cells, np.round(cells), cells)
+    n, whole = nearest_whole(period / steps)
+    cells = np.where(whole, n, period / steps)
     samples = cartesian([np.arange(grid_n)[np.arange(grid_n) + 0.5 < c] + 0.5 for c in cells])
     turns = cartesian([np.arange(math.ceil(grid_n / c)) for c in cells])
     at = samples[:, None, :] + turns * cells  # fiber points, in cells from the corner
@@ -484,7 +481,7 @@ def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
     sizes, pts = inside.sum(axis=1), pts[inside]
     terms = [(w.eval(pts), np.array(f.offsets, dtype=float),
               np.full(len(f.offsets), 1.0 / f.lattice.covolume),
-              np.round(dual / period).astype(int))
+              nearest_whole(dual / period)[0])
              for (w, f), dual in zip(system.pairs, duals)]
     kept, r = np.count_nonzero(sizes), sum(len(w) * np.prod(q) for *_, w, q in terms)
     if sizes.max() == 1:  # painless: each column's v conj(v), once per coset offset
@@ -761,7 +758,7 @@ def lower_bound_decay_probe(windows: Sequence[Window],
     for n_val in n_list:
         omega = domain_family(n_val)
         bb = omega.bounding_box()
-        grid_n = max(8, int(round(cells_per_unit * max(bb.sides))))
+        grid_n = max(8, int(nearest_whole(cells_per_unit * max(bb.sides))[0]))
         if trunc_box is None:
             trunc_box = nyquist_box(bb, grid_n)
         system = WindowedSystem(omega, tuple(zip(windows, freqs)))

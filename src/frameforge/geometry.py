@@ -1,9 +1,11 @@
 """Exact geometry of finite unions of axis-aligned boxes.
 
 Domains are stored in canonical form: a disjoint union of half-open boxes
-[lo, hi).  Measures, translate overlaps, covering cubes and lattice packing
-checks all reduce to arithmetic on box endpoints, so for dyadic-rational
-input data every quantity in this module is exact.
+[lo, hi).  Measures, translate overlaps and lattice packing checks all
+reduce to arithmetic on box endpoints, so for dyadic-rational input data
+every quantity in this module is exact.  ``nearest_whole`` decides, for the
+whole package, whether a float is a whole number (a whole multiple, a
+lattice coordinate) under one relative rule.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ def as_whole(x: int | float | str) -> int:
     if isinstance(x, bool) or not value.is_integer():
         raise InputError(f"every count must be a whole number, got {x}")
     return int(value)
+
+
+def nearest_whole(x) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest integers n to x, a number or an array, as int64, and the mask
+    |x - n| <= 1e-9 max(1, |x|): the package's one rounding and whole-number rule."""
+    n = np.rint(x := np.asarray(x, dtype=float))
+    return n.astype(np.int64), np.abs(x - n) <= 1e-9 * np.maximum(1.0, np.abs(x))
 
 
 def as_points(pts: Iterable[Sequence[float] | float], dim: int) -> tuple[Vec, ...]:
@@ -349,9 +358,8 @@ class Lattice:
 
     def same_group(self, other: "Lattice") -> bool:
         """Whether both bases generate one group: B^-1 B' is integral and unimodular."""
-        t = np.linalg.solve(self.matrix, other.matrix)
-        return bool(np.all(np.abs(t - np.round(t)) <= 1e-9)
-                    and round(abs(np.linalg.det(np.round(t)))) == 1)
+        n, whole = nearest_whole(np.linalg.solve(self.matrix, other.matrix))
+        return bool(whole.all() and nearest_whole(abs(np.linalg.det(n)))[0] == 1)
 
     def dual(self) -> "Lattice":
         inv_t = np.linalg.inv(self.matrix).T

@@ -88,7 +88,7 @@ class GridFunction:
             raise InputError("grid must have the same number of cells per axis")
         if w.min() < 0:
             raise InputError("cell weights must be non-negative")
-        if w.sum() > self.bounding_box.volume + 1e-9:
+        if w.sum() > self.bounding_box.volume * (1.0 + 1e-9):
             raise InputError("cell weights exceed the bounding box volume")
 
     @property

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, Lattice, as_points, as_vec, cover_counts
+from .geometry import Box, Lattice, as_points, as_vec, cover_counts, nearest_whole
 
 Vec = tuple[float, ...]
 
@@ -86,14 +86,11 @@ class LatticeCosets(StructuredPointSet):
         object.__setattr__(self, "offsets", offs)
         if not offs:
             raise InputError("lattice_cosets needs at least one offset")
-        # offsets must be distinct modulo the lattice
-        inv = np.linalg.inv(self.lattice.matrix)
-        reduced = [np.asarray(o) @ inv.T for o in offs]
-        for i in range(len(reduced)):
-            for j in range(i + 1, len(reduced)):
-                frac = reduced[i] - reduced[j]
-                if np.max(np.abs(frac - np.round(frac))) < 1e-9:
-                    raise InputError(f"offsets {offs[i]} and {offs[j]} coincide mod lattice")
+        # offsets must be distinct modulo the lattice: no difference is a lattice vector
+        reduced = np.array(offs) @ np.linalg.inv(self.lattice.matrix).T % 1.0
+        same = np.triu(nearest_whole(reduced[:, None] - reduced)[1].all(axis=2), 1)
+        for i, j in np.argwhere(same)[:1]:
+            raise InputError(f"offsets {offs[i]} and {offs[j]} coincide mod lattice")
 
     @property
     def dim(self) -> int:
@@ -125,7 +122,8 @@ class LatticeCosets(StructuredPointSet):
         return np.abs(self.lattice.matrix).sum(axis=1)
 
     def repeats_along(self, axis: int, t: float) -> bool:
-        return len(self.lattice.points_in_box(_near(tuple(t * np.eye(self.dim)[axis])))) > 0
+        # t e_a is a lattice vector exactly when its lattice coordinates are whole
+        return bool(nearest_whole(t * np.linalg.inv(self.lattice.matrix)[:, axis])[1].all())
 
 
 @dataclass(frozen=True)
@@ -167,9 +165,11 @@ class EventuallyPeriodic1D(StructuredPointSet):
                 if p is not None]
 
     def _in_tail(self, x, tails: list) -> np.ndarray:
-        """Whether x, a number or an array, lies on one of ``tails``."""
-        ts = [(np.asarray(x) - s) / (e * p) for s, p, e in tails]
-        return np.any([(t > -1e-12) & (np.abs(t - np.round(t)) < 1e-12) for t in ts], axis=0)
+        """Whether x, a number or an array, is a point s + e p n, n >= 0, of one of ``tails``,
+        to 16 ulps of |x| + max |start|, the rounding two constructions of a point differ by."""
+        ulps = 16 * np.spacing(np.abs(x) + max([abs(s) for s, _, _ in self._tails()], default=0))
+        near = [(s, e * p, nearest_whole((x - s) / (e * p))[0]) for s, p, e in tails]
+        return np.any([(n >= 0) & (np.abs(x - (s + q * n)) <= ulps) for s, q, n in near], axis=0)
 
     def points_in_box(self, box: Box) -> np.ndarray:
         if box.dim != 1:
@@ -198,7 +198,7 @@ class EventuallyPeriodic1D(StructuredPointSet):
         return np.array([max((p for _, p, _ in self._tails()), default=0.0)])
 
     def repeats_along(self, axis: int, t: float) -> bool:
-        return all(abs(t / p - round(t / p)) <= 1e-9 for _, p, _ in self._tails())
+        return all(nearest_whole(t / p)[1] for _, p, _ in self._tails())
 
 
 @dataclass(frozen=True)

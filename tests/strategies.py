@@ -1,5 +1,9 @@
 """Hypothesis strategies shared by the theorem properties."""
 
+import math
+from fractions import Fraction
+
+import numpy as np
 from hypothesis import strategies as st
 
 from frameforge.geometry import Box, Lattice
@@ -26,22 +30,46 @@ def sixteenths(lo, hi):
     return st.integers(round(16 * lo), round(16 * hi)).map(lambda v: v / 16)
 
 
+def decimals(lo, hi):
+    """Decimals with one to three places in [lo, hi], as the floats nearest them."""
+    return st.integers(1, 3).flatmap(lambda p: st.integers(
+        math.ceil(lo * 10 ** p), math.floor(hi * 10 ** p)).map(lambda v: v / 10 ** p))
+
+
+def _apart(x, pts):
+    """Whether x lies further than 1e-6 from every point: on a grid of 1/16
+    or of 1/1000, a nearer point is x itself, up to rounding."""
+    return bool(np.all(np.abs(np.asarray(pts, dtype=float) - x) > 1e-6))
+
+
 @st.composite
-def perturbed_eventually_periodic(draw):
-    """Tails, a core and a finite perturbation, all on sixteenths so every
-    point and box face is exact and the set repeats exactly in its tails."""
-    periods = (draw(st.none() | sixteenths(0.25, 2)), draw(st.none() | sixteenths(0.25, 2)))
-    starts = (draw(sixteenths(0, 3)), draw(sixteenths(-3, -0.0625)))
+def perturbed_eventually_periodic(draw, number=sixteenths):
+    """Tails, a core and a finite perturbation, all drawn by ``number``.  On
+    sixteenths every point and box face is exact and the set repeats exactly
+    in its tails; on ``decimals`` each carries one rounding."""
+    periods = (draw(st.none() | number(0.25, 2)), draw(st.none() | number(0.25, 2)))
+    starts = (draw(number(0, 3)), draw(number(-3, -0.0625)))
     tails = EventuallyPeriodic1D(periods[0], starts[0], periods[1], starts[1])
-    taken = set(tails.points_in_box(Box((-8.0,), (8.0,)))[:, 0].tolist())
-    core = [x for x in draw(st.lists(sixteenths(-4, 4), max_size=4, unique=True))
-            if x not in taken]
+    taken = tails.points_in_box(Box((-8.0,), (8.0,)))[:, 0].tolist()
+    core = [x for x in draw(st.lists(number(-4, 4), max_size=4, unique=True))
+            if _apart(x, taken)]
     base = EventuallyPeriodic1D(periods[0], starts[0], periods[1], starts[1], tuple(core))
-    near = sorted(taken | set(core))
+    near = sorted(taken + core)
     removed = draw(st.lists(st.sampled_from(near), max_size=3, unique=True)) if near else []
-    added = [x for x in draw(st.lists(sixteenths(-6, 6), max_size=3, unique=True))
-             if x not in near]
+    added = [x for x in draw(st.lists(number(-6, 6), max_size=3, unique=True))
+             if _apart(x, near)]
     return FinitePerturbation(base, tuple(added), tuple(removed))
+
+
+@st.composite
+def overlapping_decimal_tails(draw):
+    """Both tails on one decimal period p in [0.05, 0.5], the left one
+    starting k p, between 500 and 1000, right of the right one's start: the
+    k + 1 points they share are computed by each tail with its own rounding."""
+    period, start = draw(decimals(0.05, 0.5)), draw(decimals(-3, 3))
+    k = draw(st.integers(math.ceil(500 / period), math.floor(1000 / period)))
+    left = float(Fraction(repr(start)) + k * Fraction(repr(period)))
+    return EventuallyPeriodic1D(period, start, period, left)
 
 
 @st.composite

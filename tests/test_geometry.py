@@ -2,6 +2,7 @@
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -530,6 +531,48 @@ NUMBER_TAKERS = {
                                            cell_volumes(UNIT_BOX, 2)),
     "grid_weights": lambda v: GridFunction(UNIT_BOX, np.ones(2), np.array([0.25, v])),
 }
+
+
+def whole_oracle(x):
+    """The whole-number rule on the exact value of the float x."""
+    exact = Fraction(x)
+    n = round(exact)
+    return n, abs(exact - n) <= Fraction(1, 10 ** 9) * max(1, abs(exact))
+
+
+# each former whole-number rule, with dyadic input of the kind its site saw
+FORMER_RULES = {
+    # framebounds' period and cell ratios, all at least 1: relative 1e-9 x
+    "relative": (lambda x: abs(x - round(x)) <= 1e-9 * x,
+                 [1.0, 3.0 + 2 ** -40, 3.0 + 2 ** -20, 2.75, 4096.5]),
+    # construction._aligned_grid: 1e-9 max(1, |x|), the rule that stays
+    "relative_from_one": (lambda x: abs(x - round(x)) <= 1e-9 * max(1.0, abs(x)),
+                          [0.0, 2 ** -31, 0.25, -7.0, 1e6 + 2 ** -20]),
+    # Lattice.same_group, the coset offsets, repeats_along: absolute 1e-9
+    "absolute": (lambda x: abs(x - round(x)) <= 1e-9,
+                 [0.0, -2.0 + 2 ** -31, 0.5, 5.0 + 2 ** -26]),
+}
+
+
+class TestWholeNumberRule:
+    @given(st.integers(-10 ** 6, 10 ** 6), st.sampled_from([1 - 1e-12, 1 + 1e-12]))
+    def test_near_whole_numbers_are_whole(self, k, factor):
+        n, whole = geometry.nearest_whole(k * factor)
+        assert (n.dtype, int(n), bool(whole)) == (np.int64, *whole_oracle(k * factor))
+        assert (int(n), bool(whole)) == (k, True)
+
+    @given(st.integers(-10 ** 5, 10 ** 5), st.integers(1, 3).flatmap(
+        lambda p: st.tuples(st.just(10 ** p), st.integers(1, 10 ** p - 1))))
+    def test_decimals_off_the_integers_are_not_whole(self, k, fraction):
+        x = float(k + Fraction(fraction[1], fraction[0]))
+        n, whole = geometry.nearest_whole(x)
+        assert (int(n), bool(whole)) == whole_oracle(x)
+        assert not whole
+
+    @pytest.mark.parametrize("rule", list(FORMER_RULES))
+    def test_decides_as_each_former_rule_did_on_dyadic_input(self, rule):
+        former, xs = FORMER_RULES[rule]
+        assert geometry.nearest_whole(xs)[1].tolist() == [former(x) for x in xs]
 
 
 class TestNumberRule:

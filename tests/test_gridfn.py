@@ -1,11 +1,13 @@
 """Cell grids: cell centres and exact cell weights against a box-union domain."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frameforge.errors import InputError
 from frameforge.geometry import Box, canonicalize
-from frameforge.gridfn import cell_volumes, grid_points
+from frameforge.gridfn import GridFunction, cell_volumes, grid_points
 
 
 def cell_loop_volumes(box, n, omega):
@@ -45,6 +47,18 @@ class TestCellVolumes:
         fast = cell_volumes(grid_box, n, omega)
         assert fast.shape == (n,) * omega.dim
         assert fast.tobytes() == cell_loop_volumes(grid_box, n, omega).tobytes()
+
+
+class TestGridFunction:
+    def test_weights_of_a_long_box_check_against_its_volume(self):
+        # the weights of 1001 cells of [0, 1e7/3) sum past the volume by
+        # rounding, 1.4e-9 (4e-16 of it); the check allows 1e-9 of the volume
+        box = Box((0.0,), (1e7 / 3,))
+        weights = cell_volumes(box, 1001)
+        assert weights.sum() > box.volume + 1e-9
+        GridFunction(box, np.ones(1001), weights)
+        with pytest.raises(InputError, match="exceed the bounding box volume"):
+            GridFunction(box, np.ones(1001), weights * (1 + 1e-8))
 
 
 class TestGridPoints:

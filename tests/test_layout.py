@@ -396,3 +396,29 @@ def test_call_checker(tmp_path):
     assert calls_of("masses_in_boxes", [probe]) == [
         "probe.py:4 in <module>", "probe.py:5 in <module>",
         "probe.py:12 in Comb.read.inner", "probe.py:13 in Comb.read"]
+
+
+ROUNDINGS = ("round", "rint", "around")
+
+
+def roundings(paths):
+    """Every call of round, rint or around in these files, as ``calls_of``
+    names it, without the line number."""
+    return sorted(re.sub(r":\d+", "", hit) for name in ROUNDINGS
+                  for hit in calls_of(name, paths))
+
+
+def test_whole_numbers_have_one_home():
+    # geometry.nearest_whole is the one rounding to a whole number, so the
+    # rule for "is this float whole" lives in one place
+    assert roundings(sorted(SRC.glob("*.py"))) == ["geometry.py in nearest_whole"]
+
+
+def test_rounding_checker(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n\ndef nearest_whole(x):\n    return np.rint(x)\n\n"
+                     "class Lattice:\n    def same_group(self, t):\n"
+                     "        return round(abs(np.linalg.det(np.round(t)))) == 1\n\n"
+                     "y = np.around(2.5)\nz = np.round\nw = x.rounded(1)\n")
+    assert roundings([probe]) == ["probe.py in <module>", "probe.py in Lattice.same_group",
+                                  "probe.py in Lattice.same_group", "probe.py in nearest_whole"]

@@ -1,6 +1,8 @@
 """Structured point sets: enumeration, closed-form Beurling densities and
 the exact finite-h extremes of the sliding-cube count."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,7 +21,9 @@ from frameforge.pointsets import (
     integers,
 )
 from strategies import (
+    decimals,
     lattice_cosets_2d,
+    overlapping_decimal_tails,
     perturbed_eventually_periodic,
     perturbed_lattice_cosets_2d,
     sixteenths,
@@ -121,9 +125,62 @@ class TestEnumeration:
         rep = density_windowed(z, (10.0,))
         assert (rep.lower, rep.upper) == (1.0, 1.0)
 
+    def test_tails_that_overlap_far_out_are_reported_once(self):
+        # a left-tail point 1000 - 0.1 m lies up to 1.8e-12 steps of 0.1
+        # off the right tail's grid, by rounding, on the 10^4 points both reach
+        s = EventuallyPeriodic1D(right_period=0.1, right_start=0.0,
+                                 left_period=0.1, left_start=1000.0)
+        pts = s.points_in_box(Box((0.0,), (1001.0,))).ravel()
+        assert len(pts) == 10010 and np.diff(pts).min() > 0.05
+        rep = density_windowed(WeightedComb.single(s), (10.0, 100.0))
+        assert rep.upper <= 10.01
+
+    def test_left_tail_points_far_out_are_kept(self):
+        # in [5e5, 5e5 + 10) the right tail has 10^4 points and the left one 14,
+        # of which the two with m a multiple of 10 lie on the right tail too;
+        # 5e8 steps of 0.001 out, a tail index off by 1e-4 is still a miss
+        s = EventuallyPeriodic1D(right_period=0.001, right_start=0.0,
+                                 left_period=0.7071, left_start=1e6)
+        assert len(s.points_in_box(Box((5e5,), (5e5 + 10.0,)))) == 10012
+
+    def test_a_core_point_far_out_is_not_read_onto_the_tail(self):
+        s = EventuallyPeriodic1D(right_period=1.0, core=(1e6 + 1e-4,))
+        pts = s.points_in_box(Box((1e6 - 0.5,), (1e6 + 0.5,))).ravel()
+        assert pts.tolist() == [1e6, 1e6 + 1e-4]
+
+    @given(sixteenths(0.25, 2), sixteenths(-3, 3), st.integers(-10, 40) | st.integers(1, 10 ** 9),
+           st.integers(0, 15), st.sampled_from([1, -1]))
+    @example(0.5, 0.0, 10 ** 9, 1, 1)
+    def test_tail_membership_is_exact_on_sixteenths(self, p, s, n, sixteenth, e):
+        # every number here is exact in binary, so membership has an exact answer
+        x = s + e * (p * n + sixteenth / 16)
+        tail = EventuallyPeriodic1D(right_period=p, right_start=s) if e > 0 else \
+            EventuallyPeriodic1D(left_period=p, left_start=s)
+        index = (Fraction(x) - Fraction(s)) / (e * Fraction(p))
+        exact = index.denominator == 1 and index >= 0
+        assert bool(tail._in_tail(x, tail._tails())) == exact
+
+    @given(st.one_of(perturbed_eventually_periodic(), perturbed_eventually_periodic(decimals),
+                     overlapping_decimal_tails()))
+    @settings(max_examples=100, deadline=None)
+    def test_points_are_pairwise_distinct(self, s):
+        # every point lies on a grid of 1/16 or of 1/1000, so two points
+        # nearer than half a step are one point reported twice
+        lo, hi = s.anchor_hull()
+        pts = s.points_in_box(Box((lo[0] - 4.0,), (hi[0] + 4.0,))).ravel()
+        assert np.all(np.diff(pts) > 5e-4)
+
     def test_invalid_duplicate_offsets(self):
         with pytest.raises(InputError):
             LatticeCosets(Lattice.scaled_integers(1.0), ((0.0,), (1.0,)))
+
+    def test_distinct_offsets_far_out_are_kept(self):
+        # offsets are compared in lattice coordinates reduced mod 1, so an
+        # offset 1e6 out keeps the old absolute 1e-9 test
+        z = Lattice.scaled_integers(1.0)
+        assert len(LatticeCosets(z, ((0.0,), (1e6 + 1e-4,))).offsets) == 2
+        with pytest.raises(InputError):
+            LatticeCosets(z, ((0.25,), (1e6 + 0.25,)))
 
     def test_core_tail_collision_rejected(self):
         with pytest.raises(InputError):

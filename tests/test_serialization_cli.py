@@ -272,6 +272,20 @@ class TestCli:
         rc = run_cli("frame-bounds", "--system", str(out_system), "--grid-n", "64")
         assert rc == 0 and "A_est:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        # the weights of 1001 cells of [-1e7/6, 1e7/6) pass its volume by rounding
+        ["frame-bounds", "--grid-n", "16", "--system", json.dumps(
+            {"omega": {"dim": 1, "boxes": [[0.0, 1.0]]}, "pairs": [{"window": "indicator",
+             "freq": {"kind": "continuous", "box": [-1e7 / 6, 1e7 / 6], "n": 1001,
+                      "density": [1.0] * 1001}}]})],
+        # the partition's measures sum to the domain's, about 2.8e8, up to rounding
+        ["construct", "--domain", '{"dim": 1, "boxes": [[0.1, 47619047.61857142], '
+         '[66666666.66599999, 333333333.33]]}', "--windows", "x^1.0,(1-x)^1.0,0.25",
+         "--grid-n", "256"],
+    ], ids=["grid_weights", "partition"])
+    def test_measure_checks_scale_with_the_measure(self, argv, capsys):
+        assert run_cli(*argv) == 0, capsys.readouterr().err
+
     def test_construct_lattice_refusal_exits_zero(self, tmp_path, capsys):
         domain = tmp_path / "omega.json"
         domain.write_text(json.dumps({"dim": 1, "boxes": [[0, 0.5], [1, 1.5]]}))
