@@ -210,7 +210,7 @@ def criterion_07_tiling_saturation(seed: int) -> CriterionResult:
     xs = rep.sum_grid.axes()[0]
     art = CsvArtifact("c07_convolution_sum.csv", ("x", "value"),
                       tuple((float(x), float(v)) for x, v in
-                            zip(xs, rep.sum_grid.samples.real)))
+                            zip(xs, rep.sum_grid.samples)))
     return CriterionResult(7, "tiling saturation", passed, detail, (art,))
 
 

@@ -40,7 +40,7 @@ from .geometry import (
     overlap_zero_set,
     translate_overlap,
 )
-from .gridfn import GridFunction, cell_volumes, grid_points
+from .gridfn import GridFunction, grid_points
 from .pointsets import LatticeCosets
 from .windows import Window
 
@@ -195,7 +195,7 @@ def _incompleteness_function(omega: BoxUnionSet, witness: ResidueWitness) -> Gri
     bb, n = omega.bounding_box(), _aligned_grid(omega, delta)
     pts = grid_points(bb, n)
     vals = np.select([e_plus.contains(pts), e_minus.contains(pts)], [1.0, -1.0])
-    return GridFunction(bb, vals.reshape((n,) * omega.dim), cell_volumes(bb, n, omega))
+    return GridFunction(bb, vals.reshape((n,) * omega.dim), omega)
 
 
 def _aligned_grid(omega: BoxUnionSet, shift: Sequence[float],
@@ -317,7 +317,6 @@ def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
     turns = np.minimum(turns, 2 * density_n - turns)
     band = nyquist_box(bb, grid_n)
     measure = ContinuousFreqMeasure(density=GridFunction(
-        band, 1.0 + np.cos(np.pi * turns / density_n).reshape((density_n,) * d),
-        cell_volumes(band, density_n)))
+        band, 1.0 + np.cos(np.pi * turns / density_n).reshape((density_n,) * d)))
     system = WindowedSystem(omega, ((Window.indicator(), measure),))
     return TightCertificate(measure, estimate_frame_bounds(system, grid_n, band))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import Box, cartesian
-from .gridfn import GridFunction, cell_volumes, grid_points
+from .gridfn import GridFunction, grid_points
 from .pointsets import DensityReport, LatticeCosets, WeightedComb, density_closed_form
 
 TOL_FLOOR = 1e-12
@@ -30,13 +30,12 @@ def comb_convolve(comb: WeightedComb, f: GridFunction, eval_box: Box,
     f must be non-negative; its samples are extended by multilinear
     interpolation inside its bounding box and by zero outside.
     """
-    if np.min(f.samples.real) < -1e-12 or np.max(np.abs(f.samples.imag)) > 1e-12:
-        raise InputError("comb_convolve requires a non-negative real function")
+    if np.min(f.samples) < -1e-12:
+        raise InputError("comb_convolve requires a non-negative function")
     if eval_box.dim != f.dim or comb.dim != f.dim:
         raise InputError("dimension mismatch between comb, function and eval box")
     out = _convolve_at(comb, f, eval_box, grid_points(eval_box, n_eval))
-    return GridFunction(eval_box, out.reshape((n_eval,) * eval_box.dim),
-                        cell_volumes(eval_box, n_eval))
+    return GridFunction(eval_box, out.reshape((n_eval,) * eval_box.dim))
 
 
 def _translates(comb: WeightedComb, f: GridFunction, eval_box: Box):
@@ -51,11 +50,11 @@ def _translates(comb: WeightedComb, f: GridFunction, eval_box: Box):
 
 def _convolve_at(comb: WeightedComb, f: GridFunction, eval_box: Box,
                  pts: np.ndarray) -> np.ndarray:
-    """Real part of (comb * f) at points of eval_box."""
-    acc = np.zeros(len(pts), dtype=complex)
+    """(comb * f) at points of eval_box."""
+    acc = np.zeros(len(pts))
     for w, lam in _translates(comb, f, eval_box):
         acc += w * f.interpolate(pts - lam)
-    return acc.real
+    return acc
 
 
 def _exact_extremes(pairs: Sequence[tuple[WeightedComb, GridFunction]],
@@ -138,10 +137,10 @@ def check_density_convolution_bracket(
     """
     if not pairs:
         raise InputError("need at least one (comb, function) pair")
-    masses = [float(h.integral().real) for _, h in pairs]
+    masses = [h.integral() for _, h in pairs]
     if min(masses) <= 0:
         raise InputError("each function in the bracket check needs positive mass")
-    total = sum(comb_convolve(comb, h, eval_box, n_eval).samples.real for comb, h in pairs)
+    total = sum(comb_convolve(comb, h, eval_box, n_eval).samples for comb, h in pairs)
     combined = WeightedComb(tuple((mass * w, s) for mass, (comb, _) in zip(masses, pairs)
                                   for w, s in comb.terms))
     densities = density_closed_form(combined)
@@ -152,8 +151,6 @@ def check_density_convolution_bracket(
     inconclusive = not (periodic and np.all(np.array(eval_box.sides) >= supports[0].period()))
     inf_sum, sup_sum = _exact_extremes(pairs, eval_box)
     tol = TOL_FLOOR * max(1.0, abs(inf_sum), abs(sup_sum))
-    grid = GridFunction(eval_box, total.astype(complex),
-                        cell_volumes(eval_box, n_eval))
     return ConvolutionBracketReport(
         inf_sum=inf_sum,
         sup_sum=sup_sum,
@@ -163,5 +160,5 @@ def check_density_convolution_bracket(
         upper_holds=densities.upper <= sup_sum + tol,
         lower_holds=inf_sum - tol <= densities.lower,
         inconclusive=inconclusive,
-        sum_grid=grid,
+        sum_grid=GridFunction(eval_box, total),
     )

@@ -58,7 +58,7 @@ class ContinuousFreqMeasure:
         dims |= {self.density.dim} if self.density is not None else set()
         if len(dims) > 1:
             raise InputError(f"a frequency measure mixes dimensions {sorted(dims)}")
-        if self.density is not None and np.min(self.density.samples.real) < -1e-12:
+        if self.density is not None and np.min(self.density.samples) < -1e-12:
             raise InputError("frequency density must be non-negative")
         for _, w in atoms:
             if not w > 0:
@@ -154,7 +154,7 @@ def _density_part(density: GridFunction, steps: np.ndarray, n: int):
     masses read at k mod M, M^d log M work; other cells the plain sum over
     the centres, (2n)^d per cell.  Masses that mirror on a box with lo = -hi
     make an even density, whose kernel is real."""
-    mass = np.maximum(density.samples.real * density.cell_weights, 0.0)
+    mass = np.maximum(density.samples * density.cell_weights, 0.0)
     box = density.bounding_box
     centre = np.array(box.lo) + 0.5 * np.array(density.spacing)
     symmetric = box.lo == tuple(-v for v in box.hi)

@@ -380,7 +380,6 @@ class Lattice:
 
 
 class ResidueWitness(NamedTuple):
-    gamma: Vec
     gamma_prime: Vec
     point: Vec
     overlap: float
@@ -414,9 +413,8 @@ def lattice_residue_check(omega: BoxUnionSet, lattice: Lattice) -> ResidueVerdic
     moved = omega.translate(delta).boxes
     point = next((cut.center for b in omega.boxes for p in moved
                   if (cut := b.intersect(p)) is not None), None)
-    zero = tuple(0.0 for _ in range(omega.dim))
     gamma_prime = tuple(-float(v) for v in delta)
-    return ResidueVerdict(False, ResidueWitness(zero, gamma_prime, point, ov))
+    return ResidueVerdict(False, ResidueWitness(gamma_prime, point, ov))
 
 
 class CantorTower(NamedTuple):

@@ -1,4 +1,4 @@
-"""Complex samples on a uniform grid with per-cell quadrature weights.
+"""Real samples on a uniform grid with per-cell quadrature weights.
 
 The grid subdivides a bounding box into n^d equal cells; samples live at
 cell centers and integrals use the midpoint rule.  When a grid function is
@@ -9,7 +9,7 @@ quadrature error for piecewise-constant data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Optional
 
@@ -69,27 +69,30 @@ def cell_volumes(box: Box, n: int, omega: Optional[BoxUnionSet] = None) -> np.nd
 
 @dataclass(frozen=True)
 class GridFunction:
+    """Real samples at the cell centres of an n-per-axis grid on the box.
+    The cell weights are derived once from the box and the optional domain
+    (``cell_volumes``), so they are exact and never passed in."""
+
     bounding_box: Box
-    samples: np.ndarray      # complex, shape (n,)*dim
-    cell_weights: np.ndarray  # real, same shape
+    samples: np.ndarray  # real, shape (n,)*dim
+    domain: Optional[BoxUnionSet] = None
+    cell_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
-        w = np.asarray(self.cell_weights, dtype=float)
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "cell_weights", w)
-        for a in (s, w):  # the rule of geometry.as_vec, over whole arrays
-            if not np.isfinite(a).all():
-                raise InputError(f"every number must be finite, got {a[~np.isfinite(a)][0]}")
+        s = np.asarray(self.samples)
+        if np.iscomplexobj(s) and s.imag.any():
+            raise InputError(f"grid samples must be real, got {s[s.imag != 0].flat[0]}")
+        s = np.array(s.real, dtype=float)
+        if not np.isfinite(s).all():  # the rule of geometry.as_vec, over a whole array
+            raise InputError(f"every number must be finite, got {s[~np.isfinite(s)][0]}")
         d = self.bounding_box.dim
-        if s.ndim != d or w.shape != s.shape:
+        if s.ndim != d:
             raise InputError(f"samples of shape {s.shape} do not fit a {d}-d grid")
         if len(set(s.shape)) != 1:
             raise InputError("grid must have the same number of cells per axis")
-        if w.min() < 0:
-            raise InputError("cell weights must be non-negative")
-        if w.sum() > self.bounding_box.volume * (1.0 + 1e-9):
-            raise InputError("cell weights exceed the bounding box volume")
+        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "cell_weights",
+                           cell_volumes(self.bounding_box, s.shape[0], self.domain))
 
     @property
     def dim(self) -> int:
@@ -112,11 +115,11 @@ class GridFunction:
         """All cell centers as an (n^d, d) array in C order."""
         return grid_points(self.bounding_box, self.n_per_axis)
 
-    def integral(self) -> complex:
-        return complex(np.sum(self.samples * self.cell_weights))
+    def integral(self) -> float:
+        return float(np.sum(self.samples * self.cell_weights))
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2 * self.cell_weights))
+        return float(np.sum(self.samples ** 2 * self.cell_weights))
 
     def interpolate(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation of the samples; zero outside the box.
@@ -128,31 +131,24 @@ class GridFunction:
         if pts.shape[1] != self.dim:
             raise InputError(f"query points have dimension {pts.shape[1]}, grid has {self.dim}")
         inside = self.bounding_box.contains(pts)
-        out = np.zeros(len(pts), dtype=complex)
+        out = np.zeros(len(pts))
         if not inside.any():
             return out
         q = pts[inside]
         if self.dim == 1:
-            centers = self.axes()[0]
-            vals = np.interp(q[:, 0], centers, self.samples.real) \
-                + 1j * np.interp(q[:, 0], centers, self.samples.imag)
+            out[inside] = np.interp(q[:, 0], self.axes()[0], self.samples)
         else:
             from scipy.ndimage import map_coordinates
-            step = np.array(self.spacing)
-            coords = ((q - self.bounding_box.lo) / step - 0.5).T
-            vals = map_coordinates(self.samples.real, coords, order=1, mode="nearest") \
-                + 1j * map_coordinates(self.samples.imag, coords, order=1, mode="nearest")
-        out[inside] = vals
+            coords = ((q - self.bounding_box.lo) / np.array(self.spacing) - 0.5).T
+            out[inside] = map_coordinates(self.samples, coords, order=1, mode="nearest")
         return out
 
     @staticmethod
     def from_callable(fn: Callable[[np.ndarray], np.ndarray], box: Box, n: int,
                       omega: Optional[BoxUnionSet] = None) -> "GridFunction":
         """Sample ``fn`` (vectorized over an (m, d) point array) at cell centers."""
-        vals = np.asarray(fn(grid_points(box, n)), dtype=complex).reshape((n,) * box.dim)
-        return GridFunction(box, vals, cell_volumes(box, n, omega))
+        return GridFunction(box, np.reshape(fn(grid_points(box, n)), (n,) * box.dim), omega)
 
     @staticmethod
     def indicator(box: Box, n: int) -> "GridFunction":
-        return GridFunction(box, np.ones((n,) * box.dim, dtype=complex),
-                            cell_volumes(box, n))
+        return GridFunction(box, np.ones((n,) * box.dim))

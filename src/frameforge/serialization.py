@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError
 from .framebounds import ContinuousFreqMeasure, FrameBoundsReport, FreqSpec, WindowedSystem
 from .geometry import Box, BoxUnionSet, Lattice, as_whole, canonicalize, cantor_tower
-from .gridfn import GridFunction, cell_volumes
+from .gridfn import GridFunction
 from .pointsets import (
     EventuallyPeriodic1D,
     FinitePerturbation,
@@ -156,7 +156,9 @@ def _freq_to_dict(freq: FreqSpec) -> dict:
             box = freq.density.bounding_box
             out["box"] = list(box.lo) + list(box.hi)
             out["n"] = freq.density.n_per_axis
-            out["density"] = freq.density.samples.real.ravel().tolist()
+            out["density"] = freq.density.samples.ravel().tolist()
+            if freq.density.domain is not None:
+                out["domain"] = domain_to_dict(freq.density.domain)
         out["atoms"] = [list(p) + [w] for p, w in freq.atoms]
         return out
     return pointset_to_dict(freq)
@@ -170,8 +172,9 @@ def _freq_from_dict(data: dict) -> FreqSpec:
             d = len(row) // 2
             box = Box(row[:d], row[d:])
             n = as_whole(data["n"])
-            samples = np.array(data["density"], dtype=complex).reshape((n,) * d)
-            density = GridFunction(box, samples, cell_volumes(box, n))
+            samples = np.array(data["density"], dtype=float).reshape((n,) * d)
+            domain = domain_from_dict(data["domain"]) if "domain" in data else None
+            density = GridFunction(box, samples, domain)
         atoms = tuple((row[:-1], row[-1]) for row in data.get("atoms", ()))
         return ContinuousFreqMeasure(density=density, atoms=atoms)
     return pointset_from_dict(data)

@@ -117,7 +117,8 @@ def zak_transform(window: Window, M: int) -> ZakGrid:
     return ZakGrid(values, M, support, _norm_sq_on_support(window, support))
 
 
-def _norm_sq_on_support(window: Window, support: Box, n: int = 4096) -> float:
+def _norm_sq_on_support(window: Window, support: Box) -> float:
+    n = 4096
     step = (support.hi[0] - support.lo[0]) / n
     xs = support.lo[0] + step * (np.arange(n) + 0.5)
     vals = np.abs(window.eval(xs.reshape(-1, 1))) ** 2

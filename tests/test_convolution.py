@@ -50,13 +50,13 @@ class TestCombConvolve:
         chi = GridFunction.indicator(Box((0.0,), (1.0,)), 64)
         out = comb_convolve(WeightedComb.single(integers()), chi,
                             Box((-2.0,), (3.0,)), 128)
-        assert np.allclose(out.samples.real, 1.0, atol=1e-12)
+        assert np.allclose(out.samples, 1.0, atol=1e-12)
 
     def test_double_cover(self):
         chi = GridFunction.indicator(Box((0.0,), (2.0,)), 64)
         out = comb_convolve(WeightedComb.single(integers()), chi,
                             Box((0.0,), (4.0,)), 128)
-        assert np.allclose(out.samples.real, 2.0, atol=1e-12)
+        assert np.allclose(out.samples, 2.0, atol=1e-12)
 
     def test_tent_on_even_lattice_matches_direct_sum(self):
         f = GridFunction.from_callable(tent(), Box((0.0,), (2.0,)), 512)
@@ -65,18 +65,17 @@ class TestCombConvolve:
         xs = out.axes()[0]
         pts = [(1.0, float(p)) for p in range(-4, 5, 2)]
         oracle = direct_convolution_oracle(pts, tent(), xs)
-        assert np.allclose(out.samples.real, oracle, atol=5e-3)
-        assert out.samples.real.min() >= -1e-12
-        assert out.samples.real.max() <= 1.0 + 1e-9
+        assert np.allclose(out.samples, oracle, atol=5e-3)
+        assert out.samples.min() >= -1e-12
+        assert out.samples.max() <= 1.0 + 1e-9
         # the periodized tent peaks where x - lambda hits the tent apex,
         # i.e. at odd integers for the even lattice and apex at 1
-        peak_xs = xs[np.isclose(out.samples.real, out.samples.real.max(), atol=1e-9)]
+        peak_xs = xs[np.isclose(out.samples, out.samples.max(), atol=1e-9)]
         assert all(abs((x - 1.0) % 2.0) < 0.05 or abs((x - 1.0) % 2.0) > 1.95
                    for x in peak_xs)
 
     def test_negative_function_rejected(self):
-        bad = GridFunction(Box((0.0,), (1.0,)), -np.ones(8, dtype=complex),
-                           np.full(8, 1 / 8))
+        bad = GridFunction(Box((0.0,), (1.0,)), -np.ones(8))
         with pytest.raises(InputError):
             comb_convolve(WeightedComb.single(integers()), bad, Box((0.0,), (1.0,)), 8)
 
@@ -85,13 +84,13 @@ class TestCombConvolve:
         chi = GridFunction.indicator(B2((0.0, 0.0), (1.0, 1.0)), 16)
         out = comb_convolve(WeightedComb.single(integers(dim=2)), chi,
                             B2((-1.0, -1.0), (2.0, 2.0)), 24)
-        assert np.allclose(out.samples.real, 1.0, atol=1e-9)
+        assert np.allclose(out.samples, 1.0, atol=1e-9)
 
     @given(st.floats(0.25, 4.0))
     @settings(max_examples=20, deadline=None)
     def test_linearity_in_the_function(self, a):
         base = GridFunction.indicator(Box((0.0,), (1.0,)), 32)
-        scaled = GridFunction(base.bounding_box, a * base.samples, base.cell_weights)
+        scaled = GridFunction(base.bounding_box, a * base.samples)
         comb = WeightedComb.single(integers())
         out1 = comb_convolve(comb, base, Box((0.0,), (2.0,)), 32)
         out2 = comb_convolve(comb, scaled, Box((0.0,), (2.0,)), 32)
@@ -247,7 +246,7 @@ class TestDensityConvolutionBracket:
         chi = GridFunction.indicator(Box((0.0,), (s,)), 256)
         rep = check_density_convolution_bracket(
             [(WeightedComb.single(integers()), chi)], Box((0.0,), (4.0,)), 128)
-        assert set(rep.sum_grid.samples.real.tolist()) == {1.0}
+        assert set(rep.sum_grid.samples.tolist()) == {1.0}
         assert (rep.inf_sum, rep.sup_sum) == (lo, hi)
         assert rep.densities.upper == pytest.approx(s)
         assert rep.tol < 1e-9
@@ -260,7 +259,7 @@ class TestDensityConvolutionBracket:
         h = GridFunction.from_callable(lambda p: p[:, 0], Box((0.0,), (1.0,)), 4)
         rep = check_density_convolution_bracket(
             [(WeightedComb.single(integers()), h)], Box((0.0,), (2.0,)), 4)
-        assert rep.sum_grid.samples.real.tolist() == [0.25, 0.75, 0.25, 0.75]
+        assert rep.sum_grid.samples.tolist() == [0.25, 0.75, 0.25, 0.75]
         assert rep.inf_sum == pytest.approx(0.125, abs=1e-12)
         assert rep.sup_sum == pytest.approx(0.875, abs=1e-12)
         assert rep.upper_holds and rep.lower_holds

@@ -76,7 +76,7 @@ def oracle_frequencies(freq, box):
     weights = [np.array([w for _, w in freq.atoms])]
     if freq.density is not None:
         lam.append(freq.density.points())
-        weights.append((freq.density.samples.real * freq.density.cell_weights).ravel())
+        weights.append((freq.density.samples * freq.density.cell_weights).ravel())
     return np.vstack(lam), np.concatenate(weights)
 
 
@@ -203,8 +203,7 @@ def dense_systems(draw, with_lattice=False, even=False):
                           for _ in range(draw(st.integers(0, 2))))
             if even:
                 # a sum is commutative, so the samples mirror bit for bit
-                density = GridFunction(box, density.samples + np.flip(density.samples),
-                                       density.cell_weights)
+                density = GridFunction(box, density.samples + np.flip(density.samples))
                 atoms += tuple((tuple(-v for v in p), w) for p, w in atoms)
             freq = ContinuousFreqMeasure(density=density, atoms=atoms)
         else:
@@ -335,8 +334,7 @@ class TestEstimateFrameBounds:
                                           Box((-64.0,), (64.0,)), 100)
         measure = ContinuousFreqMeasure(density=bowl, atoms=(((3.3,), 1.5), ((-20.7,), 0.5)))
         even = ContinuousFreqMeasure(
-            density=GridFunction(bowl.bounding_box, bowl.samples + np.flip(bowl.samples),
-                                 bowl.cell_weights),
+            density=GridFunction(bowl.bounding_box, bowl.samples + np.flip(bowl.samples)),
             atoms=(((3.3,), 1.5), ((-3.3,), 1.5)))
         # each case is truncated to its Nyquist band, which keeps the lattices
         # off the untruncated path; spacing 0.79 does not divide into the
@@ -493,8 +491,7 @@ class TestRealPath:
         # 2 blocks of 3 cells, each of rank at most 2 (the offsets c and -c)
         omega = BoxUnionSet.from_intervals([(0.0, 0.25)])
         window = Window.from_callable(lambda p: 1.0 + p[:, 0] + p[:, -1] ** 2, "w0")
-        density = GridFunction(Box((-12.0,), (12.0,)), np.array([74.0, 74.0]),
-                               np.array([12.0, 12.0]))
+        density = GridFunction(Box((-12.0,), (12.0,)), np.array([74.0, 74.0]))
         freq = ContinuousFreqMeasure(density=density)
         trunc = Box((-1.5,), (1.5,))
         hair = trunc.translate([-1e-9 * s for s in trunc.sides])
@@ -1144,6 +1141,13 @@ class TestRonShenPath:
             estimate_frame_bounds(WindowedSystem(omega, ((Window.indicator(), integers()),)), 2)
 
 
+class TestFrequencyMeasure:
+    def test_a_negative_density_sample_is_refused(self):
+        density = GridFunction(Box((-1.0,), (1.0,)), np.array([1.0, -0.5]))
+        with pytest.raises(InputError, match="frequency density must be non-negative"):
+            ContinuousFreqMeasure(density)
+
+
 class TestDimensionRule:
     """A window's support box and a frequency set must have the domain's
     dimension; the error names the pair (or window) and both dimensions."""
@@ -1177,7 +1181,7 @@ class TestDimensionRule:
 
     @pytest.mark.parametrize("atoms, density", [
         ((((0.0,), 1.0), ((0.0, 1.0), 1.0)), None),
-        ((((0.0, 1.0), 1.0),), GridFunction(Box((-1.0,), (1.0,)), np.ones(2), np.ones(2)))],
+        ((((0.0, 1.0), 1.0),), GridFunction(Box((-1.0,), (1.0,)), np.ones(2)))],
         ids=["atoms", "atom_and_density"])
     def test_a_measure_of_mixed_dimensions(self, atoms, density):
         with pytest.raises(InputError, match=re.escape("mixes dimensions [1, 2]")):

@@ -25,7 +25,7 @@ from frameforge.geometry import (
     translate_overlap,
 )
 from frameforge.framebounds import ContinuousFreqMeasure
-from frameforge.gridfn import GridFunction, cell_volumes
+from frameforge.gridfn import GridFunction
 from frameforge.pointsets import FiniteSet, WeightedComb, integers
 from frameforge.windows import parse_expr
 
@@ -527,9 +527,7 @@ NUMBER_TAKERS = {
     "comb_weight": lambda v: WeightedComb.single(integers(), v if v else 1.0),
     "atom_point": lambda v: ContinuousFreqMeasure(atoms=(((v,), 1.0),)),
     "atom_weight": lambda v: ContinuousFreqMeasure(atoms=(((0.0,), v if v else 1.0),)),
-    "grid_samples": lambda v: GridFunction(UNIT_BOX, np.array([1.0, v]),
-                                           cell_volumes(UNIT_BOX, 2)),
-    "grid_weights": lambda v: GridFunction(UNIT_BOX, np.ones(2), np.array([0.25, v])),
+    "grid_samples": lambda v: GridFunction(UNIT_BOX, np.array([1.0, v])),
 }
 
 

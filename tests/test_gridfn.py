@@ -1,12 +1,14 @@
 """Cell grids: cell centres and exact cell weights against a box-union domain."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frameforge.errors import InputError
-from frameforge.geometry import Box, canonicalize
+from frameforge.geometry import Box, BoxUnionSet, canonicalize
 from frameforge.gridfn import GridFunction, cell_volumes, grid_points
 
 
@@ -50,15 +52,22 @@ class TestCellVolumes:
 
 
 class TestGridFunction:
-    def test_weights_of_a_long_box_check_against_its_volume(self):
-        # the weights of 1001 cells of [0, 1e7/3) sum past the volume by
-        # rounding, 1.4e-9 (4e-16 of it); the check allows 1e-9 of the volume
-        box = Box((0.0,), (1e7 / 3,))
-        weights = cell_volumes(box, 1001)
-        assert weights.sum() > box.volume + 1e-9
-        GridFunction(box, np.ones(1001), weights)
-        with pytest.raises(InputError, match="exceed the bounding box volume"):
-            GridFunction(box, np.ones(1001), weights * (1 + 1e-8))
+    def test_weights_come_from_the_box_and_the_domain(self):
+        box, omega = Box((-8.0,), (8.0,)), BoxUnionSet.from_intervals([(-8.0, 0.3)])
+        f = GridFunction(box, np.ones(16), omega)
+        assert f.cell_weights.tobytes() == cell_volumes(box, 16, omega).tobytes()
+        assert f.integral() == float(cell_volumes(box, 16, omega).sum())
+        assert GridFunction.indicator(box, 16).cell_weights.tolist() == [1.0] * 16
+
+    def test_a_complex_sample_is_refused(self):
+        with pytest.raises(InputError, match=re.escape("grid samples must be real, got (1+5j)")):
+            GridFunction(Box((0.0,), (1.0,)), np.array([1.0, 1 + 5j]))
+
+    def test_samples_and_results_are_real(self):
+        f = GridFunction(Box((0.0,), (1.0,)), np.array([1.0, 3.0], dtype=complex))
+        assert f.samples.dtype == np.float64
+        assert f.interpolate(np.array([[0.25], [0.5], [2.0]])).tolist() == [1.0, 2.0, 0.0]
+        assert type(f.integral()) is float and f.integral() == 2.0
 
 
 class TestGridPoints:

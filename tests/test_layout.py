@@ -422,3 +422,29 @@ def test_rounding_checker(tmp_path):
                      "y = np.around(2.5)\nz = np.round\nw = x.rounded(1)\n")
     assert roundings([probe]) == ["probe.py in <module>", "probe.py in Lattice.same_group",
                                   "probe.py in Lattice.same_group", "probe.py in nearest_whole"]
+
+
+def weight_builders(paths):
+    """Every call of cell_volumes in these files, as ``calls_of`` names it,
+    without the line number."""
+    return sorted(re.sub(r":\d+", "", hit) for hit in calls_of("cell_volumes", paths))
+
+
+def test_grid_weights_have_one_home():
+    # a grid function derives its weights from its own box and domain, and
+    # the frame operator weighs its grid over the system's domain; no caller
+    # builds weights to hand to a grid function
+    assert weight_builders(sorted(SRC.glob("*.py"))) == [
+        "framebounds.py in estimate_frame_bounds", "gridfn.py in GridFunction.__post_init__"]
+
+
+def test_weight_builder_checker(tmp_path):
+    probe = tmp_path / "convolution.py"
+    probe.write_text("from . import gridfn\nfrom .gridfn import GridFunction, cell_volumes\n\n"
+                     "def comb_convolve(box, n):\n"
+                     "    return GridFunction(box, out, cell_volumes(box, n))\n\n"
+                     "class Report:\n    def grid(self):\n"
+                     "        return gridfn.cell_volumes(self.box, 4).sum()\n\n"
+                     "w = cell_volumes\n")
+    assert weight_builders([probe]) == ["convolution.py in Report.grid",
+                                        "convolution.py in comb_convolve"]

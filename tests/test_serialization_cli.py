@@ -9,13 +9,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameforge.cli import default_overlap_step, main
 from frameforge.errors import InputError
-from frameforge.framebounds import ContinuousFreqMeasure, WindowedSystem
-from frameforge.geometry import Box, BoxUnionSet, Lattice
+from frameforge.framebounds import ContinuousFreqMeasure, WindowedSystem, estimate_frame_bounds
+from frameforge.geometry import Box, BoxUnionSet, Lattice, canonicalize
 from frameforge.gridfn import GridFunction
 from frameforge.pointsets import (
     EventuallyPeriodic1D,
@@ -86,6 +86,28 @@ class TestPointSetSchema:
             pointset_from_dict({"kind": "quasicrystal"})
 
 
+@st.composite
+def densities(draw):
+    """A non-negative 1-D density on 1 to 12 cells, with or without a domain
+    of one to three intervals that may overhang its box."""
+    n = draw(st.integers(1, 12))
+    lo = draw(st.floats(-8.0, 0.0))
+    box = Box((lo,), (lo + draw(st.floats(0.5, 16.0)),))
+    samples = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n)))
+    domain = None
+    if draw(st.booleans()):
+        starts = draw(st.lists(st.floats(lo - 1.0, box.hi[0]), min_size=1, max_size=3))
+        domain = canonicalize([Box((a,), (a + draw(st.floats(0.01, 4.0)),)) for a in starts])
+    return GridFunction(box, samples, domain)
+
+
+# a density whose domain [-8, 0.3) ends inside a cell of its box: the JSON
+# that kept only the samples read it back on full cells, A = B = 1 against
+# A = 0, B = 1.0000000000000013 at grid_n 16
+CUT_DENSITY = GridFunction.from_callable(lambda xi: np.ones(len(xi)), Box((-8.0,), (8.0,)),
+                                         16, BoxUnionSet.from_intervals([(-8.0, 0.3)]))
+
+
 class TestSystemSchema:
     def test_roundtrip_with_discrete_and_continuous(self):
         omega = BoxUnionSet.from_intervals([(0, 1)])
@@ -101,6 +123,18 @@ class TestSystemSchema:
         freq = again.pairs[1][1]
         assert isinstance(freq, ContinuousFreqMeasure)
         assert freq.atoms == (((0.0,), 2.0),)
+
+    @given(densities(), st.sampled_from([8, 16]))
+    @example(CUT_DENSITY, 16)
+    @settings(max_examples=40, deadline=None)
+    def test_a_density_roundtrips_bit_for_bit(self, density, grid_n):
+        system = WindowedSystem(BoxUnionSet.from_intervals([(0.0, 1.0)]), (
+            (Window.indicator(), ContinuousFreqMeasure(density=density)),))
+        again = system_from_dict(json.loads(json.dumps(system_to_dict(system))))
+        reloaded = again.pairs[0][1].density
+        assert reloaded.cell_weights.tobytes() == density.cell_weights.tobytes()
+        before, after = (estimate_frame_bounds(s, grid_n) for s in (system, again))
+        assert (after.A_est, after.B_est) == (before.A_est, before.B_est)
 
     def test_construction_roundtrips_into_estimation(self, tmp_path):
         from frameforge.construction import build_bounded_window_frame
@@ -519,7 +553,7 @@ INFINITE_DOMAIN = '{"dim": 1, "boxes": [[0, Infinity]]}'
     (["gabor", "--window", "indicator(0,1e400)"], {}, "finite, got 1e400"),
     (["frame-bounds", "--grid-n", "8", "--system", system_with_freq(
         {"kind": "continuous", "box": [-4.0, 4.0], "n": 2, "density": [1.0, math.nan]})],
-     {}, "finite, got (nan+0j)"),
+     {}, "finite, got nan"),
     (["frame-bounds", "--grid-n", "8", "--system", json.dumps(dict(SYSTEM, pairs=[
         dict(SYSTEM["pairs"][0], window="1e400")]))], {}, "finite, got 1e400"),
     (["frame-bounds", "--grid-n", "8", "--system", system_with_freq(
@@ -550,6 +584,10 @@ INFINITE_DOMAIN = '{"dim": 1, "boxes": [[0, Infinity]]}'
     (["frame-bounds", "--grid-n", "8", "--system", system_with_freq(
         {"kind": "finite_set", "dim": 2, "points": [[0.0, 0.0]]})], {},
      "pair 0 ('indicator'): frequency set of dimension 2 on a domain of dimension 1"),
+    (["frame-bounds", "--grid-n", "8", "--system", system_with_freq(
+        {"kind": "continuous", "box": [-4.0, 4.0], "n": 2, "density": [1.0, 1.0],
+         "domain": {"dim": 2, "boxes": [[0.0, 0.0, 1.0, 1.0]]}})], {},
+     "domain dimension 2 != box dimension 1"),
 ], ids=["x0", "h_list", "h_zero", "trunc", "lattice_entry", "lattice_object", "comb_term",
         "coset_basis", "point_set_kind", "config_not_json", "config_not_object",
         "config_value", "config_flag", "system_basis", "system_density",
@@ -559,7 +597,7 @@ INFINITE_DOMAIN = '{"dim": 1, "boxes": [[0, Infinity]]}'
         "atom_weight_inf", "x0_nan", "step_zero", "step_nan", "x_max_nan", "step_negative",
         "x_max_negative", "x_max_zero", "indicator_empty", "indicator_letters", "atom_empty",
         "dim_inf", "dim_fraction", "set_dim_fraction", "density_cells_fraction",
-        "window_dimension", "frequency_dimension"])
+        "window_dimension", "frequency_dimension", "density_domain_dimension"])
 def test_malformed_input_exits_two_with_one_error_line(tmp_path, monkeypatch, capsys,
                                                        argv, files, named):
     monkeypatch.chdir(tmp_path)
