@@ -37,6 +37,7 @@ from .windows import Window, parse_expr
 from .framebounds import (
     BracketCheckReport,
     ContinuousFreqMeasure,
+    CosineFreqMeasure,
     EssBoundsReport,
     FrameBoundsReport,
     WindowedSystem,

@@ -19,13 +19,12 @@ import numpy as np
 from .errors import InputError
 from .framebounds import (
     DENSE_EIG_LIMIT,
-    ContinuousFreqMeasure,
+    CosineFreqMeasure,
     EssBoundsReport,
     FrameBoundsReport,
     WindowedSystem,
     ess_report,
     estimate_frame_bounds,
-    nyquist_box,
     window_ranges,
 )
 from .geometry import (
@@ -263,7 +262,7 @@ def tight_frame_obstruction_scan(omega: BoxUnionSet, x_max: float,
 class TightCertificate:
     """The cosine measure and its frame bounds as measured on the domain."""
 
-    measure_descriptor: ContinuousFreqMeasure
+    measure_descriptor: CosineFreqMeasure
     report: FrameBoundsReport
 
     @property
@@ -279,44 +278,15 @@ def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
     The exact box check refuses an overlapping shift; a positive verdict
     rests only on the bounds.  x0 and every face of the domain must be whole
     numbers of the grid's cells; grid_n=None picks the coarsest such grid
-    with at least 256 cells, and none above DENSE_EIG_LIMIT cells.  The
-    density fills the Nyquist band with the fewest cells per axis above
-    grid_n that move every alias of lag 0 and of ±x0 off the grid's index
-    differences: grid_n + s + 1 when every |x0| is at most grid_n cells, s
-    being the largest.
+    with at least 256 cells, and none above DENSE_EIG_LIMIT cells.  There the
+    measure's kernel lies at the lags 0 and ±x0: one block per chain along x0.
     """
     x0 = as_vec(x0)
-    ov_plus = translate_overlap(omega, x0)
-    ov_minus = translate_overlap(omega, tuple(-v for v in x0))
+    ov_plus, ov_minus = (translate_overlap(omega, s) for s in (x0, tuple(-v for v in x0)))
     if ov_plus > 0.0 or ov_minus > 0.0:
         raise CertificateRefusal(
-            "the domain meets its own translate by x0 on positive measure, so "
-            "the cosine measure is not a tight frame measure for it",
-            ov_plus, ov_minus)
-    bb, d = omega.bounding_box(), omega.dim
-    grid_n = _aligned_grid(omega, x0, grid_n)
-    c = np.abs(nearest_whole(np.asarray(x0) / np.array(bb.sides) * grid_n)[0])
-    # the lags c + m N (m != 0) alias onto the grid unless some axis's
-    # M_a = {m : |c_a - m N| <= n} is empty, or every M_a is {0}; N = n + s + 1
-    # always clears them, and a far x0 is cleared within about 4 n, so the
-    # sizes are tested 4 n at a time, in order, up to the first that clears
-    for first in range(grid_n + 1, grid_n + c.max() + 2, 4 * grid_n):
-        N = np.arange(first, first + 4 * grid_n)[:, None]
-        clear = (np.any(-((grid_n - c) // N) > (c + grid_n) // N, axis=1)
-                 | ~np.any((c + grid_n) // N, axis=1))
-        if clear.any():
-            break
-    density_n = int(N[clear.argmax(), 0])
-    # at the band's cell centres 2 pi <xi_j, x0> = pi sum_a ±c_a (2 j_a + 1 - N) / N,
-    # whole half-turns over N, so a far x0 costs the cosine no precision;
-    # folding t to min(t, 2N - t) makes the mirrored cells' masses equal
-    # bit for bit, so the density is even and the operator real
-    j = np.indices((density_n,) * d).reshape(d, -1)
-    shift = np.sign(x0).astype(int) * c % (2 * density_n)
-    turns = shift @ (2 * j + 1 - density_n) % (2 * density_n)
-    turns = np.minimum(turns, 2 * density_n - turns)
-    band = nyquist_box(bb, grid_n)
-    measure = ContinuousFreqMeasure(density=GridFunction(
-        band, 1.0 + np.cos(np.pi * turns / density_n).reshape((density_n,) * d)))
+            "the domain meets its own translate by x0 on positive measure, so the cosine "
+            "measure is not a tight frame measure for it", ov_plus, ov_minus)
+    grid_n, measure = _aligned_grid(omega, x0, grid_n), CosineFreqMeasure(x0)
     system = WindowedSystem(omega, ((Window.indicator(), measure),))
-    return TightCertificate(measure, estimate_frame_bounds(system, grid_n, band))
+    return TightCertificate(measure, estimate_frame_bounds(system, grid_n))

@@ -7,7 +7,7 @@ eigenvalues of the (weighted) frame operator.  Frequencies enter the
 operator only through the difference x - y of two cells.  Each discrete
 part of a pair's frequencies is one triple (points, weights, period in
 cells) that acts only at the cell-index differences that are multiples of
-its period; a non-constant density enters as its Toeplitz kernel.  A grid
+its period; any other measure enters as its Toeplitz kernel.  A grid
 whose Nyquist band matches the frequency truncation reproduces tight
 continuous systems exactly; that band is the default truncation, save for
 the lattice cosets kept untruncated on the continuum's Ron-Shen fibers.
@@ -69,7 +69,18 @@ class ContinuousFreqMeasure:
         return self.density.dim if self.density is not None else len(self.atoms[0][0])
 
 
-FreqSpec = Union[StructuredPointSet, ContinuousFreqMeasure]
+@dataclass(frozen=True)
+class CosineFreqMeasure:
+    """The frequency measure (1 + cos 2 pi <xi, x0>) d xi."""
+
+    x0: tuple[float, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.x0)
+
+
+FreqSpec = Union[StructuredPointSet, ContinuousFreqMeasure, CosineFreqMeasure]
 
 
 def _refuse_window_dimension(name: str, window: Window, omega: BoxUnionSet) -> None:
@@ -176,6 +187,21 @@ def _density_part(density: GridFunction, steps: np.ndarray, n: int):
     return kernel.real.copy() if even else kernel
 
 
+def _cosine_part(x0: tuple, steps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of (1 + cos 2 pi <xi, x0>) d xi on the alias band of volume
+    V: V at lag 0 and V/2 at the lags +-c = +-x0 / step, whole numbers of
+    cells, which fall off the grid when some |c_a| >= n; and the period of
+    the chains i, i + c, ...: |c_a|, or n where c_a = 0 or the lags fell off."""
+    c, whole = nearest_whole(np.asarray(x0) / steps)
+    if not whole.all():
+        raise InputError(f"the shift {x0} is not a whole number of cells of {tuple(steps)}")
+    kernel, volume = np.zeros((2 * n - 1,) * len(steps)), np.prod(1.0 / steps)
+    near = bool(np.all(np.abs(c) < n))
+    for lag, share in [(0 * c, 1.0)] + [(c, 0.5), (-c, 0.5)] * near:
+        kernel[tuple(n - 1 + lag)] += share * volume
+    return kernel, np.where((c != 0) & near, np.abs(c), n)
+
+
 def _phase_tables(freqs: np.ndarray, step: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Coarse and fine tables of e^{2 pi i lam k step} over the cell-index
     differences k = -(n - 1) + h b + l in (-n, n), 0 <= l < b: the phase is
@@ -251,22 +277,26 @@ def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
     at the index difference of x and y: whole-period lattice cosets
     (``_lattice_cosets``) and a constant density (``_density_part``) with
     their periods, and with period 1 a point set's points in ``box`` and a
-    measure's atoms.  Any other density enters as its kernel array.  A part
-    of no weight is dropped, and a pair left with no part is named."""
+    measure's atoms.  Any other part is the pair (kernel array, period): the
+    cosine measure's (``_cosine_part``), and any other density's with period
+    1.  A part of no weight is dropped, and a pair left with no part is named."""
     terms, notes, ones = [], [], np.ones(len(steps), dtype=int)
     for window, freq in system.pairs:
-        if isinstance(freq, ContinuousFreqMeasure):
+        if isinstance(freq, CosineFreqMeasure):
+            parts = [_cosine_part(freq.x0, steps, n)]
+        elif isinstance(freq, ContinuousFreqMeasure):
             atoms = np.array([p for p, _ in freq.atoms], dtype=float).reshape(-1, len(steps))
             parts = [(atoms, np.array([w for _, w in freq.atoms], dtype=float), ones)]
             if freq.density is not None:
-                parts.append(_density_part(freq.density, steps, n))
-                if isinstance(parts[-1], tuple):
+                part = _density_part(freq.density, steps, n)
+                if isinstance(part, tuple):
                     notes.append(f"pair '{window.label}': constant density in closed form "
-                                 f"with period {'x'.join(map(str, parts[-1][2]))} cells")
+                                 f"with period {'x'.join(map(str, part[2]))} cells")
+                parts.append(part if isinstance(part, tuple) else (part, ones))
         else:
             lam = freq.points_in_box(box)
             parts = [_lattice_cosets(freq, steps, box) or (lam, np.ones(len(lam)), ones)]
-        parts = [part for part in parts if np.any(part[1] if isinstance(part, tuple) else part)]
+        parts = [part for part in parts if np.any(part[-2])]  # weights, or the kernel
         if not parts:
             notes.append(f"pair '{window.label}': no frequencies inside the truncation box; "
                          f"it contributes nothing")
@@ -519,10 +549,10 @@ def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
     which keeps the eigenproblem well posed.  Continuous frequency measures
     enter by quadrature against their density plus exact atom sums.
 
-    Every discrete part is a triple (points, weights, period) from
-    ``_kernel_terms``; a density kernel has period 1.  The operator couples
-    two cells only when their index difference is a multiple of P, the gcd
-    of the periods, so it is block diagonal over the fibers of cells with one
+    Every part from ``_kernel_terms``, a triple or a kernel, ends in its
+    period (1 for a general density's kernel).  The operator couples two
+    cells only when their index difference is a multiple of P, the gcd of
+    the periods, so it is block diagonal over the fibers of cells with one
     index residue mod P (the Walnut / Ron-Shen fiber decomposition).  When
     every part is discrete and r, the columns of ``_fiber_factor`` over the
     residues mod P, is below the largest fiber, A = 0 and B comes from the
@@ -556,9 +586,9 @@ def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
     if not terms:
         return FrameBoundsReport(0.0, 0.0, grid_n, trunc_box,
                                  "; ".join(notes + ["no coefficients at all"]))
-    discrete = [(u, *part) for u, part in terms if isinstance(part, tuple)]
+    discrete = [(u, *part) for u, part in terms if len(part) == 3]
     general = len(discrete) < len(terms)
-    period = np.gcd.reduce([q for *_, q in discrete] + [np.ones_like(idx[0])] * general)
+    period = np.gcd.reduce([part[-1] for _, part in terms])
     order, sizes = _fibers(idx, period)
     note = (f"dense eigensolve of order {sizes[0]}" if len(sizes) == 1 else
             f"dense eigensolve of {len(sizes)} blocks of order at most {sizes.max()}")
@@ -571,8 +601,8 @@ def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
     elif not general and (update := _rank_update_bounds(discrete, idx, xs, steps, grid_n)):
         a, b, note = update
     else:
-        kernels = [(u, part if isinstance(part, np.ndarray) else
-                    _difference_kernel(*part, steps, grid_n)) for u, part in terms]
+        kernels = [(u, part[0] if len(part) == 2 else _difference_kernel(*part, steps, grid_n))
+                   for u, part in terms]
         if sizes.max() <= DENSE_EIG_LIMIT:
             a, b, arithmetic = _extremal_eigs_blocks(order, sizes, None, kernels, idx, grid_n)
             note += arithmetic
@@ -730,7 +760,7 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
 
 
 def _freq_as_support(freq: FreqSpec) -> StructuredPointSet:
-    if isinstance(freq, ContinuousFreqMeasure):
+    if isinstance(freq, (ContinuousFreqMeasure, CosineFreqMeasure)):
         raise InputError("the window/density bracket needs discrete frequency sets")
     return freq
 

@@ -23,11 +23,7 @@ def grid_centers(box: Box, n: int) -> list[np.ndarray]:
     """Per-axis cell-center coordinates for an n-per-axis grid on the box."""
     if n < 1:
         raise InputError(f"grid needs at least one cell per axis, got {n}")
-    axes = []
-    for a, b in zip(box.lo, box.hi):
-        step = (b - a) / n
-        axes.append(a + step * (np.arange(n) + 0.5))
-    return axes
+    return [a + (b - a) / n * (np.arange(n) + 0.5) for a, b in zip(box.lo, box.hi)]
 
 
 def grid_points(box: Box, n: int) -> np.ndarray:
@@ -104,9 +100,7 @@ class GridFunction:
 
     @property
     def spacing(self) -> tuple[float, ...]:
-        n = self.n_per_axis
-        return tuple((b - a) / n for a, b in zip(self.bounding_box.lo,
-                                                 self.bounding_box.hi))
+        return tuple(side / self.n_per_axis for side in self.bounding_box.sides)
 
     def axes(self) -> list[np.ndarray]:
         return grid_centers(self.bounding_box, self.n_per_axis)

@@ -182,15 +182,19 @@ def _freq_from_dict(data: dict) -> FreqSpec:
 
 def system_to_dict(system: WindowedSystem) -> dict:
     return {"omega": domain_to_dict(system.omega),
-            "pairs": [{"window": w.to_string(), "freq": _freq_to_dict(f)}
+            "pairs": [{"window": w.to_string(), "label": w.label, "freq": _freq_to_dict(f)}
                       for w, f in system.pairs]}
 
 
 @_decoding("system")
 def system_from_dict(data: dict) -> WindowedSystem:
+    """A system from its JSON; a pair without a ``label`` is named by its window text."""
     omega, _ = load_domain(data["omega"])
-    pairs = tuple((Window.from_string(p["window"]), _freq_from_dict(p["freq"]))
-                  for p in data["pairs"])
+    labels = [p["label"] if "label" in p else None for p in data["pairs"]]
+    if not all(label is None or isinstance(label, str) for label in labels):
+        raise ValueError(f"window labels must be text, got {labels}")
+    pairs = tuple((Window.from_string(p["window"], label), _freq_from_dict(p["freq"]))
+                  for p, label in zip(data["pairs"], labels))
     return WindowedSystem(omega, pairs)
 
 

@@ -1,5 +1,6 @@
 """Frame builders, obstruction scans and tight-frame-measure certificates."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,10 +21,13 @@ from frameforge.construction import (
     tight_frame_obstruction_scan,
 )
 from frameforge.framebounds import (
+    ContinuousFreqMeasure,
+    CosineFreqMeasure,
     WindowedSystem,
     ess_bounds,
     ess_report,
     estimate_frame_bounds,
+    nyquist_box,
     window_density_bracket_check,
     window_ranges,
 )
@@ -35,6 +39,7 @@ from frameforge.geometry import (
     cantor_tower,
     translate_overlap,
 )
+from frameforge.gridfn import GridFunction, grid_points
 from frameforge.pointsets import LatticeCosets, WeightedComb, density_closed_form, integers
 from frameforge.serialization import load_system, save_system
 from frameforge.windows import Window
@@ -443,14 +448,54 @@ def aligned_shift_cases(draw):
     return omega, draw(st.integers(1, 64)) / 16, width * draw(st.integers(1, 256 // width))
 
 
+def longest_chain(omega, x0, grid_n):
+    """L, the most active cells in one run i, i + c, i + 2c, ... on the grid
+    over the bounding box, c being x0 in cells; the faces are whole cells, so
+    a cell is active when its centre lies in the domain."""
+    bb = omega.bounding_box()
+    c = np.rint(np.asarray(x0) / np.array(bb.sides) * grid_n).astype(int)
+    active = omega.contains(grid_points(bb, grid_n)).reshape((grid_n,) * omega.dim)
+    longest = 0
+    for cell in np.argwhere(active):
+        run = 0
+        while np.all((0 <= cell) & (cell < grid_n)) and active[tuple(cell)]:
+            cell, run = cell + c, run + 1
+        longest = max(longest, run)
+    return longest
+
+
+def sampled_cosine_measure(omega, x0, grid_n):
+    """The cosine measure as the density sampled on the grid's alias band,
+    in N cells per axis, N the first size above grid_n that keeps every alias
+    of the lags 0 and ±x0 off the grid's index differences; the cosine is
+    read in whole half-turns of N and folded, so the density is even."""
+    bb, d = omega.bounding_box(), omega.dim
+    c = np.abs(np.rint(np.asarray(x0) / np.array(bb.sides) * grid_n)).astype(int)
+    N = next(N for N in itertools.count(grid_n + 1)
+             if np.any(-((grid_n - c) // N) > (c + grid_n) // N) or not np.any((c + grid_n) // N))
+    j = np.indices((N,) * d).reshape(d, -1)
+    turns = (np.sign(x0).astype(int) * c) @ (2 * j + 1 - N) % (2 * N)
+    turns = np.minimum(turns, 2 * N - turns)
+    return ContinuousFreqMeasure(density=GridFunction(
+        nyquist_box(bb, grid_n), 1.0 + np.cos(np.pi * turns / N).reshape((N,) * d)))
+
+
+L_SHAPE = canonicalize([Box((0.0, 0.0), (1.0, 0.5)), Box((0.0, 0.5), (0.5, 1.0))])
+CHAINS_2D = [(SQUARE, (0.25, 0.125), 16), (SQUARE, (0.25, -0.375), 16),
+             (SQUARE, (0.5, 0.0), 16), (SQUARE, (2.0, 0.0), 16), (L_SHAPE, (0.5, 0.25), 16),
+             (L_SHAPE, (0.125, 0.125), 32)]
+
+
 class TestCosineCertificate:
     def test_unit_interval_shift_two(self):
+        # 256 cells of shift on a 128-cell grid: no two cells couple
         cert = cosine_measure_certificate(UNIT, (2.0,), grid_n=128)
         assert cert.holds
         assert cert.report.A_est == pytest.approx(1.0, abs=1e-9)
         assert cert.report.B_est == pytest.approx(1.0, abs=1e-9)
-        assert cert.report.notes == "dense eigensolve of order 128 in real arithmetic"
-        assert cert.measure_descriptor.density.n_per_axis == 128 + 256 + 1
+        assert cert.report.notes == ("dense eigensolve of 128 blocks of order at most 1 "
+                                     "in real arithmetic")
+        assert cert.measure_descriptor == CosineFreqMeasure((2.0,))
 
     def test_overlapping_shift_refused(self):
         with pytest.raises(CertificateRefusal) as exc:
@@ -503,33 +548,53 @@ class TestCosineCertificate:
         assert cert.report.grid_n == grid_n
         assert cert.holds
 
-    @pytest.mark.parametrize("omega, x0, grid_n, density_n", [
-        (UNIT, (1e5,), 256, 543), (UNIT, (-1e5,), 256, 543),
-        (SQUARE, (1e5, 3.0), 16, 45), (SQUARE, (2.0, 0.0), 256, 769),
+    @pytest.mark.parametrize("omega, x0, grid_n", [
+        (UNIT, (1e5,), 256), (UNIT, (-1e5,), 256), (SQUARE, (1e5, 3.0), 16),
+        (SQUARE, (2.0, 0.0), 256),
     ])
-    def test_density_stays_small_for_far_shifts_and_fine_grids(self, omega, x0, grid_n,
-                                                               density_n):
-        # x0 = 1e5 lies 2.56e7 cells out; the density's cells only have to
-        # keep its aliases off the grid, which a few grid widths do, and its
-        # cosine is sampled in whole half-turns, so A and B stay at 1
+    def test_far_shifts_and_fine_grids_stay_tight(self, omega, x0, grid_n):
+        # x0 = 1e5 lies 2.56e7 cells out: its lags fall off the grid
         cert = cosine_measure_certificate(omega, x0, grid_n)
-        assert cert.measure_descriptor.density.n_per_axis == density_n <= 4 * grid_n + 2
         assert cert.holds
         assert cert.report.A_est == pytest.approx(1.0, abs=1e-12)
         assert cert.report.B_est == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("omega, n, cells", [
-        (UNIT, 256, (c,)) for c in (1, 100, 255, 256, 257, 600, 1024, 1025, 4097, 10 ** 6)
-    ] + [(SQUARE, 16, (40, 3)), (SQUARE, 16, (-5, 70)), (SQUARE, 16, (0, 16))])
-    def test_density_size_is_the_first_that_clears_the_aliases(self, monkeypatch,
-                                                                 omega, n, cells):
-        # reference: every candidate size in turn, smallest first
+    def check_chains(self, omega, x0, grid_n):
+        # a run of L cells along c is the tridiagonal I + (T + T*)/2, whose
+        # eigenvalues are 1 + cos(pi k / (L + 1)), k = 1 .. L
+        with pytest.MonkeyPatch.context() as mp:
+            no_overlap_check(mp)
+            rep = cosine_measure_certificate(omega, x0, grid_n).report
+        edge = math.cos(math.pi / (longest_chain(omega, x0, grid_n) + 1))
+        assert rep.A_est == pytest.approx(1.0 - edge, abs=1e-12)
+        assert rep.B_est == pytest.approx(1.0 + edge, abs=1e-12)
+
+    @given(aligned_shift_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_chains_read_their_closed_eigenvalues_in_1d(self, case):
+        omega, x0, grid_n = case
+        self.check_chains(omega, (x0,), grid_n)
+
+    @pytest.mark.parametrize("omega, x0, grid_n", CHAINS_2D)
+    def test_chains_read_their_closed_eigenvalues_in_2d(self, omega, x0, grid_n):
+        self.check_chains(omega, x0, grid_n)
+
+    @pytest.mark.parametrize("omega, x0, grid_n", [
+        (UNIT, (0.25,), 64), (UNIT, (2.0,), 128), (TWO_PIECE, (0.5,), 258),
+        (TWO_PIECE, (0.75,), 258),
+        (BoxUnionSet.from_intervals([(0, 0.25), (0.5, 1), (1.25, 2)]), (-0.25,), 256),
+        (SQUARE, (0.25, 0.125), 32), *CHAINS_2D[1:],
+    ])
+    def test_agrees_with_the_sampled_density(self, monkeypatch, omega, x0, grid_n):
+        # the density sampled on the alias band, its kernel taken by DFT and
+        # every active cell (at most 1024) solved as one block
         no_overlap_check(monkeypatch)
-        c = np.abs(cells)
-        first = next(N for N in range(n + 1, n + c.max() + 2)
-                     if np.any(-((n - c) // N) > (c + n) // N) or not np.any((c + n) // N))
-        cert = cosine_measure_certificate(omega, tuple(v / n for v in cells), n)
-        assert cert.measure_descriptor.density.n_per_axis == first
+        rep = cosine_measure_certificate(omega, x0, grid_n).report
+        sampled = estimate_frame_bounds(WindowedSystem(
+            omega, ((Window.indicator(), sampled_cosine_measure(omega, x0, grid_n)),)), grid_n)
+        assert sampled.notes.startswith("dense eigensolve of order ")
+        assert rep.A_est == pytest.approx(sampled.A_est, abs=1e-9)
+        assert rep.B_est == pytest.approx(sampled.B_est, abs=1e-9)
 
     @given(aligned_shift_cases())
     @settings(max_examples=40, deadline=None)

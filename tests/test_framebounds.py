@@ -12,6 +12,7 @@ from frameforge import framebounds
 from frameforge.errors import InputError
 from frameforge.framebounds import (
     ContinuousFreqMeasure,
+    CosineFreqMeasure,
     FrameBoundsReport,
     WindowedSystem,
     ess_bounds,
@@ -24,6 +25,7 @@ from frameforge.framebounds import (
 from frameforge.geometry import Box, BoxUnionSet, Lattice, canonicalize
 from frameforge.gridfn import GridFunction, cell_volumes, grid_points
 from frameforge.pointsets import (
+    DensityReport,
     FiniteSet,
     LatticeCosets,
     WeightedComb,
@@ -1147,6 +1149,28 @@ class TestFrequencyMeasure:
         with pytest.raises(InputError, match="frequency density must be non-negative"):
             ContinuousFreqMeasure(density)
 
+    def test_the_cosine_measure_at_no_shift_is_twice_lebesgue(self):
+        # 1 + cos 0 = 2: the lags 0 and ±x0 meet
+        system = WindowedSystem(UNIT, ((Window.indicator(), CosineFreqMeasure((0.0,))),))
+        rep = estimate_frame_bounds(system, 16)
+        assert rep.A_est == pytest.approx(2.0, abs=1e-12)
+        assert rep.B_est == pytest.approx(2.0, abs=1e-12)
+        assert rep.notes == "dense eigensolve of 16 blocks of order at most 1 in real arithmetic"
+
+    def test_a_cosine_shift_off_the_cells_is_refused(self):
+        system = WindowedSystem(UNIT, ((Window.indicator(), CosineFreqMeasure((0.3,))),))
+        with pytest.raises(InputError, match=r"the shift \(0.3,\) is not a whole number"):
+            estimate_frame_bounds(system, 16)
+
+    @pytest.mark.parametrize("freq", [
+        CosineFreqMeasure((2.0,)), ContinuousFreqMeasure(atoms=(((0.0,), 1.0),))],
+        ids=["cosine", "atoms"])
+    def test_the_bracket_refuses_a_measure(self, freq):
+        system = WindowedSystem(UNIT, ((Window.indicator(), freq),))
+        with pytest.raises(InputError, match="needs discrete frequency sets"):
+            window_density_bracket_check(system, estimate_frame_bounds(system, 16),
+                                         [DensityReport(1.0, 1.0, "closed_form")])
+
 
 class TestDimensionRule:
     """A window's support box and a frequency set must have the domain's
@@ -1172,8 +1196,8 @@ class TestDimensionRule:
             WindowedSystem(UNIT, ((Window.indicator(), integers()), (window, integers())))
 
     @pytest.mark.parametrize("freq", [
-        integers(), FiniteSet(((0.0,),)),
-        ContinuousFreqMeasure(atoms=(((0.0,), 1.0),))], ids=["lattice", "finite", "atoms"])
+        integers(), FiniteSet(((0.0,),)), ContinuousFreqMeasure(atoms=(((0.0,), 1.0),)),
+        CosineFreqMeasure((1.0,))], ids=["lattice", "finite", "atoms", "cosine"])
     def test_one_dimensional_frequencies_on_a_square(self, freq):
         with pytest.raises(InputError, match=re.escape(
                 "pair 0 ('indicator'): frequency set of dimension 1 on a domain of dimension 2")):

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from frameforge.cli import default_overlap_step, main
 from frameforge.errors import InputError
-from frameforge.framebounds import ContinuousFreqMeasure, WindowedSystem, estimate_frame_bounds
+from frameforge.framebounds import (
+    ContinuousFreqMeasure,
+    CosineFreqMeasure,
+    WindowedSystem,
+    estimate_frame_bounds,
+)
 from frameforge.geometry import Box, BoxUnionSet, Lattice, canonicalize
 from frameforge.gridfn import GridFunction
 from frameforge.pointsets import (
@@ -123,6 +128,33 @@ class TestSystemSchema:
         freq = again.pairs[1][1]
         assert isinstance(freq, ContinuousFreqMeasure)
         assert freq.atoms == (((0.0,), 2.0),)
+
+    @pytest.mark.parametrize("window", [
+        Window.indicator(), Window.from_string("1.0"), Window.indicator(label="1.0"),
+        Window.from_string("indicator(0,0.5)"), Window.from_string("2.0*x^1.0", label="ramp"),
+    ], ids=["indicator", "one", "indicator_named_one", "raw_text", "named"])
+    def test_every_pair_keeps_its_label(self, window):
+        # Window.indicator() is written as the text 1.0; a reload named it '1.0'
+        system = WindowedSystem(BoxUnionSet.from_intervals([(0.0, 1.0)]),
+                                ((window, integers()),))
+        again = system_from_dict(json.loads(json.dumps(system_to_dict(system))))
+        assert again.pairs == system.pairs
+
+    def test_the_cosine_measure_is_not_serialized(self):
+        system = WindowedSystem(BoxUnionSet.from_intervals([(0.0, 1.0)]),
+                                ((Window.indicator(), CosineFreqMeasure((2.0,))),))
+        with pytest.raises(InputError, match="cannot serialize .* CosineFreqMeasure"):
+            system_to_dict(system)
+
+    def test_a_pair_without_a_label_is_named_by_its_text(self):
+        data = {"omega": {"dim": 1, "boxes": [[0.0, 1.0]]},
+                "pairs": [{"window": "indicator", "freq": pointset_to_dict(integers())}]}
+        assert system_from_dict(data).pairs[0][0].label == "indicator"
+        data["pairs"][0]["label"] = 5
+        with pytest.raises(InputError, match="window labels must be text"):
+            system_from_dict(data)
+        with pytest.raises(InputError, match="bad system description"):
+            system_from_dict(dict(data, pairs=[5]))
 
     @given(densities(), st.sampled_from([8, 16]))
     @example(CUT_DENSITY, 16)
@@ -293,7 +325,7 @@ class TestCli:
         assert rc == 0
         assert "verdict: constructed" in capsys.readouterr().out
         assert [w.label for w, _ in load_system(str(out_system)).pairs] == [
-            "indicator(0.0,0.5)", "x^1.0"]
+            "indicator(0,0.5)", "x^1.0"]
 
     def test_construct_writes_windows_frame_bounds_reads(self, tmp_path, capsys):
         # the system file holds repr(float): 0.00001 is written as 1e-05

@@ -4,8 +4,11 @@ import csv
 import filecmp
 import os
 import pathlib
+import subprocess
+import sys
 from itertools import zip_longest
 
+import frameforge
 from frameforge.cli import main
 
 # CSVs of `frameforge verify --seed 7`; a change to any cell must be explained
@@ -56,6 +59,22 @@ def test_verify_writes_deterministic_artifacts(tmp_path, capsys):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
         assert filecmp.cmp(out1 / name, GOLDEN / name, shallow=False), \
             changed_cells(out1 / name, GOLDEN / name)
+
+
+def test_verify_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # one BLAS thread, in a fresh process since the count is read at import
+    src = pathlib.Path(frameforge.__file__).parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    script = ("import sys; from frameforge.cli import main; "
+              f"sys.exit(main(['verify', '--seed', '7', '--outdir', {str(tmp_path)!r}]))")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    names = sorted(os.listdir(tmp_path))
+    assert names == sorted(os.listdir(GOLDEN))
+    for name in names:
+        assert filecmp.cmp(tmp_path / name, GOLDEN / name, shallow=False), \
+            changed_cells(tmp_path / name, GOLDEN / name)
 
 
 def test_changed_cells_names_each_cell(tmp_path):
