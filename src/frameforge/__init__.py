@@ -64,9 +64,6 @@ from .zak import (
     GaborVerdict,
     ZakGrid,
     certify_gabor,
-    certify_gabor_separable,
-    gabor_windows,
-    quasiperiodicity_residuals,
     zak_transform,
 )
 from .errors import InputError

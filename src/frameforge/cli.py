@@ -42,6 +42,7 @@ from .serialization import (
     DENSITY_TRACE_HEADER,
     FRAME_BOUNDS_HEADER,
     GABOR_HEADER,
+    axis_header,
     box_label,
     comb_from_dict,
     frame_bounds_row,
@@ -127,8 +128,8 @@ def cmd_overlap(args) -> list[str]:
     whole = np.r_[-half[:0:-1], half]
     prof = overlap_profile(omega, cartesian([half] + [whole] * (omega.dim - 1)))
     if args.csv:
-        axes = ("x",) if omega.dim == 1 else tuple(f"x_{a}" for a in range(omega.dim))
-        write_csv(args.csv, axes + ("overlap",), [x + (v,) for x, v in prof])
+        write_csv(args.csv, axis_header("x", omega.dim) + ("overlap",),
+                  [x + (v,) for x, v in prof])
     positive = sum(1 for _, v in prof if v > 0)
     lines = [f"shifts_sampled: {len(prof)}", f"positive_overlaps: {positive}"]
     if tail is not None:
@@ -220,8 +221,8 @@ def cmd_certify_measure(args) -> list[str]:
                 f"overlap_minus: {refusal.overlap_minus!r}"]
     rep = cert.report
     if args.csv:
-        write_csv(args.csv, CERTIFICATE_HEADER,
-                  [(",".join(repr(v) for v in x0), rep.A_est, rep.B_est)])
+        write_csv(args.csv, axis_header("x0", len(x0)) + CERTIFICATE_HEADER[1:],
+                  [x0 + (rep.A_est, rep.B_est)])
     return [f"verdict: {'certified' if cert.holds else 'not tight'}",
             f"A_est: {rep.A_est!r}", f"B_est: {rep.B_est!r}", f"notes: {rep.notes}"]
 

@@ -102,7 +102,7 @@ def build_bounded_window_frame(windows: Sequence[Window], omega: BoxUnionSet,
     bounds are the measured tight constant c of the raw cube exponentials
     times the ess inf and ess sup of sum_J |g_j|^2: predicted bounds are
     c m^2 and c times the largest sum over J of squared upper range ends on
-    one piece.  The ranges are exact, so a callable window is refused.
+    one piece.
     """
     lo, hi, infs, sups = window_ranges(windows, omega, grid_n)
     ess = ess_report(infs, sups, grid_n)

@@ -107,10 +107,6 @@ class WindowedSystem:
                 raise InputError(f"{name}: frequency set of dimension {freq.dim} on a "
                                  f"domain of dimension {self.omega.dim}")
 
-    @property
-    def q(self) -> int:
-        return len(self.pairs)
-
 
 @dataclass(frozen=True)
 class FrameBoundsReport:
@@ -194,7 +190,8 @@ def _cosine_part(x0: tuple, steps: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     the chains i, i + c, ...: |c_a|, or n where c_a = 0 or the lags fell off."""
     c, whole = nearest_whole(np.asarray(x0) / steps)
     if not whole.all():
-        raise InputError(f"the shift {x0} is not a whole number of cells of {tuple(steps)}")
+        raise InputError(f"the shift {x0} is not a whole number of cells of "
+                         f"{tuple(steps.tolist())}")
     kernel, volume = np.zeros((2 * n - 1,) * len(steps)), np.prod(1.0 / steps)
     near = bool(np.all(np.abs(c) < n))
     for lag, share in [(0 * c, 1.0)] + [(c, 0.5), (-c, 0.5)] * near:
@@ -632,9 +629,7 @@ def window_ranges(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int
     as a closed form depends on x_0 alone, cut on every axis at the faces of
     the domain and of every window's support, so each lies in or out of the
     domain (as its lower corner does) and every indicator is constant on it.
-    Returns corners lo, hi (m, d) and range ends inf, sup (q, m).
-    The ends are exact ranges of closed forms; a callable window has none
-    and is refused with an ``InputError`` that names it.
+    Returns corners lo, hi (m, d) and exact range ends inf, sup (q, m).
     """
     for j, w in enumerate(windows):
         _refuse_window_dimension(f"window {j} ('{w.label}')", w, omega)
@@ -655,9 +650,8 @@ def window_ranges(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int
 def ess_bounds(windows: Sequence[Window], omega: BoxUnionSet, grid_n: int) -> EssBoundsReport:
     """Enclosures of the essential bounds of the pointwise max of the bounded
     windows: on each piece of ``window_ranges`` the max lies between the
-    largest lower and the largest upper range end.  Closed-form ranges are
-    exact, so the enclosures shrink with the pieces; a callable window has
-    no exact range and is refused."""
+    largest lower and the largest upper range end.  The ranges are exact,
+    so the enclosures shrink with the pieces."""
     return ess_report(*window_ranges(windows, omega, grid_n)[2:], grid_n)
 
 
@@ -718,8 +712,7 @@ def window_density_bracket_check(system: WindowedSystem, report: FrameBoundsRepo
     A violation is reported only when the enclosures prove it: the sup
     checks read the lower end of the ess sup enclosure, the inf check the
     upper end of the ess inf enclosure.  The enclosures come from
-    ``window_ranges`` on the report's grid, the grid A and B were sampled on,
-    so every window needs a closed form: a callable one is refused.
+    ``window_ranges`` on the report's grid, the grid A and B were sampled on.
     """
     if len(densities) != len(system.pairs):
         raise InputError("need one density report per system pair")

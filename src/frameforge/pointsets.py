@@ -355,11 +355,6 @@ class WeightedComb:
         highs = [c + side for c, side in zip(corners, sides)]
         return corners, self.masses_in_boxes(corners, highs, points)
 
-    def scaled(self, c: float) -> "WeightedComb":
-        if not c > 0:
-            raise InputError("scaling factor must be positive")
-        return WeightedComb(tuple((c * w, s) for w, s in self.terms))
-
     def plus(self, other: "WeightedComb") -> "WeightedComb":
         return WeightedComb(self.terms + other.terms)
 

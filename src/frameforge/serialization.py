@@ -18,8 +18,14 @@ from typing import Any, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InputError
-from .framebounds import ContinuousFreqMeasure, FrameBoundsReport, FreqSpec, WindowedSystem
-from .geometry import Box, BoxUnionSet, Lattice, as_whole, canonicalize, cantor_tower
+from .framebounds import (
+    ContinuousFreqMeasure,
+    CosineFreqMeasure,
+    FrameBoundsReport,
+    FreqSpec,
+    WindowedSystem,
+)
+from .geometry import Box, BoxUnionSet, Lattice, as_vec, as_whole, canonicalize, cantor_tower
 from .gridfn import GridFunction
 from .pointsets import (
     EventuallyPeriodic1D,
@@ -161,6 +167,8 @@ def _freq_to_dict(freq: FreqSpec) -> dict:
                 out["domain"] = domain_to_dict(freq.density.domain)
         out["atoms"] = [list(p) + [w] for p, w in freq.atoms]
         return out
+    if isinstance(freq, CosineFreqMeasure):
+        return {"kind": "cosine", "x0": list(freq.x0)}
     return pointset_to_dict(freq)
 
 
@@ -177,6 +185,8 @@ def _freq_from_dict(data: dict) -> FreqSpec:
             density = GridFunction(box, samples, domain)
         atoms = tuple((row[:-1], row[-1]) for row in data.get("atoms", ()))
         return ContinuousFreqMeasure(density=density, atoms=atoms)
+    if data["kind"] == "cosine":
+        return CosineFreqMeasure(as_vec(data["x0"]))
     return pointset_from_dict(data)
 
 
@@ -227,6 +237,11 @@ def format_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(format_csv(header, rows))
+
+
+def axis_header(name: str, dim: int) -> tuple[str, ...]:
+    """One column per axis: ``name`` in 1-D, ``name_0, ..., name_{d-1}`` otherwise."""
+    return (name,) if dim == 1 else tuple(f"{name}_{a}" for a in range(dim))
 
 
 def box_label(box: Optional[Box]) -> str:

@@ -4,13 +4,12 @@ A window expression is a product of scalars, monomials x^a, reflected
 monomials (1-x)^b and box indicators; parsing folds it into the one form:
 scalars multiply, exponents add and indicator boxes intersect.  Its modulus
 is monotone between 0, 1 and its one critical point a / (a + b), so its range
-over a box is read at a few points and is exact.  Windows built from an
-arbitrary callable can be sampled, as the frame operator samples them, but
-have no exact range and are not serializable: the range layer refuses them.
+over a box is read at a few points and is exact.  Every window is such a
+closed form, so every window has an exact range, a support box and a text
+that parses back to it.
 
-A window's values are real unless some value is not: a closed form is real
-unless a negative base meets a fractional exponent, and a callable's result
-keeps its own kind.
+A window's values are real unless a negative base meets a fractional
+exponent.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -117,28 +116,6 @@ class ClosedForm:
         return self.box
 
 
-@dataclass(frozen=True)
-class CallableExpr:
-    """Escape hatch for windows without a closed form: sampled only, with no
-    exact range and no serialization."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    label: str
-
-    def eval(self, pts):
-        v = np.asarray(self.fn(pts))
-        return v.astype(np.result_type(v, np.float64), copy=False)
-
-    def range_on(self, lo, hi):
-        raise InputError(f"window '{self.label}' has no closed form, so no exact range")
-
-    def to_string(self):
-        raise InputError(f"window '{self.label}' has no closed-form serialization")
-
-    def support_box(self):
-        return None
-
-
 _NUMBER = r"(-?\d+(?:\.\d+)?(?:e[+-]?\d+)?)"  # every finite repr(float), e.g. 1e-05
 _MONOMIAL_RE = re.compile(rf"^x\^{_NUMBER}$")
 _REFLECTED_RE = re.compile(rf"^\(1-x\)\^{_NUMBER}$")
@@ -183,15 +160,11 @@ class Window:
     """A labelled window function on a domain."""
 
     label: str
-    expr: Union[ClosedForm, CallableExpr]
+    expr: ClosedForm
 
     @staticmethod
     def from_string(text: str, label: Optional[str] = None) -> "Window":
         return Window(label if label is not None else text, parse_expr(text))
-
-    @staticmethod
-    def from_callable(fn: Callable[[np.ndarray], np.ndarray], label: str) -> "Window":
-        return Window(label, CallableExpr(fn, label))
 
     @staticmethod
     def indicator(box: Optional[Box] = None, label: str = "indicator") -> "Window":

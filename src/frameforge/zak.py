@@ -3,18 +3,17 @@
 The transform of a compactly supported window is an exact finite sum on an
 M x M grid over the unit square (nodes at i/M), so quasiperiodicity holds to
 roundoff and piecewise-constant windows with grid-commensurate breakpoints
-certify exactly.  Shifted windows for shift p/q are produced by exact
-on-grid rolls with the quasiperiodic phase correction; M must be divisible
-by q so no interpolation ever happens.  The certificate needs only |Zg|, which
-it reduces over the cosets of M/q; where no node meets two integer translates
-of the support, |Zg| does not depend on t and is one column of M values.
+certify exactly.  The certificate at shift p/q needs only |Zg|, which it
+reduces over the cosets of M/q, so M must be divisible by q; where no node
+meets two integer translates of the support, |Zg| does not depend on t and
+is one column of M values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -125,19 +124,6 @@ def _norm_sq_on_support(window: Window, support: Box) -> float:
     return float(vals.sum() * step)
 
 
-def quasiperiodicity_residuals(window: Window, M: int) -> tuple[float, float]:
-    """Max deviations from Zg(x, t+1) = Zg(x, t) and
-    Zg(x+1, t) = e^{2 pi i t} Zg(x, t), via independent re-summation."""
-    support = _window_support(window, M)
-    xs = ts = np.arange(M) / M
-    base = _zak_values(window, xs, ts, support)
-    t_shift = _zak_values(window, xs, ts + 1.0, support)
-    x_shift = _zak_values(window, xs + 1.0, ts, support)
-    r_t = float(np.max(np.abs(t_shift - base)))
-    r_x = float(np.max(np.abs(x_shift - np.exp(2j * np.pi * ts)[None, :] * base)))
-    return r_t, r_x
-
-
 def _check_shift(M: int, p: int, q: int) -> None:
     """Refuse a shift p/q that is not a reduced fraction in (0, 1], or whose
     row offsets p j M / q miss the grid nodes."""
@@ -148,31 +134,6 @@ def _check_shift(M: int, p: int, q: int) -> None:
     if M % q != 0:
         raise InputError(f"M={M} must be divisible by q={q} so shifts land "
                          "on grid nodes")
-
-
-def gabor_windows(zak: ZakGrid, p: int, q: int) -> list[ZakGrid]:
-    """Zak-domain windows for shift p/q: exact rolls with quasiperiodic phases.
-
-    Row i of shifted window j is row i - s of the transform, s = p j M / q;
-    a row that wraps around the square w times picks up the unimodular phase
-    e^{-2 pi i w t}.
-    """
-    _check_shift(zak.M, p, q)
-    if q == 1:
-        return [zak]
-    M = zak.M
-    i = np.arange(M)
-    ts = np.arange(M) / M
-    out = []
-    for s in (p * j * M // q for j in range(q)):
-        ii = (i - s) % M
-        wraps = (s - i + ii) // M
-        values = zak.values[ii, :]
-        for w in np.unique(wraps):
-            rows = wraps == w
-            values[rows] *= np.exp(-2j * np.pi * (w * ts))
-        out.append(ZakGrid(values, M, zak.source_support, zak.source_norm_sq))
-    return out
 
 
 @dataclass(frozen=True)
@@ -227,22 +188,3 @@ def certify_gabor(window: Window, p: int, q: int, M: int) -> GaborVerdict:
     return GaborVerdict(p, q, M, a53, b53, _verdict(a53, eps_zero, p), float(zz.min()),
                         float(zz.max()), eps_zero,
                         _unitarity_residual(_quadrature_norm_sq(mod), norm_sq))
-
-
-def certify_gabor_separable(axis_windows: Sequence[Window], p: int, q: int,
-                            M: int) -> GaborVerdict:
-    """Product-window certification: per-axis verdicts combine by products.
-
-    For g(x) = prod_a g_a(x_a) the Zak transform factors, max over the
-    multi-index of |Zg_j| is the product of per-axis maxima, and likewise for
-    the square sums.
-    """
-    if not axis_windows:
-        raise InputError("need at least one axis window")
-    parts = [certify_gabor(w, p, q, M) for w in axis_windows]
-    a53, b53, zz_min, zz_max = (float(np.prod([getattr(v, name) for v in parts]))
-                                for name in ("A_53", "B_53", "zz_min", "zz_max"))
-    eps_zero = 1e-9 * float(np.prod([v.eps_zero / 1e-9 for v in parts]))
-    residual = max(v.unitarity_residual for v in parts)
-    return GaborVerdict(p, q, M, a53, b53, _verdict(a53, eps_zero, p), zz_min, zz_max,
-                        eps_zero, residual)

@@ -1,7 +1,10 @@
-"""Hypothesis strategies shared by the theorem properties."""
+"""Hypothesis strategies shared by the theorem properties, and a sampled
+window for the tests that need one no closed form expresses."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 from hypothesis import strategies as st
@@ -14,6 +17,28 @@ from frameforge.pointsets import (
     WeightedComb,
     integers,
 )
+from frameforge.windows import Window
+
+
+@dataclass(frozen=True)
+class _Samples:
+    """A window known only by its values: the frame operator samples it, and
+    it has no range, text or support box."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+
+    def eval(self, pts):
+        return np.asarray(self.fn(pts))
+
+    def support_box(self):
+        return None
+
+
+def sampled_window(fn, label):
+    """The window with values ``fn(points)``, for the frame-bound tests that
+    need what no closed form c x^a (1-x)^b 1_B expresses: a complex tilt, a
+    constant phase, variation along a later axis, steps, a Gaussian or a sinc."""
+    return Window(label, _Samples(fn))
 
 
 def two_period_comb():

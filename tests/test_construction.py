@@ -24,11 +24,9 @@ from frameforge.framebounds import (
     ContinuousFreqMeasure,
     CosineFreqMeasure,
     WindowedSystem,
-    ess_bounds,
     ess_report,
     estimate_frame_bounds,
     nyquist_box,
-    window_density_bracket_check,
     window_ranges,
 )
 from frameforge.geometry import (
@@ -40,7 +38,7 @@ from frameforge.geometry import (
     translate_overlap,
 )
 from frameforge.gridfn import GridFunction, grid_points
-from frameforge.pointsets import LatticeCosets, WeightedComb, density_closed_form, integers
+from frameforge.pointsets import LatticeCosets
 from frameforge.serialization import load_system, save_system
 from frameforge.windows import Window
 
@@ -102,21 +100,6 @@ class TestBoundedWindowFrame:
         for grid_n in (64, 256, 1024):
             rep = estimate_frame_bounds(system, grid_n)
             assert (rep.A_est, rep.B_est) == (1.0, 1.0)
-
-    def test_callable_window_is_refused_by_name(self):
-        # the spike's sample at every piece centre of a 256 grid is finite,
-        # yet it is not square-integrable: no range may be read from samples
-        spike = Window.from_callable(lambda p: 1.0 / np.abs(p[:, 0] - 0.3001), "spike")
-        windows = [Window.indicator(), spike]
-        system = WindowedSystem(UNIT, tuple((w, integers()) for w in windows))
-        rep = estimate_frame_bounds(system, 256)  # A_est and B_est are samples
-        assert np.isfinite(rep.B_est)
-        densities = [density_closed_form(WeightedComb.single(integers()))] * 2
-        for refused in (lambda: build_bounded_window_frame(windows, UNIT, 256),
-                        lambda: ess_bounds(windows, UNIT, 256),
-                        lambda: window_density_bracket_check(system, rep, densities)):
-            with pytest.raises(InputError, match="'spike'"):
-                refused()
 
     def test_decimal_rectangle_constructs(self):
         # a cube of side 0.5 at (0.2, 0) has float sides 0.49999999999999994

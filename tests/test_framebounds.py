@@ -32,7 +32,8 @@ from frameforge.pointsets import (
     density_closed_form,
     integers,
 )
-from frameforge.windows import Window
+from frameforge.windows import ClosedForm, Window
+from strategies import sampled_window
 
 UNIT = BoxUnionSet.from_intervals([(0, 1)])
 UNIT_CLOSED = BoxUnionSet.from_intervals([(0, 1)])
@@ -95,7 +96,7 @@ def draw_window(draw, j, real=False):
     """c0 + c1 x_0 + i c2 x_last^2, or with a real last term when ``real``."""
     c = [draw(st.floats(0.2, 1.5)) for _ in range(3)]
     unit = 1.0 if real else 1j
-    return Window.from_callable(
+    return sampled_window(
         lambda p, c=c: c[0] + c[1] * p[:, 0] + unit * c[2] * p[:, -1] ** 2, f"w{j}")
 
 
@@ -266,7 +267,7 @@ class TestEstimateFrameBounds:
             idx = np.clip((pts[:, 0] * 8).astype(int), 0, 7)
             return vals[idx]
 
-        window = Window.from_callable(step_window, "steps")
+        window = sampled_window(step_window, "steps")
         system = WindowedSystem(UNIT, ((window, integers()),))
         rep = estimate_frame_bounds(system, 128)
         lam = np.arange(-64, 64, dtype=float).reshape(-1, 1)
@@ -492,7 +493,7 @@ class TestRealPath:
         # on [0, 1/4): the closed form with period 2 cells, so the operator is
         # 2 blocks of 3 cells, each of rank at most 2 (the offsets c and -c)
         omega = BoxUnionSet.from_intervals([(0.0, 0.25)])
-        window = Window.from_callable(lambda p: 1.0 + p[:, 0] + p[:, -1] ** 2, "w0")
+        window = sampled_window(lambda p: 1.0 + p[:, 0] + p[:, -1] ** 2, "w0")
         density = GridFunction(Box((-12.0,), (12.0,)), np.array([74.0, 74.0]))
         freq = ContinuousFreqMeasure(density=density)
         trunc = Box((-1.5,), (1.5,))
@@ -507,7 +508,7 @@ class TestRealPath:
         assert rep.B_est == pytest.approx(306.5124598373602, rel=1e-12)
 
     RAMP = Window.from_string("(1-x)^1.0")
-    TILTED = Window.from_callable(lambda p: 1.0 + 0.5j * p[:, 0], "tilted")
+    TILTED = sampled_window(lambda p: 1.0 + 0.5j * p[:, 0], "tilted")
     ONE_SIDED = FiniteSet(((1.0,), (2.5,)))
 
     # each case has a complex factor somewhere: a one-sided set and atoms at
@@ -563,7 +564,7 @@ class TestRealPath:
                                                              complex_note):
         # e^{0.3i} (1 - x) gives the operator of 1 - x, since the phase
         # cancels in u(x) conj(u(y)), but it is stored complex
-        phased = Window.from_callable(lambda p: np.exp(0.3j) * (1.0 - p[:, 0]), "phased")
+        phased = sampled_window(lambda p: np.exp(0.3j) * (1.0 - p[:, 0]), "phased")
         band = Box((-32.0,), (32.0,))
         real = estimate_frame_bounds(WindowedSystem(UNIT, ((self.RAMP, freq),)), 64, band)
         cplx = estimate_frame_bounds(WindowedSystem(UNIT, ((phased, freq),)), 64, band)
@@ -607,8 +608,7 @@ def rank_update_systems(draw):
         if kind == "poly":
             return draw_window(draw, j)
         cut = lo[0] + draw(st.integers(1, 3)) / 4.0 * side
-        return Window.from_callable(lambda p, cut=cut: np.where(p[:, 0] < cut, 0.0, p[:, 0] - cut),
-                                    f"v{j}")
+        return Window(f"v{j}", ClosedForm(a=1.0, box=Box((cut, *lo[1:]), tuple(lo + side))))
 
     pairs, rank = [], 0
     if draw(st.booleans()):
@@ -679,7 +679,7 @@ class TestRankUpdatePath:
         return ContinuousFreqMeasure(density=density, atoms=atoms), band
 
     ATOMS = (((-20.3,), 0.8), ((5.25,), 1.9), ((17.5,), 1.2))
-    HALF = Window.from_callable(lambda p: np.where(p[:, 0] < 0.5, 0.0, 1.0 + p[:, 0]), "half")
+    HALF = Window.from_string("x^1.0*indicator(0.5,1)", "half")
 
     # tied poles: the indicator makes every block 1.1, so A = 1.1 lies at
     # both ends of its bracket; zero rows of W: the window vanishes on half
@@ -690,11 +690,11 @@ class TestRankUpdatePath:
     @pytest.mark.parametrize("omega, window, args, n, a_read", [
         (UNIT, Window.indicator(), (64, 67, 1.1, ATOMS), 64, True),
         (UNIT, HALF, (64, 67, 1.1, ATOMS), 64, True),
-        (UNIT, Window.from_callable(lambda p: np.zeros(len(p)), "zero"),
+        (UNIT, Window.from_string("0.0", "zero"),
          (64, 67, 1.1, ATOMS), 64, True),
         (UNIT, Window.from_string("(1-x)^1.0"), (64, 67, 0.9, (((7.5,), 1.3),)), 64, False),
         (BoxUnionSet(2, (Box((0.0, 0.0), (1.0, 1.0)),)),
-         Window.from_callable(lambda p: 1.0 + p[:, 0] * p[:, 1], "tilt"),
+         sampled_window(lambda p: 1.0 + p[:, 0] * p[:, 1], "tilt"),
          (16, 19, 1.2, (((2.5, -3.25), 0.7), ((-6.0, 1.5), 1.4)), 2), 16, False),
     ], ids=["tied_poles", "zero_rows", "silent_window", "one_column", "two_d"])
     def test_fixed_systems_match_the_dense_gram(self, omega, window, args, n, a_read):
@@ -1213,7 +1213,7 @@ class TestDimensionRule:
 
     def test_windows_without_a_box_fit_any_domain(self):
         pairs = ((Window.from_string("x^1.0"), integers(2)),
-                 (Window.from_callable(lambda p: p[:, 1], "y"), integers(2)))
+                 (sampled_window(lambda p: p[:, 1], "y"), integers(2)))
         rep = estimate_frame_bounds(WindowedSystem(self.SQUARE, pairs), 8)
         assert rep.notes.startswith("Ron-Shen fibers of one point each")
 
@@ -1391,7 +1391,7 @@ class TestBracketCheck:
                 idx = np.clip((pts[:, 0] * k).astype(int), 0, k - 1)
                 return vals[idx]
 
-            window = Window.from_callable(step_window, f"pw{trial}")
+            window = sampled_window(step_window, f"pw{trial}")
             freq = integers(scale=c)
             system = WindowedSystem(UNIT, ((window, freq),))
             rep = estimate_frame_bounds(system, 128)
@@ -1420,8 +1420,7 @@ class TestDecayProbe:
         assert rows[0].A_est == pytest.approx(1.0, abs=1e-9)
 
     def test_gaussian_window_decays(self):
-        gauss = Window.from_callable(
-            lambda p: np.exp(-p[:, 0] ** 2 / 2.0), "gauss")
+        gauss = sampled_window(lambda p: np.exp(-p[:, 0] ** 2 / 2.0), "gauss")
         rows = lower_bound_decay_probe(
             [gauss], [integers()],
             lambda n: BoxUnionSet.from_intervals([(-n / 2.0, n / 2.0)]),
@@ -1442,7 +1441,7 @@ class TestDecayProbe:
             out[nz] = np.abs(np.sin(np.pi * x[nz]) / (np.pi * x[nz]))
             return out
 
-        window = Window.from_callable(g_hat, "box_transform")
+        window = sampled_window(g_hat, "box_transform")
         rows = lower_bound_decay_probe(
             [window], [integers()],
             lambda n: BoxUnionSet.from_intervals([(-n / 2.0, n / 2.0)]),

@@ -448,3 +448,61 @@ def test_weight_builder_checker(tmp_path):
                      "w = cell_volumes\n")
     assert weight_builders([probe]) == ["convolution.py in Report.grid",
                                         "convolution.py in comb_convolve"]
+
+
+def names_read(path):
+    """Every name a file reads, as a variable, an attribute or a whole string
+    constant, except inside a definition of that same name."""
+    out = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                else None)
+        if name is not None and name not in inside:
+            out.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return out
+
+
+def unreached_exports(init, modules, readme, bench):
+    """Names the package's ``__init__`` exports that no other module under
+    src/ reads outside their definition, the README does not name and the
+    benchmark does not read: a public name with no user."""
+    tree = ast.parse(init.read_text(), filename=str(init))
+    exported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names]
+    reached = set(re.findall(r"\w+", readme.read_text()))
+    for path in list(modules) + list(bench):
+        reached |= names_read(path)
+    return sorted(set(exported) - reached)
+
+
+def test_every_export_has_a_user():
+    # a name the package exports is read by the package, the README or the
+    # benchmark; a test-only oracle lives under tests/
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    bench = sorted((ROOT / "perfbench").glob("*.py"))
+    assert unreached_exports(SRC / "__init__.py", modules, ROOT / "README.md", bench) == []
+
+
+def test_export_checker(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .a import used, named, bound, hooked, recursive, unused as gone\n"
+        "from .b import Twin\n__version__ = '0'\n")
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\ndef recursive(n):\n    return recursive(n - 1)\n\n"
+        "class unused:\n    pass\n\ndef caller():\n    return used()\n")
+    (tmp_path / "b.py").write_text("class Twin:\n    def make(self):\n        return Twin()\n")
+    (tmp_path / "README.md").write_text("Call `named(x)`; see also Twins.\n")
+    (tmp_path / "bench.py").write_text(
+        "import frameforge as ff\nx = ff.bound(1)\nHOOKS = [('frameforge.a', 'hooked')]\n")
+    modules = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert unreached_exports(tmp_path / "__init__.py", modules, tmp_path / "README.md",
+                             [tmp_path / "bench.py"]) == ["Twin", "gone", "recursive"]

@@ -234,7 +234,7 @@ class TestClosedFormDensity:
     def test_homogeneity(self, c1, c2, scale):
         comb = WeightedComb(((c1, integers()), (c2, integers(scale=0.5))))
         base = density_closed_form(comb)
-        scaled = density_closed_form(comb.scaled(scale))
+        scaled = density_closed_form(WeightedComb(tuple((scale * w, s) for w, s in comb.terms)))
         assert scaled.upper == pytest.approx(scale * base.upper, rel=1e-12)
         assert scaled.lower == pytest.approx(scale * base.lower, rel=1e-12)
 

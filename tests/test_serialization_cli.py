@@ -1,10 +1,10 @@
 """File schemas, CSV determinism, and the command-line interface."""
 
 import copy
+import csv
 import functools
 import json
 import math
-import os
 import re
 
 import numpy as np
@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameforge.cli import default_overlap_step, main
+from frameforge.construction import cosine_measure_certificate
 from frameforge.errors import InputError
 from frameforge.framebounds import (
     ContinuousFreqMeasure,
@@ -26,6 +27,7 @@ from frameforge.pointsets import (
     EventuallyPeriodic1D,
     FinitePerturbation,
     FiniteSet,
+    LatticeCosets,
     integers,
 )
 from frameforge.serialization import (
@@ -113,6 +115,9 @@ CUT_DENSITY = GridFunction.from_callable(lambda xi: np.ones(len(xi)), Box((-8.0,
                                          16, BoxUnionSet.from_intervals([(-8.0, 0.3)]))
 
 
+TWO_PIECE = BoxUnionSet.from_intervals([(0.0, 0.5), (1.0, 1.5)])
+
+
 class TestSystemSchema:
     def test_roundtrip_with_discrete_and_continuous(self):
         omega = BoxUnionSet.from_intervals([(0, 1)])
@@ -140,11 +145,36 @@ class TestSystemSchema:
         again = system_from_dict(json.loads(json.dumps(system_to_dict(system))))
         assert again.pairs == system.pairs
 
-    def test_the_cosine_measure_is_not_serialized(self):
-        system = WindowedSystem(BoxUnionSet.from_intervals([(0.0, 1.0)]),
-                                ((Window.indicator(), CosineFreqMeasure((2.0,))),))
-        with pytest.raises(InputError, match="cannot serialize .* CosineFreqMeasure"):
-            system_to_dict(system)
+    def test_the_cosine_measure_roundtrips(self, capsys):
+        # frame-bounds measures the saved measure as certify-measure does
+        system = WindowedSystem(TWO_PIECE, ((Window.indicator(), CosineFreqMeasure((2.0,))),))
+        data = system_to_dict(system)
+        assert data["pairs"][0]["freq"] == {"kind": "cosine", "x0": [2.0]}
+        again = system_from_dict(json.loads(json.dumps(data)))
+        assert again == system
+        assert run_cli("frame-bounds", "--system", json.dumps(data), "--grid-n", "258") == 0
+        rep = cosine_measure_certificate(TWO_PIECE, (2.0,), grid_n=258).report
+        assert capsys.readouterr().out.splitlines()[:2] == [f"A_est: {rep.A_est!r}",
+                                                            f"B_est: {rep.B_est!r}"]
+
+    @pytest.mark.parametrize("freq", [
+        LatticeCosets(Lattice(((0.5,),)), ((0.0,), (0.125,))),
+        FiniteSet(((-3.0,), (0.5,), (7.25,))),
+        FinitePerturbation(integers(), added=((0.5,),), removed=((0.0,),)),
+        EventuallyPeriodic1D(1.0, 0.0, 0.5, -1.0, (-0.25,)),
+        ContinuousFreqMeasure(CUT_DENSITY, atoms=(((1.5,), 0.75),)),
+        CosineFreqMeasure((0.5,)),
+    ], ids=["lattice_cosets", "finite_set", "perturbation", "eventually_periodic",
+            "continuous", "cosine"])
+    def test_every_frequency_kind_roundtrips_into_the_same_bounds(self, freq):
+        windows = (Window.indicator(), Window.from_string("2.0*x^1.5*(1-x)^-0.25"),
+                   Window.from_string("indicator(0.25,1.25)", "middle"))
+        system = WindowedSystem(TWO_PIECE, tuple((w, freq) for w in windows))
+        again = system_from_dict(json.loads(json.dumps(system_to_dict(system))))
+        assert system_to_dict(again) == system_to_dict(system)
+        before, after = (estimate_frame_bounds(s, 48) for s in (system, again))
+        assert (after.A_est, after.B_est, after.notes) == (before.A_est, before.B_est,
+                                                           before.notes)
 
     def test_a_pair_without_a_label_is_named_by_its_text(self):
         data = {"omega": {"dim": 1, "boxes": [[0.0, 1.0]]},
@@ -464,6 +494,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0 and "verdict: refused" in out
 
+    def test_certify_measure_writes_one_column_per_axis(self, tmp_path, capsys):
+        csv_path = tmp_path / "cert.csv"
+        rc = run_cli("certify-measure", "--domain", '{"dim": 2, "boxes": [[0, 0, 1, 1]]}',
+                     "--x0", "1,0", "--csv", str(csv_path))
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows == [{"x0_0": "1.0", "x0_1": "0.0", "A_est": out[1].split(": ")[1],
+                         "B_est": out[2].split(": ")[1]}]
+
     def test_certify_measure_off_the_grid_exits_two(self, tmp_path, capsys):
         domain = tmp_path / "omega.json"
         domain.write_text(json.dumps({"dim": 1, "boxes": [[0.0, 0.5], [1.0, 1.5]]}))
@@ -620,6 +661,12 @@ INFINITE_DOMAIN = '{"dim": 1, "boxes": [[0, Infinity]]}'
         {"kind": "continuous", "box": [-4.0, 4.0], "n": 2, "density": [1.0, 1.0],
          "domain": {"dim": 2, "boxes": [[0.0, 0.0, 1.0, 1.0]]}})], {},
      "domain dimension 2 != box dimension 1"),
+    (["frame-bounds", "--system", system_with_freq({"kind": "cosine"})], {},
+     "bad system description: missing field 'x0'"),
+    (["frame-bounds", "--system", system_with_freq({"kind": "cosine", "x0": [1.0, 0.0]})],
+     {}, "pair 0 ('indicator'): frequency set of dimension 2 on a domain of dimension 1"),
+    (["frame-bounds", "--system", system_with_freq({"kind": "cosine", "x0": [0.3]})], {},
+     "the shift (0.3,) is not a whole number of cells of (0.00390625,)"),
 ], ids=["x0", "h_list", "h_zero", "trunc", "lattice_entry", "lattice_object", "comb_term",
         "coset_basis", "point_set_kind", "config_not_json", "config_not_object",
         "config_value", "config_flag", "system_basis", "system_density",
@@ -629,7 +676,8 @@ INFINITE_DOMAIN = '{"dim": 1, "boxes": [[0, Infinity]]}'
         "atom_weight_inf", "x0_nan", "step_zero", "step_nan", "x_max_nan", "step_negative",
         "x_max_negative", "x_max_zero", "indicator_empty", "indicator_letters", "atom_empty",
         "dim_inf", "dim_fraction", "set_dim_fraction", "density_cells_fraction",
-        "window_dimension", "frequency_dimension", "density_domain_dimension"])
+        "window_dimension", "frequency_dimension", "density_domain_dimension",
+        "cosine_x0_missing", "cosine_dimension", "cosine_off_the_grid"])
 def test_malformed_input_exits_two_with_one_error_line(tmp_path, monkeypatch, capsys,
                                                        argv, files, named):
     monkeypatch.chdir(tmp_path)
@@ -714,8 +762,11 @@ def system_dicts(draw):
     dim = draw(st.integers(1, 2))
     pairs = []
     for _ in range(draw(st.integers(1, 2))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["point_set", "continuous", "cosine"]))
+        if kind == "point_set":
             freq = draw(pointset_dicts(dim))
+        elif kind == "cosine":
+            freq = {"kind": "cosine", "x0": [draw(eighths) for _ in range(dim)]}
         else:
             n = draw(st.integers(1, 3))
             freq = {"kind": "continuous", "box": [-4.0] * dim + [4.0] * dim, "n": n,

@@ -12,7 +12,7 @@ from frameforge.cli import main
 from frameforge.errors import InputError
 from frameforge.framebounds import ess_bounds, window_ranges
 from frameforge.geometry import Box, BoxUnionSet, canonicalize, cartesian
-from frameforge.windows import EMPTY_SUPPORT, CallableExpr, ClosedForm, Window, parse_expr
+from frameforge.windows import EMPTY_SUPPORT, ClosedForm, Window, parse_expr
 
 UNIT = BoxUnionSet.from_intervals([(0, 1)])
 
@@ -190,12 +190,6 @@ def test_empty_support_window_is_zero_and_bounded():
     rep = ess_bounds([zero, Window.from_string("1.0")], omega, 64)
     assert rep.J == (0, 1) and rep.ess_inf_of_max == (1.0, 1.0)
     assert ess_bounds([zero], omega, 64).ess_sup_of_max == (0.0, 0.0)
-
-
-def test_callable_window_not_serializable():
-    w = Window.from_callable(lambda p: np.exp(-p[:, 0] ** 2), "gauss")
-    with pytest.raises(InputError):
-        w.to_string()
 
 
 # faces in sixteenths, where the pieces' grid lines also fall, or anywhere
@@ -409,18 +403,3 @@ class TestRealArithmetic:
         x = centres(32, -2.0, 0.0)
         assert ClosedForm(3.0, 2.0, -3.0).eval(x).dtype == np.float64
         assert np.array_equal(ClosedForm(a=2.0).eval(x)[:, None], x ** 2)
-
-    @pytest.mark.parametrize("fn, dtype", [
-        (lambda p: np.exp(-p[:, 0] ** 2), np.float64),
-        (lambda p: p[:, 0].astype(np.float32), np.float64),
-        (lambda p: (p[:, 0] > 0.5).astype(int), np.float64),
-        (lambda p: np.exp(2j * np.pi * p[:, 0]), np.complex128),
-        (lambda p: np.ones(len(p), dtype=np.complex64), np.complex128),
-    ], ids=["real", "float32", "int", "complex", "complex64"])
-    def test_callables_keep_their_kind(self, fn, dtype):
-        x = centres(16)
-        vals = Window.from_callable(fn, "f").eval(x)
-        assert vals.dtype == dtype
-        assert np.array_equal(vals, fn(x))
-        with pytest.raises(InputError, match="'f' has no closed form"):
-            CallableExpr(fn, "f").range_on(x, x)
