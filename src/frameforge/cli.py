@@ -19,6 +19,7 @@ import math
 import os
 import re
 import sys
+from decimal import Decimal
 from typing import Optional
 
 import numpy as np
@@ -35,7 +36,8 @@ from .construction import (
 )
 from .errors import InputError
 from .framebounds import estimate_frame_bounds
-from .geometry import Box, Lattice, as_vec, cartesian, lattice_residue_check, overlap_profile
+from .geometry import (Box, Lattice, as_vec, cartesian, lattice_residue_check, meets,
+                       overlap_profile)
 from .pointsets import density_closed_form, density_windowed
 from .serialization import (
     CERTIFICATE_HEADER,
@@ -124,13 +126,16 @@ def cmd_overlap(args) -> list[str]:
             raise InputError(f"{option} must be positive and finite, got {value}")
     omega, tail = load_domain(args.domain)
     step = args.step or default_overlap_step(args.x_max, omega.dim)
-    half = np.arange(0.0, args.x_max + step / 2.0, step)
-    whole = np.r_[-half[:0:-1], half]
-    prof = overlap_profile(omega, cartesian([half] + [whole] * (omega.dim - 1)))
+    i = np.arange(math.ceil((args.x_max + step / 2.0) / step))
+    counts = cartesian([i] + [np.r_[-i[:0:-1], i]] * (omega.dim - 1))
+    # each shift is a whole multiple of the step's decimal, written correctly rounded
+    unit = Decimal(repr(step))
+    half = np.array([float(j * unit) for j in i.tolist()])
+    prof = overlap_profile(omega, np.r_[-half[:0:-1], half][counts + len(i) - 1])
     if args.csv:
         write_csv(args.csv, axis_header("x", omega.dim) + ("overlap",),
                   [x + (v,) for x, v in prof])
-    positive = sum(1 for _, v in prof if v > 0)
+    positive = int(meets(omega, counts, step * np.eye(omega.dim)).sum())
     lines = [f"shifts_sampled: {len(prof)}", f"positive_overlaps: {positive}"]
     if tail is not None:
         lines.append(f"truncation_tail_measure: {tail!r}")
@@ -217,8 +222,7 @@ def cmd_certify_measure(args) -> list[str]:
         cert = cosine_measure_certificate(omega, x0, grid_n=args.grid_n)
     except CertificateRefusal as refusal:
         return ["verdict: refused", f"reason: {refusal.reason}",
-                f"overlap_plus: {refusal.overlap_plus!r}",
-                f"overlap_minus: {refusal.overlap_minus!r}"]
+                f"overlap: {refusal.overlap!r}"]
     rep = cert.report
     if args.csv:
         write_csv(args.csv, axis_header("x0", len(x0)) + CERTIFICATE_HEADER[1:],

@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import InputError
 from .framebounds import (
-    DENSE_EIG_LIMIT,
     CosineFreqMeasure,
     EssBoundsReport,
     FrameBoundsReport,
     WindowedSystem,
+    aligned_grid,
     ess_report,
     estimate_frame_bounds,
     window_ranges,
@@ -35,7 +35,7 @@ from .geometry import (
     as_vec,
     canonicalize,
     lattice_residue_check,
-    nearest_whole,
+    meets,
     overlap_zero_set,
     translate_overlap,
 )
@@ -83,11 +83,10 @@ class TightFrameRefusal(Exception):
 class CertificateRefusal(Exception):
     """The translate-disjointness precondition of the cosine measure fails."""
 
-    def __init__(self, reason: str, overlap_plus: float, overlap_minus: float):
+    def __init__(self, reason: str, overlap: float):
         super().__init__(reason)
         self.reason = reason
-        self.overlap_plus = overlap_plus
-        self.overlap_minus = overlap_minus
+        self.overlap = overlap
 
 
 def build_bounded_window_frame(windows: Sequence[Window], omega: BoxUnionSet,
@@ -184,38 +183,17 @@ def build_lattice_tight_frame(omega: BoxUnionSet, lattice: Lattice,
 
 def _incompleteness_function(omega: BoxUnionSet, witness: ResidueWitness) -> GridFunction:
     """chi_{E} - chi_{E - delta} for a residue collision E = omega ∩ (omega+delta),
-    on the coarsest grid where delta and every face are whole cells, so both
-    indicators are exact there; every dual-lattice frame coefficient of this
-    function vanishes."""
+    on ``aligned_grid``'s grid, where delta and every face are whole cells, so
+    each cell centre lies half a cell from every face it is tested against and
+    both indicators are exact there; every dual-lattice frame coefficient of
+    this function vanishes."""
     delta = tuple(-v for v in witness.gamma_prime)
-    shifted = omega.translate(delta)
-    e_plus = canonicalize([cut for s in shifted.boxes for cut in omega.intersect_box(s)])
-    e_minus = e_plus.translate(tuple(-v for v in delta))
-    bb, n = omega.bounding_box(), _aligned_grid(omega, delta)
+    bb, n = omega.bounding_box(), aligned_grid(omega, delta)
     pts = grid_points(bb, n)
-    vals = np.select([e_plus.contains(pts), e_minus.contains(pts)], [1.0, -1.0])
+    inside = omega.contains(pts)
+    vals = np.select([inside & omega.contains(pts - delta), inside & omega.contains(pts + delta)],
+                     [1.0, -1.0])
     return GridFunction(bb, vals.reshape((n,) * omega.dim), omega)
-
-
-def _aligned_grid(omega: BoxUnionSet, shift: Sequence[float],
-                  grid_n: Optional[int] = None) -> int:
-    """Cells per axis of a grid over the bounding box on which the shift and
-    every face of the domain are whole numbers of cells: grid_n when it
-    aligns, by default the coarsest with at least 256 cells and none above
-    DENSE_EIG_LIMIT cells."""
-    bb, d = omega.bounding_box(), omega.dim
-    faces = np.array([b.lo for b in omega.boxes] + [b.hi for b in omega.boxes])
-    units = np.vstack([np.asarray(shift), faces - bb.lo]) / np.array(bb.sides)
-    sizes = [grid_n] if grid_n is not None else range(
-        math.ceil(256 ** (1 / d) - 1e-9), int(DENSE_EIG_LIMIT ** (1 / d) + 1e-9) + 1)
-    found = next((n for n in sizes if n >= 1 and nearest_whole(units * n)[1].all()), None)
-    if found is None:
-        tried = f"{sizes[0]}" if len(sizes) == 1 else f"{sizes[0]} to {sizes[-1]}"
-        raise InputError(
-            f"the shift {tuple(shift)} and every face of the domain must be whole "
-            f"numbers of grid cells; no grid of {tried} cells per axis on the "
-            f"bounding box from {bb.lo} to {bb.hi} aligns")
-    return found
 
 
 def analysis_coefficients(f: GridFunction, window: Window,
@@ -247,8 +225,8 @@ def tight_frame_obstruction_scan(omega: BoxUnionSet, x_max: float,
     The zero set comes from ``overlap_zero_set`` as closed boxes, one sign of
     x up to x -> -x; R is the largest |x| on it (0 when it is empty).  When
     R < x_max the overlap is positive for every scanned shift with |x| > R,
-    the no-tight-frame obstruction on the scanned range.  Exact for
-    dyadic-rational faces; other faces carry one rounding in each breakpoint.
+    the no-tight-frame obstruction on the scanned range, decided exactly on
+    the decimals as written; R is a float, measured on the box ends.
     """
     zero_set = overlap_zero_set(omega, x_max)
     R = max((math.sqrt(sum(max(a * a, b * b) for a, b in zip(lo, hi)))
@@ -275,18 +253,17 @@ def cosine_measure_certificate(omega: BoxUnionSet, x0: Sequence[float],
     """Measured frame bounds of (1 + cos 2 pi <xi, x0>) d xi with the
     indicator window, tight exactly when |omega ∩ (omega ± x0)| = 0.
 
-    The exact box check refuses an overlapping shift; a positive verdict
-    rests only on the bounds.  x0 and every face of the domain must be whole
-    numbers of the grid's cells; grid_n=None picks the coarsest such grid
-    with at least 256 cells, and none above DENSE_EIG_LIMIT cells.  There the
-    measure's kernel lies at the lags 0 and ±x0: one block per chain along x0.
+    The exact pair test refuses an overlapping shift, once at x0 since -x0
+    gives the same set; a positive verdict rests only on the bounds.  The
+    grid is ``aligned_grid``'s: x0 and every face of the domain are whole
+    numbers of its cells.  There the measure's kernel lies at the lags 0 and
+    ±x0: one block per chain along x0.
     """
     x0 = as_vec(x0)
-    ov_plus, ov_minus = (translate_overlap(omega, s) for s in (x0, tuple(-v for v in x0)))
-    if ov_plus > 0.0 or ov_minus > 0.0:
+    if meets(omega, [[1]], [x0])[0]:  # -x0 meets it on the same measure
         raise CertificateRefusal(
             "the domain meets its own translate by x0 on positive measure, so the cosine "
-            "measure is not a tight frame measure for it", ov_plus, ov_minus)
-    grid_n, measure = _aligned_grid(omega, x0, grid_n), CosineFreqMeasure(x0)
+            "measure is not a tight frame measure for it", translate_overlap(omega, x0))
+    grid_n, measure = aligned_grid(omega, x0, grid_n), CosineFreqMeasure(x0)
     system = WindowedSystem(omega, ((Window.indicator(), measure),))
     return TightCertificate(measure, estimate_frame_bounds(system, grid_n))

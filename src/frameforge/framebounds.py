@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, BoxUnionSet, as_vec, cartesian, nearest_whole
+from .geometry import Box, BoxUnionSet, as_vec, cartesian, exact_reading, nearest_whole
 from .gridfn import GridFunction, cell_volumes, grid_points
 from .pointsets import (
     DensityReport,
@@ -183,15 +183,41 @@ def _density_part(density: GridFunction, steps: np.ndarray, n: int):
     return kernel.real.copy() if even else kernel
 
 
-def _cosine_part(x0: tuple, steps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def aligned_grid(omega: BoxUnionSet, shift: Sequence[float],
+                 grid_n: Optional[int] = None) -> int:
+    """Cells per axis of a grid over the bounding box on which the shift and
+    every face of the domain are whole numbers of cells, decided in integers
+    on ``exact_reading``: n f / S is whole, for an offset f from the box's
+    corner on an axis of side S, exactly when S / gcd(f, S) divides n.
+    grid_n when it aligns, by default the coarsest with at least 256 and at
+    most 65,536 cells in all."""
+    bb, d = omega.bounding_box(), omega.dim
+    lo, hi, (x, g, top), _ = exact_reading(omega, [shift, bb.lo, bb.hi])
+    sides = (top - g).tolist()
+    unit = math.lcm(*(s // math.gcd(f, s) for row in np.vstack([lo - g, hi - g, x]).tolist()
+                      for f, s in zip(row, sides)))
+    first, last = (grid_n, grid_n) if grid_n is not None else (
+        math.ceil(256 ** (1 / d) - 1e-9), int(65536 ** (1 / d) + 1e-9))
+    if (n := max(1, -(-first // unit)) * unit) <= last:
+        return n
+    tried = f"{first}" if first == last else f"{first} to {last}"
+    raise InputError(
+        f"the shift {tuple(shift)} and every face of the domain must be whole "
+        f"numbers of grid cells; no grid of {tried} cells per axis on the "
+        f"bounding box from {bb.lo} to {bb.hi} aligns")
+
+
+def _cosine_part(x0: tuple, steps: np.ndarray, n: int,
+                 omega: BoxUnionSet) -> tuple[np.ndarray, np.ndarray]:
     """The kernel of (1 + cos 2 pi <xi, x0>) d xi on the alias band of volume
     V: V at lag 0 and V/2 at the lags +-c = +-x0 / step, whole numbers of
     cells, which fall off the grid when some |c_a| >= n; and the period of
-    the chains i, i + c, ...: |c_a|, or n where c_a = 0 or the lags fell off."""
+    the chains i, i + c, ...: |c_a|, or n where c_a = 0 or the lags fell off.
+    A shift off the grid is refused with omega's ``aligned_grid``."""
     c, whole = nearest_whole(np.asarray(x0) / steps)
     if not whole.all():
         raise InputError(f"the shift {x0} is not a whole number of cells of "
-                         f"{tuple(steps.tolist())}")
+                         f"{tuple(steps.tolist())}; grid_n {aligned_grid(omega, x0)} aligns")
     kernel, volume = np.zeros((2 * n - 1,) * len(steps)), np.prod(1.0 / steps)
     near = bool(np.all(np.abs(c) < n))
     for lag, share in [(0 * c, 1.0)] + [(c, 0.5), (-c, 0.5)] * near:
@@ -280,7 +306,7 @@ def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
     terms, notes, ones = [], [], np.ones(len(steps), dtype=int)
     for window, freq in system.pairs:
         if isinstance(freq, CosineFreqMeasure):
-            parts = [_cosine_part(freq.x0, steps, n)]
+            parts = [_cosine_part(freq.x0, steps, n, system.omega)]
         elif isinstance(freq, ContinuousFreqMeasure):
             atoms = np.array([p for p, _ in freq.atoms], dtype=float).reshape(-1, len(steps))
             parts = [(atoms, np.array([w for _, w in freq.atoms], dtype=float), ones)]

@@ -2,16 +2,18 @@
 
 Domains are stored in canonical form: a disjoint union of half-open boxes
 [lo, hi).  Measures, translate overlaps and lattice packing checks all
-reduce to arithmetic on box endpoints, so for dyadic-rational input data
-every quantity in this module is exact.  ``nearest_whole`` decides, for the
-whole package, whether a float is a whole number (a whole multiple, a
-lattice coordinate) under one relative rule.
+reduce to arithmetic on box endpoints.  Whether a translate meets the
+domain on positive measure is decided in integers on the decimals as written
+(``exact_reading``, ``meets``); measures stay floats.
+``nearest_whole`` decides, for the whole package, whether a float is a
+whole number (a whole multiple, a lattice coordinate) under one relative rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -270,6 +272,49 @@ def translate_overlap(omega: BoxUnionSet, x: Sequence[float]) -> float:
     return float(_overlaps(omega, np.array([as_vec(x)]))[0])
 
 
+def exact_reading(omega: BoxUnionSet, values=()) -> tuple:
+    """(lo, hi, values, k): omega's faces, (m, d) each, and ``values`` in
+    their own shape, each float read as the decimal its shortest round-trip
+    ``repr`` writes (Steele & White 1990) times 10^k, k the most places of
+    any: int64 while every |n| < 2^60, so sums of a few stay exact."""
+    los, his = omega._corner_arrays()
+    flat = [*los.ravel().tolist(), *his.ravel().tolist(), *np.ravel(values).tolist()]
+    exact = {v: Decimal(repr(v)) for v in flat}  # at most 17 digits each
+    k = max(0, -min(dec.as_tuple().exponent for dec in exact.values()))
+    ints = [int(exact[v].scaleb(k)) for v in flat]
+    n, m = np.array(ints, dtype=np.int64 if max(map(abs, ints)) < 2 ** 60 else object), los.size
+    return (n[:m].reshape(los.shape), n[m:2 * m].reshape(los.shape),
+            n[2 * m:].reshape(np.shape(values)), k)
+
+
+def _pair_windows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one exact pair test, on faces read by ``exact_reading``: box i
+    meets box j + x on positive measure exactly when opens < x_a < closes on
+    every axis, for the row (lo_i - hi_j, hi_i - lo_j) of pair i * m + j."""
+    d = lo.shape[1]
+    return (lo[:, None] - hi).reshape(-1, d), (hi[:, None] - lo).reshape(-1, d)
+
+
+def _meeting(lo: np.ndarray, hi: np.ndarray, n, gens: np.ndarray) -> tuple:
+    """(held, xs): the integer shifts xs = n @ gens, int64 while no entry can
+    pass 2^62, else Python ints, and whether each meets the faces (lo, hi)."""
+    n = np.asarray(n, dtype=np.int64)
+    kind = object if max(1, int(np.abs(n).max(initial=0))) * sum(
+        map(abs, gens.ravel().tolist())) >= 2 ** 62 else np.int64
+    xs, (opens, closes) = n.astype(kind) @ gens.astype(kind), _pair_windows(lo, hi)
+    rows = max(1, _OVERLAP_BLOCK // opens.size)
+    held = [np.all((opens < x) & (x < closes), axis=-1).any(axis=1)
+            for x in (xs[start:start + rows, None] for start in range(0, len(xs), rows))]
+    return (np.concatenate(held) if held else np.zeros(0, dtype=bool)), xs
+
+
+def meets(omega: BoxUnionSet, n, generators) -> np.ndarray:
+    """Whether |omega ∩ (omega + x)| > 0 for each shift x = n @ generators,
+    n a row of whole numbers, by the pair test on ``exact_reading``."""
+    lo, hi, gens, _ = exact_reading(omega, generators)
+    return _meeting(lo, hi, n, gens)[0]
+
+
 def overlap_profile(omega: BoxUnionSet,
                     x_grid: Sequence[Sequence[float] | float] | np.ndarray
                     ) -> list[tuple[Vec, float]]:
@@ -287,36 +332,36 @@ def overlap_profile(omega: BoxUnionSet,
 def overlap_zero_set(omega: BoxUnionSet, x_max: float) -> list[tuple[Vec, Vec]]:
     """The shifts x with |omega ∩ (omega + x)| = 0 in the half-box 0 <= x_0,
     |x_a| <= x_max, as closed boxes (lo, hi): every sign pattern of the shift
-    up to x -> -x.  Box i meets box j + x exactly when each x_a lies in
-    (lo_ia - hi_ja, hi_ia - lo_ja), so between breakpoints at these face
+    up to x -> -x.  By ``_pair_windows``, between breakpoints at the face
     differences every pair term is zero or positive throughout.  The nodes
     are the breakpoints and the midpoints between them; the overlap is zero
     at a node exactly when no box pair's open interval product holds it, and
     ``cover_counts`` counts the pairs holding each node in one pass.  A run
     of zero nodes along axis 0 is one box, closed up to the breakpoints
-    around it (in 1-D, the maximal zero intervals).  Exact for
-    dyadic-rational faces, like every quantity in this module; other faces
-    carry one rounding in each breakpoint."""
+    around it (in 1-D, the maximal zero intervals).  Breakpoints are exact
+    integers at scale 10^k (``exact_reading``), nodes at scale 2 10^k, and
+    each box end the correctly rounded float of its breakpoint."""
     if not (math.isfinite(x_max) and x_max > 0):
         raise InputError(f"x_max must be positive and finite, got {x_max}")
-    los, his = omega._corner_arrays()
+    lo, hi, (top,), k = exact_reading(omega, [x_max])
+    opens, closes = _pair_windows(lo, hi)
     breaks, runs = [], []
     for a in range(omega.dim):
-        start, diffs = -x_max if a else 0.0, np.subtract.outer(los[:, a], his[:, a])
-        # pair (i, j) holds the shifts strictly between its opening and closing ends
-        opens, closes = diffs.ravel(), 0.0 - diffs.T.ravel()  # no -0.0 from touching faces
-        b = np.unique(np.r_[start, x_max, opens, closes])
-        breaks.append(b := b[(b >= start) & (b <= x_max)])
-        # node k lies between breakpoints k // 2 and (k + 1) // 2
-        k = np.arange(2 * len(b) - 1)
-        nodes = (b[k // 2] + b[(k + 1) // 2]) / 2.0
-        runs.append((np.searchsorted(nodes, opens, "right"), np.searchsorted(nodes, closes)))
+        start = -top if a else 0
+        b = np.unique(np.r_[start, top, opens[:, a], closes[:, a]])
+        b = b[(b >= start) & (b <= top)]
+        # node j lies between breakpoints j // 2 and (j + 1) // 2
+        j = np.arange(2 * len(b) - 1)
+        nodes = b[j // 2] + b[(j + 1) // 2]
+        runs.append((np.searchsorted(nodes, 2 * opens[:, a], "right"),
+                     np.searchsorted(nodes, 2 * closes[:, a])))
+        breaks.append(np.array([v / 10 ** k for v in b.tolist()]))
     zero = cover_counts(runs, [2 * len(b) - 1 for b in breaks]) == 0
     edges = np.diff(np.moveaxis(zero, 0, -1).astype(np.int8), axis=-1, prepend=0, append=0)
     *rest, first = np.nonzero(edges == 1)
     last = np.nonzero(edges == -1)[-1] - 1
-    lo = np.stack([b[k // 2] for b, k in zip(breaks, [first, *rest])], 1)
-    hi = np.stack([b[(k + 1) // 2] for b, k in zip(breaks, [last, *rest])], 1)
+    lo = np.stack([b[j // 2] for b, j in zip(breaks, [first, *rest])], 1)
+    hi = np.stack([b[(j + 1) // 2] for b, j in zip(breaks, [last, *rest])], 1)
     # a run on a breakpoint row can lie inside the run on a midpoint row beside it
     inside = np.all((lo[:, None] >= lo[None]) & (hi[:, None] <= hi[None]), axis=2)
     keep = ~(inside & ~np.eye(len(lo), dtype=bool)).any(axis=1)
@@ -396,25 +441,27 @@ def lattice_residue_check(omega: BoxUnionSet, lattice: Lattice) -> ResidueVerdic
     Equivalently: |omega ∩ (omega + delta)| = 0 for every nonzero lattice
     vector delta.  Since omega is bounded, only lattice vectors inside the
     difference of its bounding box with itself can produce overlap, so the
-    check is a finite, exact enumeration.
+    check is a finite enumeration: the coefficients of the lattice points
+    with |delta_a| below the box's sides, padded by one basis step so no
+    rounding drops one, decided by the pair test on ``exact_reading``.  The
+    witness is the lexicographically first hit.
     """
     if lattice.dim != omega.dim:
         raise InputError(f"lattice dimension {lattice.dim} != set dimension {omega.dim}")
-    bb = omega.bounding_box()
-    diff = Box(tuple(a - b for a, b in zip(bb.lo, bb.hi)),
-               tuple(b - a + 1e-9 for a, b in zip(bb.lo, bb.hi)))
-    deltas = lattice.points_in_box(diff)
-    deltas = deltas[np.any(deltas != 0.0, axis=1)]
-    overlaps = _overlaps(omega, deltas)
-    hits = np.flatnonzero(overlaps > 0.0)
-    if hits.size == 0:
+    lo, hi, gens, k = exact_reading(omega, np.transpose(lattice.basis))
+    pre = cartesian([(-s, s) for s in omega.bounding_box().sides])
+    pre = pre @ np.linalg.inv(lattice.matrix).T
+    n = cartesian([np.arange(math.floor(a) - 1, math.ceil(b) + 2)
+                   for a, b in zip(pre.min(axis=0), pre.max(axis=0))])
+    held, deltas = _meeting(lo, hi, n, gens)
+    hits = deltas[held & np.any(n != 0, axis=1)]
+    if not len(hits):
         return ResidueVerdict(True, None)
-    delta, ov = deltas[hits[0]], float(overlaps[hits[0]])
-    moved = omega.translate(delta).boxes
-    point = next((cut.center for b in omega.boxes for p in moved
-                  if (cut := b.intersect(p)) is not None), None)
-    gamma_prime = tuple(-float(v) for v in delta)
-    return ResidueVerdict(False, ResidueWitness(gamma_prime, point, ov))
+    delta = tuple(v / 10 ** k for v in min(map(tuple, hits.tolist())))
+    moved = omega.translate(delta)
+    point = next((cut.center for b in omega.boxes for cut in moved.intersect_box(b)), None)
+    return ResidueVerdict(False, ResidueWitness(tuple(-v for v in delta), point,
+                                                translate_overlap(omega, delta)))
 
 
 class CantorTower(NamedTuple):

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, BoxUnionSet, cartesian
+from .geometry import Box, BoxUnionSet, cartesian, exact_reading
 
 
 def grid_centers(box: Box, n: int) -> list[np.ndarray]:
@@ -36,7 +36,9 @@ def cell_volumes(box: Box, n: int, omega: Optional[BoxUnionSet] = None) -> np.nd
 
     Each of omega's boxes adds the outer product of its per-axis overlaps
     with the cell intervals, so the weights are exact box arithmetic with no
-    loop over cells.
+    loop over cells.  Cell i of side S from g meets [lo, hi) exactly when
+    n (lo - g) < (i + 1) S and i S < n (hi - g), in integers on the decimals
+    as written (``exact_reading``), so a face on a cell edge leaves no sliver.
     """
     d = box.dim
     steps = [(b - a) / n for a, b in zip(box.lo, box.hi)]
@@ -48,18 +50,17 @@ def cell_volumes(box: Box, n: int, omega: Optional[BoxUnionSet] = None) -> np.nd
     idx = np.arange(n)
     cell_lo = [a + idx * s for a, s in zip(box.lo, steps)]
     cell_hi = [a + (idx + 1) * s for a, s in zip(box.lo, steps)]
+    lo, hi, (g, top), _ = exact_reading(omega, [box.lo, box.hi])
+    g, side = g.tolist(), (top - g).tolist()
+    runs = [[(max(n * (a - c) // s, 0), min(-(n * (c - b) // s), n))
+             for a, b, c, s in zip(box_lo, box_hi, g, side)]
+            for box_lo, box_hi in zip(lo.tolist(), hi.tolist())]
     weights = np.zeros((n,) * d)
-    for b in omega.boxes:
-        cells, sides = [], []
-        for lo, hi, b_lo, b_hi in zip(cell_lo, cell_hi, b.lo, b.hi):
-            overlap = np.minimum(hi, b_hi) - np.maximum(lo, b_lo)
-            hit = np.flatnonzero(overlap > 0)  # contiguous: the cells are sorted
-            if not len(hit):
-                break
-            cells.append(slice(hit[0], hit[-1] + 1))
-            sides.append(overlap[cells[-1]])
-        else:
-            weights[tuple(cells)] += reduce(np.multiply.outer, sides)
+    for b, cells in zip(omega.boxes, runs):
+        if all(i < j for i, j in cells):
+            sides = [np.maximum(np.minimum(c_hi[i:j], b_hi) - np.maximum(c_lo[i:j], b_lo), 0.0)
+                     for c_lo, c_hi, b_lo, b_hi, (i, j) in zip(cell_lo, cell_hi, b.lo, b.hi, cells)]
+            weights[tuple(slice(i, j) for i, j in cells)] += reduce(np.multiply.outer, sides)
     return weights
 
 

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 from hypothesis import strategies as st
 
-from frameforge.geometry import Box, Lattice
+from frameforge.geometry import Box, Lattice, canonicalize
 from frameforge.pointsets import (
     EventuallyPeriodic1D,
     FinitePerturbation,
@@ -55,10 +55,40 @@ def sixteenths(lo, hi):
     return st.integers(round(16 * lo), round(16 * hi)).map(lambda v: v / 16)
 
 
-def decimals(lo, hi):
-    """Decimals with one to three places in [lo, hi], as the floats nearest them."""
-    return st.integers(1, 3).flatmap(lambda p: st.integers(
+def decimals(lo, hi, places=3):
+    """Decimals with one to ``places`` places in [lo, hi], as the floats nearest them."""
+    return st.integers(1, places).flatmap(lambda p: st.integers(
         math.ceil(lo * 10 ** p), math.floor(hi * 10 ** p)).map(lambda v: v / 10 ** p))
+
+
+@st.composite
+def decimal_unions(draw, dims=(1, 2), places=3):
+    """A box union of dimension in ``dims`` with every face a decimal in
+    [0, 1] of one to ``places`` places, as the float nearest it: 0.1 + 0.2
+    is not the float of 0.3, so only a reading of the decimals as written
+    decides these exactly."""
+    d, face = draw(st.sampled_from(dims)), decimals(0, 1, places)
+    ends = st.tuples(face, face).filter(lambda e: e[0] != e[1]).map(sorted)
+    raw = draw(st.lists(st.tuples(*[ends] * d), min_size=1, max_size=4))
+    return canonicalize([Box(*zip(*box)) for box in raw])
+
+
+@st.composite
+def decimal_bases(draw, d, places=3):
+    """A diagonal or, in 2-D, an upper-triangular skew lattice basis (its
+    columns generate the lattice) with entries decimals of one to ``places``
+    places: spacings in [0.1, 1] and a shear in [-1, 1]."""
+    diagonal = [draw(decimals(0.1, 1, places)) for _ in range(d)]
+    shear = draw(st.just(0.0) | decimals(-1, 1, places)) if d == 2 else 0.0
+    return Lattice(tuple(tuple(diagonal[i] if i == j else shear if j > i else 0.0
+                               for j in range(d)) for i in range(d)))
+
+
+@st.composite
+def decimal_packings(draw, dims=(1, 2), places=3):
+    """A ``decimal_unions`` domain and a ``decimal_bases`` lattice of its dimension."""
+    omega = draw(decimal_unions(dims, places))
+    return omega, draw(decimal_bases(omega.dim, places))
 
 
 def _apart(x, pts):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from strategies import decimal_packings
 
 from frameforge import construction
 from frameforge.errors import InputError
@@ -35,6 +36,7 @@ from frameforge.geometry import (
     Lattice,
     canonicalize,
     cantor_tower,
+    lattice_residue_check,
     translate_overlap,
 )
 from frameforge.gridfn import GridFunction, grid_points
@@ -45,6 +47,7 @@ from frameforge.windows import Window
 UNIT = BoxUnionSet.from_intervals([(0, 1)])
 TWO_PIECE = BoxUnionSet.from_intervals([(0, 0.5), (1, 1.5)])
 SQUARE = BoxUnionSet(2, (Box((0.0, 0.0), (1.0, 1.0)),))
+TENTHS = BoxUnionSet.from_intervals([(0, 0.1), (0.3, 0.4)])
 
 
 class TestBoundedWindowFrame:
@@ -313,8 +316,35 @@ class TestLatticeTightFrame:
         # the face at 1 + 1/pi is a whole number of cells on no grid up to
         # the limit, so no exact counterexample can be sampled
         omega = BoxUnionSet.from_intervals([(0, 0.5), (1, 1 + 1 / math.pi)])
-        with pytest.raises(InputError, match="no grid of 256 to 4096 cells"):
+        with pytest.raises(InputError, match="no grid of 256 to 65536 cells"):
             build_lattice_tight_frame(omega, Lattice.scaled_integers(1.0))
+
+    def test_decimal_tiling_is_tight(self):
+        # [0, 0.1) and [0.3, 0.4) tile R under 0.2Z, though 0.1 + 0.2 > 0.3
+        # in binary; the dual lattice 5Z gives the constant 0.2
+        result = build_lattice_tight_frame(TENTHS, Lattice.scaled_integers(0.2))
+        assert result.predicted_A == pytest.approx(0.2, abs=1e-12)
+        assert result.predicted_B == pytest.approx(0.2, abs=1e-12)
+
+    def test_decimal_refusal_witnesses_the_decimal_shift(self):
+        # under 0.1Z the pieces collide at the shift 0.3 as written, where
+        # the binary sum 3 x 0.1 read 0.30000000000000004
+        with pytest.raises(TightFrameRefusal) as exc:
+            build_lattice_tight_frame(TENTHS, Lattice.scaled_integers(0.1))
+        assert exc.value.witness.gamma_prime == (0.3,)
+        assert np.sqrt(exc.value.counterexample.norm_sq()) == pytest.approx(math.sqrt(0.2))
+
+    @given(st.one_of(decimal_packings(dims=(1,)), decimal_packings(dims=(2,), places=1)))
+    @settings(max_examples=40, deadline=None)
+    def test_every_decimal_refusal_has_a_nonzero_counterexample(self, case):
+        # 2-D draws keep to tenths, so an aligned grid of at most 256 cells
+        # per axis exists for every collision
+        omega, lattice = case
+        if lattice_residue_check(omega, lattice).holds:
+            return
+        with pytest.raises(TightFrameRefusal) as exc:
+            build_lattice_tight_frame(omega, lattice)
+        assert exc.value.counterexample.norm_sq() > 0.0
 
 
 class TestCubeConstant:
@@ -415,7 +445,7 @@ class TestObstructionScan:
 
 def no_overlap_check(monkeypatch):
     """Skip the exact overlap refusal, so overlapping shifts are measured."""
-    monkeypatch.setattr(construction, "translate_overlap", lambda omega, x: 0.0)
+    monkeypatch.setattr(construction, "meets", lambda omega, n, gens: np.zeros(len(n), bool))
 
 
 @st.composite
@@ -483,7 +513,21 @@ class TestCosineCertificate:
     def test_overlapping_shift_refused(self):
         with pytest.raises(CertificateRefusal) as exc:
             cosine_measure_certificate(UNIT, (0.5,))
-        assert exc.value.overlap_plus == pytest.approx(0.5)
+        assert exc.value.overlap == pytest.approx(0.5)
+
+    def test_decimal_shift_off_the_domain_certifies(self):
+        # |TENTHS ∩ (TENTHS ± 0.2)| = 0 on the decimals as written; the
+        # binary faces read an overlap of 5.55e-17, and the cell beside the
+        # face 0.3 a sliver of weight
+        cert = cosine_measure_certificate(TENTHS, (0.2,))
+        assert cert.holds and cert.report.grid_n == 256
+        assert cert.report.A_est == pytest.approx(1.0, abs=1e-9)
+        assert cert.report.B_est == pytest.approx(1.0, abs=1e-9)
+
+    def test_decimal_overlap_refused(self):
+        with pytest.raises(CertificateRefusal) as exc:
+            cosine_measure_certificate(TENTHS, (0.25,))
+        assert exc.value.overlap == pytest.approx(0.05)
 
     def test_two_component_domain(self):
         # 192 cells on [0, 3) put both gaps' faces on cell boundaries
@@ -516,10 +560,23 @@ class TestCosineCertificate:
         with pytest.raises(InputError, match="whole numbers of grid cells"):
             cosine_measure_certificate(omega, (x0,), grid_n=256)
 
-    def test_no_grid_up_to_the_cap_aligns(self):
-        # x0 = 2 + 1/4099 is a whole number of cells only on multiples of 4099
-        with pytest.raises(InputError, match="no grid of 256 to 4096 cells"):
-            cosine_measure_certificate(UNIT, (2.0 + 1.0 / 4099,))
+    def test_a_grid_past_the_dense_limit_certifies(self):
+        # x0 = 2.0001 is a whole number of cells only on multiples of 10^4,
+        # and the lags fall off the grid: 10^4 blocks of order 1
+        cert = cosine_measure_certificate(UNIT, (2.0001,))
+        assert cert.report.grid_n == 10000
+        assert cert.report.A_est == pytest.approx(1.0, abs=1e-12)
+        assert cert.report.B_est == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [4099, 65537])
+    def test_no_grid_up_to_the_cap_aligns(self, q):
+        # 2 + 1/q is read as the decimal its repr writes, 2.000243961941937
+        # for q = 4099, a whole number of cells on no grid up to 65536 cells;
+        # at q = 65537 the relative whole-number rule would take 65529 cells
+        with pytest.raises(InputError, match="no grid of 256 to 65536 cells"):
+            cosine_measure_certificate(UNIT, (2.0 + 1.0 / q,))
+        with pytest.raises(InputError, match=f"no grid of {q} cells"):
+            cosine_measure_certificate(UNIT, (2.0 + 1.0 / q,), grid_n=q)
 
     @pytest.mark.parametrize("omega, x0, grid_n", [
         (TWO_PIECE, (0.5,), 258), (BoxUnionSet.from_intervals([(0, 1), (2, 3)]), (4.0,), 258),

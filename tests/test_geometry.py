@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from strategies import decimal_packings, decimal_unions, decimals
 
 from frameforge import geometry
 from frameforge.errors import InputError
@@ -15,11 +16,14 @@ from frameforge.geometry import (
     Box,
     BoxUnionSet,
     Lattice,
+    ResidueVerdict,
+    ResidueWitness,
     canonicalize,
     cantor_tower,
     cartesian,
     cover_counts,
     lattice_residue_check,
+    meets,
     overlap_profile,
     overlap_zero_set,
     translate_overlap,
@@ -309,10 +313,11 @@ class TestOverlapZeroSet:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_the_overlap_read_at_every_node(self, data):
-        # on dyadic faces the old node reading is exact; on other faces it
-        # rounds lo_j + x, so there the oracle is the exact pair test, which
-        # float comparisons give when every face lies in [1, 2]: each face
-        # difference is then exact (Sterbenz)
+        # on dyadic faces the old binary node reading is exact, and the zero
+        # set keeps it bit for bit; on the other draws (faces in [1, 1.5])
+        # the zero set reads the decimals as written, so 1.2 - 1.1 is 0.1,
+        # not the binary 0.09999999999999987: there the oracle is the pair
+        # test on Fraction(repr(face))
         d = data.draw(st.integers(1, 3))
         dyadic = data.draw(st.booleans())
         if dyadic:
@@ -324,8 +329,20 @@ class TestOverlapZeroSet:
         omega = canonicalize([Box(lo, tuple(a + w for a, w in zip(lo, sides)))
                               for lo, sides in raw])
         x_max = data.draw(st.sampled_from([0.25, 1.0, 2.5]))
-        zero_at = overlap_read_at_nodes if dyadic else no_pair_holds_the_nodes
-        assert overlap_zero_set(omega, x_max) == zero_set_from_nodes(omega, x_max, zero_at)
+        expected = (zero_set_from_nodes(omega, x_max, overlap_read_at_nodes) if dyadic else
+                    zero_set_from_nodes(omega, x_max, no_pair_holds_the_nodes, fraction))
+        assert repr(overlap_zero_set(omega, x_max)) == repr(expected)
+
+    def test_decimal_faces_give_the_decimal_zero_set(self):
+        # in binary 0.1 + 0.2 > 0.3, and the float breakpoints read
+        # 0.10000000000000003 and 0.19999999999999998
+        s = BoxUnionSet.from_intervals([(0, 0.1), (0.3, 0.4)])
+        assert overlap_zero_set(s, 0.5) == [((0.1,), (0.2,)), ((0.4,), (0.5,))]
+
+
+def fraction(v):
+    """The decimal that ``repr`` writes for the float v, as an exact Fraction."""
+    return Fraction(repr(v))
 
 
 def overlap_read_at_nodes(omega, nodes):
@@ -335,28 +352,30 @@ def overlap_read_at_nodes(omega, nodes):
 
 
 def no_pair_holds_the_nodes(omega, nodes):
-    """Nodes outside every pair's open product (lo_i - hi_j, hi_i - lo_j)."""
+    """Nodes outside every pair's open product (lo_i - hi_j, hi_i - lo_j),
+    on the faces as ``fraction`` reads them."""
     held = np.zeros([len(n) for n in nodes], dtype=bool)
     for p in omega.boxes:
         for q in omega.boxes:
             masks = [(a - d < n) & (n < b - c) for a, b, c, d, n
-                     in zip(p.lo, p.hi, q.lo, q.hi, nodes)]
+                     in zip(*(map(fraction, v) for v in (p.lo, p.hi, q.lo, q.hi)), nodes)]
             held |= functools.reduce(np.multiply.outer, masks)
     return ~held
 
 
-def zero_set_from_nodes(omega, x_max, zero_at):
-    """``overlap_zero_set`` with the zero nodes read by ``zero_at``; with
-    ``overlap_read_at_nodes`` this is how it read them before it counted
-    covering pairs."""
-    los = np.array([b.lo for b in omega.boxes])
-    his = np.array([b.hi for b in omega.boxes])
-    breaks = []
+def zero_set_from_nodes(omega, x_max, zero_at, read=float):
+    """``overlap_zero_set`` with every face and x_max read by ``read`` (the
+    binary float, or ``fraction``) and the zero nodes read by ``zero_at``;
+    with ``overlap_read_at_nodes`` this is how it read them before it
+    counted covering pairs and read the decimals as written."""
+    los = np.array([[read(v) for v in b.lo] for b in omega.boxes])
+    his = np.array([[read(v) for v in b.hi] for b in omega.boxes])
+    top, breaks = read(x_max), []
     for a in range(omega.dim):
-        start, diffs = -x_max if a else 0.0, np.subtract.outer(los[:, a], his[:, a]).ravel()
-        b = np.unique(np.r_[start, x_max, diffs, 0.0 - diffs])
-        breaks.append(b[(b >= start) & (b <= x_max)])
-    nodes = [(b[k // 2] + b[(k + 1) // 2]) / 2.0 for b in breaks
+        start, diffs = -top if a else read(0.0), np.subtract.outer(los[:, a], his[:, a]).ravel()
+        b = np.unique(np.r_[start, top, diffs, 0 - diffs])
+        breaks.append(b[(b >= start) & (b <= top)])
+    nodes = [(b[k // 2] + b[(k + 1) // 2]) / 2 for b in breaks
              for k in [np.arange(2 * len(b) - 1)]]
     zero = zero_at(omega, nodes)
     edges = np.diff(np.moveaxis(zero, 0, -1).astype(np.int8), axis=-1, prepend=0, append=0)
@@ -366,7 +385,8 @@ def zero_set_from_nodes(omega, x_max, zero_at):
     hi = np.stack([b[(k + 1) // 2] for b, k in zip(breaks, [last, *rest])], 1)
     inside = np.all((lo[:, None] >= lo[None]) & (hi[:, None] <= hi[None]), axis=2)
     keep = ~(inside & ~np.eye(len(lo), dtype=bool)).any(axis=1)
-    return list(zip(map(tuple, lo[keep].tolist()), map(tuple, hi[keep].tolist())))
+    return [(tuple(map(float, a)), tuple(map(float, b)))
+            for a, b in zip(lo[keep].tolist(), hi[keep].tolist())]
 
 
 class TestCoverCounts:
@@ -425,6 +445,127 @@ class TestLatticeResidue:
         verdict = lattice_residue_check(s, Lattice.scaled_integers(covol))
         if verdict.holds:
             assert s.measure() <= covol + 1e-9
+
+
+def exact_pair_test(omega, x):
+    """|omega ∩ (omega + x)| > 0 for Fractions x, on the faces as ``fraction`` reads them."""
+    boxes, x = [tuple(tuple(map(fraction, v)) for v in (b.lo, b.hi)) for b in omega.boxes], tuple(x)
+    return any(all(p_lo - q_hi < v < p_hi - q_lo for p_lo, p_hi, q_lo, q_hi, v
+                   in zip(*p, *q, x)) for p in boxes for q in boxes)
+
+
+def exact_residue_witness(omega, lattice):
+    """The lexicographically first nonzero vector of an upper-triangular
+    basis that passes ``exact_pair_test``, in Fractions, or None: back
+    substitution finds every coefficient vector n with |(B n)_a| below the
+    bounding box's side on each axis."""
+    basis = [[fraction(v) for v in row] for row in lattice.basis]
+    bb, d = omega.bounding_box(), omega.dim
+    sides = [fraction(h) - fraction(l) for l, h in zip(bb.lo, bb.hi)]
+
+    def coefficients(axis, tail):
+        if axis < 0:
+            yield tail
+            return
+        rest, a = sum(basis[axis][j] * n for j, n in enumerate(tail, axis + 1)), basis[axis][axis]
+        for n in range(math.floor((-sides[axis] - rest) / a),
+                       math.ceil((sides[axis] - rest) / a) + 1):
+            yield from coefficients(axis - 1, (n,) + tail)
+
+    deltas = [tuple(sum(b * n for b, n in zip(row, c)) for row in basis)
+              for c in coefficients(d - 1, ())]
+    return min((v for v in deltas if any(v) and exact_pair_test(omega, v)), default=None)
+
+
+def float_residue_check(omega, lattice):
+    """The binary reading ``lattice_residue_check`` replaced: lattice points
+    in the difference box, its upper faces padded by 1e-9, and the first
+    whose overlap reads above 0.0."""
+    bb = omega.bounding_box()
+    diff = Box(tuple(a - b for a, b in zip(bb.lo, bb.hi)),
+               tuple(b - a + 1e-9 for a, b in zip(bb.lo, bb.hi)))
+    deltas = lattice.points_in_box(diff)
+    deltas = deltas[np.any(deltas != 0.0, axis=1)]
+    overlaps = geometry._overlaps(omega, deltas)
+    hits = np.flatnonzero(overlaps > 0.0)
+    if hits.size == 0:
+        return ResidueVerdict(True, None)
+    delta, ov = deltas[hits[0]], float(overlaps[hits[0]])
+    moved = omega.translate(delta).boxes
+    point = next((cut.center for b in omega.boxes for p in moved
+                  if (cut := b.intersect(p)) is not None), None)
+    return ResidueVerdict(False, ResidueWitness(tuple(-float(v) for v in delta), point, ov))
+
+
+TENTHS = BoxUnionSet.from_intervals([(0, 0.1), (0.3, 0.4)])
+TENTHS_SQUARES = canonicalize([Box((0, 0), (0.1, 0.1)), Box((0.3, 0.3), (0.4, 0.4))])
+# faces at 10^3 read at the 10^17 scale of 0.30000000000000004 pass 2^60: Python ints
+LONG_TENTHS = BoxUnionSet.from_intervals([(0, 0.1), (0.3, 1000.0)])
+
+
+@st.composite
+def sixteenth_packings(draw):
+    """A ``sixteenth_unions`` domain and a diagonal or upper-triangular basis
+    with spacings in [1/4, 2] and a shear in [-1, 1], all on sixteenths."""
+    omega = draw(sixteenth_unions())
+    spacing = [draw(st.integers(4, 32).map(lambda v: v / 16)) for _ in range(omega.dim)]
+    basis = (tuple(spacing),) if omega.dim == 1 else (
+        (spacing[0], draw(st.integers(-16, 16).map(lambda v: v / 16))), (0.0, spacing[1]))
+    return omega, Lattice(basis)
+
+
+class TestDecimalReading:
+    """On decimal faces, shifts and bases, the overlap sign, the residue
+    verdict and its witness, and the zero set are those of the pair test on
+    Fraction(repr(.)), the decimals as written; on dyadic ones the residue
+    check is the binary reading's, bit for bit."""
+
+    @given(decimal_unions(), st.lists(st.tuples(decimals(-1, 1), decimals(-1, 1)),
+                                      min_size=1, max_size=8))
+    @example(TENTHS, [(0.2, 0.0), (0.1, 0.0), (0.30000000000000004, 0.0), (0.3, 0.0)])
+    @example(TENTHS_SQUARES, [(0.2, 0.2), (0.3, 0.3), (0.25, 0.3)])
+    @example(LONG_TENTHS, [(1e-17, 0.0), (999.9, 0.0), (1000.0, 0.0)])  # past int64
+    @settings(max_examples=60, deadline=None)
+    def test_overlap_sign(self, omega, shifts):
+        xs = [x[:omega.dim] for x in shifts]
+        assert meets(omega, np.eye(len(xs), dtype=int), xs).tolist() == [
+            exact_pair_test(omega, map(fraction, x)) for x in xs]
+
+    @given(decimal_packings())
+    @example((TENTHS, Lattice.scaled_integers(0.2)))
+    @example((TENTHS, Lattice.scaled_integers(0.1)))
+    @example((TENTHS_SQUARES, Lattice.scaled_integers(0.2, 2)))
+    @example((LONG_TENTHS, Lattice.scaled_integers(0.1 + 0.2)))  # past int64
+    @settings(max_examples=80, deadline=None)
+    def test_residue_verdict_and_witness(self, case):
+        omega, lattice = case
+        verdict, delta = lattice_residue_check(omega, lattice), exact_residue_witness(*case)
+        assert verdict.holds is (delta is None)
+        if delta is not None:
+            assert verdict.witness.gamma_prime == tuple(float(-v) for v in delta)
+            assert verdict.witness.overlap > 0.0
+
+    @given(decimal_unions(), decimals(0.1, 2))
+    @example(TENTHS, 0.5)
+    @example(TENTHS_SQUARES, 0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_zero_set(self, omega, x_max):
+        assert repr(overlap_zero_set(omega, x_max)) == repr(
+            zero_set_from_nodes(omega, x_max, no_pair_holds_the_nodes, fraction))
+
+    def test_reproductions(self):
+        # in binary 0.1 + 0.2 > 0.3: the float reading refused both
+        # tilings with overlaps of 5.55e-17 and 3.08e-33, and witnessed
+        # 0.1Z with the shift 0.30000000000000004
+        assert lattice_residue_check(TENTHS, Lattice.scaled_integers(0.2)).holds
+        assert lattice_residue_check(TENTHS_SQUARES, Lattice.scaled_integers(0.2, 2)).holds
+        w = lattice_residue_check(TENTHS, Lattice.scaled_integers(0.1)).witness
+        assert w.gamma_prime == (0.3,) and w.point == (0.05,)
+
+    @given(sixteenth_packings())
+    @settings(max_examples=80, deadline=None)
+    def test_dyadic_input_keeps_the_binary_verdict(self, case):
+        assert repr(lattice_residue_check(*case)) == repr(float_residue_check(*case))
 
 
 class TestLattice:

@@ -1,10 +1,11 @@
 """Cell grids: cell centres and exact cell weights against a box-union domain."""
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameforge.errors import InputError
@@ -12,14 +13,27 @@ from frameforge.geometry import Box, BoxUnionSet, canonicalize
 from frameforge.gridfn import GridFunction, cell_volumes, grid_points
 
 
+def exact(v):
+    """The decimal that ``repr`` writes for the float v, as an exact Fraction."""
+    return Fraction(repr(v))
+
+
 def cell_loop_volumes(box, n, omega):
-    """Oracle: |cell ∩ omega| by one exact box intersection per cell."""
+    """Oracle: |cell ∩ omega| by one box intersection per cell and domain
+    box, counted where the cell meets that box on the decimals as written:
+    cell i spans [g + i S / n, g + (i + 1) S / n) on exact corners g, g + S."""
     steps = [(b - a) / n for a, b in zip(box.lo, box.hi)]
     weights = np.empty((n,) * box.dim)
     for idx in np.ndindex(*weights.shape):
         lo = tuple(a + i * s for a, i, s in zip(box.lo, idx, steps))
         hi = tuple(a + (i + 1) * s for a, i, s in zip(box.lo, idx, steps))
-        weights[idx] = omega.intersection_volume(Box(lo, hi))
+        ends = [(exact(a) + i * (exact(b) - exact(a)) / n,
+                 exact(a) + (i + 1) * (exact(b) - exact(a)) / n)
+                for a, b, i in zip(box.lo, box.hi, idx)]
+        weights[idx] = sum(p.volume for b in omega.boxes
+                           if all(c_lo < exact(f_hi) and exact(f_lo) < c_hi
+                                  for (c_lo, c_hi), f_lo, f_hi in zip(ends, b.lo, b.hi))
+                           and (p := b.intersect(Box(lo, hi))) is not None)
     return weights
 
 
@@ -43,6 +57,9 @@ def domains_on_grids(draw):
 
 class TestCellVolumes:
     @given(domains_on_grids())
+    @example((BoxUnionSet.from_intervals([(0, 0.1), (0.3, 0.4)]), Box((0.0,), (0.4,)), 256))
+    @example((BoxUnionSet(2, (Box((0.0, 0.0), (1.0, 0.7847263618629674)),)),
+              Box((0.0, -0.7847263618629674), (1.0, 1.5694527237259348)), 3))
     @settings(max_examples=60, deadline=None)
     def test_matches_per_cell_intersection_byte_for_byte(self, case):
         omega, grid_box, n = case

@@ -398,6 +398,46 @@ def test_call_checker(tmp_path):
         "probe.py:12 in Comb.read.inner", "probe.py:13 in Comb.read"]
 
 
+OVERLAP_READERS = ("_pair_windows", "_meeting", "meets", "_overlaps", "translate_overlap",
+                   "overlap_profile")
+
+
+def overlap_readers(paths):
+    """The callers of the exact pair test (``_pair_windows``, and ``_meeting``
+    and ``meets`` on it) and of the float overlap measures, per name, as
+    ``calls_of`` names them, without the line number."""
+    return {name: sorted(re.sub(r":\d+", "", hit) for hit in calls_of(name, paths))
+            for name in OVERLAP_READERS}
+
+
+def test_overlap_signs_have_one_home():
+    # whether a translate meets the domain on positive measure is decided by
+    # the exact pair test on the decimals as written; the float measures
+    # only report a size, so a new caller of one is a new float sign test
+    assert overlap_readers(sorted(SRC.glob("*.py"))) == {
+        "_pair_windows": ["geometry.py in _meeting", "geometry.py in overlap_zero_set"],
+        "_meeting": ["geometry.py in lattice_residue_check", "geometry.py in meets"],
+        "meets": ["cli.py in cmd_overlap", "construction.py in cosine_measure_certificate"],
+        "_overlaps": ["geometry.py in overlap_profile", "geometry.py in translate_overlap"],
+        "translate_overlap": ["construction.py in cosine_measure_certificate",
+                              "geometry.py in lattice_residue_check"],
+        "overlap_profile": ["acceptance.py in criterion_08_obstruction", "cli.py in cmd_overlap"],
+    }
+
+
+def test_overlap_reader_checker(tmp_path):
+    probe = tmp_path / "construction.py"
+    probe.write_text("from . import geometry\nfrom .geometry import meets, translate_overlap\n\n"
+                     "def certify(omega, x):\n    if translate_overlap(omega, x) > 0.0:\n"
+                     "        return meets(omega, [[1]], [x])\n\n"
+                     "class Scan:\n    def zero(self, lo, hi):\n"
+                     "        return geometry._pair_windows(lo, hi), geometry._overlaps\n")
+    assert overlap_readers([probe]) == {
+        "_pair_windows": ["construction.py in Scan.zero"], "_meeting": [],
+        "meets": ["construction.py in certify"], "_overlaps": [],
+        "translate_overlap": ["construction.py in certify"], "overlap_profile": []}
+
+
 ROUNDINGS = ("round", "rint", "around")
 
 

@@ -152,6 +152,12 @@ class TestSystemSchema:
         assert data["pairs"][0]["freq"] == {"kind": "cosine", "x0": [2.0]}
         again = system_from_dict(json.loads(json.dumps(data)))
         assert again == system
+        # the default grid of 256 cells on [0, 1.5) does not align with x0,
+        # and the refusal names the grid that does
+        assert run_cli("frame-bounds", "--system", json.dumps(data)) == 2
+        assert capsys.readouterr().err == (
+            "error: the shift (2.0,) is not a whole number of cells of (0.005859375,); "
+            "grid_n 258 aligns\n")
         assert run_cli("frame-bounds", "--system", json.dumps(data), "--grid-n", "258") == 0
         rep = cosine_measure_certificate(TWO_PIECE, (2.0,), grid_n=258).report
         assert capsys.readouterr().out.splitlines()[:2] == [f"A_est: {rep.A_est!r}",
@@ -491,8 +497,42 @@ class TestCli:
         header, row = csv_path.read_text().splitlines()
         assert header == "x0,A_est,B_est" and row.startswith("2.0,")
         rc = run_cli("certify-measure", "--domain", str(domain), "--x0", "0.5")
-        out = capsys.readouterr().out
-        assert rc == 0 and "verdict: refused" in out
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0 and out[0] == "verdict: refused"
+        assert [line.split(":")[0] for line in out] == ["verdict", "reason", "overlap"]
+        assert out[2] == "overlap: 0.5"
+
+    def test_decimal_tiling(self, capsys):
+        # [0, 0.1) and [0.3, 0.4) tile R under 0.2Z: every verdict is
+        # decided on the decimals as written, where 0.1 + 0.2 = 0.3
+        domain = '{"dim": 1, "boxes": [[0, 0.1], [0.3, 0.4]]}'
+        assert run_cli("residue", "--domain", domain, "--lattice", "0.2") == 0
+        assert capsys.readouterr().out == "holds: True\n"
+        assert run_cli("construct", "--domain", domain, "--lattice", "0.2") == 0
+        out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert out["verdict"] == "constructed"
+        assert abs(float(out["predicted_A"]) - 0.2) <= 1e-12
+        assert abs(float(out["predicted_B"]) - 0.2) <= 1e-12
+        assert run_cli("certify-measure", "--domain", domain, "--x0", "0.2") == 0
+        out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert out["verdict"] == "certified"
+        assert abs(float(out["A_est"]) - 1.0) <= 1e-9 and abs(float(out["B_est"]) - 1.0) <= 1e-9
+        assert run_cli("construct", "--domain", domain, "--lattice", "0.1") == 0
+        out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert out["verdict"] == "refused" and out["witness_shift"] == "[0.3]"
+        assert out["counterexample_norm"].startswith("0.447")
+
+    def test_overlap_shifts_are_whole_multiples_of_the_decimal_step(self, tmp_path, capsys):
+        # the shifts are i x 0.1 as written, so 3 x 0.1 is written 0.3 and
+        # the count meets only 0 and 0.3; the float measure at 0.2 still
+        # reads the binary sliver 5.55e-17, a size and not a sign
+        csv_path = tmp_path / "overlap.csv"
+        assert run_cli("overlap", "--domain", '{"dim": 1, "boxes": [[0, 0.1], [0.3, 0.4]]}',
+                       "--x-max", "0.5", "--step", "0.1", "--csv", str(csv_path)) == 0
+        assert capsys.readouterr().out == "shifts_sampled: 6\npositive_overlaps: 2\n"
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        assert [x for x, _ in rows] == ["0.0", "0.1", "0.2", "0.3", "0.4", "0.5"]
+        assert rows[2][1] == "5.551115123125783e-17"
 
     def test_certify_measure_writes_one_column_per_axis(self, tmp_path, capsys):
         csv_path = tmp_path / "cert.csv"

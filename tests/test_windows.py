@@ -194,7 +194,7 @@ def test_empty_support_window_is_zero_and_bounded():
 
 # faces in sixteenths, where the pieces' grid lines also fall, or anywhere
 FACES = st.one_of(st.integers(-8, 24).map(lambda k: k / 16),
-                  st.floats(-0.5, 1.5, allow_nan=False))
+                  st.floats(-0.5, 1.5, allow_nan=False, allow_subnormal=False))
 
 
 def boxes(d):
