@@ -213,11 +213,17 @@ def _cosine_part(x0: tuple, steps: np.ndarray, n: int,
     V: V at lag 0 and V/2 at the lags +-c = +-x0 / step, whole numbers of
     cells, which fall off the grid when some |c_a| >= n; and the period of
     the chains i, i + c, ...: |c_a|, or n where c_a = 0 or the lags fell off.
-    A shift off the grid is refused with omega's ``aligned_grid``."""
-    c, whole = nearest_whole(np.asarray(x0) / steps)
-    if not whole.all():
+    c_a = f n / S, f the shift and S the side read by ``exact_reading``, is
+    whole exactly when S / gcd(f, S) divides n, as in ``aligned_grid``; a
+    shift off the grid is refused with omega's ``aligned_grid``."""
+    bb = omega.bounding_box()
+    *_, (x, g, top), _ = exact_reading(omega, [x0, bb.lo, bb.hi])
+    shift = list(zip(x.tolist(), (top - g).tolist()))
+    if any(n % (s // math.gcd(f, s)) for f, s in shift):
         raise InputError(f"the shift {x0} is not a whole number of cells of "
                          f"{tuple(steps.tolist())}; grid_n {aligned_grid(omega, x0)} aligns")
+    # a lag at or past n falls off the grid whatever its size
+    c = np.array([max(-n, min(n, f * n // s)) for f, s in shift])
     kernel, volume = np.zeros((2 * n - 1,) * len(steps)), np.prod(1.0 / steps)
     near = bool(np.all(np.abs(c) < n))
     for lag, share in [(0 * c, 1.0)] + [(c, 0.5), (-c, 0.5)] * near:
@@ -264,8 +270,10 @@ def _difference_kernel(freqs: np.ndarray, weights: np.ndarray, period: np.ndarra
 
 def _diagonal_spacing(freq: FreqSpec, d: int) -> Optional[np.ndarray]:
     """Per-axis spacings of the cosets of a diagonal d-dim lattice, or None."""
-    mat = freq.lattice.matrix if isinstance(freq, LatticeCosets) and freq.dim == d else None
-    return None if mat is None or np.any(mat != np.diag(np.diag(mat))) else np.abs(np.diag(mat))
+    basis = freq.lattice.basis if isinstance(freq, LatticeCosets) and freq.dim == d else ()
+    if not basis or any(v for i, row in enumerate(basis) for j, v in enumerate(row) if i != j):
+        return None
+    return np.abs([row[a] for a, row in enumerate(basis)])
 
 
 def _lattice_cosets(freq: FreqSpec, steps: np.ndarray, box: Box) -> Optional[tuple]:
@@ -496,10 +504,12 @@ def _common_period(duals: np.ndarray, step: float) -> Optional[float]:
     """finest / m for the least m >= 1 making every dual spacing a whole
     multiple of it (``nearest_whole``), or None when that falls below ``step`` or
     m exceeds DENSE_EIG_LIMIT, as the fiber factor would have m columns."""
-    top = min(int(duals.min() / step * (1.0 + 1e-9)), DENSE_EIG_LIMIT)
-    ratio = np.arange(1, top + 1)[:, None] * duals / duals.min()
-    whole = nearest_whole(ratio)[1].all(axis=1)
-    return duals.min() / (whole.argmax() + 1) if whole.any() else None
+    finest = duals.min()
+    top = min(int(finest / step * (1.0 + 1e-9)), DENSE_EIG_LIMIT)
+    if top and nearest_whole(duals / finest)[1].all():
+        return finest
+    whole = nearest_whole(duals[:, None] * np.arange(1, top + 1) / finest)[1].all(axis=0)
+    return finest / (whole.argmax() + 1) if whole.any() else None
 
 
 def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
@@ -527,15 +537,15 @@ def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
     turns = cartesian([np.arange(math.ceil(grid_n / c)) for c in cells])
     at = samples[:, None, :] + turns * cells  # fiber points, in cells from the corner
     pts = np.array(grid_box.lo) + steps * at
-    inside = np.all(at < grid_n, axis=2)
+    inside = np.logical_and.reduce([at[..., a] < grid_n for a in range(grid_box.dim)])
     inside[inside] = system.omega.contains(pts[inside])
     if not inside.any():
         raise InputError("singular sampling: every cell centre misses the domain")
-    sizes, pts = inside.sum(axis=1), pts[inside]
+    # with one turn every fiber holds at most one point
+    sizes, pts = inside[:, 0] if len(turns) == 1 else inside.sum(axis=1), pts[inside]
     terms = [(w.eval(pts), np.array(f.offsets, dtype=float),
-              np.full(len(f.offsets), 1.0 / f.lattice.covolume),
-              nearest_whole(dual / period)[0])
-             for (w, f), dual in zip(system.pairs, duals)]
+              np.full(len(f.offsets), 1.0 / f.lattice.covolume), q)
+             for (w, f), q in zip(system.pairs, nearest_whole(duals / period)[0])]
     kept, r = np.count_nonzero(sizes), sum(len(w) * np.prod(q) for *_, w, q in terms)
     if sizes.max() == 1:  # painless: each column's v conj(v), once per coset offset
         g, arithmetic = 0.0, ""

@@ -7,12 +7,15 @@ domain on positive measure is decided in integers on the decimals as written
 (``exact_reading``, ``meets``); measures stay floats.
 ``nearest_whole`` decides, for the whole package, whether a float is a
 whole number (a whole multiple, a lattice coordinate) under one relative rule.
+Points are (m, d) arrays, m long and d short.  A hot test over points runs
+one coordinate column at a time and reduces along m: in NumPy a reduction
+across the short axis costs 10-50 times the same one along the long axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -100,8 +103,13 @@ class Box:
     def contains(self, points: Sequence[float] | np.ndarray) -> bool | np.ndarray:
         """Whether one point lies in the box, or a mask over an (m, d) array."""
         pts = np.asarray(points, dtype=float)
-        inside = np.all((pts >= self.lo) & (pts < self.hi), axis=-1)
-        return inside if pts.ndim == 2 else bool(inside)
+        cols = np.atleast_2d(pts).T
+        if len(cols) != self.dim:
+            raise InputError(f"points of dimension {len(cols)} in a box of dimension {self.dim}")
+        inside = (cols[0] >= self.lo[0]) & (cols[0] < self.hi[0])
+        for col, a, b in zip(cols[1:], self.lo[1:], self.hi[1:]):
+            inside &= (col >= a) & (col < b)
+        return inside if pts.ndim == 2 else bool(inside[0])
 
     def translate(self, x: Sequence[float]) -> "Box":
         v = as_vec(x)
@@ -117,8 +125,10 @@ class Box:
 
 
 def cartesian(axes: Sequence[Sequence[float]]) -> np.ndarray:
-    """Every combination of per-axis values as an (m, d) array in C order."""
+    """Every combination of per-axis values as a fresh (m, d) array in C order."""
     axes = list(axes)
+    if len(axes) == 1:
+        return np.array(axes[0]).reshape(-1, 1)
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
@@ -373,6 +383,8 @@ class Lattice:
     """Full-rank lattice; columns of ``basis`` generate the group."""
 
     basis: tuple[tuple[float, ...], ...]
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    covolume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = tuple(map(as_vec, self.basis))
@@ -383,6 +395,9 @@ class Lattice:
         det = np.linalg.det(mat)
         if abs(det) < 1e-300:
             raise InputError("lattice basis is singular")
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "covolume", float(abs(det)))
 
     @staticmethod
     def scaled_integers(c: float, dim: int = 1) -> "Lattice":
@@ -392,14 +407,6 @@ class Lattice:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(self.basis, dtype=float)
-
-    @property
-    def covolume(self) -> float:
-        return float(abs(np.linalg.det(self.matrix)))
 
     def same_group(self, other: "Lattice") -> bool:
         """Whether both bases generate one group: B^-1 B' is integral and unimodular."""

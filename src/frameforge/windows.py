@@ -95,8 +95,10 @@ class ClosedForm:
             inf, sup = np.where(at, np.minimum(inf, v), inf), np.where(at, np.maximum(sup, v), sup)
         if self.box is None:
             return inf, sup
-        inside = np.all((lo >= self.box.lo) & (hi <= self.box.hi), axis=1)
-        meets = np.all((hi > self.box.lo) & (lo < self.box.hi), axis=1)
+        inside, meets = np.ones(len(lo), dtype=bool), np.ones(len(lo), dtype=bool)
+        for lo_a, hi_a, box_lo, box_hi in zip(lo.T, hi.T, self.box.lo, self.box.hi):
+            inside &= (lo_a >= box_lo) & (hi_a <= box_hi)
+            meets &= (hi_a > box_lo) & (lo_a < box_hi)
         return np.where(inside, inf, 0.0), np.where(meets, sup, 0.0)
 
     def to_string(self):

@@ -82,17 +82,18 @@ def _window_support(window: Window, M: int) -> Box:
 
 
 def _translates(window: Window, xs: np.ndarray, support: Box) -> tuple[np.ndarray, np.ndarray]:
-    """Every k for which some g(x - k), x in xs, can be nonzero, and g(xs - k) as columns."""
+    """Every k for which some g(x - k), x in xs, can be nonzero, and g(xs - k)
+    as rows: each reduction over the k then runs along the long axis."""
     ks = np.arange(math.floor(xs.min() - support.hi[0]),
                    math.ceil(xs.max() - support.lo[0]) + 1)
-    return ks, np.stack([window.eval((xs - k).reshape(-1, 1)) for k in ks], axis=1)
+    return ks, np.stack([window.eval((xs - k).reshape(-1, 1)) for k in ks])
 
 
 def _zak_values(window: Window, xs: np.ndarray, ts: np.ndarray, support: Box,
                 translates: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """Zg on xs x ts: the translates g(xs - k) (or ``translates``) times e^{2 pi i k t}."""
     ks, terms = translates or _translates(window, xs, support)
-    return terms @ np.exp(2j * np.pi * np.outer(ks, ts))
+    return terms.T @ np.exp(2j * np.pi * np.outer(ks, ts))
 
 
 def _zak_modulus(window: Window, M: int, support: Box) -> np.ndarray:
@@ -103,8 +104,8 @@ def _zak_modulus(window: Window, M: int, support: Box) -> np.ndarray:
     """
     xs = np.arange(M) / M
     ks, terms = _translates(window, xs, support)
-    if np.count_nonzero(terms, axis=1).max() <= 1:
-        return np.abs(terms).max(axis=1, keepdims=True)
+    if np.count_nonzero(terms, axis=0).max() <= 1:
+        return np.abs(terms).max(axis=0)[:, None]
     return np.abs(_zak_values(window, xs, xs, support, (ks, terms)))
 
 

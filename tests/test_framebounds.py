@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frameforge import framebounds
@@ -1161,6 +1161,25 @@ class TestFrequencyMeasure:
         system = WindowedSystem(UNIT, ((Window.indicator(), CosineFreqMeasure((0.3,))),))
         with pytest.raises(InputError, match=r"the shift \(0.3,\) is not a whole number"):
             estimate_frame_bounds(system, 16)
+
+    @given(st.one_of(st.integers(-3000, 3000).map(lambda k: k / 1000),
+                     st.integers(1, 5000).map(lambda q: 2.0 + 1.0 / q)),
+           st.integers(1, 64))
+    @example(2.0 + 1.0 / 4099, 4099)
+    @settings(max_examples=60, deadline=None)
+    def test_the_cosine_shift_is_whole_where_aligned_grid_says(self, x0, grid_n):
+        # every face of [0, 1) aligns with every grid, so the shift alone
+        # decides; 2 + 1/4099 is within the relative rule of 8199 cells, but
+        # its decimals 2.000243961941937 are no whole number of 1/4099
+        system = WindowedSystem(UNIT, ((Window.indicator(), CosineFreqMeasure((x0,))),))
+        try:
+            framebounds.aligned_grid(UNIT, (x0,), grid_n)
+        except InputError:
+            with pytest.raises(InputError, match="whole number"):
+                estimate_frame_bounds(system, grid_n)
+        else:
+            rep = estimate_frame_bounds(system, grid_n)
+            assert 0.0 <= rep.A_est <= rep.B_est
 
     @pytest.mark.parametrize("freq", [
         CosineFreqMeasure((2.0,)), ContinuousFreqMeasure(atoms=(((0.0,), 1.0),))],

@@ -1,6 +1,7 @@
 """Box-union geometry: canonical form, measures, overlaps, lattice packing."""
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -585,8 +586,20 @@ class TestLattice:
         pts = Lattice.scaled_integers(1.0).points_in_box(Box((-2.5,), (2.5,)))
         assert pts.ravel().tolist() == [-2, -1, 0, 1, 2]
 
+    def test_matrix_and_covolume_are_stored_read_only(self):
+        g = Lattice(((2.0, 1.0), (0.0, 3.0)))
+        assert g.matrix is g.matrix and g.matrix.tolist() == [[2.0, 1.0], [0.0, 3.0]]
+        assert g.covolume == float(abs(np.linalg.det(np.array(g.basis))))
+        with pytest.raises(ValueError, match="read-only"):
+            g.matrix[0, 0] = 5.0
+        # the stored values take no part in equality, hashing or the repr
+        same = Lattice(((2, 1), (0, 3)))
+        assert same == g and hash(same) == hash(g)
+        assert repr(g) == "Lattice(basis=((2.0, 1.0), (0.0, 3.0)))"
+
 
 def box_oracle(box, p):
+    """The definition: lo_a <= x_a < hi_a on every axis, in Python floats."""
     return all(a <= x < b for a, x, b in zip(box.lo, p, box.hi))
 
 
@@ -594,6 +607,13 @@ class TestPointInBox:
     def test_cartesian_is_c_order(self):
         assert cartesian([[0.0, 1.0], [5.0, 6.0, 7.0]]).tolist() == [
             [0.0, 5.0], [0.0, 6.0], [0.0, 7.0], [1.0, 5.0], [1.0, 6.0], [1.0, 7.0]]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cartesian_returns_a_fresh_array(self, d):
+        axes = [np.array([0.0, 1.0]) for _ in range(d)]
+        out = cartesian(axes)
+        out[:] = 9.0
+        assert [a.tolist() for a in axes] == [[0.0, 1.0]] * d
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -609,12 +629,14 @@ class TestPointInBox:
             boxes.append(Box(tuple(lo), tuple(a + s / 2.0 for a, s in zip(lo, sides))))
         omega = canonicalize(boxes)
         points = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=20))
+        # every corner of every box: a point on a lower face, an upper face or both
+        points += [p for b in boxes for p in itertools.product(*zip(b.lo, b.hi))]
         pts = np.array(points)
         for box in boxes:
             mask = box.contains(pts)
             assert mask.shape == (len(points),)
-            assert mask.tolist() == [box.contains(p) for p in points]
             assert mask.tolist() == [box_oracle(box, p) for p in points]
+            assert mask.tolist() == [box.contains(p) for p in points]
         mask = omega.contains(pts)
         assert mask.tolist() == [omega.contains(p) for p in points]
         assert mask.tolist() == [any(box_oracle(b, p) for b in boxes) for p in points]
@@ -624,6 +646,12 @@ class TestPointInBox:
         assert box.contains(0.0) is True and box.contains((1.0,)) is False
         omega = BoxUnionSet.from_intervals([(0, 1), (2, 3)])
         assert omega.contains(2.5) is True and omega.contains((1.5,)) is False
+
+    def test_points_of_another_dimension_are_refused(self):
+        with pytest.raises(InputError, match="points of dimension 2 in a box of dimension 1"):
+            Box((0.0,), (1.0,)).contains((0.5, 2.0))
+        with pytest.raises(InputError, match="points of dimension 3 in a box of dimension 2"):
+            Box((0.0, 0.0), (1.0, 1.0)).contains(np.zeros((4, 3)))
 
 
 class TestCantorTower:
