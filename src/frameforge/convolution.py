@@ -66,6 +66,7 @@ def _exact_extremes(pairs: Sequence[tuple[WeightedComb, GridFunction]],
     edges.  On every cell of the product of all cuts S is therefore
     multilinear, so its extremes are corner limits: S is sampled at the 1/4
     and 3/4 points of each axis, off every jump, and extrapolated linearly.
+    Every cut is kept; a cell too narrow to hold both strictly inside is dropped.
     """
     cuts = [[np.array([lo])] for lo in eval_box.lo]
     for comb, h in pairs:
@@ -77,9 +78,11 @@ def _exact_extremes(pairs: Sequence[tuple[WeightedComb, GridFunction]],
     for axis_cuts, lo, hi in zip(cuts, eval_box.lo, eval_box.hi):
         c = np.unique(np.concatenate(axis_cuts))
         c = c[(c >= lo) & (c < hi)]
-        c = c[np.diff(c, prepend=-np.inf) > TOL_FLOOR * (hi - lo)]
-        width = np.diff(np.append(c, hi))
-        axes.append(np.stack([c + 0.25 * width, c + 0.75 * width], axis=1).ravel())
+        ends = np.append(c[1:], hi)
+        q1, q3 = c + 0.25 * (ends - c), c + 0.75 * (ends - c)
+        keep = (c < q1) & (q1 < q3) & (q3 < ends)
+        keep[np.argmax(ends - c)] = True  # a box a few ulps wide keeps its widest cell
+        axes.append(np.stack([q1[keep], q3[keep]], axis=1).ravel())
     pts = cartesian(axes)
     vals = sum(_convolve_at(comb, h, eval_box, pts) for comb, h in pairs)
     vals = vals.reshape([m for a in axes for m in (len(a) // 2, 2)])

@@ -196,8 +196,9 @@ def aligned_grid(omega: BoxUnionSet, shift: Sequence[float],
     sides = (top - g).tolist()
     unit = math.lcm(*(s // math.gcd(f, s) for row in np.vstack([lo - g, hi - g, x]).tolist()
                       for f, s in zip(row, sides)))
-    first, last = (grid_n, grid_n) if grid_n is not None else (
-        math.ceil(256 ** (1 / d) - 1e-9), int(65536 ** (1 / d) + 1e-9))
+    first, last = (grid_n, grid_n) if grid_n is not None else (  # decided in integers
+        next(n for n in range(int(256 ** (1 / d)), 257) if n ** d >= 256),
+        next(n for n in range(int(65536 ** (1 / d)) + 1, 0, -1) if n ** d <= 65536))
     if (n := max(1, -(-first // unit)) * unit) <= last:
         return n
     tried = f"{first}" if first == last else f"{first} to {last}"
@@ -282,21 +283,20 @@ def _lattice_cosets(freq: FreqSpec, steps: np.ndarray, box: Box) -> Optional[tup
     period P_a = 1 / (s_a d_a) cells; when P_a is an integer and each coset
     fills whole periods of the box, its exponential sum over a cell
     difference k is its count times e^{2 pi i <o, k step>} when k = 0 mod P
-    and zero otherwise."""
+    and zero otherwise: when its distinct lattice coordinates do on each axis."""
     spacing = _diagonal_spacing(freq, len(steps))
     if spacing is None:
         return None
     periods, whole = nearest_whole(1.0 / (spacing * steps))
     if np.any(periods < 1) or not whole.all():
         return None
-    counts = []
+    counts, lattice = [], freq.lattice
     for o in freq.offsets:
-        lam = LatticeCosets(freq.lattice, (o,)).points_in_box(box)
-        per_axis = [len(np.unique(nearest_whole((lam[:, a] - o[a]) / spacing[a])[0]))
-                    for a in range(freq.dim)]
-        if any(c % p for c, p in zip(per_axis, periods)):
+        n = lattice.coordinates(box, o)
+        n = n[box.contains(n @ lattice.matrix.T + o)]
+        if any(len(np.unique(c)) % p for c, p in zip(n.T, periods)):
             return None
-        counts.append(float(len(lam)))
+        counts.append(float(len(n)))
     return np.array(freq.offsets, dtype=float), np.array(counts), periods
 
 
@@ -325,8 +325,8 @@ def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
                                  f"with period {'x'.join(map(str, part[2]))} cells")
                 parts.append(part if isinstance(part, tuple) else (part, ones))
         else:
-            lam = freq.points_in_box(box)
-            parts = [_lattice_cosets(freq, steps, box) or (lam, np.ones(len(lam)), ones)]
+            parts = [_lattice_cosets(freq, steps, box)
+                     or ((lam := freq.points_in_box(box)), np.ones(len(lam)), ones)]
         parts = [part for part in parts if np.any(part[-2])]  # weights, or the kernel
         if not parts:
             notes.append(f"pair '{window.label}': no frequencies inside the truncation box; "
@@ -500,16 +500,18 @@ def _extremal_eigs_iterative(kernels: list, idx: np.ndarray, n: int) -> tuple[fl
     return max(shift - top, 0.0), b_val
 
 
-def _common_period(duals: np.ndarray, step: float) -> Optional[float]:
-    """finest / m for the least m >= 1 making every dual spacing a whole
-    multiple of it (``nearest_whole``), or None when that falls below ``step`` or
-    m exceeds DENSE_EIG_LIMIT, as the fiber factor would have m columns."""
+def _common_period(duals: np.ndarray, step: float) -> Optional[tuple[float, np.ndarray]]:
+    """(finest / m, every dual spacing's whole multiple of it) for the least
+    m >= 1 that has them (``nearest_whole``), or None when finest / m falls
+    below ``step`` or m exceeds DENSE_EIG_LIMIT, as V would have m columns."""
     finest = duals.min()
     top = min(int(finest / step * (1.0 + 1e-9)), DENSE_EIG_LIMIT)
-    if top and nearest_whole(duals / finest)[1].all():
-        return finest
-    whole = nearest_whole(duals[:, None] * np.arange(1, top + 1) / finest)[1].all(axis=0)
-    return finest / (whole.argmax() + 1) if whole.any() else None
+    q, whole = nearest_whole(duals / finest)
+    if top and whole.all():
+        return finest, q
+    q, whole = nearest_whole(duals[:, None] * np.arange(1, top + 1) / finest)
+    m = np.flatnonzero(whole.all(axis=0))
+    return (finest / (m[0] + 1), q[:, m[0]]) if len(m) else None
 
 
 def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
@@ -528,9 +530,9 @@ def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
     if any(s is None for s in spacing):
         return None
     duals, steps = 1.0 / np.array(spacing), np.array(grid_box.sides) / grid_n
-    period = np.array([_common_period(v, h) for v, h in zip(duals.T, steps)], dtype=float)
-    if np.isnan(period).any():
+    if None in (found := [_common_period(v, h) for v, h in zip(duals.T, steps)]):
         return None
+    period, multiples = np.array([t for t, _ in found]), np.array([q for _, q in found]).T
     n, whole = nearest_whole(period / steps)
     cells = np.where(whole, n, period / steps)
     samples = cartesian([np.arange(grid_n)[np.arange(grid_n) + 0.5 < c] + 0.5 for c in cells])
@@ -545,7 +547,7 @@ def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
     sizes, pts = inside[:, 0] if len(turns) == 1 else inside.sum(axis=1), pts[inside]
     terms = [(w.eval(pts), np.array(f.offsets, dtype=float),
               np.full(len(f.offsets), 1.0 / f.lattice.covolume), q)
-             for (w, f), q in zip(system.pairs, nearest_whole(duals / period)[0])]
+             for (w, f), q in zip(system.pairs, multiples)]
     kept, r = np.count_nonzero(sizes), sum(len(w) * np.prod(q) for *_, w, q in terms)
     if sizes.max() == 1:  # painless: each column's v conj(v), once per coset offset
         g, arithmetic = 0.0, ""

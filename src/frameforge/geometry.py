@@ -7,6 +7,8 @@ domain on positive measure is decided in integers on the decimals as written
 (``exact_reading``, ``meets``); measures stay floats.
 ``nearest_whole`` decides, for the whole package, whether a float is a
 whole number (a whole multiple, a lattice coordinate) under one relative rule.
+``Lattice`` is the home of lattice coordinates: the one inverse of a basis, and
+the whole-number coordinates from which every enumeration keeps a point by ``Box.contains``.
 Points are (m, d) arrays, m long and d short.  A hot test over points runs
 one coordinate column at a time and reduces along m: in NumPy a reduction
 across the short axis costs 10-50 times the same one along the long axis.
@@ -384,6 +386,7 @@ class Lattice:
 
     basis: tuple[tuple[float, ...], ...]
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
     covolume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -395,8 +398,9 @@ class Lattice:
         det = np.linalg.det(mat)
         if abs(det) < 1e-300:
             raise InputError("lattice basis is singular")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        for name, value in (("matrix", mat), ("inverse", np.linalg.inv(mat))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "covolume", float(abs(det)))
 
     @staticmethod
@@ -410,23 +414,26 @@ class Lattice:
 
     def same_group(self, other: "Lattice") -> bool:
         """Whether both bases generate one group: B^-1 B' is integral and unimodular."""
-        n, whole = nearest_whole(np.linalg.solve(self.matrix, other.matrix))
+        n, whole = nearest_whole(self.inverse @ other.matrix)
         return bool(whole.all() and nearest_whole(abs(np.linalg.det(n)))[0] == 1)
 
     def dual(self) -> "Lattice":
-        inv_t = np.linalg.inv(self.matrix).T
-        return Lattice(tuple(tuple(row) for row in inv_t))
+        return Lattice(tuple(tuple(row) for row in self.inverse.T))
 
-    def points_in_box(self, box: Box) -> np.ndarray:
-        """All lattice points in the half-open box, shape (n, dim)."""
+    def coordinates(self, box: Box, offset: Sequence[float] | float = 0.0) -> np.ndarray:
+        """Every whole-number row n whose point n B^T + offset can lie in the
+        box: the range of the box's corners in lattice coordinates, padded by
+        one basis step so that no rounding drops one, as an (m, dim) array."""
         if box.dim != self.dim:
             raise InputError(f"box dimension {box.dim} != lattice dimension {self.dim}")
-        mat = self.matrix
-        inv = np.linalg.inv(mat)
-        pre = cartesian(zip(box.lo, box.hi)) @ inv.T
-        n_lo = np.floor(pre.min(axis=0) - 1e-9).astype(int)
-        n_hi = np.ceil(pre.max(axis=0) + 1e-9).astype(int)
-        pts = cartesian([np.arange(a, b + 1) for a, b in zip(n_lo, n_hi)]) @ mat.T
+        pre = (cartesian(zip(box.lo, box.hi)) - np.asarray(offset)) @ self.inverse.T
+        return cartesian([np.arange(math.floor(a) - 1, math.ceil(b) + 2)
+                          for a, b in zip(pre.min(axis=0), pre.max(axis=0))])
+
+    def points_in_box(self, box: Box, offsets: Sequence[Vec | float] = (-0.0,)) -> np.ndarray:
+        """The points of the cosets through ``offsets`` (by default the lattice: adding -0.0
+        changes no bit) in the half-open box, kept by ``Box.contains`` alone, sorted."""
+        pts = np.vstack([self.coordinates(box, o) @ self.matrix.T + o for o in offsets])
         pts = pts[box.contains(pts)]
         return pts[np.lexsort(pts[:, ::-1].T)]
 
@@ -456,10 +463,8 @@ def lattice_residue_check(omega: BoxUnionSet, lattice: Lattice) -> ResidueVerdic
     if lattice.dim != omega.dim:
         raise InputError(f"lattice dimension {lattice.dim} != set dimension {omega.dim}")
     lo, hi, gens, k = exact_reading(omega, np.transpose(lattice.basis))
-    pre = cartesian([(-s, s) for s in omega.bounding_box().sides])
-    pre = pre @ np.linalg.inv(lattice.matrix).T
-    n = cartesian([np.arange(math.floor(a) - 1, math.ceil(b) + 2)
-                   for a, b in zip(pre.min(axis=0), pre.max(axis=0))])
+    sides = omega.bounding_box().sides
+    n = lattice.coordinates(Box(tuple(-s for s in sides), sides))
     held, deltas = _meeting(lo, hi, n, gens)
     hits = deltas[held & np.any(n != 0, axis=1)]
     if not len(hits):

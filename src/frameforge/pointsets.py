@@ -87,7 +87,7 @@ class LatticeCosets(StructuredPointSet):
         if not offs:
             raise InputError("lattice_cosets needs at least one offset")
         # offsets must be distinct modulo the lattice: no difference is a lattice vector
-        reduced = np.array(offs) @ np.linalg.inv(self.lattice.matrix).T % 1.0
+        reduced = np.array(offs) @ self.lattice.inverse.T % 1.0
         same = np.triu(nearest_whole(reduced[:, None] - reduced)[1].all(axis=2), 1)
         for i, j in np.argwhere(same)[:1]:
             raise InputError(f"offsets {offs[i]} and {offs[j]} coincide mod lattice")
@@ -97,16 +97,7 @@ class LatticeCosets(StructuredPointSet):
         return self.lattice.dim
 
     def points_in_box(self, box: Box) -> np.ndarray:
-        # each coset is enumerated over the shifted box widened past the
-        # rounding of lo - o; membership is decided on the points p + o
-        parts = []
-        for o in self.offsets:
-            e = 1e-9 * (1.0 + max(map(abs, box.lo + box.hi + o)))
-            wide = Box(tuple(a - v - e for a, v in zip(box.lo, o)),
-                       tuple(b - v + e for b, v in zip(box.hi, o)))
-            parts.append(self.lattice.points_in_box(wide) + o)
-        pts = np.vstack(parts)
-        return _lexsort(pts[box.contains(pts)])
+        return self.lattice.points_in_box(box, self.offsets)
 
     def tail_densities(self) -> tuple[float, float]:
         rho = len(self.offsets) / self.lattice.covolume
@@ -123,7 +114,7 @@ class LatticeCosets(StructuredPointSet):
 
     def repeats_along(self, axis: int, t: float) -> bool:
         # t e_a is a lattice vector exactly when its lattice coordinates are whole
-        return bool(nearest_whole(t * np.linalg.inv(self.lattice.matrix)[:, axis])[1].all())
+        return bool(nearest_whole(t * self.lattice.inverse[:, axis])[1].all())
 
 
 @dataclass(frozen=True)
@@ -178,10 +169,9 @@ class EventuallyPeriodic1D(StructuredPointSet):
         parts = [np.array(self.core, dtype=float)]
         tails = self._tails()
         for k, (s, p, e) in enumerate(tails):
-            # the indices n >= 0 of the points s + e p n between lo and hi;
-            # a point an earlier tail reaches too is reported once
+            # n from floor(a) to ceil(b), kept by the box test; shared points count once
             a, b = sorted(((lo - s) / (e * p), (hi - s) / (e * p)))
-            n = np.arange(max(0, math.ceil(a - 1e-12)), math.floor(b + 1e-12) + 1)
+            n = np.arange(max(0, math.floor(a)), math.ceil(b) + 1)
             pts = s + (e * p) * n
             parts.append(pts[~self._in_tail(pts, tails[:k])] if k else pts)
         pts = np.concatenate(parts).reshape(-1, 1)

@@ -252,6 +252,22 @@ class TestDensityConvolutionBracket:
         assert rep.tol < 1e-9
         assert rep.upper_holds and rep.lower_holds
 
+    @pytest.mark.parametrize("excess", [1e-9, 1e-13, 1e-15])
+    def test_a_sliver_of_overlap_is_read(self, excess):
+        # translates of [0, 1 + excess) overlap on [n + 1, n + 1 + excess),
+        # where S = 2, however narrow that cell of the cuts is
+        chi = GridFunction.indicator(Box((0.0,), (1.0 + excess,)), 256)
+        rep = check_density_convolution_bracket(
+            [(WeightedComb.single(integers()), chi)], Box((0.0,), (4.0,)), 64)
+        assert (rep.inf_sum, rep.sup_sum) == (1.0, 2.0)
+
+    def test_a_box_two_ulps_wide_keeps_its_widest_cell(self):
+        # no cell of [0.5, 0.5 + 2 ulps) holds two quarter points strictly inside
+        chi = GridFunction.indicator(Box((0.0,), (1.0,)), 256)
+        rep = check_density_convolution_bracket(
+            [(WeightedComb.single(integers()), chi)], Box((0.5,), (0.5 + 2.3e-16,)), 4)
+        assert (rep.inf_sum, rep.sup_sum) == (1.0, 1.0)
+
     def test_extremes_are_limits_of_the_interpolant(self):
         # h interpolates x on [0, 1) from 4 cell centres: it is held at 1/8
         # below the first centre and at 7/8 above the last, so S ranges over

@@ -782,6 +782,35 @@ class TestRouting:
         if "rank at most" in note:
             assert rep.A_est == 0.0
 
+    def test_whole_period_cosets_are_counted_without_their_points(self, monkeypatch):
+        # the closed blocks take each coset's count from its lattice
+        # coordinates; the points themselves are enumerated only for a box
+        # that holds no whole number of periods, and then once
+        calls = []
+        enumerate_points = LatticeCosets.points_in_box
+        monkeypatch.setattr(LatticeCosets, "points_in_box",
+                            lambda s, box: calls.append(box) or enumerate_points(s, box))
+        system = WindowedSystem(UNIT, ((self.RAMP, LatticeCosets(Lattice.scaled_integers(1.0),
+                                                                 ((0.0,), (0.5,)))),))
+        whole = estimate_frame_bounds(system, 64, nyquist_box(UNIT.bounding_box(), 64))
+        assert "blocks" in whole.notes and calls == []
+        estimate_frame_bounds(system, 64, Box((-20.0,), (20.0,)))
+        assert len(calls) == 1
+
+
+class TestAlignedGrid:
+    CUBE = {d: canonicalize([Box((0.0,) * d, (1.0,) * d)]) for d in range(1, 5)}
+
+    @pytest.mark.parametrize("d, first, last", [(1, 256, 65536), (2, 16, 256), (3, 7, 40),
+                                                (4, 4, 16)])
+    def test_the_default_grids_are_the_whole_roots(self, d, first, last):
+        # the least n with n^d >= 256 and the largest with n^d <= 65536,
+        # exact at d = 4, where 256 and 65536 are fourth powers
+        assert framebounds.aligned_grid(self.CUBE[d], (0.0,) * d) == first
+        assert framebounds.aligned_grid(self.CUBE[d], (1.0 / last,) * d) == last
+        with pytest.raises(InputError, match=f"no grid of {first} to {last} cells"):
+            framebounds.aligned_grid(self.CUBE[d], (1.0 / (2 * last),) * d)
+
 
 class TestSilentPairs:
     SILENT = "pair 'x^1.0': no frequencies inside the truncation box; it contributes nothing"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from strategies import decimal_packings, decimal_unions, decimals
+from strategies import decimal_bases, decimal_packings, decimal_unions, decimals
 
 from frameforge import geometry
 from frameforge.errors import InputError
@@ -596,6 +596,75 @@ class TestLattice:
         same = Lattice(((2, 1), (0, 3)))
         assert same == g and hash(same) == hash(g)
         assert repr(g) == "Lattice(basis=((2.0, 1.0), (0.0, 3.0)))"
+
+    def test_inverse_is_stored_read_only(self):
+        g = Lattice(((2.0, 1.0), (0.0, 4.0)))
+        assert g.inverse is g.inverse and g.inverse.tolist() == [[0.5, -0.125], [0.0, 0.25]]
+        with pytest.raises(ValueError, match="read-only"):
+            g.inverse[0, 0] = 5.0
+        assert g.dual().matrix.tolist() == g.inverse.T.tolist()
+
+
+def walked_points(lattice, box, offsets, margin=4):
+    """The enumeration's definition: every point n B^T + o, n whole, with
+    lo <= p < hi, walked over the coefficients within ``margin`` of the box
+    on every axis, bounded back to front from an upper-triangular basis."""
+    basis, d, parts = lattice.basis, lattice.dim, []
+    for o in offsets:
+        ranges = [None] * d
+        for a in reversed(range(d)):
+            tail = [sorted(basis[a][j] * ranges[j][[0, -1]]) for j in range(a + 1, d)]
+            least, most = sum(t[0] for t in tail), sum(t[1] for t in tail)
+            ends = [(f - o[a] - r) / basis[a][a] for f in (box.lo[a], box.hi[a])
+                    for r in (least, most)]
+            ranges[a] = np.arange(math.floor(min(ends)) - margin, math.ceil(max(ends)) + margin + 1)
+        parts.append(cartesian(ranges) @ lattice.matrix.T + o)
+    pts = np.vstack(parts)
+    pts = pts[[box_oracle(box, p) for p in pts.tolist()]]
+    return pts[np.lexsort(pts[:, ::-1].T)]
+
+
+@st.composite
+def enumerations(draw):
+    """A ``decimal_bases`` lattice, a box of decimal faces in [-3, 3] (or
+    with faces on lattice points) and one to three decimal offsets, or None."""
+    d = draw(st.integers(1, 2))
+    lattice = draw(decimal_bases(d))
+    if draw(st.booleans()):
+        n = draw(st.lists(st.integers(-8, 8), min_size=d, max_size=d))
+        m = [v + draw(st.integers(1, 6)) for v in n]
+        lo, hi = lattice.matrix @ n, lattice.matrix @ m
+        if np.any(lo == hi):
+            lo = lo - 0.5
+    else:
+        lo = np.array([draw(decimals(-3, 2)) for _ in range(d)])
+        hi = lo + np.array([draw(decimals(0.001, 1)) for _ in range(d)])
+    box = Box(tuple(np.minimum(lo, hi).tolist()), tuple(np.maximum(lo, hi).tolist()))
+    offsets = draw(st.none() | st.lists(st.tuples(*[decimals(-1, 1)] * d), min_size=1,
+                                        max_size=3).map(tuple))
+    return lattice, box, offsets
+
+
+class TestEnumerationOracle:
+    """``Lattice.points_in_box`` keeps exactly the points n B^T + o that
+    ``Box.contains`` holds: the integer walk ``walked_points`` decides."""
+
+    @given(enumerations())
+    @example((Lattice.scaled_integers(0.1), Box((0.30000000000000004,), (0.7000000000000001,)),
+              None))
+    @example((Lattice(((0.1, 0.7), (0.0, 0.3))), Box((0.8, 0.3), (1.6, 0.8999999999999999)),
+              ((0.0, 0.0),)))
+    @example((Lattice.scaled_integers(1.0), Box((1000.3,), (1003.3,)), ((1000.3,),)))
+    @example((Lattice.scaled_integers(1.0), Box((997.3,), (1000.3,)), ((1000.3,), (0.5,))))
+    # past 2^53 the float n + o of n = -1 rounds onto the face: only the
+    # one-step pad keeps it
+    @example((Lattice.scaled_integers(1.0), Box((1e16,), (1e16 + 4,)), ((1e16,),)))
+    @settings(max_examples=120, deadline=None)
+    def test_points_in_box_match_the_integer_walk(self, case):
+        lattice, box, offsets = case
+        got = lattice.points_in_box(box) if offsets is None else lattice.points_in_box(box, offsets)
+        walked = walked_points(lattice, box, offsets or ((0.0,) * lattice.dim,))
+        assert got.tolist() == walked.tolist()
 
 
 def box_oracle(box, p):

@@ -362,13 +362,15 @@ def test_number_conversion_checker(tmp_path):
         "serialization.py:5 defines as_vec", "serialization.py:7 load_domain calls float"]
 
 
-def calls_of(name, paths):
+def calls_of(name, paths, attributes_only=False):
     """Every call of a function or method named ``name`` in these files, with
-    the qualified name of the innermost class or function around it."""
+    the qualified name of the innermost class or function around it; with
+    ``attributes_only``, only the calls of an attribute (``x.name(...)``)."""
     def visit(node, path, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call) and name in (getattr(child.func, "attr", None),
-                                                       getattr(child.func, "id", None)):
+                                                       getattr(child.func, "id", None)
+                                                       if not attributes_only else None):
                 yield f"{path.name}:{child.lineno} in {where or '<module>'}"
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, path, f"{where}.{child.name}".lstrip("."))
@@ -462,6 +464,36 @@ def test_rounding_checker(tmp_path):
                      "y = np.around(2.5)\nz = np.round\nw = x.rounded(1)\n")
     assert roundings([probe]) == ["probe.py in <module>", "probe.py in Lattice.same_group",
                                   "probe.py in Lattice.same_group", "probe.py in nearest_whole"]
+
+
+INVERSIONS = ("inv", "solve", "pinv")
+
+
+def inversions(paths):
+    """Every call of an attribute inv, solve or pinv (``np.linalg.inv``,
+    ``linalg.solve``) in these files, as ``calls_of`` names it, without the
+    line number; a local function of that name is not a matrix inversion."""
+    return sorted(re.sub(r":\d+", "", hit) for name in INVERSIONS
+                  for hit in calls_of(name, paths, attributes_only=True))
+
+
+def test_lattice_coordinates_have_one_home():
+    # geometry.Lattice inverts its basis once and turns boxes into
+    # whole-number coordinates; every other reader takes its ``inverse``
+    assert inversions(sorted(SRC.glob("*.py"))) == ["geometry.py in Lattice.__post_init__"]
+
+
+def test_inversion_checker(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nfrom scipy import linalg\n\n"
+                     "class Lattice:\n    def __post_init__(self):\n"
+                     "        self.inverse = np.linalg.inv(self.matrix)\n\n"
+                     "class Cosets:\n    def repeats_along(self, t):\n"
+                     "        return np.linalg.solve(self.matrix, t)\n\n"
+                     "def fit(a, b):\n    def solve(x):\n        return x\n"
+                     "    return solve(linalg.pinv(a) @ b), np.linalg.inv\n")
+    assert inversions([probe]) == ["probe.py in Cosets.repeats_along",
+                                   "probe.py in Lattice.__post_init__", "probe.py in fit"]
 
 
 def weight_builders(paths):

@@ -143,6 +143,23 @@ class TestEnumeration:
                                  left_period=0.7071, left_start=1e6)
         assert len(s.points_in_box(Box((5e5,), (5e5 + 10.0,)))) == 10012
 
+    @given(decimals(0.05, 2), decimals(-3, 3), st.integers(1000, 10 ** 6), st.integers(1, 8),
+           st.sampled_from([1, -1]))
+    @example(0.1, 0.0, 99999, 3, 1)  # lo / 0.1 reads 99999 + 1.5e-12: a ceil dropped the point
+    @example(0.3, 0.1, 10 ** 6, 3, -1)
+    @settings(max_examples=100, deadline=None)
+    def test_faces_on_tail_points_far_out(self, p, start, n, k, e):
+        # the box's faces are the tail's own points n and n + k far out, where
+        # no other tail reaches; the tail's points are s + e p m as it
+        # computes them, so the box test alone decides, and the face n is in
+        tails = {"right_period": p, "right_start": start, "left_period": p, "left_start": start}
+        s = EventuallyPeriodic1D(**tails)
+        faces = sorted((start + (e * p) * n, start + (e * p) * (n + k)))
+        walked = sorted(x for m in range(n - 20, n + k + 20)
+                        if faces[0] <= (x := start + (e * p) * m) < faces[1])
+        assert s.points_in_box(Box((faces[0],), (faces[1],))).ravel().tolist() == walked
+        assert len(walked) == k
+
     def test_a_core_point_far_out_is_not_read_onto_the_tail(self):
         s = EventuallyPeriodic1D(right_period=1.0, core=(1e6 + 1e-4,))
         pts = s.points_in_box(Box((1e6 - 0.5,), (1e6 + 0.5,))).ravel()
