@@ -4,13 +4,16 @@ The model space is the grid over the domain's bounding box with exact
 per-cell domain weights.  The analysis map sends a grid function to its
 inner products against windowed exponentials; frame bounds are the extreme
 eigenvalues of the (weighted) frame operator.  Frequencies enter the
-operator only through the difference x - y of two cells.  Each discrete
-part of a pair's frequencies is one triple (points, weights, period in
-cells) that acts only at the cell-index differences that are multiples of
-its period; any other measure enters as its Toeplitz kernel.  A grid
-whose Nyquist band matches the frequency truncation reproduces tight
-continuous systems exactly; that band is the default truncation, save for
-the lattice cosets kept untruncated on the continuum's Ron-Shen fibers.
+operator only through the difference x - y of two cells.  A point set
+enters as its normal form, lattice cosets plus finite points weighing +1
+or -1, so equal sets take one path however they are written.  Each
+discrete part of a pair's frequencies is one triple (points, weights,
+period in cells) that acts only at the cell-index differences that are
+multiples of its period; any other measure enters as its Toeplitz
+kernel.  A grid whose Nyquist band matches the frequency truncation
+reproduces tight continuous systems exactly; that band is the default
+truncation, save for the lattice cosets kept untruncated on the
+continuum's Ron-Shen fibers.
 Where each such fiber is one point (the painless case), the bounds are the
 extremes of sum_j covol(L_j)^-1 |offsets_j| |g_j|^2 over the samples.
 """
@@ -269,35 +272,36 @@ def _difference_kernel(freqs: np.ndarray, weights: np.ndarray, period: np.ndarra
     return kernel.real.copy() if _mirrors(freqs, weights) else kernel
 
 
-def _diagonal_spacing(freq: FreqSpec, d: int) -> Optional[np.ndarray]:
-    """Per-axis spacings of the cosets of a diagonal d-dim lattice, or None."""
-    basis = freq.lattice.basis if isinstance(freq, LatticeCosets) and freq.dim == d else ()
+def _diagonal_spacing(cosets: Optional[LatticeCosets]) -> Optional[np.ndarray]:
+    """Per-axis spacings of cosets of a diagonal lattice, or None."""
+    basis = cosets.lattice.basis if cosets else ()
     if not basis or any(v for i, row in enumerate(basis) for j, v in enumerate(row) if i != j):
         return None
     return np.abs([row[a] for a, row in enumerate(basis)])
 
 
-def _lattice_cosets(freq: FreqSpec, steps: np.ndarray, box: Box) -> Optional[tuple]:
-    """The triple (offsets, counts in ``box``, period in cells) of the cosets
-    of a diagonal lattice, or None.  Spacing s_a on grid step d_a makes the
-    period P_a = 1 / (s_a d_a) cells; when P_a is an integer and each coset
-    fills whole periods of the box, its exponential sum over a cell
-    difference k is its count times e^{2 pi i <o, k step>} when k = 0 mod P
-    and zero otherwise: when its distinct lattice coordinates do on each axis."""
-    spacing = _diagonal_spacing(freq, len(steps))
+def _lattice_cosets(cosets, steps: np.ndarray, box: Box) -> Optional[tuple]:
+    """The triple (offsets, counts in ``box``, period in cells) of ``cosets``
+    of a diagonal lattice, or None (also for None).  Spacing s_a on grid
+    step d_a makes the period P_a = 1 / (s_a d_a) cells; when P_a is an
+    integer and each coset fills whole periods of the box, its exponential
+    sum over a cell difference k is its count times e^{2 pi i <o, k step>}
+    when k = 0 mod P and zero otherwise: when its distinct lattice
+    coordinates do on each axis."""
+    spacing = _diagonal_spacing(cosets)
     if spacing is None:
         return None
     periods, whole = nearest_whole(1.0 / (spacing * steps))
     if np.any(periods < 1) or not whole.all():
         return None
-    counts, lattice = [], freq.lattice
-    for o in freq.offsets:
+    counts, lattice = [], cosets.lattice
+    for o in cosets.offsets:
         n = lattice.coordinates(box, o)
         n = n[box.contains(n @ lattice.matrix.T + o)]
         if any(len(np.unique(c)) % p for c, p in zip(n.T, periods)):
             return None
         counts.append(float(len(n)))
-    return np.array(freq.offsets, dtype=float), np.array(counts), periods
+    return np.array(cosets.offsets, dtype=float), np.array(counts), periods
 
 
 def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
@@ -305,12 +309,14 @@ def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
     """(u, part) per part of each pair's frequencies, u = g sqrt(w) over the
     active cells.  A discrete part is the triple (points, weights, period in
     cells) whose frame operator is u(x) conj(u(y)) times ``_difference_kernel``
-    at the index difference of x and y: whole-period lattice cosets
-    (``_lattice_cosets``) and a constant density (``_density_part``) with
-    their periods, and with period 1 a point set's points in ``box`` and a
-    measure's atoms.  Any other part is the pair (kernel array, period): the
-    cosine measure's (``_cosine_part``), and any other density's with period
-    1.  A part of no weight is dropped, and a pair left with no part is named."""
+    at the index difference of x and y: a point set's ``normal_form`` as its
+    whole-period lattice cosets (``_lattice_cosets``) with their period and
+    its signed finite points in ``box`` with period 1, else its own points
+    in ``box`` weighing 1 with period 1; a constant density
+    (``_density_part``) with its period; and a measure's atoms with period
+    1.  Any other part is the pair (kernel array, period): the cosine
+    measure's (``_cosine_part``), and any other density's with period 1.  A
+    part of no weight is dropped, and a pair left with no part is named."""
     terms, notes, ones = [], [], np.ones(len(steps), dtype=int)
     for window, freq in system.pairs:
         if isinstance(freq, CosineFreqMeasure):
@@ -324,9 +330,13 @@ def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
                     notes.append(f"pair '{window.label}': constant density in closed form "
                                  f"with period {'x'.join(map(str, part[2]))} cells")
                 parts.append(part if isinstance(part, tuple) else (part, ones))
+        elif (lattice := _lattice_cosets((form := freq.normal_form()) and form.cosets,
+                                         steps, box)) is None:  # the set's own points
+            parts = [((lam := freq.points_in_box(box)), np.ones(len(lam)), ones)]
         else:
-            parts = [_lattice_cosets(freq, steps, box)
-                     or ((lam := freq.points_in_box(box)), np.ones(len(lam)), ones)]
+            finite = np.array(form.finite, dtype=float).reshape(-1, len(steps))
+            inside = box.contains(finite)
+            parts = [lattice, (finite[inside], np.array(form.signs)[inside], ones)]
         parts = [part for part in parts if np.any(part[-2])]  # weights, or the kernel
         if not parts:
             notes.append(f"pair '{window.label}': no frequencies inside the truncation box; "
@@ -345,7 +355,7 @@ def _fiber_factor(terms: list, turn: np.ndarray, xs: np.ndarray) -> np.ndarray:
     rows, columns = np.arange(len(turn)), []
     for u, points, weights, q in terms:
         col = np.ravel_multi_index((turn % q).T, q)
-        for o, w in zip(points, np.sqrt(weights)):
+        for o, w in zip(points, np.sqrt(np.abs(weights))):
             v = np.zeros((len(turn), int(np.prod(q))), dtype=complex)
             v[rows, col] = w * np.exp(2j * np.pi * (xs @ o)) * u
             columns.append(v)
@@ -401,16 +411,18 @@ def _extremal_eigs_blocks(order: np.ndarray, sizes: np.ndarray, V: Optional[np.n
 
 def _rank_update_bounds(parts: list, idx: np.ndarray, xs: np.ndarray, steps: np.ndarray,
                         n: int) -> Optional[tuple[float, float, str]]:
-    """A, B and the note of H = H_d + V V*: V a column sqrt(w) e^{2 pi i
-    <lam, x>} u(x) per point of the parts (u, points, weights, period) of
-    period 1, R in all, and H_d the blocks of the other parts (0, each cell
-    alone, without them).  None without such a point, or when the blocks'
-    solves and ~2 x 60 shifts of n R^2 each (all bisection, the worst case)
-    cost more than one dense block.  With H_d = Q diag(lam) Q* and W = Q* V,
-    #{lam < t} - #{eigenvalues of I + W* (lam - t)^-1 W <= 0} of H's
-    eigenvalues lie below t (Sylvester).  A lies in [lam_1, lam_(R+1)], B in
-    [lam_max, lam_max + |V|_F^2]; the counts close each bracket to 4 ulps of
-    the top around secular Newton shifts, or midpoints (README, item 2)."""
+    """A, B and the note of H = H_d + V J V*: V a column sqrt|w| e^{2 pi i
+    <lam, x>} u(x) and J the sign of w per point of the parts (u, points,
+    weights, period) of period 1, R in all, and H_d the blocks of the other
+    parts (0, each cell alone, without them).  None without such a point, or
+    when the blocks' solves and ~2 x 60 shifts of n R^2 each (all bisection,
+    the worst case) cost more than one dense block.  With H_d = Q diag(lam) Q*
+    and W = Q* V, #{lam < t} - #{eigenvalues of J + W* (lam - t)^-1 W <= 0} +
+    #{J = -1} of H's eigenvalues lie below t (Haynsworth).  A lies in
+    [lam_1 - |V_-|_F^2, lam_(R_+ + 1)], B in [max(lam_max - |V_-|_F^2,
+    lam_(n - R_-)), lam_max + |V_+|_F^2], V_+- the R_+- columns of J = +-1;
+    the counts close each bracket to 4 ulps of the top around secular Newton
+    shifts, or midpoints, or to the last float between poles (README)."""
     columns = [part for part in parts if np.all(part[3] == 1)]
     blocks = [part for part in parts if np.any(part[3] > 1)]
     cells, r = len(idx), sum(len(w) for _, _, w, _ in columns)
@@ -420,7 +432,8 @@ def _rank_update_bounds(parts: list, idx: np.ndarray, xs: np.ndarray, steps: np.
             np.sum(sizes ** 3.0) + 120.0 * cells * r ** 2 >= float(cells) ** 3:
         return None
     V = _fiber_factor(columns, idx, xs)
-    lam, W = np.zeros(cells), V
+    sign = np.concatenate([np.sign(w) for _, _, w, _ in columns])
+    lam, W, negative = np.zeros(cells), V, int(np.count_nonzero(sign < 0))
     if blocks:
         kernels = [(u, _difference_kernel(*part, steps, n)) for u, *part in blocks]
         eig = [(np.linalg.eigh(H), c)
@@ -428,7 +441,8 @@ def _rank_update_bounds(parts: list, idx: np.ndarray, xs: np.ndarray, steps: np.
         lam = np.concatenate([evs.ravel() for (evs, _), _ in eig])
         W = np.concatenate([(Q.conj().transpose(0, 2, 1) @ V[c]).reshape(-1, r)
                             for (_, Q), c in eig])
-    top, Wh, eye, count = lam.max() + float(np.sum(np.abs(V) ** 2)), W.conj().T, np.eye(r), 0
+    power, Wh, J, count = np.abs(V) ** 2, W.conj().T, np.diag(sign), 0
+    top, low = lam.max() + float(np.sum(power * (sign > 0))), float(np.sum(power * (sign < 0)))
     ends, tol = np.sort(lam), 4 * np.finfo(float).eps * top
 
     def solve(lo: float, hi: float, k: int, t: float) -> tuple[float, float]:
@@ -437,23 +451,27 @@ def _rank_update_bounds(parts: list, idx: np.ndarray, xs: np.ndarray, steps: np.
         budget = count + math.log2(1 + (hi - lo) / tol) if tol else count
         while hi - lo > tol:
             while np.any(lam == t):  # lam - t must be invertible
-                t = 0.5 * (lo + t)
-            j, (m, U) = np.searchsorted(ends, t), np.linalg.eigh(eye + (Wh / (lam - t)) @ W)
-            count, i, step = count + 1, j - k - 1, np.nan  # m[i] crosses 0 at the root
+                t, last = 0.5 * (lo + t), t
+                if t in (lo, last):  # no float but poles left between lo and t
+                    return lo, hi
+            j, (m, U) = np.searchsorted(ends, t), np.linalg.eigh(J + (Wh / (lam - t)) @ W)
+            count, i, step = count + 1, j + negative - k - 1, np.nan  # m[i] crosses 0 at the root
             lo, hi = (t, hi) if np.count_nonzero(m <= 0) > i else (lo, t)
             if 0 <= i < r and (slope := np.sum(np.abs(W @ U[:, i] / (lam - t)) ** 2)) > 0:
                 if j == len(lam):  # above every pole: Newton on the concave 1 / (1 - m)
                     step = -m[i] * (1 - m[i]) / slope
-                elif (c := m[i] + slope * (t - ends[j - 1])) > 0:  # m ~ c + s / (p - t)
-                    step = -m[i] * (t - ends[j - 1]) / c
+                # m ~ c + s / (p - t), p the nearest pole below t, or above it below every pole
+                elif (c := m[i] + slope * (d := t - ends[max(j - 1, 0)])) * d > 0:
+                    step = -m[i] * d / c
             newton = count < budget and lo - tol / 2 < t + step < hi + tol / 2
             t = min(max(t + step, lo + tol / 2), hi - tol / 2) if newton else 0.5 * (lo + hi)
         return lo, hi
 
-    a, a_hi = solve(ends[0], ends[min(r, len(lam) - 1)], 0, ends[0] + tol)
+    a, a_hi = solve(ends[0] - low, ends[min(r - negative, len(lam) - 1)], 0, ends[0] - low + tol)
     # B = lam_max stays possible when W's rows at lam_max vanish: probe just above it
     silent = not np.any(W[lam == ends[-1]])
-    b_lo, b = solve(ends[-1], top, len(lam) - 1, ends[-1] + tol if silent else top)
+    b_lo, b = solve(max(ends[-1] - low, ends[max(len(lam) - 1 - negative, 0)]), top,
+                    len(lam) - 1, ends[-1] + tol if silent else top)
     return max(float(a), 0.0), float(b), (
         f"rank-{r} update of {len(sizes)} blocks of order at most {sizes.max()}"
         f"{_arithmetic(W)}: inertia-bracketed Newton in "
@@ -526,7 +544,10 @@ def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
     Where every fiber is one point (painless), G = sum_j covol(L_j)^-1
     |offsets_j| |g_j|^2 is summed as V V* sums its columns, with no V and
     no eigensolve."""
-    spacing = [_diagonal_spacing(f, grid_box.dim) for _, f in system.pairs]
+    measures = (ContinuousFreqMeasure, CosineFreqMeasure)
+    forms = [None if isinstance(f, measures) else f.normal_form() for _, f in system.pairs]
+    spacing = [None if form is None or form.signs else _diagonal_spacing(form.cosets)
+               for form in forms]
     if any(s is None for s in spacing):
         return None
     duals, steps = 1.0 / np.array(spacing), np.array(grid_box.sides) / grid_n
@@ -545,9 +566,9 @@ def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
         raise InputError("singular sampling: every cell centre misses the domain")
     # with one turn every fiber holds at most one point
     sizes, pts = inside[:, 0] if len(turns) == 1 else inside.sum(axis=1), pts[inside]
-    terms = [(w.eval(pts), np.array(f.offsets, dtype=float),
-              np.full(len(f.offsets), 1.0 / f.lattice.covolume), q)
-             for (w, f), q in zip(system.pairs, multiples)]
+    terms = [(w.eval(pts), np.array(f.cosets.offsets, dtype=float),
+              np.full(len(f.cosets.offsets), 1.0 / f.cosets.lattice.covolume), q)
+             for (w, _), f, q in zip(system.pairs, forms, multiples)]
     kept, r = np.count_nonzero(sizes), sum(len(w) * np.prod(q) for *_, w, q in terms)
     if sizes.max() == 1:  # painless: each column's v conj(v), once per coset offset
         g, arithmetic = 0.0, ""
@@ -578,23 +599,26 @@ def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
     """Extreme eigenvalues of the discretized frame operator.
 
     The grid covers the domain's bounding box; cells outside the domain
-    carry zero weight.  Discrete frequency sets are truncated to
-    ``trunc_box``.  With none, ``_ron_shen_bounds`` takes the lattices it
-    keeps untruncated, and the rest are cut to the grid's Nyquist band,
-    which keeps the eigenproblem well posed.  Continuous frequency measures
-    enter by quadrature against their density plus exact atom sums.
+    carry zero weight.  A point set enters as its ``normal_form``: lattice
+    cosets plus finite points weighing +1 or -1.  Discrete frequency sets
+    are truncated to ``trunc_box``.  With none, ``_ron_shen_bounds`` takes
+    the forms with no finite points that it keeps untruncated, and the rest
+    are cut to the grid's Nyquist band, which keeps the eigenproblem well
+    posed.  Continuous frequency measures enter by quadrature against their
+    density plus exact atom sums.
 
     Every part from ``_kernel_terms``, a triple or a kernel, ends in its
     period (1 for a general density's kernel).  The operator couples two
     cells only when their index difference is a multiple of P, the gcd of
     the periods, so it is block diagonal over the fibers of cells with one
     index residue mod P (the Walnut / Ron-Shen fiber decomposition).  When
-    every part is discrete and r, the columns of ``_fiber_factor`` over the
-    residues mod P, is below the largest fiber, A = 0 and B comes from the
-    blocks' r x r Grams: a finite set alone on more active cells than points
-    reads ``dense eigensolve of order n and rank at most R``.  Otherwise,
-    with every part discrete, the period-1 points become R columns beside
-    the other parts' blocks when that costs less (``_rank_update_bounds``).
+    every part is discrete with positive weights and r, the columns of
+    ``_fiber_factor`` over the residues mod P, is below the largest fiber,
+    A = 0 and B comes from the blocks' r x r Grams: a finite set alone on
+    more active cells than points reads ``dense eigensolve of order n and
+    rank at most R``.  Otherwise, with every part discrete, the period-1
+    points, signed ones too, become R columns beside the other parts' blocks
+    when that costs less (``_rank_update_bounds``).
     Otherwise the blocks are gathered from the kernels, or above
     ``DENSE_EIG_LIMIT`` in order the kernels are applied as FFT convolutions
     inside an iterative solve.  A block solve's note ends in ``in real
@@ -628,7 +652,8 @@ def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
     note = (f"dense eigensolve of order {sizes[0]}" if len(sizes) == 1 else
             f"dense eigensolve of {len(sizes)} blocks of order at most {sizes.max()}")
     rank = math.inf if general else sum(len(w) * np.prod(q // period) for *_, w, q in discrete)
-    if rank < sizes.max() and rank <= DENSE_EIG_LIMIT:
+    if rank < sizes.max() and rank <= DENSE_EIG_LIMIT and all(
+            np.all(w > 0) for *_, w, _ in discrete):
         V = _fiber_factor([(u, points, w, q // period) for u, points, w, q in discrete],
                           idx // period, xs)
         a, b, arithmetic = _extremal_eigs_blocks(order, sizes, V)

@@ -423,10 +423,16 @@ class Lattice:
     def coordinates(self, box: Box, offset: Sequence[float] | float = 0.0) -> np.ndarray:
         """Every whole-number row n whose point n B^T + offset can lie in the
         box: the range of the box's corners in lattice coordinates, padded by
-        one basis step so that no rounding drops one, as an (m, dim) array."""
+        one basis step so that no rounding drops one, as an (m, dim) array.
+        Coordinates past 2^52, of the corners or from the offset, are refused:
+        points there round onto each other."""
         if box.dim != self.dim:
             raise InputError(f"box dimension {box.dim} != lattice dimension {self.dim}")
-        pre = (cartesian(zip(box.lo, box.hi)) - np.asarray(offset)) @ self.inverse.T
+        corners = cartesian(zip(box.lo, box.hi))
+        pre = (corners - np.asarray(offset)) @ self.inverse.T
+        if not np.all(np.abs(np.r_[pre, corners @ self.inverse.T]) <= 2.0 ** 52):
+            raise InputError(f"lattice coordinates of the box from {box.lo} to {box.hi} at the "
+                             f"offset {np.ravel(offset).tolist()} pass 2^52")
         return cartesian([np.arange(math.floor(a) - 1, math.ceil(b) + 2)
                           for a, b in zip(pre.min(axis=0), pre.max(axis=0))])
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .geometry import Box, Lattice, as_points, as_vec, cover_counts, nearest_who
 Vec = tuple[float, ...]
 
 MATCH_TOL = 1e-9  # absolute tolerance for matching a given point to a set point
+GAP_LIMIT = 1 << 20  # the most lattice points a normal form lists as removed from one gap
 
 
 def _near(p: Vec) -> Box:
@@ -71,6 +73,29 @@ class StructuredPointSet:
         """Whether the shift by t along the axis maps every periodic part onto itself."""
         return True
 
+    def normal_form(self) -> NormalForm | LatticeCosets | None:
+        """Lattice cosets, or None, plus finite points weighing +1 or -1 whose
+        counting measures add up to this set's; cosets with no finite points
+        are a ``LatticeCosets``, their own form.  None when there is none."""
+        return None
+
+
+class NormalForm(NamedTuple):
+    """The counting measure of ``cosets`` (none when None) plus signs[i] at finite[i]."""
+    cosets: Optional[LatticeCosets]
+    finite: tuple[Vec, ...]
+    signs: tuple[float, ...]
+
+
+def _normal_form(cosets: Optional[LatticeCosets], points: Sequence, signs: Sequence):
+    """The form of the cosets plus signs[i] at points[i], summed per point:
+    the cosets themselves when no sum is left nonzero."""
+    weighted = {}
+    for p, sign in zip(map(tuple, points), signs):
+        weighted[p] = weighted.get(p, 0.0) + sign
+    kept = {p: w for p, w in weighted.items() if w}
+    return cosets if cosets and not kept else NormalForm(cosets, tuple(kept), tuple(kept.values()))
+
 
 @dataclass(frozen=True)
 class LatticeCosets(StructuredPointSet):
@@ -79,6 +104,8 @@ class LatticeCosets(StructuredPointSet):
 
     lattice: Lattice
     offsets: Optional[tuple[Vec, ...]] = None
+    finite, signs = (), ()  # as its own normal form: these cosets, no finite points
+    cosets = property(lambda self: self)
 
     def __post_init__(self):
         d = self.lattice.dim
@@ -95,6 +122,9 @@ class LatticeCosets(StructuredPointSet):
     @property
     def dim(self) -> int:
         return self.lattice.dim
+
+    def normal_form(self) -> LatticeCosets:
+        return self
 
     def points_in_box(self, box: Box) -> np.ndarray:
         return self.lattice.points_in_box(box, self.offsets)
@@ -190,6 +220,23 @@ class EventuallyPeriodic1D(StructuredPointSet):
     def repeats_along(self, axis: int, t: float) -> bool:
         return all(nearest_whole(t / p)[1] for _, p, _ in self._tails())
 
+    def normal_form(self) -> NormalForm | LatticeCosets | None:
+        """With both tails on one period p and starts r and l, r - l = k p
+        for a whole k (decided on the ``repr`` decimals): the coset pZ + r,
+        the core points off it at +1, and the points l + p, ..., r - p of the
+        gap that are not core points at -1, at most GAP_LIMIT of them."""
+        r, p, l, q = self.right_start, self.right_period, self.left_start, self.left_period
+        k = (Fraction(repr(r)) - Fraction(repr(l))) / Fraction(repr(p or 1.0))
+        if p is None or p != q or k.denominator != 1 or k > GAP_LIMIT:
+            return None
+        core = np.array(self.core)
+        on = self._in_tail(core, [(r - p, p, -1)])  # core points in the gap, on the coset
+        taken = set(nearest_whole((core[on] - r) / p)[0].tolist())
+        off = [(c,) for c in core[~on].tolist()]
+        gap = [(m * p + r,) for m in range(1 - int(k), 0) if m not in taken]
+        return _normal_form(LatticeCosets(Lattice.scaled_integers(p), ((r,),)), off + gap,
+                            [1.0] * len(off) + [-1.0] * len(gap))
+
 
 @dataclass(frozen=True)
 class FiniteSet(StructuredPointSet):
@@ -217,6 +264,9 @@ class FiniteSet(StructuredPointSet):
 
     def anchor_hull(self) -> tuple[np.ndarray, np.ndarray]:
         return _hull(self.points, self.dim)
+
+    def normal_form(self) -> NormalForm:
+        return NormalForm(None, self.points, (1.0,) * len(self.points))
 
 
 @dataclass(frozen=True)
@@ -265,6 +315,18 @@ class FinitePerturbation(StructuredPointSet):
 
     def repeats_along(self, axis: int, t: float) -> bool:
         return self.base.repeats_along(axis, t)
+
+    def normal_form(self) -> NormalForm | LatticeCosets | None:
+        """The base's form, the added points at +1 and the base's own points
+        within MATCH_TOL of each removed one at -1; an added point within
+        MATCH_TOL of a point the base removed cancels that point."""
+        if (form := self.base.normal_form()) is None:
+            return None
+        gone = [p for p, sign in zip(form.finite, form.signs) if sign < 0]
+        added = tuple(next((q for q in gone if _near(p).contains(q)), p) for p in self.added)
+        removed = [p for r in self.removed for p in self.base.points_in_box(_near(r)).tolist()]
+        return _normal_form(form.cosets, form.finite + added + tuple(removed),
+                            form.signs + (1.0,) * len(added) + (-1.0,) * len(removed))
 
 
 def integers(dim: int = 1, scale: float = 1.0) -> LatticeCosets:

@@ -146,3 +146,35 @@ def perturbed_lattice_cosets_2d(draw):
     added = [p for p in draw(st.lists(st.tuples(sixteenths(-3, 3), sixteenths(-3, 3)),
                                       max_size=3, unique=True)) if p not in near]
     return FinitePerturbation(base, tuple(added), tuple(removed))
+
+
+@st.composite
+def perturbed_decimal_integers(draw, band):
+    """Z s for a decimal s in [0.25, 2] with up to three decimal points of
+    (-band, band) added off it and up to three of its points there removed,
+    each as the decimal k s is written, which may not be the float k * s."""
+    s = draw(decimals(0.25, 2, places=2))
+    ks = range(math.ceil(-band / s), math.floor(band / s) + 1)
+    removed = draw(st.lists(st.sampled_from(ks), max_size=3, unique=True))
+    added = [x for x in draw(st.lists(decimals(-band, band, places=2), max_size=3, unique=True))
+             if abs(x / s - round(x / s)) > 1e-6]
+    return FinitePerturbation(integers(scale=s), tuple((x,) for x in added),
+                              tuple((float(k * Fraction(repr(s))),) for k in removed))
+
+
+@st.composite
+def decimal_eventually_periodic(draw, band):
+    """Both tails on decimals: one period p in [0.25, 2] and starts r and
+    l = r - k p for a whole k in [-3, 6] (aligned), or l shifted off that by
+    a decimal or a second period (misaligned); a core of up to three decimal
+    points of (-band, band) off the tails."""
+    p, r = draw(decimals(0.25, 2, places=2)), draw(decimals(-2, 2, places=2))
+    left = Fraction(repr(r)) - draw(st.integers(-3, 6)) * Fraction(repr(p))
+    q, shift = p, 0.0
+    if not draw(st.booleans()):  # misaligned
+        q, shift = draw(st.sampled_from([(p, 0.05), (p / 2, 0.0), (2 * p, 0.0)]))
+    tails = EventuallyPeriodic1D(p, r, q, float(left) + shift)
+    taken = tails.points_in_box(Box((-band - 2,), (band + 2,)))[:, 0].tolist()
+    core = [x for x in draw(st.lists(decimals(-band, band, places=2), max_size=3, unique=True))
+            if _apart(x, taken)]
+    return EventuallyPeriodic1D(p, r, q, float(left) + shift, tuple(core))

@@ -26,6 +26,8 @@ from frameforge.geometry import Box, BoxUnionSet, Lattice, canonicalize
 from frameforge.gridfn import GridFunction, cell_volumes, grid_points
 from frameforge.pointsets import (
     DensityReport,
+    EventuallyPeriodic1D,
+    FinitePerturbation,
     FiniteSet,
     LatticeCosets,
     WeightedComb,
@@ -33,7 +35,13 @@ from frameforge.pointsets import (
     integers,
 )
 from frameforge.windows import ClosedForm, Window
-from strategies import sampled_window
+from strategies import (
+    decimal_eventually_periodic,
+    decimal_unions,
+    decimals,
+    perturbed_decimal_integers,
+    sampled_window,
+)
 
 UNIT = BoxUnionSet.from_intervals([(0, 1)])
 UNIT_CLOSED = BoxUnionSet.from_intervals([(0, 1)])
@@ -419,7 +427,7 @@ def assert_one_block_matches_oracle(case, arithmetic=""):
             else:
                 general = True
         else:
-            form = framebounds._lattice_cosets(freq, steps, hair)
+            form = framebounds._lattice_cosets(freq.normal_form().cosets, steps, hair)
             parts.append((weights, ones) if form is None else form[1:])
     parts = [(w, p) for w, p in parts if len(w)]
     *named, note = rep.notes.split("; ")
@@ -1170,6 +1178,104 @@ class TestRonShenPath:
         omega = BoxUnionSet.from_intervals([(0.0, 0.1), (0.9, 1.0)])
         with pytest.raises(InputError, match="every cell centre misses the domain"):
             estimate_frame_bounds(WindowedSystem(omega, ((Window.indicator(), integers()),)), 2)
+
+
+def nyquist_reference(system, grid_n):
+    """The brute-force bounds on at most 256 cells: the eigvalsh of H = the
+    sum of v v* over each pair's own points lam in the grid's Nyquist box,
+    moved down by a hair as the solve cuts it, where v = e^{2 pi i <lam, x>}
+    g(x) sqrt(w(x)) over the cell centres x with the exact ``cell_volumes``
+    (the float weights ``dense_gram_oracle`` takes read a sliver of 1.1e-16
+    in a cell beside a decimal face)."""
+    bb = system.omega.bounding_box()
+    weights = cell_volumes(bb, grid_n, system.omega).ravel()
+    assert weights.size <= 256
+    xs = grid_points(bb, grid_n)[weights > 0]
+    band = nyquist_box(bb, grid_n)
+    hair = band.translate([-1e-9 * s for s in band.sides])
+    H = 0.0
+    for window, freq in system.pairs:
+        v = (np.exp(2j * np.pi * (freq.points_in_box(hair) @ xs.T))
+             * (window.eval(xs) * np.sqrt(weights[weights > 0])))
+        H = H + v.T @ v.conj()
+    evs = np.linalg.eigvalsh(H)
+    return max(evs[0], 0.0), evs[-1]
+
+
+@st.composite
+def normal_form_systems(draw):
+    """One pair: a ``perturbed_decimal_integers`` or a
+    ``decimal_eventually_periodic`` set with period p, under an indicator, a
+    real or a complex window, on [a, a + q / p) for q in {1, 2, 4} (so the
+    lattice's period, grid_n / q cells, is whole and the cosets take their
+    closed form) or on a decimal union (mostly not whole: the set's own
+    points), at grid_n in {16, 64, 128}."""
+    freq = draw(st.one_of(perturbed_decimal_integers(8.0), decimal_eventually_periodic(8.0)))
+    perturbed = isinstance(freq, FinitePerturbation)
+    p = freq.base.lattice.basis[0][0] if perturbed else freq.right_period
+    if draw(st.booleans()):
+        a = draw(decimals(-1, 1, places=2))
+        omega = BoxUnionSet.from_intervals([(a, a + draw(st.sampled_from([1, 2, 4])) / p)])
+    else:
+        omega = draw(decimal_unions(dims=(1,), places=2))
+    window = draw(st.sampled_from([Window.indicator(), Window.from_string("0.8*x^1.3"), None]))
+    pairs = ((window or draw_window(draw, 0), freq),)
+    return WindowedSystem(omega, pairs), draw(st.sampled_from([16, 64, 128]))
+
+
+def head_of(notes):
+    """A note up to its first colon or parenthesis: the solve it names."""
+    return re.split(r"[:(]", notes)[0]
+
+
+class TestNormalFormPath:
+    """A point set enters the solve as its normal form: lattice cosets plus
+    finite points weighing +1 or -1.  The brute-force Nyquist reference on
+    the set's own points is the oracle, and equal sets take one path."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(normal_form_systems())
+    # 16 blocks of order 4 whose top eigenvalues tie to within ulps, B among
+    # them: a B bracket that began below them once halved a probe onto them
+    # without end
+    @example((WindowedSystem(BoxUnionSet.from_intervals([(-0.28, -0.28 + 4 / 1.33)]), (
+        (Window.indicator(), FinitePerturbation(integers(scale=1.33), removed=((-3.99,),))),)),
+        64))
+    def test_matches_the_brute_force_reference(self, case):
+        system, grid_n = case
+        band = nyquist_box(system.omega.bounding_box(), grid_n)
+        rep = estimate_frame_bounds(system, grid_n, band)
+        a, b = nyquist_reference(system, grid_n)
+        assert abs(rep.A_est - a) <= 1e-9 * b
+        assert abs(rep.B_est - b) <= 1e-9 * b
+        window, freq = system.pairs[0]
+        if isinstance(freq, FinitePerturbation) and not freq.removed:
+            two = WindowedSystem(system.omega, ((window, freq.base),
+                                                (window, FiniteSet(freq.added))))
+            pair = estimate_frame_bounds(two, grid_n, band)
+            assert abs(rep.A_est - pair.A_est) <= 1e-9 * b
+            assert abs(rep.B_est - pair.B_est) <= 1e-9 * b
+
+    # the indicator on [0, 1) at grid_n 2048 under sets equal to Z + 1/2,
+    # Z - {0} and Z, however they are written
+    @pytest.mark.parametrize("freq, spelling, bounds, head", [
+        (FinitePerturbation(integers(), added=((0.5,),)),
+         (integers(), FiniteSet(((0.5,),))), (1.0, 2.0), "rank-1 update of 2048 blocks"),
+        (FinitePerturbation(integers(), removed=((0.0,),)), None, (0.0, 1.0),
+         "rank-1 update of 2048 blocks"),
+        (EventuallyPeriodic1D(1.0, 0.0, 1.0, 0.0), (integers(),), (1.0, 1.0),
+         "Ron-Shen fibers of one point each"),
+    ], ids=["added", "removed", "eventually_periodic"])
+    def test_each_spelling_reads_the_closed_form_on_one_path(self, freq, spelling, bounds,
+                                                            head):
+        rep = estimate_frame_bounds(WindowedSystem(UNIT, ((Window.indicator(), freq),)), 2048)
+        assert rep.A_est == pytest.approx(bounds[0], abs=1e-12)
+        assert rep.B_est == pytest.approx(bounds[1], abs=1e-12)
+        assert rep.notes.startswith(head)
+        if spelling:
+            pairs = tuple((Window.indicator(), f) for f in spelling)
+            same = estimate_frame_bounds(WindowedSystem(UNIT, pairs), 2048)
+            assert head_of(same.notes) == head_of(rep.notes)
 
 
 class TestFrequencyMeasure:

@@ -656,15 +656,24 @@ class TestEnumerationOracle:
               ((0.0, 0.0),)))
     @example((Lattice.scaled_integers(1.0), Box((1000.3,), (1003.3,)), ((1000.3,),)))
     @example((Lattice.scaled_integers(1.0), Box((997.3,), (1000.3,)), ((1000.3,), (0.5,))))
-    # past 2^53 the float n + o of n = -1 rounds onto the face: only the
-    # one-step pad keeps it
-    @example((Lattice.scaled_integers(1.0), Box((1e16,), (1e16 + 4,)), ((1e16,),)))
     @settings(max_examples=120, deadline=None)
     def test_points_in_box_match_the_integer_walk(self, case):
         lattice, box, offsets = case
         got = lattice.points_in_box(box) if offsets is None else lattice.points_in_box(box, offsets)
         walked = walked_points(lattice, box, offsets or ((0.0,) * lattice.dim,))
         assert got.tolist() == walked.tolist()
+
+    @pytest.mark.parametrize("box, offset", [
+        (Box((1e16,), (1e16 + 4,)), (1e16,)),  # n + o rounds 1e16 + 1 onto 1e16
+        (Box((-1.0,), (1.0,)), (1e16,)),       # n = -1e16 from the offset
+        (Box((2.0 ** 53,), (2.0 ** 53 + 8,)), (0.0,)),
+    ])
+    def test_refuses_coordinates_past_2_to_the_52(self, box, offset):
+        # past 2^52 a lattice step of 1 is at most two ulps, so points round
+        # onto each other: 1e16 came back four times
+        with pytest.raises(InputError, match=r"lattice coordinates of the box from .* at the "
+                                             r"offset \[.*\] pass 2\^52"):
+            Lattice.scaled_integers(1.0).points_in_box(box, (offset,))
 
 
 def box_oracle(box, p):

@@ -578,3 +578,36 @@ def test_export_checker(tmp_path):
     modules = [tmp_path / "a.py", tmp_path / "b.py"]
     assert unreached_exports(tmp_path / "__init__.py", modules, tmp_path / "README.md",
                              [tmp_path / "bench.py"]) == ["Twin", "gone", "recursive"]
+
+
+def point_set_dispatch(path):
+    """Every ``isinstance`` whose class argument names a ``StructuredPointSet``
+    or a subclass of it: the frame operator reads a point set only through
+    its ``normal_form``, so equal sets take one path however written."""
+    pointsets = importlib.import_module("frameforge.pointsets")
+    classes = {name for name, value in vars(pointsets).items() if isinstance(value, type)
+               and issubclass(value, pointsets.StructuredPointSet)}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno} dispatches on {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            for arg in ast.walk(node.args[1])
+            if (name := getattr(arg, "id", getattr(arg, "attr", None))) in classes]
+
+
+def test_frame_operator_reads_point_sets_by_their_normal_form():
+    assert point_set_dispatch(SRC / "framebounds.py") == []
+
+
+def test_point_set_dispatch_checker(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import pointsets\nfrom .pointsets import LatticeCosets\n\n"
+                     "a = isinstance(f, LatticeCosets)\n"
+                     "b = isinstance(f, (int, pointsets.FiniteSet))\n"
+                     "c = isinstance(f, ContinuousFreqMeasure)\n"
+                     "d = isinstance(LatticeCosets, type)\n"
+                     "e = isinstance(f, StructuredPointSet)\n")
+    assert point_set_dispatch(probe) == [
+        "probe.py:4 dispatches on LatticeCosets", "probe.py:5 dispatches on FiniteSet",
+        "probe.py:8 dispatches on StructuredPointSet"]

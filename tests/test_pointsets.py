@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from frameforge.errors import InputError
 from frameforge.geometry import Box, Lattice
 from frameforge.pointsets import (
+    MATCH_TOL,
     EventuallyPeriodic1D,
     FinitePerturbation,
     FiniteSet,
@@ -21,9 +22,11 @@ from frameforge.pointsets import (
     integers,
 )
 from strategies import (
+    decimal_eventually_periodic,
     decimals,
     lattice_cosets_2d,
     overlapping_decimal_tails,
+    perturbed_decimal_integers,
     perturbed_eventually_periodic,
     perturbed_lattice_cosets_2d,
     sixteenths,
@@ -443,3 +446,70 @@ class TestWindowedIsExact:
         assert [row[0] for row in rep.estimator_trace] == sorted(hs)
         for h, lower, upper in rep.estimator_trace:
             assert (lower, upper) == brute_extremes(comb, h)
+
+
+def form_points(form, box):
+    """The points of a normal form in the box: its cosets' points without
+    those within MATCH_TOL of a point weighing -1, and its points weighing +1."""
+    pts = form.cosets.points_in_box(box)[:, 0] if form.cosets else np.zeros(0)
+    finite = np.array(form.finite, dtype=float).reshape(-1)
+    signs = np.array(form.signs)
+    for x in finite[signs < 0]:
+        pts = pts[np.abs(pts - x) > MATCH_TOL]
+    return np.sort(np.r_[pts, finite[(signs > 0) & box.contains(finite[:, None])]])
+
+
+class TestNormalForm:
+    """Lattice cosets, or none, plus finite points weighing +1 or -1."""
+
+    def test_cosets_are_their_own_form(self):
+        z = integers(scale=0.5)
+        assert z.normal_form() is z
+        assert (z.cosets, z.finite, z.signs) == (z, (), ())
+
+    def test_finite_set_weighs_one_each(self):
+        assert FiniteSet(((1.0,), (2.5,))).normal_form() == (None, ((1.0,), (2.5,)), (1.0, 1.0))
+
+    def test_removal_reads_the_base_point_not_the_decimal_written(self):
+        form = FinitePerturbation(integers(scale=0.1), removed=((0.30000000001,),)).normal_form()
+        assert form.finite == ((0.30000000000000004,),) and form.signs == (-1.0,)
+
+    def test_points_that_cancel_leave_the_cosets(self):
+        z = integers()
+        assert FinitePerturbation(FinitePerturbation(z, added=((0.5,),)),
+                                  removed=((0.5,),)).normal_form() is z
+        assert FinitePerturbation(z).normal_form() is z
+        # 0.3 added back where 0.1 Z lost its own 0.30000000000000004
+        tenths = integers(scale=0.1)
+        assert FinitePerturbation(FinitePerturbation(tenths, removed=((0.3,),)),
+                                  added=((0.3,),)).normal_form() is tenths
+
+    def test_aligned_tails_are_a_coset_less_the_gap(self):
+        # tails 3 + N and -1 - N, core {1, 5.5}: Z + 3, 5.5 at +1, 0 and 2 at -1
+        form = EventuallyPeriodic1D(1.0, 3.0, 1.0, -1.0, (1.0, 5.5)).normal_form()
+        assert form.cosets.lattice == Lattice.scaled_integers(1.0)
+        assert form.cosets.offsets == ((3.0,),)
+        assert sorted(zip(form.finite, form.signs)) == [((0.0,), -1.0), ((2.0,), -1.0),
+                                                        ((5.5,), 1.0)]
+        # both tails through 0: Z, with no points; tails 0.3 + 0.1 N and -0.1 N:
+        # 0.1 Z + 0.3 less its gap points 0.1 and 0.2, as the coset rounds them
+        assert EventuallyPeriodic1D(1.0, 0.0, 1.0, 0.0).normal_form().signs == ()
+        assert EventuallyPeriodic1D(0.1, 0.3, 0.1, 0.0).normal_form().finite == (
+            (0.09999999999999998,), (0.19999999999999998,))
+
+    @pytest.mark.parametrize("ep", [
+        EventuallyPeriodic1D(0.1, 0.35, 0.1, 0.0), EventuallyPeriodic1D(1.0, 0.0, 0.5, -1.0),
+        right_half_integers(), left_negative_integers()])
+    def test_misaligned_or_one_tailed_sets_have_none(self, ep):
+        assert ep.normal_form() is None
+
+    @given(st.one_of(perturbed_decimal_integers(8.0), decimal_eventually_periodic(8.0),
+                     perturbed_eventually_periodic()),
+           decimals(-9, 7), decimals(0.5, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_form_holds_the_points_of_its_set(self, freq, lo, side):
+        form, box = freq.normal_form(), Box((lo,), (lo + side,))
+        assume(form is not None)
+        want = freq.points_in_box(box)[:, 0]
+        got = form_points(form, box)
+        assert len(got) == len(want) and np.all(np.abs(got - want) <= MATCH_TOL)
