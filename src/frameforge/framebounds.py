@@ -4,15 +4,13 @@ The model space is the grid over the domain's bounding box with exact
 per-cell domain weights.  The analysis map sends a grid function to its
 inner products against windowed exponentials; frame bounds are the extreme
 eigenvalues of the (weighted) frame operator.  Frequencies enter the
-operator only through the difference x - y of two cells.  A point set
-enters as its normal form, lattice cosets plus finite points weighing +1
-or -1, so equal sets take one path however they are written.  Each
-discrete part of a pair's frequencies is one triple (points, weights,
-period in cells) that acts only at the cell-index differences that are
-multiples of its period; any other measure enters as its Toeplitz
-kernel.  A grid whose Nyquist band matches the frequency truncation
-reproduces tight continuous systems exactly; that band is the default
-truncation, save for the lattice cosets kept untruncated on the
+operator only through the difference x - y of two cells, and a point set
+as its normal form.  Each discrete part of a pair's frequencies is one
+triple (points, weights, period in cells) that acts only at the cell-index
+differences that are multiples of its period; any other measure enters as
+its Toeplitz kernel.  A grid whose Nyquist band matches the frequency
+truncation reproduces tight continuous systems exactly; that band is the
+default truncation, save for the lattice cosets kept untruncated on the
 continuum's Ron-Shen fibers.
 Where each such fiber is one point (the painless case), the bounds are the
 extremes of sum_j covol(L_j)^-1 |offsets_j| |g_j|^2 over the samples.
@@ -35,6 +33,7 @@ from .pointsets import (
     StructuredPointSet,
     WeightedComb,
     density_closed_form,
+    signed_points,
 )
 from .windows import Window
 
@@ -282,12 +281,11 @@ def _diagonal_spacing(cosets: Optional[LatticeCosets]) -> Optional[np.ndarray]:
 
 def _lattice_cosets(cosets, steps: np.ndarray, box: Box) -> Optional[tuple]:
     """The triple (offsets, counts in ``box``, period in cells) of ``cosets``
-    of a diagonal lattice, or None (also for None).  Spacing s_a on grid
-    step d_a makes the period P_a = 1 / (s_a d_a) cells; when P_a is an
-    integer and each coset fills whole periods of the box, its exponential
-    sum over a cell difference k is its count times e^{2 pi i <o, k step>}
-    when k = 0 mod P and zero otherwise: when its distinct lattice
-    coordinates do on each axis."""
+    of a diagonal lattice, or None.  Spacing s_a on grid step d_a makes the
+    period P_a = 1 / (s_a d_a) cells; when P_a is an integer and each coset
+    fills whole periods of the box, its exponential sum over a cell
+    difference k is its count times e^{2 pi i <o, k step>} when k = 0 mod P
+    and zero otherwise: when its distinct lattice coordinates do on each axis."""
     spacing = _diagonal_spacing(cosets)
     if spacing is None:
         return None
@@ -309,12 +307,11 @@ def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
     """(u, part) per part of each pair's frequencies, u = g sqrt(w) over the
     active cells.  A discrete part is the triple (points, weights, period in
     cells) whose frame operator is u(x) conj(u(y)) times ``_difference_kernel``
-    at the index difference of x and y: a point set's ``normal_form`` as its
-    whole-period lattice cosets (``_lattice_cosets``) with their period and
-    its signed finite points in ``box`` with period 1, else its own points
-    in ``box`` weighing 1 with period 1; a constant density
-    (``_density_part``) with its period; and a measure's atoms with period
-    1.  Any other part is the pair (kernel array, period): the cosine
+    at the index difference of x and y: whole-period lattice cosets of a
+    normal form (``_lattice_cosets``) and a constant density
+    (``_density_part``) with their periods, and with period 1 the form's
+    ``signed_points`` in ``box`` (else the set's points), and a measure's
+    atoms.  Any other part is the pair (kernel array, period): the cosine
     measure's (``_cosine_part``), and any other density's with period 1.  A
     part of no weight is dropped, and a pair left with no part is named."""
     terms, notes, ones = [], [], np.ones(len(steps), dtype=int)
@@ -334,9 +331,7 @@ def _kernel_terms(system: WindowedSystem, xs: np.ndarray, sqw: np.ndarray,
                                          steps, box)) is None:  # the set's own points
             parts = [((lam := freq.points_in_box(box)), np.ones(len(lam)), ones)]
         else:
-            finite = np.array(form.finite, dtype=float).reshape(-1, len(steps))
-            inside = box.contains(finite)
-            parts = [lattice, (finite[inside], np.array(form.signs)[inside], ones)]
+            parts = [lattice, (*signed_points(form, box), ones)]
         parts = [part for part in parts if np.any(part[-2])]  # weights, or the kernel
         if not parts:
             notes.append(f"pair '{window.label}': no frequencies inside the truncation box; "
@@ -414,15 +409,10 @@ def _rank_update_bounds(parts: list, idx: np.ndarray, xs: np.ndarray, steps: np.
     """A, B and the note of H = H_d + V J V*: V a column sqrt|w| e^{2 pi i
     <lam, x>} u(x) and J the sign of w per point of the parts (u, points,
     weights, period) of period 1, R in all, and H_d the blocks of the other
-    parts (0, each cell alone, without them).  None without such a point, or
-    when the blocks' solves and ~2 x 60 shifts of n R^2 each (all bisection,
-    the worst case) cost more than one dense block.  With H_d = Q diag(lam) Q*
-    and W = Q* V, #{lam < t} - #{eigenvalues of J + W* (lam - t)^-1 W <= 0} +
-    #{J = -1} of H's eigenvalues lie below t (Haynsworth).  A lies in
-    [lam_1 - |V_-|_F^2, lam_(R_+ + 1)], B in [max(lam_max - |V_-|_F^2,
-    lam_(n - R_-)), lam_max + |V_+|_F^2], V_+- the R_+- columns of J = +-1;
-    the counts close each bracket to 4 ulps of the top around secular Newton
-    shifts, or midpoints, or to the last float between poles (README)."""
+    parts (0, each cell alone, without them).  None without such a point,
+    beside a -1 point near a +1 point, or when the blocks' solves and ~2 x
+    60 shifts of n R^2 each cost more than one dense block.  README's
+    rank-update rule has the inertia count, its brackets and the shifts."""
     columns = [part for part in parts if np.all(part[3] == 1)]
     blocks = [part for part in parts if np.any(part[3] > 1)]
     cells, r = len(idx), sum(len(w) for _, _, w, _ in columns)
@@ -431,8 +421,12 @@ def _rank_update_bounds(parts: list, idx: np.ndarray, xs: np.ndarray, steps: np.
     if not r or sizes.max() > DENSE_EIG_LIMIT or \
             np.sum(sizes ** 3.0) + 120.0 * cells * r ** 2 >= float(cells) ** 3:
         return None
-    V = _fiber_factor(columns, idx, xs)
     sign = np.concatenate([np.sign(w) for _, _, w, _ in columns])
+    pts = np.concatenate([points for _, points, _, _ in columns])
+    # a +1 and a -1 point closer than 1e-4 of the grid's sides cancel in M(t) (README)
+    if np.any(np.max(np.abs(pts[sign > 0, None] - pts[sign < 0]) * n * steps, axis=2) < 1e-4):
+        return None
+    V = _fiber_factor(columns, idx, xs)
     lam, W, negative = np.zeros(cells), V, int(np.count_nonzero(sign < 0))
     if blocks:
         kernels = [(u, _difference_kernel(*part, steps, n)) for u, *part in blocks]
@@ -546,7 +540,7 @@ def _ron_shen_bounds(system: WindowedSystem, grid_box: Box,
     no eigensolve."""
     measures = (ContinuousFreqMeasure, CosineFreqMeasure)
     forms = [None if isinstance(f, measures) else f.normal_form() for _, f in system.pairs]
-    spacing = [None if form is None or form.signs else _diagonal_spacing(form.cosets)
+    spacing = [None if form is None or form.cosets is not form else _diagonal_spacing(form)
                for form in forms]
     if any(s is None for s in spacing):
         return None
@@ -599,13 +593,12 @@ def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
     """Extreme eigenvalues of the discretized frame operator.
 
     The grid covers the domain's bounding box; cells outside the domain
-    carry zero weight.  A point set enters as its ``normal_form``: lattice
-    cosets plus finite points weighing +1 or -1.  Discrete frequency sets
+    carry zero weight.  Discrete frequency sets, as their ``normal_form``,
     are truncated to ``trunc_box``.  With none, ``_ron_shen_bounds`` takes
-    the forms with no finite points that it keeps untruncated, and the rest
-    are cut to the grid's Nyquist band, which keeps the eigenproblem well
-    posed.  Continuous frequency measures enter by quadrature against their
-    density plus exact atom sums.
+    the lattices it keeps untruncated, and the rest are cut to the grid's
+    Nyquist band, which keeps the eigenproblem well posed.  Continuous
+    frequency measures enter by quadrature against their density plus
+    exact atom sums.
 
     Every part from ``_kernel_terms``, a triple or a kernel, ends in its
     period (1 for a general density's kernel).  The operator couples two
@@ -617,8 +610,8 @@ def estimate_frame_bounds(system: WindowedSystem, grid_n: int,
     A = 0 and B comes from the blocks' r x r Grams: a finite set alone on
     more active cells than points reads ``dense eigensolve of order n and
     rank at most R``.  Otherwise, with every part discrete, the period-1
-    points, signed ones too, become R columns beside the other parts' blocks
-    when that costs less (``_rank_update_bounds``).
+    points become R columns beside the other parts' blocks when that costs
+    less (``_rank_update_bounds``).
     Otherwise the blocks are gathered from the kernels, or above
     ``DENSE_EIG_LIMIT`` in order the kernels are applied as FFT convolutions
     inside an iterative solve.  A block solve's note ends in ``in real

@@ -423,9 +423,8 @@ class Lattice:
     def coordinates(self, box: Box, offset: Sequence[float] | float = 0.0) -> np.ndarray:
         """Every whole-number row n whose point n B^T + offset can lie in the
         box: the range of the box's corners in lattice coordinates, padded by
-        one basis step so that no rounding drops one, as an (m, dim) array.
-        Coordinates past 2^52, of the corners or from the offset, are refused:
-        points there round onto each other."""
+        one basis step so that no rounding drops one, as an (m, dim) array;
+        refused past 2^52, where points round onto each other."""
         if box.dim != self.dim:
             raise InputError(f"box dimension {box.dim} != lattice dimension {self.dim}")
         corners = cartesian(zip(box.lo, box.hi))

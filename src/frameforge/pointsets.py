@@ -22,7 +22,6 @@ from .geometry import Box, Lattice, as_points, as_vec, cover_counts, nearest_who
 Vec = tuple[float, ...]
 
 MATCH_TOL = 1e-9  # absolute tolerance for matching a given point to a set point
-GAP_LIMIT = 1 << 20  # the most lattice points a normal form lists as removed from one gap
 
 
 def _near(p: Vec) -> Box:
@@ -74,27 +73,46 @@ class StructuredPointSet:
         return True
 
     def normal_form(self) -> NormalForm | LatticeCosets | None:
-        """Lattice cosets, or None, plus finite points weighing +1 or -1 whose
-        counting measures add up to this set's; cosets with no finite points
-        are a ``LatticeCosets``, their own form.  None when there is none."""
+        """This set's counting measure as a ``NormalForm``, or as the
+        ``LatticeCosets`` it is; None when it has none."""
         return None
 
 
 class NormalForm(NamedTuple):
-    """The counting measure of ``cosets`` (none when None) plus signs[i] at finite[i]."""
+    """The counting measure of ``cosets`` (none when None) plus signs[i] at
+    finite[i], less the cosets' points in the box ``gap`` (none when None)."""
     cosets: Optional[LatticeCosets]
     finite: tuple[Vec, ...]
     signs: tuple[float, ...]
+    gap: Optional[Box] = None
 
 
-def _normal_form(cosets: Optional[LatticeCosets], points: Sequence, signs: Sequence):
-    """The form of the cosets plus signs[i] at points[i], summed per point:
-    the cosets themselves when no sum is left nonzero."""
+def _summed(points, signs) -> dict:
+    """The nonzero sums of signs[i] per point points[i]."""
     weighted = {}
     for p, sign in zip(map(tuple, points), signs):
         weighted[p] = weighted.get(p, 0.0) + sign
-    kept = {p: w for p, w in weighted.items() if w}
-    return cosets if cosets and not kept else NormalForm(cosets, tuple(kept), tuple(kept.values()))
+    return {p: w for p, w in weighted.items() if w}
+
+
+def _normal_form(cosets: Optional[LatticeCosets], points, signs, gap: Optional[Box] = None):
+    """The form of the cosets less ``gap`` plus signs[i] at points[i], summed
+    per point: the cosets themselves when nothing else is left."""
+    kept = _summed(points, signs)
+    return cosets if cosets and not kept and gap is None else \
+        NormalForm(cosets, tuple(kept), tuple(kept.values()), gap)
+
+
+def signed_points(form, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """The points in ``box`` that ``form`` weighs besides its cosets, and
+    their nonzero weights: its finite points and its gap's points at -1."""
+    finite = np.array(form.finite, dtype=float).reshape(-1, box.dim)
+    inside, gap = box.contains(finite), form.gap and box.intersect(form.gap)
+    gone = form.cosets.points_in_box(gap) if gap else finite[:0]
+    weighted = _summed(np.vstack([finite[inside], gone]).tolist(),
+                       np.r_[np.array(form.signs)[inside], -np.ones(len(gone))])
+    points = np.array(list(weighted), dtype=float).reshape(-1, box.dim)
+    return points, np.array(list(weighted.values()), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -104,7 +122,7 @@ class LatticeCosets(StructuredPointSet):
 
     lattice: Lattice
     offsets: Optional[tuple[Vec, ...]] = None
-    finite, signs = (), ()  # as its own normal form: these cosets, no finite points
+    finite, signs, gap = (), (), None  # as its own normal form: these cosets alone
     cosets = property(lambda self: self)
 
     def __post_init__(self):
@@ -222,20 +240,20 @@ class EventuallyPeriodic1D(StructuredPointSet):
 
     def normal_form(self) -> NormalForm | LatticeCosets | None:
         """With both tails on one period p and starts r and l, r - l = k p
-        for a whole k (decided on the ``repr`` decimals): the coset pZ + r,
-        the core points off it at +1, and the points l + p, ..., r - p of the
-        gap that are not core points at -1, at most GAP_LIMIT of them."""
+        for a whole k (decided on the ``repr`` decimals): the coset pZ + r
+        less its points in the gap l < x < r, unless core points fill it,
+        plus the core points, on the coset as the coset rounds them."""
         r, p, l, q = self.right_start, self.right_period, self.left_start, self.left_period
         k = (Fraction(repr(r)) - Fraction(repr(l))) / Fraction(repr(p or 1.0))
-        if p is None or p != q or k.denominator != 1 or k > GAP_LIMIT:
+        if p is None or p != q or k.denominator != 1:
             return None
-        core = np.array(self.core)
+        cosets, core = LatticeCosets(Lattice.scaled_integers(p), ((r,),)), np.array(self.core)
         on = self._in_tail(core, [(r - p, p, -1)])  # core points in the gap, on the coset
-        taken = set(nearest_whole((core[on] - r) / p)[0].tolist())
-        off = [(c,) for c in core[~on].tolist()]
-        gap = [(m * p + r,) for m in range(1 - int(k), 0) if m not in taken]
-        return _normal_form(LatticeCosets(Lattice.scaled_integers(p), ((r,),)), off + gap,
-                            [1.0] * len(off) + [-1.0] * len(gap))
+        filled = np.count_nonzero(on) >= k - 1  # then the coset holds them as it rounds them
+        pts = [(c,) for c in core[~on]] + (
+            [] if filled else [cosets.points_in_box(_near((c,))).tolist()[0] for c in core[on]])
+        return _normal_form(cosets, pts, [1.0] * len(pts),
+                            None if filled else Box((l + p / 2,), (r - p / 2,)))
 
 
 @dataclass(frozen=True)
@@ -317,16 +335,21 @@ class FinitePerturbation(StructuredPointSet):
         return self.base.repeats_along(axis, t)
 
     def normal_form(self) -> NormalForm | LatticeCosets | None:
-        """The base's form, the added points at +1 and the base's own points
-        within MATCH_TOL of each removed one at -1; an added point within
-        MATCH_TOL of a point the base removed cancels that point."""
+        """The base's form, -1 once at each of its points of positive weight
+        within MATCH_TOL of a removed point, and +1 at each added point, or
+        at the form's point of negative weight within MATCH_TOL of it."""
         if (form := self.base.normal_form()) is None:
             return None
-        gone = [p for p, sign in zip(form.finite, form.signs) if sign < 0]
-        added = tuple(next((q for q in gone if _near(p).contains(q)), p) for p in self.added)
-        removed = [p for r in self.removed for p in self.base.points_in_box(_near(r)).tolist()]
-        return _normal_form(form.cosets, form.finite + added + tuple(removed),
-                            form.signs + (1.0,) * len(added) + (-1.0,) * len(removed))
+
+        def near(p: Vec, cosets) -> dict:  # the form's points near p, with ``cosets``
+            pts, weights = signed_points(form, _near(p))
+            on = cosets.points_in_box(_near(p)) if cosets else pts[:0]
+            return _summed(np.vstack([on, pts]).tolist(), np.r_[np.ones(len(on)), weights])
+        added = [next((q for q, w in near(p, None).items() if w < 0), p) for p in self.added]
+        removed = dict.fromkeys(q for r in self.removed
+                                for q, w in near(r, form.cosets).items() if w > 0)
+        return _normal_form(form.cosets, form.finite + tuple(added) + tuple(removed),
+                            form.signs + (1.0,) * len(added) + (-1.0,) * len(removed), form.gap)
 
 
 def integers(dim: int = 1, scale: float = 1.0) -> LatticeCosets:

@@ -1241,6 +1241,11 @@ class TestNormalFormPath:
     @example((WindowedSystem(BoxUnionSet.from_intervals([(-0.28, -0.28 + 4 / 1.33)]), (
         (Window.indicator(), FinitePerturbation(integers(scale=1.33), removed=((-3.99,),))),)),
         64))
+    # a +1 point 1e-8 from a -1 point: the two columns cancel to roundoff in
+    # the rank update's secular matrix, so the pair takes the dense solve
+    @example((WindowedSystem(BoxUnionSet.from_intervals([(0.0, 1 / 0.7)]), ((
+        Window.indicator(), FinitePerturbation(FinitePerturbation(
+            integers(scale=0.7), removed=((2.1,),)), added=((2.1 + 1e-8,),))),)), 128))
     def test_matches_the_brute_force_reference(self, case):
         system, grid_n = case
         band = nyquist_box(system.omega.bounding_box(), grid_n)
@@ -1255,6 +1260,17 @@ class TestNormalFormPath:
             pair = estimate_frame_bounds(two, grid_n, band)
             assert abs(rep.A_est - pair.A_est) <= 1e-9 * b
             assert abs(rep.B_est - pair.B_est) <= 1e-9 * b
+
+    @pytest.mark.parametrize("removed", [((0.0,), (0.0,)), ((0.0,), (1e-10,))])
+    @pytest.mark.parametrize("grid_n", [16, 64])
+    def test_a_point_removed_twice_is_removed_once(self, removed, grid_n):
+        # Z on [0, 1/2) is tight at 1; without the exponential at 0, of norm^2 1/2, A is 1/2
+        system = WindowedSystem(BoxUnionSet.from_intervals([(0.0, 0.5)]), (
+            (Window.indicator(), FinitePerturbation(integers(), removed=removed)),))
+        rep = estimate_frame_bounds(system, grid_n)
+        assert (rep.A_est, rep.B_est) == (pytest.approx(0.5, abs=1e-12),
+                                          pytest.approx(1.0, abs=1e-12))
+        assert rep.notes.startswith("rank-1 update")
 
     # the indicator on [0, 1) at grid_n 2048 under sets equal to Z + 1/2,
     # Z - {0} and Z, however they are written

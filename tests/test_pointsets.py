@@ -20,6 +20,7 @@ from frameforge.pointsets import (
     density_closed_form,
     density_windowed,
     integers,
+    signed_points,
 )
 from strategies import (
     decimal_eventually_periodic,
@@ -449,14 +450,15 @@ class TestWindowedIsExact:
 
 
 def form_points(form, box):
-    """The points of a normal form in the box: its cosets' points without
-    those within MATCH_TOL of a point weighing -1, and its points weighing +1."""
-    pts = form.cosets.points_in_box(box)[:, 0] if form.cosets else np.zeros(0)
-    finite = np.array(form.finite, dtype=float).reshape(-1)
-    signs = np.array(form.signs)
-    for x in finite[signs < 0]:
-        pts = pts[np.abs(pts - x) > MATCH_TOL]
-    return np.sort(np.r_[pts, finite[(signs > 0) & box.contains(finite[:, None])]])
+    """The points of a normal form in the box: its cosets' points at 1 and
+    its ``signed_points``, summed per point, where every sum is 0 or 1."""
+    pts, signs = signed_points(form, box)
+    on = form.cosets.points_in_box(box) if form.cosets else pts[:0]
+    weight = {}
+    for x, w in zip(np.r_[on[:, 0], pts[:, 0]].tolist(), np.r_[np.ones(len(on)), signs]):
+        weight[x] = weight.get(x, 0.0) + w
+    assert set(weight.values()) <= {0.0, 1.0}
+    return np.sort([x for x, w in weight.items() if w])
 
 
 class TestNormalForm:
@@ -468,7 +470,8 @@ class TestNormalForm:
         assert (z.cosets, z.finite, z.signs) == (z, (), ())
 
     def test_finite_set_weighs_one_each(self):
-        assert FiniteSet(((1.0,), (2.5,))).normal_form() == (None, ((1.0,), (2.5,)), (1.0, 1.0))
+        assert FiniteSet(((1.0,), (2.5,))).normal_form() == (
+            None, ((1.0,), (2.5,)), (1.0, 1.0), None)
 
     def test_removal_reads_the_base_point_not_the_decimal_written(self):
         form = FinitePerturbation(integers(scale=0.1), removed=((0.30000000001,),)).normal_form()
@@ -485,17 +488,31 @@ class TestNormalForm:
                                   added=((0.3,),)).normal_form() is tenths
 
     def test_aligned_tails_are_a_coset_less_the_gap(self):
-        # tails 3 + N and -1 - N, core {1, 5.5}: Z + 3, 5.5 at +1, 0 and 2 at -1
+        # tails 3 + N and -1 - N, core {1, 5.5}: Z + 3 less the gap (-1, 3),
+        # 1 and 5.5 at +1; in [-2, 6) that leaves 0 and 2 at -1
         form = EventuallyPeriodic1D(1.0, 3.0, 1.0, -1.0, (1.0, 5.5)).normal_form()
         assert form.cosets.lattice == Lattice.scaled_integers(1.0)
         assert form.cosets.offsets == ((3.0,),)
-        assert sorted(zip(form.finite, form.signs)) == [((0.0,), -1.0), ((2.0,), -1.0),
-                                                        ((5.5,), 1.0)]
-        # both tails through 0: Z, with no points; tails 0.3 + 0.1 N and -0.1 N:
+        assert form.finite == ((5.5,), (1.0,)) and form.signs == (1.0, 1.0)
+        pts, signs = signed_points(form, Box((-2.0,), (6.0,)))
+        assert sorted(zip(pts[:, 0], signs)) == [(0.0, -1.0), (2.0, -1.0), (5.5, 1.0)]
+        # both tails through 0: Z itself; tails 0.3 + 0.1 N and -0.1 N:
         # 0.1 Z + 0.3 less its gap points 0.1 and 0.2, as the coset rounds them
-        assert EventuallyPeriodic1D(1.0, 0.0, 1.0, 0.0).normal_form().signs == ()
-        assert EventuallyPeriodic1D(0.1, 0.3, 0.1, 0.0).normal_form().finite == (
-            (0.09999999999999998,), (0.19999999999999998,))
+        assert isinstance(EventuallyPeriodic1D(1.0, 0.0, 1.0, 0.0).normal_form(), LatticeCosets)
+        form = EventuallyPeriodic1D(0.1, 0.3, 0.1, 0.0).normal_form()
+        assert signed_points(form, Box((-1.0,), (1.0,)))[0].tolist() == [
+            [0.09999999999999998], [0.19999999999999998]]
+
+    def test_a_core_that_fills_the_gap_leaves_the_coset(self):
+        assert isinstance(EventuallyPeriodic1D(1.0, 3.0, 1.0, 0.0, (1.0, 2.0)).normal_form(),
+                          LatticeCosets)
+
+    def test_a_far_gap_enters_by_its_points_in_the_box(self):
+        # a million gap points, none listed: the box holds 0 (a tail point) and 1, 2
+        form = EventuallyPeriodic1D(1.0, 1e6, 1.0, 0.0, (7.5,)).normal_form()
+        assert form.finite == ((7.5,),) and form.gap == Box((0.5,), (1e6 - 0.5,))
+        pts, signs = signed_points(form, Box((-0.5,), (2.5,)))
+        assert pts[:, 0].tolist() == [1.0, 2.0] and signs.tolist() == [-1.0, -1.0]
 
     @pytest.mark.parametrize("ep", [
         EventuallyPeriodic1D(0.1, 0.35, 0.1, 0.0), EventuallyPeriodic1D(1.0, 0.0, 0.5, -1.0),
